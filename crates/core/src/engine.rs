@@ -96,13 +96,14 @@
 
 use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::marginals::MarginalTable;
+use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
 use fgdb_graph::Model;
 use fgdb_mcmc::{
     effective_sample_size, gelman_rubin, run_chains_checkpointed, split_r_hat, KernelStats,
     Proposer,
 };
-use fgdb_relational::{CountedSet, Plan, Tuple};
+use fgdb_relational::{Plan, Tuple};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -204,45 +205,13 @@ impl From<EvaluateError> for EngineError {
     }
 }
 
-/// Per-tuple answer-membership traces of one chain: row `t` holds the 0/1
-/// indicator of `t ∈ Q(wᵢ)` for every sample `i` drawn so far. Tuples first
-/// observed at sample `i` are backfilled with zeros for samples `0..i`, so
-/// every trace has length `samples`.
-#[derive(Clone, Debug, Default)]
-struct TraceStore {
-    samples: usize,
-    rows: HashMap<Tuple, Vec<f64>>,
-}
-
-impl TraceStore {
-    fn record(&mut self, answer: &CountedSet) {
-        for trace in self.rows.values_mut() {
-            trace.push(0.0);
-        }
-        for t in answer.support() {
-            match self.rows.get_mut(t) {
-                Some(trace) => *trace.last_mut().expect("pushed above") = 1.0,
-                None => {
-                    let mut trace = vec![0.0; self.samples];
-                    trace.push(1.0);
-                    self.rows.insert(t.clone(), trace);
-                }
-            }
-        }
-        self.samples += 1;
-    }
-
-    fn trace(&self, t: &Tuple) -> Option<&[f64]> {
-        self.rows.get(t).map(Vec::as_slice)
-    }
-}
-
 /// One independent replica: deep-snapshotted database + chain, its
-/// incrementally maintained view, and its membership traces.
+/// incrementally maintained view, and its whole-run membership log (the
+/// per-tuple 0/1 traces of `t ∈ Q(wᵢ)`, kept as crossing events).
 struct Replica<M> {
     pdb: ProbabilisticDB<M>,
     eval: QueryEvaluator,
-    trace: TraceStore,
+    trace: MembershipLog,
 }
 
 impl<M: Model> Replica<M> {
@@ -250,11 +219,7 @@ impl<M: Model> Replica<M> {
     /// extends the membership traces.
     fn draw(&mut self) -> Result<(), EvaluateError> {
         self.eval.sample(&mut self.pdb)?;
-        let answer = self
-            .eval
-            .current_answer()
-            .ok_or(EvaluateError::NotMaterialized)?;
-        self.trace.record(answer);
+        self.trace.record(self.eval.last_crossings());
         Ok(())
     }
 }
@@ -385,18 +350,28 @@ fn diagnose<M: Model>(replicas: &[Replica<M>], collect_per_tuple: bool) -> DiagS
     // `unwrap_or(0)` keeps this total even for an (unconstructible, see
     // `ParallelEngine::new`) replica-less engine: the summary degenerates
     // to the trivially-converged empty-support verdict below.
-    let n = replicas.iter().map(|r| r.trace.samples).min().unwrap_or(0);
+    let n = replicas
+        .iter()
+        .map(|r| r.trace.samples() as usize)
+        .min()
+        .unwrap_or(0);
     let zeros = vec![0.0f64; n];
-    let tuples: BTreeSet<&Tuple> = replicas.iter().flat_map(|r| r.trace.rows.keys()).collect();
+    // A tuple a chain's log holds no event for was never in that chain's
+    // answer (the initial answer entered at sample 0): an all-zero trace.
+    let chain_traces: Vec<_> = replicas.iter().map(|r| r.trace.traces()).collect();
+    let tuples: BTreeSet<&Tuple> = chain_traces
+        .iter()
+        .flat_map(|traces| traces.keys().copied())
+        .collect();
     // An empty support (query answer empty in every sampled world so far)
     // is trivially converged; ESS is then the full pooled sample count.
     let mut max_r_hat = 1.0f64;
     let mut min_ess = (n * replicas.len()) as f64;
     let mut per_tuple = HashMap::with_capacity(if collect_per_tuple { tuples.len() } else { 0 });
     for t in tuples {
-        let traces: Vec<&[f64]> = replicas
+        let traces: Vec<&[f64]> = chain_traces
             .iter()
-            .map(|r| r.trace.trace(t).map(|tr| &tr[..n]).unwrap_or(&zeros))
+            .map(|chain| chain.get(t).and_then(|tr| tr.get(..n)).unwrap_or(&zeros))
             .collect();
         let r_hat = if traces.len() >= 2 {
             gelman_rubin(&traces)
@@ -465,11 +440,11 @@ impl<M: Model + Clone> ParallelEngine<M> {
             }
             let eval = QueryEvaluator::materialized(plan.clone(), &pdb, config.thinning)
                 .map_err(EngineError::Evaluate)?;
-            let mut trace = TraceStore::default();
-            trace.record(
-                eval.current_answer()
-                    .ok_or(EngineError::Evaluate(EvaluateError::NotMaterialized))?,
-            );
+            // Sample 0: the initial answer enters from the empty answer, so
+            // a tuple one chain holds from the start and another never sees
+            // shows up as the disagreement it is.
+            let mut trace = MembershipLog::new(usize::MAX);
+            trace.record(eval.last_crossings());
             replicas.push(Replica { pdb, eval, trace });
         }
         Ok(ParallelEngine {
@@ -513,7 +488,7 @@ impl<M: Model + Clone> ParallelEngine<M> {
         // Construction guarantees ≥ 1 replica; stay total regardless.
         self.replicas
             .iter()
-            .map(|r| r.trace.samples)
+            .map(|r| r.trace.samples() as usize)
             .min()
             .unwrap_or(0)
     }
@@ -576,8 +551,7 @@ impl<M: Model + Clone> ParallelEngine<M> {
                 }
                 let diag = diagnose(replicas, false);
                 trajectory.push(RHatPoint {
-                    samples_per_chain: replicas.first().map(|r| r.trace.samples).unwrap_or(0)
-                        as u64,
+                    samples_per_chain: replicas.first().map(|r| r.trace.samples()).unwrap_or(0),
                     r_hat: diag.max_r_hat,
                     min_ess: diag.min_ess,
                 });
@@ -675,7 +649,7 @@ impl<M: Model + Clone> ParallelEngine<M> {
                 seed: chain_seed(self.config.base_seed, i),
                 steps: r.pdb.steps_taken(),
                 samples: r.eval.marginals().samples(),
-                support: r.trace.rows.len(),
+                support: r.eval.marginals().support_size(),
                 kernel: r.pdb.kernel_stats(),
             })
             .collect();

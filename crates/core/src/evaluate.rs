@@ -16,6 +16,7 @@
 //! yield byte-identical marginal tables.
 
 use crate::marginals::MarginalTable;
+use crate::membership::{crossings, Crossing};
 use crate::pdb::ProbabilisticDB;
 use fgdb_graph::{Model, ModelError};
 use fgdb_relational::{
@@ -99,6 +100,9 @@ pub struct SampleWork {
     pub delta_rows: u64,
     /// Net changed tuples in this thinning interval.
     pub delta_magnitude: u64,
+    /// Answer rows read to observe this sample: the rows of the view's
+    /// output delta (materialized) or of the re-executed answer (naive).
+    pub answer_rows_touched: u64,
 }
 
 /// Cumulative work counters.
@@ -110,6 +114,9 @@ pub struct EvaluatorWork {
     pub delta_rows: u64,
     /// Samples drawn.
     pub samples: u64,
+    /// Sum of per-sample answer rows touched, plus the initial answer a
+    /// materialized evaluator records once.
+    pub answer_rows_touched: u64,
 }
 
 enum StrategyState {
@@ -122,6 +129,8 @@ pub struct QueryEvaluator {
     plan: Plan,
     state: StrategyState,
     marginals: MarginalTable,
+    /// Membership crossings of the most recently recorded sample.
+    crossings: Vec<Crossing>,
     /// Thinning interval k (steps per sample; the paper uses 10 000).
     k: usize,
     work: EvaluatorWork,
@@ -139,6 +148,7 @@ impl QueryEvaluator {
             plan,
             state: StrategyState::Naive,
             marginals: MarginalTable::new(),
+            crossings: Vec::new(),
             k,
             work: EvaluatorWork::default(),
         })
@@ -193,16 +203,19 @@ impl QueryEvaluator {
 
     fn from_view(plan: Plan, view: MaterializedView, k: usize) -> Result<Self, EvaluateError> {
         let mut marginals = MarginalTable::new();
-        marginals.record(view.result());
+        let crossings = marginals.diff(view.result());
+        marginals.record_crossings(&crossings);
         let work = EvaluatorWork {
             samples: 1,
             tuples_scanned: view.stats().init_tuples_scanned,
+            answer_rows_touched: view.result().distinct_len() as u64,
             ..Default::default()
         };
         Ok(QueryEvaluator {
             plan,
             state: StrategyState::Materialized(Box::new(view)),
             marginals,
+            crossings,
             k,
             work,
         })
@@ -226,6 +239,16 @@ impl QueryEvaluator {
     /// Cumulative work counters.
     pub fn work(&self) -> EvaluatorWork {
         self.work
+    }
+
+    /// The answer-membership crossings of the most recently recorded
+    /// sample: what every per-sample consumer of the answer — the marginal
+    /// table here, a [`crate::MembershipLog`] downstream — is driven by.
+    /// Right after construction a materialized evaluator reports its
+    /// initial answer entering (Algorithm 1 records it as the first
+    /// sample); a naive one, which has recorded nothing yet, reports none.
+    pub fn last_crossings(&self) -> &[Crossing] {
+        &self.crossings
     }
 
     /// Draws one sample: k walk-steps, then observe the answer (by full
@@ -270,18 +293,24 @@ impl QueryEvaluator {
                 let (result, stats) = execute(&self.plan, db)?;
                 sample_work.tuples_scanned = stats.tuples_scanned;
                 self.work.tuples_scanned += stats.tuples_scanned;
-                self.marginals.record(&result.rows);
+                sample_work.answer_rows_touched = result.rows.distinct_len() as u64;
+                self.crossings = self.marginals.diff(&result.rows);
             }
             StrategyState::Materialized(view) => {
                 // Algorithm 1 line 5: s ← s − Q'(w,Δ⁻) ∪ Q'(w,Δ⁺).
                 let before = view.stats().delta_rows_processed;
-                view.try_apply_delta(deltas)?;
+                let answer_delta = view.try_apply_delta(deltas)?;
                 let used = view.stats().delta_rows_processed - before;
                 sample_work.delta_rows = used;
                 self.work.delta_rows += used;
-                self.marginals.record(view.result());
+                // Only a tuple of the answer's own delta can change
+                // membership; the rest of the answer is never read.
+                sample_work.answer_rows_touched = answer_delta.distinct_len() as u64;
+                self.crossings = crossings(&answer_delta, view.result()).collect();
             }
         }
+        self.marginals.record_crossings(&self.crossings);
+        self.work.answer_rows_touched += sample_work.answer_rows_touched;
         self.work.samples += 1;
         Ok(sample_work)
     }
@@ -513,10 +542,15 @@ mod tests {
         let w = mat.sample(&mut pdb).unwrap();
         assert_eq!(w.tuples_scanned, 0);
         assert!(w.delta_rows <= 20, "delta work bounded by changes");
+        // Observation read the rows that crossed, not the answer.
+        assert_eq!(w.answer_rows_touched, mat.last_crossings().len() as u64);
         let mut naive = QueryEvaluator::naive(on_items_query(), &pdb, 5).unwrap();
         let w = naive.sample(&mut pdb).unwrap();
         assert_eq!(w.tuples_scanned, 4);
         assert_eq!(w.delta_rows, 0);
+        // Algorithm 3 re-reads the whole answer every sample.
+        let (fresh, _) = execute(&on_items_query(), pdb.database()).unwrap();
+        assert_eq!(w.answer_rows_touched, fresh.rows.distinct_len() as u64);
         assert!(naive.current_answer().is_none());
     }
 

@@ -8,6 +8,8 @@
 //!   MCMC chain hypothesizing modifications that are written through to the
 //!   store as Δ⁻/Δ⁺ deltas (§3, §5);
 //! * [`marginals`] — per-tuple answer-membership estimation (Eq. 4/5);
+//! * [`membership`] — the answer-membership crossings a view's output delta
+//!   implies, and the crossing-driven log behind the R̂ / ESS diagnostics;
 //! * [`evaluate`] — Algorithm 3 (naive re-execution) and Algorithm 1
 //!   (materialized-view maintenance) query evaluators, plus the parallel
 //!   multi-chain evaluator of §5.4;
@@ -31,6 +33,7 @@ pub mod engine;
 pub mod evaluate;
 pub mod fixtures;
 pub mod marginals;
+pub mod membership;
 pub mod metrics;
 pub mod ner;
 pub mod pdb;
@@ -48,6 +51,7 @@ pub use fgdb_graph::{FactorSpans, ShardError, ShardMap};
 pub use fgdb_mcmc::{shard_seed, ShardedSampler};
 pub use fgdb_relational::{compile_query, optimize, QueryError};
 pub use marginals::{MarginalTable, ValueDistribution};
+pub use membership::{crossings, Crossing, MembershipLog};
 pub use metrics::{squared_error, time_to_half_loss, LossCurve, LossPoint};
 pub use ner::{build_ner_pdb, ner_proposer, train_ner_model, truth_database, NerProposerConfig};
 pub use pdb::{FieldBinding, ProbabilisticDB};

@@ -13,14 +13,40 @@
 //! [`MarginalTable`] is the `m` / `z` bookkeeping of Algorithms 1 and 3;
 //! the answer-set membership test under projections is `count(mᵢ) > 0`
 //! (multiset semantics, §4.2 Remark).
+//!
+//! # Run-length accounting
+//!
+//! Consecutive samples differ by a handful of tuples, so the table does not
+//! bump a counter per answer tuple per sample. It keeps, per tuple, the
+//! samples counted in *closed* runs of presence plus the sample index at
+//! which the current run began, and is driven by membership
+//! [`Crossing`]s only:
+//!
+//! ```text
+//! count(t) = closed + [present] · (samples − since)
+//! ```
+//!
+//! A tuple that stays in (or out of) the answer costs nothing per sample;
+//! recording a sample is O(crossings). [`MarginalTable::record`] — the
+//! full-answer entry point the naive evaluator uses — derives the crossings
+//! by diffing the answer against the present set and feeds the same path.
 
-use fgdb_relational::{CountedSet, Tuple};
+use crate::membership::Crossing;
+use fgdb_relational::{CountedSet, FxHashMap, Tuple};
 use std::collections::HashMap;
+
+/// One tuple's presence history: samples counted in runs that have ended,
+/// and the sample index at which the current run (if any) began.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    closed: u64,
+    since: Option<u64>,
+}
 
 /// Running per-tuple membership counts over sampled worlds.
 #[derive(Clone, Debug, Default)]
 pub struct MarginalTable {
-    counts: HashMap<Tuple, u64>,
+    runs: FxHashMap<Tuple, Run>,
     samples: u64,
 }
 
@@ -33,8 +59,44 @@ impl MarginalTable {
     /// Records one sampled world's answer set: every tuple with positive
     /// multiplicity gains one membership count, and `z` increments.
     pub fn record(&mut self, answer: &CountedSet) {
-        for t in answer.support() {
-            *self.counts.entry(t.clone()).or_insert(0) += 1;
+        let crossings = self.diff(answer);
+        self.record_crossings(&crossings);
+    }
+
+    /// The crossings that take the previous sample's answer to `answer`:
+    /// its support tuples not currently present enter, present tuples
+    /// outside its support leave. O(|answer| + |support|).
+    pub fn diff(&self, answer: &CountedSet) -> Vec<Crossing> {
+        let present = |t: &Tuple| self.runs.get(t).is_some_and(|r| r.since.is_some());
+        let entered = answer.support().filter(|t| !present(t)).map(|t| (t, true));
+        let left = self
+            .runs
+            .iter()
+            .filter(|(t, r)| r.since.is_some() && !answer.contains(t))
+            .map(|(t, _)| (t, false));
+        entered
+            .chain(left)
+            .map(|(t, entered)| Crossing {
+                tuple: t.clone(),
+                entered,
+            })
+            .collect()
+    }
+
+    /// Records one sample whose answer differs from the previous sample's
+    /// by exactly `crossings`; `z` increments. Tuples not named keep their
+    /// membership, and with it gain (or do not gain) this sample's count.
+    pub fn record_crossings(&mut self, crossings: &[Crossing]) {
+        let at = self.samples;
+        for c in crossings {
+            if c.entered {
+                let run = self.runs.entry(c.tuple.clone()).or_default();
+                run.since.get_or_insert(at);
+            } else if let Some(run) = self.runs.get_mut(&c.tuple) {
+                if let Some(since) = run.since.take() {
+                    run.closed += at - since;
+                }
+            }
         }
         self.samples += 1;
     }
@@ -44,22 +106,31 @@ impl MarginalTable {
         self.samples
     }
 
+    /// Samples in which the tuple behind `run` was in the answer.
+    fn count(&self, run: &Run) -> u64 {
+        run.closed + run.since.map_or(0, |since| self.samples - since)
+    }
+
+    /// `(tuple, probability)` for every tuple ever observed, unordered.
+    fn estimates(&self) -> impl Iterator<Item = (&Tuple, f64)> {
+        let z = self.samples.max(1) as f64;
+        self.runs
+            .iter()
+            .map(move |(t, run)| (t, self.count(run) as f64 / z))
+    }
+
     /// Estimated `Pr[t ∈ Q(W)]` (zero before any sample).
     pub fn probability(&self, t: &Tuple) -> f64 {
         if self.samples == 0 {
             return 0.0;
         }
-        self.counts.get(t).copied().unwrap_or(0) as f64 / self.samples as f64
+        self.runs.get(t).map_or(0, |run| self.count(run)) as f64 / self.samples as f64
     }
 
     /// All tuples ever observed in an answer, with probabilities, sorted by
     /// tuple for deterministic reporting.
     pub fn probabilities(&self) -> Vec<(Tuple, f64)> {
-        let mut v: Vec<(Tuple, f64)> = self
-            .counts
-            .iter()
-            .map(|(t, &c)| (t.clone(), c as f64 / self.samples.max(1) as f64))
-            .collect();
+        let mut v: Vec<(Tuple, f64)> = self.estimates().map(|(t, p)| (t.clone(), p)).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -67,15 +138,12 @@ impl MarginalTable {
     /// Probabilities as a map (ground-truth exchange format for loss
     /// computation).
     pub fn as_map(&self) -> HashMap<Tuple, f64> {
-        self.counts
-            .iter()
-            .map(|(t, &c)| (t.clone(), c as f64 / self.samples.max(1) as f64))
-            .collect()
+        self.estimates().map(|(t, p)| (t.clone(), p)).collect()
     }
 
     /// Number of distinct tuples observed.
     pub fn support_size(&self) -> usize {
-        self.counts.len()
+        self.runs.len()
     }
 
     /// The k most probable answer tuples, ties broken by tuple order — the
@@ -106,8 +174,8 @@ impl MarginalTable {
         let n = tables.len() as f64;
         let mut out: HashMap<Tuple, f64> = HashMap::new();
         for table in tables {
-            for (t, p) in table.as_map() {
-                *out.entry(t).or_insert(0.0) += p / n;
+            for (t, p) in table.estimates() {
+                *out.entry(t.clone()).or_insert(0.0) += p / n;
             }
         }
         out
@@ -198,6 +266,43 @@ mod tests {
         m.record(&s);
         assert_eq!(m.probability(&tuple!["x"]), 0.0);
         assert_eq!(m.samples(), 1);
+    }
+
+    #[test]
+    fn crossings_and_full_answers_account_identically() {
+        let (x, y) = (tuple!["x"], tuple!["y"]);
+        let answers = [
+            vec![x.clone(), y.clone()],
+            vec![x.clone()],
+            vec![x.clone()],
+            vec![],
+            vec![y.clone()],
+            vec![x.clone(), y.clone()],
+        ];
+        let mut full = MarginalTable::new();
+        let mut runs = MarginalTable::new();
+        for a in answers {
+            let answer = CountedSet::from_tuples(a);
+            let crossings = runs.diff(&answer);
+            runs.record_crossings(&crossings);
+            full.record(&answer);
+            assert_eq!(runs.probabilities(), full.probabilities());
+        }
+        // x: samples 0,1,2,5; y: samples 0,4,5.
+        assert_eq!(runs.probability(&x), 4.0 / 6.0);
+        assert_eq!(runs.probability(&y), 3.0 / 6.0);
+        // A leave for a tuple never seen, and a repeated enter, change nothing.
+        let unseen = Crossing {
+            tuple: tuple!["z"],
+            entered: false,
+        };
+        let again = Crossing {
+            tuple: x.clone(),
+            entered: true,
+        };
+        runs.record_crossings(&[unseen, again]);
+        assert_eq!(runs.support_size(), 2);
+        assert_eq!(runs.probability(&x), 5.0 / 7.0);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //!   convergence diagnostics (split-R̂ / ESS over the last `window`
 //!   samples). Epochs are published by swapping an `Arc` behind a brief
 //!   write lock; they are never mutated afterwards.
+//! * Per interval, a registered query costs O(|Δanswer|): the view folds
+//!   the world delta in, and the marginal table and the diagnostic window
+//!   ([`MembershipLog`]) are both driven by the membership crossings of the
+//!   view's output delta — neither re-reads the answer. The 0/1 traces the
+//!   diagnostics need are materialised at publication only, and only for
+//!   tuples that toggled inside the window.
 //! * Readers hold an [`EpochReader`] — a cheap-clone, non-generic handle.
 //!   [`EpochReader::pin`] clones the current `Arc` (a briefly held read
 //!   lock, never the sampler's own state) and from then on the reader
@@ -36,13 +42,12 @@
 //! (per-tuple split-R̂ gate, as in the engine's convergence gating).
 
 use crate::evaluate::{EvaluateError, QueryEvaluator};
+use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
 use fgdb_graph::Model;
-use fgdb_mcmc::{effective_sample_size, split_r_hat};
 use fgdb_relational::{
     compile_query, execute, CountedSet, Database, QueryResult, Tuple, ViewBackend,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -144,69 +149,6 @@ impl ServingError {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         ServingError::Panicked(message)
-    }
-}
-
-/// Per-tuple 0/1 membership traces over a bounded trailing window —
-/// the serving-loop analogue of the engine's `TraceStore`, with eviction:
-/// a tuple whose trace left the window entirely (all zeros) is dropped, so
-/// memory is bounded by (answer support within the window) × `window`.
-#[derive(Debug)]
-struct WindowedTraces {
-    window: usize,
-    len: usize,
-    rows: HashMap<Tuple, Vec<f64>>,
-}
-
-impl WindowedTraces {
-    fn new(window: usize) -> Self {
-        WindowedTraces {
-            window,
-            len: 0,
-            rows: HashMap::new(),
-        }
-    }
-
-    fn record(&mut self, answer: &CountedSet) {
-        for trace in self.rows.values_mut() {
-            trace.push(0.0);
-        }
-        for t in answer.support() {
-            match self.rows.get_mut(t) {
-                // Every live trace just received a push above, but the
-                // serving loop must not be able to panic on that inference.
-                Some(trace) => {
-                    if let Some(last) = trace.last_mut() {
-                        *last = 1.0;
-                    }
-                }
-                None => {
-                    let mut trace = vec![0.0; self.len];
-                    trace.push(1.0);
-                    self.rows.insert(t.clone(), trace);
-                }
-            }
-        }
-        self.len += 1;
-        if self.len > self.window {
-            self.len = self.window;
-            self.rows.retain(|_, trace| {
-                trace.remove(0);
-                trace.iter().any(|&x| x != 0.0)
-            });
-        }
-    }
-
-    /// Worst split-R̂ and smallest ESS across the windowed support.
-    /// An empty support is trivially converged with the full window as ESS.
-    fn diagnose(&self) -> (f64, f64) {
-        let mut max_r_hat = 1.0f64;
-        let mut min_ess = self.len as f64;
-        for trace in self.rows.values() {
-            max_r_hat = max_r_hat.max(split_r_hat(trace));
-            min_ess = min_ess.min(effective_sample_size(trace));
-        }
-        (max_r_hat, min_ess)
     }
 }
 
@@ -462,7 +404,7 @@ pub(crate) struct Registered {
     sql: Arc<str>,
     columns: Vec<Arc<str>>,
     eval: QueryEvaluator,
-    traces: WindowedTraces,
+    traces: MembershipLog,
 }
 
 impl Registered {
@@ -472,16 +414,14 @@ impl Registered {
             .current_answer()
             .ok_or(EvaluateError::NotMaterialized)?
             .clone();
-        let mut marginals: Vec<(Tuple, f64)> = self.eval.marginals().as_map().into_iter().collect();
-        marginals.sort_by(|a, b| a.0.cmp(&b.0));
         let (r_hat, min_ess) = self.traces.diagnose();
-        let window_len = self.traces.len as u64;
+        let window_len = self.traces.window_len();
         Ok(QueryStatus {
             name: Arc::clone(&self.name),
             sql: Arc::clone(&self.sql),
             columns: self.columns.clone(),
             answer,
-            marginals,
+            marginals: self.eval.marginals().probabilities(),
             r_hat,
             min_ess,
             window_len,
@@ -537,11 +477,11 @@ pub(crate) fn build_registered<M: Model>(
             config.thinning,
             config.view_backend,
         )?;
-        let mut traces = WindowedTraces::new(config.window);
-        traces.record(
-            eval.current_answer()
-                .ok_or(EvaluateError::NotMaterialized)?,
-        );
+        // The initial answer is the window's baseline, not a set of
+        // crossings: a tuple present from the first sample on has a
+        // constant trace, which the diagnostics never need to see.
+        let mut traces = MembershipLog::new(config.window);
+        traces.record(&[]);
         registered.push(Registered {
             name: Arc::from(*name),
             sql: Arc::from(*sql),
@@ -570,7 +510,7 @@ impl<M: Model + 'static> LiveSampler<M> {
         validate_config(&config)?;
         let registered = build_registered(&pdb, queries, &config)?;
 
-        let epoch0 = publish_snapshot(&pdb, &registered, &config, 0)?;
+        let epoch0 = publish_snapshot(&pdb, &registered, &config, 0, 0)?;
         let cell = Arc::new(EpochCell::new(epoch0));
         let stats = Arc::new(SharedStats::new(pdb.steps_taken()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -618,12 +558,14 @@ impl<M> Drop for LiveSampler<M> {
     }
 }
 
-/// Builds one publishable epoch from the sampler's current state.
+/// Builds one publishable epoch from the sampler's current state;
+/// `samples` is the loop's own count of intervals drawn so far.
 pub(crate) fn publish_snapshot<M: Model>(
     pdb: &ProbabilisticDB<M>,
     registered: &[Registered],
     config: &ServingConfig,
     epoch: u64,
+    samples: u64,
 ) -> Result<EpochSnapshot, EvaluateError> {
     let mut queries = Vec::with_capacity(registered.len());
     for r in registered {
@@ -632,10 +574,7 @@ pub(crate) fn publish_snapshot<M: Model>(
     Ok(EpochSnapshot {
         epoch,
         steps: pdb.steps_taken(),
-        samples: registered
-            .first()
-            .map(|r| r.eval.marginals().samples().saturating_sub(1))
-            .unwrap_or(0),
+        samples,
         db: pdb.database().snapshot(),
         queries,
     })
@@ -651,22 +590,24 @@ fn sampler_loop<M: Model>(
     stop: Arc<AtomicBool>,
 ) -> Result<ProbabilisticDB<M>, ServingError> {
     let mut epoch = 0u64;
+    let mut samples = 0u64;
     let mut since_publish = 0usize;
     let result = loop {
         if stop.load(Ordering::Acquire) {
             break Ok(());
         }
-        match step_once(&mut pdb, &mut registered) {
+        match step_once(&mut pdb, &mut registered, &config) {
             Ok(()) => {
+                samples += 1;
                 // lint:allow-start(sync, per-step counter bumps; values are advisory and carry no cross-thread ordering)
                 stats.steps.store(pdb.steps_taken(), Ordering::Relaxed);
-                stats.samples.fetch_add(1, Ordering::Relaxed);
+                stats.samples.store(samples, Ordering::Relaxed);
                 // lint:allow-end(sync)
                 since_publish += 1;
                 if since_publish >= config.publish_every {
                     since_publish = 0;
                     epoch += 1;
-                    match publish_snapshot(&pdb, &registered, &config, epoch) {
+                    match publish_snapshot(&pdb, &registered, &config, epoch, samples) {
                         Ok(snap) => cell.store(Arc::new(snap)),
                         Err(e) => break Err(e),
                     }
@@ -681,7 +622,7 @@ fn sampler_loop<M: Model>(
         Ok(()) => {
             if since_publish > 0 {
                 epoch += 1;
-                if let Ok(snap) = publish_snapshot(&pdb, &registered, &config, epoch) {
+                if let Ok(snap) = publish_snapshot(&pdb, &registered, &config, epoch, samples) {
                     cell.store(Arc::new(snap));
                 }
             }
@@ -706,7 +647,8 @@ pub(crate) fn interval_k(registered: &[Registered], config: &ServingConfig) -> u
 }
 
 /// Incremental maintenance after one committed interval: folds `delta`
-/// into every registered view and extends its diagnostic trace. Shared
+/// into every registered view and hands the resulting membership crossings
+/// to its marginal table and diagnostic window. Shared
 /// with the supervised (durable) loop, whose deltas come back from
 /// [`crate::DurablePdb::step`] already logged.
 pub(crate) fn observe_delta(
@@ -716,11 +658,7 @@ pub(crate) fn observe_delta(
 ) -> Result<(), EvaluateError> {
     for r in registered.iter_mut() {
         r.eval.observe(delta, db)?;
-        let answer = r
-            .eval
-            .current_answer()
-            .ok_or(EvaluateError::NotMaterialized)?;
-        r.traces.record(answer);
+        r.traces.record(r.eval.last_crossings());
     }
     Ok(())
 }
@@ -730,9 +668,9 @@ pub(crate) fn observe_delta(
 fn step_once<M: Model>(
     pdb: &mut ProbabilisticDB<M>,
     registered: &mut [Registered],
+    config: &ServingConfig,
 ) -> Result<(), EvaluateError> {
-    let k = registered.first().map(|r| r.eval.thinning()).unwrap_or(100);
-    let delta = pdb.step(k)?;
+    let delta = pdb.step(interval_k(registered, config))?;
     observe_delta(registered, &delta, pdb.database())
 }
 
@@ -866,28 +804,29 @@ mod tests {
     }
 
     #[test]
-    fn windowed_traces_bound_memory_and_evict_stale_tuples() {
-        let mut w = WindowedTraces::new(8);
-        let t_hot = fgdb_relational::tuple![1i64];
-        let t_cold = fgdb_relational::tuple![2i64];
-        let mut hot = CountedSet::new();
-        hot.add(t_hot.clone(), 1);
-        let mut both = CountedSet::new();
-        both.add(t_hot.clone(), 1);
-        both.add(t_cold.clone(), 1);
-        w.record(&both);
-        for _ in 0..20 {
-            w.record(&hot);
+    fn no_registered_query_still_honours_thinning_and_counts_samples() {
+        let pdb = biased_token_pdb(N, 4, 5);
+        let sampler = LiveSampler::spawn(
+            pdb,
+            &[],
+            ServingConfig {
+                thinning: 7,
+                publish_every: 2,
+                ..ServingConfig::default()
+            },
+        )
+        .unwrap();
+        let reader = sampler.reader();
+        while reader.status().epoch < 3 {
+            std::thread::yield_now();
         }
-        assert_eq!(w.len, 8);
-        assert!(w.rows.contains_key(&t_hot));
-        assert!(
-            !w.rows.contains_key(&t_cold),
-            "tuple outside the window must be evicted"
-        );
-        assert!(w.rows[&t_hot].len() <= 8);
-        let (r_hat, ess) = w.diagnose();
-        assert!(r_hat.is_finite());
-        assert!(ess > 0.0);
+        let pinned = reader.pin();
+        assert!(pinned.samples >= 6, "samples stuck at {}", pinned.samples);
+        assert_eq!(pinned.steps, pinned.samples * 7);
+        let pdb = sampler.stop().unwrap();
+        let last = reader.pin();
+        assert_eq!(last.steps, pdb.steps_taken());
+        assert_eq!(last.steps, last.samples * 7);
+        assert_eq!(reader.status().samples, last.samples);
     }
 }

@@ -109,7 +109,7 @@ impl<M: Model + 'static> SupervisedSampler<M> {
     ) -> Result<Self, ServingError> {
         validate_config(&config.serving)?;
         let registered = build_registered(durable.pdb(), queries, &config.serving)?;
-        let epoch0 = publish_snapshot(durable.pdb(), &registered, &config.serving, 0)?;
+        let epoch0 = publish_snapshot(durable.pdb(), &registered, &config.serving, 0, 0)?;
         let cell = Arc::new(EpochCell::new(epoch0));
         let stats = Arc::new(SharedStats::new(durable.steps_taken()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -207,6 +207,7 @@ impl<M: Model + 'static> Supervisor<M> {
         let dconfig: DurabilityConfig = durable.durability_config();
 
         let mut epoch = 0u64;
+        let mut samples = 0u64;
         let mut since_publish = 0usize;
         let mut since_checkpoint = 0usize;
         let mut attempt = 0u32;
@@ -231,6 +232,7 @@ impl<M: Model + 'static> Supervisor<M> {
                             &registered,
                             &self.config.serving,
                             epoch,
+                            samples,
                         ) {
                             self.cell.store(Arc::new(snap));
                         }
@@ -244,10 +246,11 @@ impl<M: Model + 'static> Supervisor<M> {
                         if let Err(e) = observe_delta(&mut registered, &delta, durable.database()) {
                             break ServingError::from(e);
                         }
+                        samples += 1;
                         self.stats
                             .steps
                             .store(durable.steps_taken(), Ordering::Relaxed);
-                        self.stats.samples.fetch_add(1, Ordering::Relaxed);
+                        self.stats.samples.store(samples, Ordering::Relaxed);
                         // A healthy, logged interval refills the restart
                         // budget: only *consecutive* failures give up.
                         attempt = 0;
@@ -261,6 +264,7 @@ impl<M: Model + 'static> Supervisor<M> {
                                 &registered,
                                 &self.config.serving,
                                 epoch,
+                                samples,
                             ) {
                                 Ok(snap) => self.cell.store(Arc::new(snap)),
                                 Err(e) => break ServingError::from(e),
@@ -355,6 +359,7 @@ impl<M: Model + 'static> Supervisor<M> {
                             &registered,
                             &self.config.serving,
                             epoch,
+                            samples,
                         ) {
                             Ok(snap) => self.cell.store(Arc::new(snap)),
                             Err(e) => {

@@ -106,6 +106,7 @@ fn panic_scoped(path: &str) -> bool {
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
         || path == "crates/core/src/serving.rs"
         || path == "crates/core/src/supervise.rs"
+        || path == "crates/core/src/membership.rs"
 }
 
 /// R3 file scope: hot-path modules where a mis-ordered atomic or a lock on
