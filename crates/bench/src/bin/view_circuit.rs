@@ -9,10 +9,15 @@
 //! 2. **Δ-proportionality** — incrementally maintaining a recursive
 //!    transitive closure costs Θ(|Δ| · affected paths) per batch while full
 //!    re-execution pays for the whole closure every time (Eq. 6's argument,
-//!    extended to fixpoints by semi-naive evaluation).
+//!    extended to fixpoints by semi-naive evaluation and, for retractions,
+//!    delete-and-rederive). Growth rows vary |Δ| at one closure size; flip
+//!    rows cut and restore one mid-chain edge (|Δ| = 1, the MCMC shape) at
+//!    two closure sizes, so flatness in the closure's size is on file.
 //!
 //! Emits `BENCH_view_circuit.json` to the workspace root (redirect or
-//! disable via `FGDB_JSON_OUT`). Exits nonzero when the parity bound fails.
+//! disable via `FGDB_JSON_OUT`). Exits nonzero when the parity bound fails,
+//! when a closure view recomputed its fixpoint, or when one differs from
+//! re-execution after its last batch.
 
 use fgdb_bench::{print_table, scaled, Report};
 use fgdb_relational::algebra::paper_queries;
@@ -117,6 +122,63 @@ fn chain_db(chains: usize, len: usize, headroom: usize) -> Database {
     db
 }
 
+/// One closure run: maintenance per batch, re-execution per pass.
+struct ClosureRun {
+    circuit_us: f64,
+    reexec_us: f64,
+    closure_tuples: usize,
+}
+
+/// Maintains the closure of `db`'s LINK through `batches` deltas from
+/// `next_batch` (which also applies them to `db`), then times full
+/// re-execution of the same optimized plan on the final state — afterwards,
+/// because a re-execution between two batches leaves the view's state cold
+/// and the allocator churned, which is the oracle's cost, not maintenance's.
+/// Records a violation if the view ever recomputed its fixpoint or ends up
+/// different from re-execution.
+fn run_closure(
+    naive: &Plan,
+    db: &mut Database,
+    batches: usize,
+    violations: &mut Vec<String>,
+    mut next_batch: impl FnMut(&mut Database, usize) -> DeltaSet,
+) -> ClosureRun {
+    const REEXEC_REPS: usize = 3;
+    let opt = optimize(naive, db).expect("closure plan optimizes");
+    let mut view = MaterializedView::new(&opt, db).expect("closure circuit compiles");
+    let mut circuit_us = 0.0;
+    for b in 0..batches {
+        let deltas = next_batch(db, b);
+        let t = Instant::now();
+        view.try_apply_delta(&deltas).expect("closure maintenance");
+        circuit_us += t.elapsed().as_secs_f64() * 1e6;
+    }
+    let t = Instant::now();
+    for _ in 1..REEXEC_REPS {
+        std::hint::black_box(execute(&opt, db).expect("full re-exec"));
+    }
+    let fresh = execute(&opt, db).expect("full re-exec").0;
+    let reexec_us = t.elapsed().as_secs_f64() * 1e6 / REEXEC_REPS as f64;
+
+    let recomputes = view
+        .circuit_stats()
+        .expect("recursive plans run on the circuit")
+        .fixpoint_recomputes;
+    if recomputes > 0 {
+        violations.push(format!(
+            "closure view recomputed its fixpoint {recomputes}×"
+        ));
+    }
+    if view.result().sorted_entries() != fresh.rows.sorted_entries() {
+        violations.push("closure view differs from re-execution".to_string());
+    }
+    ClosureRun {
+        circuit_us: circuit_us / batches as f64,
+        reexec_us,
+        closure_tuples: fresh.rows.distinct_len(),
+    }
+}
+
 fn main() {
     let mut report = Report::new(
         "view_circuit",
@@ -127,6 +189,7 @@ fn main() {
             "legacy_us_per_batch",
             "circuit_us_per_batch",
             "reexec_us_per_batch",
+            "closure_tuples",
         ],
     );
 
@@ -185,6 +248,7 @@ fn main() {
             format!("{legacy_us:.3}"),
             format!("{circuit_us:.3}"),
             String::new(),
+            String::new(),
         ]);
     }
     print_table(
@@ -207,65 +271,88 @@ fn main() {
     report
         .param("closure_chains", chains)
         .param("closure_chain_len", len)
-        .param("closure_batches", batches);
+        .param("closure_batches", batches)
+        .param("closure_flip_batches", 4 * batches);
 
     let naive = parse_plan(closure_sql).expect("closure SQL parses");
+    let name: Arc<str> = Arc::from("LINK");
+    let edge = |s: i64, d: i64| Tuple::new(vec![Value::Int(s), Value::Int(d)]);
     let mut table = Vec::new();
+    let mut closure_row = |section: &str, delta: usize, run: ClosureRun| {
+        table.push(vec![
+            section.to_string(),
+            delta.to_string(),
+            run.closure_tuples.to_string(),
+            format!("{:.1}", run.circuit_us),
+            format!("{:.1}", run.reexec_us),
+            format!("{:.0}x", run.reexec_us / run.circuit_us.max(1e-9)),
+        ]);
+        report.row(vec![
+            section.into(),
+            "transitive_closure".into(),
+            delta.to_string(),
+            String::new(),
+            format!("{:.3}", run.circuit_us),
+            format!("{:.3}", run.reexec_us),
+            run.closure_tuples.to_string(),
+        ]);
+    };
+
+    // Growth: extend chains round-robin by `batch_edges` fresh edges.
     for batch_edges in [1usize, 2, 4, 8, 16] {
         let headroom = batches * batch_edges + 1;
         let mut db = chain_db(chains, len, headroom);
-        let opt = optimize(&naive, &db).expect("closure plan optimizes");
-        let mut view = MaterializedView::new(&opt, &db).expect("closure circuit compiles");
-        let name: Arc<str> = Arc::from("LINK");
         let stride = (len + headroom) as i64;
         let mut tips: Vec<i64> = (0..chains as i64)
             .map(|c| c * stride + len as i64 - 1)
             .collect();
-
-        let mut circuit_us = 0.0;
-        let mut reexec_us = 0.0;
-        for b in 0..batches {
-            // Extend chains round-robin by `batch_edges` fresh edges.
+        let run = run_closure(&naive, &mut db, batches, &mut violations, |db, b| {
             let mut deltas = DeltaSet::new();
-            {
-                let rel = db.relation_mut("LINK").unwrap();
-                for e in 0..batch_edges {
-                    let c = (b * batch_edges + e) % chains;
-                    let t = Tuple::new(vec![Value::Int(tips[c]), Value::Int(tips[c] + 1)]);
-                    tips[c] += 1;
-                    rel.insert(t.clone()).unwrap();
-                    deltas.record_insert(&name, t);
-                }
+            let rel = db.relation_mut("LINK").unwrap();
+            for e in 0..batch_edges {
+                let c = (b * batch_edges + e) % chains;
+                let t = edge(tips[c], tips[c] + 1);
+                tips[c] += 1;
+                rel.insert(t.clone()).unwrap();
+                deltas.record_insert(&name, t);
             }
-            let t = Instant::now();
-            view.try_apply_delta(&deltas).expect("closure maintenance");
-            circuit_us += t.elapsed().as_secs_f64() * 1e6;
+            deltas
+        });
+        closure_row("closure", batch_edges, run);
+    }
 
-            let t = Instant::now();
-            std::hint::black_box(execute(&opt, &db).expect("full re-exec"));
-            reexec_us += t.elapsed().as_secs_f64() * 1e6;
-        }
-        circuit_us /= batches as f64;
-        reexec_us /= batches as f64;
-
-        table.push(vec![
-            batch_edges.to_string(),
-            format!("{circuit_us:.1}"),
-            format!("{reexec_us:.1}"),
-            format!("{:.0}x", reexec_us / circuit_us.max(1e-9)),
-        ]);
-        report.row(vec![
-            "closure".into(),
-            "transitive_closure".into(),
-            batch_edges.to_string(),
-            String::new(),
-            format!("{circuit_us:.3}"),
-            format!("{reexec_us:.3}"),
-        ]);
+    // Flips: cut one mid-chain edge, restore it the next batch — every
+    // batch is |Δ| = 1 and severs or rejoins (len/2)² pairs, whatever the
+    // number of chains.
+    for flip_chains in [chains, 10 * chains] {
+        let mut db = chain_db(flip_chains, len, 0);
+        let run = run_closure(&naive, &mut db, 4 * batches, &mut violations, |db, b| {
+            let mid = ((b / 2) % flip_chains * len + len / 2) as i64;
+            let t = edge(mid - 1, mid);
+            let mut deltas = DeltaSet::new();
+            let rel = db.relation_mut("LINK").unwrap();
+            if b % 2 == 0 {
+                let rid = rel.iter().find(|(_, row)| **row == t).map(|(rid, _)| rid);
+                rel.delete(rid.expect("edge present")).unwrap();
+                deltas.record_delete(&name, t);
+            } else {
+                rel.insert(t.clone()).unwrap();
+                deltas.record_insert(&name, t);
+            }
+            deltas
+        });
+        closure_row("closure_flip", 1, run);
     }
     print_table(
-        &format!("recursive closure: incremental vs re-exec ({chains} chains × {len} nodes)"),
-        &["|Δ| edges", "circuit µs", "re-exec µs", "speedup"],
+        &format!("recursive closure: incremental vs re-exec (chains of {len} nodes)"),
+        &[
+            "section",
+            "|Δ| edges",
+            "closure tuples",
+            "circuit µs",
+            "re-exec µs",
+            "speedup",
+        ],
         &table,
     );
 
@@ -273,7 +360,7 @@ fn main() {
         println!("\nwrote {}", path.display());
     }
     if !violations.is_empty() {
-        eprintln!("\nPARITY BOUND FAILED:");
+        eprintln!("\nVIEW CIRCUIT CHECKS FAILED:");
         for v in &violations {
             eprintln!("  {v}");
         }

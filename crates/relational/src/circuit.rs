@@ -12,21 +12,36 @@
 //! [`Plan::Fixpoint`] compiles to a fixpoint node holding two nested
 //! sub-circuits (the non-recursive base term and the recursive step term,
 //! with [`Plan::Rec`] leaves compiled to a recursive-input port). Under set
-//! semantics (`UNION`) the node maintains *derivation counts* for every
-//! derived tuple and propagates deltas semi-naively: a positive world delta
-//! on a monotone recursive term triggers only the delta iteration — new
-//! edges derive new closure tuples, each iteration feeding exactly the
-//! newly derived frontier back into the step circuit. Retractions and
-//! non-monotone terms fall back to recompute-and-diff over maintained
-//! relation copies (cyclic derivation support makes counting-based deletion
-//! unsound). Bag semantics (`UNION ALL`) always recompute via working-table
-//! iteration. Every iteration loop is bounded by the fixpoint's cap; hitting
-//! it is a typed [`CircuitError::IterationLimit`], never divergence.
+//! semantics (`UNION`) the node keeps a *derivation count* for every tuple —
+//! a Z-set weight: in how many ways base and step currently derive it — and,
+//! when both terms are monotone and the step is linear in the recursive
+//! relation, maintains the fixpoint by **delete-and-rederive** in time
+//! proportional to the affected paths, never to the closure:
+//!
+//! * insertions propagate semi-naively — new edges derive new closure
+//!   tuples, each iteration feeding exactly the newly derived frontier back
+//!   into the step circuit;
+//! * retractions are applied first. Counts alone cannot delete (a tuple on
+//!   a cycle supports itself), so every output tuple that loses *any*
+//!   derivation is over-deleted and retracted from the step's recursive
+//!   input, transitively; what survives is derivable without them. An
+//!   over-deleted tuple whose count is still positive is rederived from the
+//!   survivors and re-enters through the same frontier loop;
+//! * the node emits `out` after minus `out` before, so a tuple deleted and
+//!   rederived in one batch is invisible downstream.
+//!
+//! Such a node never recomputes after initialization and keeps no copy of
+//! its source relations. Non-monotone terms (γ, ∖) and steps with δ or ∩
+//! above the recursive reference fall back to recompute-and-diff over
+//! maintained relation copies. Bag semantics (`UNION ALL`) always recompute
+//! via working-table iteration. Every iteration loop is bounded by the
+//! fixpoint's cap; hitting it is a typed [`CircuitError::IterationLimit`],
+//! never divergence.
 //!
 //! Errors are deliberately richer than the legacy engine's: an inconsistent
 //! delta stream (retracting a tuple that was never inserted) surfaces as
-//! [`CircuitError::InconsistentDelta`] from `distinct`/`aggregate` state
-//! instead of silently going negative. A circuit that has returned an error
+//! [`CircuitError::InconsistentDelta`] from `distinct`/`aggregate` state or
+//! a fixpoint's derivation counts instead of silently going negative. A circuit that has returned an error
 //! may hold partially updated state and should be rebuilt.
 //!
 //! # Example: transitive closure, maintained incrementally
@@ -185,11 +200,21 @@ pub struct CircuitStats {
     /// Delta rows processed across all operator nodes during `apply_delta`
     /// (the |Δ|-proportional cost the paper's Eq. 6 argues for).
     pub delta_rows_processed: u64,
-    /// Fixpoint iterations run (semi-naive frontier feeds and rebuild
+    /// Fixpoint iterations run (over-deletion and frontier feeds and rebuild
     /// iterations alike).
     pub fixpoint_iterations: u64,
-    /// Fixpoint rebuilds forced by retractions or non-monotone terms.
+    /// Fixpoint rebuilds after initialization: every delta on a `UNION ALL`
+    /// fixpoint or one whose terms are not monotone and linear in the
+    /// recursive relation; never on the fixpoints maintained by
+    /// delete-and-rederive.
     pub fixpoint_recomputes: u64,
+    /// Tuples a retraction removed from a fixpoint's output because they
+    /// lost a derivation, before rederivation. On a dense graph this can
+    /// dwarf the output delta: it is the cost of delete-and-rederive.
+    pub fixpoint_overdeleted: u64,
+    /// Over-deleted tuples that another derivation brought back within the
+    /// same batch (so they never reached the output delta).
+    pub fixpoint_rederived: u64,
 }
 
 /// One delta batch flowing into a circuit sweep. Exactly one of `deltas`
@@ -345,20 +370,22 @@ enum CKind {
     Fixpoint(Box<FixpointNode>),
 }
 
-/// The μ node: two nested sub-circuits plus maintained copies of the source
-/// relations (so retractions can recompute without touching the database).
+/// The μ node: two nested sub-circuits and the derivation counts of what
+/// they derive.
 struct FixpointNode {
     rec: Arc<str>,
     all: bool,
     cap: usize,
-    /// True when base and step are aggregate- and difference-free, making
-    /// positive deltas safe for semi-naive propagation.
-    monotone: bool,
+    /// Set semantics, monotone terms, step linear in the recursive relation:
+    /// maintained by delete-and-rederive, never rebuilt after
+    /// initialization. Every other fixpoint rebuilds on every delta.
+    incremental: bool,
     sources: Vec<Arc<str>>,
     step_sources: Vec<Arc<str>>,
     base: Flow,
     step: Flow,
-    /// Maintained full copies of every source relation this fixpoint reads.
+    /// Full copies of every source relation, for the fixpoints that rebuild
+    /// (empty when `incremental`).
     rels: BTreeMap<Arc<str>, CountedSet>,
     /// Set semantics: derivation counts per tuple (how many ways it is
     /// currently derivable). Bag semantics: mirror of `out`.
@@ -416,9 +443,9 @@ fn absorb(
 }
 
 impl FixpointNode {
-    /// One maintenance batch: update maintained relation copies, then either
-    /// propagate semi-naively (set semantics, monotone term, insert-only
-    /// delta) or recompute-and-diff.
+    /// One maintenance batch: initialization builds from the full relations;
+    /// afterwards an incremental fixpoint is maintained in place and any
+    /// other is rebuilt from its relation copies and diffed.
     fn step_batch(
         &mut self,
         input: &BatchInput<'_>,
@@ -427,48 +454,52 @@ impl FixpointNode {
         count_work: bool,
     ) -> Result<ZSet, CircuitError> {
         if init {
-            self.rels.clear();
-            if let Some(full) = input.full {
-                for r in &self.sources {
-                    if let Some(s) = full.get(r.as_ref()) {
-                        self.rels.insert(Arc::clone(r), s.clone());
-                    }
-                }
+            let none = BTreeMap::new();
+            let full = input.full.unwrap_or(&none);
+            if !self.incremental {
+                self.rels = self
+                    .sources
+                    .iter()
+                    .filter_map(|r| Some((Arc::clone(r), full.get(r.as_ref())?.clone())))
+                    .collect();
             }
-            self.rebuild(stats, count_work)?;
+            self.rebuild(full, stats, count_work)?;
             return Ok(self.out.clone());
         }
-        let mut positive_only = true;
-        if let Some(ds) = input.deltas {
-            for r in &self.sources {
-                if let Some(d) = ds.for_relation(r) {
-                    if d.iter().any(|(_, c)| c < 0) {
-                        positive_only = false;
-                    }
-                    self.rels.entry(Arc::clone(r)).or_default().merge(d);
-                }
+        let Some(deltas) = input.deltas else {
+            return Ok(ZSet::new());
+        };
+        if self.incremental {
+            return self.maintain(deltas, stats, count_work);
+        }
+        for r in &self.sources {
+            if let Some(d) = deltas.for_relation(r) {
+                self.rels.entry(Arc::clone(r)).or_default().merge(d);
             }
         }
-        if !self.all && self.monotone && positive_only {
-            self.increment(input, stats, count_work)
-        } else {
-            stats.fixpoint_recomputes += 1;
-            let old = std::mem::take(&mut self.out);
-            self.rebuild(stats, count_work)?;
-            let mut diff = self.out.clone();
-            diff.merge(&old.negated());
-            Ok(diff)
-        }
+        stats.fixpoint_recomputes += 1;
+        let old = std::mem::take(&mut self.out);
+        let rels = std::mem::take(&mut self.rels);
+        let rebuilt = self.rebuild(&rels, stats, count_work);
+        self.rels = rels;
+        rebuilt?;
+        let mut diff = self.out.clone();
+        diff.merge(&old.negated());
+        Ok(diff)
     }
 
-    /// Full fixpoint evaluation over the maintained relation copies,
-    /// resetting both sub-circuits and rebuilding `derived`/`out`.
-    fn rebuild(&mut self, stats: &mut CircuitStats, count_work: bool) -> Result<(), CircuitError> {
+    /// Full fixpoint evaluation over `rels`, resetting both sub-circuits and
+    /// rebuilding `derived`/`out`.
+    fn rebuild(
+        &mut self,
+        rels: &BTreeMap<Arc<str>, CountedSet>,
+        stats: &mut CircuitStats,
+        count_work: bool,
+    ) -> Result<(), CircuitError> {
         self.base.reset();
         self.step.reset();
         self.derived = ZSet::new();
         self.out = ZSet::new();
-        let rels = &self.rels;
         let rec_name: &str = self.rec.as_ref();
         let cap = self.cap;
         let base = &mut self.base;
@@ -548,54 +579,93 @@ impl FixpointNode {
         Ok(())
     }
 
-    /// Semi-naive incremental maintenance for an insert-only delta on a
-    /// monotone set-semantics fixpoint: propagate the world delta through
-    /// base and step once, then iterate only the newly derived frontier.
-    fn increment(
+    /// Delete-and-rederive maintenance of an incremental fixpoint, with
+    /// `derived` = base(world) + step(world, `out`) holding before and after.
+    ///
+    /// Retractions go first, on their own: a tuple that loses one derivation
+    /// and gains another in the same batch must still be over-deleted, or a
+    /// cycle it supports could keep itself alive (netting the two would hide
+    /// the loss). Pushing Δ⁻ through base and step folds the lost
+    /// derivations into `derived`; every output tuple that lost *any*
+    /// derivation leaves `out` and is retracted from the step's recursive
+    /// input, which makes further tuples lose derivations, until nothing in
+    /// `out` does. What is left of `out` is derivable without the retracted
+    /// tuples. Over-deleted tuples whose count stayed positive are
+    /// derivable from it and re-enter as the first frontier; Δ⁺ then joins
+    /// the ordinary semi-naive loop, which is all an insert-only batch runs.
+    /// The emitted delta is `out` after minus `out` before, so a tuple
+    /// deleted and rederived never reaches downstream nodes.
+    fn maintain(
         &mut self,
-        input: &BatchInput<'_>,
+        deltas: &DeltaSet,
         stats: &mut CircuitStats,
         count_work: bool,
     ) -> Result<ZSet, CircuitError> {
-        let rec_name: &str = self.rec.as_ref();
-        let cap = self.cap;
-        let base = &mut self.base;
-        let step = &mut self.step;
-        let derived = &mut self.derived;
-        let out = &mut self.out;
-
         let mut out_delta = ZSet::new();
+        let mut frontier = ZSet::new();
+        let mut overdeleted = Vec::new();
+        let retracts = self
+            .sources
+            .iter()
+            .filter_map(|r| deltas.for_relation(r))
+            .any(|d| d.iter().any(|(_, c)| c < 0));
+        let halves;
+        let inserts = if retracts {
+            halves = split_by_sign(deltas, &self.sources);
+            self.overdelete(&halves.0, &mut overdeleted, stats, count_work)?;
+            for t in &overdeleted {
+                if self.derived.weight(t) > 0 {
+                    self.out.add(t.clone(), 1);
+                    frontier.add(t.clone(), 1);
+                    out_delta.add(t.clone(), 1);
+                }
+            }
+            &halves.1
+        } else {
+            deltas
+        };
+
+        let rec_name: &str = self.rec.as_ref();
         let base_inp = BatchInput {
-            deltas: input.deltas,
+            deltas: Some(inserts),
             full: None,
             rec: None,
         };
-        let d_base = base.run(&base_inp, stats, false, count_work)?;
-        let mut frontier = ZSet::new();
-        absorb(d_base, derived, out, &mut frontier, Some(&mut out_delta));
-
-        let step_touched = input.deltas.is_some_and(|ds| {
-            self.step_sources
-                .iter()
-                .any(|r| ds.for_relation(r).is_some())
-        });
+        let d_base = self.base.run(&base_inp, stats, false, count_work)?;
+        absorb(
+            d_base,
+            &mut self.derived,
+            &mut self.out,
+            &mut frontier,
+            Some(&mut out_delta),
+        );
+        let step_touched = self
+            .step_sources
+            .iter()
+            .any(|r| inserts.for_relation(r).is_some());
         if step_touched || !frontier.is_empty() {
             let mut first = true;
             let mut iters: usize = 0;
             loop {
                 iters += 1;
-                if iters > cap {
-                    return Err(CircuitError::IterationLimit { cap });
+                if iters > self.cap {
+                    return Err(CircuitError::IterationLimit { cap: self.cap });
                 }
                 stats.fixpoint_iterations += 1;
                 let inp = BatchInput {
-                    deltas: if first { input.deltas } else { None },
+                    deltas: first.then_some(inserts),
                     full: None,
                     rec: Some((rec_name, &frontier)),
                 };
-                let d_step = step.run(&inp, stats, false, count_work)?;
+                let d_step = self.step.run(&inp, stats, false, count_work)?;
                 let mut next = ZSet::new();
-                absorb(d_step, derived, out, &mut next, Some(&mut out_delta));
+                absorb(
+                    d_step,
+                    &mut self.derived,
+                    &mut self.out,
+                    &mut next,
+                    Some(&mut out_delta),
+                );
                 if next.is_empty() {
                     break;
                 }
@@ -603,8 +673,84 @@ impl FixpointNode {
                 first = false;
             }
         }
+
+        stats.fixpoint_overdeleted += overdeleted.len() as u64;
+        for t in overdeleted {
+            stats.fixpoint_rederived += u64::from(self.out.contains(&t));
+            out_delta.add(t, -1);
+        }
         Ok(out_delta)
     }
+
+    /// The over-deletion half of [`FixpointNode::maintain`]: applies the
+    /// retractions `removed` and moves every tuple that loses a derivation
+    /// from `out` to `overdeleted`.
+    fn overdelete(
+        &mut self,
+        removed: &DeltaSet,
+        overdeleted: &mut Vec<Tuple>,
+        stats: &mut CircuitStats,
+        count_work: bool,
+    ) -> Result<(), CircuitError> {
+        let rec_name: &str = self.rec.as_ref();
+        let world = BatchInput {
+            deltas: Some(removed),
+            full: None,
+            rec: None,
+        };
+        let mut lost = self.base.run(&world, stats, false, count_work)?;
+        lost.merge_owned(self.step.run(&world, stats, false, count_work)?);
+        let mut iters: usize = 0;
+        loop {
+            let mut leaving = ZSet::new();
+            for (t, w) in lost.iter() {
+                let left = self.derived.add(t.clone(), w);
+                if left < 0 {
+                    return Err(CircuitError::InconsistentDelta(NegativeWeight {
+                        tuple: t.clone(),
+                        weight: left,
+                    }));
+                }
+                if self.out.contains(t) {
+                    self.out.add(t.clone(), -1);
+                    leaving.add(t.clone(), -1);
+                    overdeleted.push(t.clone());
+                }
+            }
+            if leaving.is_empty() {
+                return Ok(());
+            }
+            iters += 1;
+            if iters > self.cap {
+                return Err(CircuitError::IterationLimit { cap: self.cap });
+            }
+            stats.fixpoint_iterations += 1;
+            let inp = BatchInput {
+                deltas: None,
+                full: None,
+                rec: Some((rec_name, &leaving)),
+            };
+            lost = self.step.run(&inp, stats, false, count_work)?;
+        }
+    }
+}
+
+/// The retraction and insertion halves of `deltas` over `sources`, both
+/// still signed.
+fn split_by_sign(deltas: &DeltaSet, sources: &[Arc<str>]) -> (DeltaSet, DeltaSet) {
+    let mut removed: BTreeMap<Arc<str>, CountedSet> = BTreeMap::new();
+    let mut added: BTreeMap<Arc<str>, CountedSet> = BTreeMap::new();
+    for r in sources {
+        for (t, c) in deltas
+            .for_relation(r)
+            .into_iter()
+            .flat_map(CountedSet::iter)
+        {
+            let half = if c < 0 { &mut removed } else { &mut added };
+            half.entry(Arc::clone(r)).or_default().add(t.clone(), c);
+        }
+    }
+    (DeltaSet::from_parts(removed), DeltaSet::from_parts(added))
 }
 
 impl CNode {
@@ -1003,6 +1149,26 @@ fn is_monotone(plan: &Plan) -> bool {
     }
 }
 
+/// True when every operator between a reference to the recursive relation
+/// `name` and the root of `plan` is linear (σ π × ⋈ ∪): each derivation
+/// lost below shows as a negative weight at the root. δ and ∩ above such a
+/// reference swallow a lost derivation while another remains, which is
+/// exactly what over-deletion must see.
+fn is_linear_in(plan: &Plan, name: &str) -> bool {
+    match plan {
+        Plan::Scan { .. } | Plan::Rec { .. } => true,
+        Plan::Select { input, .. } | Plan::Project { input, .. } => is_linear_in(input, name),
+        Plan::Product { left, right }
+        | Plan::Join { left, right, .. }
+        | Plan::Union { left, right } => is_linear_in(left, name) && is_linear_in(right, name),
+        Plan::Aggregate { .. }
+        | Plan::Distinct { .. }
+        | Plan::Difference { .. }
+        | Plan::Intersect { .. }
+        | Plan::Fixpoint { .. } => count_rec(plan, name) == 0,
+    }
+}
+
 fn compile_into(
     plan: &Plan,
     db: &Database,
@@ -1170,7 +1336,8 @@ fn compile_into(
             }
             let base_flow = Flow::compile(base, db, None)?;
             let step_flow = Flow::compile(step, db, Some(name))?;
-            let monotone = is_monotone(base) && is_monotone(step);
+            let incremental =
+                !*all && is_monotone(base) && is_monotone(step) && is_linear_in(step, name);
             let sources = union_sources(&base.base_relations(), &step.base_relations());
             let step_sources = step.base_relations();
             (
@@ -1178,7 +1345,7 @@ fn compile_into(
                     rec: Arc::clone(name),
                     all: *all,
                     cap: *cap,
-                    monotone,
+                    incremental,
                     sources: sources.clone(),
                     step_sources,
                     base: base_flow,
@@ -1259,7 +1426,8 @@ impl Circuit {
 
     /// Applies a world delta, updating the maintained answer and returning
     /// the answer's own signed delta. Cost is Θ(|Δ|) plus join fan-out (and,
-    /// for recursive plans, the frontier iteration or rebuild).
+    /// for recursive plans, the affected paths — or a rebuild where the
+    /// fixpoint is not maintained incrementally).
     ///
     /// On error the circuit's state may be partially updated and the answer
     /// should no longer be trusted; rebuild via [`Circuit::new`].
@@ -1399,12 +1567,166 @@ mod tests {
         let mut circuit = Circuit::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
         circuit.apply_delta(&remove(&rel, 2, 3)).unwrap();
-        assert!(circuit.stats().fixpoint_recomputes >= 1);
+        assert_eq!(circuit.stats().fixpoint_recomputes, 0);
         delete_row(&mut db, 2, 3);
         let (oracle, _) = execute(&plan, &db).unwrap();
         assert_eq!(
             circuit.result().sorted_entries(),
             oracle.rows.sorted_entries()
+        );
+    }
+
+    fn assert_matches_executor(circuit: &Circuit, plan: &Plan, db: &Database) {
+        let (oracle, _) = execute(plan, db).unwrap();
+        assert_eq!(
+            circuit.result().sorted_entries(),
+            oracle.rows.sorted_entries()
+        );
+    }
+
+    #[test]
+    fn retracting_the_bridge_to_a_cycle_removes_what_it_reached() {
+        // The counter-example to deletion by derivation counts alone: 0
+        // reaches the cycle 1⇄2 through one bridge, and (0,1) is derived
+        // both from the bridge and, around the cycle, from itself.
+        let mut db = link_db(&[(0, 1), (1, 2), (2, 1)]);
+        let plan = closure_plan();
+        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        assert_eq!(circuit.result().total(), 6);
+        let rel: Arc<str> = Arc::from("LINK");
+        let out = circuit.apply_delta(&remove(&rel, 0, 1)).unwrap();
+        assert_eq!(
+            out.sorted_entries(),
+            vec![(tuple![0i64, 1i64], -1), (tuple![0i64, 2i64], -1)]
+        );
+        delete_row(&mut db, 0, 1);
+        assert_matches_executor(&circuit, &plan, &db);
+        let stats = circuit.stats();
+        assert_eq!(
+            (
+                stats.fixpoint_recomputes,
+                stats.fixpoint_overdeleted,
+                stats.fixpoint_rederived
+            ),
+            (0, 2, 0)
+        );
+    }
+
+    #[test]
+    fn a_derivation_gained_in_the_same_batch_does_not_hide_one_lost() {
+        // Retracting the bridge while inserting the loop 1→1 gives (0,1) a
+        // new derivation from itself for the one it loses; netted, it would
+        // never be over-deleted and 0 would keep reaching the cycle.
+        let mut db = link_db(&[(0, 1), (1, 2), (2, 1)]);
+        let plan = closure_plan();
+        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let rel: Arc<str> = Arc::from("LINK");
+        let mut batch = remove(&rel, 0, 1);
+        batch.record_insert(&rel, tuple![1i64, 1i64]);
+        circuit.apply_delta(&batch).unwrap();
+        delete_row(&mut db, 0, 1);
+        db.relation_mut("LINK")
+            .unwrap()
+            .insert(tuple![1i64, 1i64])
+            .unwrap();
+        assert_matches_executor(&circuit, &plan, &db);
+        assert_eq!(circuit.result().total(), 4);
+        assert_eq!(circuit.stats().fixpoint_recomputes, 0);
+    }
+
+    #[test]
+    fn a_retracted_edge_with_an_alternative_path_is_rederived() {
+        // Diamond 1→{2,3}→4→5: without 2→4, node 1 still reaches 4 and 5
+        // through 3, node 2 no longer does.
+        let mut db = link_db(&[(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]);
+        let plan = closure_plan();
+        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let rel: Arc<str> = Arc::from("LINK");
+        let out = circuit.apply_delta(&remove(&rel, 2, 4)).unwrap();
+        // (1,4) and (1,5) were over-deleted and came back: downstream never
+        // hears of them.
+        assert_eq!(
+            out.sorted_entries(),
+            vec![(tuple![2i64, 4i64], -1), (tuple![2i64, 5i64], -1)]
+        );
+        delete_row(&mut db, 2, 4);
+        assert_matches_executor(&circuit, &plan, &db);
+        let stats = circuit.stats();
+        assert_eq!(
+            (
+                stats.fixpoint_recomputes,
+                stats.fixpoint_overdeleted,
+                stats.fixpoint_rederived
+            ),
+            (0, 4, 2)
+        );
+    }
+
+    /// `chains` disjoint paths of `links` edges, every link `on`, under the
+    /// e2e `closure_links` view; returns the work one mid-chain flip costs.
+    fn mid_chain_flip_work(chains: i64, links: i64) -> CircuitStats {
+        let mut db = Database::new();
+        let schema = Schema::from_pairs(&[
+            ("id", ValueType::Int),
+            ("src", ValueType::Int),
+            ("dst", ValueType::Int),
+            ("state", ValueType::Str),
+        ])
+        .unwrap();
+        db.create_relation("LINK", schema).unwrap();
+        let row = |c: i64, i: i64, state: &str| {
+            let node = c * (links + 1) + i;
+            tuple![c * links + i, node, node + 1, state]
+        };
+        for c in 0..chains {
+            for i in 0..links {
+                db.relation_mut("LINK")
+                    .unwrap()
+                    .insert(row(c, i, "on"))
+                    .unwrap();
+            }
+        }
+        let naive = crate::parser::parse_plan(
+            "WITH RECURSIVE R(a, b) AS (\
+             SELECT src, dst FROM LINK WHERE state = 'on' \
+             UNION SELECT r.a, l.dst FROM R r JOIN LINK l ON r.b = l.src WHERE l.state = 'on') \
+             SELECT * FROM R",
+        )
+        .unwrap();
+        let plan = crate::planner::optimize(&naive, &db).unwrap();
+        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let rel: Arc<str> = Arc::from("LINK");
+        let mut flip = DeltaSet::new();
+        flip.record_update(&rel, row(0, links / 2, "on"), row(0, links / 2, "off"));
+        let out = circuit.apply_delta(&flip).unwrap();
+        // Every pair with the link between its ends leaves, nothing else.
+        let severed = (links / 2 + 1) * (links - links / 2);
+        assert_eq!(out.total(), -severed);
+        assert_eq!(circuit.stats().fixpoint_overdeleted, severed as u64);
+        assert_eq!(
+            circuit.result().total(),
+            chains * links * (links + 1) / 2 - severed
+        );
+        circuit.stats()
+    }
+
+    #[test]
+    fn one_flip_costs_the_same_in_a_closure_ten_times_the_size() {
+        let small = mid_chain_flip_work(12, 16);
+        let large = mid_chain_flip_work(120, 16);
+        assert_eq!(small.fixpoint_recomputes, 0);
+        assert_eq!(small.delta_rows_processed, large.delta_rows_processed);
+        assert_eq!(small.fixpoint_iterations, large.fixpoint_iterations);
+        assert_eq!(small.fixpoint_overdeleted, 72);
+        assert_eq!(
+            CircuitStats {
+                init_tuples_scanned: 0,
+                ..small
+            },
+            CircuitStats {
+                init_tuples_scanned: 0,
+                ..large
+            }
         );
     }
 

@@ -164,7 +164,7 @@ pub fn optimize_with_report(
 ) -> Result<(Plan, PlannerReport), PlanError> {
     let before = plan.output_columns(db)?;
     let mut rep = PlannerReport::default();
-    let optimized = rewrite(plan.clone(), db, false, &mut rep)?;
+    let optimized = rewrite(plan.clone(), Scope { db, rec: None }, false, &mut rep)?;
     // Output-schema guard: a sound rewrite can never change the result
     // columns. If it somehow did, serve the original plan — correctness
     // beats cleverness.
@@ -237,12 +237,22 @@ fn selectivity(pred: &Expr) -> f64 {
     }
 }
 
+/// What a rewrite resolves names and types against: the catalog and, inside
+/// a fixpoint's step, the column types of the recursive relation it may
+/// reference (`None` per column = unknown).
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    db: &'a Database,
+    rec: Option<(&'a str, &'a [Option<ValueType>])>,
+}
+
 /// Declared [`ValueType`] of one output column of a plan, when derivable by
 /// walking down to the base schema. `None` means "unknown" — callers must
 /// treat that conservatively. Used to gate the product→join rewrite:
 /// strict join-key equality coincides with σ's widening `sql_cmp` only
 /// when both sides share a declared type.
-fn declared_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
+fn declared_type(plan: &Plan, sc: Scope<'_>, name: &str) -> Option<ValueType> {
+    let db = sc.db;
     match plan {
         Plan::Scan { relation, .. } => {
             let rel = db.relation(relation).ok()?;
@@ -250,11 +260,11 @@ fn declared_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
             let idx = resolve_column(&cols, name)?;
             Some(rel.schema().columns()[idx].ty)
         }
-        Plan::Select { input, .. } | Plan::Distinct { input } => declared_type(input, db, name),
+        Plan::Select { input, .. } | Plan::Distinct { input } => declared_type(input, sc, name),
         Plan::Project { input, columns } => {
             let out = plan.output_columns(db).ok()?;
             let j = resolve_column(&out, name)?;
-            declared_type(input, db, &columns[j])
+            declared_type(input, sc, &columns[j])
         }
         Plan::Product { left, right } | Plan::Join { left, right, .. } => {
             let l_cols = left.output_columns(db).ok()?;
@@ -262,9 +272,9 @@ fn declared_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
             combined.extend(right.output_columns(db).ok()?);
             let idx = resolve_column(&combined, name)?;
             if idx < l_cols.len() {
-                declared_type(left, db, &combined[idx])
+                declared_type(left, sc, &combined[idx])
             } else {
-                declared_type(right, db, &combined[idx])
+                declared_type(right, sc, &combined[idx])
             }
         }
         Plan::Aggregate {
@@ -279,11 +289,11 @@ fn declared_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
                 .collect();
             let j = resolve_column(&out, name)?;
             if j < group_by.len() {
-                declared_type(input, db, &group_by[j])
+                declared_type(input, sc, &group_by[j])
             } else {
                 match &aggs[j - group_by.len()].func {
                     AggFunc::Count => Some(ValueType::Int),
-                    AggFunc::Min(c) | AggFunc::Max(c) => declared_type(input, db, c),
+                    AggFunc::Min(c) | AggFunc::Max(c) => declared_type(input, sc, c),
                     // SUM is Int for Int columns but may widen to Float on
                     // i64 overflow — conservatively unknown.
                     AggFunc::Sum(_) => None,
@@ -296,18 +306,60 @@ fn declared_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
             let l_cols = left.output_columns(db).ok()?;
             let r_cols = right.output_columns(db).ok()?;
             let j = resolve_column(&l_cols, name)?;
-            let tl = declared_type(left, db, &l_cols[j])?;
-            let tr = declared_type(right, db, r_cols.get(j)?)?;
+            let tl = declared_type(left, sc, &l_cols[j])?;
+            let tr = declared_type(right, sc, r_cols.get(j)?)?;
             (tl == tr).then_some(tl)
         }
-        Plan::Fixpoint { base, columns, .. } => {
-            // The fixpoint's columns are positionally those of its base term.
+        Plan::Fixpoint {
+            base,
+            step,
+            rec,
+            columns,
+            ..
+        } => {
             let j = resolve_column(columns, name)?;
-            let base_cols = base.output_columns(db).ok()?;
-            declared_type(base, db, base_cols.get(j)?)
+            rec_column_types(base, step, rec, sc).get(j).copied()?
         }
-        // A Rec leaf has no catalog anchor — conservatively unknown.
-        Plan::Rec { .. } => None,
+        // A Rec leaf has no catalog anchor: it is typed only by the
+        // enclosing fixpoint, and unknown outside one.
+        Plan::Rec { name: rec, columns } => match sc.rec {
+            Some((bound, types)) if bound == rec.as_ref() => {
+                types.get(resolve_column(columns, name)?).copied()?
+            }
+            _ => None,
+        },
+    }
+}
+
+/// Column types of the recursive relation `rec` = μ(`base` ∪ `step`): a
+/// column has its base term's declared type when the step, reading the
+/// recursive relation under that typing, produces the same type there, and
+/// is unknown otherwise. Dropping one column's assumption can invalidate
+/// another's (a step may permute columns), so the check repeats until it is
+/// stable — at most once per column.
+fn rec_column_types(base: &Plan, step: &Plan, rec: &str, sc: Scope<'_>) -> Vec<Option<ValueType>> {
+    let (Ok(base_cols), Ok(step_cols)) = (base.output_columns(sc.db), step.output_columns(sc.db))
+    else {
+        return Vec::new();
+    };
+    let mut types: Vec<Option<ValueType>> = base_cols
+        .iter()
+        .map(|c| declared_type(base, sc, c))
+        .collect();
+    loop {
+        let inner = Scope {
+            db: sc.db,
+            rec: Some((rec, &types)),
+        };
+        let kept: Vec<Option<ValueType>> = types
+            .iter()
+            .zip(&step_cols)
+            .map(|(t, c)| t.filter(|t| declared_type(step, inner, c) == Some(*t)))
+            .collect();
+        if kept == types {
+            return types;
+        }
+        types = kept;
     }
 }
 
@@ -319,20 +371,21 @@ fn declared_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
 /// (join input swaps) below.
 fn rewrite(
     plan: Plan,
-    db: &Database,
+    sc: Scope<'_>,
     order_free: bool,
     rep: &mut PlannerReport,
 ) -> Result<Plan, PlanError> {
+    let db = sc.db;
     match plan {
         Plan::Scan { .. } => Ok(plan),
         Plan::Select { input, predicate } => {
             let mut preds = Vec::new();
             split_conjuncts(fold_expr(&predicate, rep), &mut preds);
-            let inner = rewrite(*input, db, order_free, rep)?;
-            push_preds(inner, preds, db, order_free, rep)
+            let inner = rewrite(*input, sc, order_free, rep)?;
+            push_preds(inner, preds, sc, order_free, rep)
         }
         Plan::Project { input, columns } => {
-            let inner = rewrite(*input, db, true, rep)?;
+            let inner = rewrite(*input, sc, true, rep)?;
             let (inner, columns) = merge_projects(inner, columns, db, rep)?;
             // Identity projection: same names, same order as the input.
             if inner.output_columns(db)? == columns {
@@ -346,16 +399,16 @@ fn rewrite(
             }
         }
         Plan::Product { left, right } => {
-            let left = rewrite(*left, db, order_free, rep)?;
-            let right = rewrite(*right, db, order_free, rep)?;
+            let left = rewrite(*left, sc, order_free, rep)?;
+            let right = rewrite(*right, sc, order_free, rep)?;
             Ok(Plan::Product {
                 left: Box::new(left),
                 right: Box::new(right),
             })
         }
         Plan::Join { left, right, on } => {
-            let left = rewrite(*left, db, order_free, rep)?;
-            let right = rewrite(*right, db, order_free, rep)?;
+            let left = rewrite(*left, sc, order_free, rep)?;
+            let right = rewrite(*right, sc, order_free, rep)?;
             Ok(maybe_swap_join(left, right, on, db, order_free, rep))
         }
         Plan::Aggregate {
@@ -363,7 +416,7 @@ fn rewrite(
             group_by,
             aggs,
         } => {
-            let input = rewrite(*input, db, true, rep)?;
+            let input = rewrite(*input, sc, true, rep)?;
             let aggs = aggs
                 .into_iter()
                 .map(|a| AggExpr {
@@ -378,7 +431,7 @@ fn rewrite(
             })
         }
         Plan::Distinct { input } => {
-            let inner = rewrite(*input, db, order_free, rep)?;
+            let inner = rewrite(*input, sc, order_free, rep)?;
             // δ∘δ = δ.
             if let Plan::Distinct { .. } = inner {
                 return Ok(inner);
@@ -388,21 +441,22 @@ fn rewrite(
             })
         }
         Plan::Union { left, right } => Ok(Plan::Union {
-            left: Box::new(rewrite(*left, db, false, rep)?),
-            right: Box::new(rewrite(*right, db, false, rep)?),
+            left: Box::new(rewrite(*left, sc, false, rep)?),
+            right: Box::new(rewrite(*right, sc, false, rep)?),
         }),
         Plan::Difference { left, right } => Ok(Plan::Difference {
-            left: Box::new(rewrite(*left, db, false, rep)?),
-            right: Box::new(rewrite(*right, db, false, rep)?),
+            left: Box::new(rewrite(*left, sc, false, rep)?),
+            right: Box::new(rewrite(*right, sc, false, rep)?),
         }),
         Plan::Intersect { left, right } => Ok(Plan::Intersect {
-            left: Box::new(rewrite(*left, db, false, rep)?),
-            right: Box::new(rewrite(*right, db, false, rep)?),
+            left: Box::new(rewrite(*left, sc, false, rep)?),
+            right: Box::new(rewrite(*right, sc, false, rep)?),
         }),
         // A fixpoint is a rewrite barrier: its terms are optimized
         // independently (column order across iterations is positional, so
         // order-changing rewrites stay disabled), and nothing migrates
-        // across the recursion boundary.
+        // across the recursion boundary except the recursive relation's
+        // column types, which let `σ(Rec × S)` become `Rec ⋈ S` in the step.
         Plan::Fixpoint {
             base,
             step,
@@ -410,14 +464,23 @@ fn rewrite(
             columns,
             all,
             cap,
-        } => Ok(Plan::Fixpoint {
-            base: Box::new(rewrite(*base, db, false, rep)?),
-            step: Box::new(rewrite(*step, db, false, rep)?),
-            rec,
-            columns,
-            all,
-            cap,
-        }),
+        } => {
+            let base = rewrite(*base, sc, false, rep)?;
+            let types = rec_column_types(&base, &step, &rec, sc);
+            let inner = Scope {
+                db,
+                rec: Some((&rec, &types)),
+            };
+            let step = rewrite(*step, inner, false, rep)?;
+            Ok(Plan::Fixpoint {
+                base: Box::new(base),
+                step: Box::new(step),
+                rec,
+                columns,
+                all,
+                cap,
+            })
+        }
         Plan::Rec { .. } => Ok(plan),
     }
 }
@@ -428,7 +491,7 @@ fn rewrite(
 fn push_preds(
     plan: Plan,
     preds: Vec<Expr>,
-    db: &Database,
+    sc: Scope<'_>,
     order_free: bool,
     rep: &mut PlannerReport,
 ) -> Result<Plan, PlanError> {
@@ -447,7 +510,7 @@ fn push_preds(
             let mut all = Vec::new();
             split_conjuncts(predicate, &mut all);
             all.extend(preds);
-            push_preds(*input, all, db, order_free, rep)
+            push_preds(*input, all, sc, order_free, rep)
         }
         Plan::Project { input, columns } => {
             let out_names = &columns;
@@ -467,7 +530,7 @@ fn push_preds(
             if !sunk.is_empty() {
                 rep.predicates_pushed += sunk.len() as u64;
             }
-            let inner = push_preds(*input, sunk, db, true, rep)?;
+            let inner = push_preds(*input, sunk, sc, true, rep)?;
             Ok(wrap(
                 Plan::Project {
                     input: Box::new(inner),
@@ -477,10 +540,10 @@ fn push_preds(
             ))
         }
         Plan::Product { left, right } => {
-            push_into_pair(*left, *right, None, preds, db, order_free, rep)
+            push_into_pair(*left, *right, None, preds, sc, order_free, rep)
         }
         Plan::Join { left, right, on } => {
-            push_into_pair(*left, *right, Some(on), preds, db, order_free, rep)
+            push_into_pair(*left, *right, Some(on), preds, sc, order_free, rep)
         }
         Plan::Aggregate {
             input,
@@ -513,7 +576,7 @@ fn push_preds(
             if !sunk.is_empty() {
                 rep.predicates_pushed += sunk.len() as u64;
             }
-            let inner = push_preds(*input, sunk, db, true, rep)?;
+            let inner = push_preds(*input, sunk, sc, true, rep)?;
             Ok(wrap(
                 Plan::Aggregate {
                     input: Box::new(inner),
@@ -526,7 +589,7 @@ fn push_preds(
         // σ∘δ ≡ δ∘σ.
         Plan::Distinct { input } => {
             rep.predicates_pushed += preds.len() as u64;
-            let inner = push_preds(*input, preds, db, order_free, rep)?;
+            let inner = push_preds(*input, preds, sc, order_free, rep)?;
             Ok(Plan::Distinct {
                 input: Box::new(inner),
             })
@@ -535,13 +598,13 @@ fn push_preds(
         // multiplicities on both sides). The right arm's columns may be
         // named differently: rewrite references positionally.
         Plan::Union { left, right } => {
-            push_into_setop(*left, *right, SetOpShape::Union, preds, db, rep)
+            push_into_setop(*left, *right, SetOpShape::Union, preds, sc, rep)
         }
         Plan::Difference { left, right } => {
-            push_into_setop(*left, *right, SetOpShape::Difference, preds, db, rep)
+            push_into_setop(*left, *right, SetOpShape::Difference, preds, sc, rep)
         }
         Plan::Intersect { left, right } => {
-            push_into_setop(*left, *right, SetOpShape::Intersect, preds, db, rep)
+            push_into_setop(*left, *right, SetOpShape::Intersect, preds, sc, rep)
         }
         Plan::Scan { .. } => Ok(wrap(plan, preds)),
         // Pushing predicates across the recursion boundary is unsound in
@@ -566,9 +629,10 @@ fn push_into_setop(
     right: Plan,
     shape: SetOpShape,
     preds: Vec<Expr>,
-    db: &Database,
+    sc: Scope<'_>,
     rep: &mut PlannerReport,
 ) -> Result<Plan, PlanError> {
+    let db = sc.db;
     let l_cols = left.output_columns(db)?;
     let r_cols = right.output_columns(db)?;
     let mut l_preds = Vec::new();
@@ -591,8 +655,8 @@ fn push_into_setop(
         }
     }
     rep.predicates_pushed += l_preds.len() as u64;
-    let left = Box::new(push_preds(left, l_preds, db, false, rep)?);
-    let right = Box::new(push_preds(right, r_preds, db, false, rep)?);
+    let left = Box::new(push_preds(left, l_preds, sc, false, rep)?);
+    let right = Box::new(push_preds(right, r_preds, sc, false, rep)?);
     let node = match shape {
         SetOpShape::Union => Plan::Union { left, right },
         SetOpShape::Difference => Plan::Difference { left, right },
@@ -609,10 +673,11 @@ fn push_into_pair(
     right: Plan,
     join_on: Option<Vec<(Arc<str>, Arc<str>)>>,
     preds: Vec<Expr>,
-    db: &Database,
+    sc: Scope<'_>,
     order_free: bool,
     rep: &mut PlannerReport,
 ) -> Result<Plan, PlanError> {
+    let db = sc.db;
     let l_cols = left.output_columns(db)?;
     let r_cols = right.output_columns(db)?;
     let mut combined = l_cols.clone();
@@ -646,8 +711,8 @@ fn push_into_pair(
                         let (ia, ib) =
                             (resolve_column(&combined, ca), resolve_column(&combined, cb));
                         let types_match = |l_idx: usize, r_idx: usize| {
-                            let tl = declared_type(&left, db, &combined[l_idx]);
-                            let tr = declared_type(&right, db, &combined[r_idx]);
+                            let tl = declared_type(&left, sc, &combined[l_idx]);
+                            let tr = declared_type(&right, sc, &combined[r_idx]);
                             tl.is_some() && tl == tr
                         };
                         match (ia, ib) {
@@ -672,8 +737,8 @@ fn push_into_pair(
     }
 
     rep.predicates_pushed += (l_preds.len() + r_preds.len()) as u64;
-    let left = push_preds(left, l_preds, db, order_free, rep)?;
-    let right = push_preds(right, r_preds, db, order_free, rep)?;
+    let left = push_preds(left, l_preds, sc, order_free, rep)?;
+    let right = push_preds(right, r_preds, sc, order_free, rep)?;
 
     let node = if on.is_empty() {
         Plan::Product {
@@ -1179,6 +1244,94 @@ mod tests {
         let (opt, rep) = optimize_with_report(&joinable, &db).unwrap();
         assert_eq!(rep.products_to_joins, 1, "{opt}");
         assert_equivalent_and_cheaper(&joinable, &db);
+    }
+
+    /// LINK(id, src, dst, state) — the e2e `closure_links` shape.
+    fn link_db() -> Database {
+        let mut db = Database::new();
+        let schema = Schema::from_pairs(&[
+            ("id", ValueType::Int),
+            ("src", ValueType::Int),
+            ("dst", ValueType::Int),
+            ("state", ValueType::Str),
+        ])
+        .unwrap();
+        db.create_relation("LINK", schema).unwrap();
+        let rel = db.relation_mut("LINK").unwrap();
+        for (id, (s, d, state)) in [(1, 2, "on"), (2, 3, "on"), (3, 4, "off"), (3, 1, "on")]
+            .into_iter()
+            .enumerate()
+        {
+            rel.insert(tuple![id as i64, s as i64, d as i64, state])
+                .unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn recursive_step_becomes_a_keyed_join() {
+        let db = link_db();
+        for sql in [
+            // README's closure.
+            "WITH RECURSIVE R (a, b) AS \
+             (SELECT src, dst FROM LINK \
+              UNION SELECT r.a, l.dst FROM R r JOIN LINK l ON r.b = l.src) \
+             SELECT a, b FROM R",
+            // The e2e `closure_links` view.
+            "WITH RECURSIVE R(a, b) AS (\
+             SELECT src, dst FROM LINK WHERE state = 'on' \
+             UNION SELECT r.a, l.dst FROM R r JOIN LINK l ON r.b = l.src WHERE l.state = 'on') \
+             SELECT * FROM R",
+        ] {
+            let naive = parser::parse_plan(sql).unwrap();
+            let (opt, rep) = optimize_with_report(&naive, &db).unwrap();
+            assert_eq!(rep.products_to_joins, 1, "{opt}");
+            assert!(!opt.to_string().contains('×'), "product survived: {opt}");
+            let (before, after) = assert_equivalent_and_cheaper(&naive, &db);
+            assert!(after < before, "{before} -> {after}");
+        }
+    }
+
+    #[test]
+    fn recursive_column_whose_step_type_differs_stays_a_product() {
+        // R.b starts Int (base) and turns Float (step), so `r.b = f.p` must
+        // keep σ's widening comparison: Int 2 matches Float 2.0, which a
+        // hash join's strict key equality would miss.
+        let mut db = Database::new();
+        let a = Schema::from_pairs(&[("x", ValueType::Int), ("y", ValueType::Int)]).unwrap();
+        let f = Schema::from_pairs(&[("p", ValueType::Float), ("q", ValueType::Float)]).unwrap();
+        db.create_relation("A", a).unwrap();
+        db.create_relation("F", f).unwrap();
+        db.relation_mut("A")
+            .unwrap()
+            .insert(tuple![1i64, 2i64])
+            .unwrap();
+        for (p, q) in [(2.0f64, 3.0f64), (3.0, 4.0)] {
+            db.relation_mut("F").unwrap().insert(tuple![p, q]).unwrap();
+        }
+        let base = Plan::scan("A").project(&["x", "y"]);
+        let step = Plan::rec("R", &["a", "b"])
+            .product(Plan::scan("F"))
+            .filter(Expr::col("b").eq(Expr::col("p")))
+            .project(&["a", "q"]);
+        let plan = base.clone().fixpoint(step, "R", &["a", "b"]);
+        let (opt, rep) = optimize_with_report(&plan, &db).unwrap();
+        assert_eq!(rep.products_to_joins, 0, "cross-type join formed: {opt}");
+        let (res, _) = execute(&opt, &db).unwrap();
+        assert_eq!(res.rows.total(), 3, "(1,2) (1,3.0) (1,4.0): {opt}");
+        assert_equivalent_and_cheaper(&plan, &db);
+
+        // The step feeds R.b into column a, so once b is untyped a is too:
+        // `r.a = a2.x` may not become a join either.
+        let permuting = Plan::rec("R", &["a", "b"])
+            .product(Plan::scan("F"))
+            .product(Plan::scan_as("A", "a2"))
+            .filter(Expr::col("a").eq(Expr::col("a2.x")))
+            .project(&["b", "q"]);
+        let plan = base.fixpoint(permuting, "R", &["a", "b"]);
+        let (opt, rep) = optimize_with_report(&plan, &db).unwrap();
+        assert_eq!(rep.products_to_joins, 0, "{opt}");
+        assert_equivalent_and_cheaper(&plan, &db);
     }
 
     #[test]

@@ -310,7 +310,7 @@ pub fn random_link_db(seed: u64) -> Database {
 
 /// A random edge insert/delete batch against LINK, returning the deltas.
 /// `retract` enables deletions (retractions stress the circuit's
-/// recompute-and-diff fixpoint path).
+/// delete-and-rederive fixpoint path).
 pub fn random_link_delta(rng: &mut Rng, db: &mut Database, retract: bool) -> DeltaSet {
     let mut deltas = DeltaSet::new();
     let name: Arc<str> = Arc::from("LINK");
@@ -364,4 +364,55 @@ pub fn random_recursive_query(rng: &mut Rng) -> String {
         "SELECT * FROM R UNION SELECT src, dst FROM LINK",
     ]);
     format!("WITH RECURSIVE R (a, b) AS ({base} UNION {step}) {body}")
+}
+
+/// The e2e `closure_links` shape on a random graph: LINK(id, src, dst,
+/// state) over a small node domain (cycles and parallel edges are common),
+/// each link `on` or `off`.
+pub fn random_state_link_db(seed: u64) -> Database {
+    let mut rng = Rng(seed);
+    let mut db = Database::new();
+    let schema = Schema::from_pairs(&[
+        ("id", ValueType::Int),
+        ("src", ValueType::Int),
+        ("dst", ValueType::Int),
+        ("state", ValueType::Str),
+    ])
+    .unwrap()
+    .with_primary_key("id")
+    .unwrap();
+    db.create_relation("LINK", schema).unwrap();
+    let nodes = 2 + rng.below(6);
+    let rel = db.relation_mut("LINK").unwrap();
+    for id in 0..1 + rng.below(14) {
+        let (s, d) = (rng.below(nodes) as i64, rng.below(nodes) as i64);
+        let state = if rng.chance(70) { "on" } else { "off" };
+        rel.insert(tuple![id as i64, s, d, state]).unwrap();
+    }
+    db
+}
+
+/// The closure of the `on` links (the e2e `closure_links` view).
+pub const STATE_CLOSURE_SQL: &str = "WITH RECURSIVE R(a, b) AS (\
+    SELECT src, dst FROM LINK WHERE state = 'on' \
+    UNION SELECT r.a, l.dst FROM R r JOIN LINK l ON r.b = l.src WHERE l.state = 'on') \
+    SELECT * FROM R";
+
+/// Flips the `state` of one to four random links, as an MCMC interval
+/// would: each flip is a retraction of the old image plus an insertion of
+/// the new one, coalesced per batch.
+pub fn random_state_flips(rng: &mut Rng, db: &mut Database) -> DeltaSet {
+    let mut deltas = DeltaSet::new();
+    let name: Arc<str> = Arc::from("LINK");
+    let rel = db.relation_mut("LINK").unwrap();
+    for _ in 0..1 + rng.below(4) {
+        let id = rng.below(rel.len()) as i64;
+        let rid = rel.find_by_pk(&Value::Int(id)).expect("ids are dense");
+        let on = rel.get(rid).expect("live row").get(3) == &Value::str("on");
+        let flipped = Value::str(if on { "off" } else { "on" });
+        let (old, new) = rel.update_field(rid, 3, flipped).unwrap();
+        deltas.record_update(&name, old, new);
+    }
+    deltas.compact();
+    deltas
 }

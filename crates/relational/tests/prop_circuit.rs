@@ -8,16 +8,16 @@
 //! * **naive re-execution** of the unoptimized plan from scratch.
 //!
 //! Random well-typed SQL reuses the planner suite's generators; recursive
-//! queries additionally check the semi-naive frontier iteration against the
-//! executor's iterated-naive fixpoint and incremental maintenance against
-//! from-scratch recompilation. Hostile recursion must surface typed
+//! queries additionally check delete-and-rederive maintenance (which never
+//! recomputes a monotone `UNION` fixpoint) against the executor's
+//! iterated-naive fixpoint and against from-scratch recompilation. Hostile recursion must surface typed
 //! [`CircuitError`]s — never a panic, unbounded loop, or OOM.
 
 mod common;
 
 use common::{
     random_db, random_delta, random_link_db, random_link_delta, random_query,
-    random_recursive_query, Rng,
+    random_recursive_query, random_state_flips, random_state_link_db, Rng, STATE_CLOSURE_SQL,
 };
 use fgdb_relational::parser;
 use fgdb_relational::planner::optimize;
@@ -105,7 +105,8 @@ proptest! {
 
     /// Recursive closure under edge churn (inserts *and* retractions):
     /// incremental circuit maintenance ≡ naive re-execution ≡ compiling a
-    /// fresh circuit from the mutated database.
+    /// fresh circuit from the mutated database, without ever recomputing
+    /// the fixpoint — cyclic graphs included.
     #[test]
     fn recursive_views_track_edge_churn(seed in 0u64..1u64 << 48) {
         let mut db = random_link_db(seed);
@@ -133,6 +134,41 @@ proptest! {
                 "incremental diverged from from-scratch circuit on round {} for `{}`", round, sql
             );
         }
+        let stats = view.circuit_stats().expect("circuit backend");
+        prop_assert_eq!(stats.fixpoint_recomputes, 0, "`{}`", sql);
+        prop_assert!(stats.fixpoint_rederived <= stats.fixpoint_overdeleted);
+    }
+
+    /// The e2e `closure_links` shape: every MCMC flip of a link's `state`
+    /// is a retraction plus an insertion of the same row, filtered by
+    /// `WHERE state = 'on'` in both the base and the step.
+    #[test]
+    fn closure_of_on_links_tracks_state_flips(seed in 0u64..1u64 << 48) {
+        let mut db = random_state_link_db(seed);
+        let mut rng = Rng(seed ^ 0xF11B);
+        let naive = parser::parse_plan(STATE_CLOSURE_SQL).unwrap();
+        let opt = optimize(&naive, &db).unwrap();
+        let mut view = MaterializedView::new(&opt, &db).unwrap();
+        for round in 0..6 {
+            let deltas = random_state_flips(&mut rng, &mut db);
+            let before = view.result().clone();
+            let emitted = view.try_apply_delta(&deltas).unwrap();
+            let fresh = execute(&naive, &db).unwrap().0;
+            prop_assert_eq!(
+                view.result().sorted_entries(),
+                fresh.rows.sorted_entries(),
+                "diverged from re-execution on round {}", round
+            );
+            // The emitted delta is exactly what changed: rederived tuples
+            // do not appear in it.
+            prop_assert_eq!(
+                emitted.sorted_entries(),
+                fresh.rows.minus(&before).sorted_entries(),
+                "emitted delta is not the answer's change on round {}", round
+            );
+        }
+        let stats = view.circuit_stats().expect("circuit backend");
+        prop_assert_eq!(stats.fixpoint_recomputes, 0);
     }
 
     /// Insert-only streams on monotone closures take the semi-naive frontier

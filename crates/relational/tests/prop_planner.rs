@@ -10,11 +10,16 @@
 //! * the optimized plan drives a [`MaterializedView`] to the same answers
 //!   as naive re-execution under random delta streams (the same text
 //!   serves Algorithm 3 and Algorithm 1);
+//! * the same holds for recursive queries over random link graphs, where
+//!   the recursive step's `σ(Rec × S)` becomes a keyed join;
 //! * `parse ∘ print` is a fixpoint of the SQL AST.
 
 mod common;
 
-use common::{random_db, random_delta, random_query, Rng};
+use common::{
+    random_db, random_delta, random_link_db, random_query, random_recursive_query,
+    random_state_link_db, Rng, STATE_CLOSURE_SQL,
+};
 use fgdb_relational::algebra::paper_queries;
 use fgdb_relational::parser::{self, paper_sql};
 use fgdb_relational::planner::{optimize, optimize_with_report};
@@ -62,6 +67,18 @@ proptest! {
             let sql = random_query(&mut rng);
             check_optimizer_soundness(&sql, &db);
         }
+    }
+
+    /// Recursive queries over random (often cyclic) link graphs: typing the
+    /// recursive relation from its base term must never change an answer.
+    #[test]
+    fn optimized_recursive_plans_are_sound_and_no_more_expensive(seed in 0u64..1u64 << 48) {
+        let db = random_link_db(seed);
+        let mut rng = Rng(seed ^ 0x4EC);
+        for _ in 0..3 {
+            check_optimizer_soundness(&random_recursive_query(&mut rng), &db);
+        }
+        check_optimizer_soundness(STATE_CLOSURE_SQL, &random_state_link_db(seed));
     }
 
     /// The paper's four queries as SQL text, over random databases: the

@@ -174,12 +174,18 @@ fn main() {
     let fresh = execute(&plan, pdb.database()).expect("re-exec").0;
     assert_eq!(view.result().sorted_entries(), fresh.rows.sorted_entries());
     let stats = view.circuit_stats().expect("circuit backend");
+    // Every relabelled pointer is a retraction plus an insertion, on a graph
+    // full of self-loops; delete-and-rederive never recomputes the closure.
+    assert_eq!(stats.fixpoint_recomputes, 0);
     println!(
         "\ncircuit after 200 intervals: {} deltas, {} delta rows, \
-         {} fixpoint iterations ({} full recomputes), view ≡ re-exec ✓",
+         {} fixpoint iterations, {} tuples over-deleted ({} rederived), \
+         {} full recomputes, view ≡ re-exec ✓",
         stats.deltas_applied,
         stats.delta_rows_processed,
         stats.fixpoint_iterations,
+        stats.fixpoint_overdeleted,
+        stats.fixpoint_rederived,
         stats.fixpoint_recomputes
     );
 }
