@@ -13,11 +13,11 @@
 //! [`ParallelEngine`] is that design as an engine-level subsystem rather
 //! than a caller-level thread fan-out:
 //!
-//! 1. **Snapshot** — a seeded [`ProbabilisticDB`] is deep-snapshotted into
+//! 1. **Snapshot** — a seeded [`ProbabilisticDB`] is snapshotted into
 //!    N independent replicas ([`ProbabilisticDB::snapshot`]): own
-//!    [`Database`](fgdb_relational::Database) clone, own world, own proposer
-//!    and RNG stream (seeds derived via [`chain_seed`]), own incrementally
-//!    maintained view.
+//!    copy-on-write [`Database`](fgdb_relational::Database), own world,
+//!    own proposer and RNG stream (seeds derived via [`chain_seed`]), own
+//!    incrementally maintained view.
 //! 2. **Run** — replicas advance on scoped threads in *checkpointed rounds*
 //!    ([`fgdb_mcmc::run_chains_checkpointed`]): within a round chains are
 //!    lockstep-free (no per-thinning-interval synchronization); at round
@@ -205,7 +205,7 @@ impl From<EvaluateError> for EngineError {
     }
 }
 
-/// One independent replica: deep-snapshotted database + chain, its
+/// One independent replica: snapshotted database + chain, its
 /// incrementally maintained view, and its whole-run membership log (the
 /// per-tuple 0/1 traces of `t ∈ Q(wᵢ)`, kept as crossing events).
 struct Replica<M> {

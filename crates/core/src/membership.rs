@@ -19,11 +19,14 @@
 //! trailing window of samples. A tuple that does not toggle inside the
 //! window has a constant trace, and a constant trace is *neutral* for both
 //! diagnostics (`split_r_hat` = 1, `effective_sample_size` = n — the values
-//! the max/min folds start from), so it needs no storage at all. Dense 0/1
-//! traces are materialised only when diagnostics are asked for, and only
-//! for tuples with an event in the ring.
+//! the max/min folds start from), so it needs no storage at all. The
+//! window verdict ([`MembershipLog::diagnose`]) is computed per toggled
+//! tuple straight from its crossing positions — a 0/1 trace *is* its runs
+//! of ones — and never builds a trace; dense 0/1 traces
+//! ([`MembershipLog::traces`]) exist for the multi-chain engine, which
+//! compares chains sample by sample, and as the test oracle.
 
-use fgdb_mcmc::{effective_sample_size, split_r_hat};
+use fgdb_mcmc::{effective_sample_size_runs, split_r_hat_runs};
 use fgdb_relational::{CountedSet, FxHashMap, Tuple};
 use std::collections::VecDeque;
 
@@ -151,15 +154,53 @@ impl MembershipLog {
             .collect()
     }
 
+    /// The runs of ones (half-open, in window positions) of every tuple
+    /// with an event in the ring — [`Self::traces`] in run-length form: the
+    /// stretch before an event holds the membership the event switched
+    /// *from*, the stretch after the last one what it switched *to*.
+    fn runs(&self) -> impl Iterator<Item = Vec<(usize, usize)>> + '_ {
+        /// One tuple's runs up to its latest event, that event's position
+        /// and the membership it switched to.
+        struct Open {
+            ones: Vec<(usize, usize)>,
+            from: usize,
+            present: bool,
+        }
+        let start = self.start();
+        let len = usize::try_from(self.window_len()).unwrap_or(usize::MAX);
+        let mut open: FxHashMap<&Tuple, Open> = FxHashMap::default();
+        for (at, c) in &self.events {
+            let upto = usize::try_from(at - start).unwrap_or(len).min(len);
+            let o = open.entry(&c.tuple).or_insert(Open {
+                ones: Vec::new(),
+                from: 0,
+                present: c.entered,
+            });
+            if !c.entered && upto > o.from {
+                o.ones.push((o.from, upto));
+            }
+            (o.from, o.present) = (upto, c.entered);
+        }
+        open.into_values().map(move |mut o| {
+            if o.present && len > o.from {
+                o.ones.push((o.from, len));
+            }
+            o.ones
+        })
+    }
+
     /// Worst split-R̂ and smallest ESS over the window, across every tuple
     /// whose membership changed in it. With no such tuple the answer is
-    /// trivially converged with the full window as ESS.
+    /// trivially converged with the full window as ESS. Costs O(events in
+    /// the window) plus, per toggled tuple, O(runs²) per autocorrelation lag
+    /// — independent of the window length and of the answer size.
     pub fn diagnose(&self) -> (f64, f64) {
+        let len = usize::try_from(self.window_len()).unwrap_or(usize::MAX);
         let mut max_r_hat = 1.0f64;
         let mut min_ess = self.window_len() as f64;
-        for trace in self.traces().values() {
-            max_r_hat = max_r_hat.max(split_r_hat(trace));
-            min_ess = min_ess.min(effective_sample_size(trace));
+        for ones in self.runs() {
+            max_r_hat = max_r_hat.max(split_r_hat_runs(len, &ones));
+            min_ess = min_ess.min(effective_sample_size_runs(len, &ones));
         }
         (max_r_hat, min_ess)
     }

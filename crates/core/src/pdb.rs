@@ -395,13 +395,15 @@ impl<M: Model> ProbabilisticDB<M> {
         self.chain.restore_counters(steps_taken, stats);
     }
 
-    /// Deep-snapshots this probabilistic database into an independent
-    /// replica — §5.4's "identical copies of the initial world". The stored
-    /// world is deep-cloned (see [`Database::snapshot`]), the in-memory
-    /// variable assignment is copied, the model is cloned (models meant for
-    /// replication are `Arc`-shared, so this is a refcount bump), and the
-    /// replica gets its own proposer and a fresh RNG stream seeded with
-    /// `seed`. Replica MCMC steps never touch this database, and vice versa.
+    /// Snapshots this probabilistic database into an independent replica —
+    /// §5.4's "identical copies of the initial world". The stored world is
+    /// shared copy-on-write (see [`Database::snapshot`]: a pointer bump per
+    /// storage chunk, each side copying only the chunks it writes), the
+    /// in-memory variable assignment is copied, the model is cloned (models
+    /// meant for replication are `Arc`-shared, so this is a refcount bump),
+    /// and the replica gets its own proposer and a fresh RNG stream seeded
+    /// with `seed`. Replica MCMC steps never touch this database, and vice
+    /// versa.
     ///
     /// Snapshots are taken at thinning-interval boundaries; the public API
     /// guarantees no MCMC changes are pending outside [`Self::step`], so the

@@ -13,17 +13,25 @@
 //!   *registered query*'s materialized view (Algorithm 1), and — every
 //!   `publish_every` samples — publication of a new [`EpochSnapshot`].
 //! * An epoch is an immutable, internally consistent picture of one
-//!   sampled world: a deep [`Database::snapshot`] plus each registered
-//!   query's current answer, full-run marginal estimates, and windowed
-//!   convergence diagnostics (split-R̂ / ESS over the last `window`
-//!   samples). Epochs are published by swapping an `Arc` behind a brief
-//!   write lock; they are never mutated afterwards.
+//!   sampled world: a [`Database::snapshot`] plus each registered query's
+//!   current answer, full-run marginal estimates, and windowed convergence
+//!   diagnostics (split-R̂ / ESS over the last `window` samples). Epochs
+//!   are published by swapping an `Arc` behind a brief write lock; they
+//!   are never mutated afterwards.
+//! * An epoch *is* its predecessor plus a delta, and publishing one costs
+//!   accordingly. The snapshot shares every storage chunk and index with
+//!   the live store — one pointer bump per chunk, not per row — and the
+//!   sampler's later writes copy only the chunks they touch, so an epoch
+//!   costs what changed since the last one, and retiring it frees only
+//!   what it no longer shares (outside the publication lock).
 //! * Per interval, a registered query costs O(|Δanswer|): the view folds
 //!   the world delta in, and the marginal table and the diagnostic window
 //!   ([`MembershipLog`]) are both driven by the membership crossings of the
-//!   view's output delta — neither re-reads the answer. The 0/1 traces the
-//!   diagnostics need are materialised at publication only, and only for
-//!   tuples that toggled inside the window.
+//!   view's output delta — neither re-reads the answer. At publication the
+//!   diagnostics are computed per toggled tuple from its crossing
+//!   positions; no 0/1 trace is materialised on the sampler thread.
+//!   (`MarginalTable::probabilities` and the answer clone are the parts of
+//!   a publication still proportional to the answer's support.)
 //! * Readers hold an [`EpochReader`] — a cheap-clone, non-generic handle.
 //!   [`EpochReader::pin`] clones the current `Arc` (a briefly held read
 //!   lock, never the sampler's own state) and from then on the reader
@@ -183,8 +191,9 @@ pub struct QueryStatus {
 /// An immutable, internally consistent picture of one published sampler
 /// state: pin it and every read — registered statuses and ad-hoc SQL
 /// alike — observes the same world (snapshot isolation by construction:
-/// the epoch owns a deep [`Database::snapshot`] no later interval ever
-/// touches).
+/// the epoch owns a [`Database::snapshot`], and the live store copies a
+/// chunk before its first write to it, so no later interval ever touches
+/// what the epoch sees).
 #[derive(Debug)]
 pub struct EpochSnapshot {
     /// Publication number (0 = the initial pre-sampling epoch).
@@ -227,25 +236,33 @@ impl EpochSnapshot {
 /// under a briefly held read lock, the sampler replaces it under a write
 /// lock only at publication instants — it never holds the lock while
 /// stepping, so readers cannot stall inference (nor vice versa).
-pub(crate) struct EpochCell {
-    current: RwLock<Arc<EpochSnapshot>>,
+pub(crate) struct EpochCell<T = EpochSnapshot> {
+    current: RwLock<Arc<T>>,
 }
 
-impl EpochCell {
-    pub(crate) fn new(initial: EpochSnapshot) -> EpochCell {
+impl<T> EpochCell<T> {
+    pub(crate) fn new(initial: T) -> EpochCell<T> {
         EpochCell {
             current: RwLock::new(Arc::new(initial)),
         }
     }
 
-    pub(crate) fn load(&self) -> Arc<EpochSnapshot> {
+    pub(crate) fn load(&self) -> Arc<T> {
         // lint:allow(sync, readers hold this only long enough to clone an Arc; never across a query)
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    pub(crate) fn store(&self, snap: Arc<EpochSnapshot>) {
-        // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snap;
+    pub(crate) fn store(&self, snap: Arc<T>) {
+        // The swap is all that happens under the lock. When no reader pins
+        // the previous epoch this is its last reference, and its destructor
+        // (every chunk and answer it no longer shares) must not run while
+        // `load` callers wait — so it is moved out and dropped afterwards.
+        let previous = {
+            // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
+            let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+            std::mem::replace(&mut *current, snap)
+        };
+        drop(previous);
     }
 }
 
@@ -689,6 +706,51 @@ mod tests {
         LiveSampler::spawn(pdb, &[("q1", &q1), ("q2", &q2)], config).unwrap()
     }
 
+    /// An epoch whose destructor reads the cell from another thread, as a
+    /// concurrent `pin()` would, and reports what that reader saw.
+    struct ObservedEpoch {
+        id: u32,
+        cell: std::sync::OnceLock<std::sync::Weak<EpochCell<ObservedEpoch>>>,
+        report: std::sync::mpsc::Sender<(Option<u32>, JoinHandle<()>)>,
+    }
+
+    impl Drop for ObservedEpoch {
+        fn drop(&mut self) {
+            let Some(cell) = self.cell.get().and_then(std::sync::Weak::upgrade) else {
+                return;
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = std::thread::spawn(move || {
+                let _ = tx.send(cell.load().id);
+            });
+            // The timeout is the failure path only: a reader blocked behind
+            // the write lock cannot answer until this destructor returns.
+            let seen = rx.recv_timeout(std::time::Duration::from_secs(2)).ok();
+            let _ = self.report.send((seen, reader));
+        }
+    }
+
+    #[test]
+    fn store_drops_the_previous_epoch_outside_the_write_lock() {
+        let (report, reports) = std::sync::mpsc::channel();
+        let epoch = |id| ObservedEpoch {
+            id,
+            cell: std::sync::OnceLock::new(),
+            report: report.clone(),
+        };
+        let cell = Arc::new(EpochCell::new(epoch(0)));
+        let _ = cell.load().cell.set(Arc::downgrade(&cell));
+        // Nobody pins epoch 0, so `store` holds its last reference.
+        cell.store(Arc::new(epoch(1)));
+        let (seen, reader) = reports.try_recv().expect("epoch 0 was dropped by store");
+        reader.join().unwrap();
+        assert_eq!(
+            seen,
+            Some(1),
+            "load() must succeed, and see the new epoch, while the old one is being dropped"
+        );
+    }
+
     #[test]
     fn epochs_advance_and_stop_returns_the_db() {
         let sampler = spawn_fixture(ServingConfig {
@@ -714,6 +776,56 @@ mod tests {
         pdb.check_synchronized().unwrap();
         assert!(!reader.status().running);
         assert!(reader.status().error.is_none());
+    }
+
+    /// The publication path itself, stepped on this thread so every pair
+    /// is consecutive: an epoch's database shares every storage chunk with
+    /// its predecessor's except those a write landed in.
+    #[test]
+    fn a_published_epoch_shares_all_but_the_written_chunks_with_its_predecessor() {
+        const ROWS: usize = 4_096;
+        let config = ServingConfig {
+            thinning: 8,
+            publish_every: 2,
+            ..ServingConfig::default()
+        };
+        let mut pdb = biased_token_pdb(ROWS, 4, 99);
+        let q1 = paper_sql::query1("TOKEN");
+        let mut registered = build_registered(&pdb, &[("q1", &q1)], &config).unwrap();
+        let mut prev = publish_snapshot(&pdb, &registered, &config, 0, 0).unwrap();
+        let mut wrote = 0;
+        for epoch in 1..=64u64 {
+            for _ in 0..config.publish_every {
+                step_once(&mut pdb, &mut registered, &config).unwrap();
+            }
+            let samples = epoch * config.publish_every as u64;
+            let cur = publish_snapshot(&pdb, &registered, &config, epoch, samples).unwrap();
+            let (a, b) = (
+                prev.database().relation("TOKEN").unwrap(),
+                cur.database().relation("TOKEN").unwrap(),
+            );
+            let rewritten = a
+                .raw_slots()
+                .iter()
+                .zip(b.raw_slots().iter())
+                .filter(|(x, y)| match (x, y) {
+                    (Some(x), Some(y)) => !std::ptr::eq(x.values(), y.values()),
+                    (None, None) => false,
+                    _ => true,
+                })
+                .count();
+            assert!(rewritten <= config.thinning * config.publish_every);
+            assert!(
+                b.chunks_shared_with(a) + rewritten >= b.chunk_count(),
+                "epoch {epoch}: {} of {} chunks shared after {rewritten} writes",
+                b.chunks_shared_with(a),
+                b.chunk_count()
+            );
+            assert!(b.indexes_shared_with(a), "label writes touch no index");
+            wrote += rewritten;
+            prev = cur;
+        }
+        assert!(wrote > 0, "the sampler must have written something");
     }
 
     #[test]

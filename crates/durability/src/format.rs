@@ -488,7 +488,7 @@ pub fn encode_relation(e: &mut Enc, r: &Relation) {
     encode_schema(e, r.schema());
     let slots = r.raw_slots();
     e.varint(slots.len() as u64);
-    for slot in slots {
+    for slot in slots.iter() {
         match slot {
             None => e.u8(0),
             Some(t) => {

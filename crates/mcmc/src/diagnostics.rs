@@ -9,7 +9,11 @@
 //! * [`effective_sample_size`] — how many independent samples a correlated
 //!   chain is worth (the reason thinning with k = 10 000 is sensible);
 //! * [`gelman_rubin`] — the potential scale reduction factor R̂ across
-//!   parallel chains (≈ 1 at convergence).
+//!   parallel chains (≈ 1 at convergence);
+//! * [`split_r_hat_runs`] / [`effective_sample_size_runs`] — the same
+//!   split-R̂ and ESS for a 0/1 trace given as its runs of ones, computed
+//!   from run boundaries in integer arithmetic without materialising the
+//!   trace (what a serving epoch pays per toggled answer tuple).
 
 /// Sample mean.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -51,6 +55,15 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
 /// samples report their own length, and constant series (autocorrelation
 /// defined as 0, see [`autocorrelation`]) report `n` — never NaN.
 pub fn effective_sample_size(xs: &[f64]) -> f64 {
+    effective_sample_size_truncating_at(xs, 0.0)
+}
+
+/// [`effective_sample_size`] with the truncation test at `pair <= eps`
+/// instead of `pair <= 0`. Test support: the oracle for
+/// [`effective_sample_size_runs`] at a truncation tie, where it is called
+/// with `eps = 1e-12` to cut the f64 sum's rounding noise off.
+#[doc(hidden)]
+pub fn effective_sample_size_truncating_at(xs: &[f64], eps: f64) -> f64 {
     let n = xs.len();
     if n < 4 {
         return n as f64;
@@ -59,7 +72,7 @@ pub fn effective_sample_size(xs: &[f64]) -> f64 {
     let mut k = 1;
     while k + 1 < n {
         let pair = autocorrelation(xs, k) + autocorrelation(xs, k + 1);
-        if pair <= 0.0 {
+        if pair <= eps {
             break;
         }
         rho_sum += pair;
@@ -102,24 +115,30 @@ pub fn gelman_rubin<S: AsRef<[f64]>>(chains: &[S]) -> f64 {
         return 1.0; // no within-chain variance is defined yet
     }
 
-    let m = chains.len() as f64;
-    let nf = n as f64;
     let chain_means: Vec<f64> = chains.iter().map(|c| mean(c.as_ref())).collect();
-    let grand = mean(&chain_means);
+    // Within-chain variance.
+    let w = chains.iter().map(|c| variance(c.as_ref())).sum::<f64>() / chains.len() as f64;
+    r_hat_from_moments(n as f64, &chain_means, w)
+}
+
+/// R̂ of chains of `n` samples each from their means and the mean
+/// within-chain variance `w` — the part of [`gelman_rubin`] that does not
+/// look at the traces.
+fn r_hat_from_moments(n: f64, chain_means: &[f64], w: f64) -> f64 {
+    let m = chain_means.len() as f64;
+    let grand = mean(chain_means);
     // Between-chain variance.
-    let b = nf / (m - 1.0)
+    let b = n / (m - 1.0)
         * chain_means
             .iter()
             .map(|cm| (cm - grand).powi(2))
             .sum::<f64>();
-    // Within-chain variance.
-    let w = chains.iter().map(|c| variance(c.as_ref())).sum::<f64>() / m;
     if w == 0.0 {
         // All chains constant: identical means → converged; different
         // means → frozen disagreement (the statistic's limit is +∞).
         return if b == 0.0 { 1.0 } else { R_HAT_DIVERGED };
     }
-    let var_plus = (nf - 1.0) / nf * w + b / nf;
+    let var_plus = (n - 1.0) / n * w + b / n;
     (var_plus / w).sqrt()
 }
 
@@ -137,6 +156,106 @@ pub fn split_r_hat(xs: &[f64]) -> f64 {
     let half = xs.len() / 2;
     // With odd lengths the middle sample is dropped, keeping halves equal.
     gelman_rubin(&[&xs[..half], &xs[xs.len() - half..]])
+}
+
+/// Ones of a 0/1 trace inside the index range `lo..hi`, the trace given as
+/// its runs of ones.
+fn ones_within(ones: &[(usize, usize)], lo: usize, hi: usize) -> usize {
+    ones.iter()
+        .map(|&(a, b)| b.min(hi).saturating_sub(a.max(lo)))
+        .sum()
+}
+
+/// [`split_r_hat`] of the 0/1 trace of length `len` whose ones are exactly
+/// the half-open index runs `ones` (sorted, pairwise disjoint, inside
+/// `0..len`), without materialising the trace: each half's mean and
+/// variance follow from how many ones it holds. Same degenerate-input
+/// contract as the dense function, sentinels bit for bit; other values
+/// agree to rounding (the half-window variance is formed from an integer
+/// here and from a sum of squares there).
+pub fn split_r_hat_runs(len: usize, ones: &[(usize, usize)]) -> f64 {
+    if len < 4 {
+        return 1.0;
+    }
+    let half = len / 2;
+    let counts = [
+        ones_within(ones, 0, half),
+        ones_within(ones, len - half, len),
+    ];
+    let n = half as f64;
+    // Σ(x − mean)² of a 0/1 chain holding c ones among n samples is
+    // c(n − c)/n — zero exactly when the chain is constant — and its mean
+    // is c/n.
+    let w = counts
+        .iter()
+        .map(|&c| (c * (half - c)) as f64 / (n * (n - 1.0)))
+        .sum::<f64>()
+        / 2.0;
+    r_hat_from_moments(n, &counts.map(|c| c as f64 / n), w)
+}
+
+/// `len² ×` the lag-`lag` autocovariance sum Σᵢ (xᵢ − m)(xᵢ₊ₗₐ₉ − m) of a
+/// 0/1 trace with `c` ones, as an exact integer: with S the number of index
+/// pairs `(i, i + lag)` that are both one and A / B the ones among the first
+/// / last `len − lag` samples, the sum is `S − m(A + B) + (len − lag)m²`
+/// with `m = c / len`. S is a sum of interval overlaps over pairs of runs.
+fn lagged_covariance_scaled(len: usize, ones: &[(usize, usize)], c: usize, lag: usize) -> i128 {
+    let mut both = 0usize;
+    for (i, &(a, b)) in ones.iter().enumerate() {
+        // Partners of this run's samples lie in `a + lag..b + lag`; runs are
+        // sorted, so the first one starting past that range ends the scan.
+        for &(a2, b2) in &ones[i..] {
+            if a2 >= b + lag {
+                break;
+            }
+            both += b2.min(b + lag).saturating_sub(a2.max(a + lag));
+        }
+    }
+    let (n, c) = (len as i128, c as i128);
+    let edges = (ones_within(ones, 0, len - lag) + ones_within(ones, lag, len)) as i128;
+    n * n * both as i128 - n * c * edges + (len - lag) as i128 * c * c
+}
+
+/// [`effective_sample_size`] of the 0/1 trace of length `len` whose ones are
+/// exactly the runs `ones` (as for [`split_r_hat_runs`]), without
+/// materialising the trace. Every autocorrelation is a ratio of integers
+/// obtained from run boundaries in O(runs²), so the truncation point of the
+/// initial-positive-sequence sum is decided exactly; short and constant
+/// traces report `len`, as the dense function does.
+///
+/// The one place the two can differ by more than rounding is a truncation
+/// tie: a lag pair whose autocorrelations cancel exactly is `0` here and
+/// ends the sum, while the dense f64 sum yields ±1e-17 and, when that lands
+/// positive, runs on to a later truncation point (about one random trace in
+/// 30 000). This function then equals the dense estimator with that noise
+/// cut off (`pair <= 1e-12`), not the dense value as computed.
+pub fn effective_sample_size_runs(len: usize, ones: &[(usize, usize)]) -> f64 {
+    let n = len as f64;
+    let c = ones_within(ones, 0, len);
+    if len < 4 || c == 0 || c == len {
+        return n;
+    }
+    // ρₖ = covₖ·len² / (len² · Σ(x − m)²) and Σ(x − m)² = c(len − c)/len.
+    let scale = n * c as f64 * (len - c) as f64;
+    // As in `autocorrelation`: the last lag has a single term and counts 0.
+    let rho_scaled = |lag: usize| {
+        if len <= lag + 1 {
+            0
+        } else {
+            lagged_covariance_scaled(len, ones, c, lag)
+        }
+    };
+    let mut rho_sum = 0.0;
+    let mut k = 1;
+    while k + 1 < len {
+        let pair = rho_scaled(k) + rho_scaled(k + 1);
+        if pair <= 0 {
+            break;
+        }
+        rho_sum += pair as f64 / scale;
+        k += 2;
+    }
+    (n / (1.0 + 2.0 * rho_sum)).min(n)
 }
 
 #[cfg(test)]
@@ -299,5 +418,116 @@ mod tests {
         assert!(split_r_hat(&drifting) > 1.5);
         // Odd lengths drop the middle sample, halves stay comparable.
         assert!(split_r_hat(&stationary[..1999]).is_finite());
+    }
+
+    /// The runs of ones of a dense 0/1 trace.
+    fn runs_of(xs: &[f64]) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        let mut open = None;
+        for (i, &x) in xs.iter().enumerate() {
+            match (x != 0.0, open) {
+                (true, None) => open = Some(i),
+                (false, Some(a)) => {
+                    runs.push((a, i));
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+        runs.extend(open.map(|a| (a, xs.len())));
+        runs
+    }
+
+    /// Run-length R̂ / ESS against the dense functions: to a relative 1e-9,
+    /// and bit for bit wherever the dense value is a documented sentinel
+    /// (short trace, constant halves, constant trace).
+    ///
+    /// One knife edge is the dense sum's, not the run-length form's: a lag
+    /// pair whose autocorrelations cancel *exactly* comes out of the f64 sum
+    /// as ±1e-17, and when it lands positive the dense loop runs on past the
+    /// truncation point the integers stop at (about one random trace in
+    /// 30 000). There the run-length value must equal the dense estimator
+    /// with the rounding noise cut off.
+    fn assert_runs_match_dense(xs: &[f64]) {
+        let ones = runs_of(xs);
+        let n = xs.len();
+        let constant = |xs: &[f64]| xs.iter().all(|&x| x == xs[0]);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        let half = n / 2;
+
+        let (got, want) = (split_r_hat_runs(n, &ones), split_r_hat(xs));
+        if n < 4 || (constant(&xs[..half]) && constant(&xs[n - half..])) {
+            assert_eq!(got.to_bits(), want.to_bits(), "R̂ sentinel on {xs:?}");
+        } else {
+            assert!(close(got, want), "R̂: {got} vs dense {want} on {xs:?}");
+        }
+
+        let (got, want) = (
+            effective_sample_size_runs(n, &ones),
+            effective_sample_size(xs),
+        );
+        if n < 4 || constant(xs) {
+            assert_eq!(got.to_bits(), want.to_bits(), "ESS sentinel on {xs:?}");
+        } else {
+            assert!(
+                close(got, want) || close(got, effective_sample_size_truncating_at(xs, 1e-12)),
+                "ESS: {got} vs dense {want} on {xs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_length_diagnostics_match_dense_on_the_named_shapes() {
+        let bit = |b: bool| if b { 1.0 } else { 0.0 };
+        for n in (0..=40).chain([63, 64, 65, 255, 256, 257, 299, 300]) {
+            // Constant, both ways; alternating, both phases.
+            assert_runs_match_dense(&vec![0.0; n]);
+            assert_runs_match_dense(&vec![1.0; n]);
+            for phase in 0..2 {
+                let xs: Vec<f64> = (0..n).map(|i| bit(i % 2 == phase)).collect();
+                assert_runs_match_dense(&xs);
+            }
+            // A single toggle at every position, both directions — on, next
+            // to and (odd n) inside the gap between the two halves included;
+            // a frozen-disagreement window (toggle exactly between the
+            // halves) must report R_HAT_DIVERGED exactly.
+            for at in 0..=n {
+                for first in [false, true] {
+                    let xs: Vec<f64> = (0..n).map(|i| bit((i < at) == first)).collect();
+                    assert_runs_match_dense(&xs);
+                }
+            }
+            // One short visit (two toggles) sliding across the window.
+            for at in 0..n.saturating_sub(3) {
+                let xs: Vec<f64> = (0..n).map(|i| bit(i >= at && i < at + 3)).collect();
+                assert_runs_match_dense(&xs);
+            }
+        }
+        assert_eq!(split_r_hat_runs(16, &[(8, 16)]), R_HAT_DIVERGED);
+        assert_eq!(split_r_hat_runs(17, &[(0, 8)]), R_HAT_DIVERGED);
+        assert_eq!(split_r_hat_runs(3, &[(0, 1)]), 1.0);
+        assert_eq!(effective_sample_size_runs(3, &[(0, 1)]), 3.0);
+    }
+
+    #[test]
+    fn run_length_diagnostics_match_dense_on_random_binary_traces() {
+        let mut rng = StdRng::seed_from_u64(0x0B17);
+        for case in 0..4000 {
+            let n = rng.gen_range(4..=300usize);
+            // Sticky to nearly alternating: the chance of a toggle per step.
+            let toggle = [0.01, 0.05, 0.2, 0.5, 0.9][case % 5];
+            let mut x = rng.gen::<bool>();
+            let xs: Vec<f64> = (0..n)
+                .map(|_| {
+                    x ^= rng.gen::<f64>() < toggle;
+                    if x {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            assert_runs_match_dense(&xs);
+        }
     }
 }

@@ -20,7 +20,10 @@ pub mod sharded;
 pub mod targeted;
 
 pub use chain::{Chain, NetChange};
-pub use diagnostics::{effective_sample_size, gelman_rubin, split_r_hat, R_HAT_DIVERGED};
+pub use diagnostics::{
+    effective_sample_size, effective_sample_size_runs, gelman_rubin, split_r_hat, split_r_hat_runs,
+    R_HAT_DIVERGED,
+};
 pub use gibbs::GibbsRelabel;
 pub use kernel::{KernelStats, MetropolisHastings, StepOutcome};
 pub use parallel::{average_estimates, run_chains, run_chains_checkpointed};

@@ -1404,10 +1404,7 @@ impl Circuit {
                 .relation(r)
                 .map_err(|_| PlanError::UnknownRelation(r.to_string()))?;
             stats.init_tuples_scanned += rel.len() as u64;
-            full.insert(
-                Arc::clone(r),
-                CountedSet::from_tuples(rel.tuples().cloned()),
-            );
+            full.insert(Arc::clone(r), rel.to_counted_set());
         }
         let input = BatchInput {
             deltas: None,

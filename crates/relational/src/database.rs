@@ -41,9 +41,12 @@ impl From<StorageError> for CatalogError {
 
 /// A deterministic database instance: one possible world.
 ///
-/// Cloning deep-snapshots every relation (see [`Relation::snapshot`]) — the
-/// replication primitive behind §5.4's parallel query evaluation, where each
-/// chain mutates its own "identical copy of the initial world".
+/// Cloning snapshots every relation by structural sharing (see
+/// [`Relation::snapshot`]): the copy costs one pointer bump per slot chunk
+/// and per index, and copy-on-write keeps the two worlds independent from
+/// then on. This is the replication primitive behind §5.4's parallel query
+/// evaluation, where each chain mutates its own "identical copy of the
+/// initial world", and behind every published serving epoch and checkpoint.
 #[derive(Clone, Default)]
 pub struct Database {
     relations: BTreeMap<Arc<str>, Relation>,
@@ -105,8 +108,10 @@ impl Database {
         self.relations.values().map(Relation::len).sum()
     }
 
-    /// Deep snapshot: an independent copy of the whole stored world, row ids
-    /// and indexes included. Named alias of `Clone` marking intent.
+    /// Snapshot: an independent copy of the whole stored world, row ids and
+    /// indexes included, sharing storage with this one until either side
+    /// writes (cost ∝ chunks, then ∝ rows changed — never ∝ rows stored).
+    /// Named alias of `Clone` marking intent.
     pub fn snapshot(&self) -> Database {
         self.clone()
     }

@@ -162,7 +162,7 @@ fn eval(
                 .relation(relation)
                 .map_err(|_| PlanError::UnknownRelation(relation.to_string()))?;
             stats.tuples_scanned += rel.len() as u64;
-            Ok(CountedSet::from_tuples(rel.tuples().cloned()))
+            Ok(rel.to_counted_set())
         }
         Plan::Select { input, predicate } => {
             // Index fast path: σ_{col = lit} directly over a scan probes the

@@ -53,7 +53,7 @@ pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, TupleMap};
 pub use parser::{parse, parse_plan, ParseError, SqlQuery};
 pub use planner::{compile_query, optimize, PlannerReport, QueryError};
 pub use schema::{Column, Schema, SchemaError};
-pub use storage::{Relation, RowId, StorageError};
+pub use storage::{RawSlots, Relation, RowId, StorageError};
 pub use tuple::Tuple;
 pub use value::{Interner, Value, ValueType, F64};
 pub use view::{MaterializedView, ViewBackend, ViewStats};

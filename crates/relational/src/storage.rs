@@ -10,6 +10,7 @@
 //! row; the delta tracker (see [`crate::delta`]) turns these into the Δ⁻/Δ⁺
 //! auxiliary tables of §4.2.
 
+use crate::counted::CountedSet;
 use crate::fasthash::FxHashMap;
 use crate::schema::{Schema, SchemaError};
 use crate::tuple::Tuple;
@@ -71,6 +72,17 @@ struct HashIndex {
 }
 
 impl HashIndex {
+    fn build<'a>(column: usize, rows: impl Iterator<Item = (RowId, &'a Tuple)>) -> Self {
+        let mut ix = HashIndex {
+            column,
+            map: FxHashMap::default(),
+        };
+        for (rid, t) in rows {
+            ix.insert(rid, t);
+        }
+        ix
+    }
+
     fn insert(&mut self, row: RowId, t: &Tuple) {
         self.map
             .entry(t.get(self.column).clone())
@@ -90,37 +102,71 @@ impl HashIndex {
     }
 }
 
+/// One fixed-size run of consecutive slots; `None` is a dead (or, past the
+/// relation's slot count, not yet allocated) slot.
+type Chunk = [Option<Tuple>; Relation::CHUNK_ROWS];
+
+const EMPTY_SLOT: Option<Tuple> = None;
+
+/// Reads slot `i` (`None` when dead or out of range).
+fn slot(chunks: &[Arc<Chunk>], i: usize) -> Option<&Tuple> {
+    chunks.get(i / Relation::CHUNK_ROWS)?[i % Relation::CHUNK_ROWS].as_ref()
+}
+
+/// Write access to slot `i`, un-sharing its chunk first when a snapshot
+/// still holds it (one uniqueness check otherwise).
+fn slot_mut(chunks: &mut [Arc<Chunk>], i: usize) -> Option<&mut Option<Tuple>> {
+    Some(&mut Arc::make_mut(chunks.get_mut(i / Relation::CHUNK_ROWS)?)[i % Relation::CHUNK_ROWS])
+}
+
 /// A named relation backed by a slotted heap.
 ///
-/// Cloning is the deep-snapshot path of §5.4's parallel evaluation
-/// ("identical copies of the initial world"): tuples are `Arc`-backed, so
-/// cloning the heap is one pointer bump per live row, and the pk/secondary
-/// hash indexes are cloned as built rather than re-derived from the rows.
-/// The clone shares no mutable state with the original — replicas can be
-/// mutated by independent MCMC chains without synchronization.
+/// The heap is an array of fixed-size slot chunks, each behind an `Arc`, and
+/// the primary-key and secondary hash indexes sit behind `Arc`s of their
+/// own. Cloning — the snapshot of §5.4's parallel evaluation ("identical
+/// copies of the initial world") and of every published serving epoch — is
+/// therefore *structural sharing*: one pointer bump per chunk and per
+/// index, independent of how many rows the chunks hold. Writers copy on
+/// write: `insert`/`delete`/`update_field` un-share exactly the chunk they
+/// touch (and an index only when the write changes an indexed key), so a
+/// clone and its original diverge at a cost proportional to what changed,
+/// and neither ever observes the other's writes — replicas can be mutated by
+/// independent MCMC chains without synchronization.
+/// [`Relation::chunks_shared_with`] counts what two relations still share.
 #[derive(Clone)]
 pub struct Relation {
     name: Arc<str>,
     schema: Schema,
-    rows: Vec<Option<Tuple>>,
+    /// Slot `i` lives at `chunks[i / CHUNK_ROWS][i % CHUNK_ROWS]`.
+    chunks: Vec<Arc<Chunk>>,
+    /// Slots handed out so far (live or dead): the `RowId` address space.
+    slots: usize,
     free: Vec<u32>,
     live: usize,
     /// Primary-key lookup. FxHash-keyed: `find_by_pk` sits on the MCMC
     /// write path (one probe per accepted proposal).
-    pk_index: FxHashMap<Value, RowId>,
-    secondary: Vec<HashIndex>,
+    pk_index: Arc<FxHashMap<Value, RowId>>,
+    secondary: Vec<Arc<HashIndex>>,
 }
 
 impl Relation {
+    /// Slots per copy-on-write chunk of the heap: slot `i` lives in chunk
+    /// `i / CHUNK_ROWS`. A constant, not a knob. At 64 a 100K-row relation
+    /// is ≈1.6K chunks — a snapshot bumps that many pointers — while the
+    /// first write into a chunk a snapshot still shares copies 64 slots (64
+    /// tuple refcount bumps), so an epoch that changed ≈150 rows pays ≤ ≈9K.
+    pub const CHUNK_ROWS: usize = 64;
+
     /// Creates an empty relation.
     pub fn new(name: impl Into<Arc<str>>, schema: Schema) -> Self {
         Relation {
             name: name.into(),
             schema,
-            rows: Vec::new(),
+            chunks: Vec::new(),
+            slots: 0,
             free: Vec::new(),
             live: 0,
-            pk_index: FxHashMap::default(),
+            pk_index: Arc::default(),
             secondary: Vec::new(),
         }
     }
@@ -149,18 +195,16 @@ impl Relation {
     /// from existing rows.
     pub fn create_index(&mut self, column: &str) -> Result<(), StorageError> {
         let col = self.schema.require(column)?;
-        if self.secondary.iter().any(|ix| ix.column == col) {
-            return Ok(()); // idempotent
-        }
-        let mut ix = HashIndex {
-            column: col,
-            map: FxHashMap::default(),
-        };
-        for (rid, t) in self.iter() {
-            ix.insert(rid, t);
-        }
-        self.secondary.push(ix);
+        self.index_column(col);
         Ok(())
+    }
+
+    /// Builds the secondary index on column `col` unless it exists.
+    fn index_column(&mut self, col: usize) {
+        if !self.has_index_on(col) {
+            let ix = HashIndex::build(col, self.iter());
+            self.secondary.push(Arc::new(ix));
+        }
     }
 
     /// True when a secondary index exists on `column` (by index).
@@ -186,21 +230,24 @@ impl Relation {
                 return Err(StorageError::DuplicateKey(key.to_string()));
             }
         }
-        let rid = match self.free.pop() {
-            Some(slot) => {
-                self.rows[slot as usize] = Some(tuple.clone());
-                RowId(slot)
-            }
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
             None => {
-                self.rows.push(Some(tuple.clone()));
-                RowId((self.rows.len() - 1) as u32)
+                if self.slots == self.chunks.len() * Self::CHUNK_ROWS {
+                    self.chunks.push(Arc::new([EMPTY_SLOT; Self::CHUNK_ROWS]));
+                }
+                self.slots += 1;
+                self.slots - 1
             }
         };
+        let rid = RowId(slot as u32);
+        Arc::make_mut(&mut self.chunks[slot / Self::CHUNK_ROWS])[slot % Self::CHUNK_ROWS] =
+            Some(tuple.clone());
         if let Some(pk) = self.schema.primary_key() {
-            self.pk_index.insert(tuple.get(pk).clone(), rid);
+            Arc::make_mut(&mut self.pk_index).insert(tuple.get(pk).clone(), rid);
         }
         for ix in &mut self.secondary {
-            ix.insert(rid, &tuple);
+            Arc::make_mut(ix).insert(rid, &tuple);
         }
         self.live += 1;
         Ok(rid)
@@ -208,32 +255,36 @@ impl Relation {
 
     /// Deletes a row, returning its final image.
     pub fn delete(&mut self, row: RowId) -> Result<Tuple, StorageError> {
-        let slot = self
-            .rows
-            .get_mut(row.0 as usize)
+        // Checked before `slot_mut`: a failed delete must not un-share.
+        if self.get(row).is_none() {
+            return Err(StorageError::NoSuchRow(row));
+        }
+        let tuple = slot_mut(&mut self.chunks, row.0 as usize)
+            .and_then(Option::take)
             .ok_or(StorageError::NoSuchRow(row))?;
-        let tuple = slot.take().ok_or(StorageError::NoSuchRow(row))?;
         self.free.push(row.0);
         self.live -= 1;
         if let Some(pk) = self.schema.primary_key() {
-            self.pk_index.remove(tuple.get(pk));
+            Arc::make_mut(&mut self.pk_index).remove(tuple.get(pk));
         }
         for ix in &mut self.secondary {
-            ix.remove(row, &tuple);
+            Arc::make_mut(ix).remove(row, &tuple);
         }
         Ok(tuple)
     }
 
     /// Reads a row.
     pub fn get(&self, row: RowId) -> Option<&Tuple> {
-        self.rows.get(row.0 as usize).and_then(Option::as_ref)
+        slot(&self.chunks, row.0 as usize)
     }
 
     /// Updates one field of a row, returning `(old_image, new_image)`.
     ///
     /// This is the write path used by MCMC when a proposal is accepted: one
     /// random-variable change maps to one field update here, and the returned
-    /// images feed the Δ⁻/Δ⁺ tracker.
+    /// images feed the Δ⁻/Δ⁺ tracker. Only the row's chunk is un-shared from
+    /// any snapshot; the indexes are touched (and un-shared) only when
+    /// `column` is the primary key or carries a secondary index.
     pub fn update_field(
         &mut self,
         row: RowId,
@@ -246,31 +297,33 @@ impl Relation {
         // Field-granular validation: the stored row already satisfies the
         // schema, so only the incoming value needs a type check.
         self.schema.check_value(column, &value)?;
+        // Every check comes before `slot_mut`: a failed update must leave
+        // the row, the indexes and what a snapshot shares untouched.
+        let i = row.0 as usize;
+        let old_key = slot(&self.chunks, i)
+            .ok_or(StorageError::NoSuchRow(row))?
+            .get(column);
+        if Some(column) == self.schema.primary_key() && &value != old_key {
+            if self.pk_index.contains_key(&value) {
+                return Err(StorageError::DuplicateKey(value.to_string()));
+            }
+            let pk_index = Arc::make_mut(&mut self.pk_index);
+            pk_index.remove(old_key);
+            pk_index.insert(value.clone(), row);
+        }
         // Move the old image out of the slot (no refcount traffic — this is
-        // the per-accepted-proposal hot path) and restore it on error.
-        let slot = self
-            .rows
-            .get_mut(row.0 as usize)
-            .ok_or(StorageError::NoSuchRow(row))?;
+        // the per-accepted-proposal hot path) and put the new one in.
+        let slot = slot_mut(&mut self.chunks, i).ok_or(StorageError::NoSuchRow(row))?;
         let old = slot.take().ok_or(StorageError::NoSuchRow(row))?;
         let new = old.with_value(column, value);
-        if Some(column) == self.schema.primary_key() {
-            let key = new.get(column);
-            if key != old.get(column) && self.pk_index.contains_key(key) {
-                let key = key.to_string();
-                self.rows[row.0 as usize] = Some(old);
-                return Err(StorageError::DuplicateKey(key));
-            }
-            self.pk_index.remove(old.get(column));
-            self.pk_index.insert(key.clone(), row);
-        }
+        *slot = Some(new.clone());
         for ix in &mut self.secondary {
             if ix.column == column {
+                let ix = Arc::make_mut(ix);
                 ix.remove(row, &old);
                 ix.insert(row, &new);
             }
         }
-        self.rows[row.0 as usize] = Some(new.clone());
         Ok((old, new))
     }
 
@@ -281,32 +334,80 @@ impl Relation {
 
     /// Iterates live rows in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Tuple)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (RowId(i as u32), t)))
+        // Slots past `self.slots` are `None` like any dead slot, so whole
+        // chunks can be walked without a length cut-off.
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            chunk.iter().enumerate().filter_map(move |(i, t)| {
+                t.as_ref()
+                    .map(|t| (RowId((c * Self::CHUNK_ROWS + i) as u32), t))
+            })
+        })
     }
 
     /// Iterates live tuples in slot order, borrowing — no snapshot `Vec`,
     /// no per-tuple clone. Callers that genuinely need owned tuples (e.g.
     /// seeding a materialized view) clone per element via `.cloned()`.
     pub fn tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter().filter_map(Option::as_ref)
+        self.chunks.iter().flat_map(|chunk| chunk.iter().flatten())
     }
 
-    /// Deep snapshot: an independent copy of this relation with identical
-    /// rows, row ids, and indexes. Named alias of `Clone` marking intent at
-    /// the call site (see the type-level docs for the cost model).
+    /// The live rows as a multiset, each with multiplicity one — what a
+    /// scan hands the executor or seeds a view with. The table is sized up
+    /// front from [`Relation::len`] (the chunked walk has no size hint to
+    /// offer), so a scan pays one allocation instead of a doubling series.
+    pub fn to_counted_set(&self) -> CountedSet {
+        let mut rows = CountedSet::with_capacity(self.live);
+        for t in self.tuples() {
+            rows.add(t.clone(), 1);
+        }
+        rows
+    }
+
+    /// Snapshot: an independent relation with identical rows, row ids, and
+    /// indexes, sharing every chunk and index with this one until either
+    /// side writes to it. Named alias of `Clone` marking intent at the call
+    /// site (see the type-level docs for the cost model).
     pub fn snapshot(&self) -> Relation {
         self.clone()
+    }
+
+    /// Number of slot chunks backing the heap.
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// How many chunks this relation and `other` hold *by pointer identity*
+    /// at the same position — what a snapshot has not yet had to copy, and
+    /// the complement of the dirty set an incremental checkpoint must write.
+    pub fn chunks_shared_with(&self, other: &Relation) -> usize {
+        self.chunks
+            .iter()
+            .zip(&other.chunks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    /// True when every index allocation (primary key and each secondary
+    /// index) is the same allocation in `other`.
+    pub fn indexes_shared_with(&self, other: &Relation) -> bool {
+        Arc::ptr_eq(&self.pk_index, &other.pk_index)
+            && self.secondary.len() == other.secondary.len()
+            && self
+                .secondary
+                .iter()
+                .zip(&other.secondary)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// The raw slot array, dead slots included — the serialization accessor
     /// the durability layer uses to persist a relation with its `RowId`
     /// address space intact (slot *i* holds the row addressed by
     /// `RowId(i)`).
-    pub fn raw_slots(&self) -> &[Option<Tuple>] {
-        &self.rows
+    pub fn raw_slots(&self) -> RawSlots<'_> {
+        RawSlots {
+            chunks: &self.chunks,
+            len: self.slots,
+        }
     }
 
     /// The free-slot stack in pop order (last entry is reused next). Part of
@@ -326,7 +427,7 @@ impl Relation {
     /// Rebuilds a relation from persisted parts: the raw slot array (see
     /// [`Relation::raw_slots`]), the free-slot stack, and the secondary-index
     /// column set. Primary-key and secondary indexes are re-derived from the
-    /// slots in slot order.
+    /// slots in slot order; nothing is shared with any other relation.
     ///
     /// Validates everything an on-disk source could get wrong: every tuple
     /// re-checked against the schema, primary keys re-checked for
@@ -373,32 +474,81 @@ impl Relation {
                 }
             }
         }
+        let n_slots = slots.len();
+        let mut slots = slots.into_iter();
+        let chunks = (0..n_slots.div_ceil(Self::CHUNK_ROWS))
+            .map(|_| Arc::new(std::array::from_fn(|_| slots.next().flatten())))
+            .collect();
         let mut rel = Relation {
             name: name.into(),
             schema,
-            rows: slots,
+            chunks,
+            slots: n_slots,
             free,
             live,
-            pk_index,
+            pk_index: Arc::new(pk_index),
             secondary: Vec::new(),
         };
         for &col in indexed_columns {
             if col >= rel.schema.arity() {
                 return Err(StorageError::NoSuchColumn(col));
             }
-            if rel.has_index_on(col) {
-                continue;
-            }
-            let mut ix = HashIndex {
-                column: col,
-                map: FxHashMap::default(),
-            };
-            for (rid, t) in rel.iter() {
-                ix.insert(rid, t);
-            }
-            rel.secondary.push(ix);
+            rel.index_column(col);
         }
         Ok(rel)
+    }
+}
+
+/// A borrowed view of a relation's slot array in `RowId` order, dead slots
+/// (`None`) included — see [`Relation::raw_slots`]. Compares equal to
+/// another view, or to a slice, holding the same slots.
+#[derive(Clone, Copy)]
+pub struct RawSlots<'a> {
+    chunks: &'a [Arc<Chunk>],
+    len: usize,
+}
+
+impl<'a> RawSlots<'a> {
+    /// Number of slots, live and dead.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the relation never handed out a slot.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The slots in `RowId` order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Option<Tuple>> + 'a {
+        self.chunks
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .take(self.len)
+    }
+
+    /// An owned copy of the slot array (the
+    /// [`Relation::from_raw_parts`] input).
+    pub fn to_vec(&self) -> Vec<Option<Tuple>> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl PartialEq for RawSlots<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl PartialEq<&[Option<Tuple>]> for RawSlots<'_> {
+    fn eq(&self, other: &&[Option<Tuple>]) -> bool {
+        self.len == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for RawSlots<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

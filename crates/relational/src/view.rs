@@ -560,7 +560,7 @@ impl Node {
                     .relation(relation)
                     .map_err(|_| PlanError::UnknownRelation(relation.to_string()))?;
                 stats.init_tuples_scanned += rel.len() as u64;
-                CountedSet::from_tuples(rel.tuples().cloned())
+                rel.to_counted_set()
             }
             Op::Select { child, pred } => {
                 let rows = child.init(db, stats)?;

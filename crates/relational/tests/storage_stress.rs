@@ -1,9 +1,14 @@
 //! Stress and edge-case tests for the storage layer: slot reuse under heavy
-//! insert/delete churn, index consistency across mixed workloads, and the
-//! algebra-level validation of the set operators.
+//! insert/delete churn, index consistency across mixed workloads, snapshots
+//! (structurally shared, copy-on-write) against independently rebuilt deep
+//! copies, the exact sharing counts behind the O(|Δ|) snapshot claim, and
+//! the algebra-level validation of the set operators.
 
-use fgdb_relational::{execute_simple, Database, Expr, Plan, Schema, Tuple, Value, ValueType};
+use fgdb_relational::{
+    execute_simple, Database, Expr, Plan, Relation, RowId, Schema, Tuple, Value, ValueType,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("id", ValueType::Int), ("s", ValueType::Str)])
@@ -12,7 +17,153 @@ fn schema() -> Schema {
         .unwrap()
 }
 
+/// `(id pk, s, n)`: one string and one integer payload column, either of
+/// which may or may not carry a secondary index.
+fn wide_schema() -> Schema {
+    Schema::from_pairs(&[
+        ("id", ValueType::Int),
+        ("s", ValueType::Str),
+        ("n", ValueType::Int),
+    ])
+    .unwrap()
+    .with_primary_key("id")
+    .unwrap()
+}
+
+/// An independent relation holding exactly `rel`'s state — rebuilt from the
+/// persisted parts, so it shares no chunk and no index with anything.
+fn deep_copy(rel: &Relation) -> Relation {
+    let copy = Relation::from_raw_parts(
+        Arc::clone(rel.name()),
+        rel.schema().clone(),
+        rel.raw_slots().to_vec(),
+        rel.free_slots().to_vec(),
+        &rel.indexed_columns(),
+    )
+    .unwrap();
+    assert_eq!(copy.chunks_shared_with(rel), 0);
+    copy
+}
+
+const STRINGS: [&str; 4] = ["a", "b", "c", "d"];
+/// Primary keys in play: enough rows for three chunks.
+const IDS: i64 = 150;
+
+/// Rows, `RowId`s, free list, primary-key and index lookups all agree.
+fn check_same(rel: &Relation, deep: &Relation) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rel.len(), deep.len());
+    prop_assert_eq!(rel.raw_slots(), deep.raw_slots());
+    prop_assert_eq!(rel.free_slots(), deep.free_slots());
+    prop_assert_eq!(rel.indexed_columns(), deep.indexed_columns());
+    for slot in 0..rel.raw_slots().len() as u32 + 2 {
+        prop_assert_eq!(rel.get(RowId(slot)), deep.get(RowId(slot)));
+    }
+    let live: Vec<(RowId, Tuple)> = rel.iter().map(|(r, t)| (r, t.clone())).collect();
+    let deep_live: Vec<(RowId, Tuple)> = deep.iter().map(|(r, t)| (r, t.clone())).collect();
+    prop_assert_eq!(live, deep_live);
+    for id in 0..IDS {
+        prop_assert_eq!(
+            rel.find_by_pk(&Value::Int(id)),
+            deep.find_by_pk(&Value::Int(id))
+        );
+    }
+    // Bucket order is insertion history, which a rebuilt copy does not
+    // share: compare buckets as sets.
+    let sorted = |hits: Option<&[RowId]>| {
+        hits.map(|h| {
+            let mut h = h.to_vec();
+            h.sort();
+            h
+        })
+    };
+    for key in STRINGS
+        .iter()
+        .map(|s| Value::str(*s))
+        .chain((0..4).map(Value::Int))
+    {
+        for col in 1..3 {
+            prop_assert_eq!(
+                sorted(rel.index_lookup(col, &key)),
+                sorted(deep.index_lookup(col, &key))
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Random interleavings of insert / delete / update_field (payload,
+    /// indexed and primary-key columns) / create_index, applied to a
+    /// relation *and to snapshots of it taken at random points*, with each
+    /// relation shadowed by a deep copy (`from_raw_parts`) forked at the
+    /// same moment and fed the same operations. A snapshot shares storage
+    /// with its origin, a deep copy shares nothing; after every operation
+    /// every relation must equal its shadow — so no write ever leaks
+    /// through a shared chunk or index, in either direction.
+    #[test]
+    fn snapshots_match_deep_copies_under_interleaved_writes(
+        ops in prop::collection::vec((0u8..8, 0usize..8, 0i64..IDS, 0usize..4), 1..400),
+    ) {
+        let mut pool = vec![(
+            Relation::new("T", wide_schema()),
+            Relation::new("T", wide_schema()),
+        )];
+        for (op, target, id, k) in ops {
+            let target = target % pool.len();
+            if op == 7 {
+                // Fork: a structurally shared snapshot and its deep shadow.
+                if pool.len() < 6 {
+                    let (rel, _) = &pool[target];
+                    let snap = rel.snapshot();
+                    prop_assert_eq!(snap.chunks_shared_with(rel), rel.chunk_count());
+                    prop_assert!(snap.indexes_shared_with(rel));
+                    pool.push((snap, deep_copy(rel)));
+                }
+                continue;
+            }
+            let (rel, deep) = &mut pool[target];
+            let row = rel.find_by_pk(&Value::Int(id));
+            prop_assert_eq!(row, deep.find_by_pk(&Value::Int(id)));
+            // A row that does not exist: updates and deletes must fail
+            // alike (and un-share nothing).
+            let rid = row.unwrap_or(RowId(id as u32 + 1000));
+            match op {
+                0 | 1 => {
+                    let t = Tuple::new(vec![
+                        Value::Int(id),
+                        Value::str(STRINGS[k]),
+                        Value::Int(k as i64),
+                    ]);
+                    prop_assert_eq!(rel.insert(t.clone()), deep.insert(t));
+                }
+                2 => prop_assert_eq!(rel.delete(rid), deep.delete(rid)),
+                3 => prop_assert_eq!(
+                    rel.update_field(rid, 1, Value::str(STRINGS[k])),
+                    deep.update_field(rid, 1, Value::str(STRINGS[k]))
+                ),
+                4 => prop_assert_eq!(
+                    rel.update_field(rid, 2, Value::Int(k as i64)),
+                    deep.update_field(rid, 2, Value::Int(k as i64))
+                ),
+                5 => {
+                    // Re-key: succeeds onto a free key, fails onto a live one.
+                    let key = Value::Int((id + k as i64 * 7) % IDS);
+                    prop_assert_eq!(
+                        rel.update_field(rid, 0, key.clone()),
+                        deep.update_field(rid, 0, key)
+                    );
+                }
+                _ => {
+                    let column = ["s", "n"][k % 2];
+                    prop_assert_eq!(rel.create_index(column), deep.create_index(column));
+                }
+            }
+            for (rel, deep) in &pool {
+                check_same(rel, deep)?;
+            }
+        }
+    }
+
     /// Random interleavings of insert/delete/update keep the relation, its
     /// primary-key index, and its secondary index mutually consistent.
     #[test]
@@ -134,4 +285,76 @@ fn self_difference_is_empty_and_self_intersect_is_identity() {
         .project(&["s"]);
     let partial = execute_simple(&proj.intersect(filtered), &db).unwrap();
     assert_eq!(partial.rows.count(&Tuple::new(vec![Value::str("dup")])), 3);
+}
+
+/// The cost of a snapshot as exact counts, at 1K and at 100K rows: taking
+/// one shares every chunk and every index; `k` field updates in `k`
+/// distinct chunks un-share exactly `k` chunks and no index; further
+/// updates inside already-copied chunks are free; only a write to an
+/// indexed column touches an index.
+#[test]
+fn snapshot_sharing_is_exactly_what_was_not_written() {
+    for rows in [1_000usize, 100_000] {
+        let mut rel = Relation::new("T", wide_schema());
+        for i in 0..rows as i64 {
+            rel.insert(Tuple::new(vec![
+                Value::Int(i),
+                Value::str(STRINGS[i as usize % 4]),
+                Value::Int(0),
+            ]))
+            .unwrap();
+        }
+        rel.create_index("s").unwrap();
+        let stride = Relation::CHUNK_ROWS;
+        let chunks = rel.chunk_count();
+        assert_eq!(chunks, rows.div_ceil(stride));
+
+        let snap = rel.snapshot();
+        let frozen = deep_copy(&snap);
+        assert_eq!(snap.chunks_shared_with(&rel), chunks);
+        assert!(snap.indexes_shared_with(&rel));
+
+        let k = chunks / 3 + 1;
+        for i in 0..k {
+            let row = RowId((i * stride) as u32);
+            rel.update_field(row, 2, Value::Int(1)).unwrap();
+            assert_eq!(snap.chunks_shared_with(&rel), chunks - (i + 1));
+        }
+        assert!(
+            snap.indexes_shared_with(&rel),
+            "payload writes leave indexes shared"
+        );
+        // A second write into each already-copied chunk copies nothing.
+        for i in 0..k {
+            let row = RowId((i * stride + 1) as u32);
+            rel.update_field(row, 2, Value::Int(2)).unwrap();
+        }
+        assert_eq!(snap.chunks_shared_with(&rel), chunks - k);
+        // Failed writes copy nothing either.
+        assert!(rel
+            .update_field(RowId(rows as u32 + 5), 2, Value::Int(0))
+            .is_err());
+        assert!(rel
+            .update_field(RowId((k * stride) as u32), 2, Value::str("x"))
+            .is_err());
+        assert!(rel.delete(RowId(rows as u32 + 5)).is_err());
+        assert_eq!(snap.chunks_shared_with(&rel), chunks - k);
+        assert!(snap.indexes_shared_with(&rel));
+
+        // The snapshot never saw any of it.
+        assert_eq!(snap.raw_slots(), frozen.raw_slots());
+        assert_eq!(snap.get(RowId(0)).unwrap().get(2), &Value::Int(0));
+        assert_eq!(rel.get(RowId(0)).unwrap().get(2), &Value::Int(1));
+
+        // A write to the indexed column is the one thing that un-shares an
+        // index, and a snapshot of the snapshot shares with both.
+        let again = snap.snapshot();
+        assert_eq!(again.chunks_shared_with(&snap), chunks);
+        assert_eq!(again.chunks_shared_with(&rel), chunks - k);
+        rel.update_field(RowId(0), 1, Value::str("z")).unwrap();
+        assert!(!snap.indexes_shared_with(&rel));
+        assert!(again.indexes_shared_with(&snap));
+        assert_eq!(snap.index_lookup(1, &Value::str("z")).unwrap(), &[]);
+        assert_eq!(rel.index_lookup(1, &Value::str("z")).unwrap(), &[RowId(0)]);
+    }
 }

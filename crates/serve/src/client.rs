@@ -183,8 +183,8 @@ impl Client {
     /// [`ClientError::Timeout`]; a served shed surfaces as
     /// [`ClientError::Unavailable`].
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let encoded = req.encode().map_err(ClientError::Protocol)?;
-        if let Err(e) = write_frame(&mut self.stream, &encoded) {
+        let frame = req.frame().map_err(ClientError::Protocol)?;
+        if let Err(e) = write_frame(&mut self.stream, &frame) {
             return Err(match e {
                 ProtocolError::Io(ref io)
                     if io.kind() == std::io::ErrorKind::WouldBlock

@@ -38,7 +38,7 @@ pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError, TableAnswer};
 pub use protocol::{
-    EpochMeta, ErrorCode, Framed, ProtocolError, Request, Response, WireError, WireQueryStatus,
-    WireRow, WireStats, WireValue, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    EpochMeta, ErrorCode, Frame, Framed, ProtocolError, Request, Response, WireError,
+    WireQueryStatus, WireRow, WireStats, WireValue, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig};

@@ -11,8 +11,17 @@
 //! unknown versions and kinds are decode errors, never panics — the
 //! server treats a malformed frame as a per-connection error response,
 //! not a reason to die.
+//!
+//! Encoding is one pass into one buffer. A [`Frame`] reserves its length
+//! prefix up front, so a message reaches the socket in a single write (one
+//! syscall, one segment on a `TCP_NODELAY` connection), and the row encoder
+//! reads its values where they already are: [`table_frame`] and
+//! [`status_frame`] write the server's two large replies straight from a
+//! `QueryResult` / `QueryStatus`, the owned [`Response`] mirror goes through
+//! the same encoder, and the bytes are the same either way.
 
-use fgdb_relational::Value;
+use fgdb_core::QueryStatus;
+use fgdb_relational::{CountedSet, QueryResult, Tuple, Value};
 use std::fmt;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -377,33 +386,67 @@ fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &WireValue) -> Result<(), ProtocolError> {
-    match v {
-        WireValue::Null => buf.push(VAL_NULL),
-        WireValue::Bool(b) => {
-            buf.push(VAL_BOOL);
-            buf.push(u8::from(*b));
-        }
-        WireValue::Int(i) => {
-            buf.push(VAL_INT);
-            put_i64(buf, *i);
-        }
-        WireValue::Float(x) => {
-            buf.push(VAL_FLOAT);
-            put_f64(buf, *x);
-        }
-        WireValue::Str(s) => {
-            buf.push(VAL_STR);
-            put_str(buf, s)?;
-        }
-    }
-    Ok(())
+/// One value as the encoder reads it, borrowed from wherever it lives.
+enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
 }
 
-fn put_values(buf: &mut Vec<u8>, vs: &[WireValue]) -> Result<(), ProtocolError> {
+/// A value the row encoder can write in place: the owned wire mirror, or a
+/// stored relational value (no intermediate `WireValue`, no string copy).
+trait AsValueRef {
+    fn as_value_ref(&self) -> ValueRef<'_>;
+}
+
+impl AsValueRef for WireValue {
+    fn as_value_ref(&self) -> ValueRef<'_> {
+        match self {
+            WireValue::Null => ValueRef::Null,
+            WireValue::Bool(b) => ValueRef::Bool(*b),
+            WireValue::Int(i) => ValueRef::Int(*i),
+            WireValue::Float(x) => ValueRef::Float(*x),
+            WireValue::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+impl AsValueRef for Value {
+    fn as_value_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(x) => ValueRef::Float(x.get()),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+fn put_values<V: AsValueRef>(buf: &mut Vec<u8>, vs: &[V]) -> Result<(), ProtocolError> {
     put_u16(buf, len_u16("row values", vs.len())?);
     for v in vs {
-        put_value(buf, v)?;
+        match v.as_value_ref() {
+            ValueRef::Null => buf.push(VAL_NULL),
+            ValueRef::Bool(b) => {
+                buf.push(VAL_BOOL);
+                buf.push(u8::from(b));
+            }
+            ValueRef::Int(i) => {
+                buf.push(VAL_INT);
+                put_i64(buf, i);
+            }
+            ValueRef::Float(x) => {
+                buf.push(VAL_FLOAT);
+                put_f64(buf, x);
+            }
+            ValueRef::Str(s) => {
+                buf.push(VAL_STR);
+                put_str(buf, s)?;
+            }
+        }
     }
     Ok(())
 }
@@ -414,21 +457,127 @@ fn put_meta(buf: &mut Vec<u8>, m: &EpochMeta) {
     put_u64(buf, m.samples);
 }
 
-fn put_rows(buf: &mut Vec<u8>, rows: &[WireRow]) -> Result<(), ProtocolError> {
+/// Writes `(row values, multiplicity)` pairs as the wire's row list.
+fn put_rows<'a, V: AsValueRef + 'a>(
+    buf: &mut Vec<u8>,
+    rows: impl ExactSizeIterator<Item = (&'a [V], i64)>,
+) -> Result<(), ProtocolError> {
     put_u32(buf, len_u32("rows", rows.len())?);
-    for row in rows {
-        put_i64(buf, row.count);
-        put_values(buf, &row.values)?;
+    for (values, count) in rows {
+        put_i64(buf, count);
+        put_values(buf, values)?;
     }
     Ok(())
 }
 
-fn put_columns(buf: &mut Vec<u8>, columns: &[String]) -> Result<(), ProtocolError> {
+fn put_columns<S: AsRef<str>>(buf: &mut Vec<u8>, columns: &[S]) -> Result<(), ProtocolError> {
     put_u16(buf, len_u16("columns", columns.len())?);
     for c in columns {
-        put_str(buf, c)?;
+        put_str(buf, c.as_ref())?;
     }
     Ok(())
+}
+
+/// The body of a `TABLE` response, after `[ver][kind]`.
+fn put_table<'a, S: AsRef<str>, V: AsValueRef + 'a>(
+    buf: &mut Vec<u8>,
+    meta: &EpochMeta,
+    columns: &[S],
+    rows: impl ExactSizeIterator<Item = (&'a [V], i64)>,
+) -> Result<(), ProtocolError> {
+    put_meta(buf, meta);
+    put_columns(buf, columns)?;
+    put_rows(buf, rows)
+}
+
+/// The scalar fields of a `STATUS` response.
+struct StatusHead<'a, S> {
+    name: &'a str,
+    sql: &'a str,
+    columns: &'a [S],
+    r_hat: f64,
+    min_ess: f64,
+    window_len: u64,
+    converged: bool,
+}
+
+/// The body of a `STATUS` response, after `[ver][kind]`.
+fn put_status<'a, S: AsRef<str>, V: AsValueRef + 'a>(
+    buf: &mut Vec<u8>,
+    meta: &EpochMeta,
+    head: &StatusHead<'_, S>,
+    answer: impl ExactSizeIterator<Item = (&'a [V], i64)>,
+    marginals: impl ExactSizeIterator<Item = (&'a [V], f64)>,
+) -> Result<(), ProtocolError> {
+    put_meta(buf, meta);
+    put_str(buf, head.name)?;
+    put_str(buf, head.sql)?;
+    put_columns(buf, head.columns)?;
+    put_f64(buf, head.r_hat);
+    put_f64(buf, head.min_ess);
+    put_u64(buf, head.window_len);
+    buf.push(u8::from(head.converged));
+    put_rows(buf, answer)?;
+    put_u32(buf, len_u32("marginals", marginals.len())?);
+    for (values, p) in marginals {
+        put_values(buf, values)?;
+        put_f64(buf, p);
+    }
+    Ok(())
+}
+
+/// A multiset's entries in tuple order — the order every served answer
+/// travels in — borrowed.
+fn sorted_rows(rows: &CountedSet) -> Vec<(&Tuple, i64)> {
+    let mut v: Vec<(&Tuple, i64)> = rows.iter().collect();
+    v.sort_unstable();
+    v
+}
+
+/// The `TABLE` reply to an ad-hoc query, encoded straight from the
+/// executor's result: byte for byte the frame of the equivalent
+/// [`Response::Table`], without building one.
+///
+/// # Errors
+/// [`ProtocolError::Oversize`] / [`ProtocolError::FrameTooLarge`], exactly
+/// as [`Response::frame`].
+pub fn table_frame(meta: &EpochMeta, result: &QueryResult) -> Result<Frame, ProtocolError> {
+    let mut buf = Frame::begin(RESP_TABLE);
+    let rows = sorted_rows(&result.rows);
+    put_table(
+        &mut buf,
+        meta,
+        &result.columns,
+        rows.iter().map(|(t, c)| (t.values(), *c)),
+    )?;
+    Frame::finish(buf)
+}
+
+/// The `STATUS` reply for a registered query, encoded straight from the
+/// epoch's [`QueryStatus`]: byte for byte the frame of the equivalent
+/// [`Response::Status`], without building one.
+///
+/// # Errors
+/// As [`table_frame`].
+pub fn status_frame(meta: &EpochMeta, status: &QueryStatus) -> Result<Frame, ProtocolError> {
+    let mut buf = Frame::begin(RESP_STATUS);
+    let answer = sorted_rows(&status.answer);
+    put_status(
+        &mut buf,
+        meta,
+        &StatusHead {
+            name: &status.name,
+            sql: &status.sql,
+            columns: &status.columns,
+            r_hat: status.r_hat,
+            min_ess: status.min_ess,
+            window_len: status.window_len,
+            converged: status.converged,
+        },
+        answer.iter().map(|(t, c)| (t.values(), *c)),
+        status.marginals.iter().map(|(t, p)| (t.values(), *p)),
+    )?;
+    Frame::finish(buf)
 }
 
 impl Request {
@@ -438,22 +587,30 @@ impl Request {
     /// [`ProtocolError::Oversize`] when a field exceeds its wire length
     /// prefix (e.g. SQL text over `u32::MAX` bytes).
     pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
-        let mut buf = vec![PROTOCOL_VERSION];
+        self.frame().map(|f| f.payload().to_vec())
+    }
+
+    /// Encodes the request as one [`Frame`], ready for [`write_frame`].
+    ///
+    /// # Errors
+    /// As [`Request::encode`], plus [`ProtocolError::FrameTooLarge`] when
+    /// the payload exceeds [`MAX_FRAME_LEN`].
+    pub fn frame(&self) -> Result<Frame, ProtocolError> {
+        let mut buf = Frame::begin(match self {
+            Request::Query { .. } => OP_QUERY,
+            Request::Status { .. } => OP_STATUS,
+            Request::Stats => OP_STATS,
+            Request::Ping => OP_PING,
+            Request::Pin => OP_PIN,
+            Request::Unpin => OP_UNPIN,
+        });
         match self {
-            Request::Query { sql } => {
-                buf.push(OP_QUERY);
-                put_str(&mut buf, sql)?;
+            Request::Query { sql: text } | Request::Status { name: text } => {
+                put_str(&mut buf, text)?;
             }
-            Request::Status { name } => {
-                buf.push(OP_STATUS);
-                put_str(&mut buf, name)?;
-            }
-            Request::Stats => buf.push(OP_STATS),
-            Request::Ping => buf.push(OP_PING),
-            Request::Pin => buf.push(OP_PIN),
-            Request::Unpin => buf.push(OP_UNPIN),
+            Request::Stats | Request::Ping | Request::Pin | Request::Unpin => {}
         }
-        Ok(buf)
+        Frame::finish(buf)
     }
 
     /// Decodes one frame payload as a request.
@@ -486,37 +643,52 @@ impl Response {
     /// schema, …). The server maps this to a `RESP_ERROR` reply rather
     /// than shipping a wrapped prefix the client would misparse.
     pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
-        let mut buf = vec![PROTOCOL_VERSION];
+        self.frame().map(|f| f.payload().to_vec())
+    }
+
+    /// Encodes the response as one [`Frame`], ready for [`write_frame`].
+    ///
+    /// # Errors
+    /// As [`Response::encode`], plus [`ProtocolError::FrameTooLarge`] when
+    /// the payload exceeds [`MAX_FRAME_LEN`].
+    pub fn frame(&self) -> Result<Frame, ProtocolError> {
+        let mut buf = Frame::begin(match self {
+            Response::Table { .. } => RESP_TABLE,
+            Response::Status { .. } => RESP_STATUS,
+            Response::Stats(_) => RESP_STATS,
+            Response::Pong => RESP_PONG,
+            Response::Pinned { .. } => RESP_PINNED,
+            Response::Unpinned => RESP_UNPINNED,
+            Response::Unavailable { .. } => RESP_UNAVAILABLE,
+            Response::Error(_) => RESP_ERROR,
+        });
         match self {
             Response::Table {
                 meta,
                 columns,
                 rows,
-            } => {
-                buf.push(RESP_TABLE);
-                put_meta(&mut buf, meta);
-                put_columns(&mut buf, columns)?;
-                put_rows(&mut buf, rows)?;
-            }
-            Response::Status { meta, status } => {
-                buf.push(RESP_STATUS);
-                put_meta(&mut buf, meta);
-                put_str(&mut buf, &status.name)?;
-                put_str(&mut buf, &status.sql)?;
-                put_columns(&mut buf, &status.columns)?;
-                put_f64(&mut buf, status.r_hat);
-                put_f64(&mut buf, status.min_ess);
-                put_u64(&mut buf, status.window_len);
-                buf.push(u8::from(status.converged));
-                put_rows(&mut buf, &status.answer)?;
-                put_u32(&mut buf, len_u32("marginals", status.marginals.len())?);
-                for (values, p) in &status.marginals {
-                    put_values(&mut buf, values)?;
-                    put_f64(&mut buf, *p);
-                }
-            }
+            } => put_table(
+                &mut buf,
+                meta,
+                columns,
+                rows.iter().map(|r| (r.values.as_slice(), r.count)),
+            )?,
+            Response::Status { meta, status } => put_status(
+                &mut buf,
+                meta,
+                &StatusHead {
+                    name: &status.name,
+                    sql: &status.sql,
+                    columns: &status.columns,
+                    r_hat: status.r_hat,
+                    min_ess: status.min_ess,
+                    window_len: status.window_len,
+                    converged: status.converged,
+                },
+                status.answer.iter().map(|r| (r.values.as_slice(), r.count)),
+                status.marginals.iter().map(|(vs, p)| (vs.as_slice(), *p)),
+            )?,
             Response::Stats(s) => {
-                buf.push(RESP_STATS);
                 put_u64(&mut buf, s.epoch);
                 put_u64(&mut buf, s.steps);
                 put_u64(&mut buf, s.samples);
@@ -530,18 +702,10 @@ impl Response {
                     }
                 }
             }
-            Response::Pong => buf.push(RESP_PONG),
-            Response::Pinned { meta } => {
-                buf.push(RESP_PINNED);
-                put_meta(&mut buf, meta);
-            }
-            Response::Unpinned => buf.push(RESP_UNPINNED),
-            Response::Unavailable { retry_after_ms } => {
-                buf.push(RESP_UNAVAILABLE);
-                put_u64(&mut buf, *retry_after_ms);
-            }
+            Response::Pong | Response::Unpinned => {}
+            Response::Pinned { meta } => put_meta(&mut buf, meta),
+            Response::Unavailable { retry_after_ms } => put_u64(&mut buf, *retry_after_ms),
             Response::Error(e) => {
-                buf.push(RESP_ERROR);
                 buf.push(e.code.to_byte());
                 match e.offset {
                     None => buf.push(0),
@@ -554,7 +718,7 @@ impl Response {
                 put_str(&mut buf, &e.rendered)?;
             }
         }
-        Ok(buf)
+        Frame::finish(buf)
     }
 
     /// Decodes one frame payload as a response.
@@ -780,17 +944,61 @@ impl<'a> Reader<'a> {
 
 // -------------------------------------------------------------- framing --
 
-/// Writes one `[len u32 LE][payload]` frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    // The error must carry the true length: the old `as u32` here could
-    // truncate a >4 GiB payload's reported size to something small (even
-    // an in-budget-looking number).
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_LEN)
-        .ok_or(ProtocolError::FrameTooLarge(payload.len() as u64))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+/// One encoded message as it travels: `[len: u32 LE][payload]` in a single
+/// buffer. The encoders reserve the four prefix bytes before writing the
+/// payload and patch them at the end, so framing costs no copy and
+/// [`write_frame`] hands the socket one contiguous write.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Frame(Vec<u8>);
+
+/// Bytes reserved at the head of a [`Frame`] for its length prefix.
+const FRAME_PREFIX: usize = 4;
+
+impl Frame {
+    /// A frame under construction: the reserved prefix, then the payload's
+    /// `[ver][kind]` header.
+    fn begin(kind: u8) -> Vec<u8> {
+        let mut buf = vec![0u8; FRAME_PREFIX];
+        buf.push(PROTOCOL_VERSION);
+        buf.push(kind);
+        buf
+    }
+
+    /// Seals a buffer started by [`Frame::begin`]: checks the payload
+    /// against [`MAX_FRAME_LEN`] and writes its length into the prefix.
+    fn finish(mut buf: Vec<u8>) -> Result<Frame, ProtocolError> {
+        // The error must carry the true length: an `as u32` here could
+        // truncate a >4 GiB payload's reported size to something small
+        // (even an in-budget-looking number).
+        let payload_len = buf.len().saturating_sub(FRAME_PREFIX);
+        let len = u32::try_from(payload_len)
+            .ok()
+            .filter(|&l| l <= MAX_FRAME_LEN)
+            .ok_or(ProtocolError::FrameTooLarge(payload_len as u64))?;
+        match buf.first_chunk_mut::<FRAME_PREFIX>() {
+            Some(prefix) => *prefix = len.to_le_bytes(),
+            None => return Err(ProtocolError::Malformed("frame lacks its prefix".into())),
+        }
+        Ok(Frame(buf))
+    }
+
+    /// The message payload (what [`Request::decode`] / [`Response::decode`]
+    /// take), without the length prefix.
+    pub fn payload(&self) -> &[u8] {
+        self.0.get(FRAME_PREFIX..).unwrap_or(&[])
+    }
+
+    /// The whole frame, length prefix included, as written to the socket.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// Writes one frame with a single `write_all` — length and payload leave in
+/// one syscall (and, under `TCP_NODELAY`, one segment; the peer wakes once,
+/// for the whole message, not first for four length bytes).
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
+    w.write_all(frame.as_bytes())?;
     w.flush()?;
     Ok(())
 }
@@ -929,6 +1137,13 @@ pub fn read_frame_timeout(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A frame around an arbitrary payload.
+    fn framed(payload: &[u8]) -> Result<Frame, ProtocolError> {
+        let mut buf = vec![0u8; FRAME_PREFIX];
+        buf.extend_from_slice(payload);
+        Frame::finish(buf)
+    }
 
     fn roundtrip_request(req: Request) {
         let enc = req.encode().unwrap();
@@ -1134,25 +1349,60 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_reports_the_true_oversize_length() {
+    fn an_oversize_frame_reports_its_true_length_and_cannot_be_built() {
         // One byte past the 16 MiB budget: the error must carry the real
-        // length (the old `as u32` could misreport a >4 GiB payload).
+        // length (the old `as u32` could misreport a >4 GiB payload), and
+        // no `Frame` exists to be written.
         let payload = vec![0u8; MAX_FRAME_LEN as usize + 1];
-        let mut sink = Vec::new();
-        match write_frame(&mut sink, &payload) {
+        match framed(&payload) {
             Err(ProtocolError::FrameTooLarge(n)) => {
                 assert_eq!(n, u64::from(MAX_FRAME_LEN) + 1);
             }
             other => panic!("expected FrameTooLarge, got {other:?}"),
         }
-        assert!(sink.is_empty(), "nothing may be written on oversize");
+        assert!(framed(&payload[1..]).is_ok(), "exactly the budget fits");
+    }
+
+    /// A writer that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_reaches_the_socket_in_one_write() {
+        let req = Request::Query {
+            sql: "SELECT 1".into(),
+        };
+        let frame = req.frame().unwrap();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &frame).unwrap();
+        assert_eq!(w.writes, vec![frame.as_bytes().len()]);
+        // Layout unchanged: the 4-byte LE length, then exactly `encode()`.
+        let payload = req.encode().unwrap();
+        assert_eq!(&w.bytes[..4], &(payload.len() as u32).to_le_bytes()[..]);
+        assert_eq!(&w.bytes[4..], &payload[..]);
+        assert_eq!(frame.payload(), &payload[..]);
     }
 
     #[test]
     fn frames_roundtrip_and_reject_oversize() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        write_frame(&mut buf, &framed(b"hello").unwrap()).unwrap();
+        write_frame(&mut buf, &framed(b"").unwrap()).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
@@ -1168,7 +1418,7 @@ mod tests {
 
         // EOF mid-frame is an error, not a silent None.
         let mut partial = Vec::new();
-        write_frame(&mut partial, b"abcdef").unwrap();
+        write_frame(&mut partial, &framed(b"abcdef").unwrap()).unwrap();
         partial.truncate(6);
         let mut cursor = std::io::Cursor::new(partial);
         assert!(read_frame(&mut cursor).is_err());
@@ -1209,7 +1459,7 @@ mod tests {
 
         // A whole frame followed by silence: the frame, then idle.
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, &framed(b"hello").unwrap()).unwrap();
         let mut peer = StallingPeer { data: buf, pos: 0 };
         assert_eq!(
             read_frame_timeout(&mut peer, budget).unwrap(),
@@ -1224,7 +1474,7 @@ mod tests {
         // Length prefix then stall: typed Stalled, never Idle — treating
         // this as an idle poll tick is the desync bug this API fixes.
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"abcdef").unwrap();
+        write_frame(&mut buf, &framed(b"abcdef").unwrap()).unwrap();
         buf.truncate(7); // 4-byte length + 3 payload bytes, then silence
         let mut peer = StallingPeer { data: buf, pos: 0 };
         match read_frame_timeout(&mut peer, budget) {

@@ -31,11 +31,10 @@
 //!   `accept`, and joins the accept loop and every worker.
 
 use crate::protocol::{
-    read_frame_timeout, write_frame, EpochMeta, ErrorCode, Framed, ProtocolError, Request,
-    Response, WireError, WireQueryStatus, WireRow, WireStats, WireValue,
+    read_frame_timeout, status_frame, table_frame, write_frame, EpochMeta, ErrorCode, Frame,
+    Framed, ProtocolError, Request, Response, WireError, WireStats,
 };
-use fgdb_core::{EpochReader, EpochSnapshot, EvaluateError, QueryError, QueryStatus, SamplerState};
-use fgdb_relational::QueryResult;
+use fgdb_core::{EpochReader, EpochSnapshot, EvaluateError, QueryError, SamplerState};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -243,8 +242,8 @@ fn shed(mut stream: TcpStream, config: &ServerConfig) {
     let shed = Response::Unavailable {
         retry_after_ms: config.retry_after_ms,
     };
-    if let Ok(payload) = shed.encode() {
-        let _ = write_frame(&mut stream, &payload);
+    if let Ok(frame) = shed.frame() {
+        let _ = write_frame(&mut stream, &frame);
     }
 }
 
@@ -272,52 +271,50 @@ fn serve_connection(
                 // Half-open or hostile peer: tell it why (best effort)
                 // and close. The stream position is mid-frame, so the
                 // connection cannot be resumed.
-                let resp = Response::Error(WireError {
-                    code: ErrorCode::Protocol,
-                    offset: None,
-                    message: e.to_string(),
-                    rendered: e.to_string(),
-                });
-                if let Ok(payload) = resp.encode() {
-                    let _ = write_frame(&mut stream, &payload);
+                if let Ok(frame) = error_response(ErrorCode::Protocol, &e).frame() {
+                    let _ = write_frame(&mut stream, &frame);
                 }
                 return Err(e);
             }
             Err(e) => return Err(e),
         };
-        let response = match Request::decode(&payload) {
+        let reply = match Request::decode(&payload) {
             Ok(req) => handle_request(req, &reader, &config, &mut pinned),
             // A decodable-length frame with garbage inside gets a typed
             // error response; the connection survives.
-            Err(e) => Response::Error(WireError {
-                code: ErrorCode::Protocol,
-                offset: None,
-                message: e.to_string(),
-                rendered: e.to_string(),
-            }),
+            Err(e) => error_response(ErrorCode::Protocol, &e).frame(),
         };
-        // An answer too large for its own wire prefixes degrades to a
-        // typed error response; only a failure to encode *that* (or the
-        // socket) ends the connection.
-        let payload = response.encode().or_else(|e| {
-            Response::Error(WireError {
-                code: ErrorCode::Exec,
-                offset: None,
-                message: e.to_string(),
-                rendered: e.to_string(),
-            })
-            .encode()
-        })?;
-        write_frame(&mut stream, &payload)?;
+        write_frame(&mut stream, &typed_on_oversize(reply)?)?;
     }
 }
 
+/// An answer too large for its own wire prefixes (or for one frame)
+/// degrades to a typed error reply; only a failure to encode *that* ends
+/// the connection.
+fn typed_on_oversize(reply: Result<Frame, ProtocolError>) -> Result<Frame, ProtocolError> {
+    reply.or_else(|e| error_response(ErrorCode::Exec, &e).frame())
+}
+
+/// An error reply whose message and rendering are both `e`'s display form.
+fn error_response(code: ErrorCode, e: &dyn std::fmt::Display) -> Response {
+    Response::Error(WireError {
+        code,
+        offset: None,
+        message: e.to_string(),
+        rendered: e.to_string(),
+    })
+}
+
+/// Answers one request as an encoded frame. The two large replies — a
+/// query's `TABLE` and a registered query's `STATUS` — are written straight
+/// from the pinned epoch's own values; everything else is a small
+/// [`Response`].
 fn handle_request(
     req: Request,
     reader: &EpochReader,
     config: &ServerConfig,
     pinned: &mut Option<Arc<EpochSnapshot>>,
-) -> Response {
+) -> Result<Frame, ProtocolError> {
     // While the sampler is degraded (or dead), fresh-state requests shed
     // with a retry hint; pinned reads and health probes still answer. A
     // *gracefully stopped* sampler keeps serving its final epoch — only
@@ -327,7 +324,10 @@ fn handle_request(
             reader.status().state,
             SamplerState::Degraded { .. } | SamplerState::Failed
         );
-    match req {
+    let unavailable = Response::Unavailable {
+        retry_after_ms: config.retry_after_ms,
+    };
+    let response = match req {
         Request::Ping => Response::Pong,
         Request::Stats => {
             let s = reader.status();
@@ -340,12 +340,8 @@ fn handle_request(
                 error: s.error.map(|e| e.to_string()),
             })
         }
+        Request::Pin if shed_fresh => unavailable,
         Request::Pin => {
-            if shed_fresh {
-                return Response::Unavailable {
-                    retry_after_ms: config.retry_after_ms,
-                };
-            }
             let snap = reader.pin();
             let meta = meta_of(&snap);
             *pinned = Some(snap);
@@ -355,47 +351,30 @@ fn handle_request(
             *pinned = None;
             Response::Unpinned
         }
+        Request::Query { .. } | Request::Status { .. } if shed_fresh && pinned.is_none() => {
+            unavailable
+        }
         Request::Query { sql } => {
             // A pinned connection reads its pinned world; otherwise pin
             // the freshest epoch for just this request.
-            let snap = match pinned.clone() {
-                Some(snap) => snap,
-                None if shed_fresh => {
-                    return Response::Unavailable {
-                        retry_after_ms: config.retry_after_ms,
-                    };
-                }
-                None => reader.pin(),
-            };
+            let snap = pinned.clone().unwrap_or_else(|| reader.pin());
             match snap.query(&sql) {
-                Ok(result) => table_response(&snap, result),
+                Ok(result) => return table_frame(&meta_of(&snap), &result),
                 Err(e) => Response::Error(wire_error(e, &sql)),
             }
         }
         Request::Status { name } => {
-            let snap = match pinned.clone() {
-                Some(snap) => snap,
-                None if shed_fresh => {
-                    return Response::Unavailable {
-                        retry_after_ms: config.retry_after_ms,
-                    };
-                }
-                None => reader.pin(),
-            };
+            let snap = pinned.clone().unwrap_or_else(|| reader.pin());
             match snap.status(&name) {
-                Some(status) => Response::Status {
-                    meta: meta_of(&snap),
-                    status: Box::new(wire_status(status)),
-                },
-                None => Response::Error(WireError {
-                    code: ErrorCode::Unavailable,
-                    offset: None,
-                    message: format!("no registered query `{name}`"),
-                    rendered: format!("no registered query `{name}`"),
-                }),
+                Some(status) => return status_frame(&meta_of(&snap), status),
+                None => error_response(
+                    ErrorCode::Unavailable,
+                    &format_args!("no registered query `{name}`"),
+                ),
             }
         }
-    }
+    };
+    response.frame()
 }
 
 fn meta_of(snap: &EpochSnapshot) -> EpochMeta {
@@ -403,48 +382,6 @@ fn meta_of(snap: &EpochSnapshot) -> EpochMeta {
         epoch: snap.epoch,
         steps: snap.steps,
         samples: snap.samples,
-    }
-}
-
-fn table_response(snap: &EpochSnapshot, result: QueryResult) -> Response {
-    Response::Table {
-        meta: meta_of(snap),
-        columns: result.columns.iter().map(|c| c.to_string()).collect(),
-        rows: result
-            .rows
-            .sorted_entries()
-            .into_iter()
-            .map(|(tuple, count)| WireRow {
-                values: tuple.values().iter().map(WireValue::from).collect(),
-                count,
-            })
-            .collect(),
-    }
-}
-
-fn wire_status(status: &QueryStatus) -> WireQueryStatus {
-    WireQueryStatus {
-        name: status.name.to_string(),
-        sql: status.sql.to_string(),
-        columns: status.columns.iter().map(|c| c.to_string()).collect(),
-        r_hat: status.r_hat,
-        min_ess: status.min_ess,
-        window_len: status.window_len,
-        converged: status.converged,
-        answer: status
-            .answer
-            .sorted_entries()
-            .into_iter()
-            .map(|(tuple, count)| WireRow {
-                values: tuple.values().iter().map(WireValue::from).collect(),
-                count,
-            })
-            .collect(),
-        marginals: status
-            .marginals
-            .iter()
-            .map(|(tuple, p)| (tuple.values().iter().map(WireValue::from).collect(), *p))
-            .collect(),
     }
 }
 
@@ -472,5 +409,35 @@ fn wire_error(e: EvaluateError, sql: &str) -> WireError {
             message: e.to_string(),
             rendered: e.to_string(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unencodable_answer_is_replied_to_with_a_typed_error() {
+        for e in [
+            ProtocolError::Oversize {
+                field: "rows",
+                len: usize::MAX,
+                max: u64::from(u32::MAX),
+            },
+            ProtocolError::FrameTooLarge(1 << 40),
+        ] {
+            let rendered = e.to_string();
+            let frame = typed_on_oversize(Err(e)).unwrap();
+            match Response::decode(frame.payload()).unwrap() {
+                Response::Error(w) => {
+                    assert_eq!(w.code, ErrorCode::Exec);
+                    assert_eq!(w.message, rendered);
+                }
+                other => panic!("expected a typed error reply, got {other:?}"),
+            }
+        }
+        // An encodable answer passes through untouched.
+        let pong = Response::Pong.frame().unwrap();
+        assert_eq!(typed_on_oversize(Ok(pong.clone())).unwrap(), pong);
     }
 }

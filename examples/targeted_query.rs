@@ -45,7 +45,7 @@ fn main() {
     let plan = paper_queries::query4("TOKEN");
     let k = 2_000;
 
-    // One seeded probabilistic database; the engine deep-snapshots it into
+    // One seeded probabilistic database; the engine snapshots it into
     // independent replicas, so it is built exactly once.
     let seed_pdb = build_ner_pdb(&corpus, Arc::clone(&model), &Default::default(), 7);
 
