@@ -70,6 +70,12 @@ fn bench_index_vs_scan(c: &mut Criterion) {
             b.iter(|| execute_simple(&plan, &db).unwrap());
         });
     }
+    // A point lookup by primary key: one row read, whatever `n` is.
+    let db = build_token_db(n, false);
+    let plan = Plan::scan("TOKEN").filter(Expr::col("tok_id").eq(Expr::lit((n / 2) as i64)));
+    group.bench_with_input(BenchmarkId::from_parameter("pk_probe"), &(), |b, ()| {
+        b.iter(|| execute_simple(&plan, &db).unwrap());
+    });
     group.finish();
 }
 

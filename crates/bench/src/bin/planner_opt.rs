@@ -14,6 +14,11 @@
 //! over `FGDB_BENCH_SAMPLES` runs (default 15). Emits
 //! `BENCH_planner_opt.json`.
 //!
+//! Two work counts gate the run (counts, so the same on every machine): an
+//! optimized plan never constructs more intermediate tuples than its naive
+//! plan, and a primary-key point lookup scans exactly one tuple. A
+//! violation exits non-zero after the report is written.
+//!
 //! ```sh
 //! cargo run --release -p fgdb-bench --bin planner_opt
 //! ```
@@ -21,7 +26,7 @@
 use fgdb_bench::report::Report;
 use fgdb_bench::{print_csv, print_table, scaled};
 use fgdb_relational::parser::{paper_sql, parse_plan};
-use fgdb_relational::planner::{optimize_with_report, PlannerReport};
+use fgdb_relational::planner::{compile_query, optimize_with_report, PlannerReport};
 use fgdb_relational::{execute, Database, ExecStats, Plan, Schema, Tuple, Value, ValueType};
 use std::time::Instant;
 
@@ -125,6 +130,22 @@ fn main() {
 
     let mut table_rows = Vec::new();
     let mut csv_rows = Vec::new();
+    let mut record = |query: &str, variant: &str, ms: f64, stats: ExecStats, rows: usize| {
+        let cells = vec![
+            query.to_string(),
+            variant.to_string(),
+            stats.tuples_scanned.to_string(),
+            stats.rows_processed.to_string(),
+            stats.intermediate_tuples.to_string(),
+            format!("{ms:.3}"),
+            rows.to_string(),
+        ];
+        csv_rows.push(cells.join(","));
+        report.row(cells.clone());
+        table_rows.push(cells);
+    };
+    // Work-count gates (counts, not timings: the same on every run).
+    let mut gate_failures: Vec<String> = Vec::new();
     for (name, sql) in &queries {
         let naive = parse_plan(sql).expect("paper SQL parses");
         let (opt, rewrites): (Plan, PlannerReport) =
@@ -132,30 +153,17 @@ fn main() {
         let (naive_ms, naive_stats, naive_rows) = measure(&naive, &db, reps);
         let (opt_ms, opt_stats, opt_rows) = measure(&opt, &db, reps);
         assert_eq!(naive_rows, opt_rows, "optimizer changed the answer");
-        assert!(
-            opt_stats.intermediate_tuples <= naive_stats.intermediate_tuples,
-            "optimizer increased intermediate tuples on {name}"
-        );
+        if opt_stats.intermediate_tuples > naive_stats.intermediate_tuples {
+            gate_failures.push(format!(
+                "{name}: optimized plan built {} intermediate tuples, naive {}",
+                opt_stats.intermediate_tuples, naive_stats.intermediate_tuples
+            ));
+        }
         println!("{name}: {sql}");
         println!("  naive:     {naive}");
         println!("  optimized: {opt}   [{rewrites}]");
-        for (variant, ms, stats, rows) in [
-            ("naive", naive_ms, naive_stats, naive_rows),
-            ("optimized", opt_ms, opt_stats, opt_rows),
-        ] {
-            let cells = vec![
-                (*name).to_string(),
-                variant.to_string(),
-                stats.tuples_scanned.to_string(),
-                stats.rows_processed.to_string(),
-                stats.intermediate_tuples.to_string(),
-                format!("{ms:.3}"),
-                rows.to_string(),
-            ];
-            csv_rows.push(cells.join(","));
-            report.row(cells.clone());
-            table_rows.push(cells);
-        }
+        record(name, "naive", naive_ms, naive_stats, naive_rows);
+        record(name, "optimized", opt_ms, opt_stats, opt_rows);
         let dx = naive_stats.intermediate_tuples.max(1) as f64
             / opt_stats.intermediate_tuples.max(1) as f64;
         println!(
@@ -163,6 +171,22 @@ fn main() {
             naive_stats.intermediate_tuples, opt_stats.intermediate_tuples
         );
     }
+
+    // The point lookup reads the one row its key names, not the relation.
+    let pk_sql = format!(
+        "SELECT string, label FROM TOKEN WHERE tok_id = {}",
+        tokens / 2
+    );
+    let pk_plan = compile_query(&pk_sql, &db).expect("pk lookup compiles");
+    let (pk_ms, pk_stats, pk_rows) = measure(&pk_plan, &db, reps);
+    println!("pk: {pk_sql}\n  optimized: {pk_plan}\n");
+    if pk_stats.tuples_scanned != 1 {
+        gate_failures.push(format!(
+            "pk lookup scanned {} tuples of {tokens}, expected 1",
+            pk_stats.tuples_scanned
+        ));
+    }
+    record("pk", "optimized", pk_ms, pk_stats, pk_rows);
 
     print_table(
         "planner_opt: naive vs optimized executor work",
@@ -184,5 +208,11 @@ fn main() {
     );
     if let Some(path) = report.write_if_configured() {
         println!("\nwrote {}", path.display());
+    }
+    if !gate_failures.is_empty() {
+        for failure in &gate_failures {
+            eprintln!("planner_opt: GATE FAILED: {failure}");
+        }
+        std::process::exit(1);
     }
 }

@@ -100,13 +100,15 @@ fn cast_scoped(path: &str) -> bool {
     )
 }
 
-/// R2 file scope: the panic-free serving and recovery loops.
+/// R2 file scope: the panic-free serving and recovery loops, and the query
+/// executor, which runs user SQL from the wire on server threads.
 fn panic_scoped(path: &str) -> bool {
     (path.starts_with("crates/serve/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
         || path == "crates/core/src/serving.rs"
         || path == "crates/core/src/supervise.rs"
         || path == "crates/core/src/membership.rs"
+        || path == "crates/relational/src/exec.rs"
 }
 
 /// R3 file scope: hot-path modules where a mis-ordered atomic or a lock on

@@ -91,6 +91,11 @@ fn panic_fixture_positives_fire_and_guards_do_not() {
         ),
         0
     );
+    // The query executor runs user SQL on server threads: in scope.
+    assert_eq!(
+        count("crates/relational/src/exec.rs", PANIC_FIXTURE, Rule::Panic),
+        7
+    );
 }
 
 #[test]

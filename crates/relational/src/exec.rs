@@ -1,37 +1,72 @@
-//! Full (from-scratch) query execution.
+//! Full (from-scratch) query execution: a streaming push pipeline.
 //!
 //! This is the executor the *naive* sampling evaluator of Algorithm 3 calls
-//! on every sampled world: it recomputes `Q(w)` by scanning base relations.
-//! Its cost is Θ(|w|) per evaluation, which is exactly the cost the
-//! view-maintenance evaluator (Algorithm 1 / [`crate::view`]) amortizes away.
+//! on every sampled world, and the one every ad hoc SQL statement runs
+//! through: it recomputes `Q(w)` from the base relations. Rows are *pushed*:
+//! a source hands each `(&Tuple, multiplicity)` to the operator above it,
+//! which hands what it produces to the next, up to the root, where the
+//! answer [`CountedSet`] is built — once. No operator materialises its
+//! output; only pipeline breakers hold state.
 //!
-//! The executor reports [`ExecStats`] — tuples scanned and rows processed —
-//! so experiments can compare *work* as well as wall-clock time between the
-//! two evaluators, independent of machine speed.
+//! **Sources.** A scan walks the relation's chunks in slot order. A
+//! selection directly over a scan first looks for a *probe*: a top-level
+//! conjunct `col = literal` whose column is the primary key or carries a
+//! secondary index. The probe reads only the rows the index names and the
+//! whole predicate is then applied to them as the residual filter, so
+//! `WHERE tok_id = c` reads one row at any relation size. A probe requires
+//! a non-NULL literal of the column's declared type (an integral `Float`
+//! against an `Int` column is converted); any other literal takes the
+//! streamed scan, whose three-valued comparison is the reference. A
+//! conjunct `col = NULL` is never true, so it answers with no rows without
+//! touching storage. Inside a fixpoint's step, [`Plan::Rec`] streams the
+//! rows the enclosing fixpoint has bound to its name.
+//!
+//! **Streaming operators** keep nothing: σ, π, ∪, and the probe (left) side
+//! of × and ⋈. δ streams too — a row passes the first time it is seen — but
+//! remembers what it has passed.
+//!
+//! **Pipeline breakers** hold exactly the state their semantics need: γ its
+//! group table (no table at all for a global aggregate), × and ⋈ their
+//! build (right) side, ∖ and ∩ the consolidated left input (the right input
+//! streams against it), μ its accumulator and working table.
+//!
+//! Every multiplicity that flows is positive: scans emit 1, products
+//! multiply, γ and δ emit 1, ∖ and ∩ emit only what is left above zero.
+//!
+//! The executor reports [`ExecStats`] so experiments can compare *work* as
+//! well as wall-clock time, independent of machine speed. It runs user SQL
+//! from the wire on server threads, so nothing here may panic on any plan
+//! or data (`fgdb-lint`'s panic rule covers this file).
 
 use crate::algebra::{AggExpr, AggFunc, Plan, PlanError};
 use crate::counted::CountedSet;
 use crate::database::Database;
-use crate::expr::{resolve_column, BoundExpr, Expr};
-use crate::fasthash::FxHashMap;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::expr::{resolve_column, BoundExpr, CmpOp, Expr};
+use crate::fasthash::{FxHashSet, TupleMap};
+use crate::storage::Relation;
+use crate::tuple::{fingerprint_values, Tuple};
+use crate::value::{Value, ValueType};
 use std::fmt;
 use std::sync::Arc;
 
 /// Work counters for one query execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Base tuples read from storage (scan or index probe results).
+    /// Base tuples read from storage: every live row of a scanned relation,
+    /// or just the rows a primary-key / secondary-index probe named.
     pub tuples_scanned: u64,
-    /// Intermediate rows processed by operators above the scans.
+    /// Rows handed to an operator above the sources, counted once per
+    /// operator that receives them (a build-side row counts where it is
+    /// matched, not where it is stored).
     pub rows_processed: u64,
-    /// Distinct tuples *constructed* into intermediate results by
-    /// tuple-building operators (π, ×, ⋈, γ, δ, ∪, ∖, ∩). Scans and
-    /// selections pass existing tuples through and do not count. This is
-    /// the metric the [`crate::planner`] optimizer provably never
-    /// increases: pushing a selection below a tuple-building operator can
-    /// only shrink that operator's output.
+    /// Tuples *constructed* by the tuple-building operators π, ×, ⋈ and γ —
+    /// one per row they emit. Sources, σ, δ, the set operators and μ pass
+    /// existing tuples on and do not count. Operator outputs are streams,
+    /// not sets, so this counts constructions, duplicates included (it used
+    /// to count each operator's distinct output). It is the metric the
+    /// [`crate::planner`] optimizer provably never increases: pushing a
+    /// selection below a tuple-building operator can only shrink what that
+    /// operator emits.
     pub intermediate_tuples: u64,
 }
 
@@ -121,7 +156,7 @@ impl From<PlanError> for ExecError {
 pub fn execute(plan: &Plan, db: &Database) -> Result<(QueryResult, ExecStats), ExecError> {
     let mut stats = ExecStats::default();
     let columns = plan.output_columns(db)?;
-    let rows = eval(plan, db, None, &mut stats)?;
+    let rows = collect(plan, db, None, &mut stats)?;
     Ok((QueryResult { columns, rows }, stats))
 }
 
@@ -150,94 +185,110 @@ fn rec_lookup<'a>(env: Option<&'a RecFrame<'a>>, name: &str) -> Option<&'a Count
     None
 }
 
-fn eval(
+/// The consumer of an operator's output: called once per emitted row with
+/// the row's (positive) multiplicity. The counters travel with the row
+/// because producer and consumer both count.
+type Sink<'s> = dyn FnMut(&mut ExecStats, &Tuple, i64) + 's;
+
+/// Runs `plan` and consolidates what it emits — the root's answer, and the
+/// state of the operators that need a whole input before they can emit.
+fn collect(
     plan: &Plan,
     db: &Database,
     env: Option<&RecFrame<'_>>,
     stats: &mut ExecStats,
 ) -> Result<CountedSet, ExecError> {
+    let mut out = CountedSet::new();
+    run(plan, db, env, stats, &mut |_, t, c| {
+        out.add(t.clone(), c);
+    })?;
+    Ok(out)
+}
+
+/// Pushes every row of `plan`'s output into `sink`. Each operator binds its
+/// own names first, so binding errors surface before any row flows.
+fn run(
+    plan: &Plan,
+    db: &Database,
+    env: Option<&RecFrame<'_>>,
+    stats: &mut ExecStats,
+    sink: &mut Sink<'_>,
+) -> Result<(), ExecError> {
     match plan {
         Plan::Scan { relation, .. } => {
-            let rel = db
-                .relation(relation)
-                .map_err(|_| PlanError::UnknownRelation(relation.to_string()))?;
+            let rel = relation_of(db, relation)?;
             stats.tuples_scanned += rel.len() as u64;
-            Ok(rel.to_counted_set())
+            rel.tuples().for_each(|t| sink(stats, t, 1));
+            Ok(())
         }
         Plan::Select { input, predicate } => {
-            // Index fast path: σ_{col = lit} directly over a scan probes the
-            // secondary index when one exists (the paper's experiments run
-            // without an index on STRING, so Query 1 takes the scan path).
-            if let Plan::Scan { relation, .. } = &**input {
-                if let Some(set) = try_index_probe(relation, predicate, input, db, stats)? {
-                    return Ok(set);
-                }
-            }
-            let in_cols = input.output_columns(db)?;
-            let bound = bind(predicate, &in_cols)?;
-            let rows = eval(input, db, env, stats)?;
-            let mut out = CountedSet::new();
-            for (t, c) in rows.iter() {
+            let bound = bind(predicate, &input.output_columns(db)?)?;
+            let mut filter = |stats: &mut ExecStats, t: &Tuple, c: i64| {
                 stats.rows_processed += 1;
                 if bound.matches(t) {
-                    out.add(t.clone(), c);
+                    sink(stats, t, c);
+                }
+            };
+            if let Plan::Scan { relation, .. } = &**input {
+                let rel = relation_of(db, relation)?;
+                if let Some(read) = probe(rel, &bound, &mut |t| filter(stats, t, 1)) {
+                    stats.tuples_scanned += read;
+                    return Ok(());
                 }
             }
-            Ok(out)
+            run(input, db, env, stats, &mut filter)
         }
         Plan::Project { input, columns } => {
-            let in_cols = input.output_columns(db)?;
-            let indices = resolve_all(columns, &in_cols)?;
-            let rows = eval(input, db, env, stats)?;
-            let mut out = CountedSet::new();
-            for (t, c) in rows.iter() {
+            let indices = resolve_all(columns, &input.output_columns(db)?)?;
+            run(input, db, env, stats, &mut |stats, t, c| {
                 stats.rows_processed += 1;
-                out.add(t.project(&indices), c);
-            }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+                stats.intermediate_tuples += 1;
+                sink(stats, &t.project(&indices), c);
+            })
         }
         Plan::Product { left, right } => {
-            let l = eval(left, db, env, stats)?;
-            let r = eval(right, db, env, stats)?;
-            let mut out = CountedSet::new();
-            for (lt, lc) in l.iter() {
-                for (rt, rc) in r.iter() {
+            let mut build: Vec<(Tuple, i64)> = Vec::new();
+            run(right, db, env, stats, &mut |_, t, c| {
+                build.push((t.clone(), c))
+            })?;
+            run(left, db, env, stats, &mut |stats, lt, lc| {
+                for (rt, rc) in &build {
                     stats.rows_processed += 1;
-                    out.add(lt.concat(rt), lc * rc);
+                    stats.intermediate_tuples += 1;
+                    sink(stats, &lt.concat(rt), lc * rc);
                 }
-            }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+            })
         }
         Plan::Join { left, right, on } => {
-            let l_cols = left.output_columns(db)?;
-            let r_cols = right.output_columns(db)?;
-            let (lk, rk) = join_key_indices(on, &l_cols, &r_cols)?;
-            let l = eval(left, db, env, stats)?;
-            let r = eval(right, db, env, stats)?;
-            // Hash join: build on the right, probe with the left. The table
-            // keys hash via the tuples' cached fingerprints (see fasthash).
-            let mut table: FxHashMap<Tuple, Vec<(&Tuple, i64)>> = FxHashMap::default();
-            for (rt, rc) in r.iter() {
-                table.entry(rt.project(&rk)).or_default().push((rt, rc));
-            }
-            let mut out = CountedSet::new();
-            for (lt, lc) in l.iter() {
+            let (lk, rk) =
+                join_key_indices(on, &left.output_columns(db)?, &right.output_columns(db)?)?;
+            // Hash join: build on the right, probe with the left. Keys are
+            // projected into one scratch buffer; a key tuple is allocated
+            // only when the table meets it for the first time.
+            let mut key = Vec::new();
+            let mut table: TupleMap<Vec<(Tuple, i64)>> = TupleMap::new();
+            run(right, db, env, stats, &mut |_, rt, rc| {
+                rt.project_into(&rk, &mut key);
+                // NULL never joins, so such a row could never be matched.
+                if !key.iter().any(Value::is_null) {
+                    table
+                        .get_or_insert_with(fingerprint_values(&key), &key, Vec::new)
+                        .push((rt.clone(), rc));
+                }
+            })?;
+            run(left, db, env, stats, &mut |stats, lt, lc| {
                 stats.rows_processed += 1;
-                let key = lt.project(&lk);
-                if key.values().iter().any(Value::is_null) {
-                    continue; // NULL never joins
+                lt.project_into(&lk, &mut key);
+                for (rt, rc) in table
+                    .get(fingerprint_values(&key), &key)
+                    .into_iter()
+                    .flatten()
+                {
+                    stats.rows_processed += 1;
+                    stats.intermediate_tuples += 1;
+                    sink(stats, &lt.concat(rt), lc * rc);
                 }
-                if let Some(matches) = table.get(&key) {
-                    for (rt, rc) in matches {
-                        stats.rows_processed += 1;
-                        out.add(lt.concat(rt), lc * rc);
-                    }
-                }
-            }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+            })
         }
         Plan::Aggregate {
             input,
@@ -247,72 +298,87 @@ fn eval(
             let in_cols = input.output_columns(db)?;
             let group_idx = resolve_all(group_by, &in_cols)?;
             let specs = bind_aggs(aggs, &in_cols)?;
-            let rows = eval(input, db, env, stats)?;
-            let mut groups: FxHashMap<Tuple, Vec<AggAcc>> = FxHashMap::default();
-            for (t, c) in rows.iter() {
-                stats.rows_processed += 1;
-                let key = t.project(&group_idx);
-                let accs = groups
-                    .entry(key)
-                    .or_insert_with(|| specs.iter().map(AggAcc::new).collect());
+            let fresh = || specs.iter().map(AggAcc::new).collect::<Vec<_>>();
+            let feed = |accs: &mut [AggAcc], t: &Tuple, c: i64| {
                 for (acc, spec) in accs.iter_mut().zip(&specs) {
                     acc.update(spec, t, c);
                 }
+            };
+            let mut emit = |stats: &mut ExecStats, key: &[Value], accs: &[AggAcc]| {
+                let row = key.iter().cloned().chain(accs.iter().map(AggAcc::finish));
+                stats.intermediate_tuples += 1;
+                sink(stats, &Tuple::new(row.collect()), 1);
+            };
+            if group_idx.is_empty() {
+                // A global aggregate is one group, present even over an
+                // empty input: no key, no table.
+                let mut accs = fresh();
+                run(input, db, env, stats, &mut |stats, t, c| {
+                    stats.rows_processed += 1;
+                    feed(&mut accs, t, c);
+                })?;
+                emit(stats, &[], &accs);
+            } else {
+                let mut key = Vec::new();
+                let mut groups: TupleMap<Vec<AggAcc>> = TupleMap::new();
+                run(input, db, env, stats, &mut |stats, t, c| {
+                    stats.rows_processed += 1;
+                    t.project_into(&group_idx, &mut key);
+                    feed(
+                        groups.get_or_insert_with(fingerprint_values(&key), &key, fresh),
+                        t,
+                        c,
+                    );
+                })?;
+                for (key, accs) in groups.iter() {
+                    emit(stats, key.values(), accs);
+                }
             }
-            // A global aggregate over an empty input still emits one row.
-            if group_idx.is_empty() && groups.is_empty() {
-                groups.insert(Tuple::new(vec![]), specs.iter().map(AggAcc::new).collect());
-            }
-            let mut out = CountedSet::new();
-            for (key, accs) in groups {
-                let mut vals: Vec<Value> = key.values().to_vec();
-                vals.extend(accs.iter().map(AggAcc::finish));
-                out.add(Tuple::new(vals), 1);
-            }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+            Ok(())
         }
         Plan::Distinct { input } => {
-            let rows = eval(input, db, env, stats)?;
-            let mut out = CountedSet::new();
-            for t in rows.support() {
+            let mut seen: FxHashSet<Tuple> = FxHashSet::default();
+            run(input, db, env, stats, &mut |stats, t, _| {
                 stats.rows_processed += 1;
-                out.add(t.clone(), 1);
-            }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+                if !seen.contains(t) {
+                    seen.insert(t.clone());
+                    sink(stats, t, 1);
+                }
+            })
         }
         Plan::Union { left, right } => {
-            let mut l = eval(left, db, env, stats)?;
-            let r = eval(right, db, env, stats)?;
-            stats.rows_processed += r.distinct_len() as u64;
-            l.merge_owned(r);
-            stats.intermediate_tuples += l.distinct_len() as u64;
-            Ok(l)
+            run(left, db, env, stats, sink)?;
+            run(right, db, env, stats, sink)
         }
         Plan::Difference { left, right } => {
-            let l = eval(left, db, env, stats)?;
-            let r = eval(right, db, env, stats)?;
-            let mut out = CountedSet::new();
-            for (t, lc) in l.iter() {
+            // Monus, `max(0, L(t) − R(t))`: the right input is subtracted
+            // from the consolidated left row by row. `contains` is false
+            // once a count is spent, so further right rows leave it alone.
+            let mut rows = collect(left, db, env, stats)?;
+            run(right, db, env, stats, &mut |stats, t, c| {
                 stats.rows_processed += 1;
-                let c = (lc - r.count(t)).max(0);
-                out.add(t.clone(), c);
-            }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+                if rows.contains(t) {
+                    rows.add(t.clone(), -c);
+                }
+            })?;
+            emit_positive(&rows, stats, sink);
+            Ok(())
         }
         Plan::Intersect { left, right } => {
-            let l = eval(left, db, env, stats)?;
-            let r = eval(right, db, env, stats)?;
-            let mut out = CountedSet::new();
-            for (t, lc) in l.iter() {
+            // `min(L(t), R(t))`: of the right input only the rows the left
+            // holds are kept.
+            let l = collect(left, db, env, stats)?;
+            let mut r = CountedSet::new();
+            run(right, db, env, stats, &mut |stats, t, c| {
                 stats.rows_processed += 1;
-                let c = lc.min(r.count(t)).max(0);
-                out.add(t.clone(), c);
+                if l.contains(t) {
+                    r.add(t.clone(), c);
+                }
+            })?;
+            for (t, rc) in r.iter() {
+                sink(stats, t, rc.min(l.count(t)));
             }
-            stats.intermediate_tuples += out.distinct_len() as u64;
-            Ok(out)
+            Ok(())
         }
         Plan::Fixpoint {
             base,
@@ -322,76 +388,159 @@ fn eval(
             cap,
             ..
         } => {
-            let base_rows = eval(base, db, env, stats)?;
-            let rows = if *all {
+            let mut acc = collect(base, db, env, stats)?;
+            let mut iters = 0usize;
+            if *all {
                 // Bag semantics (UNION ALL): working-table iteration. The
                 // answer is the sum of every step application; on cyclic
                 // data the working table never empties and the cap fires.
-                let mut acc = base_rows.clone();
-                let mut working = base_rows;
-                let mut iters = 0usize;
+                let mut working = acc.clone();
                 while !working.is_empty() {
                     iters += 1;
                     if iters > *cap {
                         return Err(ExecError::FixpointLimit { cap: *cap });
                     }
-                    let produced = {
-                        let frame = RecFrame {
-                            parent: env,
-                            name: rec,
-                            rows: &working,
-                        };
-                        eval(step, db, Some(&frame), stats)?
+                    let frame = RecFrame {
+                        parent: env,
+                        name: rec,
+                        rows: &working,
                     };
+                    let produced = collect(step, db, Some(&frame), stats)?;
                     acc.merge(&produced);
                     working = produced;
                 }
-                acc
             } else {
                 // Set semantics (UNION): iterated naive fixpoint, the
                 // differential oracle for the circuit's semi-naive variant.
                 // Rᵢ₊₁ = δ(base ∪ step(Rᵢ)); stop when nothing new appears.
-                let mut acc = CountedSet::new();
-                for t in base_rows.support() {
-                    acc.add(t.clone(), 1);
-                }
-                let mut iters = 0usize;
+                // Of each application only the rows not yet derived are
+                // kept.
+                acc = acc.support().cloned().collect();
                 loop {
                     iters += 1;
                     if iters > *cap {
                         return Err(ExecError::FixpointLimit { cap: *cap });
                     }
-                    let produced = {
-                        let frame = RecFrame {
-                            parent: env,
-                            name: rec,
-                            rows: &acc,
-                        };
-                        eval(step, db, Some(&frame), stats)?
+                    let mut fresh: FxHashSet<Tuple> = FxHashSet::default();
+                    let frame = RecFrame {
+                        parent: env,
+                        name: rec,
+                        rows: &acc,
                     };
-                    let mut grew = false;
-                    for t in produced.support() {
-                        if !acc.contains(t) {
-                            acc.add(t.clone(), 1);
-                            grew = true;
+                    run(step, db, Some(&frame), stats, &mut |_, t, _| {
+                        if !acc.contains(t) && !fresh.contains(t) {
+                            fresh.insert(t.clone());
                         }
-                    }
-                    if !grew {
+                    })?;
+                    if fresh.is_empty() {
                         break;
                     }
+                    for t in fresh {
+                        acc.add(t, 1);
+                    }
                 }
-                acc
-            };
-            stats.intermediate_tuples += rows.distinct_len() as u64;
-            Ok(rows)
-        }
-        Plan::Rec { name, .. } => match rec_lookup(env, name) {
-            Some(rows) => {
-                stats.rows_processed += rows.distinct_len() as u64;
-                Ok(rows.clone())
             }
-            None => Err(ExecError::UnboundRecursion(name.to_string())),
-        },
+            emit_positive(&acc, stats, sink);
+            Ok(())
+        }
+        Plan::Rec { name, .. } => {
+            let rows = rec_lookup(env, name)
+                .ok_or_else(|| ExecError::UnboundRecursion(name.to_string()))?;
+            for (t, c) in rows.iter() {
+                stats.rows_processed += 1;
+                sink(stats, t, c);
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Emits the entries of an operator's consolidated state that are left
+/// above zero.
+fn emit_positive(rows: &CountedSet, stats: &mut ExecStats, sink: &mut Sink<'_>) {
+    for (t, c) in rows.iter() {
+        if c > 0 {
+            sink(stats, t, c);
+        }
+    }
+}
+
+fn relation_of<'a>(db: &'a Database, name: &str) -> Result<&'a Relation, ExecError> {
+    db.relation(name)
+        .map_err(|_| ExecError::Plan(PlanError::UnknownRelation(name.to_string())))
+}
+
+/// Answers `σ_pred(rel)` from the primary-key index or a secondary index
+/// when one can name the candidate rows: the first top-level conjunct of
+/// `pred` of the form `col = literal` over such a column decides. The
+/// candidates go to `emit` — a superset of the answer (they satisfy one
+/// conjunct), so the caller still applies `pred` — and their number comes
+/// back. `None` means no conjunct qualifies, nothing was emitted and the
+/// relation must be scanned.
+fn probe(rel: &Relation, pred: &BoundExpr, emit: &mut dyn FnMut(&Tuple)) -> Option<u64> {
+    let mut conjuncts = vec![pred];
+    while let Some(e) = conjuncts.pop() {
+        let (col, lit) = match e {
+            BoundExpr::And(a, b) => {
+                conjuncts.push(b);
+                conjuncts.push(a);
+                continue;
+            }
+            BoundExpr::Cmp(CmpOp::Eq, a, b) => match (&**a, &**b) {
+                (BoundExpr::Column(c), BoundExpr::Literal(v))
+                | (BoundExpr::Literal(v), BoundExpr::Column(c)) => (*c, v),
+                _ => continue,
+            },
+            _ => continue,
+        };
+        if lit.is_null() {
+            // `col = NULL` is unknown for every row, and a conjunction with
+            // an unknown conjunct is never true.
+            return Some(0);
+        }
+        let Some(key) = rel
+            .schema()
+            .columns()
+            .get(col)
+            .and_then(|c| probe_key(c.ty, lit))
+        else {
+            continue;
+        };
+        let by_pk;
+        let rids = if rel.schema().primary_key() == Some(col) {
+            by_pk = rel.find_by_pk(&key);
+            by_pk.as_slice()
+        } else if let Some(rids) = rel.index_lookup(col, &key) {
+            rids
+        } else {
+            continue;
+        };
+        let mut read = 0;
+        for t in rids.iter().filter_map(|rid| rel.get(*rid)) {
+            read += 1;
+            emit(t);
+        }
+        return Some(read);
+    }
+    None
+}
+
+/// The one stored value of a column declared `ty` that `lit` equals under
+/// [`Value::sql_cmp`], when there is exactly one. An index is a map from
+/// stored values, and a column stores only its declared type (or NULL), so
+/// a literal of that type is its own key, and a `Float` against an `Int`
+/// column is the integer it denotes — below 2⁵³, where `i64 → f64` is
+/// exact and one-to-one. Everything else (fractional or huge floats, `-0.0`,
+/// an `Int` against a `Float` column, mismatched types) has no single key.
+fn probe_key(ty: ValueType, lit: &Value) -> Option<Value> {
+    match lit {
+        Value::Float(f) if ty == ValueType::Int => {
+            let i = f.get() as i64;
+            let exact = (i as f64).to_bits() == f.get().to_bits() && i.unsigned_abs() < 1 << 53;
+            exact.then_some(Value::Int(i))
+        }
+        _ if lit.value_type() == ty => Some(lit.clone()),
+        _ => None,
     }
 }
 
@@ -400,14 +549,13 @@ fn bind(expr: &Expr, cols: &[Arc<str>]) -> Result<BoundExpr, ExecError> {
         .map_err(|c| ExecError::Plan(PlanError::UnknownColumn(c)))
 }
 
+fn resolve(cols: &[Arc<str>], name: &str) -> Result<usize, ExecError> {
+    resolve_column(cols, name)
+        .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(name.to_string())))
+}
+
 fn resolve_all(names: &[Arc<str>], cols: &[Arc<str>]) -> Result<Vec<usize>, ExecError> {
-    names
-        .iter()
-        .map(|n| {
-            resolve_column(cols, n)
-                .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(n.to_string())))
-        })
-        .collect()
+    names.iter().map(|n| resolve(cols, n)).collect()
 }
 
 /// Resolved join keys `(left positions, right positions)`.
@@ -419,14 +567,8 @@ pub(crate) fn join_key_indices(
     let mut lk = Vec::with_capacity(on.len());
     let mut rk = Vec::with_capacity(on.len());
     for (l, r) in on {
-        lk.push(
-            resolve_column(l_cols, l)
-                .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(l.to_string())))?,
-        );
-        rk.push(
-            resolve_column(r_cols, r)
-                .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(r.to_string())))?,
-        );
+        lk.push(resolve(l_cols, l)?);
+        rk.push(resolve(r_cols, r)?);
     }
     Ok((lk, rk))
 }
@@ -434,44 +576,31 @@ pub(crate) fn join_key_indices(
 /// Bound aggregate specification shared by the executor and the view layer.
 #[derive(Clone, Debug)]
 pub(crate) struct AggSpec {
-    pub kind: AggKind,
-    pub filter: Option<BoundExpr>,
+    kind: AggKind,
+    /// Position of the aggregated input column (unused by `COUNT(*)`).
+    col: usize,
+    filter: Option<BoundExpr>,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) enum AggKind {
+#[derive(Clone, Copy, Debug)]
+enum AggKind {
     Count,
-    Sum(usize),
-    Min(usize),
-    Max(usize),
+    Sum,
+    Min,
+    Max,
 }
 
 pub(crate) fn bind_aggs(aggs: &[AggExpr], cols: &[Arc<str>]) -> Result<Vec<AggSpec>, ExecError> {
     aggs.iter()
         .map(|a| {
-            let kind = match &a.func {
-                AggFunc::Count => AggKind::Count,
-                AggFunc::Sum(c) => AggKind::Sum(
-                    resolve_column(cols, c)
-                        .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(c.to_string())))?,
-                ),
-                AggFunc::Min(c) => AggKind::Min(
-                    resolve_column(cols, c)
-                        .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(c.to_string())))?,
-                ),
-                AggFunc::Max(c) => AggKind::Max(
-                    resolve_column(cols, c)
-                        .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(c.to_string())))?,
-                ),
+            let (kind, col) = match &a.func {
+                AggFunc::Count => (AggKind::Count, 0),
+                AggFunc::Sum(c) => (AggKind::Sum, resolve(cols, c)?),
+                AggFunc::Min(c) => (AggKind::Min, resolve(cols, c)?),
+                AggFunc::Max(c) => (AggKind::Max, resolve(cols, c)?),
             };
-            let filter = match &a.filter {
-                Some(f) => Some(
-                    f.bind(cols)
-                        .map_err(|c| ExecError::Plan(PlanError::UnknownColumn(c)))?,
-                ),
-                None => None,
-            };
-            Ok(AggSpec { kind, filter })
+            let filter = a.filter.as_ref().map(|f| bind(f, cols)).transpose()?;
+            Ok(AggSpec { kind, col, filter })
         })
         .collect()
 }
@@ -504,41 +633,36 @@ impl AggAcc {
     pub fn new(spec: &AggSpec) -> AggAcc {
         match spec.kind {
             AggKind::Count => AggAcc::Count(0),
-            AggKind::Sum(_) => AggAcc::Sum {
+            AggKind::Sum => AggAcc::Sum {
                 int: 0,
                 float: 0.0,
                 n: 0,
                 saw_float: false,
             },
-            AggKind::Min(_) => AggAcc::Extremum {
+            AggKind::Min | AggKind::Max => AggAcc::Extremum {
                 values: Default::default(),
-                max: false,
-            },
-            AggKind::Max(_) => AggAcc::Extremum {
-                values: Default::default(),
-                max: true,
+                max: matches!(spec.kind, AggKind::Max),
             },
         }
     }
 
-    /// Applies one input row with signed multiplicity `mult`.
+    /// Applies one input row with signed multiplicity `mult`. `spec` is the
+    /// one this accumulator was built from; it supplies the filter and the
+    /// input column.
     pub fn update(&mut self, spec: &AggSpec, row: &Tuple, mult: i64) {
         if let Some(f) = &spec.filter {
             if !f.matches(row) {
                 return;
             }
         }
-        match (self, &spec.kind) {
-            (AggAcc::Count(n), AggKind::Count) => *n += mult,
-            (
-                AggAcc::Sum {
-                    int,
-                    float,
-                    n,
-                    saw_float,
-                },
-                AggKind::Sum(col),
-            ) => match row.get(*col) {
+        match self {
+            AggAcc::Count(n) => *n += mult,
+            AggAcc::Sum {
+                int,
+                float,
+                n,
+                saw_float,
+            } => match row.get(spec.col) {
                 Value::Int(v) => {
                     *int += *v as i128 * mult as i128;
                     *n += mult;
@@ -551,8 +675,8 @@ impl AggAcc {
                 // NULLs and non-numeric values are skipped, as before.
                 _ => {}
             },
-            (AggAcc::Extremum { values, .. }, AggKind::Min(col) | AggKind::Max(col)) => {
-                let v = row.get(*col);
+            AggAcc::Extremum { values, .. } => {
+                let v = row.get(spec.col);
                 if !v.is_null() {
                     let e = values.entry(v.clone()).or_insert(0);
                     *e += mult;
@@ -561,7 +685,6 @@ impl AggAcc {
                     }
                 }
             }
-            _ => unreachable!("accumulator/spec mismatch"),
         }
     }
 
@@ -604,47 +727,6 @@ impl AggAcc {
     }
 }
 
-/// Attempts an index probe for `σ_{col = lit}(Scan)`. Returns `Ok(None)` when
-/// no usable index exists.
-fn try_index_probe(
-    relation: &Arc<str>,
-    predicate: &Expr,
-    scan: &Plan,
-    db: &Database,
-    stats: &mut ExecStats,
-) -> Result<Option<CountedSet>, ExecError> {
-    let rel = db
-        .relation(relation)
-        .map_err(|_| PlanError::UnknownRelation(relation.to_string()))?;
-    // Only a single top-level `col = literal` comparison qualifies.
-    let (col_name, lit) = match predicate {
-        Expr::Cmp(crate::expr::CmpOp::Eq, a, b) => match (&**a, &**b) {
-            (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-                (Arc::clone(c), v.clone())
-            }
-            _ => return Ok(None),
-        },
-        _ => return Ok(None),
-    };
-    let cols = scan.output_columns(db)?;
-    let Some(idx) = resolve_column(&cols, &col_name) else {
-        return Err(ExecError::Plan(PlanError::UnknownColumn(
-            col_name.to_string(),
-        )));
-    };
-    let Some(rows) = rel.index_lookup(idx, &lit) else {
-        return Ok(None);
-    };
-    let mut out = CountedSet::new();
-    for rid in rows {
-        if let Some(t) = rel.get(*rid) {
-            stats.tuples_scanned += 1;
-            out.add(t.clone(), 1);
-        }
-    }
-    Ok(Some(out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,11 +735,7 @@ mod tests {
     use crate::tuple;
     use crate::value::ValueType;
 
-    /// Small TOKEN world used across executor tests:
-    /// doc 1: "Bill"(B-PER) "said"(O) "Boston"(B-ORG)
-    /// doc 2: "Boston"(B-LOC) "hired"(O) "Ann"(B-PER)
-    /// doc 3: "IBM"(B-ORG) "Ann"(B-PER)
-    fn token_db() -> Database {
+    fn empty_token_db() -> Database {
         let mut db = Database::new();
         let schema = Schema::from_pairs(&[
             ("tok_id", ValueType::Int),
@@ -670,6 +748,15 @@ mod tests {
         .with_primary_key("tok_id")
         .unwrap();
         db.create_relation("TOKEN", schema).unwrap();
+        db
+    }
+
+    /// Small TOKEN world used across executor tests:
+    /// doc 1: "Bill"(B-PER) "said"(O) "Boston"(B-ORG)
+    /// doc 2: "Boston"(B-LOC) "hired"(O) "Ann"(B-PER)
+    /// doc 3: "IBM"(B-ORG) "Ann"(B-PER)
+    fn token_db() -> Database {
+        let mut db = empty_token_db();
         let rows = vec![
             (1, 1, "Bill", "B-PER"),
             (2, 1, "said", "O"),
@@ -858,6 +945,73 @@ mod tests {
         assert_eq!(res.rows.total(), 2);
         // Only the two matching tuples were read, not all 8.
         assert_eq!(stats.tuples_scanned, 2);
+    }
+
+    #[test]
+    fn index_probe_finds_its_conjunct_anywhere_in_a_conjunction() {
+        let mut db = token_db();
+        db.relation_mut("TOKEN")
+            .unwrap()
+            .create_index("string")
+            .unwrap();
+        // The indexed conjunct is second; the first is the residual.
+        let p = Plan::scan("TOKEN").filter(
+            Expr::col("label")
+                .eq(Expr::lit("B-ORG"))
+                .and(Expr::col("string").eq(Expr::lit("Boston"))),
+        );
+        let (res, stats) = execute(&p, &db).unwrap();
+        assert_eq!(res.rows.total(), 1);
+        assert_eq!(stats.tuples_scanned, 2, "both Bostons, nothing else");
+    }
+
+    /// TOKEN with `n` rows, `tok_id` = 0..n, every label `O`.
+    fn sized_token_db(n: i64) -> Database {
+        let mut db = empty_token_db();
+        let rel = db.relation_mut("TOKEN").unwrap();
+        for id in 0..n {
+            rel.insert(tuple![id, id / 50, "w", "O", "O"]).unwrap();
+        }
+        db
+    }
+
+    fn run_sql(sql: &str, db: &Database) -> (QueryResult, ExecStats) {
+        execute(&crate::planner::compile_query(sql, db).unwrap(), db).unwrap()
+    }
+
+    #[test]
+    fn pk_lookup_reads_one_row_at_any_size() {
+        for n in [1_000, 100_000] {
+            let db = sized_token_db(n);
+            let key = n / 2;
+            for (residual, answers) in [("", 1), (" AND label = 'O'", 1), (" AND label = 'X'", 0)] {
+                let sql = format!("SELECT string, label FROM TOKEN WHERE tok_id = {key}{residual}");
+                let (res, stats) = run_sql(&sql, &db);
+                assert_eq!(res.rows.total(), answers, "{sql}");
+                assert_eq!(stats.tuples_scanned, 1, "{sql} at {n} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn pk_lookup_on_a_snapshot_reads_the_snapshots_own_index() {
+        let mut db = sized_token_db(1_000);
+        let snapshot = db.snapshot();
+        // After the fork, row 500 is relabelled and then re-keyed.
+        let rel = db.relation_mut("TOKEN").unwrap();
+        let rid = rel.find_by_pk(&Value::Int(500)).unwrap();
+        rel.update_field(rid, 3, Value::str("B-PER")).unwrap();
+        rel.update_field(rid, 0, Value::Int(5_000)).unwrap();
+
+        let by_key = |key: i64, db: &Database| {
+            let sql = format!("SELECT tok_id, label FROM TOKEN WHERE tok_id = {key}");
+            let (res, stats) = run_sql(&sql, db);
+            (res.rows.sorted_support(), stats.tuples_scanned)
+        };
+        assert_eq!(by_key(500, &snapshot), (vec![tuple![500i64, "O"]], 1));
+        assert_eq!(by_key(5_000, &snapshot), (vec![], 0));
+        assert_eq!(by_key(500, &db), (vec![], 0));
+        assert_eq!(by_key(5_000, &db), (vec![tuple![5_000i64, "B-PER"]], 1));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
+pub mod oracle;
+
 use fgdb_relational::{tuple, Database, DeltaSet, Schema, Tuple, Value, ValueType};
 use std::sync::Arc;
 
