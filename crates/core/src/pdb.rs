@@ -633,8 +633,13 @@ mod tests {
         // `step` returns an empty delta — no panic, store untouched.
         struct Hostile(Vec<VariableId>);
         impl fgdb_mcmc::Proposer for Hostile {
-            fn propose(&mut self, _world: &fgdb_graph::World, _rng: &mut DynRng<'_>) -> Proposal {
-                Proposal::symmetric(vec![(VariableId(7_000), 3), (VariableId(0), 999)])
+            fn propose(
+                &mut self,
+                _world: &fgdb_graph::World,
+                _rng: &mut DynRng<'_>,
+                out: &mut Proposal,
+            ) {
+                out.symmetric([(VariableId(7_000), 3), (VariableId(0), 999)]);
             }
             fn support(&self) -> &[VariableId] {
                 &self.0

@@ -209,8 +209,8 @@ fn mid_document_shard_map_is_rejected_at_the_pdb_boundary() {
 /// weight, so the move from any other label is always accepted).
 struct PinZero;
 impl Proposer for PinZero {
-    fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>) -> Proposal {
-        Proposal::symmetric(vec![(VariableId(0), 1)])
+    fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>, out: &mut Proposal) {
+        out.symmetric([(VariableId(0), 1)]);
     }
     fn support(&self) -> &[VariableId] {
         const V: [VariableId; 1] = [VariableId(0)];

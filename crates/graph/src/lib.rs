@@ -25,7 +25,7 @@ pub use error::ModelError;
 pub use factor::{log_linear, Factor, FnFactor, TableFactor};
 pub use feature::{FeatureVector, Learnable};
 pub use graph::FactorGraph;
-pub use model::{EvalStats, Model};
+pub use model::{score_change_by_apply, ChangeScratch, EvalStats, Model};
 pub use shard::{FactorSpans, ShardError, ShardMap};
 pub use variable::{Domain, VariableId};
 pub use world::World;

@@ -4,7 +4,11 @@
 //! (implicit, constant) observed variables it determines one deterministic
 //! database instance (§3.2). MCMC walks this space by flipping one or a few
 //! entries at a time; the representation is a flat `Vec<u16>` of domain
-//! indexes so a walk step touches a couple of cache lines.
+//! indexes beside a flat `Vec<u32>` of domain sizes, so what a walk step
+//! reads of the world is the changed variable's cardinality and the labels
+//! of its factor neighbours — one cache line of each array for a chain
+//! neighbourhood, one more per distant (skip) neighbour — and what it
+//! writes, only when the proposal is accepted, is the changed entries.
 
 use crate::error::ModelError;
 use crate::variable::{Domain, VariableId};
@@ -15,20 +19,25 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct World {
     domains: Vec<Arc<Domain>>,
+    /// `domains[v].len()`, flat: the proposer and the kernel ask for a
+    /// cardinality every step and should not chase an `Arc` for it.
+    cardinalities: Vec<u32>,
     assignment: Vec<u16>,
+}
+
+fn cardinality_of(domain: &Domain) -> u32 {
+    match u32::try_from(domain.len()) {
+        Ok(card) if card <= u32::from(u16::MAX) + 1 => card,
+        _ => panic!("domain too large for u16 index"),
+    }
 }
 
 impl World {
     /// Creates a world with every variable at domain index 0.
     pub fn new(domains: Vec<Arc<Domain>>) -> Self {
-        for d in &domains {
-            assert!(
-                d.len() <= u16::MAX as usize + 1,
-                "domain too large for u16 index"
-            );
-        }
         let n = domains.len();
         World {
+            cardinalities: domains.iter().map(|d| cardinality_of(d)).collect(),
             domains,
             assignment: vec![0; n],
         }
@@ -38,6 +47,7 @@ impl World {
     pub fn add_variable(&mut self, domain: Arc<Domain>, initial: usize) -> VariableId {
         assert!(initial < domain.len(), "initial index out of domain");
         let id = VariableId(self.domains.len() as u32);
+        self.cardinalities.push(cardinality_of(&domain));
         self.domains.push(domain);
         self.assignment.push(initial as u16);
         id
@@ -63,7 +73,7 @@ impl World {
     /// Sets a variable to a domain index, returning the previous index.
     #[inline]
     pub fn set(&mut self, v: VariableId, idx: usize) -> usize {
-        debug_assert!(idx < self.domains[v.index()].len());
+        debug_assert!(idx < self.cardinality(v));
         let old = self.assignment[v.index()];
         self.assignment[v.index()] = idx as u16;
         old as usize
@@ -88,6 +98,13 @@ impl World {
     /// Domain of a variable.
     pub fn domain(&self, v: VariableId) -> &Arc<Domain> {
         &self.domains[v.index()]
+    }
+
+    /// Number of values in a variable's domain (`domain(v).len()`, read
+    /// from a flat array).
+    #[inline]
+    pub fn cardinality(&self, v: VariableId) -> usize {
+        self.cardinalities[v.index()] as usize
     }
 
     /// Iterates all variable ids.
@@ -124,15 +141,13 @@ impl World {
             domains.len(),
             assignment.len()
         );
-        for (d, &idx) in domains.iter().zip(&assignment) {
-            assert!(
-                d.len() <= u16::MAX as usize + 1,
-                "domain too large for u16 index"
-            );
-            assert!((idx as usize) < d.len(), "assignment index out of domain");
+        let cardinalities: Vec<u32> = domains.iter().map(|d| cardinality_of(d)).collect();
+        for (&card, &idx) in cardinalities.iter().zip(&assignment) {
+            assert!(u32::from(idx) < card, "assignment index out of domain");
         }
         World {
             domains,
+            cardinalities,
             assignment,
         }
     }
@@ -177,6 +192,19 @@ mod tests {
         assert_eq!(w.num_variables(), 2);
         assert_eq!(w.get(VariableId(0)), 0);
         assert_eq!(w.value(VariableId(1)).as_str(), Some("O"));
+    }
+
+    #[test]
+    fn cardinality_is_the_domain_length_however_the_world_was_built() {
+        let pair = Domain::of_labels(&["on", "off"]);
+        let mut w = World::new(vec![bio(), pair.clone()]);
+        w.add_variable(pair, 1);
+        let rebuilt = World::from_parts(w.domains().to_vec(), w.assignment().to_vec());
+        for world in [&w, &rebuilt] {
+            for v in world.variables() {
+                assert_eq!(world.cardinality(v), world.domain(v).len());
+            }
+        }
     }
 
     #[test]

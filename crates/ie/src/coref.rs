@@ -265,7 +265,7 @@ impl SplitMergeProposer {
 }
 
 impl Proposer for SplitMergeProposer {
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
         let n = self.vars.len();
         let i = rng.gen_range(0..n);
         let j = {
@@ -298,11 +298,10 @@ impl Proposer for SplitMergeProposer {
                 };
                 membership.push((m, part));
             }
-            let changes = canonical_changes(&membership, world);
-            Proposal {
-                changes,
-                log_q_ratio: (c as f64 - 2.0) * std::f64::consts::LN_2,
-            }
+            out.set(
+                canonical_changes(&membership, world),
+                (c as f64 - 2.0) * std::f64::consts::LN_2,
+            );
         } else {
             // MERGE cluster(i) ∪ cluster(j). Reverse split pays the coin
             // factor: log q-ratio = −(|C|−2)·ln 2 for |C| = |A| + |B|.
@@ -311,11 +310,10 @@ impl Proposer for SplitMergeProposer {
             let c = a.len() + b.len();
             let membership: Vec<(usize, usize)> =
                 a.iter().chain(b.iter()).map(|&m| (m, 0)).collect();
-            let changes = canonical_changes(&membership, world);
-            Proposal {
-                changes,
-                log_q_ratio: -(c as f64 - 2.0) * std::f64::consts::LN_2,
-            }
+            out.set(
+                canonical_changes(&membership, world),
+                -(c as f64 - 2.0) * std::f64::consts::LN_2,
+            );
         }
     }
 
@@ -341,7 +339,7 @@ impl MentionMoveProposer {
 }
 
 impl Proposer for MentionMoveProposer {
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
         let n = self.vars.len();
         let i = rng.gen_range(0..n);
         let j = {
@@ -365,10 +363,7 @@ impl Proposer for MentionMoveProposer {
                 .map(|&m| (m, usize::from(m == i)))
                 .collect();
             membership.sort();
-            Proposal {
-                changes: canonical_changes(&membership, world),
-                log_q_ratio: 0.0,
-            }
+            out.symmetric(canonical_changes(&membership, world));
         } else {
             // Move i into cluster(j).
             let b_size = clusters[&cj].len();
@@ -392,10 +387,7 @@ impl Proposer for MentionMoveProposer {
                     membership.push((m, 1));
                 }
             }
-            Proposal {
-                changes: canonical_changes(&membership, world),
-                log_q_ratio,
-            }
+            out.set(canonical_changes(&membership, world), log_q_ratio);
         }
     }
 

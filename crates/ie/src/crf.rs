@@ -19,12 +19,20 @@
 //! For the single-variable proposer of §5.1 this is a constant number of
 //! factor evaluations regardless of corpus size — the claim of Appendix 9.2
 //! that experiment E7 verifies through [`EvalStats`].
+//!
+//! That single relabel is also every step the sampler takes over this
+//! model, so [`Crf`] overrides [`Model::score_change`] for it: one traversal
+//! of the token's neighbourhood reads the observed data and the neighbours'
+//! labels once and accumulates the score under the old and the new label
+//! side by side, in the factor order of the two-pass default body — so the
+//! two agree bit for bit and count the same [`EvalStats`]
+//! (`tests/prop_relabel.rs`). Multi-variable change sets take the default.
 
 use crate::bio::{Label, NUM_LABELS};
 use crate::corpus::Corpus;
 use fgdb_graph::{
-    Domain, EvalStats, FactorSpans, FeatureVector, Learnable, Model, ModelError, ShardError,
-    ShardMap, VariableId, World,
+    score_change_by_apply, ChangeScratch, Domain, EvalStats, FactorSpans, FeatureVector, Learnable,
+    Model, ModelError, ShardError, ShardMap, VariableId, World,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -184,6 +192,14 @@ impl FeatureLayout {
     }
 }
 
+/// Index of an unordered label pair in the skip table (symmetric
+/// parametrization: the pair is canonicalized).
+#[inline]
+fn skip_index(la: usize, lb: usize) -> usize {
+    let (lo, hi) = if la <= lb { (la, lb) } else { (lb, la) };
+    lo * L + hi
+}
+
 /// A (skip-)chain CRF over a token sequence.
 pub struct Crf {
     data: Arc<TokenSeqData>,
@@ -329,13 +345,6 @@ impl Crf {
         }
     }
 
-    #[inline]
-    fn skip_weight(&self, la: usize, lb: usize) -> f64 {
-        // Symmetric parametrization: canonicalize the unordered label pair.
-        let (lo, hi) = if la <= lb { (la, lb) } else { (lb, la) };
-        self.skip[lo * L + hi]
-    }
-
     /// Enumerates the factors adjacent to `vars`, each exactly once, calling
     /// `f(factor_kind, score_or_feature)`. The closure receives the factor's
     /// feature id and its current log-weight; both scoring and feature
@@ -399,11 +408,8 @@ impl Crf {
                         continue; // counted from j's side
                     }
                     let lj = get(j);
-                    let (lo, hi) = if lt <= lj { (lt, lj) } else { (lj, lt) };
-                    f(
-                        self.layout.bias + (lo * L + hi) as u64,
-                        self.skip_weight(lt, lj),
-                    );
+                    let pair = skip_index(lt, lj);
+                    f(self.layout.bias + pair as u64, self.skip[pair]);
                 }
             }
         }
@@ -434,7 +440,7 @@ impl Model for Crf {
                     let j = j as usize;
                     if j > t {
                         let lj = world.get(VariableId(j as u32));
-                        sum += self.skip_weight(lt, lj);
+                        sum += self.skip[skip_index(lt, lj)];
                         stats.factors_evaluated += 1;
                     }
                 }
@@ -451,6 +457,58 @@ impl Model for Crf {
             stats.factors_evaluated += 1;
         });
         sum
+    }
+
+    /// A single relabel is scored in one pass (see the module docs); the
+    /// factor order — emission, bias, previous-word emission, left and right
+    /// transition, skip edges — is `for_each_neighborhood_factor_with`'s, and
+    /// must stay so.
+    fn score_change(
+        &self,
+        world: &mut World,
+        changes: &[(VariableId, usize)],
+        scratch: &mut ChangeScratch,
+        stats: &mut EvalStats,
+    ) -> (f64, f64) {
+        let &[(var, new)] = changes else {
+            return score_change_by_apply(self, world, changes, scratch, stats);
+        };
+        let label = |t: usize| world.get(VariableId(t as u32));
+        let data = &*self.data;
+        let t = var.index();
+        let old = label(t);
+        let sid = data.string_ids[t] as usize;
+        let mut before = 0.0;
+        let mut after = 0.0;
+        let mut both = |weights: &[f64], at_old: usize, at_new: usize| {
+            before += weights[at_old];
+            after += weights[at_new];
+        };
+        both(&self.emission, sid * L + old, sid * L + new);
+        both(&self.bias, old, new);
+        let mut factors = 2;
+        if t > 0 && data.same_doc(t - 1, t) {
+            let psid = data.string_ids[t - 1] as usize;
+            both(&self.prev_emission, psid * L + old, psid * L + new);
+            let lp = label(t - 1);
+            both(&self.transition, lp * L + old, lp * L + new);
+            factors += 2;
+        }
+        if t + 1 < data.num_tokens() && data.same_doc(t, t + 1) {
+            let ln = label(t + 1);
+            both(&self.transition, old * L + ln, new * L + ln);
+            factors += 1;
+        }
+        if self.use_skip {
+            for &j in data.skip_neighbors(t) {
+                let lj = label(j as usize);
+                both(&self.skip, skip_index(old, lj), skip_index(new, lj));
+                factors += 1;
+            }
+        }
+        stats.neighborhood_scores += 2;
+        stats.factors_evaluated += 2 * factors;
+        (before, after)
     }
 
     fn score_neighborhood_whatif(

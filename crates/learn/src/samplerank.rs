@@ -20,7 +20,7 @@
 
 use crate::objective::Objective;
 use fgdb_graph::{EvalStats, FeatureVector, Learnable, ModelError, VariableId, World};
-use fgdb_mcmc::{DynRng, Proposer};
+use fgdb_mcmc::{DynRng, Proposal, Proposer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,13 +101,11 @@ where
     let mut stats = TrainStats::default();
     let mut eval = EvalStats::default();
     let mut touched: Vec<VariableId> = Vec::new();
+    let mut proposal = Proposal::default();
 
     for _ in 0..config.steps {
         stats.steps += 1;
-        let proposal = {
-            let mut dyn_rng = DynRng::from(&mut rng);
-            proposer.propose(world, &mut dyn_rng)
-        };
+        proposer.propose(world, &mut DynRng::from(&mut rng), &mut proposal);
 
         touched.clear();
         for (v, _) in &proposal.changes {

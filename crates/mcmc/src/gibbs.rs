@@ -61,9 +61,9 @@ impl<M: Model> GibbsRelabel<M> {
 }
 
 impl<M: Model> Proposer for GibbsRelabel<M> {
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
         let v = self.vars[rng.gen_range(0..self.vars.len())];
-        let card = world.domain(v).len();
+        let card = world.cardinality(v);
         let current = world.get(v);
 
         // Score the neighborhood under every candidate value via the
@@ -93,10 +93,7 @@ impl<M: Model> Proposer for GibbsRelabel<M> {
             // The score difference the kernel will add is
             // score(chosen) − score(current); cancel it exactly.
             ;
-        Proposal {
-            changes: vec![(v, chosen)],
-            log_q_ratio,
-        }
+        out.set([(v, chosen)], log_q_ratio);
     }
 
     fn support(&self) -> &[VariableId] {

@@ -10,10 +10,21 @@
 //! variables** (the cancellation of Appendix 9.2) and entirely in log space,
 //! so the #P-hard normalizer `Z_X` never appears and each step is O(1) in
 //! the database size for constant-size proposals.
+//!
+//! There is one step path. The proposer fills a [`Proposal`] buffer the
+//! kernel owns; the model scores that change set through its one primitive,
+//! [`Model::score_change`], which returns the neighbourhood score before and
+//! after *without committing the change*; the world is written only on
+//! acceptance, and each write is handed to the caller's `on_change`. A step
+//! allocates nothing — `walk` is that step in a loop, `step` is the same
+//! step collecting its writes into a [`StepOutcome`]. How many passes over
+//! the neighbourhood the scoring takes is the model's business (the generic
+//! body takes two, the CRF one for a relabel); the kernel has no fork on
+//! proposal shape.
 
 use crate::proposal::{Proposal, Proposer};
 use crate::rng::DynRng;
-use fgdb_graph::{EvalStats, Model, VariableId, World};
+use fgdb_graph::{ChangeScratch, EvalStats, Model, VariableId, World};
 use rand::Rng;
 
 /// Counters for a kernel's lifetime.
@@ -23,7 +34,10 @@ pub struct KernelStats {
     pub proposals: u64,
     /// Proposals accepted.
     pub accepted: u64,
-    /// Factor-evaluation counters from the model.
+    /// Factor-evaluation counters from the model: every scored proposal
+    /// counts two neighbourhood scorings (the changed variables' factors
+    /// under the current and under the proposed assignment), however many
+    /// passes over the neighbourhood the model needed to compute them.
     pub eval: EvalStats,
 }
 
@@ -53,9 +67,10 @@ pub struct MetropolisHastings<M> {
     model: M,
     proposer: Box<dyn Proposer>,
     stats: KernelStats,
-    /// Scratch buffers reused across steps to keep the hot loop allocation-free.
-    touched: Vec<VariableId>,
-    applied: Vec<(VariableId, usize, usize)>,
+    /// The one proposal buffer: the proposer overwrites it every step.
+    proposal: Proposal,
+    /// Buffers for models that score a change set by applying it.
+    scratch: ChangeScratch,
 }
 
 impl<M: Model> MetropolisHastings<M> {
@@ -65,8 +80,8 @@ impl<M: Model> MetropolisHastings<M> {
             model,
             proposer,
             stats: KernelStats::default(),
-            touched: Vec::new(),
-            applied: Vec::new(),
+            proposal: Proposal::default(),
+            scratch: ChangeScratch::default(),
         }
     }
 
@@ -91,94 +106,64 @@ impl<M: Model> MetropolisHastings<M> {
         self.proposer.support()
     }
 
-    /// Executes one MH step in place, returning what (if anything) changed.
-    pub fn step(&mut self, world: &mut World, rng: &mut DynRng<'_>) -> StepOutcome {
-        self.stats.proposals += 1;
-        let proposal = self.proposer.propose(world, rng);
-        self.step_with(world, proposal, rng)
-    }
-
-    /// Executes one MH step with an externally supplied proposal (used by
-    /// SampleRank, which needs to observe the proposal before the accept
-    /// decision).
-    pub fn step_with(
+    /// The one MH step every entry point runs: draw a proposal into the
+    /// kernel's buffer, have the model score it as a delta against the
+    /// untouched world, and write the world only if it is accepted —
+    /// reporting each write that changed a value to `on_change` as
+    /// `(variable, old index, new index)`. Returns whether it was accepted.
+    fn step_reporting(
         &mut self,
         world: &mut World,
-        proposal: Proposal,
         rng: &mut DynRng<'_>,
-    ) -> StepOutcome {
+        mut on_change: impl FnMut(VariableId, usize, usize),
+    ) -> bool {
+        self.stats.proposals += 1;
+        self.proposer.propose(world, rng, &mut self.proposal);
+        let Proposal {
+            changes,
+            log_q_ratio,
+        } = &self.proposal;
+
         // A malformed proposal — a variable id outside the world or a
         // domain index outside the variable's domain — must not abort the
         // engine thread applying it (indexing would panic even in release).
         // It is treated as a rejected no-op move.
-        let malformed = proposal
-            .changes
+        let malformed = changes
             .iter()
-            .any(|&(v, idx)| v.index() >= world.num_variables() || idx >= world.domain(v).len());
+            .any(|&(v, idx)| v.index() >= world.num_variables() || idx >= world.cardinality(v));
         if malformed {
-            return StepOutcome {
-                accepted: false,
-                changes: Vec::new(),
-            };
+            return false;
         }
 
-        // Distinct touched variables.
-        self.touched.clear();
-        for (v, _) in &proposal.changes {
-            if !self.touched.contains(v) {
-                self.touched.push(*v);
-            }
-        }
-
-        // Score the neighborhood before and after applying the change; all
-        // other factors cancel in the ratio (Appendix 9.2).
-        let before = self
-            .model
-            .score_neighborhood(world, &self.touched, &mut self.stats.eval);
-
-        self.applied.clear();
-        for &(v, new) in &proposal.changes {
-            let old = world.set(v, new);
-            self.applied.push((v, old, new));
-        }
-
-        let after = self
-            .model
-            .score_neighborhood(world, &self.touched, &mut self.stats.eval);
-
-        let log_alpha = (after - before) + proposal.log_q_ratio;
-        let accept = if log_alpha >= 0.0 {
-            true
-        } else {
-            // u ~ U(0,1); accept iff log u < log α. `gen::<f64>()` is in
-            // [0,1); ln(0) = -inf rejects only when α is 0.
-            rng.gen::<f64>().ln() < log_alpha
-        };
-
+        // Only the factors next to the changed variables are scored; all
+        // others cancel in the ratio (Appendix 9.2).
+        let (before, after) =
+            self.model
+                .score_change(world, changes, &mut self.scratch, &mut self.stats.eval);
+        let log_alpha = (after - before) + log_q_ratio;
+        // u ~ U(0,1), drawn only when α < 1; accept iff log u < log α.
+        // `gen::<f64>()` is in [0,1); ln(0) = -inf rejects only when α is 0.
+        let accept = log_alpha >= 0.0 || rng.gen::<f64>().ln() < log_alpha;
         if accept {
             self.stats.accepted += 1;
-            // Drop no-op entries (old == new) and report the rest.
-            let changes: Vec<_> = self
-                .applied
-                .iter()
-                .copied()
-                .filter(|(_, old, new)| old != new)
-                .collect();
-            StepOutcome {
-                accepted: true,
-                changes,
-            }
-        } else {
-            // Revert in reverse order so repeated writes to one variable
-            // unwind correctly.
-            for &(v, old, _) in self.applied.iter().rev() {
-                world.set(v, old);
-            }
-            StepOutcome {
-                accepted: false,
-                changes: Vec::new(),
+            for &(v, new) in changes {
+                let old = world.set(v, new);
+                if old != new {
+                    on_change(v, old, new);
+                }
             }
         }
+        accept
+    }
+
+    /// Executes one MH step in place, returning what (if anything) changed.
+    /// The convenience form for tests and experiments that look at single
+    /// steps; a sampler's hot loop is [`MetropolisHastings::walk`], which
+    /// builds no outcome.
+    pub fn step(&mut self, world: &mut World, rng: &mut DynRng<'_>) -> StepOutcome {
+        let mut changes = Vec::new();
+        let accepted = self.step_reporting(world, rng, |v, old, new| changes.push((v, old, new)));
+        StepOutcome { accepted, changes }
     }
 
     /// Runs `n` steps (Algorithm 2's random walk), invoking `on_change` for
@@ -191,10 +176,7 @@ impl<M: Model> MetropolisHastings<M> {
         mut on_change: impl FnMut(VariableId, usize, usize),
     ) {
         for _ in 0..n {
-            let out = self.step(world, rng);
-            for (v, old, new) in out.changes {
-                on_change(v, old, new);
-            }
+            self.step_reporting(world, rng, &mut on_change);
         }
     }
 }
@@ -300,6 +282,27 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_point_counts_its_proposals() {
+        // `step` and `walk` are the only ways to advance a kernel and share
+        // one step, which counts the proposal before anything can accept
+        // it: a caller can never observe accepted > proposals.
+        let (g, mut world, vars) = ising2();
+        let mut k = MetropolisHastings::new(g, Box::new(UniformRelabel::new(vars)));
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = DynRng::from(&mut rng);
+        let mut reported = 0u64;
+        for round in 1..=60u64 {
+            reported += k.step(&mut world, &mut rng).changes.len() as u64;
+            k.walk(&mut world, 4, &mut rng, |_, _, _| reported += 1);
+            let s = k.stats();
+            assert_eq!(s.proposals, 5 * round);
+            assert!(reported <= s.accepted && s.accepted <= s.proposals);
+            assert!(s.acceptance_rate() <= 1.0);
+        }
+        assert!(reported > 0);
+    }
+
+    #[test]
     fn walk_reports_changes() {
         let (g, mut world, vars) = ising2();
         let mut k = MetropolisHastings::new(g, Box::new(UniformRelabel::new(vars)));
@@ -321,12 +324,9 @@ mod tests {
         // A proposal writing the same variable twice must unwind correctly.
         struct DoubleWrite(Vec<VariableId>);
         impl Proposer for DoubleWrite {
-            fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>) -> Proposal {
-                Proposal {
-                    changes: vec![(VariableId(0), 1), (VariableId(0), 0)],
-                    // Force rejection via a hugely negative q-ratio.
-                    log_q_ratio: -1e18,
-                }
+            fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>, out: &mut Proposal) {
+                // Force rejection via a hugely negative q-ratio.
+                out.set([(VariableId(0), 1), (VariableId(0), 0)], -1e18);
             }
             fn support(&self) -> &[VariableId] {
                 &self.0
@@ -350,7 +350,7 @@ mod tests {
             mode: usize,
         }
         impl Proposer for Malformed {
-            fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>) -> Proposal {
+            fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>, out: &mut Proposal) {
                 let changes = match self.mode {
                     // Variable id beyond the world.
                     0 => vec![(VariableId(999), 0)],
@@ -359,7 +359,7 @@ mod tests {
                     // Valid change mixed with an invalid one.
                     _ => vec![(VariableId(0), 1), (VariableId(999), 7)],
                 };
-                Proposal::symmetric(changes)
+                out.symmetric(changes);
             }
             fn support(&self) -> &[VariableId] {
                 &self.support
@@ -388,8 +388,8 @@ mod tests {
     fn no_op_accepted_changes_are_filtered() {
         struct NoOp(Vec<VariableId>);
         impl Proposer for NoOp {
-            fn propose(&mut self, world: &World, _rng: &mut DynRng<'_>) -> Proposal {
-                Proposal::symmetric(vec![(VariableId(0), world.get(VariableId(0)))])
+            fn propose(&mut self, world: &World, _rng: &mut DynRng<'_>, out: &mut Proposal) {
+                out.symmetric([(VariableId(0), world.get(VariableId(0)))]);
             }
             fn support(&self) -> &[VariableId] {
                 &self.0

@@ -6,6 +6,11 @@
 //! kernel needs, along with the proposed changes, the log proposal ratio
 //! `log q(w|w') − log q(w'|w)` that debiases asymmetric proposers in Eq. 3.
 //!
+//! A [`Proposal`] is a buffer, not a message: the kernel owns one for its
+//! lifetime and every [`Proposer::propose`] overwrites it in place, so
+//! drawing a proposal allocates nothing once the buffer has grown to the
+//! largest change set the proposer emits (one entry, for a relabel).
+//!
 //! Two generic proposers live here:
 //!
 //! * [`UniformRelabel`] — §5.1's base move: pick a hidden variable uniformly,
@@ -23,8 +28,8 @@ use crate::rng::DynRng;
 use fgdb_graph::{VariableId, World};
 use rand::Rng;
 
-/// A hypothesized world modification.
-#[derive(Clone, Debug, PartialEq)]
+/// A hypothesized world modification; the default is the empty proposal.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Proposal {
     /// `(variable, new domain index)` assignments to apply, in order.
     pub changes: Vec<(VariableId, usize)>,
@@ -33,27 +38,30 @@ pub struct Proposal {
 }
 
 impl Proposal {
-    /// A symmetric proposal.
-    pub fn symmetric(changes: Vec<(VariableId, usize)>) -> Self {
-        Proposal {
-            changes,
-            log_q_ratio: 0.0,
-        }
+    /// Overwrites the buffer with `changes` and their Hastings correction,
+    /// keeping its capacity.
+    pub fn set(
+        &mut self,
+        changes: impl IntoIterator<Item = (VariableId, usize)>,
+        log_q_ratio: f64,
+    ) {
+        self.changes.clear();
+        self.changes.extend(changes);
+        self.log_q_ratio = log_q_ratio;
     }
 
-    /// The distinct variables this proposal touches.
-    pub fn touched_variables(&self) -> Vec<VariableId> {
-        let mut vars: Vec<VariableId> = self.changes.iter().map(|(v, _)| *v).collect();
-        vars.sort();
-        vars.dedup();
-        vars
+    /// Overwrites the buffer with a symmetric proposal.
+    pub fn symmetric(&mut self, changes: impl IntoIterator<Item = (VariableId, usize)>) {
+        self.set(changes, 0.0);
     }
 }
 
 /// A proposal distribution.
 pub trait Proposer: Send {
-    /// Draws a proposal conditioned on the current world.
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal;
+    /// Draws a proposal conditioned on the current world into `out`,
+    /// overwriting whatever the buffer held ([`Proposal::set`],
+    /// [`Proposal::symmetric`]).
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal);
 
     /// Hidden variables this proposer may modify (used by evaluators to know
     /// which fields can change between samples).
@@ -77,11 +85,10 @@ impl UniformRelabel {
 }
 
 impl Proposer for UniformRelabel {
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
         let v = self.vars[rng.gen_range(0..self.vars.len())];
-        let card = world.domain(v).len();
-        let new = rng.gen_range(0..card);
-        Proposal::symmetric(vec![(v, new)])
+        let new = rng.gen_range(0..world.cardinality(v));
+        out.symmetric([(v, new)]);
     }
 
     fn support(&self) -> &[VariableId] {
@@ -155,15 +162,14 @@ impl LocalityProposer {
 }
 
 impl Proposer for LocalityProposer {
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
         if self.remaining == 0 {
             self.reload(rng);
         }
         self.remaining -= 1;
         let v = self.current[rng.gen_range(0..self.current.len())];
-        let card = world.domain(v).len();
-        let new = rng.gen_range(0..card);
-        Proposal::symmetric(vec![(v, new)])
+        let new = rng.gen_range(0..world.cardinality(v));
+        out.symmetric([(v, new)]);
     }
 
     fn support(&self) -> &[VariableId] {
@@ -184,13 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn proposal_touched_variables_dedup() {
-        let p = Proposal::symmetric(vec![
-            (VariableId(3), 1),
-            (VariableId(1), 0),
-            (VariableId(3), 2),
-        ]);
-        assert_eq!(p.touched_variables(), vec![VariableId(1), VariableId(3)]);
+    fn filling_the_buffer_overwrites_it() {
+        let mut p = Proposal::default();
+        p.set([(VariableId(3), 1), (VariableId(1), 0)], -0.5);
+        assert_eq!(p.changes, [(VariableId(3), 1), (VariableId(1), 0)]);
+        assert_eq!(p.log_q_ratio, -0.5);
+        p.symmetric([(VariableId(2), 2)]);
+        assert_eq!(p.changes, [(VariableId(2), 2)]);
         assert_eq!(p.log_q_ratio, 0.0);
     }
 
@@ -201,8 +207,9 @@ mod tests {
         let mut p = UniformRelabel::new(vars.clone());
         let mut rng = StdRng::seed_from_u64(7);
         let mut rng = DynRng::from(&mut rng);
+        let mut prop = Proposal::default();
         for _ in 0..200 {
-            let prop = p.propose(&w, &mut rng);
+            p.propose(&w, &mut rng, &mut prop);
             assert_eq!(prop.changes.len(), 1);
             let (v, idx) = prop.changes[0];
             assert!(vars.contains(&v));
@@ -217,8 +224,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut rng = DynRng::from(&mut rng);
         let mut seen = [false; 3];
+        let mut prop = Proposal::default();
         for _ in 0..100 {
-            let prop = p.propose(&w, &mut rng);
+            p.propose(&w, &mut rng, &mut prop);
             seen[prop.changes[0].1] = true;
         }
         assert!(seen.iter().all(|&s| s), "ergodicity over the label domain");
@@ -239,19 +247,24 @@ mod tests {
         let mut p = LocalityProposer::new(groups, 1, 50);
         let mut rng = StdRng::seed_from_u64(3);
         let mut rng = DynRng::from(&mut rng);
+        let mut out = Proposal::default();
+        let mut draw = |p: &mut LocalityProposer| {
+            p.propose(&w, &mut rng, &mut out);
+            out.changes[0].0
+        };
         // Within one batch, all proposals target the same group.
-        let first = p.propose(&w, &mut rng).changes[0].0;
+        let first = draw(&mut p);
         let batch: Vec<VariableId> = p.current_batch().to_vec();
         assert_eq!(batch.len(), 10);
         assert!(batch.contains(&first));
         for _ in 0..49 {
-            let v = p.propose(&w, &mut rng).changes[0].0;
+            let v = draw(&mut p);
             assert!(batch.contains(&v));
         }
         // Across many batches every group is visited.
         let mut seen_groups = [false; 3];
         for _ in 0..2000 {
-            let v = p.propose(&w, &mut rng).changes[0].0;
+            let v = draw(&mut p);
             seen_groups[(v.0 / 10) as usize] = true;
         }
         assert!(seen_groups.iter().all(|&s| s));

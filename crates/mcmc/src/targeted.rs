@@ -62,18 +62,17 @@ impl TargetedProposer {
 }
 
 impl Proposer for TargetedProposer {
-    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>) -> Proposal {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
         let pool: &[VariableId] = if rng.gen::<f64>() < self.epsilon {
             &self.all
         } else {
             &self.target
         };
         let v = pool[rng.gen_range(0..pool.len())];
-        let card = world.domain(v).len();
-        let new = rng.gen_range(0..card);
+        let new = rng.gen_range(0..world.cardinality(v));
         // The value choice is uniform and the variable-selection mixture is
         // world-independent → symmetric.
-        Proposal::symmetric(vec![(v, new)])
+        out.symmetric([(v, new)]);
     }
 
     fn support(&self) -> &[VariableId] {
@@ -138,8 +137,9 @@ mod tests {
         let mut rng = DynRng::from(&mut rng);
         let mut in_target = 0;
         let n = 5000;
+        let mut prop = Proposal::default();
         for _ in 0..n {
-            let prop = p.propose(&w, &mut rng);
+            p.propose(&w, &mut rng, &mut prop);
             if target.contains(&prop.changes[0].0) {
                 in_target += 1;
             }

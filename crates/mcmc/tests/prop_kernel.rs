@@ -17,10 +17,9 @@ struct Scripted {
 }
 
 impl Proposer for Scripted {
-    fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>) -> Proposal {
-        let p = self.proposals[self.next % self.proposals.len()].clone();
+    fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>, out: &mut Proposal) {
+        out.clone_from(&self.proposals[self.next % self.proposals.len()]);
         self.next += 1;
-        p
     }
     fn support(&self) -> &[VariableId] {
         &self.support
@@ -61,9 +60,10 @@ proptest! {
         let mut world = World::new(vec![d.clone(), d]);
         let proposals: Vec<Proposal> = script
             .iter()
-            .map(|chs| Proposal::symmetric(
-                chs.iter().map(|(v, i)| (VariableId(*v), *i)).collect()
-            ))
+            .map(|chs| Proposal {
+                changes: chs.iter().map(|(v, i)| (VariableId(*v), *i)).collect(),
+                log_q_ratio: 0.0,
+            })
             .collect();
         let scripted = Scripted {
             proposals: proposals.clone(),
