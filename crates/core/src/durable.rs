@@ -6,9 +6,22 @@
 //! thinning interval — the Δ⁻/Δ⁺ delta set, the net variable changes that
 //! produced it, and the post-interval chain position (RNG state + kernel
 //! counters) — is appended to a checksummed write-ahead log before the call
-//! returns. [`DurablePdb::checkpoint`] serializes the full state and
-//! truncates the log; [`ProbabilisticDB::recover`] replays snapshot + WAL
-//! after a crash.
+//! returns. [`DurablePdb::checkpoint`] makes the state durable and
+//! truncates the log; [`ProbabilisticDB::recover`] replays base + patches +
+//! WAL after a crash.
+//!
+//! The checkpoint contract: a checkpoint costs what changed since the
+//! previous one. The store keeps the [`Database`] snapshot and world
+//! assignment of its last checkpoint — structurally shared with the live
+//! store, so it holds only the chunks the sampler has un-shared since —
+//! and writes a *chunk patch* of exactly those chunks plus the variables
+//! whose assignment moved (`fgdb_durability::store`). The full-store
+//! encoder runs only at [`ProbabilisticDB::open_durable`] and at
+//! compaction, when the patch log would outgrow the base
+//! ([`fgdb_durability::PATCH_LOG_BASE_MULTIPLE`]) or on
+//! [`DurablePdb::compact`]. Recovery hands the recovered state to the store
+//! as its retained copy, so the first checkpoint after a restart is a patch
+//! too. [`DurablePdb::last_checkpoint`] reports what a checkpoint wrote.
 //!
 //! The recovery contract, asserted end-to-end by
 //! `crates/core/tests/crash_recovery.rs`: a database recovered after a
@@ -80,8 +93,8 @@
 use crate::evaluate::EvaluateError;
 use crate::pdb::{FieldBinding, ProbabilisticDB};
 use fgdb_durability::{
-    real_io, BindingRec, ChainStateRec, DurabilityConfig, DurabilityError, DurableStore,
-    IntervalRecord, RecoveryReport, Snapshot, StoreIo,
+    real_io, BindingRec, ChainStateRec, CheckpointReport, DurabilityConfig, DurabilityError,
+    DurableStore, IntervalRecord, RecoveryReport, Snapshot, SnapshotRef, StoreIo,
 };
 use fgdb_graph::{EvalStats, Model, VariableId, World};
 use fgdb_mcmc::{KernelStats, NetChange, Proposer};
@@ -149,19 +162,30 @@ fn kernel_stats_from(rec: &ChainStateRec) -> KernelStats {
     }
 }
 
-/// Serializes the full state of `pdb` at sequence number `seq`.
-fn snapshot_of<M: Model>(pdb: &ProbabilisticDB<M>, seq: u64) -> Snapshot {
+/// The variable ↔ field binding of `pdb` as plain data.
+fn binding_of<M: Model>(pdb: &ProbabilisticDB<M>) -> BindingRec {
     let binding = pdb.binding();
-    Snapshot {
+    BindingRec {
+        relation: binding.relation.clone(),
+        column: binding.column as u32,
+        rows: binding.rows.iter().map(|r| r.0).collect(),
+    }
+}
+
+/// The live state of `pdb` at `seq` as a checkpoint reads it: borrowed,
+/// nothing cloned.
+fn live_state<'a, M: Model>(
+    pdb: &'a ProbabilisticDB<M>,
+    binding: &'a BindingRec,
+    chain: &'a ChainStateRec,
+    seq: u64,
+) -> SnapshotRef<'a> {
+    SnapshotRef {
         seq,
-        db: pdb.database().snapshot(),
-        world: pdb.world().clone(),
-        chain: chain_state_of(pdb),
-        binding: BindingRec {
-            relation: binding.relation.clone(),
-            column: binding.column as u32,
-            rows: binding.rows.iter().map(|r| r.0).collect(),
-        },
+        db: pdb.database(),
+        world: pdb.world(),
+        chain,
+        binding,
     }
 }
 
@@ -190,6 +214,8 @@ fn deltas_equal(a: &DeltaSet, b: &DeltaSet) -> bool {
 pub struct DurablePdb<M> {
     pdb: ProbabilisticDB<M>,
     store: DurableStore,
+    /// The binding as persisted; fixed for the life of the handle.
+    binding: BindingRec,
 }
 
 impl<M: Model> DurablePdb<M> {
@@ -222,12 +248,31 @@ impl<M: Model> DurablePdb<M> {
         Ok(rec.delta)
     }
 
-    /// Serializes the full current state as a new snapshot and truncates
-    /// the WAL — the checkpoint that bounds recovery time.
+    /// Makes the current state durable and truncates the WAL — the
+    /// checkpoint that bounds recovery time. Writes a chunk patch of what
+    /// changed since the previous checkpoint, or a new base when the patch
+    /// log would outgrow the current one (see the module docs).
     pub fn checkpoint(&mut self) -> Result<(), DurableError> {
-        let snap = snapshot_of(&self.pdb, self.store.next_seq() - 1);
-        self.store.checkpoint(&snap)?;
+        let (seq, chain) = (self.store.next_seq() - 1, chain_state_of(&self.pdb));
+        let state = live_state(&self.pdb, &self.binding, &chain, seq);
+        self.store.checkpoint(state)?;
         Ok(())
+    }
+
+    /// Checkpoints the current state as a new full base and empties the
+    /// patch log — the compaction [`Self::checkpoint`] falls back to,
+    /// forced.
+    pub fn compact(&mut self) -> Result<(), DurableError> {
+        let (seq, chain) = (self.store.next_seq() - 1, chain_state_of(&self.pdb));
+        let state = live_state(&self.pdb, &self.binding, &chain, seq);
+        self.store.compact(state)?;
+        Ok(())
+    }
+
+    /// What the most recent checkpoint wrote: patch or base, the chunks
+    /// and variables it carried, its bytes.
+    pub fn last_checkpoint(&self) -> Option<&CheckpointReport> {
+        self.store.last_checkpoint()
     }
 
     /// Forces every committed interval onto stable storage regardless of
@@ -336,14 +381,26 @@ impl<M: Model> ProbabilisticDB<M> {
         dir: &Path,
         config: DurabilityConfig,
     ) -> Result<DurablePdb<M>, DurableError> {
-        let snap = snapshot_of(&self, 0);
+        let binding = binding_of(&self);
+        let snap = Snapshot {
+            seq: 0,
+            db: self.database().snapshot(),
+            world: self.world().clone(),
+            chain: chain_state_of(&self),
+            binding: binding.clone(),
+        };
         let store = DurableStore::create_with_io(io, dir, &snap, config)?;
-        Ok(DurablePdb { pdb: self, store })
+        Ok(DurablePdb {
+            pdb: self,
+            store,
+            binding,
+        })
     }
 
     /// Recovers a durable probabilistic database from `dir`: reads the
-    /// snapshot, truncates any torn WAL tail (the expected artifact of a
-    /// crash mid-append), replays every intact interval record through the
+    /// base snapshot and applies its chunk patches, truncates any torn
+    /// patch or WAL tail (the expected artifact of a crash mid-append),
+    /// replays every intact interval record through the
     /// normal batch-validation/write-back path, cross-checks each replayed
     /// delta against the logged one, and restores the chain RNG state and
     /// kernel counters of the last committed interval.
@@ -372,6 +429,9 @@ impl<M: Model> ProbabilisticDB<M> {
         proposer: Box<dyn Proposer>,
         config: DurabilityConfig,
     ) -> Result<(DurablePdb<M>, RecoveryReport), DurableError> {
+        // The store keeps the recovered checkpoint as its retained copy,
+        // sharing every chunk with `snap.db`: replay below un-shares only
+        // what it writes, so the next checkpoint is a patch of that.
         let (snap, records, store, report) = DurableStore::recover_with_io(io, dir, config)?;
         let binding = FieldBinding {
             relation: snap.binding.relation.clone(),
@@ -398,6 +458,13 @@ impl<M: Model> ProbabilisticDB<M> {
         }
         let last = records.last().map(|r| &r.chain).unwrap_or(&snap.chain);
         pdb.restore_chain_position(last.rng, last.steps_taken, kernel_stats_from(last));
-        Ok((DurablePdb { pdb, store }, report))
+        Ok((
+            DurablePdb {
+                pdb,
+                store,
+                binding: snap.binding,
+            },
+            report,
+        ))
     }
 }

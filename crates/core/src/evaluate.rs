@@ -20,8 +20,8 @@ use crate::membership::{crossings, Crossing};
 use crate::pdb::ProbabilisticDB;
 use fgdb_graph::{Model, ModelError};
 use fgdb_relational::{
-    compile_query, execute, CircuitError, ExecError, MaterializedView, Plan, QueryError,
-    StorageError, Tuple, ViewBackend,
+    compile_query, execute, CircuitError, CountedSet, ExecError, MaterializedView, Plan,
+    QueryError, StorageError, Tuple, ViewBackend,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -131,6 +131,9 @@ pub struct QueryEvaluator {
     marginals: MarginalTable,
     /// Membership crossings of the most recently recorded sample.
     crossings: Vec<Crossing>,
+    /// The view's output delta of the most recent sample (materialized
+    /// only).
+    answer_delta: CountedSet,
     /// Thinning interval k (steps per sample; the paper uses 10 000).
     k: usize,
     work: EvaluatorWork,
@@ -149,6 +152,7 @@ impl QueryEvaluator {
             state: StrategyState::Naive,
             marginals: MarginalTable::new(),
             crossings: Vec::new(),
+            answer_delta: CountedSet::new(),
             k,
             work: EvaluatorWork::default(),
         })
@@ -216,6 +220,7 @@ impl QueryEvaluator {
             state: StrategyState::Materialized(Box::new(view)),
             marginals,
             crossings,
+            answer_delta: CountedSet::new(),
             k,
             work,
         })
@@ -249,6 +254,18 @@ impl QueryEvaluator {
     /// sample); a naive one, which has recorded nothing yet, reports none.
     pub fn last_crossings(&self) -> &[Crossing] {
         &self.crossings
+    }
+
+    /// The signed answer delta of the most recently recorded sample — every
+    /// tuple whose multiplicity it changed, crossing or not. `None` for a
+    /// naive evaluator, which re-reads the answer instead of maintaining
+    /// one; empty right after construction (the initial answer is a whole
+    /// answer, not a delta).
+    pub fn last_answer_delta(&self) -> Option<&CountedSet> {
+        match self.state {
+            StrategyState::Materialized(_) => Some(&self.answer_delta),
+            StrategyState::Naive => None,
+        }
     }
 
     /// Draws one sample: k walk-steps, then observe the answer (by full
@@ -307,6 +324,7 @@ impl QueryEvaluator {
                 // membership; the rest of the answer is never read.
                 sample_work.answer_rows_touched = answer_delta.distinct_len() as u64;
                 self.crossings = crossings(&answer_delta, view.result()).collect();
+                self.answer_delta = answer_delta;
             }
         }
         self.marginals.record_crossings(&self.crossings);

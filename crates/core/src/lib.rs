@@ -10,6 +10,8 @@
 //! * [`marginals`] — per-tuple answer-membership estimation (Eq. 4/5);
 //! * [`membership`] — the answer-membership crossings a view's output delta
 //!   implies, and the crossing-driven log behind the R̂ / ESS diagnostics;
+//! * [`status_table`] — a registered query's published answer and
+//!   marginals as one ordered, chunk-shared table each epoch patches;
 //! * [`evaluate`] — Algorithm 3 (naive re-execution) and Algorithm 1
 //!   (materialized-view maintenance) query evaluators, plus the parallel
 //!   multi-chain evaluator of §5.4;
@@ -38,6 +40,7 @@ pub mod metrics;
 pub mod ner;
 pub mod pdb;
 pub mod serving;
+pub mod status_table;
 pub mod supervise;
 
 pub use durable::{DurableError, DurablePdb};
@@ -46,17 +49,20 @@ pub use engine::{
     ParallelEngine, RHatPoint,
 };
 pub use evaluate::{evaluate_parallel, EvaluateError, QueryEvaluator, SampleWork};
-pub use fgdb_durability::{DurabilityConfig, FsyncPolicy, RecoveryReport};
+pub use fgdb_durability::{
+    CheckpointKind, CheckpointReport, DurabilityConfig, FsyncPolicy, RecoveryReport,
+};
 pub use fgdb_graph::{FactorSpans, ShardError, ShardMap};
 pub use fgdb_mcmc::{shard_seed, ShardedSampler};
 pub use fgdb_relational::{compile_query, optimize, QueryError};
-pub use marginals::{MarginalTable, ValueDistribution};
+pub use marginals::{MarginalTable, Run, ValueDistribution};
 pub use membership::{crossings, Crossing, MembershipLog};
 pub use metrics::{squared_error, time_to_half_loss, LossCurve, LossPoint};
 pub use ner::{build_ner_pdb, ner_proposer, train_ner_model, truth_database, NerProposerConfig};
 pub use pdb::{FieldBinding, ProbabilisticDB};
 pub use serving::{
-    EpochReader, EpochSnapshot, LiveSampler, QueryStatus, SamplerState, SamplerStatus,
+    EpochReader, EpochSnapshot, EpochStatus, LiveSampler, QueryStatus, SamplerState, SamplerStatus,
     ServingConfig, ServingError,
 };
+pub use status_table::StatusTable;
 pub use supervise::{ModelFactory, SupervisedSampler, SupervisorConfig};

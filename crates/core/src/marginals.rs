@@ -36,11 +36,28 @@ use fgdb_relational::{CountedSet, FxHashMap, Tuple};
 use std::collections::HashMap;
 
 /// One tuple's presence history: samples counted in runs that have ended,
-/// and the sample index at which the current run (if any) began.
-#[derive(Clone, Copy, Debug, Default)]
-struct Run {
+/// and the sample index at which the current run (if any) began. The unit
+/// of the table's accounting, and what a published status carries per
+/// tuple so readers compute the estimate with the same expression.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Run {
     closed: u64,
     since: Option<u64>,
+}
+
+impl Run {
+    /// Samples, of `samples` recorded, in which the tuple was in the
+    /// answer.
+    pub fn count(&self, samples: u64) -> u64 {
+        self.closed + self.since.map_or(0, |since| samples - since)
+    }
+
+    /// The Eq. 5 estimate after `samples` samples: `count / z` with
+    /// `z = max(samples, 1)` — the one expression every reader of a
+    /// marginal uses.
+    pub fn probability(&self, samples: u64) -> f64 {
+        self.count(samples) as f64 / samples.max(1) as f64
+    }
 }
 
 /// Running per-tuple membership counts over sampled worlds.
@@ -106,25 +123,24 @@ impl MarginalTable {
         self.samples
     }
 
-    /// Samples in which the tuple behind `run` was in the answer.
-    fn count(&self, run: &Run) -> u64 {
-        run.closed + run.since.map_or(0, |since| self.samples - since)
-    }
-
     /// `(tuple, probability)` for every tuple ever observed, unordered.
     fn estimates(&self) -> impl Iterator<Item = (&Tuple, f64)> {
-        let z = self.samples.max(1) as f64;
         self.runs
             .iter()
-            .map(move |(t, run)| (t, self.count(run) as f64 / z))
+            .map(move |(t, run)| (t, run.probability(self.samples)))
     }
 
     /// Estimated `Pr[t ∈ Q(W)]` (zero before any sample).
     pub fn probability(&self, t: &Tuple) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        self.runs.get(t).map_or(0, |run| self.count(run)) as f64 / self.samples as f64
+        self.runs
+            .get(t)
+            .map_or(0.0, |run| run.probability(self.samples))
+    }
+
+    /// The presence history of `t`; `None` when it was never in an
+    /// answer (and so has no marginal entry).
+    pub fn run(&self, t: &Tuple) -> Option<Run> {
+        self.runs.get(t).copied()
     }
 
     /// All tuples ever observed in an answer, with probabilities, sorted by
@@ -139,6 +155,11 @@ impl MarginalTable {
     /// computation).
     pub fn as_map(&self) -> HashMap<Tuple, f64> {
         self.estimates().map(|(t, p)| (t.clone(), p)).collect()
+    }
+
+    /// Every tuple ever observed in an answer, unordered.
+    pub(crate) fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+        self.runs.keys()
     }
 
     /// Number of distinct tuples observed.

@@ -30,8 +30,16 @@
 //!   view's output delta — neither re-reads the answer. At publication the
 //!   diagnostics are computed per toggled tuple from its crossing
 //!   positions; no 0/1 trace is materialised on the sampler thread.
-//!   (`MarginalTable::probabilities` and the answer clone are the parts of
-//!   a publication still proportional to the answer's support.)
+//! * A published status is its predecessor plus the rows that changed.
+//!   Each registered query keeps one ordered, chunk-shared
+//!   [`StatusTable`] of `(tuple, answer multiplicity, marginal run)`; a
+//!   publication patches the rows the output deltas named since the last
+//!   one and hands readers a copy that shares every other chunk. No answer
+//!   is cloned and no support is sorted on the sampler thread, and readers
+//!   walk the rows in tuple order, so a `STATUS` reply sorts nothing
+//!   either. What is still proportional to the support is the chunk-pointer
+//!   copy (≈1.6K pointers at 100K rows) and, per `STATUS` request, the
+//!   encoding of the whole answer.
 //! * Readers hold an [`EpochReader`] — a cheap-clone, non-generic handle.
 //!   [`EpochReader::pin`] clones the current `Arc` (a briefly held read
 //!   lock, never the sampler's own state) and from then on the reader
@@ -52,9 +60,10 @@
 use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
+use crate::status_table::StatusTable;
 use fgdb_graph::Model;
 use fgdb_relational::{
-    compile_query, execute, CountedSet, Database, QueryResult, Tuple, ViewBackend,
+    compile_query, execute, CountedSet, Database, QueryResult, Tuple, Value, ViewBackend,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,9 +169,10 @@ impl ServingError {
     }
 }
 
-/// One registered query's state inside an [`EpochSnapshot`]:
-/// convergence-tagged answer and marginal estimates, frozen at
-/// publication.
+/// One registered query's status as detached, owned values: the answer
+/// as a multiset and the marginals as a sorted list — what a caller
+/// holding neither a sampler nor an epoch builds by hand. The wire encoder
+/// writes it byte-identically to the [`EpochStatus`] it mirrors.
 #[derive(Clone, Debug)]
 pub struct QueryStatus {
     /// Registration name (e.g. `"q1"`).
@@ -188,6 +198,48 @@ pub struct QueryStatus {
     pub converged: bool,
 }
 
+/// One registered query's state inside an [`EpochSnapshot`]:
+/// convergence-tagged answer and marginal estimates, frozen at
+/// publication. The answer and the marginals are one [`StatusTable`]
+/// shared chunk-wise with the previous epoch's; both read in tuple order.
+#[derive(Clone, Debug)]
+pub struct EpochStatus {
+    /// Registration name (e.g. `"q1"`).
+    pub name: Arc<str>,
+    /// The registered SQL text.
+    pub sql: Arc<str>,
+    /// Output column names of the registered plan.
+    pub columns: Arc<[Arc<str>]>,
+    /// Answer multiplicities and marginal runs at publication.
+    pub table: StatusTable,
+    /// Samples the marginals count (the Eq. 5 normalizer `z`).
+    pub samples: u64,
+    /// Worst per-tuple split-R̂ over the diagnostic window.
+    pub r_hat: f64,
+    /// Smallest per-tuple effective sample size over the window.
+    pub min_ess: f64,
+    /// Samples in the diagnostic window at publication.
+    pub window_len: u64,
+    /// True when the window is warm (≥ 16 samples) and every tuple's R̂
+    /// passed the configured gate.
+    pub converged: bool,
+}
+
+impl EpochStatus {
+    /// The epoch world's deterministic answer (the maintained view's
+    /// result at publication), `(tuple values, multiplicity)` in tuple
+    /// order.
+    pub fn answer(&self) -> impl ExactSizeIterator<Item = (&[Value], i64)> {
+        self.table.answer()
+    }
+
+    /// Full-run MCMC marginal estimates, `(tuple values, membership
+    /// probability)` in tuple order (Eq. 5 running averages since spawn).
+    pub fn marginals(&self) -> impl ExactSizeIterator<Item = (&[Value], f64)> {
+        self.table.marginals(self.samples)
+    }
+}
+
 /// An immutable, internally consistent picture of one published sampler
 /// state: pin it and every read — registered statuses and ad-hoc SQL
 /// alike — observes the same world (snapshot isolation by construction:
@@ -203,17 +255,17 @@ pub struct EpochSnapshot {
     /// Total samples (thinning intervals) drawn at publication.
     pub samples: u64,
     db: Database,
-    queries: Vec<QueryStatus>,
+    queries: Vec<EpochStatus>,
 }
 
 impl EpochSnapshot {
     /// Every registered query's status, in registration order.
-    pub fn registered(&self) -> &[QueryStatus] {
+    pub fn registered(&self) -> &[EpochStatus] {
         &self.queries
     }
 
     /// One registered query's status by name.
-    pub fn status(&self, name: &str) -> Option<&QueryStatus> {
+    pub fn status(&self, name: &str) -> Option<&EpochStatus> {
         self.queries.iter().find(|q| &*q.name == name)
     }
 
@@ -419,26 +471,51 @@ impl EpochReader {
 pub(crate) struct Registered {
     name: Arc<str>,
     sql: Arc<str>,
-    columns: Vec<Arc<str>>,
+    columns: Arc<[Arc<str>]>,
     eval: QueryEvaluator,
     traces: MembershipLog,
+    /// The status table as of the last publication.
+    table: StatusTable,
+    /// Tuples the output deltas named since the last publication.
+    touched: Vec<Tuple>,
 }
 
 impl Registered {
-    fn status(&self, threshold: f64) -> Result<QueryStatus, EvaluateError> {
+    /// Folds one interval's output delta into the view, the marginals, the
+    /// diagnostic window and the rows the next publication patches.
+    fn observe(
+        &mut self,
+        delta: &fgdb_relational::DeltaSet,
+        db: &Database,
+    ) -> Result<(), EvaluateError> {
+        self.eval.observe(delta, db)?;
+        self.traces.record(self.eval.last_crossings());
+        let answer_delta = self
+            .eval
+            .last_answer_delta()
+            .ok_or(EvaluateError::NotMaterialized)?;
+        self.touched
+            .extend(answer_delta.iter().map(|(t, _)| t.clone()));
+        Ok(())
+    }
+
+    /// This query's status for the next epoch: the table patched with the
+    /// touched rows, shared chunk-wise with the last epoch's.
+    fn status(&mut self, threshold: f64) -> Result<EpochStatus, EvaluateError> {
         let answer = self
             .eval
             .current_answer()
-            .ok_or(EvaluateError::NotMaterialized)?
-            .clone();
+            .ok_or(EvaluateError::NotMaterialized)?;
+        let marginals = self.eval.marginals();
+        self.table.patch(&mut self.touched, answer, marginals);
         let (r_hat, min_ess) = self.traces.diagnose();
         let window_len = self.traces.window_len();
-        Ok(QueryStatus {
+        Ok(EpochStatus {
             name: Arc::clone(&self.name),
             sql: Arc::clone(&self.sql),
-            columns: self.columns.clone(),
-            answer,
-            marginals: self.eval.marginals().probabilities(),
+            columns: Arc::clone(&self.columns),
+            table: self.table.clone(),
+            samples: marginals.samples(),
             r_hat,
             min_ess,
             window_len,
@@ -499,12 +576,18 @@ pub(crate) fn build_registered<M: Model>(
         // constant trace, which the diagnostics never need to see.
         let mut traces = MembershipLog::new(config.window);
         traces.record(&[]);
+        let answer = eval
+            .current_answer()
+            .ok_or(EvaluateError::NotMaterialized)?;
+        let table = StatusTable::build(answer, eval.marginals());
         registered.push(Registered {
             name: Arc::from(*name),
             sql: Arc::from(*sql),
-            columns,
+            columns: columns.into(),
             eval,
             traces,
+            table,
+            touched: Vec::new(),
         });
     }
     Ok(registered)
@@ -525,9 +608,9 @@ impl<M: Model + 'static> LiveSampler<M> {
         config: ServingConfig,
     ) -> Result<Self, ServingError> {
         validate_config(&config)?;
-        let registered = build_registered(&pdb, queries, &config)?;
+        let mut registered = build_registered(&pdb, queries, &config)?;
 
-        let epoch0 = publish_snapshot(&pdb, &registered, &config, 0, 0)?;
+        let epoch0 = publish_snapshot(&pdb, &mut registered, &config, 0, 0)?;
         let cell = Arc::new(EpochCell::new(epoch0));
         let stats = Arc::new(SharedStats::new(pdb.steps_taken()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -579,13 +662,13 @@ impl<M> Drop for LiveSampler<M> {
 /// `samples` is the loop's own count of intervals drawn so far.
 pub(crate) fn publish_snapshot<M: Model>(
     pdb: &ProbabilisticDB<M>,
-    registered: &[Registered],
+    registered: &mut [Registered],
     config: &ServingConfig,
     epoch: u64,
     samples: u64,
 ) -> Result<EpochSnapshot, EvaluateError> {
     let mut queries = Vec::with_capacity(registered.len());
-    for r in registered {
+    for r in registered.iter_mut() {
         queries.push(r.status(config.r_hat_threshold)?);
     }
     Ok(EpochSnapshot {
@@ -624,7 +707,7 @@ fn sampler_loop<M: Model>(
                 if since_publish >= config.publish_every {
                     since_publish = 0;
                     epoch += 1;
-                    match publish_snapshot(&pdb, &registered, &config, epoch, samples) {
+                    match publish_snapshot(&pdb, &mut registered, &config, epoch, samples) {
                         Ok(snap) => cell.store(Arc::new(snap)),
                         Err(e) => break Err(e),
                     }
@@ -639,7 +722,7 @@ fn sampler_loop<M: Model>(
         Ok(()) => {
             if since_publish > 0 {
                 epoch += 1;
-                if let Ok(snap) = publish_snapshot(&pdb, &registered, &config, epoch, samples) {
+                if let Ok(snap) = publish_snapshot(&pdb, &mut registered, &config, epoch, samples) {
                     cell.store(Arc::new(snap));
                 }
             }
@@ -674,8 +757,7 @@ pub(crate) fn observe_delta(
     db: &Database,
 ) -> Result<(), EvaluateError> {
     for r in registered.iter_mut() {
-        r.eval.observe(delta, db)?;
-        r.traces.record(r.eval.last_crossings());
+        r.observe(delta, db)?;
     }
     Ok(())
 }
@@ -792,14 +874,14 @@ mod tests {
         let mut pdb = biased_token_pdb(ROWS, 4, 99);
         let q1 = paper_sql::query1("TOKEN");
         let mut registered = build_registered(&pdb, &[("q1", &q1)], &config).unwrap();
-        let mut prev = publish_snapshot(&pdb, &registered, &config, 0, 0).unwrap();
+        let mut prev = publish_snapshot(&pdb, &mut registered, &config, 0, 0).unwrap();
         let mut wrote = 0;
         for epoch in 1..=64u64 {
             for _ in 0..config.publish_every {
                 step_once(&mut pdb, &mut registered, &config).unwrap();
             }
             let samples = epoch * config.publish_every as u64;
-            let cur = publish_snapshot(&pdb, &registered, &config, epoch, samples).unwrap();
+            let cur = publish_snapshot(&pdb, &mut registered, &config, epoch, samples).unwrap();
             let (a, b) = (
                 prev.database().relation("TOKEN").unwrap(),
                 cur.database().relation("TOKEN").unwrap(),
@@ -826,6 +908,50 @@ mod tests {
             prev = cur;
         }
         assert!(wrote > 0, "the sampler must have written something");
+    }
+
+    /// The publication path stepped on this thread: every registered
+    /// status an epoch carries reads exactly what its evaluator holds —
+    /// the maintained answer in tuple order, and the marginal table's
+    /// probabilities bit for bit.
+    #[test]
+    fn published_statuses_read_exactly_the_evaluators_answer_and_marginals() {
+        let config = ServingConfig {
+            thinning: 6,
+            publish_every: 3,
+            ..ServingConfig::default()
+        };
+        let mut pdb = biased_token_pdb(300, 4, 17);
+        let q1 = paper_sql::query1("TOKEN");
+        let q2 = paper_sql::query2("TOKEN");
+        let mut registered = build_registered(&pdb, &[("q1", &q1), ("q2", &q2)], &config).unwrap();
+        for epoch in 0..40u64 {
+            let snap = publish_snapshot(&pdb, &mut registered, &config, epoch, 0).unwrap();
+            for (status, r) in snap.registered().iter().zip(&registered) {
+                let answer: Vec<(Tuple, i64)> = status
+                    .answer()
+                    .map(|(vs, c)| (Tuple::from_slice(vs), c))
+                    .collect();
+                let want = r.eval.current_answer().unwrap().sorted_entries();
+                assert_eq!(answer, want, "{} at epoch {epoch}", status.name);
+                let bits = |xs: Vec<(Tuple, f64)>| -> Vec<(Tuple, u64)> {
+                    xs.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
+                };
+                let marginals = status
+                    .marginals()
+                    .map(|(vs, p)| (Tuple::from_slice(vs), p))
+                    .collect();
+                assert_eq!(
+                    bits(marginals),
+                    bits(r.eval.marginals().probabilities()),
+                    "{} at epoch {epoch}",
+                    status.name
+                );
+            }
+            for _ in 0..config.publish_every {
+                step_once(&mut pdb, &mut registered, &config).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -884,14 +1010,14 @@ mod tests {
             assert!(status.r_hat.is_finite());
             assert!(status.min_ess >= 0.0);
             assert!(status.window_len <= 64);
-            for (_, p) in &status.marginals {
-                assert!((0.0..=1.0).contains(p));
+            for (_, p) in status.marginals() {
+                assert!((0.0..=1.0).contains(&p));
             }
             assert!(!status.columns.is_empty());
         }
         // q2 (the COUNT query) always has exactly one answer row.
         let q2 = pinned.status("q2").unwrap();
-        assert_eq!(q2.answer.sorted_entries().len(), 1);
+        assert_eq!(q2.answer().len(), 1);
         sampler.stop().unwrap();
     }
 

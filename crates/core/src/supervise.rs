@@ -3,9 +3,8 @@
 //! WAL-logged before acknowledgement) under a supervisor that survives
 //! storage faults and panics by restart-from-recovery.
 //!
-//! ROADMAP item "wire the durable store under the live sampler": PR-5
-//! made single-threaded stepping durable and PR-6 made in-memory stepping
-//! servable; this module composes the two and adds the failure story. The
+//! Durable stepping and in-memory serving existed separately; this module
+//! composes the two and adds the failure story. The
 //! supervisor thread runs the serving loop inside `catch_unwind` plus
 //! typed-error handling:
 //!
@@ -108,8 +107,8 @@ impl<M: Model + 'static> SupervisedSampler<M> {
         factory: ModelFactory<M>,
     ) -> Result<Self, ServingError> {
         validate_config(&config.serving)?;
-        let registered = build_registered(durable.pdb(), queries, &config.serving)?;
-        let epoch0 = publish_snapshot(durable.pdb(), &registered, &config.serving, 0, 0)?;
+        let mut registered = build_registered(durable.pdb(), queries, &config.serving)?;
+        let epoch0 = publish_snapshot(durable.pdb(), &mut registered, &config.serving, 0, 0)?;
         let cell = Arc::new(EpochCell::new(epoch0));
         let stats = Arc::new(SharedStats::new(durable.steps_taken()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -229,7 +228,7 @@ impl<M: Model + 'static> Supervisor<M> {
                         epoch += 1;
                         if let Ok(snap) = publish_snapshot(
                             durable.pdb(),
-                            &registered,
+                            &mut registered,
                             &self.config.serving,
                             epoch,
                             samples,
@@ -261,7 +260,7 @@ impl<M: Model + 'static> Supervisor<M> {
                             epoch += 1;
                             match publish_snapshot(
                                 durable.pdb(),
-                                &registered,
+                                &mut registered,
                                 &self.config.serving,
                                 epoch,
                                 samples,
@@ -356,7 +355,7 @@ impl<M: Model + 'static> Supervisor<M> {
                         epoch += 1;
                         match publish_snapshot(
                             durable.pdb(),
-                            &registered,
+                            &mut registered,
                             &self.config.serving,
                             epoch,
                             samples,

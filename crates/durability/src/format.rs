@@ -489,18 +489,40 @@ pub fn encode_relation(e: &mut Enc, r: &Relation) {
     let slots = r.raw_slots();
     e.varint(slots.len() as u64);
     for slot in slots.iter() {
-        match slot {
-            None => e.u8(0),
-            Some(t) => {
-                e.u8(1);
-                encode_tuple(e, t);
-            }
+        encode_slot(e, slot);
+    }
+    encode_free_and_indexed(e, r);
+}
+
+/// One slot: presence flag, then the tuple when present.
+fn encode_slot(e: &mut Enc, slot: &Option<Tuple>) {
+    match slot {
+        None => e.u8(0),
+        Some(t) => {
+            e.u8(1);
+            encode_tuple(e, t);
         }
     }
+}
+
+fn decode_slot(d: &mut Dec<'_>) -> Result<Option<Tuple>, FormatError> {
+    match d.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(decode_tuple(d)?)),
+        t => Err(FormatError::BadTag {
+            what: "Relation slot flag",
+            tag: t,
+        }),
+    }
+}
+
+/// The free-slot stack and the secondary-index column set — the two
+/// relation fields a base and a chunk patch both carry in full.
+fn encode_free_and_indexed(e: &mut Enc, r: &Relation) {
     let free = r.free_slots();
     e.varint(free.len() as u64);
     for &f in free {
-        e.varint(f as u64);
+        e.varint(u64::from(f));
     }
     let indexed = r.indexed_columns();
     e.varint(indexed.len() as u64);
@@ -509,25 +531,7 @@ pub fn encode_relation(e: &mut Enc, r: &Relation) {
     }
 }
 
-/// Decodes a [`Relation`], re-validating schema conformance, primary-key
-/// uniqueness, and free-list consistency, and rebuilding all indexes.
-pub fn decode_relation(d: &mut Dec<'_>) -> Result<Relation, FormatError> {
-    let name: Arc<str> = Arc::from(d.str()?);
-    let schema = decode_schema(d)?;
-    let n_slots = d.len_prefix("Relation slots", 1)?;
-    let mut slots = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        match d.u8()? {
-            0 => slots.push(None),
-            1 => slots.push(Some(decode_tuple(d)?)),
-            t => {
-                return Err(FormatError::BadTag {
-                    what: "Relation slot flag",
-                    tag: t,
-                })
-            }
-        }
-    }
+fn decode_free_and_indexed(d: &mut Dec<'_>) -> Result<(Vec<u32>, Vec<usize>), FormatError> {
     let n_free = d.len_prefix("Relation free list", 1)?;
     let mut free = Vec::with_capacity(n_free);
     for _ in 0..n_free {
@@ -538,42 +542,271 @@ pub fn decode_relation(d: &mut Dec<'_>) -> Result<Relation, FormatError> {
     for _ in 0..n_indexed {
         indexed.push(d.varint_usize("Relation index column")?);
     }
-    Relation::from_raw_parts(name, schema, slots, free, &indexed).map_err(|err| {
-        FormatError::Invalid {
-            what: "Relation",
-            detail: err.to_string(),
-        }
+    Ok((free, indexed))
+}
+
+/// A decoded relation before its indexes are built: a base snapshot's
+/// relation as persisted, which chunk patches then edit in place. Recovery
+/// turns each into a [`Relation`] once, after the last patch
+/// ([`RawRelation::build`]).
+#[derive(Clone, Debug)]
+pub(crate) struct RawRelation {
+    /// Relation name.
+    pub name: Arc<str>,
+    /// Relation schema.
+    pub schema: Schema,
+    /// The slot array in `RowId` order, dead slots included.
+    pub slots: Vec<Option<Tuple>>,
+    /// The free-slot stack.
+    pub free: Vec<u32>,
+    /// Columns carrying a secondary index.
+    pub indexed: Vec<usize>,
+}
+
+impl RawRelation {
+    /// Validates the parts and builds the relation and its indexes
+    /// ([`Relation::from_raw_parts`]).
+    pub(crate) fn build(self) -> Result<Relation, FormatError> {
+        Relation::from_raw_parts(self.name, self.schema, self.slots, self.free, &self.indexed)
+            .map_err(|err| FormatError::Invalid {
+                what: "Relation",
+                detail: err.to_string(),
+            })
+    }
+}
+
+/// Decodes a relation's persisted parts without building it.
+pub(crate) fn decode_raw_relation(d: &mut Dec<'_>) -> Result<RawRelation, FormatError> {
+    let name: Arc<str> = Arc::from(d.str()?);
+    let schema = decode_schema(d)?;
+    let n_slots = d.len_prefix("Relation slots", 1)?;
+    let mut slots = Vec::with_capacity(n_slots);
+    for _ in 0..n_slots {
+        slots.push(decode_slot(d)?);
+    }
+    let (free, indexed) = decode_free_and_indexed(d)?;
+    Ok(RawRelation {
+        name,
+        schema,
+        slots,
+        free,
+        indexed,
     })
+}
+
+/// Decodes a [`Relation`], re-validating schema conformance, primary-key
+/// uniqueness, and free-list consistency, and rebuilding all indexes.
+pub fn decode_relation(d: &mut Dec<'_>) -> Result<Relation, FormatError> {
+    decode_raw_relation(d)?.build()
 }
 
 /// Encodes a [`Database`] (relation count + relations in name order —
 /// canonical because the catalog is a `BTreeMap`).
 pub fn encode_database(e: &mut Enc, db: &Database) {
-    // filter_map keeps the written count and the loop in lockstep by
-    // construction, where a lookup-and-expect would panic on a (impossible
-    // today, fatal on disk) catalog/name mismatch.
-    let rels: Vec<_> = db
-        .relation_names()
-        .filter_map(|name| db.relation(name).ok())
-        .collect();
+    let rels = relations_in_order(db);
     e.varint(rels.len() as u64);
     for rel in rels {
         encode_relation(e, rel);
     }
 }
 
-/// Decodes a [`Database`].
-pub fn decode_database(d: &mut Dec<'_>) -> Result<Database, FormatError> {
+/// Every relation of `db` in ascending name order. `filter_map` keeps a
+/// written count and the loop over it in lockstep by construction, where a
+/// lookup-and-expect would panic on a (impossible today, fatal on disk)
+/// catalog/name mismatch.
+pub(crate) fn relations_in_order(db: &Database) -> Vec<&Relation> {
+    db.relation_names()
+        .filter_map(|name| db.relation(name).ok())
+        .collect()
+}
+
+/// Decodes a database's relations without building them, in file order.
+pub(crate) fn decode_raw_database(d: &mut Dec<'_>) -> Result<Vec<RawRelation>, FormatError> {
     let n = d.len_prefix("Database relations", 1)?;
-    let mut db = Database::new();
+    let mut rels = Vec::with_capacity(n);
     for _ in 0..n {
-        let rel = decode_relation(d)?;
-        db.adopt_relation(rel).map_err(|err| FormatError::Invalid {
-            what: "Database",
-            detail: err.to_string(),
-        })?;
+        rels.push(decode_raw_relation(d)?);
+    }
+    Ok(rels)
+}
+
+/// Builds a [`Database`] from decoded relations: one
+/// [`RawRelation::build`] each; duplicate names are corrupt.
+pub(crate) fn build_database(rels: Vec<RawRelation>) -> Result<Database, FormatError> {
+    let mut db = Database::new();
+    for raw in rels {
+        db.adopt_relation(raw.build()?)
+            .map_err(|err| FormatError::Invalid {
+                what: "Database",
+                detail: err.to_string(),
+            })?;
     }
     Ok(db)
+}
+
+/// Decodes a [`Database`].
+pub fn decode_database(d: &mut Dec<'_>) -> Result<Database, FormatError> {
+    build_database(decode_raw_database(d)?)
+}
+
+// ---------------------------------------------------------------------------
+// Chunk patches
+// ---------------------------------------------------------------------------
+
+/// Encodes one relation's part of a chunk patch (FORMAT.md §Chunk patch):
+/// its name, slot count, free list and index set as of the checkpoint, then
+/// the slots of every chunk in `dirty` (ascending chunk indexes of
+/// [`Relation::CHUNK_ROWS`]-slot chunks; the last chunk may be short).
+pub(crate) fn encode_relation_patch(e: &mut Enc, r: &Relation, dirty: &[usize]) {
+    e.str(r.name());
+    let slots = r.raw_slots();
+    e.varint(slots.len() as u64);
+    encode_free_and_indexed(e, r);
+    e.varint(dirty.len() as u64);
+    for &c in dirty {
+        e.varint(c as u64);
+        for slot in slots.chunk(c).unwrap_or(&[]) {
+            encode_slot(e, slot);
+        }
+    }
+}
+
+/// One relation's part of a decoded chunk patch.
+#[derive(Clone, Debug)]
+pub(crate) struct RelationPatch {
+    /// Relation name (must match the patched relation).
+    pub name: Arc<str>,
+    /// Slot count at the checkpoint.
+    pub n_slots: usize,
+    /// The free-slot stack at the checkpoint.
+    pub free: Vec<u32>,
+    /// The secondary-index column set at the checkpoint.
+    pub indexed: Vec<usize>,
+    /// `(first slot, slots)` of every rewritten chunk, ascending.
+    pub chunks: Vec<(usize, Vec<Option<Tuple>>)>,
+}
+
+/// Decodes one relation's part of a chunk patch whose chunks hold
+/// `chunk_rows` slots. Chunk indexes must ascend strictly and name slots
+/// below the slot count.
+pub(crate) fn decode_relation_patch(
+    d: &mut Dec<'_>,
+    chunk_rows: usize,
+) -> Result<RelationPatch, FormatError> {
+    let invalid = |detail: String| FormatError::Invalid {
+        what: "RelationPatch",
+        detail,
+    };
+    let name: Arc<str> = Arc::from(d.str()?);
+    let n_slots = d.varint_usize("RelationPatch slot count")?;
+    let (free, indexed) = decode_free_and_indexed(d)?;
+    let n_chunks = d.len_prefix("RelationPatch chunks", 1)?;
+    let mut chunks = Vec::with_capacity(n_chunks);
+    let mut next = 0usize;
+    for _ in 0..n_chunks {
+        let c = d.varint_usize("RelationPatch chunk index")?;
+        let start = c
+            .checked_mul(chunk_rows)
+            .filter(|&s| c >= next && s < n_slots)
+            .ok_or_else(|| invalid(format!("chunk {c} out of order or past {n_slots} slots")))?;
+        let len = (n_slots - start).min(chunk_rows);
+        // Every slot costs at least its flag byte: a length the input
+        // cannot hold is corrupt, not an allocation request.
+        if len > d.remaining() {
+            return Err(FormatError::Oversized {
+                what: "RelationPatch chunk",
+            });
+        }
+        let mut slots = Vec::with_capacity(len);
+        for _ in 0..len {
+            slots.push(decode_slot(d)?);
+        }
+        chunks.push((start, slots));
+        next = c + 1;
+    }
+    Ok(RelationPatch {
+        name,
+        n_slots,
+        free,
+        indexed,
+        chunks,
+    })
+}
+
+impl RelationPatch {
+    /// Applies the patch to `raw`: the slot array takes the patch's slot
+    /// count and rewritten chunks, the free list and index set are
+    /// replaced. Validation of the result is [`RawRelation::build`]'s.
+    pub(crate) fn apply(self, raw: &mut RawRelation) -> Result<(), FormatError> {
+        let invalid = |detail: String| FormatError::Invalid {
+            what: "RelationPatch",
+            detail,
+        };
+        if self.name != raw.name {
+            return Err(invalid(format!(
+                "patch for `{}` applied to `{}`",
+                self.name, raw.name
+            )));
+        }
+        // Slots past the old count were all written since, so the patch
+        // carries them: a count beyond both is corrupt (and is refused
+        // before it becomes an allocation).
+        let covered = self.chunks.last().map_or(0, |(start, s)| start + s.len());
+        if self.n_slots > raw.slots.len().max(covered) {
+            return Err(invalid(format!(
+                "{} slots, but only {} are known",
+                self.n_slots,
+                raw.slots.len().max(covered)
+            )));
+        }
+        raw.slots.resize(self.n_slots, None);
+        for (start, slots) in self.chunks {
+            let end = start + slots.len();
+            let dst = raw
+                .slots
+                .get_mut(start..end)
+                .ok_or_else(|| FormatError::Invalid {
+                    what: "RelationPatch",
+                    detail: format!("slots {start}..{end} past the slot count"),
+                })?;
+            for (d, s) in dst.iter_mut().zip(slots) {
+                *d = s;
+            }
+        }
+        raw.free = self.free;
+        raw.indexed = self.indexed;
+        Ok(())
+    }
+}
+
+/// Encodes world assignment changes `(variable, new domain index)`,
+/// ascending by variable.
+pub(crate) fn encode_assignment_changes(e: &mut Enc, changes: &[(u32, u16)]) {
+    e.varint(changes.len() as u64);
+    for &(v, idx) in changes {
+        e.varint(u64::from(v));
+        e.varint(u64::from(idx));
+    }
+}
+
+/// Decodes world assignment changes; variables must ascend strictly.
+pub(crate) fn decode_assignment_changes(d: &mut Dec<'_>) -> Result<Vec<(u32, u16)>, FormatError> {
+    let n = d.len_prefix("Assignment changes", 2)?;
+    let mut out: Vec<(u32, u16)> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = d.varint_u32("Assignment change variable")?;
+        let idx = u16::try_from(d.varint()?).map_err(|_| FormatError::Oversized {
+            what: "Assignment change index",
+        })?;
+        if out.last().is_some_and(|&(prev, _)| prev >= v) {
+            return Err(FormatError::Invalid {
+                what: "Assignment changes",
+                detail: format!("variable {v} out of order"),
+            });
+        }
+        out.push((v, idx));
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@
 //! thinning interval of `ProbabilisticDB::step` — the Δ⁻/Δ⁺ delta set plus
 //! the net variable changes and the post-interval chain position — is
 //! appended to a checksummed, length-prefixed [write-ahead log](wal), and a
-//! [snapshot](store::write_snapshot) serializes the full deterministic
-//! store, world, and RNG state at an interval boundary, truncating the log.
-//! Recovery replays snapshot + WAL to a state whose query answers, kernel
-//! statistics, and *subsequent seeded MCMC trajectory* are identical to a
-//! process that never crashed.
+//! checkpoint persists the deterministic store, world, and RNG state at an
+//! interval boundary, truncating the log: as a *chunk patch* holding only
+//! the storage chunks and variables that changed since the previous
+//! checkpoint, or — when the patch log would outgrow it — as a new full
+//! [base snapshot](store::write_snapshot). Recovery replays the base, its
+//! patches and the WAL to a state whose query answers, kernel statistics,
+//! and *subsequent seeded MCMC trajectory* are identical to a process that
+//! never crashed.
 //!
 //! Layers:
 //!
-//! * [`checksum`] — CRC-32/ISO-HDLC record checksums;
+//! * [`checksum`] — CRC-32/ISO-HDLC record checksums (slicing-by-8);
 //! * [`io`] — the failpoint seam: every persisted byte goes through a
 //!   [`StoreIo`], either the real filesystem or a seeded fault injector
 //!   ([`FaultyIo`]) that tears writes, fails fsyncs, and simulates
@@ -25,9 +28,11 @@
 //!   `docs/FORMAT.md` is the normative byte-level description; the
 //!   round-trip property suite cross-checks the two;
 //! * [`wal`] — framed record append with group-commit fsync batching
-//!   ([`wal::FsyncPolicy`]) and torn-tail detection;
-//! * [`store`] — the snapshot + WAL directory, crash-safe checkpointing,
-//!   and the recovery scan ([`store::DurableStore::recover`]).
+//!   ([`wal::FsyncPolicy`]) and torn-tail detection, shared by the WAL and
+//!   the patch log;
+//! * [`store`] — the base + patch log + WAL directory, crash-safe
+//!   checkpointing and compaction, and the recovery scan
+//!   ([`store::DurableStore::recover`]).
 //!
 //! The crate deliberately depends only on `fgdb-relational` and
 //! `fgdb-graph`: chain state crosses the boundary as plain data
@@ -45,8 +50,9 @@ pub mod wal;
 pub use format::{BindingRec, ChainStateRec, FormatError, NetChangeRec};
 pub use io::{real_io, FaultKind, FaultPoint, FaultSchedule, FaultyIo, RealIo, StoreFile, StoreIo};
 pub use store::{
-    read_snapshot, write_snapshot, DurabilityConfig, DurabilityError, DurableStore, IntervalRecord,
-    RecoveryReport, Snapshot,
+    encode_snapshot, read_snapshot, write_snapshot, CheckpointKind, CheckpointReport,
+    DurabilityConfig, DurabilityError, DurableStore, IntervalRecord, RecoveryReport, Snapshot,
+    SnapshotRef, PATCH_LOG_BASE_MULTIPLE,
 };
 pub use wal::{FsyncPolicy, TornTail, WalScan};
 

@@ -1,49 +1,83 @@
-//! The durable store: a directory holding one snapshot plus one WAL, with
-//! crash-safe checkpointing and recovery.
+//! The durable store: a directory holding a base snapshot, a log of chunk
+//! patches against it, and a WAL, with crash-safe checkpointing and
+//! recovery.
 //!
 //! Layout of a store directory:
 //!
 //! ```text
-//! <dir>/snapshot.fgdb   full state at some interval boundary (seq S)
-//! <dir>/wal.fgdb        interval records S+1, S+2, … since that snapshot
+//! <dir>/snapshot.fgdb           the base: full state at some interval boundary (seq B)
+//! <dir>/snapshot.patches.fgdb   chunk patches P₁ < P₂ < … above B, each holding what
+//!                               changed since the checkpoint before it
+//! <dir>/wal.fgdb                interval records since the last checkpoint
 //! ```
 //!
-//! Commit protocol (FORMAT.md §Checkpointing): a checkpoint writes the new
-//! snapshot to `snapshot.fgdb.tmp`, fsyncs it, renames it over
-//! `snapshot.fgdb`, fsyncs the directory, and only then truncates the WAL.
-//! A crash between any two of those steps leaves either the old
-//! snapshot+full WAL or the new snapshot+(stale-but-ignorable or truncated)
-//! WAL — both recoverable: WAL records at or below the snapshot's sequence
-//! number are skipped during replay.
+//! A checkpoint costs what changed, not what is stored. The store keeps the
+//! state of its last durable checkpoint (a [`Database`] snapshot — which
+//! shares every chunk the sampler has not written since — plus the world
+//! assignment), and a checkpoint appends one *chunk patch* to the patch
+//! log: the chain state, per relation the slot count, free list, index set
+//! and every slot chunk not pointer-identical to the retained copy, and the
+//! variables whose assignment moved. The dirty set is read by comparing
+//! pointers at checkpoint time ([`fgdb_relational::Relation::chunks_not_shared_with`]);
+//! nothing is tracked on the write path. When the patch log would outgrow
+//! the base ([`PATCH_LOG_BASE_MULTIPLE`]) — or the state changed shape (a
+//! relation, schema, domain or binding a patch cannot describe) — the
+//! checkpoint *compacts* instead: it writes a new base and empties the log,
+//! so recovery never reads more than about two bases' worth of bytes.
+//!
+//! Commit protocols (FORMAT.md §Checkpointing): both fsync the WAL first;
+//! a patch is appended to the patch log and fsynced, a base is written to
+//! `snapshot.fgdb.tmp`, fsynced, renamed over `snapshot.fgdb`, the
+//! directory fsynced, and the patch log re-created empty; only then is the
+//! WAL truncated. A crash between any two steps is recoverable: a torn
+//! patch is truncated like a torn WAL record, patches and WAL records at
+//! or below the recovered checkpoint's sequence number are skipped, and a
+//! missing or header-less patch log or WAL reads as empty.
 
 use crate::format::{
-    decode_binding, decode_chain_state, decode_changes, decode_database, decode_delta,
-    decode_world, encode_binding, encode_chain_state, encode_changes, encode_database,
-    encode_delta, encode_world, BindingRec, ChainStateRec, Dec, Enc, FormatError, NetChangeRec,
+    build_database, decode_assignment_changes, decode_binding, decode_chain_state, decode_changes,
+    decode_delta, decode_raw_database, decode_relation_patch, decode_world,
+    encode_assignment_changes, encode_binding, encode_chain_state, encode_changes, encode_database,
+    encode_delta, encode_relation_patch, encode_world, relations_in_order, BindingRec,
+    ChainStateRec, Dec, Enc, FormatError, NetChangeRec, RawRelation, RelationPatch,
 };
 use crate::io::{real_io, StoreIo};
 use crate::wal::{
-    self, check_header, write_header, FsyncPolicy, TornTail, WalWriter, KIND_SNAPSHOT,
+    self, check_header, write_header, FsyncPolicy, WalScan, WalWriter, KIND_PATCHES, KIND_SNAPSHOT,
 };
-use fgdb_graph::World;
-use fgdb_relational::{Database, DeltaSet};
+use fgdb_graph::{VariableId, World};
+use fgdb_relational::{Database, DeltaSet, Relation};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Snapshot file name inside a store directory.
+/// Base snapshot file name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fgdb";
+/// Chunk-patch log file name inside a store directory.
+pub const PATCH_FILE: &str = "snapshot.patches.fgdb";
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.fgdb";
 
 /// Record type byte: an interval commit (FORMAT.md §Interval record).
 pub const REC_INTERVAL: u8 = 0x01;
-/// Record type byte: a full snapshot (only in snapshot files).
+/// Record type byte: a full snapshot (only in base snapshot files).
 pub const REC_SNAPSHOT: u8 = 0x10;
+/// Record type byte: a chunk patch (only in patch logs).
+pub const REC_PATCH: u8 = 0x11;
 /// Version byte of the interval record body.
 pub const INTERVAL_VERSION: u8 = 1;
 /// Version byte of the snapshot record body.
 pub const SNAPSHOT_VERSION: u8 = 1;
+/// Version byte of the chunk-patch record body.
+pub const PATCH_VERSION: u8 = 1;
+
+/// How large the patch log may grow, as a multiple of the base snapshot
+/// file, before a checkpoint compacts: a patch that would take the log past
+/// `PATCH_LOG_BASE_MULTIPLE × base bytes` is written as a new base instead.
+/// A constant, not a knob: at 1, recovery reads at most about two bases'
+/// worth of bytes, and the full-store encoder runs once per base's worth of
+/// changed chunks.
+pub const PATCH_LOG_BASE_MULTIPLE: u64 = 1;
 
 /// Errors raised by the durability layer.
 #[derive(Debug)]
@@ -95,6 +129,35 @@ pub struct Snapshot {
     pub binding: BindingRec,
 }
 
+/// The state a checkpoint persists, borrowed from its owner: what
+/// [`DurableStore::checkpoint`] reads, so a live database is checkpointed
+/// without cloning its world or binding.
+#[derive(Clone, Copy, Debug)]
+pub struct SnapshotRef<'a> {
+    /// Interval sequence number the state reflects.
+    pub seq: u64,
+    /// The deterministic store.
+    pub db: &'a Database,
+    /// The variable assignment and domains.
+    pub world: &'a World,
+    /// Chain position.
+    pub chain: &'a ChainStateRec,
+    /// Variable ↔ field binding.
+    pub binding: &'a BindingRec,
+}
+
+impl<'a> From<&'a Snapshot> for SnapshotRef<'a> {
+    fn from(s: &'a Snapshot) -> Self {
+        SnapshotRef {
+            seq: s.seq,
+            db: &s.db,
+            world: &s.world,
+            chain: &s.chain,
+            binding: &s.binding,
+        }
+    }
+}
+
 /// One committed thinning interval, as logged to the WAL.
 #[derive(Clone, Debug)]
 pub struct IntervalRecord {
@@ -110,6 +173,24 @@ pub struct IntervalRecord {
     pub delta: DeltaSet,
     /// Chain position *after* the interval.
     pub chain: ChainStateRec,
+}
+
+/// Reads a record's type and version bytes, refusing anything but `ty` at
+/// `version`.
+fn expect_record(d: &mut Dec<'_>, ty: u8, version: u8, what: &str) -> Result<(), DurabilityError> {
+    let found = d.u8()?;
+    if found != ty {
+        return Err(DurabilityError::Corrupt(format!(
+            "unexpected {what} record type {found:#04x}"
+        )));
+    }
+    let ver = d.u8()?;
+    if ver != version {
+        return Err(DurabilityError::Corrupt(format!(
+            "unsupported {what} record version {ver}"
+        )));
+    }
+    Ok(())
 }
 
 impl IntervalRecord {
@@ -128,18 +209,7 @@ impl IntervalRecord {
     /// Decodes a record payload produced by [`IntervalRecord::encode`].
     pub fn decode(payload: &[u8]) -> Result<IntervalRecord, DurabilityError> {
         let mut d = Dec::new(payload);
-        let ty = d.u8()?;
-        if ty != REC_INTERVAL {
-            return Err(DurabilityError::Corrupt(format!(
-                "unexpected WAL record type {ty:#04x}"
-            )));
-        }
-        let ver = d.u8()?;
-        if ver != INTERVAL_VERSION {
-            return Err(DurabilityError::Corrupt(format!(
-                "unsupported interval record version {ver}"
-            )));
-        }
+        expect_record(&mut d, REC_INTERVAL, INTERVAL_VERSION, "WAL")?;
         let seq = d.varint()?;
         let changes = decode_changes(&mut d)?;
         let delta = decode_delta(&mut d)?;
@@ -154,60 +224,147 @@ impl IntervalRecord {
     }
 }
 
-fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
+/// Encodes a full snapshot record payload — the base format, and the only
+/// place the whole store is encoded (store creation and compaction).
+pub fn encode_snapshot<'a>(s: impl Into<SnapshotRef<'a>>) -> Vec<u8> {
+    let s = s.into();
     let mut e = Enc::new();
     e.u8(REC_SNAPSHOT);
     e.u8(SNAPSHOT_VERSION);
     e.varint(s.seq);
-    encode_database(&mut e, &s.db);
-    encode_world(&mut e, &s.world);
-    encode_chain_state(&mut e, &s.chain);
-    encode_binding(&mut e, &s.binding);
+    encode_database(&mut e, s.db);
+    encode_world(&mut e, s.world);
+    encode_chain_state(&mut e, s.chain);
+    encode_binding(&mut e, s.binding);
     e.into_bytes()
 }
 
-fn decode_snapshot(payload: &[u8]) -> Result<Snapshot, DurabilityError> {
-    let mut d = Dec::new(payload);
-    let ty = d.u8()?;
-    if ty != REC_SNAPSHOT {
-        return Err(DurabilityError::Corrupt(format!(
-            "unexpected snapshot record type {ty:#04x}"
-        )));
+/// A decoded base (plus any patches applied to it) whose relations are not
+/// yet built: recovery edits this in place and builds once.
+struct RawSnapshot {
+    seq: u64,
+    relations: Vec<RawRelation>,
+    world: World,
+    chain: ChainStateRec,
+    binding: BindingRec,
+}
+
+impl RawSnapshot {
+    fn decode(payload: &[u8]) -> Result<RawSnapshot, DurabilityError> {
+        let mut d = Dec::new(payload);
+        expect_record(&mut d, REC_SNAPSHOT, SNAPSHOT_VERSION, "snapshot")?;
+        let seq = d.varint()?;
+        let relations = decode_raw_database(&mut d)?;
+        let world = decode_world(&mut d)?;
+        let chain = decode_chain_state(&mut d)?;
+        let binding = decode_binding(&mut d)?;
+        d.finish()?;
+        Ok(RawSnapshot {
+            seq,
+            relations,
+            world,
+            chain,
+            binding,
+        })
     }
-    let ver = d.u8()?;
-    if ver != SNAPSHOT_VERSION {
-        return Err(DurabilityError::Corrupt(format!(
-            "unsupported snapshot record version {ver}"
-        )));
+
+    /// Applies one chunk patch: relation by relation, then the assignment
+    /// changes, then the chain position.
+    fn apply(&mut self, patch: Patch) -> Result<(), DurabilityError> {
+        if patch.relations.len() != self.relations.len() {
+            return Err(DurabilityError::Corrupt(format!(
+                "patch {} covers {} relations, the state has {}",
+                patch.seq,
+                patch.relations.len(),
+                self.relations.len()
+            )));
+        }
+        for (rp, raw) in patch.relations.into_iter().zip(&mut self.relations) {
+            rp.apply(raw)?;
+        }
+        for (v, idx) in patch.changes {
+            let var = VariableId(v);
+            let in_domain = var.index() < self.world.num_variables()
+                && usize::from(idx) < self.world.cardinality(var);
+            if !in_domain {
+                return Err(DurabilityError::Corrupt(format!(
+                    "patch {} sets variable {v} to index {idx} outside the world",
+                    patch.seq
+                )));
+            }
+            self.world.set(var, usize::from(idx));
+        }
+        self.seq = patch.seq;
+        self.chain = patch.chain;
+        Ok(())
     }
-    let seq = d.varint()?;
-    let db = decode_database(&mut d)?;
-    let world = decode_world(&mut d)?;
-    let chain = decode_chain_state(&mut d)?;
-    let binding = decode_binding(&mut d)?;
-    d.finish()?;
-    Ok(Snapshot {
-        seq,
-        db,
-        world,
-        chain,
-        binding,
-    })
+
+    fn build(self) -> Result<Snapshot, DurabilityError> {
+        Ok(Snapshot {
+            seq: self.seq,
+            db: build_database(self.relations)?,
+            world: self.world,
+            chain: self.chain,
+            binding: self.binding,
+        })
+    }
+}
+
+/// A decoded chunk patch (FORMAT.md §Chunk patch).
+struct Patch {
+    seq: u64,
+    /// The checkpoint this patch was taken against.
+    prev: u64,
+    chain: ChainStateRec,
+    relations: Vec<RelationPatch>,
+    changes: Vec<(u32, u16)>,
+}
+
+impl Patch {
+    fn decode(payload: &[u8]) -> Result<Patch, DurabilityError> {
+        let mut d = Dec::new(payload);
+        expect_record(&mut d, REC_PATCH, PATCH_VERSION, "patch")?;
+        let seq = d.varint()?;
+        let prev = d.varint()?;
+        let chain = decode_chain_state(&mut d)?;
+        let chunk_rows = d.varint_usize("Patch chunk size")?;
+        if chunk_rows == 0 {
+            return Err(FormatError::Invalid {
+                what: "Patch",
+                detail: "zero chunk size".into(),
+            }
+            .into());
+        }
+        let n = d.len_prefix("Patch relations", 1)?;
+        let mut relations = Vec::with_capacity(n);
+        for _ in 0..n {
+            relations.push(decode_relation_patch(&mut d, chunk_rows)?);
+        }
+        let changes = decode_assignment_changes(&mut d)?;
+        d.finish()?;
+        Ok(Patch {
+            seq,
+            prev,
+            chain,
+            relations,
+            changes,
+        })
+    }
 }
 
 /// Writes a snapshot file crash-safely: temp file → fsync → rename →
 /// directory fsync.
-pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<(), DurabilityError> {
+pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<u64, DurabilityError> {
     write_snapshot_with(&*real_io(), dir, snapshot)
 }
 
 /// [`write_snapshot`] through an explicit [`StoreIo`] — the failpoint seam
-/// for checkpoint faults.
-pub fn write_snapshot_with(
+/// for checkpoint faults. Returns the bytes the file holds.
+pub fn write_snapshot_with<'a>(
     io: &dyn StoreIo,
     dir: &Path,
-    snapshot: &Snapshot,
-) -> Result<(), DurabilityError> {
+    snapshot: impl Into<SnapshotRef<'a>>,
+) -> Result<u64, DurabilityError> {
     let payload = encode_snapshot(snapshot);
     // The frame length is a u32; a state too large for it must error here,
     // before anything is written — a silently wrapped length would produce
@@ -237,16 +394,12 @@ pub fn write_snapshot_with(
     // platform; failures degrade durability of the *rename*, not
     // correctness, so they are tolerated.
     let _ = io.sync_dir(dir);
-    Ok(())
+    Ok(bytes.len() as u64)
 }
 
-/// Reads and validates a snapshot file.
-pub fn read_snapshot(dir: &Path) -> Result<Snapshot, DurabilityError> {
-    read_snapshot_with(&*real_io(), dir)
-}
-
-/// [`read_snapshot`] through an explicit [`StoreIo`].
-pub fn read_snapshot_with(io: &dyn StoreIo, dir: &Path) -> Result<Snapshot, DurabilityError> {
+/// Reads and validates a base snapshot file, returning it decoded (its
+/// relations not yet built) and the file's length.
+fn read_base(io: &dyn StoreIo, dir: &Path) -> Result<(RawSnapshot, u64), DurabilityError> {
     let bytes = io.read(&dir.join(SNAPSHOT_FILE))?;
     check_header(&bytes, KIND_SNAPSHOT)?;
     let rest = bytes
@@ -273,7 +426,17 @@ pub fn read_snapshot_with(io: &dyn StoreIo, dir: &Path) -> Result<Snapshot, Dura
             "snapshot checksum mismatch".into(),
         ));
     }
-    decode_snapshot(body)
+    Ok((RawSnapshot::decode(body)?, bytes.len() as u64))
+}
+
+/// Reads and validates a base snapshot file (patches not applied).
+pub fn read_snapshot(dir: &Path) -> Result<Snapshot, DurabilityError> {
+    read_snapshot_with(&*real_io(), dir)
+}
+
+/// [`read_snapshot`] through an explicit [`StoreIo`].
+pub fn read_snapshot_with(io: &dyn StoreIo, dir: &Path) -> Result<Snapshot, DurabilityError> {
+    read_base(io, dir)?.0.build()
 }
 
 /// Durability configuration.
@@ -296,30 +459,166 @@ impl Default for DurabilityConfig {
 /// What recovery found and did.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
-    /// Sequence number of the recovered snapshot.
+    /// Sequence number of the recovered checkpoint: the base's, or the
+    /// last applied patch's.
     pub snapshot_seq: u64,
+    /// Sequence number of the base snapshot file.
+    pub base_seq: u64,
+    /// Chunk patches applied on top of the base.
+    pub patches: u64,
+    /// Stale patches skipped (at or below the base's sequence number: a
+    /// compaction crashed before it emptied the patch log).
+    pub stale_patches: u64,
+    /// Bytes of torn tail truncated from the patch log.
+    pub patch_truncated_bytes: u64,
     /// Interval records replayed from the WAL.
     pub replayed: u64,
     /// Bytes of torn tail truncated from the WAL (0 when the log was
     /// clean).
     pub truncated_bytes: u64,
-    /// Human-readable description of the torn tail, when one was found.
+    /// Human-readable description of a torn tail or re-created log, when
+    /// one was found.
     pub torn: Option<String>,
 }
 
-/// The durable store handle: owns the directory and the open WAL.
+/// Whether a checkpoint appended a chunk patch or wrote a new base.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CheckpointKind {
+    /// A chunk patch appended to the patch log.
+    Patch,
+    /// A full base snapshot (store creation or compaction); the patch log
+    /// was emptied.
+    Base,
+}
+
+/// What one checkpoint wrote.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckpointReport {
+    /// Sequence number the checkpoint reflects.
+    pub seq: u64,
+    /// Patch or base.
+    pub kind: CheckpointKind,
+    /// Slot chunks written: the chunks not shared with the previous
+    /// checkpoint for a patch, every chunk for a base.
+    pub chunks: usize,
+    /// Variable assignments written: the changed ones for a patch, all of
+    /// them for a base.
+    pub variables: usize,
+    /// Bytes written for the checkpoint record (patch frame, or base file).
+    pub bytes: u64,
+    /// Patch log length after the checkpoint, header included.
+    pub patch_log_bytes: u64,
+    /// Base snapshot file length after the checkpoint.
+    pub base_bytes: u64,
+}
+
+/// The state as of the last durable checkpoint — what the next patch is
+/// taken against. Structurally shared with the live store: it holds only
+/// the chunks the live side has un-shared since.
+struct Retained {
+    seq: u64,
+    db: Database,
+    world: World,
+    binding: BindingRec,
+}
+
+impl Retained {
+    fn of(s: SnapshotRef<'_>) -> Retained {
+        Retained {
+            seq: s.seq,
+            db: s.db.snapshot(),
+            world: s.world.clone(),
+            binding: s.binding.clone(),
+        }
+    }
+
+    /// The chunk patch taking this state to `s`. `None` when `s` has a
+    /// shape a patch cannot describe (relations, schemas, domains or the
+    /// binding changed), which calls for a new base.
+    fn patch_to(&self, s: SnapshotRef<'_>) -> Option<EncodedPatch> {
+        let (live_w, old_w) = (s.world, &self.world);
+        let same_domains = live_w.num_variables() == old_w.num_variables()
+            && live_w
+                .domains()
+                .iter()
+                .zip(old_w.domains())
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        let (live, old) = (relations_in_order(s.db), relations_in_order(&self.db));
+        let same_relations = live.len() == old.len()
+            && live
+                .iter()
+                .zip(&old)
+                .all(|(a, b)| a.name() == b.name() && a.schema() == b.schema());
+        if !same_domains || !same_relations || s.binding != &self.binding {
+            return None;
+        }
+        let changes = live_w
+            .assignment()
+            .iter()
+            .zip(old_w.assignment())
+            .enumerate()
+            .filter(|(_, (now, then))| now != then)
+            .map(|(v, (&now, _))| u32::try_from(v).map(|v| (v, now)))
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        let mut e = Enc::new();
+        e.u8(REC_PATCH);
+        e.u8(PATCH_VERSION);
+        e.varint(s.seq);
+        e.varint(self.seq);
+        encode_chain_state(&mut e, s.chain);
+        e.varint(Relation::CHUNK_ROWS as u64);
+        e.varint(live.len() as u64);
+        let mut chunks = 0;
+        for (now, then) in live.iter().zip(&old) {
+            let dirty: Vec<usize> = now.chunks_not_shared_with(then).collect();
+            chunks += dirty.len();
+            encode_relation_patch(&mut e, now, &dirty);
+        }
+        encode_assignment_changes(&mut e, &changes);
+        Some(EncodedPatch {
+            payload: e.into_bytes(),
+            chunks,
+            changes,
+        })
+    }
+}
+
+/// A chunk patch ready to append.
+struct EncodedPatch {
+    /// The record payload.
+    payload: Vec<u8>,
+    /// Slot chunks it carries.
+    chunks: usize,
+    /// The assignment changes it carries, `(variable, new index)`.
+    changes: Vec<(u32, u16)>,
+}
+
+/// Bytes a framed record adds beyond its payload (length + CRC).
+const FRAME_OVERHEAD: u64 = 8;
+
+/// The durable store handle: owns the directory, the open WAL and patch
+/// log, and the state of the last checkpoint.
 pub struct DurableStore {
     dir: PathBuf,
     wal: WalWriter,
+    patches: WalWriter,
     config: DurabilityConfig,
     next_seq: u64,
     io: Arc<dyn StoreIo>,
+    retained: Retained,
+    base_bytes: u64,
+    last_checkpoint: Option<CheckpointReport>,
+    /// Set while a checkpoint is between its first write and its last: a
+    /// checkpoint that failed there may have left the WAL re-created under
+    /// the open writer, so the store refuses appends until recovery.
+    poisoned: bool,
 }
 
 impl DurableStore {
-    /// Initializes a store directory with `snapshot` as the initial state
-    /// and an empty WAL. Creates the directory if needed; refuses to
-    /// overwrite an existing store.
+    /// Initializes a store directory with `snapshot` as the initial base,
+    /// an empty patch log and an empty WAL. Creates the directory if
+    /// needed; refuses to overwrite an existing store.
     pub fn create(
         dir: &Path,
         snapshot: &Snapshot,
@@ -338,20 +637,29 @@ impl DurableStore {
         config: DurabilityConfig,
     ) -> Result<DurableStore, DurabilityError> {
         io.create_dir_all(dir)?;
-        if io.exists(&dir.join(SNAPSHOT_FILE)) || io.exists(&dir.join(WAL_FILE)) {
+        if [SNAPSHOT_FILE, PATCH_FILE, WAL_FILE]
+            .iter()
+            .any(|f| io.exists(&dir.join(f)))
+        {
             return Err(DurabilityError::Corrupt(format!(
                 "store already exists at {}",
                 dir.display()
             )));
         }
-        write_snapshot_with(&*io, dir, snapshot)?;
+        let base_bytes = write_snapshot_with(&*io, dir, snapshot)?;
+        let patches = create_patch_log(&*io, dir)?;
         let wal = WalWriter::create_with(&*io, &dir.join(WAL_FILE), config.fsync)?;
         Ok(DurableStore {
             dir: dir.to_path_buf(),
             wal,
+            patches,
             config,
             next_seq: snapshot.seq + 1,
             io,
+            retained: Retained::of(snapshot.into()),
+            base_bytes,
+            last_checkpoint: None,
+            poisoned: false,
         })
     }
 
@@ -375,9 +683,24 @@ impl DurableStore {
         self.next_seq
     }
 
+    /// What the most recent checkpoint through this handle wrote.
+    pub fn last_checkpoint(&self) -> Option<&CheckpointReport> {
+        self.last_checkpoint.as_ref()
+    }
+
+    fn check_not_poisoned(&self) -> Result<(), DurabilityError> {
+        if self.poisoned {
+            return Err(DurabilityError::Corrupt(
+                "store poisoned by a failed checkpoint; reopen it through recovery".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Appends and commits one interval record. Sequence numbers must be
     /// dense: `rec.seq == self.next_seq()`.
     pub fn append_interval(&mut self, rec: &IntervalRecord) -> Result<(), DurabilityError> {
+        self.check_not_poisoned()?;
         if rec.seq != self.next_seq {
             return Err(DurabilityError::Corrupt(format!(
                 "interval seq {} but WAL expects {}",
@@ -395,31 +718,128 @@ impl DurableStore {
         self.wal.sync()
     }
 
-    /// Checkpoints: durably writes `snapshot` (which must reflect sequence
-    /// `self.next_seq() - 1`) and truncates the WAL to empty.
-    pub fn checkpoint(&mut self, snapshot: &Snapshot) -> Result<(), DurabilityError> {
-        if snapshot.seq + 1 != self.next_seq {
+    /// Checkpoints `state` (which must reflect sequence
+    /// `self.next_seq() - 1`) and truncates the WAL. Appends a chunk patch
+    /// against the previous checkpoint when one fits under
+    /// [`PATCH_LOG_BASE_MULTIPLE`], and compacts into a new base otherwise
+    /// (see the module docs); [`Self::last_checkpoint`] says which.
+    ///
+    /// A failure after the first write poisons the store: the files are
+    /// recoverable, but the handle refuses appends until
+    /// [`DurableStore::recover`] reopens them.
+    pub fn checkpoint<'a>(
+        &mut self,
+        state: impl Into<SnapshotRef<'a>>,
+    ) -> Result<(), DurabilityError> {
+        let state = state.into();
+        self.begin_checkpoint(state)?;
+        // Patches are keyed by sequence number, so a second checkpoint at
+        // the previous one's (nothing logged in between) is a base too.
+        let patch = (state.seq > self.retained.seq)
+            .then(|| self.retained.patch_to(state))
+            .flatten()
+            .filter(|p| {
+                self.patches.len() + FRAME_OVERHEAD + p.payload.len() as u64
+                    <= self.base_bytes.saturating_mul(PATCH_LOG_BASE_MULTIPLE)
+            });
+        let report = match patch {
+            Some(EncodedPatch {
+                payload,
+                chunks,
+                changes,
+            }) => {
+                // Step 2: the patch is durable before the WAL it replaces
+                // is touched.
+                self.patches.append(&payload)?;
+                self.patches.sync()?;
+                self.retained.seq = state.seq;
+                self.retained.db = state.db.snapshot();
+                for &(v, idx) in &changes {
+                    self.retained.world.set(VariableId(v), usize::from(idx));
+                }
+                CheckpointReport {
+                    seq: state.seq,
+                    kind: CheckpointKind::Patch,
+                    chunks,
+                    variables: changes.len(),
+                    bytes: FRAME_OVERHEAD + payload.len() as u64,
+                    patch_log_bytes: self.patches.len(),
+                    base_bytes: self.base_bytes,
+                }
+            }
+            None => self.write_base(state)?,
+        };
+        self.finish_checkpoint(report)
+    }
+
+    /// Checkpoints `state` as a new base regardless of the patch log's
+    /// size: the compaction [`Self::checkpoint`] falls back to, on demand.
+    pub fn compact<'a>(
+        &mut self,
+        state: impl Into<SnapshotRef<'a>>,
+    ) -> Result<(), DurabilityError> {
+        let state = state.into();
+        self.begin_checkpoint(state)?;
+        let report = self.write_base(state)?;
+        self.finish_checkpoint(report)
+    }
+
+    /// Step 1 of either protocol: every interval the checkpoint embodies is
+    /// on disk before anything replaces it (otherwise a crash in between
+    /// could lose acknowledged intervals). Poisons until
+    /// [`Self::finish_checkpoint`].
+    fn begin_checkpoint(&mut self, state: SnapshotRef<'_>) -> Result<(), DurabilityError> {
+        if state.seq + 1 != self.next_seq {
             return Err(DurabilityError::Corrupt(format!(
                 "checkpoint at seq {} but WAL is at {}",
-                snapshot.seq, self.next_seq
+                state.seq, self.next_seq
             )));
         }
-        // Make sure every interval the snapshot embodies is on disk before
-        // replacing the snapshot (otherwise a crash between the two could
-        // lose acknowledged intervals).
-        self.wal.sync()?;
-        write_snapshot_with(&*self.io, &self.dir, snapshot)?;
-        // Old records are at or below snapshot.seq now; replay skips them,
-        // so truncating is an optimization, not a correctness step — safe
-        // to crash before, between, or after.
+        self.check_not_poisoned()?;
+        self.poisoned = true;
+        self.wal.sync()
+    }
+
+    /// Compaction, steps 2–3: the base goes through tmp → fsync → rename →
+    /// directory fsync, then the patch log is re-created empty (patches it
+    /// held are at or below the new base's sequence number, so a crash in
+    /// between leaves them stale, never wrong).
+    fn write_base(&mut self, state: SnapshotRef<'_>) -> Result<CheckpointReport, DurabilityError> {
+        let bytes = write_snapshot_with(&*self.io, &self.dir, state)?;
+        self.base_bytes = bytes;
+        self.patches = create_patch_log(&*self.io, &self.dir)?;
+        self.retained = Retained::of(state);
+        Ok(CheckpointReport {
+            seq: state.seq,
+            kind: CheckpointKind::Base,
+            chunks: relations_in_order(state.db)
+                .iter()
+                .map(|r| r.chunk_count())
+                .sum(),
+            variables: state.world.num_variables(),
+            bytes,
+            patch_log_bytes: self.patches.len(),
+            base_bytes: bytes,
+        })
+    }
+
+    /// The last step of either protocol: truncate the WAL. Its records are
+    /// at or below the checkpoint's sequence number now and replay skips
+    /// them, so this is an optimization, not a correctness step — safe to
+    /// crash before, during, or after.
+    fn finish_checkpoint(&mut self, report: CheckpointReport) -> Result<(), DurabilityError> {
         self.wal = WalWriter::create_with(&*self.io, &self.dir.join(WAL_FILE), self.config.fsync)?;
+        self.poisoned = false;
+        self.last_checkpoint = Some(report);
         Ok(())
     }
 
-    /// Opens an existing store: reads the snapshot, scans the WAL, truncates
-    /// any torn tail, and returns the snapshot, the interval records to
-    /// replay (those above the snapshot's sequence number, gap-checked), the
-    /// reopened store handle, and a report of what was found.
+    /// Opens an existing store: reads the base, applies the patch log,
+    /// scans the WAL, truncates any torn tail of either log, and returns
+    /// the recovered checkpoint state, the interval records to replay
+    /// (those above its sequence number, gap-checked), the reopened store
+    /// handle, and a report of what was found. A store written before
+    /// patch logs existed opens as one with zero patches.
     pub fn recover(
         dir: &Path,
         config: DurabilityConfig,
@@ -438,43 +858,64 @@ impl DurableStore {
         config: DurabilityConfig,
     ) -> Result<(Snapshot, Vec<IntervalRecord>, DurableStore, RecoveryReport), DurabilityError>
     {
-        let snapshot = read_snapshot_with(&*io, dir)?;
-        let wal_path = dir.join(WAL_FILE);
+        let (mut state, base_bytes) = read_base(&*io, dir)?;
+        let mut report = RecoveryReport {
+            base_seq: state.seq,
+            ..RecoveryReport::default()
+        };
+
+        // Patches: stale ones (a compaction crashed before emptying the
+        // log) are skipped, the rest must chain from the base in order.
+        let patch_path = dir.join(PATCH_FILE);
+        let patch_log = scan_log(&*io, &patch_path, KIND_PATCHES)?;
+        for payload in &patch_log.scan.records {
+            let patch = Patch::decode(payload)?;
+            if patch.seq <= report.base_seq {
+                report.stale_patches += 1;
+                continue;
+            }
+            if patch.seq <= state.seq {
+                return Err(DurabilityError::Corrupt(format!(
+                    "patch sequence regression: patch {} after checkpoint {}",
+                    patch.seq, state.seq
+                )));
+            }
+            if patch.prev != state.seq {
+                return Err(DurabilityError::Corrupt(format!(
+                    "patch {} was taken against checkpoint {}, but recovery is at {}",
+                    patch.seq, patch.prev, state.seq
+                )));
+            }
+            state.apply(patch)?;
+            report.patches += 1;
+        }
+        report.patch_truncated_bytes = patch_log.truncated_bytes();
+        let snapshot = state.build()?;
+        report.snapshot_seq = snapshot.seq;
+
         // A crash while a checkpoint (or `create`) was re-creating the WAL
         // can leave it missing or shorter than the 11-byte header. The
-        // snapshot alone fully describes the state at that point, so a
+        // checkpoint alone fully describes the state at that point, so a
         // header-less WAL recovers as "zero records" and is re-created —
         // erroring here would make the store unrecoverable over a file that
         // carries no information. A *full-length* header that fails
         // validation (foreign magic/kind, unknown version) is still a hard
-        // error: that file holds something, just not ours.
-        let wal_len = io.file_len(&wal_path).unwrap_or(0);
-        let recreate_wal = wal_len < wal::HEADER_LEN;
-        let scan = if recreate_wal {
-            wal::WalScan {
-                records: Vec::new(),
-                valid_len: wal::HEADER_LEN,
-                torn: None,
-            }
-        } else {
-            wal::scan_with(&*io, &wal_path)?
-        };
-        let mut report =
-            RecoveryReport {
-                snapshot_seq: snapshot.seq,
-                replayed: 0,
-                truncated_bytes: wal_len.saturating_sub(scan.valid_len),
-                torn: scan.torn.as_ref().map(TornTail::to_string).or_else(|| {
-                    recreate_wal.then(|| "WAL missing or header-less; re-created".into())
-                }),
-            };
+        // error: that file holds something, just not ours. The patch log
+        // follows the same rule.
+        let wal_path = dir.join(WAL_FILE);
+        let wal_log = scan_log(&*io, &wal_path, wal::KIND_WAL)?;
+        report.truncated_bytes = wal_log.truncated_bytes();
+        report.torn = wal_log.describe().or_else(|| {
+            let torn = patch_log.scan.torn.as_ref();
+            torn.map(|t| format!("patch log: {t}"))
+        });
         let mut records = Vec::new();
         let mut expect = snapshot.seq + 1;
-        for payload in &scan.records {
+        for payload in &wal_log.scan.records {
             let rec = IntervalRecord::decode(payload)?;
             if rec.seq <= snapshot.seq {
                 // Pre-checkpoint record in a WAL the checkpoint did not get
-                // to truncate — already folded into the snapshot.
+                // to truncate — already folded into the checkpoint.
                 continue;
             }
             if rec.seq != expect {
@@ -487,20 +928,92 @@ impl DurableStore {
             records.push(rec);
         }
         report.replayed = records.len() as u64;
-        let wal = if recreate_wal {
+
+        let patches = if patch_log.missing() {
+            create_patch_log(&*io, dir)?
+        } else {
+            let torn = patch_log.truncated_bytes() > 0;
+            WalWriter::reopen(
+                &*io,
+                &patch_path,
+                patch_log.scan.valid_len,
+                torn,
+                FsyncPolicy::Never,
+            )?
+        };
+        let wal = if wal_log.missing() {
             WalWriter::create_with(&*io, &wal_path, config.fsync)?
         } else {
-            WalWriter::open_at_with(&*io, &wal_path, scan.valid_len, config.fsync)?
+            WalWriter::open_at_with(&*io, &wal_path, wal_log.scan.valid_len, config.fsync)?
         };
         let store = DurableStore {
             dir: dir.to_path_buf(),
             wal,
+            patches,
             config,
             next_seq: expect,
             io,
+            retained: Retained::of((&snapshot).into()),
+            base_bytes,
+            last_checkpoint: None,
+            poisoned: false,
         };
         Ok((snapshot, records, store, report))
     }
+}
+
+/// Creates (truncating) an empty patch log. Patches are synced explicitly,
+/// so the writer's own fsync policy is `Never`.
+fn create_patch_log(io: &dyn StoreIo, dir: &Path) -> Result<WalWriter, DurabilityError> {
+    WalWriter::create_kind(io, &dir.join(PATCH_FILE), KIND_PATCHES, FsyncPolicy::Never)
+}
+
+/// A framed log as recovery found it.
+struct LogScan {
+    scan: WalScan,
+    /// File length before truncation (0 when missing).
+    file_len: u64,
+}
+
+impl LogScan {
+    /// Missing or shorter than the header: reads as empty, re-created.
+    fn missing(&self) -> bool {
+        self.file_len < wal::HEADER_LEN
+    }
+
+    fn truncated_bytes(&self) -> u64 {
+        if self.missing() {
+            0
+        } else {
+            self.file_len.saturating_sub(self.scan.valid_len)
+        }
+    }
+
+    /// The WAL's torn tail, or its re-creation, as a report line.
+    fn describe(&self) -> Option<String> {
+        match &self.scan.torn {
+            Some(t) => Some(t.to_string()),
+            None => self
+                .missing()
+                .then(|| "WAL missing or header-less; re-created".into()),
+        }
+    }
+}
+
+/// Scans the framed log at `path` of file kind `kind`; a missing or
+/// header-less file scans as empty.
+fn scan_log(io: &dyn StoreIo, path: &Path, kind: u8) -> Result<LogScan, DurabilityError> {
+    let file_len = io.file_len(path).unwrap_or(0);
+    let scan = if file_len < wal::HEADER_LEN {
+        WalScan {
+            records: Vec::new(),
+            valid_len: wal::HEADER_LEN,
+            torn: None,
+        }
+    } else {
+        wal::scan_kind(io, path, kind)?
+    };
+    Ok(LogScan { scan, file_len })
 }
 
 #[cfg(test)]
@@ -512,6 +1025,12 @@ mod tests {
     use std::sync::Arc;
 
     fn tiny_snapshot(seq: u64) -> Snapshot {
+        snapshot_of_rows(seq, 3)
+    }
+
+    /// Relation `T(id, state)` of `n` rows, one variable over {a, b} per
+    /// row bound to its `state`.
+    fn snapshot_of_rows(seq: u64, n: usize) -> Snapshot {
         let mut db = Database::new();
         let schema = Schema::from_pairs(&[("id", ValueType::Int), ("state", ValueType::Str)])
             .unwrap()
@@ -519,7 +1038,7 @@ mod tests {
             .unwrap();
         db.create_relation("T", schema).unwrap();
         let mut rows = Vec::new();
-        for i in 0..3i64 {
+        for i in 0..n as i64 {
             rows.push(
                 db.relation_mut("T")
                     .unwrap()
@@ -528,7 +1047,7 @@ mod tests {
             );
         }
         let d = Domain::of_labels(&["a", "b"]);
-        let world = World::new(vec![d.clone(), d.clone(), d]);
+        let world = World::new(vec![d; n]);
         Snapshot {
             seq,
             db,
@@ -859,11 +1378,12 @@ mod tests {
         use crate::io::{FaultKind, FaultPoint, FaultSchedule, FaultyIo};
 
         let dir = test_dir("store_faulty_torn");
-        // WalWriter::create issues one header write; interval commits are
-        // one write each. Tearing the 3rd write (snapshot tmp write is not
-        // a WAL write but *does* count — it is write #1) hits interval 2.
+        // `create` writes the snapshot tmp file (#1), the patch log header
+        // (#2) and the WAL header (#3) — not WAL records, but every write
+        // counts; interval commits are one write each, so write #5 is
+        // interval 2.
         let fio = FaultyIo::new(FaultSchedule::new(vec![FaultPoint {
-            at: 4,
+            at: 5,
             kind: FaultKind::ShortWrite,
         }]));
         let io: Arc<dyn StoreIo> = Arc::new(fio.clone());
@@ -925,5 +1445,261 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert!(report.truncated_bytes > 0, "torn half-frame truncated");
         assert_eq!(store.next_seq(), 2);
+    }
+
+    /// Flips variable `row` of `s` and writes the new label through to its
+    /// row, as a sampler's interval would.
+    fn flip(s: &mut Snapshot, row: usize) {
+        let v = VariableId(row as u32);
+        let label = 1 - s.world.get(v);
+        s.world.set(v, label);
+        let value = s.world.value(v).clone();
+        let rid = fgdb_relational::RowId(s.binding.rows[row]);
+        s.db.relation_mut("T")
+            .unwrap()
+            .update_field(rid, 1, value)
+            .unwrap();
+    }
+
+    fn never() -> DurabilityConfig {
+        DurabilityConfig {
+            fsync: FsyncPolicy::Never,
+        }
+    }
+
+    /// Advances `live` to `seq` through the WAL: one logged interval and
+    /// one flipped row.
+    fn advance(store: &mut DurableStore, live: &mut Snapshot, seq: u64, row: usize) {
+        store.append_interval(&interval(seq)).unwrap();
+        flip(live, row);
+        live.seq = seq;
+        live.chain.steps_taken = seq * 10;
+    }
+
+    #[test]
+    fn checkpoints_patch_the_changed_chunks_and_compact_past_the_base() {
+        let dir = test_dir("store_patches");
+        let mut live = snapshot_of_rows(0, 300); // five chunks
+        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
+        let mut kinds = Vec::new();
+        for seq in 1..=24u64 {
+            advance(&mut store, &mut live, seq, (seq as usize * 67) % 300);
+            store.checkpoint(&live).unwrap();
+            let report = *store.last_checkpoint().unwrap();
+            assert_eq!(report.seq, seq);
+            match report.kind {
+                CheckpointKind::Patch => {
+                    assert_eq!((report.chunks, report.variables), (1, 1));
+                    assert!(report.patch_log_bytes <= report.base_bytes);
+                }
+                CheckpointKind::Base => {
+                    assert_eq!((report.chunks, report.variables), (5, 300));
+                    assert_eq!(report.patch_log_bytes, wal::HEADER_LEN);
+                }
+            }
+            kinds.push(report.kind);
+            // Recovery rebuilds the live state byte for byte, with nothing
+            // left to replay.
+            let (back, records, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+            assert!(records.is_empty());
+            assert_eq!(rec.snapshot_seq, seq);
+            assert!(rec.torn.is_none());
+            assert_eq!(encode_snapshot(&back), encode_snapshot(&live), "seq {seq}");
+        }
+        let patches = kinds
+            .iter()
+            .filter(|k| **k == CheckpointKind::Patch)
+            .count();
+        assert!(patches >= 12, "{kinds:?}");
+        assert!(kinds.contains(&CheckpointKind::Base), "{kinds:?}");
+        // A patch is a chunk, not the store.
+        assert!(
+            fs_len(&dir, PATCH_FILE) < fs_len(&dir, SNAPSHOT_FILE) * 2,
+            "the log never outgrows the base"
+        );
+    }
+
+    fn fs_len(dir: &Path, file: &str) -> u64 {
+        std::fs::metadata(dir.join(file)).unwrap().len()
+    }
+
+    #[test]
+    fn a_state_a_patch_cannot_describe_becomes_a_base() {
+        let dir = test_dir("store_reshape");
+        let mut live = snapshot_of_rows(0, 10);
+        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
+        advance(&mut store, &mut live, 1, 3);
+        let schema = Schema::from_pairs(&[("k", ValueType::Int)]).unwrap();
+        live.db.create_relation("U", schema).unwrap();
+        store.checkpoint(&live).unwrap();
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Base);
+        advance(&mut store, &mut live, 2, 4);
+        live.binding.column = 0;
+        store.checkpoint(&live).unwrap();
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Base);
+        let (back, _, _, _) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+    }
+
+    /// The frames of a patch log, as byte ranges.
+    fn frames(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut out = Vec::new();
+        let mut at = wal::HEADER_LEN as usize;
+        while at < bytes.len() {
+            let len = wal::le_u32(bytes, at).unwrap() as usize;
+            out.push(at..at + 8 + len);
+            at += 8 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn stale_patches_are_skipped_and_a_broken_chain_is_corruption() {
+        let dir = test_dir("store_stale");
+        let mut live = snapshot_of_rows(0, 200);
+        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
+        for seq in 1..=2u64 {
+            advance(&mut store, &mut live, seq, seq as usize * 70);
+            store.checkpoint(&live).unwrap();
+        }
+        let log = std::fs::read(dir.join(PATCH_FILE)).unwrap();
+        assert_eq!(frames(&log).len(), 2);
+
+        // A compaction that crashed after its rename but before emptying
+        // the log leaves patches at or below the new base: skipped.
+        advance(&mut store, &mut live, 3, 150);
+        store.compact(&live).unwrap();
+        drop(store);
+        std::fs::write(dir.join(PATCH_FILE), &log).unwrap();
+        let (back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((rec.base_seq, rec.stale_patches, rec.patches), (3, 2, 0));
+        assert!(records.is_empty());
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+        // Patches after the stale ones chain from the new base. (The
+        // recovered state is what the reopened store patches against.)
+        let mut live = back;
+        advance(&mut store, &mut live, 4, 9);
+        store.checkpoint(&live).unwrap();
+        drop(store);
+        let (back, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!(
+            (rec.stale_patches, rec.patches, rec.snapshot_seq),
+            (2, 1, 4)
+        );
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+
+        // Forged logs over the seq-0 base: a patch repeated after a later
+        // one regresses, a patch whose predecessor is missing breaks the
+        // chain. Both are typed corruption, never a panic.
+        let dir = test_dir("store_forged");
+        let live = snapshot_of_rows(0, 200);
+        let base = DurableStore::create(&dir, &live, never()).unwrap();
+        drop(base);
+        let ranges = frames(&log);
+        let header = &log[..wal::HEADER_LEN as usize];
+        let (p1, p2) = (&log[ranges[0].clone()], &log[ranges[1].clone()]);
+        for (forged, needle) in [
+            ([header, p1, p2, p1].concat(), "regression"),
+            ([header, p2].concat(), "taken against checkpoint 1"),
+        ] {
+            std::fs::write(dir.join(PATCH_FILE), &forged).unwrap();
+            match DurableStore::recover(&dir, never()) {
+                Err(DurabilityError::Corrupt(m)) => assert!(m.contains(needle), "{m}"),
+                Err(e) => panic!("expected corruption, got {e}"),
+                Ok(_) => panic!("a forged patch log must not recover"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_torn_patch_is_truncated_and_the_wal_replays_past_it() {
+        let dir = test_dir("store_torn_patch");
+        let mut live = snapshot_of_rows(0, 200);
+        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
+        advance(&mut store, &mut live, 1, 5);
+        store.checkpoint(&live).unwrap();
+        advance(&mut store, &mut live, 2, 100);
+        store.sync().unwrap();
+        drop(store);
+        // The next checkpoint died mid-append: half a frame, WAL intact.
+        let path = dir.join(PATCH_FILE);
+        let mut log = std::fs::read(&path).unwrap();
+        let clean = log.len() as u64;
+        log.extend_from_slice(&100u32.to_le_bytes());
+        log.extend_from_slice(&0u32.to_le_bytes());
+        log.extend_from_slice(b"half-patch");
+        std::fs::write(&path, &log).unwrap();
+
+        let (back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((rec.snapshot_seq, rec.patches, rec.replayed), (1, 1, 1));
+        assert_eq!(rec.patch_truncated_bytes, 18);
+        assert!(rec.torn.as_deref().unwrap().contains("patch log"));
+        assert_eq!(records[0].seq, 2);
+        assert_eq!(fs_len(&dir, PATCH_FILE), clean, "torn tail truncated");
+        // Replaying record 2 is the caller's part; here it is the flip
+        // `advance` made. The reopened log appends behind the truncation
+        // point.
+        let mut back = back;
+        assert_eq!(back.seq, 1);
+        flip(&mut back, 100);
+        back.seq = 2;
+        back.chain.steps_taken = 20;
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+        let live = back;
+        store.checkpoint(&live).unwrap();
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
+        drop(store);
+        let (back, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((rec.patches, rec.patch_truncated_bytes), (2, 0));
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+    }
+
+    #[test]
+    fn a_store_without_a_patch_log_opens_with_zero_patches() {
+        // A store from before patch logs existed is a base and a WAL.
+        let dir = test_dir("store_pre_patch");
+        let mut live = snapshot_of_rows(0, 100);
+        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
+        advance(&mut store, &mut live, 1, 7);
+        store.sync().unwrap();
+        drop(store);
+        std::fs::remove_file(dir.join(PATCH_FILE)).unwrap();
+        let (mut back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((rec.patches, rec.replayed), (0, 1));
+        assert!(rec.torn.is_none());
+        assert_eq!(records.len(), 1);
+        flip(&mut back, 7);
+        back.seq = 1;
+        back.chain.steps_taken = 10;
+        let live = back;
+        store.checkpoint(&live).unwrap();
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
+        drop(store);
+        let (back, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!(rec.patches, 1);
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+    }
+
+    #[test]
+    fn a_failed_checkpoint_refuses_appends_until_recovery() {
+        use crate::io::{FaultKind, FaultSchedule, FaultyIo};
+
+        let dir = test_dir("store_failed_checkpoint");
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let mut live = snapshot_of_rows(0, 100);
+        let mut store =
+            DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, never()).unwrap();
+        advance(&mut store, &mut live, 1, 7);
+        fio.inject_now(FaultKind::ShortWrite);
+        assert!(store.checkpoint(&live).is_err());
+        assert!(matches!(
+            store.append_interval(&interval(2)),
+            Err(DurabilityError::Corrupt(m)) if m.contains("poisoned")
+        ));
+        drop(store);
+        let (back, records, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((back.seq, rec.replayed), (0, 1));
+        assert_eq!(records[0].seq, 1);
+        assert!(rec.patch_truncated_bytes > 0, "the torn patch is truncated");
     }
 }

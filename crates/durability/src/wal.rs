@@ -27,6 +27,9 @@ pub const MAGIC: &[u8; 4] = b"FGDB";
 pub const KIND_WAL: u8 = b'W';
 /// File-kind byte for a snapshot.
 pub const KIND_SNAPSHOT: u8 = b'S';
+/// File-kind byte for a chunk-patch log: the same framing as a WAL,
+/// carrying checkpoint patches instead of interval records.
+pub const KIND_PATCHES: u8 = b'P';
 /// Total header size: magic + kind + version + flags.
 pub const HEADER_LEN: u64 = 4 + 1 + 2 + 4;
 
@@ -184,8 +187,19 @@ impl WalWriter {
         path: &Path,
         policy: FsyncPolicy,
     ) -> Result<WalWriter, DurabilityError> {
+        Self::create_kind(io, path, KIND_WAL, policy)
+    }
+
+    /// [`WalWriter::create_with`] for a framed log of file kind `kind`
+    /// (the WAL, or the chunk-patch log).
+    pub(crate) fn create_kind(
+        io: &dyn StoreIo,
+        path: &Path,
+        kind: u8,
+        policy: FsyncPolicy,
+    ) -> Result<WalWriter, DurabilityError> {
         let mut header = Vec::new();
-        write_header(&mut header, KIND_WAL);
+        write_header(&mut header, kind);
         let mut file = io.create(path)?;
         file.write_all(&header)?;
         file.sync_data()?;
@@ -217,9 +231,24 @@ impl WalWriter {
         valid_len: u64,
         policy: FsyncPolicy,
     ) -> Result<WalWriter, DurabilityError> {
+        Self::reopen(io, path, valid_len, true, policy)
+    }
+
+    /// Opens an existing log for appending at `valid_len`; with `truncate`
+    /// the file is first cut to `valid_len` and synced (a scan found a torn
+    /// tail), without it the caller vouches that the file ends there.
+    pub(crate) fn reopen(
+        io: &dyn StoreIo,
+        path: &Path,
+        valid_len: u64,
+        truncate: bool,
+        policy: FsyncPolicy,
+    ) -> Result<WalWriter, DurabilityError> {
         let mut file = io.open_rw(path)?;
-        file.set_len(valid_len)?;
-        file.sync_data()?;
+        if truncate {
+            file.set_len(valid_len)?;
+            file.sync_data()?;
+        }
         file.seek_to(valid_len)?;
         Ok(WalWriter {
             file,
@@ -389,8 +418,17 @@ pub fn scan(path: &Path) -> Result<WalScan, DurabilityError> {
 
 /// [`scan`] through an explicit [`StoreIo`].
 pub fn scan_with(io: &dyn StoreIo, path: &Path) -> Result<WalScan, DurabilityError> {
+    scan_kind(io, path, KIND_WAL)
+}
+
+/// [`scan_with`] for a framed log of file kind `kind`.
+pub(crate) fn scan_kind(
+    io: &dyn StoreIo,
+    path: &Path,
+    kind: u8,
+) -> Result<WalScan, DurabilityError> {
     let bytes = io.read(path)?;
-    check_header(&bytes, KIND_WAL)?;
+    check_header(&bytes, kind)?;
     let mut records = Vec::new();
     let mut pos = HEADER_LEN as usize;
     let mut torn = None;

@@ -100,14 +100,16 @@ fn cast_scoped(path: &str) -> bool {
     )
 }
 
-/// R2 file scope: the panic-free serving and recovery loops, and the query
-/// executor, which runs user SQL from the wire on server threads.
+/// R2 file scope: the panic-free serving and recovery loops (including
+/// the status table every publication patches), and the query executor,
+/// which runs user SQL from the wire on server threads.
 fn panic_scoped(path: &str) -> bool {
     (path.starts_with("crates/serve/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
         || path == "crates/core/src/serving.rs"
         || path == "crates/core/src/supervise.rs"
         || path == "crates/core/src/membership.rs"
+        || path == "crates/core/src/status_table.rs"
         || path == "crates/relational/src/exec.rs"
 }
 

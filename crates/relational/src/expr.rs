@@ -229,20 +229,12 @@ impl BoundExpr {
                 Some(ord) => Value::Bool(op.apply(ord)),
                 None => Value::Null,
             },
-            BoundExpr::And(a, b) => match (a.eval_truth(tuple), b.eval_truth(tuple)) {
-                (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                (Some(true), Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            },
-            BoundExpr::Or(a, b) => match (a.eval_truth(tuple), b.eval_truth(tuple)) {
-                (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            },
-            BoundExpr::Not(a) => match a.eval_truth(tuple) {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            },
+            BoundExpr::And(..) | BoundExpr::Or(..) | BoundExpr::Not(_) => {
+                match self.eval_truth(tuple) {
+                    Some(b) => Value::Bool(b),
+                    None => Value::Null,
+                }
+            }
             BoundExpr::IsNull(a) => Value::Bool(a.eval(tuple).is_null()),
         }
     }
@@ -261,25 +253,40 @@ impl BoundExpr {
 
     /// Evaluates as a three-valued truth value. Comparisons over leaf
     /// operands (the overwhelmingly common case) are performed by reference
-    /// — no `Value` clones, no atomic refcount traffic.
+    /// — no `Value` clones, no atomic refcount traffic. String (in)equality
+    /// asks no order: lengths, which sit in the string pointer, settle most
+    /// pairs without reading the bytes — on a scan, without a second
+    /// pointer chase per row. `AND` / `OR` stop at their first deciding
+    /// operand (evaluation is pure, so three-valued results are unchanged).
     pub fn eval_truth(&self, tuple: &Tuple) -> Option<bool> {
         match self {
             BoundExpr::Cmp(op, a, b) => {
                 let ord = match (a.leaf(tuple), b.leaf(tuple)) {
+                    (Some(Value::Str(x)), Some(Value::Str(y)))
+                        if matches!(op, CmpOp::Eq | CmpOp::Ne) =>
+                    {
+                        return Some((x == y) == (*op == CmpOp::Eq));
+                    }
                     (Some(va), Some(vb)) => va.sql_cmp(vb),
                     _ => a.eval(tuple).sql_cmp(&b.eval(tuple)),
                 };
                 ord.map(|o| op.apply(o))
             }
-            BoundExpr::And(a, b) => match (a.eval_truth(tuple), b.eval_truth(tuple)) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
+            BoundExpr::And(a, b) => match a.eval_truth(tuple) {
+                Some(false) => Some(false),
+                ta => match (ta, b.eval_truth(tuple)) {
+                    (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                },
             },
-            BoundExpr::Or(a, b) => match (a.eval_truth(tuple), b.eval_truth(tuple)) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
+            BoundExpr::Or(a, b) => match a.eval_truth(tuple) {
+                Some(true) => Some(true),
+                ta => match (ta, b.eval_truth(tuple)) {
+                    (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                },
             },
             BoundExpr::Not(a) => a.eval_truth(tuple).map(|b| !b),
             BoundExpr::IsNull(a) => Some(match a.leaf(tuple) {
@@ -395,6 +402,58 @@ mod tests {
             assert_eq!(mk(5).matches(&t5), eq, "{op} 5 vs 5");
         }
         let _ = columns;
+    }
+
+    #[test]
+    fn string_equality_agrees_with_the_ordering_at_every_operator() {
+        // Equal and unequal lengths, a shared allocation, a prefix, NULL.
+        let shared = Value::str("Boston");
+        let values = [
+            shared.clone(),
+            Value::str("Boston"),
+            Value::str("Bosto"),
+            Value::str("Bostons"),
+            Value::str("Austin"),
+            Value::Null,
+        ];
+        for lhs in &values {
+            for rhs in &values {
+                for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+                    let cmp = BoundExpr::Cmp(
+                        op,
+                        Box::new(BoundExpr::Column(0)),
+                        Box::new(BoundExpr::Literal(rhs.clone())),
+                    );
+                    let want = lhs.sql_cmp(rhs).map(|o| op.apply(o));
+                    assert_eq!(cmp.eval_truth(&Tuple::new(vec![lhs.clone()])), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn and_or_stop_at_the_deciding_operand_with_unchanged_results() {
+        let truth = [Some(true), Some(false), None];
+        let lit =
+            |t: Option<bool>| Box::new(BoundExpr::Literal(t.map_or(Value::Null, Value::Bool)));
+        let row = tuple![0i64];
+        for a in truth {
+            for b in truth {
+                let and = BoundExpr::And(lit(a), lit(b)).eval_truth(&row);
+                let or = BoundExpr::Or(lit(a), lit(b)).eval_truth(&row);
+                let kleene_and = match (a, b) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                };
+                let kleene_or = match (a, b) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                };
+                assert_eq!((and, or), (kleene_and, kleene_or), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

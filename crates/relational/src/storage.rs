@@ -377,14 +377,24 @@ impl Relation {
     }
 
     /// How many chunks this relation and `other` hold *by pointer identity*
-    /// at the same position — what a snapshot has not yet had to copy, and
-    /// the complement of the dirty set an incremental checkpoint must write.
+    /// at the same position — what a snapshot has not yet had to copy.
     pub fn chunks_shared_with(&self, other: &Relation) -> usize {
+        self.chunk_count() - self.chunks_not_shared_with(other).count()
+    }
+
+    /// Indexes of this relation's chunks that `other` does not hold by
+    /// pointer identity at the same position (including chunks past the end
+    /// of `other`): the dirty set an incremental checkpoint writes. Read by
+    /// comparing pointers, never tracked on the write path.
+    pub fn chunks_not_shared_with<'a>(
+        &'a self,
+        other: &'a Relation,
+    ) -> impl Iterator<Item = usize> + 'a {
         self.chunks
             .iter()
-            .zip(&other.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
+            .enumerate()
+            .filter(move |(c, chunk)| !other.chunks.get(*c).is_some_and(|o| Arc::ptr_eq(chunk, o)))
+            .map(|(c, _)| c)
     }
 
     /// True when every index allocation (primary key and each secondary
@@ -517,6 +527,14 @@ impl<'a> RawSlots<'a> {
     /// True when the relation never handed out a slot.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The slots of chunk `c` (slots `c · CHUNK_ROWS ..`, cut at
+    /// [`RawSlots::len`]); `None` past the last chunk.
+    pub fn chunk(&self, c: usize) -> Option<&'a [Option<Tuple>]> {
+        let start = c.checked_mul(Relation::CHUNK_ROWS)?;
+        let n = self.len.checked_sub(start)?.min(Relation::CHUNK_ROWS);
+        self.chunks.get(c).map(|chunk| &chunk[..n])
     }
 
     /// The slots in `RowId` order.

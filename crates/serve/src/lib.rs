@@ -38,7 +38,8 @@ pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError, TableAnswer};
 pub use protocol::{
-    EpochMeta, ErrorCode, Frame, Framed, ProtocolError, Request, Response, WireError,
-    WireQueryStatus, WireRow, WireStats, WireValue, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    EpochMeta, ErrorCode, Frame, Framed, ProtocolError, Request, Response, StatusHead,
+    StatusSource, WireError, WireQueryStatus, WireRow, WireStats, WireValue, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig};

@@ -17,13 +17,16 @@
 //! syscall, one segment on a `TCP_NODELAY` connection), and the row encoder
 //! reads its values where they already are: [`table_frame`] and
 //! [`status_frame`] write the server's two large replies straight from a
-//! `QueryResult` / `QueryStatus`, the owned [`Response`] mirror goes through
-//! the same encoder, and the bytes are the same either way.
+//! `QueryResult` and from a pinned epoch's `EpochStatus` (or any
+//! [`StatusSource`]), the owned [`Response`] mirror goes through the same
+//! encoder, and the bytes are the same either way. An epoch's status
+//! stores its rows in tuple order, so a `STATUS` reply sorts nothing.
 
-use fgdb_core::QueryStatus;
+use fgdb_core::{EpochStatus, QueryStatus};
 use fgdb_relational::{CountedSet, QueryResult, Tuple, Value};
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Protocol version spoken by this build.
@@ -491,14 +494,80 @@ fn put_table<'a, S: AsRef<str>, V: AsValueRef + 'a>(
 }
 
 /// The scalar fields of a `STATUS` response.
-struct StatusHead<'a, S> {
-    name: &'a str,
-    sql: &'a str,
-    columns: &'a [S],
-    r_hat: f64,
-    min_ess: f64,
-    window_len: u64,
-    converged: bool,
+pub struct StatusHead<'a, S> {
+    /// Registration name.
+    pub name: &'a str,
+    /// The registered SQL text.
+    pub sql: &'a str,
+    /// Output column names.
+    pub columns: &'a [S],
+    /// Worst per-tuple split-R̂ over the diagnostic window.
+    pub r_hat: f64,
+    /// Smallest per-tuple effective sample size over the window.
+    pub min_ess: f64,
+    /// Samples in the diagnostic window.
+    pub window_len: u64,
+    /// The convergence tag.
+    pub converged: bool,
+}
+
+/// A registered query's status as the `STATUS` encoder reads it: the
+/// scalar fields, then the answer and the marginal rows, each in tuple
+/// order. A pinned epoch's [`EpochStatus`] stores its rows in that order;
+/// an owned [`QueryStatus`] sorts its answer set to produce it.
+pub trait StatusSource {
+    /// The scalar fields.
+    fn head(&self) -> StatusHead<'_, Arc<str>>;
+    /// `(tuple values, multiplicity)` of the answer, in tuple order.
+    fn answer_rows(&self) -> impl ExactSizeIterator<Item = (&[Value], i64)>;
+    /// `(tuple values, membership probability)`, in tuple order.
+    fn marginal_rows(&self) -> impl ExactSizeIterator<Item = (&[Value], f64)>;
+}
+
+impl StatusSource for EpochStatus {
+    fn head(&self) -> StatusHead<'_, Arc<str>> {
+        StatusHead {
+            name: &self.name,
+            sql: &self.sql,
+            columns: &self.columns,
+            r_hat: self.r_hat,
+            min_ess: self.min_ess,
+            window_len: self.window_len,
+            converged: self.converged,
+        }
+    }
+
+    fn answer_rows(&self) -> impl ExactSizeIterator<Item = (&[Value], i64)> {
+        self.answer()
+    }
+
+    fn marginal_rows(&self) -> impl ExactSizeIterator<Item = (&[Value], f64)> {
+        self.marginals()
+    }
+}
+
+impl StatusSource for QueryStatus {
+    fn head(&self) -> StatusHead<'_, Arc<str>> {
+        StatusHead {
+            name: &self.name,
+            sql: &self.sql,
+            columns: &self.columns,
+            r_hat: self.r_hat,
+            min_ess: self.min_ess,
+            window_len: self.window_len,
+            converged: self.converged,
+        }
+    }
+
+    fn answer_rows(&self) -> impl ExactSizeIterator<Item = (&[Value], i64)> {
+        sorted_rows(&self.answer)
+            .into_iter()
+            .map(|(t, c)| (t.values(), c))
+    }
+
+    fn marginal_rows(&self) -> impl ExactSizeIterator<Item = (&[Value], f64)> {
+        self.marginals.iter().map(|(t, p)| (t.values(), *p))
+    }
 }
 
 /// The body of a `STATUS` response, after `[ver][kind]`.
@@ -553,29 +622,24 @@ pub fn table_frame(meta: &EpochMeta, result: &QueryResult) -> Result<Frame, Prot
     Frame::finish(buf)
 }
 
-/// The `STATUS` reply for a registered query, encoded straight from the
-/// epoch's [`QueryStatus`]: byte for byte the frame of the equivalent
+/// The `STATUS` reply for a registered query, encoded straight from its
+/// status — on the server, the pinned epoch's [`EpochStatus`], walked in
+/// the order it is stored: byte for byte the frame of the equivalent
 /// [`Response::Status`], without building one.
 ///
 /// # Errors
 /// As [`table_frame`].
-pub fn status_frame(meta: &EpochMeta, status: &QueryStatus) -> Result<Frame, ProtocolError> {
+pub fn status_frame<S: StatusSource + ?Sized>(
+    meta: &EpochMeta,
+    status: &S,
+) -> Result<Frame, ProtocolError> {
     let mut buf = Frame::begin(RESP_STATUS);
-    let answer = sorted_rows(&status.answer);
     put_status(
         &mut buf,
         meta,
-        &StatusHead {
-            name: &status.name,
-            sql: &status.sql,
-            columns: &status.columns,
-            r_hat: status.r_hat,
-            min_ess: status.min_ess,
-            window_len: status.window_len,
-            converged: status.converged,
-        },
-        answer.iter().map(|(t, c)| (t.values(), *c)),
-        status.marginals.iter().map(|(t, p)| (t.values(), *p)),
+        &status.head(),
+        status.answer_rows(),
+        status.marginal_rows(),
     )?;
     Frame::finish(buf)
 }

@@ -35,6 +35,7 @@ use crate::protocol::{
     Framed, ProtocolError, Request, Response, WireError, WireStats,
 };
 use fgdb_core::{EpochReader, EpochSnapshot, EvaluateError, QueryError, SamplerState};
+use fgdb_relational::QueryResult;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -278,14 +279,26 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         };
+        let mut release = Release::default();
         let reply = match Request::decode(&payload) {
-            Ok(req) => handle_request(req, &reader, &config, &mut pinned),
+            Ok(req) => handle_request(req, &reader, &config, &mut pinned, &mut release),
             // A decodable-length frame with garbage inside gets a typed
             // error response; the connection survives.
             Err(e) => error_response(ErrorCode::Protocol, &e).frame(),
         };
         write_frame(&mut stream, &typed_on_oversize(reply)?)?;
+        drop(release);
     }
+}
+
+/// What a reply was read from, released only once the reply is on the
+/// wire. An epoch the sampler has since replaced may hold its last
+/// reference here, and freeing what it no longer shares with the live
+/// store — more, the faster the sampler runs — is not the client's wait.
+#[derive(Default)]
+struct Release {
+    epoch: Option<Arc<EpochSnapshot>>,
+    result: Option<QueryResult>,
 }
 
 /// An answer too large for its own wire prefixes (or for one frame)
@@ -314,6 +327,7 @@ fn handle_request(
     reader: &EpochReader,
     config: &ServerConfig,
     pinned: &mut Option<Arc<EpochSnapshot>>,
+    release: &mut Release,
 ) -> Result<Frame, ProtocolError> {
     // While the sampler is degraded (or dead), fresh-state requests shed
     // with a retry hint; pinned reads and health probes still answer. A
@@ -344,11 +358,11 @@ fn handle_request(
         Request::Pin => {
             let snap = reader.pin();
             let meta = meta_of(&snap);
-            *pinned = Some(snap);
+            release.epoch = pinned.replace(snap);
             Response::Pinned { meta }
         }
         Request::Unpin => {
-            *pinned = None;
+            release.epoch = pinned.take();
             Response::Unpinned
         }
         Request::Query { .. } | Request::Status { .. } if shed_fresh && pinned.is_none() => {
@@ -357,16 +371,24 @@ fn handle_request(
         Request::Query { sql } => {
             // A pinned connection reads its pinned world; otherwise pin
             // the freshest epoch for just this request.
-            let snap = pinned.clone().unwrap_or_else(|| reader.pin());
+            let snap = release
+                .epoch
+                .insert(pinned.clone().unwrap_or_else(|| reader.pin()));
             match snap.query(&sql) {
-                Ok(result) => return table_frame(&meta_of(&snap), &result),
+                Ok(result) => {
+                    let frame = table_frame(&meta_of(snap), &result);
+                    release.result = Some(result);
+                    return frame;
+                }
                 Err(e) => Response::Error(wire_error(e, &sql)),
             }
         }
         Request::Status { name } => {
-            let snap = pinned.clone().unwrap_or_else(|| reader.pin());
+            let snap = release
+                .epoch
+                .insert(pinned.clone().unwrap_or_else(|| reader.pin()));
             match snap.status(&name) {
-                Some(status) => return status_frame(&meta_of(&snap), status),
+                Some(status) => return status_frame(&meta_of(snap), status),
                 None => error_response(
                     ErrorCode::Unavailable,
                     &format_args!("no registered query `{name}`"),
