@@ -105,8 +105,8 @@ struct EpochSharing {
     chunks: usize,
     /// Chunks the two epochs hold by pointer identity.
     shared: usize,
-    /// Slots holding a different tuple allocation (or liveness) — every
-    /// write in between, net of nothing: a rewritten row is a new `Tuple`.
+    /// Slots whose row differs in value (or liveness) between the two
+    /// epochs — every write in between that changed a row.
     rewritten: usize,
 }
 
@@ -136,7 +136,7 @@ fn run_epoch_sharing(n_tokens: usize, config: &ServingConfig) -> Vec<EpochSharin
             .iter()
             .zip(b.raw_slots().iter())
             .filter(|(x, y)| match (x, y) {
-                (Some(x), Some(y)) => !std::ptr::eq(x.values(), y.values()),
+                (Some(x), Some(y)) => x != y,
                 (None, None) => false,
                 _ => true,
             })

@@ -332,7 +332,7 @@ fn main() {
             let mut deltas = DeltaSet::new();
             let rel = db.relation_mut("LINK").unwrap();
             if b % 2 == 0 {
-                let rid = rel.iter().find(|(_, row)| **row == t).map(|(rid, _)| rid);
+                let rid = rel.iter().find(|(_, row)| *row == t).map(|(rid, _)| rid);
                 rel.delete(rid.expect("edge present")).unwrap();
                 deltas.record_delete(&name, t);
             } else {

@@ -7,11 +7,10 @@
 //! `FGDB_JSON_OUT` environment variable to redirect the output directory,
 //! or to the empty string to disable file output.
 
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// One experiment's structured result: a named table of rows.
-#[derive(Serialize, Debug, Clone)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment id (e.g. "fig4a").
     pub experiment: String,
@@ -47,13 +46,9 @@ impl Report {
         self
     }
 
-    /// Serializes to a JSON string.
-    ///
-    /// The sanctioned dependency set includes `serde` (the derive above
-    /// makes [`Report`] consumable by any serde backend downstream) but not
-    /// `serde_json`, so this small fixed-shape emitter handles the built-in
-    /// file output. All leaf values are strings; escaping covers the JSON
-    /// string escapes.
+    /// Serializes to a JSON string: a small fixed-shape emitter (the build
+    /// has no JSON crate). All leaf values are strings; escaping covers the
+    /// JSON string escapes.
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len() + 2);

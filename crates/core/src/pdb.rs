@@ -19,8 +19,9 @@ use crate::evaluate::EvaluateError;
 use fgdb_graph::{FactorSpans, Model, ShardMap, VariableId, World};
 use fgdb_mcmc::{Chain, KernelStats, NetChange, Proposer, ShardedSampler};
 use fgdb_relational::{
-    compile_query, execute, Database, DeltaSet, ExecStats, QueryResult, RowId, Value,
+    compile_query, execute, CountedSet, Database, DeltaSet, ExecStats, QueryResult, RowId, Value,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Maps hidden variables to uncertain fields of one relation.
@@ -222,11 +223,13 @@ impl<M: Model> ProbabilisticDB<M> {
     /// chain) and WAL replay ([`Self::apply_logged_interval`], which reads
     /// them from the log).
     fn write_back(&mut self, changes: &[NetChange]) -> Result<DeltaSet, EvaluateError> {
-        let mut deltas = DeltaSet::new();
         let rel = self
             .db
             .relation_mut(&self.binding.relation)
             .expect("binding validated at construction");
+        // The one relation's Δ⁻/Δ⁺ images, sized for the batch up front: an
+        // update's old image leaves the world, its new one enters it.
+        let mut images = CountedSet::with_capacity(2 * changes.len());
         for &(v, _old_idx, new_idx) in changes {
             let value: Value = self
                 .chain
@@ -239,14 +242,20 @@ impl<M: Model> ProbabilisticDB<M> {
             let (old, new) = rel
                 .update_field(row, self.binding.column, value)
                 .map_err(EvaluateError::Storage)?;
-            deltas.record_update(&self.binding.relation, old, new);
+            if old != new {
+                images.add(old, -1);
+                images.add(new, 1);
+            }
         }
         // Interval-boundary compaction (the paper's "cleaning and refreshing
-        // of the tables ... between deterministic query executions"): record
-        // operations above are amortized O(1); empty per-relation entries
-        // left by exact ± cancellation are dropped once per interval here.
-        deltas.compact();
-        Ok(deltas)
+        // of the tables ... between deterministic query executions"): the
+        // adds above are amortized O(1) and cancel exact ± pairs; a relation
+        // whose images all cancelled is absent from the delta.
+        if images.is_empty() {
+            return Ok(DeltaSet::new());
+        }
+        let images = BTreeMap::from([(Arc::clone(&self.binding.relation), images)]);
+        Ok(DeltaSet::from_parts(images))
     }
 
     /// Replays one logged interval: applies the net changes to the
@@ -600,8 +609,8 @@ mod tests {
             .database()
             .relation("T")
             .unwrap()
-            .tuples()
-            .cloned()
+            .rows()
+            .map(|r| r.to_tuple())
             .collect();
 
         let mut replica = pdb.snapshot(Box::new(UniformRelabel::new(vars)), 7);
@@ -616,8 +625,8 @@ mod tests {
             .database()
             .relation("T")
             .unwrap()
-            .tuples()
-            .cloned()
+            .rows()
+            .map(|r| r.to_tuple())
             .collect();
         assert_eq!(before, after);
         pdb.check_synchronized().unwrap();

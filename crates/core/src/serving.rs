@@ -891,7 +891,7 @@ mod tests {
                 .iter()
                 .zip(b.raw_slots().iter())
                 .filter(|(x, y)| match (x, y) {
-                    (Some(x), Some(y)) => !std::ptr::eq(x.values(), y.values()),
+                    (Some(x), Some(y)) => x != y,
                     (None, None) => false,
                     _ => true,
                 })

@@ -205,8 +205,8 @@ fn replicas_stay_synchronized_and_seed_is_isolated() {
         .database()
         .relation("ITEM")
         .unwrap()
-        .tuples()
-        .cloned()
+        .rows()
+        .map(|r| r.to_tuple())
         .collect();
     let before_world: Vec<usize> = seed
         .world()
@@ -226,8 +226,8 @@ fn replicas_stay_synchronized_and_seed_is_isolated() {
         .database()
         .relation("ITEM")
         .unwrap()
-        .tuples()
-        .cloned()
+        .rows()
+        .map(|r| r.to_tuple())
         .collect();
     assert_eq!(before, after, "replica deltas leaked into the seed");
     let after_world: Vec<usize> = seed
@@ -244,8 +244,8 @@ fn replicas_stay_synchronized_and_seed_is_isolated() {
         pdb.database()
             .relation("ITEM")
             .unwrap()
-            .tuples()
-            .cloned()
+            .rows()
+            .map(|r| r.to_tuple())
             .collect::<Vec<_>>()
             != before
     });

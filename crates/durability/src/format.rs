@@ -20,7 +20,9 @@
 //!   [`FormatError`].
 
 use fgdb_graph::{Domain, World};
-use fgdb_relational::{CountedSet, Database, DeltaSet, Relation, Schema, Tuple, Value, ValueType};
+use fgdb_relational::{
+    ChunkRef, CountedSet, Database, DeltaSet, RawHeap, Relation, Schema, Tuple, Value, ValueType,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -406,12 +408,21 @@ pub fn encode_tuple(e: &mut Enc, t: &Tuple) {
 
 /// Decodes a [`Tuple`].
 pub fn decode_tuple(d: &mut Dec<'_>) -> Result<Tuple, FormatError> {
-    let n = d.len_prefix("Tuple arity", 1)?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(decode_value(d)?);
-    }
+    let mut values = Vec::new();
+    decode_values_into(d, &mut values)?;
     Ok(Tuple::new(values))
+}
+
+/// Decodes a tuple's values (varint arity + values) into `out`, replacing
+/// its contents — the allocation-free form a slot decoder reuses.
+fn decode_values_into(d: &mut Dec<'_>, out: &mut Vec<Value>) -> Result<(), FormatError> {
+    let n = d.len_prefix("Tuple arity", 1)?;
+    out.clear();
+    out.reserve(n);
+    for _ in 0..n {
+        out.push(decode_value(d)?);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -482,38 +493,64 @@ pub fn decode_schema(d: &mut Dec<'_>) -> Result<Schema, FormatError> {
 /// Encodes a [`Relation`]: name, schema, the raw slot array (dead slots
 /// included, preserving the `RowId` address space), the free-slot stack,
 /// and the secondary-index column set. Index *contents* are derived state
-/// and are rebuilt on decode (FORMAT.md §Relation).
+/// and are rebuilt on decode (FORMAT.md §Relation). Each row is written
+/// from the heap's columns as the tuple it holds.
 pub fn encode_relation(e: &mut Enc, r: &Relation) {
     e.str(r.name());
     encode_schema(e, r.schema());
     let slots = r.raw_slots();
     e.varint(slots.len() as u64);
-    for slot in slots.iter() {
-        encode_slot(e, slot);
+    for (chunk, n) in slots.chunks() {
+        encode_chunk_slots(e, chunk, n);
     }
     encode_free_and_indexed(e, r);
 }
 
-/// One slot: presence flag, then the tuple when present.
-fn encode_slot(e: &mut Enc, slot: &Option<Tuple>) {
-    match slot {
-        None => e.u8(0),
-        Some(t) => {
-            e.u8(1);
-            encode_tuple(e, t);
+/// Slots `0..n` of one heap chunk, each a presence flag and, when present,
+/// the row as a [`Tuple`] (varint arity + values) — its values read from
+/// the chunk's columns.
+fn encode_chunk_slots(e: &mut Enc, chunk: ChunkRef<'_>, n: usize) {
+    let columns: Vec<&[Value; Relation::CHUNK_ROWS]> =
+        (0..chunk.arity()).map(|c| chunk.column(c)).collect();
+    for slot in 0..n {
+        if (chunk.live() >> slot) & 1 == 0 {
+            e.u8(0);
+            continue;
+        }
+        e.u8(1);
+        e.varint(columns.len() as u64);
+        for value in columns.iter().filter_map(|col| col.get(slot)) {
+            encode_value(e, value);
         }
     }
 }
 
-fn decode_slot(d: &mut Dec<'_>) -> Result<Option<Tuple>, FormatError> {
+/// Decodes one slot onto the end of `heap`, writing a present row's values
+/// straight into their columns (`scratch` is the reused value buffer). A
+/// row of another arity than the heap's is corrupt.
+fn decode_slot_into(
+    d: &mut Dec<'_>,
+    heap: &mut RawHeap,
+    scratch: &mut Vec<Value>,
+) -> Result<(), FormatError> {
     match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_tuple(d)?)),
-        t => Err(FormatError::BadTag {
-            what: "Relation slot flag",
-            tag: t,
-        }),
+        0 => heap.push_dead(),
+        1 => {
+            decode_values_into(d, scratch)?;
+            heap.push_live(scratch)
+                .map_err(|err| FormatError::Invalid {
+                    what: "Relation",
+                    detail: err.to_string(),
+                })?;
+        }
+        t => {
+            return Err(FormatError::BadTag {
+                what: "Relation slot flag",
+                tag: t,
+            })
+        }
     }
+    Ok(())
 }
 
 /// The free-slot stack and the secondary-index column set — the two
@@ -555,8 +592,8 @@ pub(crate) struct RawRelation {
     pub name: Arc<str>,
     /// Relation schema.
     pub schema: Schema,
-    /// The slot array in `RowId` order, dead slots included.
-    pub slots: Vec<Option<Tuple>>,
+    /// The slot array in `RowId` order, dead slots included, in columns.
+    pub heap: RawHeap,
     /// The free-slot stack.
     pub free: Vec<u32>,
     /// Columns carrying a secondary index.
@@ -565,9 +602,9 @@ pub(crate) struct RawRelation {
 
 impl RawRelation {
     /// Validates the parts and builds the relation and its indexes
-    /// ([`Relation::from_raw_parts`]).
+    /// ([`Relation::from_raw_heap`]).
     pub(crate) fn build(self) -> Result<Relation, FormatError> {
-        Relation::from_raw_parts(self.name, self.schema, self.slots, self.free, &self.indexed)
+        Relation::from_raw_heap(self.name, self.schema, self.heap, self.free, &self.indexed)
             .map_err(|err| FormatError::Invalid {
                 what: "Relation",
                 detail: err.to_string(),
@@ -580,15 +617,16 @@ pub(crate) fn decode_raw_relation(d: &mut Dec<'_>) -> Result<RawRelation, Format
     let name: Arc<str> = Arc::from(d.str()?);
     let schema = decode_schema(d)?;
     let n_slots = d.len_prefix("Relation slots", 1)?;
-    let mut slots = Vec::with_capacity(n_slots);
+    let mut heap = RawHeap::new(schema.arity());
+    let mut scratch = Vec::new();
     for _ in 0..n_slots {
-        slots.push(decode_slot(d)?);
+        decode_slot_into(d, &mut heap, &mut scratch)?;
     }
     let (free, indexed) = decode_free_and_indexed(d)?;
     Ok(RawRelation {
         name,
         schema,
-        slots,
+        heap,
         free,
         indexed,
     })
@@ -665,8 +703,8 @@ pub(crate) fn encode_relation_patch(e: &mut Enc, r: &Relation, dirty: &[usize]) 
     e.varint(dirty.len() as u64);
     for &c in dirty {
         e.varint(c as u64);
-        for slot in slots.chunk(c).unwrap_or(&[]) {
-            encode_slot(e, slot);
+        if let Some((chunk, n)) = slots.chunk(c) {
+            encode_chunk_slots(e, chunk, n);
         }
     }
 }
@@ -683,7 +721,7 @@ pub(crate) struct RelationPatch {
     /// The secondary-index column set at the checkpoint.
     pub indexed: Vec<usize>,
     /// `(first slot, slots)` of every rewritten chunk, ascending.
-    pub chunks: Vec<(usize, Vec<Option<Tuple>>)>,
+    pub chunks: Vec<(usize, RawHeap)>,
 }
 
 /// Decodes one relation's part of a chunk patch whose chunks hold
@@ -717,11 +755,7 @@ pub(crate) fn decode_relation_patch(
                 what: "RelationPatch chunk",
             });
         }
-        let mut slots = Vec::with_capacity(len);
-        for _ in 0..len {
-            slots.push(decode_slot(d)?);
-        }
-        chunks.push((start, slots));
+        chunks.push((start, decode_patch_chunk(d, len)?));
         next = c + 1;
     }
     Ok(RelationPatch {
@@ -731,6 +765,43 @@ pub(crate) fn decode_relation_patch(
         indexed,
         chunks,
     })
+}
+
+/// Decodes the `len` slots of one patched chunk. A patch does not carry
+/// its relations' schemas (a stale one may predate them), so the chunk's
+/// arity is that of its first present row, and every present row must
+/// share it; a chunk of dead slots only takes any arity.
+fn decode_patch_chunk(d: &mut Dec<'_>, len: usize) -> Result<RawHeap, FormatError> {
+    let mut heap = RawHeap::new(0);
+    let mut scratch = Vec::new();
+    let mut sized = false;
+    for _ in 0..len {
+        match d.u8()? {
+            0 => heap.push_dead(),
+            1 => {
+                decode_values_into(d, &mut scratch)?;
+                if !sized {
+                    // The first present row sizes the chunk.
+                    let dead = heap.len();
+                    heap = RawHeap::new(scratch.len());
+                    heap.resize(dead);
+                    sized = true;
+                }
+                heap.push_live(&mut scratch)
+                    .map_err(|err| FormatError::Invalid {
+                        what: "RelationPatch",
+                        detail: err.to_string(),
+                    })?;
+            }
+            t => {
+                return Err(FormatError::BadTag {
+                    what: "Relation slot flag",
+                    tag: t,
+                })
+            }
+        }
+    }
+    Ok(heap)
 }
 
 impl RelationPatch {
@@ -752,26 +823,19 @@ impl RelationPatch {
         // carries them: a count beyond both is corrupt (and is refused
         // before it becomes an allocation).
         let covered = self.chunks.last().map_or(0, |(start, s)| start + s.len());
-        if self.n_slots > raw.slots.len().max(covered) {
+        if self.n_slots > raw.heap.len().max(covered) {
             return Err(invalid(format!(
                 "{} slots, but only {} are known",
                 self.n_slots,
-                raw.slots.len().max(covered)
+                raw.heap.len().max(covered)
             )));
         }
-        raw.slots.resize(self.n_slots, None);
+        raw.heap.resize(self.n_slots);
         for (start, slots) in self.chunks {
             let end = start + slots.len();
-            let dst = raw
-                .slots
-                .get_mut(start..end)
-                .ok_or_else(|| FormatError::Invalid {
-                    what: "RelationPatch",
-                    detail: format!("slots {start}..{end} past the slot count"),
-                })?;
-            for (d, s) in dst.iter_mut().zip(slots) {
-                *d = s;
-            }
+            raw.heap
+                .overwrite(start, slots)
+                .map_err(|err| invalid(format!("slots {start}..{end}: {err}")))?;
         }
         raw.free = self.free;
         raw.indexed = self.indexed;

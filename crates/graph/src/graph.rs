@@ -76,7 +76,9 @@ impl FactorGraph {
 
     /// Adds a factor, updating adjacency. Returns its index.
     pub fn add_factor(&mut self, factor: Box<dyn Factor>) -> usize {
-        let idx = self.factors.len() as u32;
+        // Adjacency lists store factor indexes as `u32`; a graph past 2³²
+        // factors is outside what this model size supports.
+        let idx = u32::try_from(self.factors.len()).expect("factor indexes fit u32");
         let vars = factor.variables();
         for (i, v) in vars.iter().enumerate() {
             // A factor listing the same variable twice still appears once in

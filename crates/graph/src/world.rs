@@ -46,7 +46,9 @@ impl World {
     /// Adds a variable with the given domain and initial index, returning its id.
     pub fn add_variable(&mut self, domain: Arc<Domain>, initial: usize) -> VariableId {
         assert!(initial < domain.len(), "initial index out of domain");
-        let id = VariableId(self.domains.len() as u32);
+        // Variable ids are `u32`; a world past 2³² variables is outside what
+        // this model size supports.
+        let id = VariableId(u32::try_from(self.domains.len()).expect("variable ids fit u32"));
         self.cardinalities.push(cardinality_of(&domain));
         self.domains.push(domain);
         self.assignment.push(initial as u16);
@@ -109,7 +111,9 @@ impl World {
 
     /// Iterates all variable ids.
     pub fn variables(&self) -> impl Iterator<Item = VariableId> {
-        (0..self.assignment.len() as u32).map(VariableId)
+        // Variable ids are `u32`: a world past 2³² variables has none to give.
+        let n = u32::try_from(self.assignment.len()).expect("variable ids fit u32");
+        (0..n).map(VariableId)
     }
 
     /// Raw assignment snapshot (for hashing worlds in tests).

@@ -20,7 +20,7 @@
 //!   the role of the paper's Stanford-NER reference labels.
 
 use crate::bio::{EntityType, Label};
-use fgdb_relational::{Database, Schema, Tuple, Value, ValueType};
+use fgdb_relational::{Database, RawHeap, Relation, Schema, Value, ValueType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -351,24 +351,29 @@ impl Corpus {
         .expect("static schema")
         .with_primary_key("tok_id")
         .expect("tok_id exists");
-        db.create_relation(relation, schema).expect("fresh db");
         let o: Arc<str> = Arc::from("O");
         // One shared Arc per label string.
         let label_strs: Vec<Arc<str>> = Label::ALL.iter().map(|l| Arc::from(l.as_str())).collect();
-        let rel = db.relation_mut(relation).expect("created above");
+        // Rows go straight into the heap's columns, token `i` at `RowId(i)`
+        // (documents are consecutive token ranges), as a decoder loads them.
+        let mut heap = RawHeap::new(schema.arity());
+        let mut row = Vec::with_capacity(schema.arity());
         for (doc_id, range) in self.documents.iter().enumerate() {
             for tok_id in range.clone() {
                 let t = &self.tokens[tok_id];
-                rel.insert(Tuple::new(vec![
+                row.extend([
                     Value::Int(tok_id as i64),
                     Value::Int(doc_id as i64),
                     Value::Str(Arc::clone(&t.string)),
                     Value::Str(Arc::clone(&o)),
                     Value::Str(Arc::clone(&label_strs[t.truth.index()])),
-                ]))
-                .expect("tok_id unique");
+                ]);
+                heap.push_live(&mut row).expect("rows match the schema");
             }
         }
+        let rel = Relation::from_raw_heap(relation, schema, heap, Vec::new(), &[])
+            .expect("tok_ids are unique");
+        db.adopt_relation(rel).expect("fresh db");
         db
     }
 

@@ -105,7 +105,9 @@ impl TokenSeqData {
         skip_offsets.push(0u32);
         for ns in &neighbors {
             skip_data.extend_from_slice(ns);
-            skip_offsets.push(skip_data.len() as u32);
+            // Offsets index `u32` skip edges; a corpus past 2³² of them is
+            // outside what this model size supports.
+            skip_offsets.push(u32::try_from(skip_data.len()).expect("skip-edge offsets fit u32"));
         }
 
         Arc::new(TokenSeqData {

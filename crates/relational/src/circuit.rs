@@ -81,6 +81,8 @@ use crate::delta::DeltaSet;
 use crate::exec::{bind_aggs, join_key_indices, AggSpec, ExecError};
 use crate::expr::{resolve_column, BoundExpr};
 use crate::fasthash::TupleMap;
+use crate::row::{concat, Row, RowView};
+use crate::storage::Relation;
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
 use crate::view::{GroupState, SetOpKind};
@@ -224,16 +226,47 @@ pub struct CircuitStats {
 /// name to the current frontier when driving an inner step circuit.
 struct BatchInput<'a> {
     deltas: Option<&'a DeltaSet>,
-    full: Option<&'a BTreeMap<Arc<str>, CountedSet>>,
+    full: Option<Full<'a>>,
     rec: Option<(&'a str, &'a ZSet)>,
 }
 
-/// A borrowed or owned per-node output delta for one batch.
+/// Where a full batch reads its relations' contents.
+#[derive(Clone, Copy)]
+enum Full<'a> {
+    /// The stored relations, read in place (initialization).
+    Stored(&'a Database),
+    /// A rebuilding fixpoint's own copies of its source relations.
+    Copies(&'a BTreeMap<Arc<str>, CountedSet>),
+}
+
+impl Full<'_> {
+    /// An owned copy of relation `name`'s contents, for a fixpoint that
+    /// keeps one to rebuild from.
+    fn copy_of(self, name: &str) -> Option<CountedSet> {
+        match self {
+            Full::Stored(db) => db
+                .relation(name)
+                .ok()
+                .map(|rel| rel.rows().map(|r| r.to_tuple()).collect()),
+            Full::Copies(rels) => rels.get(name).cloned(),
+        }
+    }
+}
+
+/// A borrowed or owned per-node output delta for one batch. At
+/// initialization an input node hands out its stored relation and the
+/// stateless σ/π/∪ nodes above it stay [`DOut::Lazy`]: the first node that
+/// keeps rows streams them in place ([`each_row`]), so nothing between a
+/// scan and that node is built.
 enum DOut<'a> {
     Empty,
     Counted(&'a CountedSet),
     Zs(&'a ZSet),
     Owned(ZSet),
+    /// Every live row of a stored relation, weight one.
+    Stored(&'a Relation),
+    /// A stateless node's output, computed as its consumer streams it.
+    Lazy,
 }
 
 impl<'a> BatchInput<'a> {
@@ -243,13 +276,12 @@ impl<'a> BatchInput<'a> {
                 return Some(DOut::Zs(z));
             }
         }
-        if let Some(full) = self.full {
-            return full.get(name).map(DOut::Counted);
+        match self.full {
+            Some(Full::Stored(db)) => return db.relation(name).ok().map(DOut::Stored),
+            Some(Full::Copies(rels)) => return rels.get(name).map(DOut::Counted),
+            None => {}
         }
-        if let Some(ds) = self.deltas {
-            return ds.for_relation(name).map(DOut::Counted);
-        }
-        None
+        self.deltas?.for_relation(name).map(DOut::Counted)
     }
 
     fn touches(&self, sources: &[Arc<str>]) -> bool {
@@ -258,12 +290,21 @@ impl<'a> BatchInput<'a> {
 }
 
 impl<'a> DOut<'a> {
+    /// True when the rows are not held as tuples: [`each_row`] streams
+    /// them, [`materialize`] builds them.
+    fn is_streamed(&self) -> bool {
+        matches!(self, DOut::Stored(_) | DOut::Lazy)
+    }
+
+    /// The held rows. Streamed outputs exist at initialization only, where
+    /// every consumer goes through [`each_row`] or [`materialize`].
     fn iter(&self) -> Box<dyn Iterator<Item = (&Tuple, i64)> + '_> {
         match self {
             DOut::Empty => Box::new(std::iter::empty()),
             DOut::Counted(s) => Box::new(s.iter()),
             DOut::Zs(z) => Box::new(z.iter()),
             DOut::Owned(z) => Box::new(z.iter()),
+            DOut::Stored(_) | DOut::Lazy => unreachable!("streamed output read as tuples"),
         }
     }
 
@@ -273,15 +314,17 @@ impl<'a> DOut<'a> {
             DOut::Counted(s) => s.count(t),
             DOut::Zs(z) => z.weight(t),
             DOut::Owned(z) => z.weight(t),
+            DOut::Stored(_) | DOut::Lazy => unreachable!("streamed output probed"),
         }
     }
 
     fn distinct_len(&self) -> usize {
         match self {
-            DOut::Empty => 0,
+            DOut::Empty | DOut::Lazy => 0,
             DOut::Counted(s) => s.distinct_len(),
             DOut::Zs(z) => z.distinct_len(),
             DOut::Owned(z) => z.distinct_len(),
+            DOut::Stored(rel) => rel.len(),
         }
     }
 
@@ -291,8 +334,86 @@ impl<'a> DOut<'a> {
             DOut::Counted(s) => ZSet::from_counted(s),
             DOut::Zs(z) => z.clone(),
             DOut::Owned(z) => z,
+            DOut::Stored(_) | DOut::Lazy => unreachable!("streamed output taken as a Z-set"),
         }
     }
+}
+
+/// Streams node `idx`'s output rows into `f`. Held outputs are read as
+/// they are and a stored relation in place; a lazy node — a stateless σ, π
+/// or ∪ at initialization — streams its child through its own predicate or
+/// projection, counting the rows it reads as it would have when run.
+fn each_row(
+    nodes: &[CNode],
+    outs: &[DOut<'_>],
+    idx: usize,
+    stats: &mut CircuitStats,
+    count_work: bool,
+    f: &mut dyn FnMut(&mut CircuitStats, &RowView<'_, '_>, i64),
+) {
+    match &outs[idx] {
+        DOut::Lazy => match &nodes[idx].kind {
+            CKind::Select { child, pred } => each_row(
+                nodes,
+                outs,
+                *child,
+                stats,
+                count_work,
+                &mut |stats, r, c| {
+                    bump(stats, count_work, 1);
+                    if pred.matches(r) {
+                        f(stats, r, c);
+                    }
+                },
+            ),
+            CKind::Project { child, indices } => each_row(
+                nodes,
+                outs,
+                *child,
+                stats,
+                count_work,
+                &mut |stats, r, c| {
+                    bump(stats, count_work, 1);
+                    f(stats, &RowView::Project(r, indices), c);
+                },
+            ),
+            CKind::Union { left, right } => {
+                each_row(nodes, outs, *left, stats, count_work, f);
+                each_row(
+                    nodes,
+                    outs,
+                    *right,
+                    stats,
+                    count_work,
+                    &mut |stats, r, c| {
+                        bump(stats, count_work, 1);
+                        f(stats, r, c);
+                    },
+                );
+            }
+            _ => unreachable!("only stateless nodes are lazy"),
+        },
+        DOut::Stored(rel) => rel.rows().for_each(|r| f(stats, &RowView::Stored(r), 1)),
+        out => out
+            .iter()
+            .for_each(|(t, c)| f(stats, &RowView::Tuple(t), c)),
+    }
+}
+
+/// Node `idx`'s output as a Z-set: what a consumer that keeps every row
+/// (×, δ, ∖/∩, the root) builds from a streamed one.
+fn materialize(
+    nodes: &[CNode],
+    outs: &[DOut<'_>],
+    idx: usize,
+    stats: &mut CircuitStats,
+    count_work: bool,
+) -> ZSet {
+    let mut z = ZSet::new();
+    each_row(nodes, outs, idx, stats, count_work, &mut |_, r, c| {
+        z.add_row(r, c);
+    });
+    z
 }
 
 /// A flat operator pipeline in topological order (children strictly before
@@ -337,20 +458,11 @@ enum CKind {
     Join {
         left: usize,
         right: usize,
-        lk: Vec<usize>,
-        rk: Vec<usize>,
-        left_state: TupleMap<ZSet>,
-        right_state: TupleMap<ZSet>,
-        scratch: Vec<Value>,
+        join: JoinState,
     },
     Aggregate {
         child: usize,
-        group_idx: Vec<usize>,
-        specs: Vec<AggSpec>,
-        groups: TupleMap<GroupState>,
-        scratch: Vec<Value>,
-        touched: TupleMap<Option<Tuple>>,
-        row_buf: Vec<Value>,
+        agg: AggState,
     },
     Distinct {
         child: usize,
@@ -403,11 +515,184 @@ fn bump(stats: &mut CircuitStats, on: bool, n: u64) {
 
 /// Adds `(t, c)` into a keyed index, dropping key entries that empty out so
 /// stale keys never accumulate.
-fn insert_keyed(state: &mut TupleMap<ZSet>, fp: u64, key: &[Value], t: &Tuple, c: i64) {
+fn insert_keyed<R: Row + ?Sized>(
+    state: &mut TupleMap<ZSet>,
+    fp: u64,
+    key: &[Value],
+    t: &R,
+    c: i64,
+) {
     let set = state.get_or_insert_with(fp, key, ZSet::new);
-    set.add(t.clone(), c);
+    set.add(t.to_tuple(), c);
     if set.is_empty() {
         state.remove(fp, key);
+    }
+}
+
+/// A maintained equi-join: both inputs indexed by join key. Each input row
+/// costs one key projection and fingerprint, shared between the probe and
+/// the insert; NULL join keys match nothing.
+struct JoinState {
+    lk: Vec<usize>,
+    rk: Vec<usize>,
+    left_state: TupleMap<ZSet>,
+    right_state: TupleMap<ZSet>,
+    scratch: Vec<Value>,
+}
+
+impl JoinState {
+    /// One row of ΔL: joined with R_old, then folded into the left index.
+    fn left_row<R: Row + ?Sized>(
+        &mut self,
+        lt: &R,
+        lc: i64,
+        out: &mut ZSet,
+        stats: &mut CircuitStats,
+        count_work: bool,
+    ) {
+        bump(stats, count_work, 1);
+        lt.project_into(&self.lk, &mut self.scratch);
+        if self.scratch.iter().any(Value::is_null) {
+            return;
+        }
+        let fp = fingerprint_values(&self.scratch);
+        if let Some(rts) = self.right_state.get(fp, &self.scratch) {
+            for (rt, rc) in rts.iter() {
+                bump(stats, count_work, 1);
+                out.add(concat(lt, rt), lc * rc);
+            }
+        }
+        insert_keyed(&mut self.left_state, fp, &self.scratch, lt, lc);
+    }
+
+    /// One row of ΔR: joined with L_new — which supplies both L_old ⋈ ΔR
+    /// and ΔL ⋈ ΔR — then folded into the right index.
+    fn right_row<R: Row + ?Sized>(
+        &mut self,
+        rt: &R,
+        rc: i64,
+        out: &mut ZSet,
+        stats: &mut CircuitStats,
+        count_work: bool,
+    ) {
+        bump(stats, count_work, 1);
+        rt.project_into(&self.rk, &mut self.scratch);
+        if self.scratch.iter().any(Value::is_null) {
+            return;
+        }
+        let fp = fingerprint_values(&self.scratch);
+        if let Some(lts) = self.left_state.get(fp, &self.scratch) {
+            for (lt, lc) in lts.iter() {
+                bump(stats, count_work, 1);
+                out.add(concat(lt, rt), lc * rc);
+            }
+        }
+        insert_keyed(&mut self.right_state, fp, &self.scratch, rt, rc);
+    }
+}
+
+/// A maintained γ: per group its accumulators, and per batch the groups
+/// the batch touched with their output row from before it.
+struct AggState {
+    group_idx: Vec<usize>,
+    specs: Vec<AggSpec>,
+    groups: TupleMap<GroupState>,
+    scratch: Vec<Value>,
+    touched: TupleMap<Option<Tuple>>,
+    row_buf: Vec<Value>,
+}
+
+impl AggState {
+    fn global(&self) -> bool {
+        self.group_idx.is_empty()
+    }
+
+    /// Starts a batch. At initialization the global group must exist (and
+    /// emit its zero-state row) even over an empty input — COUNT(*) of
+    /// nothing is 0, not absent.
+    fn begin(&mut self, init: bool) {
+        self.touched.clear();
+        if init && self.global() {
+            let fp = fingerprint_values(&[]);
+            self.touched.get_or_insert_with(fp, &[], || None);
+            let specs = &self.specs;
+            self.groups
+                .get_or_insert_with(fp, &[], || GroupState::new(specs));
+        }
+    }
+
+    /// Folds one input row into its group's accumulators, reading the
+    /// grouping and aggregated columns in place.
+    fn feed<R: Row + ?Sized>(&mut self, t: &R, c: i64) -> Result<(), CircuitError> {
+        let global = self.global();
+        let specs = &self.specs;
+        t.project_into(&self.group_idx, &mut self.scratch);
+        let fp = fingerprint_values(&self.scratch);
+        if self.touched.get(fp, &self.scratch).is_none() {
+            let old = match self.groups.get(fp, &self.scratch) {
+                Some(g) => Some(g.output(&self.scratch, &mut self.row_buf)),
+                // The global group exists implicitly with zero state.
+                None => {
+                    global.then(|| GroupState::new(specs).output(&self.scratch, &mut self.row_buf))
+                }
+            };
+            self.touched.get_or_insert_with(fp, &self.scratch, || old);
+        }
+        let g = self
+            .groups
+            .get_or_insert_with(fp, &self.scratch, || GroupState::new(specs));
+        g.n += c;
+        if g.n < 0 {
+            return Err(CircuitError::InconsistentDelta(NegativeWeight {
+                tuple: Tuple::from_slice(&self.scratch),
+                weight: g.n,
+            }));
+        }
+        for (acc, spec) in g.accs.iter_mut().zip(specs.iter()) {
+            acc.update(spec, t, c);
+        }
+        Ok(())
+    }
+
+    /// The batch's output delta: for each touched group its old row out
+    /// and its new row in (nothing when the aggregates did not change);
+    /// groups left empty are dropped (identical to the legacy engine's
+    /// algorithm).
+    fn finish(&mut self) -> ZSet {
+        let global = self.global();
+        let mut out = ZSet::new();
+        for (key, old) in self.touched.iter() {
+            let fp = key.fingerprint();
+            let alive = match self.groups.get(fp, key.values()) {
+                Some(g) if g.n > 0 || global => {
+                    let unchanged = old.as_ref().is_some_and(|o| {
+                        let vals = &o.values()[key.arity()..];
+                        g.accs
+                            .iter()
+                            .zip(vals)
+                            .all(|(acc, prev)| acc.finish() == *prev)
+                    });
+                    if !unchanged {
+                        let n = g.output(key.values(), &mut self.row_buf);
+                        if let Some(o) = old {
+                            out.add(o.clone(), -1);
+                        }
+                        out.add(n, 1);
+                    }
+                    true
+                }
+                _ => {
+                    if let Some(o) = old {
+                        out.add(o.clone(), -1);
+                    }
+                    false
+                }
+            };
+            if !alive && !global && self.groups.get(fp, key.values()).is_some() {
+                self.groups.remove(fp, key.values());
+            }
+        }
+        out
     }
 }
 
@@ -455,12 +740,12 @@ impl FixpointNode {
     ) -> Result<ZSet, CircuitError> {
         if init {
             let none = BTreeMap::new();
-            let full = input.full.unwrap_or(&none);
+            let full = input.full.unwrap_or(Full::Copies(&none));
             if !self.incremental {
                 self.rels = self
                     .sources
                     .iter()
-                    .filter_map(|r| Some((Arc::clone(r), full.get(r.as_ref())?.clone())))
+                    .filter_map(|r| Some((Arc::clone(r), full.copy_of(r)?)))
                     .collect();
             }
             self.rebuild(full, stats, count_work)?;
@@ -480,7 +765,7 @@ impl FixpointNode {
         stats.fixpoint_recomputes += 1;
         let old = std::mem::take(&mut self.out);
         let rels = std::mem::take(&mut self.rels);
-        let rebuilt = self.rebuild(&rels, stats, count_work);
+        let rebuilt = self.rebuild(Full::Copies(&rels), stats, count_work);
         self.rels = rels;
         rebuilt?;
         let mut diff = self.out.clone();
@@ -488,11 +773,11 @@ impl FixpointNode {
         Ok(diff)
     }
 
-    /// Full fixpoint evaluation over `rels`, resetting both sub-circuits and
-    /// rebuilding `derived`/`out`.
+    /// Full fixpoint evaluation over the relations `full` reads, resetting
+    /// both sub-circuits and rebuilding `derived`/`out`.
     fn rebuild(
         &mut self,
-        rels: &BTreeMap<Arc<str>, CountedSet>,
+        full: Full<'_>,
         stats: &mut CircuitStats,
         count_work: bool,
     ) -> Result<(), CircuitError> {
@@ -509,7 +794,7 @@ impl FixpointNode {
 
         let full_input = BatchInput {
             deltas: None,
-            full: Some(rels),
+            full: Some(full),
             rec: None,
         };
         let d_base = base.run(&full_input, stats, true, count_work)?;
@@ -537,7 +822,7 @@ impl FixpointNode {
                 rec_delta.merge(&prev_working.negated());
                 let inp = BatchInput {
                     deltas: None,
-                    full: if first { Some(rels) } else { None },
+                    full: first.then_some(full),
                     rec: Some((rec_name, &rec_delta)),
                 };
                 let d_step = step.run(&inp, stats, first, count_work)?;
@@ -563,7 +848,7 @@ impl FixpointNode {
                 stats.fixpoint_iterations += 1;
                 let inp = BatchInput {
                     deltas: None,
-                    full: if first { Some(rels) } else { None },
+                    full: first.then_some(full),
                     rec: Some((rec_name, &frontier)),
                 };
                 let d_step = step.run(&inp, stats, first, count_work)?;
@@ -755,9 +1040,13 @@ fn split_by_sign(deltas: &DeltaSet, sources: &[Arc<str>]) -> (DeltaSet, DeltaSet
 
 impl CNode {
     /// Processes one batch, reading child outputs from `outs` (children are
-    /// always earlier in the flow) and returning this node's output delta.
+    /// always earlier in the flow, in `before`) and returning this node's
+    /// output delta. At initialization (`init`) σ, π and ∪ stay lazy and
+    /// every other node reads its children through [`each_row`] or
+    /// [`materialize`].
     fn step<'d>(
         &mut self,
+        before: &[CNode],
         input: &BatchInput<'d>,
         outs: &[DOut<'d>],
         stats: &mut CircuitStats,
@@ -767,6 +1056,13 @@ impl CNode {
         if !input.touches(&self.sources) {
             return Ok(DOut::Empty);
         }
+        // A keeping node's view of child `idx`: a streamed output is built
+        // here, once.
+        let held = |idx: usize, stats: &mut CircuitStats| -> Option<DOut<'d>> {
+            outs[idx]
+                .is_streamed()
+                .then(|| DOut::Owned(materialize(before, outs, idx, stats, count_work)))
+        };
         Ok(match &mut self.kind {
             CKind::Input { relation } => match input.relation(relation) {
                 Some(d) => {
@@ -782,6 +1078,9 @@ impl CNode {
                 }
                 None => DOut::Empty,
             },
+            CKind::Select { .. } | CKind::Project { .. } | CKind::Union { .. } if init => {
+                DOut::Lazy
+            }
             CKind::Select { child, pred } => {
                 let d = &outs[*child];
                 let mut out = ZSet::new();
@@ -808,8 +1107,9 @@ impl CNode {
                 left_state,
                 right_state,
             } => {
-                let dl = &outs[*left];
-                let dr = &outs[*right];
+                let (hl, hr) = (held(*left, stats), held(*right, stats));
+                let dl = hl.as_ref().unwrap_or(&outs[*left]);
+                let dr = hr.as_ref().unwrap_or(&outs[*right]);
                 let mut out = ZSet::new();
                 // ΔL × R_old
                 for (lt, lc) in dl.iter() {
@@ -829,137 +1129,71 @@ impl CNode {
                 merge_dout(right_state, dr);
                 DOut::Owned(out)
             }
-            CKind::Join {
-                left,
-                right,
-                lk,
-                rk,
-                left_state,
-                right_state,
-                scratch,
-            } => {
-                let dl = &outs[*left];
-                let dr = &outs[*right];
+            CKind::Join { left, right, join } => {
                 let mut out = ZSet::new();
-                // ΔL ⋈ R_old, folding ΔL into the left index as we go; one
-                // key projection and fingerprint per row, shared between the
-                // probe and the insert. NULL join keys match nothing.
-                for (lt, lc) in dl.iter() {
-                    bump(stats, count_work, 1);
-                    lt.project_into(lk, scratch);
-                    if scratch.iter().any(Value::is_null) {
-                        continue;
+                // ΔL ⋈ R_old, folding ΔL into the left index as we go, then
+                // L_new ⋈ ΔR. A stored side is read in place and each of its
+                // rows built once, into the index that keeps it.
+                if init {
+                    each_row(
+                        before,
+                        outs,
+                        *left,
+                        stats,
+                        count_work,
+                        &mut |stats, lt, lc| join.left_row(lt, lc, &mut out, stats, count_work),
+                    );
+                    each_row(
+                        before,
+                        outs,
+                        *right,
+                        stats,
+                        count_work,
+                        &mut |stats, rt, rc| join.right_row(rt, rc, &mut out, stats, count_work),
+                    );
+                } else {
+                    for (lt, lc) in outs[*left].iter() {
+                        join.left_row(lt, lc, &mut out, stats, count_work);
                     }
-                    let fp = fingerprint_values(scratch);
-                    if let Some(rts) = right_state.get(fp, scratch) {
-                        for (rt, rc) in rts.iter() {
-                            bump(stats, count_work, 1);
-                            out.add(lt.concat(rt), lc * rc);
-                        }
+                    for (rt, rc) in outs[*right].iter() {
+                        join.right_row(rt, rc, &mut out, stats, count_work);
                     }
-                    insert_keyed(left_state, fp, scratch, lt, lc);
-                }
-                // L_new ⋈ ΔR — supplies both L_old ⋈ ΔR and ΔL ⋈ ΔR.
-                for (rt, rc) in dr.iter() {
-                    bump(stats, count_work, 1);
-                    rt.project_into(rk, scratch);
-                    if scratch.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    let fp = fingerprint_values(scratch);
-                    if let Some(lts) = left_state.get(fp, scratch) {
-                        for (lt, lc) in lts.iter() {
-                            bump(stats, count_work, 1);
-                            out.add(lt.concat(rt), lc * rc);
-                        }
-                    }
-                    insert_keyed(right_state, fp, scratch, rt, rc);
                 }
                 DOut::Owned(out)
             }
-            CKind::Aggregate {
-                child,
-                group_idx,
-                specs,
-                groups,
-                scratch,
-                touched,
-                row_buf,
-            } => {
-                let d = &outs[*child];
-                let global = group_idx.is_empty();
-                touched.clear();
-                // At initialization the global group must exist (and emit
-                // its zero-state row) even over an empty input — COUNT(*)
-                // of nothing is 0, not absent.
-                if init && global {
-                    let fp = fingerprint_values(&[]);
-                    touched.get_or_insert_with(fp, &[], || None);
-                    groups.get_or_insert_with(fp, &[], || GroupState::new(specs));
-                }
-                for (t, c) in d.iter() {
-                    bump(stats, count_work, 1);
-                    t.project_into(group_idx, scratch);
-                    let fp = fingerprint_values(scratch);
-                    if touched.get(fp, scratch).is_none() {
-                        let old = match groups.get(fp, scratch) {
-                            Some(g) => Some(g.output(scratch, row_buf)),
-                            // The global group exists implicitly with zero
-                            // state.
-                            None => global.then(|| GroupState::new(specs).output(scratch, row_buf)),
-                        };
-                        touched.get_or_insert_with(fp, scratch, || old);
-                    }
-                    let g = groups.get_or_insert_with(fp, scratch, || GroupState::new(specs));
-                    g.n += c;
-                    if g.n < 0 {
-                        return Err(CircuitError::InconsistentDelta(NegativeWeight {
-                            tuple: Tuple::from_slice(scratch),
-                            weight: g.n,
-                        }));
-                    }
-                    for (acc, spec) in g.accs.iter_mut().zip(specs.iter()) {
-                        acc.update(spec, t, c);
-                    }
-                }
-                // Diff old vs new output per touched group (identical to
-                // the legacy engine's algorithm).
-                let mut out = ZSet::new();
-                for (key, old) in touched.iter() {
-                    let fp = key.fingerprint();
-                    let alive = match groups.get(fp, key.values()) {
-                        Some(g) if g.n > 0 || global => {
-                            let unchanged = old.as_ref().is_some_and(|o| {
-                                let vals = &o.values()[key.arity()..];
-                                g.accs
-                                    .iter()
-                                    .zip(vals)
-                                    .all(|(acc, prev)| acc.finish() == *prev)
-                            });
-                            if !unchanged {
-                                let n = g.output(key.values(), row_buf);
-                                if let Some(o) = old {
-                                    out.add(o.clone(), -1);
-                                }
-                                out.add(n, 1);
+            CKind::Aggregate { child, agg } => {
+                agg.begin(init);
+                if init {
+                    // Initialization streams the source rows into the
+                    // accumulators: only groups are built.
+                    let mut failed = None;
+                    each_row(
+                        before,
+                        outs,
+                        *child,
+                        stats,
+                        count_work,
+                        &mut |stats, t, c| {
+                            bump(stats, count_work, 1);
+                            if failed.is_none() {
+                                failed = agg.feed(t, c).err();
                             }
-                            true
-                        }
-                        _ => {
-                            if let Some(o) = old {
-                                out.add(o.clone(), -1);
-                            }
-                            false
-                        }
-                    };
-                    if !alive && !global && groups.get(fp, key.values()).is_some() {
-                        groups.remove(fp, key.values());
+                        },
+                    );
+                    if let Some(e) = failed {
+                        return Err(e);
+                    }
+                } else {
+                    for (t, c) in outs[*child].iter() {
+                        bump(stats, count_work, 1);
+                        agg.feed(t, c)?;
                     }
                 }
-                DOut::Owned(out)
+                DOut::Owned(agg.finish())
             }
             CKind::Distinct { child, state } => {
-                let d = &outs[*child];
+                let h = held(*child, stats);
+                let d = h.as_ref().unwrap_or(&outs[*child]);
                 let mut out = ZSet::new();
                 for (t, c) in d.iter() {
                     bump(stats, count_work, 1);
@@ -995,8 +1229,9 @@ impl CNode {
                 left_state,
                 right_state,
             } => {
-                let dl = &outs[*left];
-                let dr = &outs[*right];
+                let (hl, hr) = (held(*left, stats), held(*right, stats));
+                let dl = hl.as_ref().unwrap_or(&outs[*left]);
+                let dr = hr.as_ref().unwrap_or(&outs[*right]);
                 let mut out = ZSet::new();
                 // Re-derive the output count of every touched tuple.
                 for t in dl.iter().map(|(t, _)| t).chain(dr.iter().map(|(t, _)| t)) {
@@ -1038,11 +1273,17 @@ impl Flow {
         count_work: bool,
     ) -> Result<ZSet, CircuitError> {
         let mut outs: Vec<DOut<'_>> = Vec::with_capacity(self.nodes.len());
-        for node in &mut self.nodes {
-            let out = node.step(input, &outs, stats, init, count_work)?;
+        for i in 0..self.nodes.len() {
+            let (before, rest) = self.nodes.split_at_mut(i);
+            let out = rest[0].step(before, input, &outs, stats, init, count_work)?;
             outs.push(out);
         }
-        Ok(outs.pop().map(DOut::into_zset).unwrap_or_default())
+        match outs.len().checked_sub(1) {
+            Some(root) if outs[root].is_streamed() => {
+                Ok(materialize(&self.nodes, &outs, root, stats, count_work))
+            }
+            _ => Ok(outs.pop().map(DOut::into_zset).unwrap_or_default()),
+        }
     }
 
     /// Clears all operator state, returning the flow to its pre-init form.
@@ -1057,19 +1298,13 @@ impl Flow {
                     *left_state = ZSet::new();
                     *right_state = ZSet::new();
                 }
-                CKind::Join {
-                    left_state,
-                    right_state,
-                    ..
-                } => {
-                    left_state.clear();
-                    right_state.clear();
+                CKind::Join { join, .. } => {
+                    join.left_state.clear();
+                    join.right_state.clear();
                 }
-                CKind::Aggregate {
-                    groups, touched, ..
-                } => {
-                    groups.clear();
-                    touched.clear();
+                CKind::Aggregate { agg, .. } => {
+                    agg.groups.clear();
+                    agg.touched.clear();
                 }
                 CKind::Distinct { state, .. } => *state = ZSet::new(),
                 CKind::SetOp {
@@ -1233,11 +1468,13 @@ fn compile_into(
                 CKind::Join {
                     left: l,
                     right: r,
-                    lk,
-                    rk,
-                    left_state: TupleMap::new(),
-                    right_state: TupleMap::new(),
-                    scratch: Vec::new(),
+                    join: JoinState {
+                        lk,
+                        rk,
+                        left_state: TupleMap::new(),
+                        right_state: TupleMap::new(),
+                        scratch: Vec::new(),
+                    },
                 },
                 src,
             )
@@ -1261,12 +1498,14 @@ fn compile_into(
             (
                 CKind::Aggregate {
                     child,
-                    group_idx,
-                    specs,
-                    groups: TupleMap::new(),
-                    scratch: Vec::new(),
-                    touched: TupleMap::new(),
-                    row_buf: Vec::new(),
+                    agg: AggState {
+                        group_idx,
+                        specs,
+                        groups: TupleMap::new(),
+                        scratch: Vec::new(),
+                        touched: TupleMap::new(),
+                        row_buf: Vec::new(),
+                    },
                 },
                 src,
             )
@@ -1392,23 +1631,24 @@ pub struct Circuit {
 impl Circuit {
     /// Compiles `plan` and runs the one-time full evaluation: every source
     /// relation's contents are fed through the circuit as an insert-only
-    /// delta from empty state (initialization *is* the first delta).
+    /// delta from empty state (initialization *is* the first delta). The
+    /// stored rows are pushed in place through the stateless σ/π nodes into
+    /// the first node that keeps rows — γ's accumulators, a join's index,
+    /// the answer — so only what is kept is built.
     pub fn new(plan: &Plan, db: &Database) -> Result<Self, CircuitError> {
         let columns = plan.output_columns(db)?;
         let mut flow = Flow::compile(plan, db, None)?;
         let sources = plan.base_relations();
         let mut stats = CircuitStats::default();
-        let mut full: BTreeMap<Arc<str>, CountedSet> = BTreeMap::new();
         for r in &sources {
             let rel = db
                 .relation(r)
                 .map_err(|_| PlanError::UnknownRelation(r.to_string()))?;
             stats.init_tuples_scanned += rel.len() as u64;
-            full.insert(Arc::clone(r), rel.to_counted_set());
         }
         let input = BatchInput {
             deltas: None,
-            full: Some(&full),
+            full: Some(Full::Stored(db)),
             rec: None,
         };
         let result = flow.run(&input, &mut stats, true, false)?.into_counted();
@@ -1517,7 +1757,7 @@ mod tests {
         let rel = db.relation_mut("LINK").unwrap();
         let rid = rel
             .iter()
-            .find(|(_, t)| **t == tuple![s, d])
+            .find(|(_, t)| *t == tuple![s, d])
             .map(|(rid, _)| rid)
             .unwrap();
         rel.delete(rid).unwrap();

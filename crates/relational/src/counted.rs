@@ -8,6 +8,7 @@
 //! propagation through the operator tree a sequence of signed merges.
 
 use crate::fasthash::FxHashMap;
+use crate::row::Row;
 use crate::tuple::Tuple;
 use std::collections::hash_map;
 
@@ -71,9 +72,38 @@ impl CountedSet {
         }
     }
 
+    /// [`CountedSet::add`] for a row that is not (yet) a tuple: an existing
+    /// entry is updated in place, and the row is built into a tuple only
+    /// when it is new — so folding a stream of borrowed rows allocates per
+    /// distinct row, not per row.
+    pub fn add_row(&mut self, row: &dyn Row, delta: i64) -> i64 {
+        if delta == 0 {
+            return self.count_row(row);
+        }
+        match self.counts.get_mut(row) {
+            Some(c) => {
+                *c += delta;
+                let c = *c;
+                if c == 0 {
+                    self.counts.remove(row);
+                }
+                c
+            }
+            None => {
+                self.counts.insert(row.to_tuple(), delta);
+                delta
+            }
+        }
+    }
+
     /// Multiplicity of a tuple (zero when absent).
     pub fn count(&self, tuple: &Tuple) -> i64 {
         self.counts.get(tuple).copied().unwrap_or(0)
+    }
+
+    /// [`CountedSet::count`] of any row, without building it.
+    pub fn count_row(&self, row: &dyn Row) -> i64 {
+        self.counts.get(row).copied().unwrap_or(0)
     }
 
     /// True when the tuple has positive multiplicity ("in the answer set").

@@ -3,38 +3,55 @@
 //! This is the executor the *naive* sampling evaluator of Algorithm 3 calls
 //! on every sampled world, and the one every ad hoc SQL statement runs
 //! through: it recomputes `Q(w)` from the base relations. Rows are *pushed*:
-//! a source hands each `(&Tuple, multiplicity)` to the operator above it,
+//! a source hands each row and its multiplicity to the operator above it,
 //! which hands what it produces to the next, up to the root, where the
 //! answer [`CountedSet`] is built — once. No operator materialises its
 //! output; only pipeline breakers hold state.
 //!
-//! **Sources.** A scan walks the relation's chunks in slot order. A
-//! selection directly over a scan first looks for a *probe*: a top-level
-//! conjunct `col = literal` whose column is the primary key or carries a
-//! secondary index. The probe reads only the rows the index names and the
-//! whole predicate is then applied to them as the residual filter, so
-//! `WHERE tok_id = c` reads one row at any relation size. A probe requires
-//! a non-NULL literal of the column's declared type (an integral `Float`
-//! against an `Int` column is converted); any other literal takes the
-//! streamed scan, whose three-valued comparison is the reference. A
-//! conjunct `col = NULL` is never true, so it answers with no rows without
-//! touching storage. Inside a fixpoint's step, [`Plan::Rec`] streams the
-//! rows the enclosing fixpoint has bound to its name.
+//! **Rows are borrowed.** What flows is a [`Row`] read in place: a slot of
+//! the column-major heap, a tuple some operator holds, or a row π, × or ⋈
+//! *composes* from the rows they received (a projection of the input row,
+//! a probe row followed by its build-side match) instead of building it.
+//! Predicates, aggregate accumulators and key projections read only the
+//! fields they name. A [`Tuple`] is built only where a row is kept: the
+//! answer multiset (once per distinct row), a join's or product's build
+//! side (unless it is a stored row, which stays borrowed from the heap for
+//! the length of the query), δ/∖/∩ state, γ's group keys and output rows.
+//!
+//! **Sources.** A scan walks the relation's chunks in slot order, *a chunk
+//! at a time*: a σ directly above it evaluates its predicate over the
+//! chunk's columns at once ([`BoundExpr::select`] — a 64-bit mask of the
+//! slots that pass), and a γ directly above either reads each aggregate's
+//! FILTER the same way (a global `COUNT` adds a popcount); only the
+//! selected rows are touched. A selection directly over a scan first looks
+//! for a *probe*: a top-level conjunct `col = literal` whose column is the
+//! primary key or carries a secondary index. The probe reads only the rows
+//! the index names and the whole predicate is then applied to them as the
+//! residual filter, so `WHERE tok_id = c` reads one row at any relation
+//! size. A probe requires a non-NULL literal of the column's declared type
+//! (an integral `Float` against an `Int` column is converted); any other
+//! literal takes the scan, whose three-valued comparison is the reference.
+//! A conjunct `col = NULL` is never true, so it answers with no rows
+//! without touching storage. Inside a fixpoint's step, [`Plan::Rec`]
+//! streams the rows the enclosing fixpoint has bound to its name.
 //!
 //! **Streaming operators** keep nothing: σ, π, ∪, and the probe (left) side
 //! of × and ⋈. δ streams too — a row passes the first time it is seen — but
 //! remembers what it has passed.
 //!
 //! **Pipeline breakers** hold exactly the state their semantics need: γ its
-//! group table (no table at all for a global aggregate), × and ⋈ their
-//! build (right) side, ∖ and ∩ the consolidated left input (the right input
-//! streams against it), μ its accumulator and working table.
+//! group table (one accumulator row for a global aggregate; the group of
+//! the previous row is remembered, so a run of rows of one group costs a
+//! key comparison each, not a hash probe), × and ⋈ their build (right)
+//! side, ∖ and ∩ the consolidated left input (the right input streams
+//! against it), μ its accumulator and working table.
 //!
 //! Every multiplicity that flows is positive: scans emit 1, products
 //! multiply, γ and δ emit 1, ∖ and ∩ emit only what is left above zero.
 //!
 //! The executor reports [`ExecStats`] so experiments can compare *work* as
-//! well as wall-clock time, independent of machine speed. It runs user SQL
+//! well as wall-clock time, independent of machine speed; a chunk-at-a-time
+//! scan counts exactly what a row-at-a-time one would. It runs user SQL
 //! from the wire on server threads, so nothing here may panic on any plan
 //! or data (`fgdb-lint`'s panic rule covers this file).
 
@@ -43,7 +60,8 @@ use crate::counted::CountedSet;
 use crate::database::Database;
 use crate::expr::{resolve_column, BoundExpr, CmpOp, Expr};
 use crate::fasthash::{FxHashSet, TupleMap};
-use crate::storage::Relation;
+use crate::row::{Row, RowView};
+use crate::storage::{ChunkRef, Relation, RowId, RowRef};
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::{Value, ValueType};
 use std::fmt;
@@ -59,13 +77,14 @@ pub struct ExecStats {
     /// operator that receives them (a build-side row counts where it is
     /// matched, not where it is stored).
     pub rows_processed: u64,
-    /// Tuples *constructed* by the tuple-building operators π, ×, ⋈ and γ —
-    /// one per row they emit. Sources, σ, δ, the set operators and μ pass
-    /// existing tuples on and do not count. Operator outputs are streams,
-    /// not sets, so this counts constructions, duplicates included (it used
-    /// to count each operator's distinct output). It is the metric the
+    /// Rows *constructed* by the row-building operators π, ×, ⋈ and γ —
+    /// one per row they emit, whether or not a consumer goes on to build it
+    /// into a tuple. Sources, σ, δ, the set operators and μ pass existing
+    /// rows on and do not count. Operator outputs are streams, not sets, so
+    /// this counts constructions, duplicates included (it used to count
+    /// each operator's distinct output). It is the metric the
     /// [`crate::planner`] optimizer provably never increases: pushing a
-    /// selection below a tuple-building operator can only shrink what that
+    /// selection below a row-building operator can only shrink what that
     /// operator emits.
     pub intermediate_tuples: u64,
 }
@@ -186,12 +205,39 @@ fn rec_lookup<'a>(env: Option<&'a RecFrame<'a>>, name: &str) -> Option<&'a Count
 }
 
 /// The consumer of an operator's output: called once per emitted row with
-/// the row's (positive) multiplicity. The counters travel with the row
-/// because producer and consumer both count.
-type Sink<'s> = dyn FnMut(&mut ExecStats, &Tuple, i64) + 's;
+/// the row's (positive) multiplicity. The row is borrowed — from the
+/// database `'db`, from an operator's state, or composed in flight by π /
+/// × / ⋈ — and is built into a tuple only by a consumer that keeps it
+/// beyond the query. The counters travel with the row because producer
+/// and consumer both count.
+type Sink<'s, 'db> = dyn FnMut(&mut ExecStats, &RowView<'db, '_>, i64) + 's;
+
+/// A row a build side keeps for the length of the query: a stored row
+/// stays borrowed from the heap, any other is built.
+enum Kept<'db> {
+    Stored(RowRef<'db>),
+    Built(Tuple),
+}
+
+impl<'db> Kept<'db> {
+    fn keep(row: &RowView<'db, '_>) -> Self {
+        match row {
+            RowView::Stored(r) => Kept::Stored(*r),
+            other => Kept::Built(other.to_tuple()),
+        }
+    }
+
+    fn view(&self) -> RowView<'db, '_> {
+        match self {
+            Kept::Stored(r) => RowView::Stored(*r),
+            Kept::Built(t) => RowView::Tuple(t),
+        }
+    }
+}
 
 /// Runs `plan` and consolidates what it emits — the root's answer, and the
-/// state of the operators that need a whole input before they can emit.
+/// state of the operators that need a whole input before they can emit. A
+/// row already present costs no allocation.
 fn collect(
     plan: &Plan,
     db: &Database,
@@ -199,63 +245,77 @@ fn collect(
     stats: &mut ExecStats,
 ) -> Result<CountedSet, ExecError> {
     let mut out = CountedSet::new();
-    run(plan, db, env, stats, &mut |_, t, c| {
-        out.add(t.clone(), c);
+    run(plan, db, env, stats, &mut |_, r, c| {
+        out.add_row(r, c);
     })?;
     Ok(out)
 }
 
 /// Pushes every row of `plan`'s output into `sink`. Each operator binds its
 /// own names first, so binding errors surface before any row flows.
-fn run(
+fn run<'db>(
     plan: &Plan,
-    db: &Database,
+    db: &'db Database,
     env: Option<&RecFrame<'_>>,
     stats: &mut ExecStats,
-    sink: &mut Sink<'_>,
+    sink: &mut Sink<'_, 'db>,
 ) -> Result<(), ExecError> {
+    if let Some(scan) = ScanBatches::of(plan, db)? {
+        scan.for_each(stats, |stats, chunk, sel| {
+            for (_, r) in chunk.rows(sel) {
+                sink(stats, &RowView::Stored(r), 1);
+            }
+        });
+        return Ok(());
+    }
     match plan {
-        Plan::Scan { relation, .. } => {
-            let rel = relation_of(db, relation)?;
-            stats.tuples_scanned += rel.len() as u64;
-            rel.tuples().for_each(|t| sink(stats, t, 1));
-            Ok(())
-        }
+        Plan::Scan { .. } => Ok(()), // a scan always runs as batches
         Plan::Select { input, predicate } => {
             let bound = bind(predicate, &input.output_columns(db)?)?;
-            let mut filter = |stats: &mut ExecStats, t: &Tuple, c: i64| {
-                stats.rows_processed += 1;
-                if bound.matches(t) {
-                    sink(stats, t, c);
-                }
-            };
             if let Plan::Scan { relation, .. } = &**input {
+                // σ over a scan an index answers (a scan that none answers
+                // ran as batches): only the rows it names are read, and
+                // the whole predicate is the residual filter.
                 let rel = relation_of(db, relation)?;
-                if let Some(read) = probe(rel, &bound, &mut |t| filter(stats, t, 1)) {
-                    stats.tuples_scanned += read;
-                    return Ok(());
+                let named = probe(rel, &bound);
+                for r in named
+                    .iter()
+                    .flat_map(|c| c.ids())
+                    .filter_map(|rid| rel.get(*rid))
+                {
+                    stats.tuples_scanned += 1;
+                    stats.rows_processed += 1;
+                    if bound.matches(&r) {
+                        sink(stats, &RowView::Stored(r), 1);
+                    }
                 }
+                return Ok(());
             }
-            run(input, db, env, stats, &mut filter)
+            run(input, db, env, stats, &mut |stats, r, c| {
+                stats.rows_processed += 1;
+                if bound.matches(r) {
+                    sink(stats, r, c);
+                }
+            })
         }
         Plan::Project { input, columns } => {
             let indices = resolve_all(columns, &input.output_columns(db)?)?;
-            run(input, db, env, stats, &mut |stats, t, c| {
+            run(input, db, env, stats, &mut |stats, r, c| {
                 stats.rows_processed += 1;
                 stats.intermediate_tuples += 1;
-                sink(stats, &t.project(&indices), c);
+                sink(stats, &RowView::Project(r, &indices), c);
             })
         }
         Plan::Product { left, right } => {
-            let mut build: Vec<(Tuple, i64)> = Vec::new();
-            run(right, db, env, stats, &mut |_, t, c| {
-                build.push((t.clone(), c))
+            let mut build: Vec<(Kept<'db>, i64)> = Vec::new();
+            run(right, db, env, stats, &mut |_, r, c| {
+                build.push((Kept::keep(r), c))
             })?;
             run(left, db, env, stats, &mut |stats, lt, lc| {
                 for (rt, rc) in &build {
                     stats.rows_processed += 1;
                     stats.intermediate_tuples += 1;
-                    sink(stats, &lt.concat(rt), lc * rc);
+                    sink(stats, &RowView::Concat(lt, &rt.view()), lc * rc);
                 }
             })
         }
@@ -266,14 +326,14 @@ fn run(
             // projected into one scratch buffer; a key tuple is allocated
             // only when the table meets it for the first time.
             let mut key = Vec::new();
-            let mut table: TupleMap<Vec<(Tuple, i64)>> = TupleMap::new();
+            let mut table: TupleMap<Vec<(Kept<'db>, i64)>> = TupleMap::new();
             run(right, db, env, stats, &mut |_, rt, rc| {
                 rt.project_into(&rk, &mut key);
                 // NULL never joins, so such a row could never be matched.
                 if !key.iter().any(Value::is_null) {
                     table
                         .get_or_insert_with(fingerprint_values(&key), &key, Vec::new)
-                        .push((rt.clone(), rc));
+                        .push((Kept::keep(rt), rc));
                 }
             })?;
             run(left, db, env, stats, &mut |stats, lt, lc| {
@@ -286,7 +346,7 @@ fn run(
                 {
                     stats.rows_processed += 1;
                     stats.intermediate_tuples += 1;
-                    sink(stats, &lt.concat(rt), lc * rc);
+                    sink(stats, &RowView::Concat(lt, &rt.view()), lc * rc);
                 }
             })
         }
@@ -298,51 +358,39 @@ fn run(
             let in_cols = input.output_columns(db)?;
             let group_idx = resolve_all(group_by, &in_cols)?;
             let specs = bind_aggs(aggs, &in_cols)?;
-            let fresh = || specs.iter().map(AggAcc::new).collect::<Vec<_>>();
-            let feed = |accs: &mut [AggAcc], t: &Tuple, c: i64| {
-                for (acc, spec) in accs.iter_mut().zip(&specs) {
-                    acc.update(spec, t, c);
+            let mut groups = Groups::new(&group_idx, &specs);
+            match ScanBatches::of(input, db)? {
+                // Over a scan, each chunk's FILTER masks are computed once
+                // from their columns; a global COUNT is a popcount.
+                Some(scan) => {
+                    let mut admitted = vec![0u64; specs.len()];
+                    scan.for_each(stats, |stats, chunk, sel| {
+                        stats.rows_processed += u64::from(sel.count_ones());
+                        for (mask, spec) in admitted.iter_mut().zip(&specs) {
+                            *mask = spec.admits(chunk, sel);
+                        }
+                        groups.feed_chunk(chunk, sel, &admitted);
+                    });
                 }
-            };
-            let mut emit = |stats: &mut ExecStats, key: &[Value], accs: &[AggAcc]| {
+                None => run(input, db, env, stats, &mut |stats, r, c| {
+                    stats.rows_processed += 1;
+                    groups.feed(r, c);
+                })?,
+            }
+            for (key, accs) in groups.iter() {
                 let row = key.iter().cloned().chain(accs.iter().map(AggAcc::finish));
                 stats.intermediate_tuples += 1;
-                sink(stats, &Tuple::new(row.collect()), 1);
-            };
-            if group_idx.is_empty() {
-                // A global aggregate is one group, present even over an
-                // empty input: no key, no table.
-                let mut accs = fresh();
-                run(input, db, env, stats, &mut |stats, t, c| {
-                    stats.rows_processed += 1;
-                    feed(&mut accs, t, c);
-                })?;
-                emit(stats, &[], &accs);
-            } else {
-                let mut key = Vec::new();
-                let mut groups: TupleMap<Vec<AggAcc>> = TupleMap::new();
-                run(input, db, env, stats, &mut |stats, t, c| {
-                    stats.rows_processed += 1;
-                    t.project_into(&group_idx, &mut key);
-                    feed(
-                        groups.get_or_insert_with(fingerprint_values(&key), &key, fresh),
-                        t,
-                        c,
-                    );
-                })?;
-                for (key, accs) in groups.iter() {
-                    emit(stats, key.values(), accs);
-                }
+                sink(stats, &RowView::Tuple(&Tuple::new(row.collect())), 1);
             }
             Ok(())
         }
         Plan::Distinct { input } => {
             let mut seen: FxHashSet<Tuple> = FxHashSet::default();
-            run(input, db, env, stats, &mut |stats, t, _| {
+            run(input, db, env, stats, &mut |stats, r, _| {
                 stats.rows_processed += 1;
-                if !seen.contains(t) {
-                    seen.insert(t.clone());
-                    sink(stats, t, 1);
+                if !seen.contains(r as &dyn Row) {
+                    seen.insert(r.to_tuple());
+                    sink(stats, r, 1);
                 }
             })
         }
@@ -352,13 +400,13 @@ fn run(
         }
         Plan::Difference { left, right } => {
             // Monus, `max(0, L(t) − R(t))`: the right input is subtracted
-            // from the consolidated left row by row. `contains` is false
-            // once a count is spent, so further right rows leave it alone.
+            // from the consolidated left row by row. A spent count is no
+            // longer positive, so further right rows leave it alone.
             let mut rows = collect(left, db, env, stats)?;
-            run(right, db, env, stats, &mut |stats, t, c| {
+            run(right, db, env, stats, &mut |stats, r, c| {
                 stats.rows_processed += 1;
-                if rows.contains(t) {
-                    rows.add(t.clone(), -c);
+                if rows.count_row(r) > 0 {
+                    rows.add_row(r, -c);
                 }
             })?;
             emit_positive(&rows, stats, sink);
@@ -369,14 +417,14 @@ fn run(
             // holds are kept.
             let l = collect(left, db, env, stats)?;
             let mut r = CountedSet::new();
-            run(right, db, env, stats, &mut |stats, t, c| {
+            run(right, db, env, stats, &mut |stats, row, c| {
                 stats.rows_processed += 1;
-                if l.contains(t) {
-                    r.add(t.clone(), c);
+                if l.count_row(row) > 0 {
+                    r.add_row(row, c);
                 }
             })?;
             for (t, rc) in r.iter() {
-                sink(stats, t, rc.min(l.count(t)));
+                sink(stats, &RowView::Tuple(t), rc.min(l.count(t)));
             }
             Ok(())
         }
@@ -427,9 +475,9 @@ fn run(
                         name: rec,
                         rows: &acc,
                     };
-                    run(step, db, Some(&frame), stats, &mut |_, t, _| {
-                        if !acc.contains(t) && !fresh.contains(t) {
-                            fresh.insert(t.clone());
+                    run(step, db, Some(&frame), stats, &mut |_, r, _| {
+                        if acc.count_row(r) <= 0 && !fresh.contains(r as &dyn Row) {
+                            fresh.insert(r.to_tuple());
                         }
                     })?;
                     if fresh.is_empty() {
@@ -448,7 +496,7 @@ fn run(
                 .ok_or_else(|| ExecError::UnboundRecursion(name.to_string()))?;
             for (t, c) in rows.iter() {
                 stats.rows_processed += 1;
-                sink(stats, t, c);
+                sink(stats, &RowView::Tuple(t), c);
             }
             Ok(())
         }
@@ -457,10 +505,10 @@ fn run(
 
 /// Emits the entries of an operator's consolidated state that are left
 /// above zero.
-fn emit_positive(rows: &CountedSet, stats: &mut ExecStats, sink: &mut Sink<'_>) {
+fn emit_positive(rows: &CountedSet, stats: &mut ExecStats, sink: &mut Sink<'_, '_>) {
     for (t, c) in rows.iter() {
         if c > 0 {
-            sink(stats, t, c);
+            sink(stats, &RowView::Tuple(t), c);
         }
     }
 }
@@ -473,11 +521,10 @@ fn relation_of<'a>(db: &'a Database, name: &str) -> Result<&'a Relation, ExecErr
 /// Answers `σ_pred(rel)` from the primary-key index or a secondary index
 /// when one can name the candidate rows: the first top-level conjunct of
 /// `pred` of the form `col = literal` over such a column decides. The
-/// candidates go to `emit` — a superset of the answer (they satisfy one
-/// conjunct), so the caller still applies `pred` — and their number comes
-/// back. `None` means no conjunct qualifies, nothing was emitted and the
-/// relation must be scanned.
-fn probe(rel: &Relation, pred: &BoundExpr, emit: &mut dyn FnMut(&Tuple)) -> Option<u64> {
+/// candidates are a superset of the answer (they satisfy one conjunct), so
+/// the caller still applies `pred`. `None` means no conjunct qualifies and
+/// the relation must be scanned.
+fn probe<'r>(rel: &'r Relation, pred: &BoundExpr) -> Option<Candidates<'r>> {
     let mut conjuncts = vec![pred];
     while let Some(e) = conjuncts.pop() {
         let (col, lit) = match e {
@@ -496,7 +543,7 @@ fn probe(rel: &Relation, pred: &BoundExpr, emit: &mut dyn FnMut(&Tuple)) -> Opti
         if lit.is_null() {
             // `col = NULL` is unknown for every row, and a conjunction with
             // an unknown conjunct is never true.
-            return Some(0);
+            return Some(Candidates::Key(None));
         }
         let Some(key) = rel
             .schema()
@@ -506,23 +553,82 @@ fn probe(rel: &Relation, pred: &BoundExpr, emit: &mut dyn FnMut(&Tuple)) -> Opti
         else {
             continue;
         };
-        let by_pk;
-        let rids = if rel.schema().primary_key() == Some(col) {
-            by_pk = rel.find_by_pk(&key);
-            by_pk.as_slice()
-        } else if let Some(rids) = rel.index_lookup(col, &key) {
-            rids
-        } else {
-            continue;
-        };
-        let mut read = 0;
-        for t in rids.iter().filter_map(|rid| rel.get(*rid)) {
-            read += 1;
-            emit(t);
+        if rel.schema().primary_key() == Some(col) {
+            return Some(Candidates::Key(rel.find_by_pk(&key)));
         }
-        return Some(read);
+        if let Some(rids) = rel.index_lookup(col, &key) {
+            return Some(Candidates::Indexed(rids));
+        }
     }
     None
+}
+
+/// The rows a primary-key or secondary-index probe names.
+enum Candidates<'r> {
+    Key(Option<RowId>),
+    Indexed(&'r [RowId]),
+}
+
+impl Candidates<'_> {
+    fn ids(&self) -> &[RowId] {
+        match self {
+            Candidates::Key(rid) => rid.as_slice(),
+            Candidates::Indexed(rids) => rids,
+        }
+    }
+}
+
+/// A scan, under at most one σ that no index answers: the plan shape that
+/// runs chunk-at-a-time. Each chunk's selected slots are computed from
+/// the predicate's columns at once ([`BoundExpr::select`]); rows are
+/// touched only where something reads them.
+struct ScanBatches<'a> {
+    rel: &'a Relation,
+    pred: Option<BoundExpr>,
+}
+
+impl<'a> ScanBatches<'a> {
+    /// `plan` as scan batches, when it has that shape.
+    fn of(plan: &Plan, db: &'a Database) -> Result<Option<ScanBatches<'a>>, ExecError> {
+        Ok(match plan {
+            Plan::Scan { relation, .. } => Some(ScanBatches {
+                rel: relation_of(db, relation)?,
+                pred: None,
+            }),
+            Plan::Select { input, predicate } => match &**input {
+                Plan::Scan { relation, .. } => {
+                    let pred = bind(predicate, &input.output_columns(db)?)?;
+                    let rel = relation_of(db, relation)?;
+                    probe(rel, &pred).is_none().then_some(ScanBatches {
+                        rel,
+                        pred: Some(pred),
+                    })
+                }
+                _ => None,
+            },
+            _ => None,
+        })
+    }
+
+    /// Calls `f` with every chunk and the slots the σ (if any) selects,
+    /// counting what the scan and the σ count row by row.
+    fn for_each(
+        &self,
+        stats: &mut ExecStats,
+        mut f: impl FnMut(&mut ExecStats, ChunkRef<'a>, u64),
+    ) {
+        stats.tuples_scanned += self.rel.len() as u64;
+        for chunk in self.rel.chunks() {
+            let sel = match &self.pred {
+                Some(pred) => {
+                    stats.rows_processed += u64::from(chunk.live().count_ones());
+                    pred.select(chunk)
+                }
+                None => chunk.live(),
+            };
+            f(stats, chunk, sel);
+        }
+    }
 }
 
 /// The one stored value of a column declared `ty` that `lit` equals under
@@ -590,6 +696,119 @@ enum AggKind {
     Max,
 }
 
+impl AggSpec {
+    /// The slots among `sel` whose row this aggregate reads: its FILTER,
+    /// evaluated column-at-a-time over the chunk.
+    fn admits(&self, chunk: ChunkRef<'_>, sel: u64) -> u64 {
+        self.filter.as_ref().map_or(sel, |f| f.select(chunk) & sel)
+    }
+}
+
+/// γ's group table: one accumulator row per group key. Rows of one group
+/// tend to arrive together (a document's tokens are consecutive slots), so
+/// the last group found is remembered: such a row costs a comparison of
+/// its key columns, not a projection, a fingerprint and a hash probe. A
+/// global aggregate is one group, present even over an empty input: no
+/// key, no table.
+struct Groups<'s> {
+    key_idx: &'s [usize],
+    specs: &'s [AggSpec],
+    index: TupleMap<usize>,
+    accs: Vec<Vec<AggAcc>>,
+    /// The group of the last row fed, and its key.
+    last: Option<usize>,
+    last_key: Vec<Value>,
+    scratch: Vec<Value>,
+}
+
+impl<'s> Groups<'s> {
+    fn new(key_idx: &'s [usize], specs: &'s [AggSpec]) -> Self {
+        let mut groups = Groups {
+            key_idx,
+            specs,
+            index: TupleMap::new(),
+            accs: Vec::new(),
+            last: None,
+            last_key: Vec::new(),
+            scratch: Vec::new(),
+        };
+        if key_idx.is_empty() {
+            groups.last = Some(groups.group_of(&Tuple::new(Vec::new())));
+        }
+        groups
+    }
+
+    /// The index of `row`'s group, created on first sight.
+    fn group_of<R: Row + ?Sized>(&mut self, row: &R) -> usize {
+        if let Some(g) = self.last {
+            let same = self
+                .key_idx
+                .iter()
+                .zip(&self.last_key)
+                .all(|(&c, v)| row.get(c) == v);
+            if same {
+                return g;
+            }
+        }
+        row.project_into(self.key_idx, &mut self.scratch);
+        let next = self.accs.len();
+        let g = *self.index.get_or_insert_with(
+            fingerprint_values(&self.scratch),
+            &self.scratch,
+            || next,
+        );
+        if g == next {
+            self.accs.push(self.specs.iter().map(AggAcc::new).collect());
+        }
+        self.last = Some(g);
+        std::mem::swap(&mut self.last_key, &mut self.scratch);
+        g
+    }
+
+    /// Folds one row into its group.
+    fn feed<R: Row + ?Sized>(&mut self, row: &R, mult: i64) {
+        let g = self.group_of(row);
+        let specs = self.specs;
+        for (acc, spec) in self.accs.get_mut(g).into_iter().flatten().zip(specs) {
+            acc.update(spec, row, mult);
+        }
+    }
+
+    /// Folds the rows at `sel`'s slots of `chunk` into their groups, each
+    /// aggregate reading the slots its FILTER admitted (`admitted`, one
+    /// mask per spec).
+    fn feed_chunk(&mut self, chunk: ChunkRef<'_>, sel: u64, admitted: &[u64]) {
+        let specs = self.specs;
+        if self.key_idx.is_empty() {
+            for (acc, (spec, mask)) in self
+                .accs
+                .iter_mut()
+                .flatten()
+                .zip(specs.iter().zip(admitted))
+            {
+                acc.update_chunk(spec, chunk, *mask);
+            }
+            return;
+        }
+        for (slot, row) in chunk.rows(sel) {
+            let g = self.group_of(&row);
+            let accs = self.accs.get_mut(g).into_iter().flatten();
+            for (acc, (spec, mask)) in accs.zip(specs.iter().zip(admitted)) {
+                if (mask >> slot) & 1 == 1 {
+                    acc.apply(spec, &row, 1);
+                }
+            }
+        }
+    }
+
+    /// Every group's key and accumulators.
+    fn iter(&self) -> impl Iterator<Item = (&[Value], &[AggAcc])> {
+        self.index
+            .iter()
+            .filter_map(|(key, &g)| Some((key.values(), self.accs.get(g)?.as_slice())))
+    }
+}
+
 pub(crate) fn bind_aggs(aggs: &[AggExpr], cols: &[Arc<str>]) -> Result<Vec<AggSpec>, ExecError> {
     aggs.iter()
         .map(|a| {
@@ -649,12 +868,28 @@ impl AggAcc {
     /// Applies one input row with signed multiplicity `mult`. `spec` is the
     /// one this accumulator was built from; it supplies the filter and the
     /// input column.
-    pub fn update(&mut self, spec: &AggSpec, row: &Tuple, mult: i64) {
-        if let Some(f) = &spec.filter {
-            if !f.matches(row) {
-                return;
+    pub fn update<R: Row + ?Sized>(&mut self, spec: &AggSpec, row: &R, mult: i64) {
+        if spec.filter.as_ref().is_none_or(|f| f.matches(row)) {
+            self.apply(spec, row, mult);
+        }
+    }
+
+    /// Applies the rows of `chunk` at the set bits of `admitted` — slots
+    /// the spec's FILTER already passed ([`AggSpec::admits`]) — each with
+    /// multiplicity one. A COUNT adds the popcount.
+    fn update_chunk(&mut self, spec: &AggSpec, chunk: ChunkRef<'_>, admitted: u64) {
+        match self {
+            AggAcc::Count(n) => *n += i64::from(admitted.count_ones()),
+            _ => {
+                for (_, row) in chunk.rows(admitted) {
+                    self.apply(spec, &row, 1);
+                }
             }
         }
+    }
+
+    /// [`AggAcc::update`] past the filter.
+    fn apply<R: Row + ?Sized>(&mut self, spec: &AggSpec, row: &R, mult: i64) {
         match self {
             AggAcc::Count(n) => *n += mult,
             AggAcc::Sum {

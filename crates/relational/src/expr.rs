@@ -5,7 +5,8 @@
 //! SQL three-valued logic: a comparison involving NULL is *unknown*, and
 //! rows whose predicate is unknown are filtered out.
 
-use crate::tuple::Tuple;
+use crate::row::Row;
+use crate::storage::{ChunkRef, Relation};
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -220,8 +221,10 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluates to a value (logical sub-expressions yield booleans or NULL).
-    pub fn eval(&self, tuple: &Tuple) -> Value {
+    /// Evaluates to a value (logical sub-expressions yield booleans or NULL)
+    /// over any [`Row`] — a tuple, a stored row read in place, or a row an
+    /// operator composed in flight.
+    pub fn eval<R: Row + ?Sized>(&self, tuple: &R) -> Value {
         match self {
             BoundExpr::Column(i) => tuple.get(*i).clone(),
             BoundExpr::Literal(v) => v.clone(),
@@ -243,7 +246,7 @@ impl BoundExpr {
     /// Predicate evaluation runs once per delta row per σ node, so the
     /// common `col ⋈ lit` shape must not touch refcounts.
     #[inline]
-    fn leaf<'a>(&'a self, tuple: &'a Tuple) -> Option<&'a Value> {
+    fn leaf<'a, R: Row + ?Sized>(&'a self, tuple: &'a R) -> Option<&'a Value> {
         match self {
             BoundExpr::Column(i) => Some(tuple.get(*i)),
             BoundExpr::Literal(v) => Some(v),
@@ -258,7 +261,7 @@ impl BoundExpr {
     /// pairs without reading the bytes — on a scan, without a second
     /// pointer chase per row. `AND` / `OR` stop at their first deciding
     /// operand (evaluation is pure, so three-valued results are unchanged).
-    pub fn eval_truth(&self, tuple: &Tuple) -> Option<bool> {
+    pub fn eval_truth<R: Row + ?Sized>(&self, tuple: &R) -> Option<bool> {
         match self {
             BoundExpr::Cmp(op, a, b) => {
                 let ord = match (a.leaf(tuple), b.leaf(tuple)) {
@@ -308,8 +311,161 @@ impl BoundExpr {
 
     /// SQL WHERE semantics: keep the row only when the predicate is `true`.
     #[inline]
-    pub fn matches(&self, tuple: &Tuple) -> bool {
+    pub fn matches<R: Row + ?Sized>(&self, tuple: &R) -> bool {
         self.eval_truth(tuple) == Some(true)
+    }
+
+    /// [`BoundExpr::matches`] for every live row of a heap chunk at once:
+    /// the slots whose row satisfies the predicate. Comparisons of columns
+    /// with literals or columns, `IS NULL` and `AND`/`OR`/`NOT` of those
+    /// run column-at-a-time, reading each named column's 64 values back to
+    /// back; any other shape is evaluated row by row.
+    pub fn select(&self, chunk: ChunkRef<'_>) -> u64 {
+        let live = chunk.live();
+        match self.truth_masks(chunk, live) {
+            Some((holds, _)) => holds & live,
+            None => chunk
+                .rows(live)
+                .filter(|(_, row)| self.matches(row))
+                .fold(0, |m, (slot, _)| m | 1 << slot),
+        }
+    }
+
+    /// Three-valued truth over a chunk's slots as `(true, false)` masks —
+    /// a slot in neither is unknown — or `None` for a shape evaluated row
+    /// by row. Only the `live` slots' bits are meaningful (dead slots read
+    /// as NULL); an `AND` whose left side is false on every live slot, or
+    /// an `OR` whose left side is true on all, never reads its right side.
+    fn truth_masks(&self, chunk: ChunkRef<'_>, live: u64) -> Option<(u64, u64)> {
+        Some(match self {
+            BoundExpr::Cmp(op, a, b) => {
+                let op = *op;
+                match (&**a, &**b) {
+                    (BoundExpr::Column(x), BoundExpr::Literal(Value::Str(v)))
+                    | (BoundExpr::Literal(Value::Str(v)), BoundExpr::Column(x))
+                        if matches!(op, CmpOp::Eq | CmpOp::Ne) =>
+                    {
+                        let (equal, strings) = str_eq_masks(chunk.column(*x), v);
+                        match op {
+                            CmpOp::Eq => (equal, strings & !equal),
+                            _ => (strings & !equal, equal),
+                        }
+                    }
+                    (BoundExpr::Column(x), BoundExpr::Literal(v)) => {
+                        let x = chunk.column(*x);
+                        masks_by(|i| compare(op, &x[i], v))
+                    }
+                    (BoundExpr::Literal(v), BoundExpr::Column(y)) => {
+                        let y = chunk.column(*y);
+                        masks_by(|i| compare(op, v, &y[i]))
+                    }
+                    (BoundExpr::Column(x), BoundExpr::Column(y)) => {
+                        let (x, y) = (chunk.column(*x), chunk.column(*y));
+                        masks_by(|i| compare(op, &x[i], &y[i]))
+                    }
+                    (BoundExpr::Literal(u), BoundExpr::Literal(v)) => uniform(compare(op, u, v)),
+                    _ => return None,
+                }
+            }
+            BoundExpr::And(a, b) => {
+                let (at, af) = a.truth_masks(chunk, live)?;
+                if af & live == live {
+                    return Some((0, af));
+                }
+                let (bt, bf) = b.truth_masks(chunk, live)?;
+                (at & bt, af | bf)
+            }
+            BoundExpr::Or(a, b) => {
+                let (at, af) = a.truth_masks(chunk, live)?;
+                if at & live == live {
+                    return Some((at, 0));
+                }
+                let (bt, bf) = b.truth_masks(chunk, live)?;
+                (at | bt, af & bf)
+            }
+            BoundExpr::Not(a) => {
+                let (t, f) = a.truth_masks(chunk, live)?;
+                (f, t)
+            }
+            BoundExpr::IsNull(a) => match &**a {
+                BoundExpr::Column(x) => {
+                    let x = chunk.column(*x);
+                    masks_by(|i| Some(x[i].is_null()))
+                }
+                BoundExpr::Literal(v) => uniform(Some(v.is_null())),
+                _ => return None,
+            },
+            BoundExpr::Column(x) => {
+                let x = chunk.column(*x);
+                masks_by(|i| x[i].as_bool())
+            }
+            BoundExpr::Literal(v) => uniform(v.as_bool()),
+        })
+    }
+}
+
+/// `a op b` under SQL's three-valued logic — `None` when either side is
+/// NULL or the types do not compare: [`BoundExpr::eval_truth`]'s comparison
+/// of two leaves, for the column-at-a-time masks. (`eval_truth` keeps its
+/// own copy inline; routed through this function the row path measured
+/// ≈5 % slower on a maintained closure.)
+#[inline]
+fn compare(op: CmpOp, a: &Value, b: &Value) -> Option<bool> {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
+            Some((x == y) == (op == CmpOp::Eq))
+        }
+        _ => a.sql_cmp(b).map(|o| op.apply(o)),
+    }
+}
+
+/// `(equal, strings)` of a chunk column against a string literal: the slots
+/// holding a string, and those equal to `lit` — the shape of every paper
+/// query's σ. Lengths settle most slots; only equal-length strings are
+/// compared byte by byte, and the same stored allocation (labels are
+/// interned) is compared once.
+fn str_eq_masks(col: &[Value; Relation::CHUNK_ROWS], lit: &str) -> (u64, u64) {
+    let (mut equal, mut strings) = (0u64, 0u64);
+    let mut seen: Option<(*const u8, bool)> = None;
+    for (i, v) in col.iter().enumerate() {
+        if let Value::Str(s) = v {
+            strings |= 1 << i;
+            if s.len() == lit.len() {
+                let eq = match seen {
+                    Some((at, eq)) if std::ptr::eq(at, s.as_ptr()) => eq,
+                    _ => {
+                        let eq = s.as_bytes() == lit.as_bytes();
+                        seen = Some((s.as_ptr(), eq));
+                        eq
+                    }
+                };
+                equal |= u64::from(eq) << i;
+            }
+        }
+    }
+    (equal, strings)
+}
+
+/// The `(true, false)` masks of a per-slot truth function over a chunk.
+#[inline]
+fn masks_by(mut truth: impl FnMut(usize) -> Option<bool>) -> (u64, u64) {
+    let (mut holds, mut fails) = (0u64, 0u64);
+    for i in 0..Relation::CHUNK_ROWS {
+        match truth(i) {
+            Some(true) => holds |= 1 << i,
+            Some(false) => fails |= 1 << i,
+            None => {}
+        }
+    }
+    (holds, fails)
+}
+
+/// The masks of a truth value every slot shares.
+fn uniform(truth: Option<bool>) -> (u64, u64) {
+    match truth {
+        Some(true) => (u64::MAX, 0),
+        Some(false) => (0, u64::MAX),
+        None => (0, 0),
     }
 }
 
@@ -317,6 +473,7 @@ impl BoundExpr {
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::tuple::Tuple;
 
     fn cols(names: &[&str]) -> Vec<Arc<str>> {
         names.iter().map(|n| Arc::from(*n)).collect()
@@ -402,6 +559,107 @@ mod tests {
             assert_eq!(mk(5).matches(&t5), eq, "{op} 5 vs 5");
         }
         let _ = columns;
+    }
+
+    #[test]
+    fn chunk_masks_select_exactly_the_rows_row_evaluation_keeps() {
+        use crate::schema::Schema;
+        use crate::storage::Relation;
+        use crate::value::ValueType;
+        // Every type, NULLs, interned and fresh strings, and dead slots
+        // across three chunks.
+        let schema = Schema::from_pairs(&[
+            ("i", ValueType::Int),
+            ("f", ValueType::Float),
+            ("s", ValueType::Str),
+            ("t", ValueType::Str),
+            ("b", ValueType::Bool),
+        ])
+        .unwrap();
+        let mut rel = Relation::new("T", schema.clone());
+        let words = [Value::str("on"), Value::str("off"), Value::str("o")];
+        let mut rids = Vec::new();
+        for k in 0..150i64 {
+            let pick = |n: i64| {
+                if (k * n) % 7 == 0 {
+                    Value::Null
+                } else {
+                    words[(k * n % 3) as usize].clone()
+                }
+            };
+            let row = vec![
+                if k % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(k % 5)
+                },
+                if k % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::float((k % 4) as f64)
+                },
+                pick(1),
+                if k % 2 == 0 {
+                    Value::str(format!("o{}", "n".repeat((k % 3) as usize)))
+                } else {
+                    pick(5)
+                },
+                if k % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Bool(k % 3 == 0)
+                },
+            ];
+            rids.push(rel.insert(Tuple::new(row)).unwrap());
+        }
+        for rid in rids.iter().step_by(7) {
+            rel.delete(*rid).unwrap();
+        }
+        let cols: Vec<Arc<str>> = schema
+            .columns()
+            .iter()
+            .map(|c| Arc::clone(&c.name))
+            .collect();
+        let preds = [
+            Expr::col("s").eq(Expr::lit("on")),
+            Expr::lit("on").ne(Expr::col("s")),
+            Expr::col("s").eq(Expr::col("t")),
+            Expr::col("s").lt(Expr::col("t")),
+            Expr::col("i").ge(Expr::lit(2i64)),
+            Expr::lit(2.5f64).gt(Expr::col("i")),
+            Expr::col("i").eq(Expr::col("f")),
+            Expr::col("i").eq(Expr::lit("on")),
+            Expr::col("s")
+                .eq(Expr::lit("on"))
+                .and(Expr::col("i").lt(Expr::lit(3i64))),
+            Expr::col("s")
+                .eq(Expr::lit("zz"))
+                .and(Expr::col("i").is_null()),
+            Expr::col("t").eq(Expr::lit("on")).or(Expr::col("b")),
+            Expr::col("b").not().or(Expr::col("f").is_null()),
+            Expr::col("s").is_null().not(),
+            Expr::col("s")
+                .eq(Expr::lit("on"))
+                .and(Expr::col("b").not())
+                .not(),
+            Expr::col("i")
+                .is_null()
+                .or(Expr::col("t").eq(Expr::lit("on")).not())
+                .not(),
+            Expr::lit(Value::Null).eq(Expr::col("i")),
+            Expr::lit(true),
+            Expr::lit(1i64).eq(Expr::lit(1i64)).and(Expr::col("b")),
+        ];
+        for pred in &preds {
+            let bound = pred.bind(&cols).unwrap();
+            for chunk in rel.chunks() {
+                let want = chunk
+                    .rows(chunk.live())
+                    .filter(|(_, row)| bound.matches(row))
+                    .fold(0u64, |m, (slot, _)| m | 1 << slot);
+                assert_eq!(bound.select(chunk), want, "{pred:?}");
+            }
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// The fingerprint is the primary key; genuine 64-bit collisions fall back
 /// to a small in-bucket list verified by value equality, so semantics are
 /// exact. Lookups take a borrowed `&[Value]` (typically a reusable scratch
-/// buffer filled by [`Tuple::project_into`]) — no `Tuple` allocation, no
+/// buffer filled by [`crate::Row::project_into`]) — no `Tuple` allocation, no
 /// re-hash of the values. An owning key `Tuple` is only constructed when a
 /// *new* entry is inserted.
 #[derive(Debug, Clone)]

@@ -9,9 +9,13 @@
 //! Layers:
 //!
 //! * [`value`] / [`schema`] / [`mod@tuple`] — typed rows;
-//! * [`storage`] / [`database`] — slotted heap relations with primary-key and
-//!   optional secondary indexes, field-granular updates that return pre/post
-//!   images (the MCMC write path);
+//! * [`storage`] / [`database`] — slotted heap relations (column-major
+//!   64-slot chunks) with primary-key and optional secondary indexes,
+//!   field-granular updates that return pre/post images (the MCMC write
+//!   path);
+//! * [`mod@row`] — the row interface operators evaluate against, so a scan
+//!   reads stored columns in place and builds a tuple only for rows it
+//!   keeps;
 //! * [`expr`] / [`algebra`] — predicates and plans (σ, π, ×, ⋈, γ, δ),
 //!   including [`algebra::paper_queries`], the four evaluation queries of §5;
 //! * [`parser`] / [`planner`] — the SQL text frontend
@@ -35,6 +39,7 @@ pub mod expr;
 pub mod fasthash;
 pub mod parser;
 pub mod planner;
+pub mod row;
 pub mod schema;
 pub mod storage;
 pub mod tuple;
@@ -52,8 +57,9 @@ pub use expr::{BoundExpr, CmpOp, Expr};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, TupleMap};
 pub use parser::{parse, parse_plan, ParseError, SqlQuery};
 pub use planner::{compile_query, optimize, PlannerReport, QueryError};
+pub use row::Row;
 pub use schema::{Column, Schema, SchemaError};
-pub use storage::{RawSlots, Relation, RowId, StorageError};
+pub use storage::{ChunkRef, RawHeap, RawSlots, Relation, RowId, RowRef, StorageError};
 pub use tuple::Tuple;
 pub use value::{Interner, Value, ValueType, F64};
 pub use view::{MaterializedView, ViewBackend, ViewStats};

@@ -194,7 +194,7 @@ pub fn estimate_rows(plan: &Plan, db: &Database) -> f64 {
             let r = estimate_rows(right, db);
             // One equality level of fan-in per condition, floored at the
             // classic primary-key guess l·r / max(l, r).
-            (l * r * 0.1f64.powi(on.len() as i32))
+            (l * r * 0.1f64.powi(i32::try_from(on.len()).unwrap_or(i32::MAX)))
                 .max(l.min(r))
                 .max(1.0)
         }

@@ -24,6 +24,13 @@ use std::sync::Arc;
 /// consumer (`CountedSet`, `TupleMap`, join/group maps) still compares full
 /// values on equality.
 pub fn fingerprint_values(values: &[Value]) -> u64 {
+    fingerprint_iter(values)
+}
+
+/// [`fingerprint_values`] over values in a sequence rather than a slice —
+/// the fingerprint of a row whose fields are not contiguous (a heap row's
+/// columns, a projection or concatenation composed in flight).
+pub(crate) fn fingerprint_iter<'v>(values: impl IntoIterator<Item = &'v Value>) -> u64 {
     // Per-type tag constants folded into the value's own mixing step.
     const TAG_INT: u64 = 0x9E37_79B9_7F4A_7C15;
     const TAG_FLOAT: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -45,9 +52,10 @@ pub fn fingerprint_values(values: &[Value]) -> u64 {
 
 /// An immutable row of values.
 ///
-/// Cloning is O(1): the underlying buffer is shared. Mutation goes through
-/// [`Tuple::with_value`], which produces a new tuple (copy-on-write), because
-/// the delta machinery needs both the pre- and post-image of every update.
+/// Cloning is O(1): the underlying buffer is shared. A tuple is never
+/// mutated: a stored row is updated in place in the heap
+/// ([`crate::storage::Relation::update_field`]), which hands the delta
+/// machinery both images as tuples.
 ///
 /// Each tuple carries a cached [fingerprint](Tuple::fingerprint) computed at
 /// construction; `Hash` emits only that `u64`, so map probes in the delta
@@ -89,7 +97,10 @@ impl Ord for Tuple {
 }
 
 impl Tuple {
-    /// Builds a tuple from values.
+    /// Builds a tuple from values. Assembling a row in a `Vec` and moving
+    /// it into the shared buffer in one copy is faster than cloning values
+    /// into an `Arc<[Value]>` one by one, so every constructor here (and
+    /// the heap's) goes through a `Vec`.
     pub fn new(values: Vec<Value>) -> Self {
         let fp = fingerprint_values(&values);
         Tuple {
@@ -100,13 +111,26 @@ impl Tuple {
 
     /// Builds a tuple whose fingerprint was already computed (hot-path
     /// constructor used by [`crate::fasthash::TupleMap`] when promoting a
-    /// scratch key buffer into an owned map key). The caller must pass the
-    /// fingerprint the key is addressed under — normally
-    /// [`fingerprint_values`] of the same buffer.
-    pub(crate) fn from_prehashed(values: Vec<Value>, fp: u64) -> Self {
+    /// scratch key buffer into an owned map key, and by the heap when it
+    /// materialises a stored row). The caller must pass
+    /// [`fingerprint_values`] of the same values.
+    pub(crate) fn from_prehashed(values: impl Into<Arc<[Value]>>, fp: u64) -> Self {
         Tuple {
             values: values.into(),
             fp,
+        }
+    }
+
+    /// Consumes the tuple, handing its values in order to `f`: moved out of
+    /// the buffer when this tuple is its only owner (a freshly built row
+    /// going into the heap), cloned when the buffer is shared.
+    pub(crate) fn into_values<R>(
+        mut self,
+        f: impl FnOnce(&mut dyn Iterator<Item = Value>) -> R,
+    ) -> R {
+        match Arc::get_mut(&mut self.values) {
+            Some(values) => f(&mut values.iter_mut().map(|v| std::mem::replace(v, Value::Null))),
+            None => f(&mut self.values.iter().cloned()),
         }
     }
 
@@ -145,53 +169,20 @@ impl Tuple {
         &self.values
     }
 
-    /// Returns a new tuple with field `idx` replaced by `value`.
-    ///
-    /// This is the sole mutation path: the old tuple remains intact so the
-    /// storage layer can hand both images to the delta tracker. It sits on
-    /// the MCMC write path (one call per accepted proposal), so the new
-    /// buffer is built in a single allocation: `Arc::from_iter` over a
-    /// `TrustedLen` iterator writes elements straight into the shared
-    /// allocation, skipping the intermediate `Vec`.
-    pub fn with_value(&self, idx: usize, value: Value) -> Tuple {
-        let mut values: Arc<[Value]> = self.values.iter().cloned().collect();
-        Arc::get_mut(&mut values).expect("freshly built, uniquely owned")[idx] = value;
-        let fp = fingerprint_values(&values);
-        Tuple { values, fp }
-    }
-
     /// Concatenates two tuples (used by products and joins).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
+        crate::row::concat(self, other)
     }
 
-    /// Builds a tuple by cloning a value slice in one allocation (no
-    /// intermediate `Vec`) — for hot paths assembling rows in a reusable
-    /// scratch buffer.
+    /// Builds a tuple by cloning a value slice — for hot paths assembling
+    /// rows in a reusable scratch buffer.
     pub fn from_slice(values: &[Value]) -> Tuple {
-        let values: Arc<[Value]> = Arc::from(values);
-        let fp = fingerprint_values(&values);
-        Tuple { values, fp }
+        Tuple::new(values.to_vec())
     }
 
-    /// Projects the tuple onto the given column positions. Single
-    /// allocation: the projected values are written straight into the
-    /// shared buffer (`TrustedLen` specialization of `collect`).
+    /// Projects the tuple onto the given column positions.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        let values: Arc<[Value]> = indices.iter().map(|&i| self.values[i].clone()).collect();
-        let fp = fingerprint_values(&values);
-        Tuple { values, fp }
-    }
-
-    /// Projects the tuple's columns into a reusable scratch buffer —
-    /// the allocation-free variant of [`Tuple::project`] the view layer
-    /// uses for per-delta-row key lookups.
-    pub fn project_into(&self, indices: &[usize], out: &mut Vec<Value>) {
-        out.clear();
-        out.extend(indices.iter().map(|&i| self.values[i].clone()));
+        Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
     }
 }
 
@@ -232,6 +223,7 @@ macro_rules! tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
 
     #[test]
     fn construction_and_access() {
@@ -248,15 +240,6 @@ mod tests {
         let u = t.clone();
         assert!(Arc::ptr_eq(&t.values, &u.values));
         assert_eq!(t, u);
-    }
-
-    #[test]
-    fn with_value_is_copy_on_write() {
-        let t = tuple![1i64, "O"];
-        let u = t.with_value(1, Value::str("B-PER"));
-        assert_eq!(t.get(1).as_str(), Some("O")); // old image intact
-        assert_eq!(u.get(1).as_str(), Some("B-PER"));
-        assert_eq!(u.get(0), t.get(0));
     }
 
     #[test]
@@ -299,7 +282,7 @@ mod tests {
         assert_eq!(a.fingerprint(), fingerprint_values(a.values()));
         assert_ne!(a.fingerprint(), tuple![1i64, "AMD"].fingerprint());
         // Derived constructors keep the fingerprint consistent.
-        let c = a.with_value(1, Value::str("AMD"));
+        let c = Tuple::from_slice(&[Value::Int(1), Value::str("AMD")]);
         assert_eq!(c.fingerprint(), tuple![1i64, "AMD"].fingerprint());
         let d = a.concat(&b);
         assert_eq!(

@@ -57,6 +57,7 @@ use crate::delta::DeltaSet;
 use crate::exec::{bind_aggs, join_key_indices, AggAcc, AggSpec, ExecError};
 use crate::expr::{resolve_column, BoundExpr};
 use crate::fasthash::TupleMap;
+use crate::row::Row;
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
 use std::sync::Arc;
@@ -560,7 +561,7 @@ impl Node {
                     .relation(relation)
                     .map_err(|_| PlanError::UnknownRelation(relation.to_string()))?;
                 stats.init_tuples_scanned += rel.len() as u64;
-                rel.to_counted_set()
+                rel.rows().map(|r| r.to_tuple()).collect()
             }
             Op::Select { child, pred } => {
                 let rows = child.init(db, stats)?;

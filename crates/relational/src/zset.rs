@@ -22,6 +22,7 @@
 
 use crate::counted::CountedSet;
 use crate::fasthash::FxHashMap;
+use crate::row::Row;
 use crate::tuple::Tuple;
 use std::collections::hash_map;
 use std::fmt;
@@ -101,6 +102,28 @@ impl ZSet {
             }
             hash_map::Entry::Vacant(e) => {
                 e.insert(w);
+                w
+            }
+        }
+    }
+
+    /// [`ZSet::add`] for a row that is not (yet) a tuple: the row is built
+    /// into a tuple only when the Z-set does not hold it already.
+    pub fn add_row(&mut self, row: &dyn Row, w: i64) -> i64 {
+        if w == 0 {
+            return self.weights.get(row).copied().unwrap_or(0);
+        }
+        match self.weights.get_mut(row) {
+            Some(c) => {
+                *c += w;
+                let c = *c;
+                if c == 0 {
+                    self.weights.remove(row);
+                }
+                c
+            }
+            None => {
+                self.weights.insert(row.to_tuple(), w);
                 w
             }
         }

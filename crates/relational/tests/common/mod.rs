@@ -321,9 +321,8 @@ pub fn random_link_delta(rng: &mut Rng, db: &mut Database, retract: bool) -> Del
         let delete = retract && !rel.is_empty() && rng.chance(40);
         if delete {
             let victim = rng.below(rel.len());
-            let (rid, t) = rel.iter().nth(victim).expect("victim in range");
-            let t = t.clone();
-            rel.delete(rid).unwrap();
+            let (rid, _) = rel.iter().nth(victim).expect("victim in range");
+            let t = rel.delete(rid).unwrap();
             deltas.record_delete(&name, t);
         } else {
             let s = rng.below(8) as i64;

@@ -32,7 +32,7 @@ fn eval_in(
             let rel = db
                 .relation(relation)
                 .map_err(|_| PlanError::UnknownRelation(relation.to_string()))?;
-            return Ok(rel.to_counted_set());
+            return Ok(rel.rows().map(|r| r.to_tuple()).collect());
         }
         Plan::Select { input, predicate } => {
             let bound = bind(predicate, &input.output_columns(db)?)?;
@@ -228,7 +228,7 @@ impl<'a> Agg<'a> {
     fn fold(&self, members: &[(&Tuple, i64)]) -> Value {
         let kept = members
             .iter()
-            .filter(|(t, _)| self.filter.as_ref().is_none_or(|f| f.matches(t)));
+            .filter(|(t, _)| self.filter.as_ref().is_none_or(|f| f.matches(*t)));
         let values = kept
             .clone()
             .map(|(t, c)| (t.get(self.col), *c))

@@ -4,8 +4,9 @@
 //! copies, the exact sharing counts behind the O(|Δ|) snapshot claim, and
 //! the algebra-level validation of the set operators.
 
+use fgdb_relational::tuple::fingerprint_values;
 use fgdb_relational::{
-    execute_simple, Database, Expr, Plan, Relation, RowId, Schema, Tuple, Value, ValueType,
+    execute_simple, Database, Expr, Plan, Relation, RowId, RowRef, Schema, Tuple, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -49,18 +50,42 @@ const STRINGS: [&str; 4] = ["a", "b", "c", "d"];
 /// Primary keys in play: enough rows for three chunks.
 const IDS: i64 = 150;
 
-/// Rows, `RowId`s, free list, primary-key and index lookups all agree.
+/// One row read from a relation and from its shadow: the same values, the
+/// same fingerprint, and that fingerprint the one its values hash to (a
+/// write that left a stale fingerprint behind fails here).
+fn same_row(row: Option<RowRef<'_>>, shadow: Option<RowRef<'_>>) -> Result<(), TestCaseError> {
+    match (row, shadow) {
+        (Some(a), Some(b)) => {
+            let values: Vec<Value> = a.values().cloned().collect();
+            prop_assert_eq!(&values, &b.values().cloned().collect::<Vec<_>>());
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+            prop_assert_eq!(a.fingerprint(), fingerprint_values(&values));
+            prop_assert_eq!(a.to_tuple(), Tuple::new(values));
+        }
+        (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
+    }
+    Ok(())
+}
+
+/// Rows — read through `get`, `iter` and `raw_slots` — `RowId`s, free
+/// list, primary-key and index lookups all agree.
 fn check_same(rel: &Relation, deep: &Relation) -> Result<(), TestCaseError> {
     prop_assert_eq!(rel.len(), deep.len());
     prop_assert_eq!(rel.raw_slots(), deep.raw_slots());
+    prop_assert_eq!(rel.raw_slots().len(), deep.raw_slots().len());
+    for (a, b) in rel.raw_slots().iter().zip(deep.raw_slots().iter()) {
+        same_row(a, b)?;
+    }
     prop_assert_eq!(rel.free_slots(), deep.free_slots());
     prop_assert_eq!(rel.indexed_columns(), deep.indexed_columns());
     for slot in 0..rel.raw_slots().len() as u32 + 2 {
-        prop_assert_eq!(rel.get(RowId(slot)), deep.get(RowId(slot)));
+        same_row(rel.get(RowId(slot)), deep.get(RowId(slot)))?;
     }
-    let live: Vec<(RowId, Tuple)> = rel.iter().map(|(r, t)| (r, t.clone())).collect();
-    let deep_live: Vec<(RowId, Tuple)> = deep.iter().map(|(r, t)| (r, t.clone())).collect();
-    prop_assert_eq!(live, deep_live);
+    prop_assert_eq!(rel.iter().count(), deep.iter().count());
+    for ((ra, a), (rb, b)) in rel.iter().zip(deep.iter()) {
+        prop_assert_eq!(ra, rb);
+        same_row(Some(a), Some(b))?;
+    }
     for id in 0..IDS {
         prop_assert_eq!(
             rel.find_by_pk(&Value::Int(id)),
@@ -356,5 +381,65 @@ fn snapshot_sharing_is_exactly_what_was_not_written() {
         assert!(again.indexes_shared_with(&snap));
         assert_eq!(snap.index_lookup(1, &Value::str("z")).unwrap(), &[]);
         assert_eq!(rel.index_lookup(1, &Value::str("z")).unwrap(), &[RowId(0)]);
+    }
+}
+
+/// Secondary-index maintenance under heavy fan-out: 100 K rows indexed on a
+/// nine-value column (≈11 K rows per key), 10 K random `update_field`s on
+/// that column, and every 1 K writes each key's `index_lookup` equal, as a
+/// multiset, to that of a relation rebuilt from the raw parts. Removal from
+/// a bucket is positional, so the writes cost O(1) each whatever the
+/// fan-out; a position left stale by a `swap_remove` would drop or
+/// duplicate a row here.
+#[test]
+fn index_lookups_survive_writes_to_a_low_cardinality_indexed_column() {
+    const LABELS: [&str; 9] = [
+        "O", "B-PER", "I-PER", "B-ORG", "I-ORG", "B-LOC", "I-LOC", "B-MISC", "I-MISC",
+    ];
+    const ROWS: u64 = 100_000;
+    let mut rel = Relation::new("T", schema());
+    for i in 0..ROWS as i64 {
+        rel.insert(Tuple::new(vec![Value::Int(i), Value::str(LABELS[0])]))
+            .unwrap();
+    }
+    rel.create_index("s").unwrap();
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let sorted = |hits: &[RowId]| {
+        let mut h = hits.to_vec();
+        h.sort();
+        h
+    };
+    for write in 1..=10_000 {
+        let row = RowId((next() % ROWS) as u32);
+        let label = LABELS[(next() % LABELS.len() as u64) as usize];
+        rel.update_field(row, 1, Value::str(label)).unwrap();
+        if write % 1_000 == 0 {
+            let rebuilt = Relation::from_raw_parts(
+                Arc::clone(rel.name()),
+                rel.schema().clone(),
+                rel.raw_slots().to_vec(),
+                rel.free_slots().to_vec(),
+                &rel.indexed_columns(),
+            )
+            .unwrap();
+            let mut total = 0;
+            for label in LABELS {
+                let key = Value::str(label);
+                let hits = sorted(rel.index_lookup(1, &key).unwrap());
+                assert_eq!(
+                    hits,
+                    sorted(rebuilt.index_lookup(1, &key).unwrap()),
+                    "{label}"
+                );
+                total += hits.len();
+            }
+            assert_eq!(total, ROWS as usize);
+        }
     }
 }
