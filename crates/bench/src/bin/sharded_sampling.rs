@@ -5,7 +5,7 @@
 //! document-block slice of the world (`TokenSeqData::shard_map`); the
 //! merged per-shard delta batches drive the store write-back and a
 //! materialized Query-1 view, exactly as in production
-//! (`ProbabilisticDB::step_sharded`). Walkers use *uniform* relabel
+//! (`ProbabilisticDB::step_sharded_logged`). Walkers use *uniform* relabel
 //! proposals: the single-shard baseline random-walks the entire corpus
 //! working set (world + token arrays + skip CSR — tens of MB at 10⁶–10⁷
 //! tokens, far beyond L2), while each of N shards touches only a 1/N
@@ -145,7 +145,10 @@ fn main() {
             let k = INTERVAL_PROPOSALS / shards;
 
             // Warm-up interval: page the shard slices in, untimed.
-            let d = setup.pdb.step_sharded(&mut sampler, k).expect("warm-up");
+            let (d, _) = setup
+                .pdb
+                .step_sharded_logged(&mut sampler, k)
+                .expect("warm-up");
             view.apply_delta(&d);
             let stats0 = sampler.stats();
 
@@ -153,7 +156,10 @@ fn main() {
             let t0 = Instant::now();
             for _ in 0..INTERVALS {
                 let ti = Instant::now();
-                let d = setup.pdb.step_sharded(&mut sampler, k).expect("interval");
+                let (d, _) = setup
+                    .pdb
+                    .step_sharded_logged(&mut sampler, k)
+                    .expect("interval");
                 view.apply_delta(&d);
                 marginals.record(view.result());
                 staleness.push(ti.elapsed().as_secs_f64());

@@ -1,11 +1,12 @@
-//! Circuit-vs-legacy view maintenance, plus recursive-closure curves.
+//! View maintenance against re-execution: the paper queries, plus
+//! recursive-closure curves.
 //!
-//! Two experiments back the Z-set circuit backend's two claims:
+//! Two experiments back the view circuit's two claims:
 //!
-//! 1. **Parity** — on the paper's four queries the circuit applies the same
-//!    MCMC interval deltas no slower than the legacy operator tree (CI
-//!    enforces a ≤ 25% + fixed-slack bound; the two backends implement the
-//!    same delta algebra, so a real gap is a regression, not noise).
+//! 1. **Parity** — on the paper's four queries the view applies MCMC
+//!    interval deltas and ends up equal to a full re-execution of the same
+//!    plan, which is what the naive evaluator pays per sample; both costs
+//!    are on file per batch.
 //! 2. **Δ-proportionality** — incrementally maintaining a recursive
 //!    transitive closure costs Θ(|Δ| · affected paths) per batch while full
 //!    re-execution pays for the whole closure every time (Eq. 6's argument,
@@ -15,26 +16,22 @@
 //!    two closure sizes, so flatness in the closure's size is on file.
 //!
 //! Emits `BENCH_view_circuit.json` to the workspace root (redirect or
-//! disable via `FGDB_JSON_OUT`). Exits nonzero when the parity bound fails,
-//! when a closure view recomputed its fixpoint, or when one differs from
-//! re-execution after its last batch.
+//! disable via `FGDB_JSON_OUT`). Exits nonzero when a view differs from
+//! re-execution after its last batch, or when a closure view recomputed its
+//! fixpoint.
 
 use fgdb_bench::{print_table, scaled, Report};
 use fgdb_relational::algebra::paper_queries;
 use fgdb_relational::parser::parse_plan;
 use fgdb_relational::planner::optimize;
 use fgdb_relational::{
-    execute, Database, DeltaSet, MaterializedView, Plan, Schema, Tuple, Value, ValueType,
-    ViewBackend,
+    execute, Database, DeltaSet, MaterializedView, Plan, QueryResult, Schema, Tuple, Value,
+    ValueType,
 };
 use std::sync::Arc;
 use std::time::Instant;
 
 const LABELS: [&str; 4] = ["O", "B-PER", "B-ORG", "B-LOC"];
-
-/// Allow this much absolute slack (µs/interval) on top of the 25% relative
-/// parity bound, so sub-microsecond queries don't fail on timer noise.
-const PARITY_SLACK_US: f64 = 2.0;
 
 fn build_token_db(n: usize) -> Database {
     let schema = Schema::from_pairs(&[
@@ -87,19 +84,33 @@ fn make_delta(db: &mut Database, delta_size: usize, tick: &mut usize) -> DeltaSe
     deltas
 }
 
-/// Times applying `deltas` in order on a fresh view of `backend`.
-fn time_apply(plan: &Plan, db: &Database, deltas: &[DeltaSet], backend: ViewBackend) -> f64 {
-    let mut view = MaterializedView::with_backend(plan, db, backend).expect("compile view");
+/// Times applying `deltas` in order on a fresh view of `plan` over `db`;
+/// returns µs per batch and the maintained view.
+fn time_apply(plan: &Plan, db: &Database, deltas: &[DeltaSet]) -> (f64, MaterializedView) {
+    let mut view = MaterializedView::new(plan, db).expect("compile view");
     let t = Instant::now();
     for d in deltas {
         std::hint::black_box(view.apply_delta(d));
     }
+    let us = t.elapsed().as_secs_f64() * 1e6 / deltas.len() as f64;
     assert!(
         view.error().is_none(),
         "maintenance errored: {:?}",
         view.error()
     );
-    t.elapsed().as_secs_f64() * 1e6 / deltas.len() as f64
+    (us, view)
+}
+
+/// Times full re-execution of `plan` on `db` (µs per run, averaged over a
+/// few runs) and returns the answer it computed.
+fn time_reexec(plan: &Plan, db: &Database) -> (f64, QueryResult) {
+    const REEXEC_REPS: usize = 3;
+    let t = Instant::now();
+    for _ in 1..REEXEC_REPS {
+        std::hint::black_box(execute(plan, db).expect("full re-exec"));
+    }
+    let fresh = execute(plan, db).expect("full re-exec").0;
+    (t.elapsed().as_secs_f64() * 1e6 / REEXEC_REPS as f64, fresh)
 }
 
 /// `chains` disjoint chains of `len` nodes each: LINK i→i+1 within a chain.
@@ -143,7 +154,6 @@ fn run_closure(
     violations: &mut Vec<String>,
     mut next_batch: impl FnMut(&mut Database, usize) -> DeltaSet,
 ) -> ClosureRun {
-    const REEXEC_REPS: usize = 3;
     let opt = optimize(naive, db).expect("closure plan optimizes");
     let mut view = MaterializedView::new(&opt, db).expect("closure circuit compiles");
     let mut circuit_us = 0.0;
@@ -153,17 +163,9 @@ fn run_closure(
         view.try_apply_delta(&deltas).expect("closure maintenance");
         circuit_us += t.elapsed().as_secs_f64() * 1e6;
     }
-    let t = Instant::now();
-    for _ in 1..REEXEC_REPS {
-        std::hint::black_box(execute(&opt, db).expect("full re-exec"));
-    }
-    let fresh = execute(&opt, db).expect("full re-exec").0;
-    let reexec_us = t.elapsed().as_secs_f64() * 1e6 / REEXEC_REPS as f64;
+    let (reexec_us, fresh) = time_reexec(&opt, db);
 
-    let recomputes = view
-        .circuit_stats()
-        .expect("recursive plans run on the circuit")
-        .fixpoint_recomputes;
+    let recomputes = view.stats().fixpoint_recomputes;
     if recomputes > 0 {
         violations.push(format!(
             "closure view recomputed its fixpoint {recomputes}×"
@@ -186,7 +188,6 @@ fn main() {
             "section",
             "name",
             "delta_size",
-            "legacy_us_per_batch",
             "circuit_us_per_batch",
             "reexec_us_per_batch",
             "closure_tuples",
@@ -200,8 +201,7 @@ fn main() {
     report
         .param("db_rows", n)
         .param("rounds", rounds)
-        .param("delta_size", delta_size)
-        .param("parity_bound", "1.25x + 2us");
+        .param("delta_size", delta_size);
 
     let mut table = Vec::new();
     let mut violations = Vec::new();
@@ -212,48 +212,40 @@ fn main() {
         ("query4_self_join", paper_queries::query4("TOKEN")),
     ] {
         // Pre-produce the delta stream once, then replay it against a fresh
-        // copy of the same (deterministic) initial database per backend.
+        // copy of the same (deterministic) initial database; `db` is left at
+        // the state after the last batch, where re-execution runs.
         let mut db = build_token_db(n);
         let mut tick = 0usize;
         let deltas: Vec<DeltaSet> = (0..rounds)
             .map(|_| make_delta(&mut db, delta_size, &mut tick))
             .collect();
         let db0 = build_token_db(n);
-        // Warm-up pass (page in the plan state), then timed passes.
-        let _ = time_apply(
-            &plan,
-            &db0,
-            &deltas[..deltas.len().min(8)],
-            ViewBackend::Circuit,
-        );
-        let legacy_us = time_apply(&plan, &db0, &deltas, ViewBackend::Legacy);
-        let circuit_us = time_apply(&plan, &db0, &deltas, ViewBackend::Circuit);
+        // Warm-up pass (page in the plan state), then the timed pass.
+        let _ = time_apply(&plan, &db0, &deltas[..deltas.len().min(8)]);
+        let (circuit_us, view) = time_apply(&plan, &db0, &deltas);
+        let (reexec_us, fresh) = time_reexec(&plan, &db);
 
-        let bound = legacy_us * 1.25 + PARITY_SLACK_US;
-        if circuit_us > bound {
-            violations.push(format!(
-                "{qname}: circuit {circuit_us:.2} µs > bound {bound:.2} µs (legacy {legacy_us:.2} µs)"
-            ));
+        if view.result().sorted_entries() != fresh.rows.sorted_entries() {
+            violations.push(format!("{qname}: view differs from re-execution"));
         }
         table.push(vec![
             qname.to_string(),
-            format!("{legacy_us:.2}"),
             format!("{circuit_us:.2}"),
-            format!("{:.2}x", circuit_us / legacy_us.max(1e-9)),
+            format!("{reexec_us:.1}"),
+            format!("{:.0}x", reexec_us / circuit_us.max(1e-9)),
         ]);
         report.row(vec![
             "parity".into(),
             qname.into(),
             delta_size.to_string(),
-            format!("{legacy_us:.3}"),
             format!("{circuit_us:.3}"),
-            String::new(),
+            format!("{reexec_us:.3}"),
             String::new(),
         ]);
     }
     print_table(
-        &format!("circuit vs legacy delta-apply ({n} rows, |Δ|={delta_size}, {rounds} intervals)"),
-        &["query", "legacy µs", "circuit µs", "ratio"],
+        &format!("view maintenance vs re-exec ({n} rows, |Δ|={delta_size}, {rounds} intervals)"),
+        &["query", "circuit µs", "re-exec µs", "speedup"],
         &table,
     );
 
@@ -291,7 +283,6 @@ fn main() {
             section.into(),
             "transitive_closure".into(),
             delta.to_string(),
-            String::new(),
             format!("{:.3}", run.circuit_us),
             format!("{:.3}", run.reexec_us),
             run.closure_tuples.to_string(),

@@ -21,7 +21,7 @@ use crate::pdb::ProbabilisticDB;
 use fgdb_graph::{Model, ModelError};
 use fgdb_relational::{
     compile_query, execute, CircuitError, CountedSet, ExecError, MaterializedView, Plan,
-    QueryError, StorageError, Tuple, ViewBackend,
+    QueryError, StorageError, Tuple,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -189,23 +189,6 @@ impl QueryEvaluator {
         k: usize,
     ) -> Result<Self, EvaluateError> {
         let view = MaterializedView::new(&plan, pdb.database())?;
-        Self::from_view(plan, view, k)
-    }
-
-    /// [`Self::materialized`] on an explicitly chosen view backend
-    /// (legacy operator tree or Z-set circuit), bypassing the
-    /// `FGDB_VIEW_BACKEND` environment selector.
-    pub fn materialized_with_backend<M: Model>(
-        plan: Plan,
-        pdb: &ProbabilisticDB<M>,
-        k: usize,
-        backend: ViewBackend,
-    ) -> Result<Self, EvaluateError> {
-        let view = MaterializedView::with_backend(&plan, pdb.database(), backend)?;
-        Self::from_view(plan, view, k)
-    }
-
-    fn from_view(plan: Plan, view: MaterializedView, k: usize) -> Result<Self, EvaluateError> {
         let mut marginals = MarginalTable::new();
         let crossings = marginals.diff(view.result());
         marginals.record_crossings(&crossings);

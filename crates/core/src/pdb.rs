@@ -312,7 +312,7 @@ impl<M: Model> ProbabilisticDB<M> {
     /// are rejected here rather than sampled incorrectly.
     ///
     /// The sampler runs *off* the database; drive it with
-    /// [`Self::step_sharded`] to merge its per-shard delta batches back
+    /// [`Self::step_sharded_logged`] to merge its per-shard delta batches back
     /// into this store. Must be called at an interval boundary (no pending
     /// chain changes), which the public API guarantees.
     ///
@@ -339,26 +339,15 @@ impl<M: Model> ProbabilisticDB<M> {
     /// interval batch (disjoint by construction — each variable belongs to
     /// exactly one shard), and drives it through the same validated
     /// write-back as the sequential path. With a single shard this is
-    /// bit-for-bit equivalent to [`Self::step`].
+    /// bit-for-bit equivalent to [`Self::step`]. Returns the interval's
+    /// deltas and the merged net changes — the same replay script
+    /// [`Self::step_logged`] yields, so the durability layer logs sharded
+    /// intervals identically.
     ///
     /// # Errors
     /// As [`Self::apply_logged_interval`]. On error the interval is rolled
     /// back *and* the sampler is re-synchronized from the master world, so
     /// both sides remain usable.
-    pub fn step_sharded(
-        &mut self,
-        sampler: &mut ShardedSampler<M>,
-        k: usize,
-    ) -> Result<DeltaSet, EvaluateError>
-    where
-        M: Clone,
-    {
-        self.step_sharded_logged(sampler, k).map(|(d, _)| d)
-    }
-
-    /// [`Self::step_sharded`], additionally returning the merged net
-    /// changes — the same replay script [`Self::step_logged`] yields, so
-    /// the durability layer logs sharded intervals identically.
     pub fn step_sharded_logged(
         &mut self,
         sampler: &mut ShardedSampler<M>,

@@ -62,9 +62,7 @@ use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
 use crate::status_table::StatusTable;
 use fgdb_graph::Model;
-use fgdb_relational::{
-    compile_query, execute, CountedSet, Database, QueryResult, Tuple, Value, ViewBackend,
-};
+use fgdb_relational::{compile_query, execute, CountedSet, Database, QueryResult, Tuple, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -85,10 +83,6 @@ pub struct ServingConfig {
     /// Per-tuple split-R̂ gate for the `converged` tag (values ≤ 1 disarm
     /// the gate, exactly as in [`crate::EngineConfig`]).
     pub r_hat_threshold: f64,
-    /// View-maintenance backend for registered queries. Defaults to
-    /// [`ViewBackend::from_env`] (`FGDB_VIEW_BACKEND`); recursive plans
-    /// always use the circuit backend regardless.
-    pub view_backend: ViewBackend,
 }
 
 impl Default for ServingConfig {
@@ -98,7 +92,6 @@ impl Default for ServingConfig {
             publish_every: 8,
             window: 256,
             r_hat_threshold: 1.1,
-            view_backend: ViewBackend::from_env(),
         }
     }
 }
@@ -565,12 +558,7 @@ pub(crate) fn build_registered<M: Model>(
         let columns = plan
             .output_columns(pdb.database())
             .map_err(|e| ServingError::from(EvaluateError::Exec(e.into())))?;
-        let eval = QueryEvaluator::materialized_with_backend(
-            plan,
-            pdb,
-            config.thinning,
-            config.view_backend,
-        )?;
+        let eval = QueryEvaluator::materialized(plan, pdb, config.thinning)?;
         // The initial answer is the window's baseline, not a set of
         // crossings: a tuple present from the first sample on has a
         // constant trace, which the diagnostics never need to see.
@@ -738,14 +726,6 @@ fn sampler_loop<M: Model>(
     }
 }
 
-/// The thinning interval the registered views were materialized with.
-pub(crate) fn interval_k(registered: &[Registered], config: &ServingConfig) -> usize {
-    registered
-        .first()
-        .map(|r| r.eval.thinning())
-        .unwrap_or(config.thinning)
-}
-
 /// Incremental maintenance after one committed interval: folds `delta`
 /// into every registered view and hands the resulting membership crossings
 /// to its marginal table and diagnostic window. Shared
@@ -769,7 +749,7 @@ fn step_once<M: Model>(
     registered: &mut [Registered],
     config: &ServingConfig,
 ) -> Result<(), EvaluateError> {
-    let delta = pdb.step(interval_k(registered, config))?;
+    let delta = pdb.step(config.thinning)?;
     observe_delta(registered, &delta, pdb.database())
 }
 
@@ -999,7 +979,6 @@ mod tests {
             publish_every: 4,
             window: 64,
             r_hat_threshold: 1.5,
-            ..ServingConfig::default()
         });
         let reader = sampler.reader();
         while reader.status().samples < 40 {

@@ -41,8 +41,8 @@
 use crate::durable::{DurableError, DurablePdb};
 use crate::pdb::ProbabilisticDB;
 use crate::serving::{
-    build_registered, interval_k, observe_delta, publish_snapshot, validate_config, EpochCell,
-    EpochReader, Registered, SamplerState, ServingConfig, ServingError, SharedStats,
+    build_registered, observe_delta, publish_snapshot, validate_config, EpochCell, EpochReader,
+    Registered, SamplerState, ServingConfig, ServingError, SharedStats,
 };
 use fgdb_durability::{DurabilityConfig, StoreIo};
 use fgdb_graph::Model;
@@ -239,7 +239,7 @@ impl<M: Model + 'static> Supervisor<M> {
                     self.stats.set_state(SamplerState::Stopped);
                     return Ok(durable);
                 }
-                let k = interval_k(&registered, &self.config.serving);
+                let k = self.config.serving.thinning;
                 match catch_unwind(AssertUnwindSafe(|| durable.step(k))) {
                     Ok(Ok(delta)) => {
                         if let Err(e) = observe_delta(&mut registered, &delta, durable.database()) {

@@ -1,5 +1,5 @@
 //! Multi-threaded stress test of the serving core's snapshot-isolation
-//! contract (ISSUE PR-6, satellite 4).
+//! contract.
 //!
 //! N reader threads hammer a [`LiveSampler`] through clone-cheap
 //! [`EpochReader`] handles while the sampler publishes epochs as fast as
@@ -21,7 +21,7 @@
 use fgdb_core::fixtures::biased_token_pdb;
 use fgdb_core::{EpochReader, LiveSampler, ServingConfig};
 use fgdb_relational::parser::paper_sql;
-use fgdb_relational::{compile_query, execute, Value, ViewBackend};
+use fgdb_relational::{compile_query, execute, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -90,10 +90,8 @@ fn reader_loop(reader: EpochReader, queries: Arc<Vec<String>>, done: Arc<AtomicB
     verified
 }
 
-/// The full stress run, parameterized over the registered queries' view
-/// backend: the snapshot-isolation contract is backend-agnostic, so the
-/// legacy operator tree and the Z-set circuit must both survive it.
-fn run_stress(backend: ViewBackend) {
+#[test]
+fn concurrent_readers_see_consistent_pinned_epochs() {
     let pdb = biased_token_pdb(N_TOKENS, 6, 0x57AE55);
     let q2 = paper_sql::query2("TOKEN");
     let sampler = LiveSampler::spawn(
@@ -103,7 +101,6 @@ fn run_stress(backend: ViewBackend) {
             thinning: 10,
             publish_every: 1,
             window: 64,
-            view_backend: backend,
             ..Default::default()
         },
     )
@@ -158,14 +155,4 @@ fn run_stress(backend: ViewBackend) {
     assert!(status.window_len >= 30);
     let pdb = sampler.stop().expect("clean stop after stress");
     assert!(pdb.steps_taken() > 0);
-}
-
-#[test]
-fn concurrent_readers_see_consistent_pinned_epochs() {
-    run_stress(ViewBackend::Circuit);
-}
-
-#[test]
-fn concurrent_readers_survive_the_legacy_backend_too() {
-    run_stress(ViewBackend::Legacy);
 }

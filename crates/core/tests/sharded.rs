@@ -243,7 +243,7 @@ fn rejected_interval_resynchronizes_the_sampler() {
 
     // Shard 0 now deterministically produces (v0, 0→1) from its stale
     // world; the merge point must reject it against the master's index 2.
-    let err = pdb.step_sharded(&mut sampler, 3);
+    let err = pdb.step_sharded_logged(&mut sampler, 3);
     assert!(err.is_err(), "stale-walker batch must be rejected");
     pdb.check_synchronized()
         .expect("rejected interval must not desync world and store");

@@ -63,21 +63,24 @@ impl Report {
 /// out of scope by construction — R1–R3 are production-path invariants,
 /// and in-file `#[cfg(test)]` modules are exempted at the rule layer.
 pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut src_dirs = vec![root.join("src")];
+    member_files(root, "src")
+}
+
+/// Every `.rs` file under the `sub` directory (`src`, `tests`) of the root
+/// crate and of each `crates/*` and `shims/*` member.
+fn member_files(root: &Path, sub: &str) -> Result<Vec<PathBuf>, String> {
+    let mut dirs = vec![root.join(sub)];
     for group in ["crates", "shims"] {
         let dir = root.join(group);
         if !dir.is_dir() {
             continue;
         }
         for member in read_dir_sorted(&dir)? {
-            let src = member.join("src");
-            if src.is_dir() {
-                src_dirs.push(src);
-            }
+            dirs.push(member.join(sub));
         }
     }
     let mut files = Vec::new();
-    for dir in src_dirs {
+    for dir in dirs {
         if dir.is_dir() {
             collect_rs(&dir, &mut files)?;
         }
@@ -148,12 +151,22 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         files_scanned += 1;
     }
 
+    // Knobs only a test reads (stress-test thread counts) keep their
+    // README row live; test files are not otherwise linted.
+    let mut test_knobs: Vec<String> = Vec::new();
+    for file in member_files(&opts.root, "tests")? {
+        let src = fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
+        let analysis = rules::analyze_source(&rel_path(&opts.root, &file), &src);
+        test_knobs.extend(analysis.knobs.into_iter().map(|(knob, _)| knob));
+    }
+
     let readme_path = opts.root.join("README.md");
     let readme = fs::read_to_string(&readme_path)
         .map_err(|e| format!("read {}: {e}", readme_path.display()))?;
     violations.extend(rules::check_docs(
         &readme,
         &knob_sites,
+        &test_knobs,
         &bench_baselines(&opts.root)?,
     ));
 

@@ -13,7 +13,8 @@
 //!   lock acquisition in hot-path modules must carry a
 //!   `lint:allow(sync, reason)` naming why it is safe.
 //! * **docs** (R4) — every `FGDB_*` knob string in code must appear in
-//!   README's knob table; every committed `BENCH_*.json` must appear in
+//!   README's knob table, and every knob-table row must name a knob some
+//!   source or test reads; every committed `BENCH_*.json` must appear in
 //!   README's baseline table.
 //!
 //! Test code (`#[cfg(test)]` / `#[test]` items) and doc-comment examples
@@ -599,12 +600,17 @@ fn is_knob_literal(s: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Checks every collected knob and committed bench baseline against
-/// README's tables. A "table row" is any README line starting with `|`
-/// that names the item in backticks — mentioning a knob in prose does not
-/// count; the tables are the contract.
+/// README's tables, and every knob-table row against the collected knobs.
+/// A "table row" is any README line starting with `|` that names the item
+/// in backticks — mentioning a knob in prose does not count; the tables are
+/// the contract. A knob-table row is one whose first cell is a backticked
+/// `FGDB_*` name; a row that neither a source site nor one of `test_knobs`
+/// (literals under `tests/` dirs, which only keep rows live: the lint's
+/// own tests hold made-up knob names) reads documents a dead knob.
 pub fn check_docs(
     readme: &str,
     knob_sites: &[(String, String, usize)], // (knob, file, line)
+    test_knobs: &[String],
     bench_files: &[String],
 ) -> Vec<Violation> {
     let table_rows: Vec<&str> = readme
@@ -634,6 +640,22 @@ pub fn check_docs(
             });
         }
     }
+    for (i, row) in readme.lines().enumerate() {
+        let Some(knob) = knob_row_name(row) else {
+            continue;
+        };
+        if !knob_sites.iter().any(|(k, _, _)| k == knob) && !test_knobs.iter().any(|k| k == knob) {
+            out.push(Violation {
+                rule: Rule::Docs,
+                file: "README.md".to_string(),
+                line: i + 1,
+                snippet: knob.to_string(),
+                message: format!(
+                    "README's knob table documents `{knob}` but no source or test reads it"
+                ),
+            });
+        }
+    }
     for bench in bench_files {
         if !in_table(bench) {
             out.push(Violation {
@@ -648,4 +670,17 @@ pub fn check_docs(
         }
     }
     out
+}
+
+/// The knob a README knob-table row documents: its first cell, when that
+/// cell is exactly one backticked `FGDB_*` name.
+fn knob_row_name(row: &str) -> Option<&str> {
+    let first = row
+        .trim_start()
+        .strip_prefix('|')?
+        .split('|')
+        .next()?
+        .trim();
+    let name = first.strip_prefix('`')?.strip_suffix('`')?;
+    is_knob_literal(name).then_some(name)
 }

@@ -164,7 +164,7 @@ fn docs_rule_flags_missing_knobs_and_benches() {
         "BENCH_listed.json".to_string(),
         "BENCH_orphan.json".to_string(),
     ];
-    let violations = check_docs(readme, &knobs, &benches);
+    let violations = check_docs(readme, &knobs, &[], &benches);
     assert_eq!(violations.len(), 2, "{violations:?}");
     assert!(violations.iter().all(|v| v.rule == Rule::Docs));
     assert!(violations
@@ -175,8 +175,38 @@ fn docs_rule_flags_missing_knobs_and_benches() {
         .any(|v| v.message.contains("BENCH_orphan.json")));
     // Prose mentions (non-table lines) do not count as documentation.
     let prose = "FGDB_MISSING is documented only in prose, `FGDB_MISSING` even in backticks\n";
-    let violations = check_docs(prose, &knobs[1..], &[]);
+    let violations = check_docs(prose, &knobs[1..], &[], &[]);
     assert_eq!(violations.len(), 1, "{violations:?}");
+}
+
+#[test]
+fn docs_rule_flags_knob_rows_nothing_reads() {
+    let readme = "| knob | default |\n\
+                  |---|---|\n\
+                  | `FGDB_LIVE` | read by a binary |\n\
+                  | `FGDB_STALE` | its reader was deleted |\n\
+                  | `BENCH_x.json` | mentions `FGDB_LIVE` outside the first cell |\n";
+    let knobs = vec![(
+        "FGDB_LIVE".to_string(),
+        "crates/a/src/lib.rs".to_string(),
+        3,
+    )];
+    let violations = check_docs(readme, &knobs, &[], &[]);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let v = &violations[0];
+    assert_eq!(v.rule, Rule::Docs);
+    assert_eq!((v.file.as_str(), v.line), ("README.md", 4));
+    assert!(v.message.contains("FGDB_STALE"), "{}", v.message);
+    // Once a test or a source reads the knob, its row is live.
+    let test_knobs = vec!["FGDB_STALE".to_string()];
+    assert!(check_docs(readme, &knobs, &test_knobs, &[]).is_empty());
+    let mut knobs = knobs;
+    knobs.push((
+        "FGDB_STALE".to_string(),
+        "crates/b/src/lib.rs".to_string(),
+        7,
+    ));
+    assert!(check_docs(readme, &knobs, &[], &[]).is_empty());
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! DBSP-style operator circuits: incremental view maintenance over Z-sets.
 //!
-//! This is the second, generalized implementation of Algorithm 1's view
-//! engine (the first is the operator tree in [`crate::view`]). A [`Circuit`]
-//! compiles a [`Plan`] into a flat list of stateful operator nodes in
-//! topological order; every node consumes and produces [`ZSet`] deltas, and
-//! applying a world delta is one bottom-up sweep costing Θ(|Δ|) — the same
-//! contract as the legacy engine, deliberately, so the two can be tested
-//! differentially against each other and against naive re-execution.
+//! This is Algorithm 1's view engine, the one behind every
+//! [`MaterializedView`](crate::MaterializedView). A circuit compiles a
+//! [`Plan`] into a flat list of stateful operator nodes in topological
+//! order; every node consumes and produces [`ZSet`] deltas, and applying a
+//! world delta is one bottom-up sweep costing Θ(|Δ|), tested against naive
+//! re-execution.
 //!
-//! What the circuit adds over the legacy engine is *recursion*: a
+//! Beyond the non-recursive algebra the circuit maintains *recursion*: a
 //! [`Plan::Fixpoint`] compiles to a fixpoint node holding two nested
 //! sub-circuits (the non-recursive base term and the recursive step term,
 //! with [`Plan::Rec`] leaves compiled to a recursive-input port). Under set
@@ -38,16 +37,16 @@
 //! fixpoint's cap; hitting it is a typed [`CircuitError::IterationLimit`],
 //! never divergence.
 //!
-//! Errors are deliberately richer than the legacy engine's: an inconsistent
-//! delta stream (retracting a tuple that was never inserted) surfaces as
-//! [`CircuitError::InconsistentDelta`] from `distinct`/`aggregate` state or
-//! a fixpoint's derivation counts instead of silently going negative. A circuit that has returned an error
-//! may hold partially updated state and should be rebuilt.
+//! Errors are typed: an inconsistent delta stream (retracting a tuple that
+//! was never inserted) surfaces as [`CircuitError::InconsistentDelta`] from
+//! `distinct`/`aggregate` state or a fixpoint's derivation counts instead
+//! of silently going negative. A circuit that has returned an error may
+//! hold partially updated state and should be rebuilt.
 //!
 //! # Example: transitive closure, maintained incrementally
 //!
 //! ```
-//! use fgdb_relational::{tuple, Circuit, Database, DeltaSet, Plan, Schema, ValueType};
+//! use fgdb_relational::{tuple, Database, DeltaSet, MaterializedView, Plan, Schema, ValueType};
 //! use std::sync::Arc;
 //!
 //! let mut db = Database::new();
@@ -62,36 +61,35 @@
 //!     .project(&["a", "dst"]);
 //! let plan = Plan::scan("LINK").fixpoint(step, "REACH", &["a", "b"]);
 //!
-//! let mut circuit = Circuit::new(&plan, &db).unwrap();
-//! assert_eq!(circuit.result().total(), 3); // 1→2, 2→3, 1→3
+//! let mut view = MaterializedView::new(&plan, &db).unwrap();
+//! assert_eq!(view.result().total(), 3); // 1→2, 2→3, 1→3
 //!
 //! // A new edge 3→4 extends every chain that reaches 3.
 //! let rel: Arc<str> = Arc::from("LINK");
 //! let mut delta = DeltaSet::new();
 //! delta.record_insert(&rel, tuple![3i64, 4i64]);
-//! let out = circuit.apply_delta(&delta).unwrap();
+//! let out = view.try_apply_delta(&delta).unwrap();
 //! assert_eq!(out.total(), 3); // 3→4, 2→4, 1→4
-//! assert_eq!(circuit.result().total(), 6);
+//! assert_eq!(view.result().total(), 6);
 //! ```
 
 use crate::algebra::{Plan, PlanError};
 use crate::counted::CountedSet;
 use crate::database::Database;
 use crate::delta::DeltaSet;
-use crate::exec::{bind_aggs, join_key_indices, AggSpec, ExecError};
+use crate::exec::{bind_aggs, join_key_indices, AggAcc, AggSpec, ExecError};
 use crate::expr::{resolve_column, BoundExpr};
 use crate::fasthash::TupleMap;
 use crate::row::{concat, Row, RowView};
 use crate::storage::Relation;
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
-use crate::view::{GroupState, SetOpKind};
 use crate::zset::{NegativeWeight, ZSet};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Typed error surface of the circuit backend.
+/// Typed error surface of view maintenance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CircuitError {
     /// Plan validation/binding failure (shared with the executor).
@@ -104,7 +102,7 @@ pub enum CircuitError {
     },
     /// The recursive term references the recursive relation more than once
     /// (e.g. a self-join of the recursion). Only linear recursion is
-    /// supported by the circuit backend.
+    /// supported.
     NonLinearRecursion {
         /// The recursive relation's name.
         name: String,
@@ -129,9 +127,6 @@ pub enum CircuitError {
     /// state (distinct support, aggregate group multiplicity) would have
     /// gone negative. The circuit's state is no longer trustworthy.
     InconsistentDelta(NegativeWeight),
-    /// The requested plan is valid but not supported by the selected
-    /// backend (e.g. a recursive plan on the legacy view engine).
-    Unsupported(String),
 }
 
 impl fmt::Display for CircuitError {
@@ -157,7 +152,6 @@ impl fmt::Display for CircuitError {
             CircuitError::InconsistentDelta(nw) => {
                 write!(f, "inconsistent delta stream: {nw}")
             }
-            CircuitError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
     }
 }
@@ -190,14 +184,13 @@ impl From<NegativeWeight> for CircuitError {
     }
 }
 
-/// Work counters for circuit maintenance (the circuit analogue of
-/// [`crate::view::ViewStats`], plus recursion counters).
+/// Work counters for view maintenance (the |Δ|-proportional analogue of
+/// [`crate::exec::ExecStats`], plus recursion counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CircuitStats {
     /// Delta batches applied.
     pub deltas_applied: u64,
-    /// Delta rows processed across all operator nodes (excludes the initial
-    /// full evaluation).
+    /// Base tuples read during initialization (one full evaluation).
     pub init_tuples_scanned: u64,
     /// Delta rows processed across all operator nodes during `apply_delta`
     /// (the |Δ|-proportional cost the paper's Eq. 6 argues for).
@@ -591,6 +584,50 @@ impl JoinState {
     }
 }
 
+/// Bag difference/intersection are *not* linear (monus/min), so both input
+/// multisets are retained and touched tuples re-derived.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SetOpKind {
+    Difference,
+    Intersect,
+}
+
+impl SetOpKind {
+    /// Output multiplicity of a tuple given its input multiplicities.
+    fn out_count(self, l: i64, r: i64) -> i64 {
+        match self {
+            SetOpKind::Difference => (l - r).max(0),
+            SetOpKind::Intersect => l.min(r).max(0),
+        }
+    }
+}
+
+/// One γ group's state.
+struct GroupState {
+    /// Total input multiplicity in the group (existence test: n > 0, except
+    /// the global group which always exists).
+    n: i64,
+    accs: Vec<AggAcc>,
+}
+
+impl GroupState {
+    fn new(specs: &[AggSpec]) -> Self {
+        GroupState {
+            n: 0,
+            accs: specs.iter().map(AggAcc::new).collect(),
+        }
+    }
+
+    /// Assembles the group's output row through a reusable buffer: one
+    /// tuple allocation, no intermediate `Vec` per call.
+    fn output(&self, key: &[Value], buf: &mut Vec<Value>) -> Tuple {
+        buf.clear();
+        buf.extend_from_slice(key);
+        buf.extend(self.accs.iter().map(AggAcc::finish));
+        Tuple::from_slice(buf)
+    }
+}
+
 /// A maintained γ: per group its accumulators, and per batch the groups
 /// the batch touched with their output row from before it.
 struct AggState {
@@ -656,8 +693,7 @@ impl AggState {
 
     /// The batch's output delta: for each touched group its old row out
     /// and its new row in (nothing when the aggregates did not change);
-    /// groups left empty are dropped (identical to the legacy engine's
-    /// algorithm).
+    /// groups left empty are dropped.
     fn finish(&mut self) -> ZSet {
         let global = self.global();
         let mut out = ZSet::new();
@@ -1614,13 +1650,10 @@ fn compile_into(
     Ok(nodes.len() - 1)
 }
 
-/// A query answer maintained incrementally by a Z-set operator circuit.
-///
-/// The circuit analogue of [`crate::MaterializedView`]: compile once, feed
-/// [`DeltaSet`] batches, read the maintained answer. Unlike the legacy
-/// engine it supports [`Plan::Fixpoint`] (recursive queries) and surfaces
-/// typed errors instead of silently absorbing inconsistent streams.
-pub struct Circuit {
+/// A query answer maintained incrementally by a Z-set operator circuit:
+/// compile once, feed [`DeltaSet`] batches, read the maintained answer.
+/// [`crate::MaterializedView`] is its public face.
+pub(crate) struct Circuit {
     flow: Flow,
     result: CountedSet,
     columns: Vec<Arc<str>>,
@@ -1667,7 +1700,7 @@ impl Circuit {
     /// fixpoint is not maintained incrementally).
     ///
     /// On error the circuit's state may be partially updated and the answer
-    /// should no longer be trusted; rebuild via [`Circuit::new`].
+    /// should no longer be trusted and the circuit should be rebuilt.
     pub fn apply_delta(&mut self, deltas: &DeltaSet) -> Result<CountedSet, CircuitError> {
         self.stats.deltas_applied += 1;
         if !self

@@ -48,7 +48,7 @@ pub mod view;
 pub mod zset;
 
 pub use algebra::{AggExpr, AggFunc, Plan, PlanError, DEFAULT_FIXPOINT_CAP};
-pub use circuit::{Circuit, CircuitError, CircuitStats};
+pub use circuit::{CircuitError, CircuitStats};
 pub use counted::CountedSet;
 pub use database::{CatalogError, Database};
 pub use delta::DeltaSet;
@@ -62,5 +62,5 @@ pub use schema::{Column, Schema, SchemaError};
 pub use storage::{ChunkRef, RawHeap, RawSlots, Relation, RowId, RowRef, StorageError};
 pub use tuple::Tuple;
 pub use value::{Interner, Value, ValueType, F64};
-pub use view::{MaterializedView, ViewBackend, ViewStats};
+pub use view::MaterializedView;
 pub use zset::{NegativeWeight, ZSet};

@@ -1,11 +1,10 @@
-//! Differential property suite for the Z-set circuit backend.
+//! Differential property suite for the Z-set circuit behind
+//! [`MaterializedView`].
 //!
-//! Three independent implementations of every query must agree on every
-//! database and every delta stream:
-//!
-//! * the **circuit** ([`ViewBackend::Circuit`]) maintaining incrementally,
-//! * the **legacy** operator-tree view ([`ViewBackend::Legacy`]),
-//! * **naive re-execution** of the unoptimized plan from scratch.
+//! The oracle is **naive re-execution** of the unoptimized plan from
+//! scratch. On every database and every delta stream the maintained view
+//! must equal it, and every emitted per-batch delta must equal the signed
+//! difference of two re-executions, after minus before the batch.
 //!
 //! Random well-typed SQL reuses the planner suite's generators; recursive
 //! queries additionally check delete-and-rederive maintenance (which never
@@ -22,45 +21,43 @@ use common::{
 use fgdb_relational::parser;
 use fgdb_relational::planner::optimize;
 use fgdb_relational::{
-    execute, tuple, Circuit, CircuitError, Database, DeltaSet, MaterializedView, Schema, Value,
-    ValueType, ViewBackend,
+    execute, tuple, CircuitError, Database, DeltaSet, MaterializedView, Schema, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Drives one SQL query through both view backends and naive re-execution
-/// under `rounds` random TOKEN delta batches, asserting three-way agreement
-/// on every step — including the emitted per-batch deltas.
+/// Drives one SQL query through a view and naive re-execution under
+/// `rounds` random TOKEN delta batches. On every batch the emitted delta
+/// must be `execute(after) − execute(before)` and the maintained answer
+/// must be `execute(after)`.
 fn check_differential(sql: &str, mut db: Database, rng: &mut Rng, rounds: usize) {
     let naive = parser::parse_plan(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
     let opt = optimize(&naive, &db).unwrap();
-    let mut legacy = MaterializedView::with_backend(&opt, &db, ViewBackend::Legacy)
-        .unwrap_or_else(|e| panic!("legacy `{sql}`: {e}"));
-    let mut circuit = MaterializedView::with_backend(&opt, &db, ViewBackend::Circuit)
-        .unwrap_or_else(|e| panic!("circuit `{sql}`: {e}"));
-    assert_eq!(legacy.columns(), circuit.columns(), "`{sql}`");
+    let mut view =
+        MaterializedView::new(&opt, &db).unwrap_or_else(|e| panic!("compile `{sql}`: {e}"));
+    let mut before = execute(&naive, &db).unwrap().0.rows;
+    assert_eq!(
+        view.result().sorted_entries(),
+        before.sorted_entries(),
+        "initial view diverged from naive re-execution for `{sql}`"
+    );
     for round in 0..rounds {
         let deltas = random_delta(rng, &mut db);
-        let d_legacy = legacy.apply_delta(&deltas);
-        let d_circuit = circuit
+        let emitted = view
             .try_apply_delta(&deltas)
-            .unwrap_or_else(|e| panic!("circuit apply `{sql}`: {e}"));
+            .unwrap_or_else(|e| panic!("apply `{sql}`: {e}"));
+        let after = execute(&naive, &db).unwrap().0.rows;
         assert_eq!(
-            d_legacy.sorted_entries(),
-            d_circuit.sorted_entries(),
-            "emitted deltas diverged on round {round} for `{sql}`"
-        );
-        let fresh = execute(&naive, &db).unwrap().0;
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            fresh.rows.sorted_entries(),
-            "circuit diverged from naive re-execution on round {round} for `{sql}`"
+            emitted.sorted_entries(),
+            after.minus(&before).sorted_entries(),
+            "emitted delta is not the re-executed answer's change on round {round} for `{sql}`"
         );
         assert_eq!(
-            legacy.result().sorted_entries(),
-            circuit.result().sorted_entries(),
-            "legacy and circuit results diverged on round {round} for `{sql}`"
+            view.result().sorted_entries(),
+            after.sorted_entries(),
+            "view diverged from naive re-execution on round {round} for `{sql}`"
         );
+        before = after;
     }
 }
 
@@ -77,10 +74,10 @@ fn cyclic_link_db() -> Database {
 }
 
 proptest! {
-    /// Circuit ≡ legacy ≡ naive re-execution on random non-recursive SQL —
-    /// every operator (σ π × ⋈ γ δ ∪ ∖ ∩), random coalesced delta streams.
+    /// Circuit ≡ naive re-execution on random non-recursive SQL — every
+    /// operator (σ π × ⋈ γ δ ∪ ∖ ∩), random coalesced delta streams.
     #[test]
-    fn circuit_matches_legacy_and_naive_on_random_sql(seed in 0u64..1u64 << 48) {
+    fn circuit_matches_naive_on_random_sql(seed in 0u64..1u64 << 48) {
         let db = random_db(seed);
         let mut rng = Rng(seed ^ 0xC1C0);
         let sql = random_query(&mut rng);
@@ -90,7 +87,7 @@ proptest! {
     /// The paper's four queries get the same treatment (these four back the
     /// committed bench baselines, so they deserve their own regression).
     #[test]
-    fn circuit_matches_legacy_on_paper_queries(seed in 0u64..1u64 << 48) {
+    fn circuit_matches_naive_on_paper_queries(seed in 0u64..1u64 << 48) {
         use fgdb_relational::parser::paper_sql;
         let mut rng = Rng(seed ^ 0x9A9E);
         for sql in [
@@ -105,7 +102,7 @@ proptest! {
 
     /// Recursive closure under edge churn (inserts *and* retractions):
     /// incremental circuit maintenance ≡ naive re-execution ≡ compiling a
-    /// fresh circuit from the mutated database, without ever recomputing
+    /// fresh view from the mutated database, without ever recomputing
     /// the fixpoint — cyclic graphs included.
     #[test]
     fn recursive_views_track_edge_churn(seed in 0u64..1u64 << 48) {
@@ -116,7 +113,6 @@ proptest! {
         let opt = optimize(&naive, &db).unwrap();
         let mut view = MaterializedView::new(&opt, &db)
             .unwrap_or_else(|e| panic!("compile `{sql}`: {e}"));
-        prop_assert_eq!(view.backend(), ViewBackend::Circuit, "recursive plans force the circuit");
         for round in 0..5 {
             let deltas = random_link_delta(&mut rng, &mut db, true);
             view.try_apply_delta(&deltas)
@@ -127,14 +123,14 @@ proptest! {
                 fresh.rows.sorted_entries(),
                 "incremental diverged from re-execution on round {} for `{}`", round, sql
             );
-            let scratch = Circuit::new(&opt, &db).unwrap();
+            let scratch = MaterializedView::new(&opt, &db).unwrap();
             prop_assert_eq!(
                 view.result().sorted_entries(),
                 scratch.result().sorted_entries(),
-                "incremental diverged from from-scratch circuit on round {} for `{}`", round, sql
+                "incremental diverged from a from-scratch view on round {} for `{}`", round, sql
             );
         }
-        let stats = view.circuit_stats().expect("circuit backend");
+        let stats = view.stats();
         prop_assert_eq!(stats.fixpoint_recomputes, 0, "`{}`", sql);
         prop_assert!(stats.fixpoint_rederived <= stats.fixpoint_overdeleted);
     }
@@ -167,7 +163,7 @@ proptest! {
                 "emitted delta is not the answer's change on round {}", round
             );
         }
-        let stats = view.circuit_stats().expect("circuit backend");
+        let stats = view.stats();
         prop_assert_eq!(stats.fixpoint_recomputes, 0);
     }
 
@@ -194,7 +190,7 @@ proptest! {
                 fresh.rows.sorted_entries()
             );
         }
-        let stats = view.circuit_stats().expect("circuit backend");
+        let stats = view.stats();
         prop_assert_eq!(
             stats.fixpoint_recomputes, 0,
             "insert-only monotone maintenance must stay semi-naive"
@@ -292,7 +288,7 @@ proptest! {
         let db = random_db(seed);
         let plan = parser::parse_plan("SELECT DISTINCT string FROM TOKEN").unwrap();
         let opt = optimize(&plan, &db).unwrap();
-        let mut view = MaterializedView::with_backend(&opt, &db, ViewBackend::Circuit).unwrap();
+        let mut view = MaterializedView::new(&opt, &db).unwrap();
         let mut deltas = DeltaSet::new();
         deltas.record_delete(
             &Arc::from("TOKEN"),
@@ -304,7 +300,7 @@ proptest! {
             "got {:?}", err
         );
         // The infallible wrapper parks the same error instead of panicking.
-        let mut view = MaterializedView::with_backend(&opt, &db, ViewBackend::Circuit).unwrap();
+        let mut view = MaterializedView::new(&opt, &db).unwrap();
         let emitted = view.apply_delta(&deltas);
         prop_assert!(emitted.is_empty());
         prop_assert!(view.error().is_some());

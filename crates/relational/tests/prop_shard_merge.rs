@@ -4,7 +4,8 @@
 //! *disjoint* set of rows; `DeltaSet::merge_all` folds them into the one
 //! interval delta the views consume. These properties pin the contract:
 //! the merged delta is indistinguishable — through each of the four paper
-//! queries' materialized views, and tuple-for-tuple in its Δ⁻/Δ⁺ sets —
+//! queries' materialized views, whose emitted deltas must equal the signed
+//! change of a naive re-execution, and tuple-for-tuple in its Δ⁻/Δ⁺ sets —
 //! from the delta one sequential recorder would have produced observing
 //! the same interleaved mutations. Exact ± cancellation inside any single
 //! producer stays invisible after the merge (the compact contract), and
@@ -13,7 +14,7 @@
 use fgdb_relational::algebra::paper_queries;
 use fgdb_relational::{
     execute_simple, Database, DeltaSet, MaterializedView, Plan, RowId, Schema, Tuple, Value,
-    ValueType, ViewBackend,
+    ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -130,16 +131,6 @@ fn shard_states(db: &Database, n_rows: usize, num_shards: usize) -> Vec<ShardSta
         .collect()
 }
 
-/// One view per backend over the same plan and database: the merge-point
-/// contract must hold for the legacy operator tree and the Z-set circuit
-/// alike, and the two must agree with each other step for step.
-fn both_views(plan: &Plan, db: &Database) -> Vec<(ViewBackend, MaterializedView)> {
-    [ViewBackend::Legacy, ViewBackend::Circuit]
-        .into_iter()
-        .map(|b| (b, MaterializedView::with_backend(plan, db, b).unwrap()))
-        .collect()
-}
-
 fn paper_plan(kind: u8) -> Plan {
     match kind % 4 {
         0 => paper_queries::query1("TOKEN"),
@@ -169,7 +160,8 @@ proptest! {
         // interleaved round-robin (any interleaving is equivalent — the
         // shards' row sets are disjoint).
         let mut db_seq = build_db(n_rows);
-        let mut views_seq = both_views(&plan, &db_seq);
+        let before = execute_simple(&plan, &db_seq).unwrap().rows;
+        let mut view_seq = MaterializedView::new(&plan, &db_seq).unwrap();
         let mut shards_seq = shard_states(&db_seq, n_rows, num_shards);
         let mut seq = DeltaSet::new();
         let longest = per_shard.iter().take(num_shards).map(Vec::len).max().unwrap_or(0);
@@ -181,15 +173,13 @@ proptest! {
             }
         }
         seq.compact();
-        for (_, view) in &mut views_seq {
-            view.apply_delta(&seq);
-        }
+        let emitted_seq = view_seq.try_apply_delta(&seq).unwrap();
 
         // Sharded run: each shard records into its own DeltaSet (shard-major
         // application order — cross-shard order cannot matter), then the
         // merge point folds the producers.
         let mut db_sh = build_db(n_rows);
-        let mut views_sh = both_views(&plan, &db_sh);
+        let mut view_sh = MaterializedView::new(&plan, &db_sh).unwrap();
         let mut shards_sh = shard_states(&db_sh, n_rows, num_shards);
         let mut producers = Vec::new();
         for s in 0..num_shards {
@@ -200,9 +190,7 @@ proptest! {
             producers.push(d);
         }
         let merged = DeltaSet::merge_all(producers);
-        for (_, view) in &mut views_sh {
-            view.apply_delta(&merged);
-        }
+        let emitted_sh = view_sh.try_apply_delta(&merged).unwrap();
 
         // Tuple-for-tuple: no double counting across producers, and
         // intra-producer cancellation stays invisible after the merge.
@@ -210,26 +198,29 @@ proptest! {
         prop_assert_eq!(merged.removed("TOKEN"), seq.removed("TOKEN"));
         prop_assert_eq!(merged.is_empty(), seq.is_empty());
 
-        // Every backend's view agrees with a from-scratch recomputation on
-        // the final database state, and sharded ≡ sequential per backend.
-        let fresh = execute_simple(&plan, &db_seq).unwrap();
-        for ((backend, view_seq), (_, view_sh)) in views_seq.iter().zip(&views_sh) {
-            prop_assert_eq!(
-                view_seq.result().sorted_entries(),
-                fresh.rows.sorted_entries(),
-                "{:?} sequential view diverged from recomputation", backend
-            );
-            prop_assert_eq!(
-                view_sh.result().sorted_entries(),
-                view_seq.result().sorted_entries(),
-                "{:?} merged shard deltas diverged from the sequential recording", backend
-            );
-        }
-        // And the two backends emitted identical final answers.
+        // Both views emit exactly the change a from-scratch recomputation
+        // sees, and both answers equal that recomputation.
+        let after = execute_simple(&plan, &db_seq).unwrap().rows;
+        let change = after.minus(&before).sorted_entries();
         prop_assert_eq!(
-            views_seq[0].1.result().sorted_entries(),
-            views_seq[1].1.result().sorted_entries(),
-            "legacy and circuit diverged"
+            emitted_seq.sorted_entries(),
+            change.clone(),
+            "sequential view's emitted delta is not the recomputed change"
+        );
+        prop_assert_eq!(
+            emitted_sh.sorted_entries(),
+            change,
+            "merged shard deltas emitted a different change than the sequential recording"
+        );
+        prop_assert_eq!(
+            view_seq.result().sorted_entries(),
+            after.sorted_entries(),
+            "sequential view diverged from recomputation"
+        );
+        prop_assert_eq!(
+            view_sh.result().sorted_entries(),
+            after.sorted_entries(),
+            "sharded view diverged from recomputation"
         );
     }
 

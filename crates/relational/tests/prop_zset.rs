@@ -1,4 +1,4 @@
-//! Property suite for the Z-set algebra underneath the circuit backend.
+//! Property suite for the Z-set algebra underneath the view circuit.
 //!
 //! [`ZSet`] must be a commutative group under merge (identity = empty,
 //! inverse = negation), with eager zero-coalescing so equality is structural,
@@ -11,9 +11,7 @@ mod common;
 use common::random_db;
 use fgdb_relational::parser::parse_plan;
 use fgdb_relational::planner::optimize;
-use fgdb_relational::{
-    tuple, CircuitError, DeltaSet, MaterializedView, Tuple, Value, ViewBackend, ZSet,
-};
+use fgdb_relational::{tuple, CircuitError, DeltaSet, MaterializedView, Tuple, Value, ZSet};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -134,7 +132,7 @@ fn phantom_retraction_through_aggregate_is_typed() {
     let db = random_db(7);
     let plan = parse_plan("SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id").unwrap();
     let opt = optimize(&plan, &db).unwrap();
-    let mut view = MaterializedView::with_backend(&opt, &db, ViewBackend::Circuit).unwrap();
+    let mut view = MaterializedView::new(&opt, &db).unwrap();
     let mut deltas = DeltaSet::new();
     // doc_id 777 has no rows, so its COUNT would go negative — a phantom
     // retraction inside an existing group merely decrements, which is what

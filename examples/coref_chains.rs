@@ -4,7 +4,7 @@
 //! one uncertain pointer to an earlier mention (or to itself, starting a new
 //! entity), so a coref chain is exactly the transitive closure of the LINK
 //! relation. MCMC churns the pointers; a `WITH RECURSIVE` view maintains the
-//! closure incrementally via the Z-set circuit backend, and marginalizing the
+//! closure incrementally via a Z-set circuit, and marginalizing the
 //! view over samples yields P(mention a is anaphoric to mention b).
 //!
 //! Run with:
@@ -135,7 +135,7 @@ fn main() {
         initial.rows.distinct_len()
     );
 
-    // 2. Algorithm 1 over the recursive view: the circuit backend maintains
+    // 2. Algorithm 1 over the recursive view: the view circuit maintains
     //    the closure from MCMC deltas, and marginal counts over samples give
     //    P(a anaphoric-to b).
     let mut pdb = build_pdb(17);
@@ -160,12 +160,11 @@ fn main() {
     }
 
     // 3. The same view driven by hand, to show what the evaluator hides:
-    //    recursive plans always compile to the circuit backend, and the
-    //    maintained result stays equal to a from-scratch execution.
+    //    the maintained result stays equal to a from-scratch execution, and
+    //    the circuit's counters show the closure was never recomputed.
     let mut pdb = build_pdb(91);
     let plan = compile_query(CHAIN_SQL, pdb.database()).expect("compiles");
     let mut view = MaterializedView::new(&plan, pdb.database()).expect("circuit compiles");
-    assert_eq!(view.backend(), ViewBackend::Circuit);
     for _ in 0..200 {
         let deltas = pdb.step(40).expect("sampling");
         view.apply_delta(&deltas);
@@ -173,7 +172,7 @@ fn main() {
     assert!(view.error().is_none());
     let fresh = execute(&plan, pdb.database()).expect("re-exec").0;
     assert_eq!(view.result().sorted_entries(), fresh.rows.sorted_entries());
-    let stats = view.circuit_stats().expect("circuit backend");
+    let stats = view.stats();
     // Every relabelled pointer is a retraction plus an insertion, on a graph
     // full of self-loops; delete-and-rederive never recomputes the closure.
     assert_eq!(stats.fixpoint_recomputes, 0);
