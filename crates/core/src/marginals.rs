@@ -30,10 +30,32 @@
 //! recording a sample is O(crossings). [`MarginalTable::record`] — the
 //! full-answer entry point the naive evaluator uses — derives the crossings
 //! by diffing the answer against the present set and feeds the same path.
+//!
+//! # Answer order
+//!
+//! A read returns the support in tuple order, and it does not sort to do
+//! so. The table keeps every tuple once, in a dense arena of
+//! `(tuple, run)` slots in first-seen order, with a hash index from tuple
+//! to slot — so recording a crossing of a known tuple is one hash probe —
+//! and a list of slots in tuple order:
+//!
+//! * The order is built by the first read that needs it (one sort of the
+//!   support then), not at registration: a table that is only recorded
+//!   never pays for it.
+//! * Once it exists, [`MarginalTable::record_crossings`] keeps it up to
+//!   date. Crossings of known tuples leave it alone. The sample's fresh
+//!   tuples are sorted among themselves and merged in from the back, each
+//!   placed by binary search: one fresh tuple is a binary insertion, a
+//!   batch of `k` is a sort of the batch and one back-to-front pass that
+//!   moves every old slot at most once, O(n + k log(n + k)). Nothing is
+//!   re-sorted.
+//! * A read is one linear walk of the order: [`MarginalTable::probabilities`]
+//!   is O(support) with one allocation, its result.
 
 use crate::membership::Crossing;
 use fgdb_relational::{CountedSet, FxHashMap, Tuple};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One tuple's presence history: samples counted in runs that have ended,
 /// and the sample index at which the current run (if any) began. The unit
@@ -63,7 +85,13 @@ impl Run {
 /// Running per-tuple membership counts over sampled worlds.
 #[derive(Clone, Debug, Default)]
 pub struct MarginalTable {
-    runs: FxHashMap<Tuple, Run>,
+    /// Every tuple ever observed with its run, in first-seen order.
+    slots: Vec<(Tuple, Run)>,
+    /// Tuple → its index in `slots`.
+    index: FxHashMap<Tuple, u32>,
+    /// Indices into `slots` in tuple order; built by the first ordered
+    /// read and kept up to date by every recording after it.
+    order: OnceLock<Vec<u32>>,
     samples: u64,
 }
 
@@ -84,10 +112,10 @@ impl MarginalTable {
     /// its support tuples not currently present enter, present tuples
     /// outside its support leave. O(|answer| + |support|).
     pub fn diff(&self, answer: &CountedSet) -> Vec<Crossing> {
-        let present = |t: &Tuple| self.runs.get(t).is_some_and(|r| r.since.is_some());
+        let present = |t: &Tuple| self.run(t).is_some_and(|r| r.since.is_some());
         let entered = answer.support().filter(|t| !present(t)).map(|t| (t, true));
         let left = self
-            .runs
+            .slots
             .iter()
             .filter(|(t, r)| r.since.is_some() && !answer.contains(t))
             .map(|(t, _)| (t, false));
@@ -103,17 +131,35 @@ impl MarginalTable {
     /// Records one sample whose answer differs from the previous sample's
     /// by exactly `crossings`; `z` increments. Tuples not named keep their
     /// membership, and with it gain (or do not gain) this sample's count.
+    /// A crossing of a known tuple is one hash probe; the sample's fresh
+    /// tuples, if the answer order exists, are merged into it.
     pub fn record_crossings(&mut self, crossings: &[Crossing]) {
         let at = self.samples;
+        let known = self.slots.len();
         for c in crossings {
-            if c.entered {
-                let run = self.runs.entry(c.tuple.clone()).or_default();
-                run.since.get_or_insert(at);
-            } else if let Some(run) = self.runs.get_mut(&c.tuple) {
-                if let Some(since) = run.since.take() {
-                    run.closed += at - since;
+            match self.index.get(&c.tuple) {
+                Some(&i) => {
+                    let run = &mut self.slots[i as usize].1;
+                    if c.entered {
+                        run.since.get_or_insert(at);
+                    } else if let Some(since) = run.since.take() {
+                        run.closed += at - since;
+                    }
                 }
+                None if c.entered => {
+                    let i = u32::try_from(self.slots.len()).expect("support fits u32");
+                    self.index.insert(c.tuple.clone(), i);
+                    let run = Run {
+                        closed: 0,
+                        since: Some(at),
+                    };
+                    self.slots.push((c.tuple.clone(), run));
+                }
+                None => {}
             }
+        }
+        if let Some(order) = self.order.get_mut() {
+            merge_fresh(order, &self.slots, known);
         }
         self.samples += 1;
     }
@@ -123,32 +169,46 @@ impl MarginalTable {
         self.samples
     }
 
-    /// `(tuple, probability)` for every tuple ever observed, unordered.
+    /// `(tuple, probability)` for every tuple ever observed, in
+    /// first-seen order.
     fn estimates(&self) -> impl Iterator<Item = (&Tuple, f64)> {
-        self.runs
+        self.slots
             .iter()
             .map(move |(t, run)| (t, run.probability(self.samples)))
     }
 
+    /// `(tuple, probability)` for every tuple ever observed, in tuple
+    /// order; builds the order if no read has yet.
+    fn ordered(&self) -> impl Iterator<Item = (&Tuple, f64)> {
+        let order = self.order.get_or_init(|| {
+            let mut order: Vec<u32> = (0u32..).take(self.slots.len()).collect();
+            order
+                .sort_unstable_by(|&a, &b| self.slots[a as usize].0.cmp(&self.slots[b as usize].0));
+            order
+        });
+        order.iter().map(move |&i| {
+            let (t, run) = &self.slots[i as usize];
+            (t, run.probability(self.samples))
+        })
+    }
+
     /// Estimated `Pr[t ∈ Q(W)]` (zero before any sample).
     pub fn probability(&self, t: &Tuple) -> f64 {
-        self.runs
-            .get(t)
-            .map_or(0.0, |run| run.probability(self.samples))
+        self.run(t).map_or(0.0, |run| run.probability(self.samples))
     }
 
     /// The presence history of `t`; `None` when it was never in an
     /// answer (and so has no marginal entry).
     pub fn run(&self, t: &Tuple) -> Option<Run> {
-        self.runs.get(t).copied()
+        self.index.get(t).map(|&i| self.slots[i as usize].1)
     }
 
     /// All tuples ever observed in an answer, with probabilities, sorted by
-    /// tuple for deterministic reporting.
+    /// tuple for deterministic reporting. One walk of the answer order and
+    /// one allocation (the result): O(support), no sort — except on the
+    /// table's first ordered read, which builds the order.
     pub fn probabilities(&self) -> Vec<(Tuple, f64)> {
-        let mut v: Vec<(Tuple, f64)> = self.estimates().map(|(t, p)| (t.clone(), p)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+        self.ordered().map(|(t, p)| (t.clone(), p)).collect()
     }
 
     /// Probabilities as a map (ground-truth exchange format for loss
@@ -157,33 +217,43 @@ impl MarginalTable {
         self.estimates().map(|(t, p)| (t.clone(), p)).collect()
     }
 
-    /// Every tuple ever observed in an answer, unordered.
+    /// Every tuple ever observed in an answer, in first-seen order.
     pub(crate) fn tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.runs.keys()
+        self.slots.iter().map(|(t, _)| t)
     }
 
     /// Number of distinct tuples observed.
     pub fn support_size(&self) -> usize {
-        self.runs.len()
+        self.slots.len()
     }
 
     /// The k most probable answer tuples, ties broken by tuple order — the
     /// top-k ranking problem of Ré et al. (reference 22 of the paper) that MystiQ answers with
     /// dedicated multisimulation machinery falls out of the marginal table
-    /// directly here.
+    /// directly here. The ranking is a total order (tuples are distinct),
+    /// so the k winners are selected in O(support) and only they are
+    /// sorted: O(support + k log k).
     pub fn top_k(&self, k: usize) -> Vec<(Tuple, f64)> {
-        let mut v = self.probabilities();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(k);
+        if k == 0 {
+            return Vec::new();
+        }
+        let rank =
+            |a: &(Tuple, f64), b: &(Tuple, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+        let mut v: Vec<(Tuple, f64)> = self.estimates().map(|(t, p)| (t.clone(), p)).collect();
+        if k < v.len() {
+            v.select_nth_unstable_by(k - 1, rank);
+            v.truncate(k);
+        }
+        v.sort_unstable_by(rank);
         v
     }
 
     /// Tuples whose membership probability meets `threshold` — the answer a
-    /// consumer would materialize at a chosen confidence.
+    /// consumer would materialize at a chosen confidence — in tuple order.
     pub fn at_least(&self, threshold: f64) -> Vec<(Tuple, f64)> {
-        self.probabilities()
-            .into_iter()
+        self.ordered()
             .filter(|(_, p)| *p >= threshold)
+            .map(|(t, p)| (t.clone(), p))
             .collect()
     }
 
@@ -200,6 +270,31 @@ impl MarginalTable {
             }
         }
         out
+    }
+}
+
+/// Merges the slots from `fresh` on — tuples not in `order` yet — into
+/// `order`, which holds every slot before `fresh` in tuple order. The
+/// fresh slots are sorted among themselves, then placed from the back:
+/// each one's position is a binary search in what is left of `order`, and
+/// the slots behind it move up once. O(n + k log(n + k)) for `k` fresh
+/// slots.
+fn merge_fresh(order: &mut Vec<u32>, slots: &[(Tuple, Run)], fresh: usize) {
+    if fresh == slots.len() {
+        return;
+    }
+    let tuple = |i: u32| &slots[i as usize].0;
+    let mut batch: Vec<u32> = (0u32..).take(slots.len()).skip(fresh).collect();
+    batch.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+    let mut end = order.len();
+    order.resize(end + batch.len(), 0);
+    for (placed, &i) in batch.iter().enumerate().rev() {
+        let at = order[..end].partition_point(|&j| tuple(j) < tuple(i));
+        // `placed` fresh slots still to go before this one: the old slots
+        // from `at` move up past them and this one.
+        order.copy_within(at..end, at + placed + 1);
+        order[at + placed] = i;
+        end = at;
     }
 }
 

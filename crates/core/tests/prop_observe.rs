@@ -32,7 +32,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// The marginal table as it was: one counter bump per answer tuple per
 /// sample.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct DenseCounts {
     counts: HashMap<Tuple, u64>,
     samples: u64,
@@ -407,6 +407,118 @@ proptest! {
             sorted_bits(MarginalTable::average(&[early_a, w.by_crossings.clone()])),
             sorted_bits(MarginalTable::average(&[early_b, w.by_full_answer.clone()]))
         );
+    }
+}
+
+// -------------------------------------------------------- answer order ----
+
+/// Tuples `0..UNIVERSE` — wide enough that samples bring batches of fresh
+/// tuples.
+const UNIVERSE: u8 = 48;
+
+/// One crossing-driven table beside its dense oracle. `step` plays the
+/// view, like [`Watchers::step`], for this table alone.
+#[derive(Clone)]
+struct Ordered {
+    answer: CountedSet,
+    table: MarginalTable,
+    counts: DenseCounts,
+}
+
+impl Ordered {
+    fn new(initial: CountedSet) -> Self {
+        let mut o = Ordered {
+            answer: CountedSet::new(),
+            table: MarginalTable::new(),
+            counts: DenseCounts::default(),
+        };
+        o.step(&initial);
+        o
+    }
+
+    fn step(&mut self, delta: &CountedSet) {
+        self.answer.merge(delta);
+        let crossed: Vec<Crossing> = crossings(delta, &self.answer).collect();
+        self.table.record_crossings(&crossed);
+        self.counts.record(&self.answer);
+    }
+
+    /// Every reader of the table against the oracle: the ordered walk,
+    /// the ranking, the threshold filter and the point lookups over the
+    /// whole universe (never-seen tuples included).
+    fn check(&self, k: usize, threshold: f64) -> Result<(), TestCaseError> {
+        let (t, dense) = (&self.table, self.counts.probabilities());
+        prop_assert_eq!(t.samples(), self.counts.samples);
+        prop_assert_eq!(t.support_size(), dense.len());
+        prop_assert_eq!(bits(&t.probabilities()), bits(&dense));
+        let mut ranked = dense.clone();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        prop_assert_eq!(bits(&t.top_k(k)), bits(&ranked));
+        let confident: Vec<(Tuple, f64)> = dense
+            .iter()
+            .filter(|(_, p)| *p >= threshold)
+            .cloned()
+            .collect();
+        prop_assert_eq!(bits(&t.at_least(threshold)), bits(&confident));
+        for i in 0..UNIVERSE {
+            let x = tuple![i64::from(i)];
+            let count = self.counts.counts.get(&x).copied();
+            prop_assert_eq!(t.run(&x).map(|r| r.count(t.samples())), count);
+            let p = dense.iter().find(|(y, _)| *y == x).map_or(0.0, |(_, p)| *p);
+            prop_assert_eq!(t.probability(&x).to_bits(), p.to_bits());
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    /// The answer order is built by the first read and kept up to date by
+    /// every recording after it. Four tables see one stream: one read
+    /// only at the end (the order is first built over a grown support),
+    /// one after every step, one at random sample points, and a clone of
+    /// the second taken once its order exists and then recorded further.
+    /// Each agrees with the dense oracle wherever it is read.
+    #[test]
+    fn answer_order_reads_match_the_dense_oracle(
+        initial in prop::collection::vec((0u8..UNIVERSE, 1i64..3), 0..24),
+        stream in prop::collection::vec(
+            prop::collection::vec((0u8..UNIVERSE, -3i64..=3), 0..16),
+            1..40,
+        ),
+        reads in prop::collection::vec((any::<bool>(), 0usize..64, 0u8..=8), 40),
+        fork_at in 0usize..40,
+    ) {
+        let read = |i: usize| reads[i % reads.len()];
+        let threshold = |eighths: u8| f64::from(eighths) / 8.0;
+        let mut never = Ordered::new(delta_of(&initial));
+        let mut every = never.clone();
+        let mut sometimes = never.clone();
+        let mut fork: Option<Ordered> = None;
+        for (i, changes) in stream.iter().enumerate() {
+            let delta = delta_of(changes);
+            never.step(&delta);
+            every.step(&delta);
+            sometimes.step(&delta);
+            let (now, k, eighths) = read(i);
+            every.check(k, threshold(eighths))?;
+            if now {
+                sometimes.check(k, threshold(eighths))?;
+            }
+            if let Some(f) = fork.as_mut() {
+                f.step(&delta);
+                if now {
+                    f.check(k, threshold(eighths))?;
+                }
+            }
+            if i == fork_at.min(stream.len() - 1) {
+                fork = Some(every.clone());
+            }
+        }
+        let (_, k, eighths) = read(stream.len());
+        for table in [&never, &sometimes, &every].into_iter().chain(fork.as_ref()) {
+            table.check(k, threshold(eighths))?;
+        }
     }
 }
 
