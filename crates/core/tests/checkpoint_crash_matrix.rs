@@ -182,8 +182,11 @@ fn dry_run(which: Checkpoint) -> (Ops, Ops) {
 
 fn matrix(which: Checkpoint) {
     let (before, during) = dry_run(which);
+    // Under `Always` the last commit left the WAL clean, so the checkpoint
+    // syncs only what it writes: at least the patch (or the base) and the
+    // new WAL's header.
     assert!(
-        during.writes >= 2 && during.syncs >= 3,
+        during.writes >= 2 && during.syncs >= 2,
         "{which:?}: {during:?}"
     );
     let mut cases = 0;
@@ -227,7 +230,10 @@ fn matrix(which: Checkpoint) {
             cases += 1;
         }
     }
-    assert!(cases >= 20, "{which:?}: only {cases} cases");
+    // A patch checkpoint is five operations (two writes, two syncs and the
+    // WAL's re-creation): 2 × 5 crashes + 2 × 2 write faults + 2 sync
+    // faults.
+    assert!(cases >= 16, "{which:?}: only {cases} cases");
 }
 
 #[test]

@@ -1680,6 +1680,91 @@ mod tests {
         assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
     }
 
+    /// Syncs `FaultyIo` counts over 64 interval commits and one patch
+    /// checkpoint under `policy`, and the checkpoint's share of them.
+    fn syncs_over_a_checkpoint_cycle(name: &str, policy: FsyncPolicy) -> (u64, u64) {
+        use crate::io::{FaultSchedule, FaultyIo};
+
+        let dir = test_dir(name);
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let mut live = snapshot_of_rows(0, 300);
+        let config = DurabilityConfig { fsync: policy };
+        let mut store =
+            DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, config).unwrap();
+        let created = fio.syncs();
+        for seq in 1..=64u64 {
+            advance(&mut store, &mut live, seq, (seq as usize * 67) % 300);
+        }
+        let committed = fio.syncs();
+        store.checkpoint(&live).unwrap();
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
+        (fio.syncs() - created, fio.syncs() - committed)
+    }
+
+    #[test]
+    fn a_clean_log_is_not_synced_again() {
+        // EveryN(8): commits 8, 16, …, 64 sync the WAL. The checkpoint then
+        // syncs the patch and the new WAL's header — and neither the WAL
+        // the 64th commit just synced nor the replaced writer as it drops.
+        let (cycle, checkpoint) =
+            syncs_over_a_checkpoint_cycle("store_clean_every8", FsyncPolicy::EveryN(8));
+        assert_eq!((cycle, checkpoint), (10, 2));
+        // Under `Never` the WAL is dirty when the checkpoint begins, and it
+        // is synced: 64 unsynced commits, then the patch, then the header.
+        let (cycle, checkpoint) =
+            syncs_over_a_checkpoint_cycle("store_clean_never", FsyncPolicy::Never);
+        assert_eq!((cycle, checkpoint), (3, 3));
+    }
+
+    #[test]
+    fn a_checkpoint_syncs_a_dirty_wal_before_it_writes() {
+        use crate::io::{FaultKind, FaultSchedule, FaultyIo};
+
+        let dir = test_dir("store_dirty_wal_first");
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let mut live = snapshot_of_rows(0, 100);
+        let mut store =
+            DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, never()).unwrap();
+        advance(&mut store, &mut live, 1, 7);
+        // The checkpoint's first sync fails before any patch byte is
+        // written: that sync was the WAL's.
+        let writes = fio.writes();
+        fio.inject_now(FaultKind::SyncErr);
+        assert!(store.checkpoint(&live).is_err());
+        assert_eq!(
+            fio.writes(),
+            writes,
+            "a patch byte preceded the WAL's fsync"
+        );
+    }
+
+    #[test]
+    fn a_log_reopened_without_truncation_starts_dirty() {
+        use crate::io::{FaultSchedule, FaultyIo};
+        use crate::wal::WalWriter;
+
+        let dir = test_dir("store_reopen_dirty");
+        let path = dir.join(WAL_FILE);
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let mut wal = WalWriter::create_with(&fio, &path, FsyncPolicy::Never).unwrap();
+        wal.append(b"record").unwrap();
+        wal.commit().unwrap();
+        let len = wal.len();
+        wal.sync().unwrap();
+        drop(wal);
+        let synced = fio.syncs();
+        // Truncated on reopen: cut, synced, clean.
+        let mut wal = WalWriter::reopen(&fio, &path, len, true, FsyncPolicy::Never).unwrap();
+        assert_eq!(fio.syncs(), synced + 1);
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(fio.syncs(), synced + 1, "a clean log was synced again");
+        // Vouched for, not truncated: the bytes are not known durable.
+        let mut wal = WalWriter::reopen(&fio, &path, len, false, FsyncPolicy::Never).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(fio.syncs(), synced + 2);
+    }
+
     #[test]
     fn a_failed_checkpoint_refuses_appends_until_recovery() {
         use crate::io::{FaultKind, FaultSchedule, FaultyIo};

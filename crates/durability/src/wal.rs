@@ -255,7 +255,9 @@ impl WalWriter {
             path: path.to_path_buf(),
             policy,
             staged: Vec::new(),
-            commits_since_sync: 0,
+            // Bytes the caller vouches for were never synced by this
+            // writer: it starts dirty, so the next `sync` reaches the disk.
+            commits_since_sync: u32::from(!truncate),
             len: valid_len,
             poisoned: false,
         })
@@ -350,9 +352,14 @@ impl WalWriter {
         Ok(n)
     }
 
-    /// Forces an `fsync` regardless of policy (checkpoint boundaries).
+    /// Makes every committed and staged byte durable regardless of policy
+    /// (checkpoint boundaries). A clean log — no commit since the last
+    /// fsync, nothing staged — is already durable and is not synced again.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         self.check_not_poisoned()?;
+        if self.commits_since_sync == 0 && self.staged.is_empty() {
+            return Ok(());
+        }
         self.write_staged()?;
         self.sync_data()
     }
@@ -360,8 +367,9 @@ impl WalWriter {
 
 impl Drop for WalWriter {
     fn drop(&mut self) {
-        // Best-effort flush of anything staged; errors cannot be surfaced
-        // from Drop. Callers that need certainty call `sync` explicitly.
+        // Best-effort flush of anything staged or unsynced (a clean log
+        // costs no fsync); errors cannot be surfaced from Drop. Callers
+        // that need certainty call `sync` explicitly.
         let _ = self.sync();
     }
 }

@@ -652,7 +652,7 @@ mod tests {
         ];
         for pred in &preds {
             let bound = pred.bind(&cols).unwrap();
-            for chunk in rel.chunks() {
+            for chunk in rel.chunks(0..rel.chunk_count()) {
                 let want = chunk
                     .rows(chunk.live())
                     .filter(|(_, row)| bound.matches(row))

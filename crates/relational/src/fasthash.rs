@@ -185,14 +185,30 @@ impl<V> TupleMap<V> {
         key: &[Value],
         default: impl FnOnce() -> V,
     ) -> &mut V {
+        self.entry(fp, key, || Tuple::from_prehashed(key.to_vec(), fp), default)
+    }
+
+    /// [`TupleMap::get_or_insert_with`] for a key that is already a tuple:
+    /// a new entry keeps `key` itself, no allocation.
+    pub fn get_or_insert_tuple(&mut self, key: Tuple, default: impl FnOnce() -> V) -> &mut V {
+        let probe = key.clone();
+        self.entry(probe.fingerprint(), probe.values(), || key, default)
+    }
+
+    /// The entry for `(fp, key)`, inserting `default()` under the tuple
+    /// `make_key` builds when there is none.
+    fn entry(
+        &mut self,
+        fp: u64,
+        key: &[Value],
+        make_key: impl FnOnce() -> Tuple,
+        default: impl FnOnce() -> V,
+    ) -> &mut V {
         use std::collections::hash_map::Entry;
         match self.buckets.entry(fp) {
             Entry::Vacant(e) => {
                 self.len += 1;
-                let Bucket::One(pair) = e.insert(Bucket::One((
-                    Tuple::from_prehashed(key.to_vec(), fp),
-                    default(),
-                ))) else {
+                let Bucket::One(pair) = e.insert(Bucket::One((make_key(), default()))) else {
                     unreachable!()
                 };
                 &mut pair.1
@@ -217,7 +233,7 @@ impl<V> TupleMap<V> {
                             unreachable!()
                         };
                         list.push(pair);
-                        list.push((Tuple::from_prehashed(key.to_vec(), fp), default()));
+                        list.push((make_key(), default()));
                         self.len += 1;
                         &mut list.last_mut().unwrap().1
                     }
@@ -225,7 +241,7 @@ impl<V> TupleMap<V> {
                         if let Some(pos) = list.iter().position(|(t, _)| t.values() == key) {
                             &mut list[pos].1
                         } else {
-                            list.push((Tuple::from_prehashed(key.to_vec(), fp), default()));
+                            list.push((make_key(), default()));
                             self.len += 1;
                             &mut list.last_mut().unwrap().1
                         }
@@ -270,6 +286,17 @@ impl<V> TupleMap<V> {
         self.buckets
             .values()
             .flat_map(|b| b.as_slice().iter().map(|(t, v)| (t, v)))
+    }
+
+    /// Moves the `(key, value)` pairs out, in arbitrary order.
+    pub fn into_entries(self) -> impl Iterator<Item = (Tuple, V)> {
+        self.buckets.into_values().flat_map(|b| {
+            let (one, many) = match b {
+                Bucket::One(pair) => (Some(pair), Vec::new()),
+                Bucket::Many(list) => (None, list),
+            };
+            one.into_iter().chain(many)
+        })
     }
 }
 
@@ -344,6 +371,17 @@ mod tests {
         let mut vals: Vec<i64> = m.iter().map(|(_, v)| *v).collect();
         vals.sort_unstable();
         assert_eq!(vals, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+        // A forced collision: both entries of the shared bucket move out.
+        let fp = 0xdead_beef;
+        m.get_or_insert_with(fp, tuple![100i64].values(), || 1_000);
+        m.get_or_insert_with(fp, tuple![101i64].values(), || 1_001);
+        let moved: Vec<(Vec<Value>, i64)> = m
+            .into_entries()
+            .map(|(k, v)| (k.values().to_vec(), v))
+            .collect();
+        assert_eq!(moved.len(), 12);
+        assert!(moved.contains(&(vec![Value::Int(100)], 1_000)));
+        assert!(moved.contains(&(vec![Value::Int(101)], 1_001)));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::schema::{Schema, SchemaError};
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Slots per chunk (see [`Relation::CHUNK_ROWS`]).
@@ -608,10 +609,15 @@ impl Relation {
         self.iter().map(|(_, row)| row)
     }
 
-    /// The heap's chunks in slot order, for column-at-a-time reads: chunk
-    /// `c` holds slots `c · CHUNK_ROWS ..`.
-    pub fn chunks(&self) -> impl Iterator<Item = ChunkRef<'_>> {
-        self.chunks.iter().map(|chunk| ChunkRef { chunk })
+    /// The heap's chunks at positions `range` (clamped to the heap) in slot
+    /// order, for column-at-a-time reads: chunk `c` holds slots
+    /// `c · CHUNK_ROWS ..`. A scan split across workers reads a range — a
+    /// morsel — each.
+    pub fn chunks(&self, range: Range<usize>) -> impl Iterator<Item = ChunkRef<'_>> {
+        let end = range.end.min(self.chunks.len());
+        self.chunks[range.start.min(end)..end]
+            .iter()
+            .map(|chunk| ChunkRef { chunk })
     }
 
     /// Snapshot: an independent relation with identical rows, row ids, and
