@@ -1,26 +1,30 @@
-//! durability — what a checkpoint and a recovery cost on the NER store the
-//! served workload runs (100 K tokens at scale 1, moment-matched CRF,
-//! document-locality proposer, 100 walk steps per interval).
+//! durability — what a checkpoint, a compaction and a recovery cost on the
+//! NER store the served workload runs (100 K tokens at scale 1,
+//! moment-matched CRF, document-locality proposer, 100 walk steps per
+//! interval, group commit every 8).
 //!
 //! Rows:
 //!
-//! * **checkpoint every 8 / 64 / 512 intervals** — the medians, over
-//!   several checkpoints, of the chunks a patch carried, its bytes, and its
-//!   wall time (WAL fsync, patch append + fsync, WAL re-creation included);
+//! * **checkpoint under budget every 8 / 64 / 512 intervals** — the
+//!   medians, over several checkpoints, of the fsyncs and wall time of a
+//!   checkpoint that keeps the WAL (it syncs the group-commit tail, if
+//!   any, and writes nothing);
 //! * **full base** — a forced compaction: the whole store encoded and
-//!   written through tmp → fsync → rename;
-//! * **compaction at the threshold** — the checkpoint that found the patch
-//!   log about to outgrow the base and wrote a base instead;
-//! * **recovery** — base + 64 WAL records (the full-snapshot recovery every
-//!   checkpoint used to leave behind) against base + a patch log at the
-//!   compaction threshold + 64 WAL records (the most a recovery reads).
+//!   written through tmp → fsync → rename, the WAL re-created;
+//! * **compaction at the budget** — the checkpoint that found the WAL
+//!   longer than the base and compacted;
+//! * **recovery** — base + 64 WAL records against base + the WAL at the
+//!   budget: every interval since the base, up to the one that takes the
+//!   WAL past it (the most a recovery replays).
+//!
+//! The chunk-patch checkpoints this replaced recovered at most base + a
+//! patch log of the base's size + 64 WAL records; that row is taken by this
+//! binary at the commit before the change, in the same session, and
+//! recorded next to these in `BENCH_durability.json`.
 //!
 //! Gates (non-zero exit): every recovery must equal the live state it
 //! recovers (world, step count, kernel statistics, the four paper
-//! queries), and every patch must carry exactly the chunks the live store
-//! no longer shares with the previous checkpoint — counted here,
-//! independently, by pointer identity against a snapshot taken at that
-//! checkpoint.
+//! queries), and a checkpoint under budget must create and write no file.
 //!
 //! Scales with `FGDB_SCALE` (default 1.0); `FGDB_BENCH_SAMPLES` sets the
 //! recovery repetitions (default 5). Emits `BENCH_durability.json`.
@@ -32,16 +36,18 @@
 use fgdb_bench::report::Report;
 use fgdb_bench::{print_table, scaled, timed, NerSetup};
 use fgdb_core::{CheckpointKind, DurabilityConfig, DurablePdb, FsyncPolicy, ProbabilisticDB};
+use fgdb_durability::store::{SNAPSHOT_FILE, WAL_FILE};
+use fgdb_durability::{FaultSchedule, FaultyIo};
 use fgdb_ie::Crf;
 use fgdb_relational::parser::paper_sql;
-use fgdb_relational::Database;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Walk steps per interval: the served loop's default thinning.
 const K: usize = 100;
-/// WAL records left for recovery to replay.
+/// WAL records left for recovery to replay, and the served loop's default
+/// checkpoint period.
 const WAL_TAIL: usize = 64;
 const SEED: u64 = 7;
 
@@ -54,6 +60,10 @@ fn cfg() -> DurabilityConfig {
     DurabilityConfig {
         fsync: FsyncPolicy::EveryN(8),
     }
+}
+
+fn file_len(dir: &Path, file: &str) -> u64 {
+    std::fs::metadata(dir.join(file)).map_or(0, |m| m.len())
 }
 
 /// Everything a recovered store must reproduce.
@@ -82,58 +92,48 @@ fn observe(pdb: &ProbabilisticDB<Arc<Crf>>) -> Observed {
     }
 }
 
-/// Chunks of `live` not held by pointer identity in `prev`.
-fn unshared_chunks(live: &Database, prev: &Database) -> usize {
-    live.relation_names()
-        .filter_map(|n| Some((live.relation(n).ok()?, prev.relation(n).ok()?)))
-        .map(|(a, b)| a.chunks_not_shared_with(b).count())
-        .sum()
-}
-
 /// Shared state of one bench run: the model, and the failures seen.
 struct Bench {
     setup: NerSetup,
     failures: Vec<String>,
 }
 
-/// One checkpoint, timed and cross-checked.
+/// One checkpoint, timed and counted.
 struct Taken {
     kind: CheckpointKind,
-    chunks: usize,
-    bytes: u64,
+    fsyncs: u64,
     ms: f64,
-    patch_log_bytes: u64,
-    base_bytes: u64,
 }
 
 impl Bench {
-    fn mount(&self, dir: &Path) -> DurablePdb<Arc<Crf>> {
-        self.setup
+    /// A fresh store at `dir` over a counting (never faulting) I/O layer.
+    fn mount(&self, dir: &Path) -> (DurablePdb<Arc<Crf>>, FaultyIo) {
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let d = self
+            .setup
             .pdb(SEED)
-            .open_durable(dir, cfg())
-            .expect("fresh bench directory")
+            .open_durable_with_io(Arc::new(fio.clone()), dir, cfg())
+            .expect("fresh bench directory");
+        (d, fio)
     }
 
-    /// Checkpoints `d`, checking the patch against the chunks `prev` (a
-    /// snapshot of the previous checkpoint) no longer shares.
-    fn checkpoint(&mut self, d: &mut DurablePdb<Arc<Crf>>, prev: &mut Database) -> Taken {
-        let expected = unshared_chunks(d.database(), prev);
+    /// Checkpoints `d`, checking that one under budget creates and writes
+    /// no file.
+    fn checkpoint(&mut self, d: &mut DurablePdb<Arc<Crf>>, fio: &FaultyIo) -> Taken {
+        let (ops, writes, syncs) = (fio.ops(), fio.writes(), fio.syncs());
         let ((), s) = timed(|| d.checkpoint().expect("checkpoint"));
         let r = *d.last_checkpoint().expect("a checkpoint was taken");
-        if r.kind == CheckpointKind::Patch && r.chunks != expected {
+        let (ops, writes, fsyncs) = (fio.ops() - ops, fio.writes() - writes, fio.syncs() - syncs);
+        if r.kind == CheckpointKind::Wal && (writes > 0 || ops != fsyncs) {
             self.failures.push(format!(
-                "patch at seq {} carried {} chunks, {expected} are not shared",
-                r.seq, r.chunks
+                "checkpoint under budget at seq {} did {ops} operations, {writes} writes",
+                r.seq
             ));
         }
-        *prev = d.database().snapshot();
         Taken {
             kind: r.kind,
-            chunks: r.chunks,
-            bytes: r.bytes,
+            fsyncs,
             ms: s * 1e3,
-            patch_log_bytes: r.patch_log_bytes,
-            base_bytes: r.base_bytes,
         }
     }
 
@@ -190,51 +190,44 @@ fn main() -> ExitCode {
         setup: NerSetup::build_soft(tokens, SEED),
         failures: Vec::new(),
     };
-    let chunks_total = bench
-        .setup
-        .pdb(SEED)
-        .database()
-        .relation("TOKEN")
-        .map(|r| r.chunk_count())
-        .unwrap_or(0);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut row = |what: &str, intervals: String, chunks: String, bytes: String, ms: f64| {
+    let mut row = |what: &str, intervals: String, fsyncs: String, bytes: String, ms: f64| {
         rows.push(vec![
             what.to_string(),
             intervals,
-            chunks,
+            fsyncs,
             bytes,
             format!("{ms:.3}"),
         ]);
     };
 
-    // Checkpoint cost at three periods.
-    let mut compactions = Vec::new();
+    // Checkpoint cost under budget at three periods.
     for every in [8usize, 64, 512] {
         let dir = fgdb_durability::test_dir("bench-durability-ckpt");
-        let mut d = bench.mount(&dir);
-        let mut prev = d.database().snapshot();
-        let (mut chunks, mut bytes, mut ms) = (Vec::new(), Vec::new(), Vec::new());
-        // At 512 intervals a patch is ≈¼ of the base: eight checkpoints
-        // cross the threshold once, which is the compaction row.
+        let (mut d, fio) = bench.mount(&dir);
+        let (mut fsyncs, mut ms, mut compacted) = (Vec::new(), Vec::new(), 0);
         for _ in 0..8 {
             Bench::step(&mut d, every);
-            let t = bench.checkpoint(&mut d, &mut prev);
-            match t.kind {
-                CheckpointKind::Patch => {
-                    chunks.push(t.chunks as f64);
-                    bytes.push(t.bytes as f64);
-                    ms.push(t.ms);
-                }
-                CheckpointKind::Base => compactions.push(t.ms),
+            let t = bench.checkpoint(&mut d, &fio);
+            if t.kind == CheckpointKind::Wal {
+                fsyncs.push(t.fsyncs as f64);
+                ms.push(t.ms);
+            } else {
+                compacted += 1;
             }
         }
+        // At small scales a long period outgrows the base: say so rather
+        // than report the compactions as checkpoints under budget.
+        let label = match compacted {
+            0 => format!("checkpoint under budget every {every}"),
+            n => format!("checkpoint under budget every {every} ({n} of 8 compacted)"),
+        };
         row(
-            &format!("checkpoint every {every} (patch)"),
+            &label,
             every.to_string(),
-            format!("{:.0}", median(chunks)),
-            format!("{:.0}", median(bytes)),
+            format!("{:.0}", median(fsyncs)),
+            "0".into(),
             median(ms),
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -242,65 +235,70 @@ fn main() -> ExitCode {
 
     // A full base, forced.
     let dir = fgdb_durability::test_dir("bench-durability-base");
-    let mut d = bench.mount(&dir);
-    Bench::step(&mut d, 64);
-    let mut base_ms = Vec::new();
+    let (mut d, fio) = bench.mount(&dir);
+    Bench::step(&mut d, WAL_TAIL);
+    let (mut base_ms, mut base_fsyncs) = (Vec::new(), Vec::new());
     let mut base_bytes = 0;
     for _ in 0..runs {
+        let syncs = fio.syncs();
         let ((), s) = timed(|| d.compact().expect("compaction"));
         base_ms.push(s * 1e3);
-        base_bytes = d.last_checkpoint().map_or(0, |r| r.bytes);
+        base_fsyncs.push((fio.syncs() - syncs) as f64);
+        base_bytes = d.last_checkpoint().map_or(0, |r| r.base_bytes);
     }
     drop(d);
     std::fs::remove_dir_all(&dir).ok();
     row(
         "full base (forced compaction)",
         "-".into(),
-        chunks_total.to_string(),
+        format!("{:.0}", median(base_fsyncs)),
         base_bytes.to_string(),
         median(base_ms),
     );
 
-    // Recovery: base + WAL against base + a patch log at the threshold +
-    // WAL, each over fresh stores.
-    let (mut plain_ms, mut patched_ms) = (Vec::new(), Vec::new());
-    let mut patched = (0usize, 0u64);
+    // Recovery: base + a short WAL against base + the WAL at the budget,
+    // each over fresh stores. Reaching the budget, a checkpoint every
+    // `WAL_TAIL` intervals, also yields the compaction at the budget.
+    let (mut plain_ms, mut budget_ms) = (Vec::new(), Vec::new());
+    let (mut compaction_ms, mut compaction_fsyncs) = (Vec::new(), Vec::new());
+    let mut at_budget = (0usize, 0u64);
     for run in 0..runs {
         let dir = fgdb_durability::test_dir("bench-durability-recover");
-        let mut d = bench.mount(&dir);
+        let (mut d, _) = bench.mount(&dir);
         Bench::step(&mut d, WAL_TAIL);
         plain_ms.push(bench.recover(d, &dir, &format!("base + WAL, run {run}")));
         std::fs::remove_dir_all(&dir).ok();
 
         let dir = fgdb_durability::test_dir("bench-durability-recover");
-        let mut d = bench.mount(&dir);
-        let mut prev = d.database().snapshot();
-        let mut patches = 0;
+        let (mut d, fio) = bench.mount(&dir);
+        let (mut intervals, mut compacted) = (0, false);
         loop {
-            Bench::step(&mut d, 64);
-            let t = bench.checkpoint(&mut d, &mut prev);
-            if t.kind == CheckpointKind::Base {
-                compactions.push(t.ms);
-                patches = 0;
-                continue;
-            }
-            patches += 1;
-            // Stop when another patch this size would not fit.
-            if t.patch_log_bytes + t.bytes > t.base_bytes {
-                patched = (patches, t.patch_log_bytes + t.base_bytes);
+            Bench::step(&mut d, WAL_TAIL);
+            intervals += WAL_TAIL;
+            // After one compaction, stop where the next checkpoint would
+            // compact: the WAL holds every interval since the base, the
+            // most it ever holds.
+            let (wal, base) = (file_len(&dir, WAL_FILE), file_len(&dir, SNAPSHOT_FILE));
+            if compacted && wal > base {
+                at_budget = (intervals, wal + base);
                 break;
             }
+            let t = bench.checkpoint(&mut d, &fio);
+            if t.kind == CheckpointKind::Base {
+                compaction_ms.push(t.ms);
+                compaction_fsyncs.push(t.fsyncs as f64);
+                (intervals, compacted) = (0, true);
+            }
         }
-        Bench::step(&mut d, WAL_TAIL);
-        patched_ms.push(bench.recover(d, &dir, &format!("base + patches + WAL, run {run}")));
+        budget_ms.push(bench.recover(d, &dir, &format!("base + WAL at the budget, run {run}")));
         std::fs::remove_dir_all(&dir).ok();
     }
     row(
-        "compaction at the threshold",
+        "compaction at the budget",
         "-".into(),
-        chunks_total.to_string(),
+        format!("{:.0}", median(compaction_fsyncs)),
         base_bytes.to_string(),
-        median(compactions),
+        median(compaction_ms),
     );
     row(
         &format!("recover base + {WAL_TAIL} WAL records"),
@@ -310,21 +308,17 @@ fn main() -> ExitCode {
         median(plain_ms),
     );
     row(
-        &format!(
-            "recover base + {} patches + {WAL_TAIL} WAL records",
-            patched.0
-        ),
-        WAL_TAIL.to_string(),
+        &format!("recover at the budget: base + {} WAL records", at_budget.0),
+        at_budget.0.to_string(),
         "-".into(),
-        patched.1.to_string(),
-        median(patched_ms),
+        at_budget.1.to_string(),
+        median(budget_ms),
     );
 
-    let columns = ["row", "intervals", "chunks", "bytes", "ms"];
+    let columns = ["row", "intervals", "fsyncs", "bytes", "ms"];
     let mut report = Report::new("durability", &columns);
     report
         .param("tokens", tokens)
-        .param("chunks", chunks_total)
         .param("k", K)
         .param("runs", runs)
         .param("machine", machine());
@@ -332,13 +326,13 @@ fn main() -> ExitCode {
         report.row(r.clone());
     }
     print_table(
-        "durability: checkpoint patches, compaction, recovery (state- and chunk-checked)",
+        "durability: checkpoints, compaction, recovery (state-checked)",
         &columns,
         &rows,
     );
     report.write_if_configured();
     if bench.failures.is_empty() {
-        println!("\nrecovery parity and patch chunk counts: OK");
+        println!("\nrecovery parity and write-free checkpoints under budget: OK");
         ExitCode::SUCCESS
     } else {
         for f in &bench.failures {

@@ -6,22 +6,20 @@
 //! thinning interval — the Δ⁻/Δ⁺ delta set, the net variable changes that
 //! produced it, and the post-interval chain position (RNG state + kernel
 //! counters) — is appended to a checksummed write-ahead log before the call
-//! returns. [`DurablePdb::checkpoint`] makes the state durable and
-//! truncates the log; [`ProbabilisticDB::recover`] replays base + patches +
-//! WAL after a crash.
+//! returns. [`DurablePdb::checkpoint`] makes the state durable;
+//! [`ProbabilisticDB::recover`] replays the base and the WAL after a crash.
 //!
-//! The checkpoint contract: a checkpoint costs what changed since the
-//! previous one. The store keeps the [`Database`] snapshot and world
-//! assignment of its last checkpoint — structurally shared with the live
-//! store, so it holds only the chunks the sampler has un-shared since —
-//! and writes a *chunk patch* of exactly those chunks plus the variables
-//! whose assignment moved (`fgdb_durability::store`). The full-store
+//! The checkpoint contract: the WAL is the incremental checkpoint. Every
+//! record already holds what its interval changed, O(|Δ|), and nothing
+//! mutates the store outside a logged step, so the base plus the logged
+//! records always equals the live state. A checkpoint therefore syncs the
+//! WAL (free when group commit left it clean) and writes nothing else until
+//! the WAL outgrows the base ([`fgdb_durability::WAL_BASE_MULTIPLE`]); then
+//! it compacts — the full-store encoder writes a new base and the WAL is
+//! emptied — as [`DurablePdb::compact`] does on demand. The full-store
 //! encoder runs only at [`ProbabilisticDB::open_durable`] and at
-//! compaction, when the patch log would outgrow the base
-//! ([`fgdb_durability::PATCH_LOG_BASE_MULTIPLE`]) or on
-//! [`DurablePdb::compact`]. Recovery hands the recovered state to the store
-//! as its retained copy, so the first checkpoint after a restart is a patch
-//! too. [`DurablePdb::last_checkpoint`] reports what a checkpoint wrote.
+//! compaction. [`DurablePdb::last_checkpoint`] reports what a checkpoint
+//! did.
 //!
 //! The recovery contract, asserted end-to-end by
 //! `crates/core/tests/crash_recovery.rs`: a database recovered after a
@@ -92,6 +90,7 @@
 
 use crate::evaluate::EvaluateError;
 use crate::pdb::{FieldBinding, ProbabilisticDB};
+use fgdb_durability::format::{encode_delta, Enc};
 use fgdb_durability::{
     real_io, BindingRec, ChainStateRec, CheckpointReport, DurabilityConfig, DurabilityError,
     DurableStore, IntervalRecord, RecoveryReport, Snapshot, SnapshotRef, StoreIo,
@@ -189,21 +188,6 @@ fn live_state<'a, M: Model>(
     }
 }
 
-/// Compares two delta sets by content (order-independent) — the replay
-/// cross-check: a recomputed interval delta must match the logged one.
-fn deltas_equal(a: &DeltaSet, b: &DeltaSet) -> bool {
-    let names: Vec<_> = a.relations().collect();
-    if names.len() != b.relations().count() {
-        return false;
-    }
-    names
-        .iter()
-        .all(|rel| match (a.for_relation(rel), b.for_relation(rel)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        })
-}
-
 /// A probabilistic database whose committed intervals survive a crash.
 ///
 /// Wraps a [`ProbabilisticDB`] plus an open [`DurableStore`]; every
@@ -248,10 +232,9 @@ impl<M: Model> DurablePdb<M> {
         Ok(rec.delta)
     }
 
-    /// Makes the current state durable and truncates the WAL — the
-    /// checkpoint that bounds recovery time. Writes a chunk patch of what
-    /// changed since the previous checkpoint, or a new base when the patch
-    /// log would outgrow the current one (see the module docs).
+    /// Makes the current state durable and bounds recovery time: syncs the
+    /// WAL, and compacts into a new base when the WAL has outgrown the
+    /// current one (see the module docs).
     pub fn checkpoint(&mut self) -> Result<(), DurableError> {
         let (seq, chain) = (self.store.next_seq() - 1, chain_state_of(&self.pdb));
         let state = live_state(&self.pdb, &self.binding, &chain, seq);
@@ -260,7 +243,7 @@ impl<M: Model> DurablePdb<M> {
     }
 
     /// Checkpoints the current state as a new full base and empties the
-    /// patch log — the compaction [`Self::checkpoint`] falls back to,
+    /// WAL — the compaction [`Self::checkpoint`] runs past its budget,
     /// forced.
     pub fn compact(&mut self) -> Result<(), DurableError> {
         let (seq, chain) = (self.store.next_seq() - 1, chain_state_of(&self.pdb));
@@ -269,8 +252,8 @@ impl<M: Model> DurablePdb<M> {
         Ok(())
     }
 
-    /// What the most recent checkpoint wrote: patch or base, the chunks
-    /// and variables it carried, its bytes.
+    /// What the most recent checkpoint did: kept the WAL or wrote a base,
+    /// and its bytes.
     pub fn last_checkpoint(&self) -> Option<&CheckpointReport> {
         self.store.last_checkpoint()
     }
@@ -351,7 +334,7 @@ impl<M: Model> DurablePdb<M> {
     /// group fsyncs; an orderly shutdown must flush that tail *and learn
     /// whether the flush succeeded* before reporting the intervals as
     /// durable. [`Self::checkpoint`] gives the same guarantee mid-run (it
-    /// syncs the WAL before replacing the snapshot).
+    /// syncs the WAL first).
     pub fn close(mut self) -> Result<ProbabilisticDB<M>, DurableError> {
         self.store.sync()?;
         Ok(self.pdb)
@@ -398,12 +381,12 @@ impl<M: Model> ProbabilisticDB<M> {
     }
 
     /// Recovers a durable probabilistic database from `dir`: reads the
-    /// base snapshot and applies its chunk patches, truncates any torn
-    /// patch or WAL tail (the expected artifact of a crash mid-append),
-    /// replays every intact interval record through the
-    /// normal batch-validation/write-back path, cross-checks each replayed
-    /// delta against the logged one, and restores the chain RNG state and
-    /// kernel counters of the last committed interval.
+    /// base snapshot (and applies the chunk patches an older store may have
+    /// left), truncates any torn patch or WAL tail (the expected artifact
+    /// of a crash mid-append), replays every intact interval record through
+    /// the normal batch-validation/write-back path, cross-checks each
+    /// replayed delta against the logged one, and restores the chain RNG
+    /// state and kernel counters of the last committed interval.
     ///
     /// `model` and `proposer` are supplied by the caller (they are code,
     /// not data) and must match what the store was built with; the world
@@ -429,9 +412,6 @@ impl<M: Model> ProbabilisticDB<M> {
         proposer: Box<dyn Proposer>,
         config: DurabilityConfig,
     ) -> Result<(DurablePdb<M>, RecoveryReport), DurableError> {
-        // The store keeps the recovered checkpoint as its retained copy,
-        // sharing every chunk with `snap.db`: replay below un-shares only
-        // what it writes, so the next checkpoint is a patch of that.
         let (snap, records, store, report) = DurableStore::recover_with_io(io, dir, config)?;
         let binding = FieldBinding {
             relation: snap.binding.relation.clone(),
@@ -448,8 +428,12 @@ impl<M: Model> ProbabilisticDB<M> {
                 .iter()
                 .map(|&(v, old, new)| (VariableId(v), old as usize, new as usize))
                 .collect();
+            // The recomputed delta must be the logged one: compared as
+            // canonical encodings, which are equal exactly when the sets are.
             let replayed = pdb.apply_logged_interval(&changes)?;
-            if !deltas_equal(&replayed, &rec.delta) {
+            let mut encoded = Enc::new();
+            encode_delta(&mut encoded, &replayed);
+            if encoded.into_bytes() != rec.delta_bytes() {
                 return Err(DurableError::Durability(DurabilityError::Corrupt(format!(
                     "replay divergence at seq {}: recomputed delta disagrees with logged delta",
                     rec.seq

@@ -22,12 +22,14 @@
 //! the max/min folds start from), so it needs no storage at all. The
 //! window verdict ([`MembershipLog::diagnose`]) is computed per toggled
 //! tuple straight from its crossing positions — a 0/1 trace *is* its runs
-//! of ones — and never builds a trace; dense 0/1 traces
+//! of ones — in buffers the log reuses, and never builds a trace; dense
+//! 0/1 traces
 //! ([`MembershipLog::traces`]) exist for the multi-chain engine, which
 //! compares chains sample by sample, and as the test oracle.
 
 use fgdb_mcmc::{effective_sample_size_runs, split_r_hat_runs};
 use fgdb_relational::{CountedSet, FxHashMap, Tuple};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// One tuple crossing the answer-set boundary between two consecutive
@@ -76,6 +78,19 @@ pub struct MembershipLog {
     samples: u64,
     /// `(sample index, crossing)`, oldest first; indices are non-decreasing.
     events: VecDeque<(u64, Crossing)>,
+    /// [`Self::diagnose`]'s buffers, kept between calls.
+    scratch: RefCell<Scratch>,
+}
+
+/// The buffers [`MembershipLog::diagnose`] reuses.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// `(tuple fingerprint, event position)` of every event in the window,
+    /// sorted: a tuple's events are contiguous and in sample order, next to
+    /// those of any tuple sharing its fingerprint.
+    order: Vec<(u64, usize)>,
+    /// One tuple's runs of ones.
+    ones: Vec<(usize, usize)>,
 }
 
 impl MembershipLog {
@@ -86,6 +101,7 @@ impl MembershipLog {
             window: u64::try_from(window).unwrap_or(u64::MAX),
             samples: 0,
             events: VecDeque::new(),
+            scratch: RefCell::default(),
         }
     }
 
@@ -154,55 +170,77 @@ impl MembershipLog {
             .collect()
     }
 
-    /// The runs of ones (half-open, in window positions) of every tuple
-    /// with an event in the ring — [`Self::traces`] in run-length form: the
-    /// stretch before an event holds the membership the event switched
-    /// *from*, the stretch after the last one what it switched *to*.
-    fn runs(&self) -> impl Iterator<Item = Vec<(usize, usize)>> + '_ {
-        /// One tuple's runs up to its latest event, that event's position
-        /// and the membership it switched to.
-        struct Open {
-            ones: Vec<(usize, usize)>,
-            from: usize,
-            present: bool,
-        }
-        let start = self.start();
-        let len = usize::try_from(self.window_len()).unwrap_or(usize::MAX);
-        let mut open: FxHashMap<&Tuple, Open> = FxHashMap::default();
-        for (at, c) in &self.events {
-            let upto = usize::try_from(at - start).unwrap_or(len).min(len);
-            let o = open.entry(&c.tuple).or_insert(Open {
-                ones: Vec::new(),
-                from: 0,
-                present: c.entered,
-            });
-            if !c.entered && upto > o.from {
-                o.ones.push((o.from, upto));
-            }
-            (o.from, o.present) = (upto, c.entered);
-        }
-        open.into_values().map(move |mut o| {
-            if o.present && len > o.from {
-                o.ones.push((o.from, len));
-            }
-            o.ones
-        })
-    }
-
     /// Worst split-R̂ and smallest ESS over the window, across every tuple
     /// whose membership changed in it. With no such tuple the answer is
     /// trivially converged with the full window as ESS. Costs O(events in
-    /// the window) plus, per toggled tuple, O(runs²) per autocorrelation lag
-    /// — independent of the window length and of the answer size.
+    /// the window · log) to group the events by tuple plus, per toggled
+    /// tuple, O(runs²) per autocorrelation lag — independent of the window
+    /// length and of the answer size — and allocates nothing once its
+    /// buffers have grown to the window's events.
     pub fn diagnose(&self) -> (f64, f64) {
+        let start = self.start();
         let len = usize::try_from(self.window_len()).unwrap_or(usize::MAX);
         let mut max_r_hat = 1.0f64;
         let mut min_ess = self.window_len() as f64;
-        for ones in self.runs() {
-            max_r_hat = max_r_hat.max(split_r_hat_runs(len, &ones));
-            min_ess = min_ess.min(effective_sample_size_runs(len, &ones));
+        let mut fresh = Scratch::default();
+        let mut held = self.scratch.try_borrow_mut();
+        let Scratch { order, ones } = held.as_deref_mut().unwrap_or(&mut fresh);
+        order.clear();
+        order.extend(
+            self.events
+                .iter()
+                .enumerate()
+                .map(|(i, (_, c))| (c.tuple.fingerprint(), i)),
+        );
+        order.sort_unstable();
+        let event = |i: usize| self.events.get(i).map(|(at, c)| (*at, c));
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            for (k, &(_, i)) in group.iter().enumerate() {
+                let Some((_, first)) = event(i) else { continue };
+                // Tuples sharing a fingerprint share a group: each is
+                // walked once, from its first event.
+                let seen = group
+                    .iter()
+                    .take(k)
+                    .any(|&(_, j)| event(j).is_some_and(|(_, c)| c.tuple == first.tuple));
+                if seen {
+                    continue;
+                }
+                let events = group
+                    .iter()
+                    .skip(k)
+                    .filter_map(|&(_, j)| event(j))
+                    .filter(|(_, c)| c.tuple == first.tuple);
+                runs_of_ones(events, start, len, ones);
+                max_r_hat = max_r_hat.max(split_r_hat_runs(len, ones));
+                min_ess = min_ess.min(effective_sample_size_runs(len, ones));
+            }
         }
         (max_r_hat, min_ess)
+    }
+}
+
+/// The runs of ones (half-open, in window positions) of one tuple's trace
+/// into `ones`, from its events in sample order — the trace in run-length
+/// form: the stretch before an event holds the membership the event
+/// switched *from*, the stretch after the last one what it switched *to*.
+fn runs_of_ones<'a>(
+    events: impl Iterator<Item = (u64, &'a Crossing)>,
+    start: u64,
+    len: usize,
+    ones: &mut Vec<(usize, usize)>,
+) {
+    ones.clear();
+    let (mut from, mut present) = (0, false);
+    for (at, c) in events {
+        let upto = usize::try_from(at - start).unwrap_or(len).min(len);
+        if !c.entered && upto > from {
+            ones.push((from, upto));
+        }
+        (from, present) = (upto, c.entered);
+    }
+    if present && len > from {
+        ones.push((from, len));
     }
 }
 

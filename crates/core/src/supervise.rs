@@ -66,8 +66,11 @@ pub struct SupervisorConfig {
     /// `restart_backoff_ms × n`, checked against the stop flag every few
     /// milliseconds so shutdown is never blocked on a backoff).
     pub restart_backoff_ms: u64,
-    /// Committed intervals between automatic checkpoints (bounds WAL
-    /// growth and recovery time); `0` disables automatic checkpointing.
+    /// Committed intervals between automatic checkpoints; `0` disables
+    /// them. A checkpoint under the WAL budget only syncs the WAL, so this
+    /// is how often the budget is checked: the WAL grows past its budget
+    /// (one base's worth of bytes) by at most this many intervals before a
+    /// checkpoint compacts it, which bounds recovery time.
     pub checkpoint_every: usize,
 }
 

@@ -1,7 +1,7 @@
-//! Checkpoint crash matrix: a fault at *every* I/O operation of an
-//! incremental checkpoint and of a compaction, for every fault kind the
-//! failpoint layer injects — a crash (with and without a torn half-write),
-//! a short write, ENOSPC, and a failed fsync.
+//! Checkpoint crash matrix: a fault at *every* I/O operation of a
+//! checkpoint under the WAL budget and of a compaction, for every fault kind
+//! the failpoint layer injects — a crash (with and without a torn
+//! half-write), a short write, ENOSPC, and a failed fsync.
 //!
 //! For each `(kind, operation)` pair a durable database replays the same
 //! seeded prefix over a [`FaultyIo`] armed at that operation, attempts the
@@ -14,18 +14,19 @@
 //!   in-memory twin at the acknowledged prefix (a checkpoint acknowledges
 //!   no interval, so that is every interval stepped);
 //! * both continue on the same seeded trajectory for 8 more intervals, and
-//!   a checkpoint after that recovers to the twin again — the logs a fault
-//!   left behind (a torn patch, a stale patch log, a missing WAL) are
+//!   a checkpoint after that recovers to the twin again — the files a fault
+//!   left behind (a torn base tmp file, a stale WAL, a missing WAL) are
 //!   healthy once recovery reopened them.
 //!
-//! The file-level cases recovery must classify — a torn patch tail
-//! (truncated), stale patches at or below the base (skipped), a forged
-//! patch-sequence regression (typed corruption) — are pinned one by one in
-//! `fgdb-durability`'s store tests; the matrix produces the first two
-//! through real faults. The property test at the bottom drives random
-//! inserts, deletes, updates, index creations and variable flips through
-//! patches, compactions and restarts, and holds the full encoding of every
-//! recovered state to the live state's, byte for byte.
+//! A checkpoint under budget has one operation, the WAL's fsync, and none
+//! at all when group commit left the WAL clean. The file-level cases
+//! recovery must classify — torn tails, stale records, patch logs an older
+//! store left (`fixtures/parent_store`, see `legacy_store.rs`) — are pinned
+//! one by one in `fgdb-durability`'s store tests. The property test at the
+//! bottom drives random inserts, deletes, updates, index creations and
+//! variable flips through checkpoints, compactions and restarts, and holds
+//! the full encoding of every recovered base to the state it was written
+//! from, byte for byte.
 
 use fgdb_core::fixtures::{biased_token_pdb, relabel_proposer};
 use fgdb_core::{CheckpointKind, DurabilityConfig, DurablePdb, FsyncPolicy, ProbabilisticDB};
@@ -41,8 +42,8 @@ use proptest::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Ten 64-slot chunks, two walk steps per interval: an interval dirties at
-/// most two chunks, so the checkpoint under test is a patch.
+/// Ten 64-slot chunks, two walk steps per interval: a base of ≈25 KB,
+/// far above the WAL the prefix logs, so its checkpoints stay under budget.
 const N_TOKENS: usize = 640;
 const DOC_SIZE: usize = 8;
 const K: usize = 2;
@@ -59,22 +60,34 @@ fn cfg() -> DurabilityConfig {
 
 #[derive(Clone, Copy, Debug)]
 enum Checkpoint {
-    Patch,
+    /// `checkpoint()` with the WAL under budget, over the served default
+    /// of group commit every 8, so the prefix leaves the WAL dirty.
+    UnderBudget,
+    /// `compact()` with every commit synced.
     Compaction,
 }
 
 impl Checkpoint {
     fn run(self, d: &mut DurablePdb<Arc<FactorGraph>>) -> Result<(), fgdb_core::DurableError> {
         match self {
-            Checkpoint::Patch => d.checkpoint(),
+            Checkpoint::UnderBudget => d.checkpoint(),
             Checkpoint::Compaction => d.compact(),
         }
     }
 
     fn kind(self) -> CheckpointKind {
         match self {
-            Checkpoint::Patch => CheckpointKind::Patch,
+            Checkpoint::UnderBudget => CheckpointKind::Wal,
             Checkpoint::Compaction => CheckpointKind::Base,
+        }
+    }
+
+    fn config(self) -> DurabilityConfig {
+        match self {
+            Checkpoint::UnderBudget => DurabilityConfig {
+                fsync: FsyncPolicy::EveryN(8),
+            },
+            Checkpoint::Compaction => cfg(),
         }
     }
 }
@@ -106,18 +119,18 @@ impl Ops {
     }
 }
 
-/// The seeded prefix: mount, a segment of intervals, one patch checkpoint
-/// (so the patch log is not empty), another segment. Every interval is
-/// acknowledged.
-fn prefix(io: Arc<dyn StoreIo>, dir: &Path) -> DurablePdb<Arc<FactorGraph>> {
+/// The seeded prefix: mount, a segment of intervals, one checkpoint under
+/// budget (so the WAL spans a checkpoint), another segment. Every interval
+/// is acknowledged.
+fn prefix(io: Arc<dyn StoreIo>, dir: &Path, which: Checkpoint) -> DurablePdb<Arc<FactorGraph>> {
     let mut d = biased_token_pdb(N_TOKENS, DOC_SIZE, SEED)
-        .open_durable_with_io(io, dir, cfg())
+        .open_durable_with_io(io, dir, which.config())
         .unwrap();
     for _ in 0..SEGMENT {
         d.step(K).unwrap();
     }
     d.checkpoint().unwrap();
-    assert_eq!(d.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
+    assert_eq!(d.last_checkpoint().unwrap().kind, CheckpointKind::Wal);
     for _ in 0..SEGMENT {
         d.step(K).unwrap();
     }
@@ -167,7 +180,7 @@ fn assert_equal(
 /// counters, and the checkpoint's own.
 fn dry_run(which: Checkpoint) -> (Ops, Ops) {
     let fio = FaultyIo::new(FaultSchedule::none());
-    let mut d = prefix(Arc::new(fio.clone()), &test_dir("matrix-dry"));
+    let mut d = prefix(Arc::new(fio.clone()), &test_dir("matrix-dry"), which);
     let before = Ops::of(&fio);
     which.run(&mut d).unwrap();
     assert_eq!(d.last_checkpoint().unwrap().kind, which.kind());
@@ -182,13 +195,22 @@ fn dry_run(which: Checkpoint) -> (Ops, Ops) {
 
 fn matrix(which: Checkpoint) {
     let (before, during) = dry_run(which);
-    // Under `Always` the last commit left the WAL clean, so the checkpoint
-    // syncs only what it writes: at least the patch (or the base) and the
-    // new WAL's header.
-    assert!(
-        during.writes >= 2 && during.syncs >= 2,
-        "{which:?}: {during:?}"
-    );
+    match which {
+        // The group-commit tail is dirty: its fsync is the checkpoint, and
+        // nothing is created or written.
+        Checkpoint::UnderBudget => assert_eq!(
+            (during.all, during.writes, during.syncs),
+            (1, 0, 1),
+            "{which:?}"
+        ),
+        // Under `Always` the last commit left the WAL clean, so the
+        // compaction syncs only what it writes: at least the base and the
+        // new WAL's header.
+        Checkpoint::Compaction => assert!(
+            during.writes >= 2 && during.syncs >= 2,
+            "{which:?}: {during:?}"
+        ),
+    }
     let mut cases = 0;
     for kind in [
         FaultKind::Crash {
@@ -208,7 +230,7 @@ fn matrix(which: Checkpoint) {
                 at: before.class(kind) + i,
                 kind,
             }]));
-            let mut d = prefix(Arc::new(fio.clone()), &dir);
+            let mut d = prefix(Arc::new(fio.clone()), &dir, which);
             assert!(fio.fired().is_empty(), "{at}: fired in the prefix");
             // Typed error or tolerated (a failed directory fsync only
             // weakens the rename's durability) — never a panic.
@@ -230,15 +252,19 @@ fn matrix(which: Checkpoint) {
             cases += 1;
         }
     }
-    // A patch checkpoint is five operations (two writes, two syncs and the
-    // WAL's re-creation): 2 × 5 crashes + 2 × 2 write faults + 2 sync
-    // faults.
-    assert!(cases >= 16, "{which:?}: only {cases} cases");
+    // Under budget: a crash at the WAL's fsync (torn or not) and a failed
+    // fsync. A compaction is eight operations (three creates and renames,
+    // two writes, three syncs): 2 × 8 crashes + 2 × 2 write faults + 3
+    // sync faults.
+    match which {
+        Checkpoint::UnderBudget => assert_eq!(cases, 3),
+        Checkpoint::Compaction => assert!(cases >= 16, "only {cases} cases"),
+    }
 }
 
 #[test]
-fn every_fault_at_every_operation_of_a_patch_checkpoint_recovers_to_the_twin() {
-    matrix(Checkpoint::Patch);
+fn every_fault_at_the_wal_sync_of_a_checkpoint_under_budget_recovers_to_the_twin() {
+    matrix(Checkpoint::UnderBudget);
 }
 
 #[test]
@@ -247,25 +273,46 @@ fn every_fault_at_every_operation_of_a_compaction_recovers_to_the_twin() {
 }
 
 #[test]
-fn the_first_checkpoint_after_a_restart_is_a_patch_of_what_replay_wrote() {
+fn after_a_restart_nothing_is_written_until_the_budget_is_reached() {
     let dir = test_dir("matrix-restart");
-    drop(prefix(fgdb_durability::real_io(), &dir));
-    let mut recovered = recover(&dir);
-    let chunks = recovered
-        .database()
-        .relation("TOKEN")
-        .unwrap()
-        .chunk_count();
-    recovered.checkpoint().unwrap();
-    let report = *recovered.last_checkpoint().unwrap();
-    // Replay wrote at most one row per walk step of the segment the WAL
-    // held; everything else is still shared with the recovered checkpoint.
-    assert_eq!(report.kind, CheckpointKind::Patch);
-    assert!(
-        report.chunks <= SEGMENT * K && report.chunks < chunks,
-        "{report:?}"
-    );
-    assert!(report.variables <= SEGMENT * K, "{report:?}");
+    drop(prefix(
+        fgdb_durability::real_io(),
+        &dir,
+        Checkpoint::UnderBudget,
+    ));
+    let fio = FaultyIo::new(FaultSchedule::none());
+    let model = Arc::clone(twin().model());
+    let (mut d, report) = ProbabilisticDB::recover_with_io(
+        Arc::new(fio.clone()),
+        &dir,
+        model,
+        relabel_proposer(N_TOKENS),
+        cfg(),
+    )
+    .unwrap();
+    assert_eq!(report.replayed, 2 * SEGMENT as u64);
+    let mut t = twin();
+    let (mut kept, mut base_bytes) = (0, 0);
+    loop {
+        d.step(K).unwrap();
+        t.step(K).unwrap();
+        let (ops, syncs) = (fio.ops(), fio.syncs());
+        d.checkpoint().unwrap();
+        let report = *d.last_checkpoint().unwrap();
+        if report.kind == CheckpointKind::Base {
+            assert!(report.wal_bytes > base_bytes, "{report:?}");
+            break;
+        }
+        // The WAL sync is the only operation: no file created or written.
+        base_bytes = report.base_bytes;
+        assert!(report.wal_bytes <= base_bytes, "{report:?}");
+        assert_eq!(fio.ops() - ops, fio.syncs() - syncs, "{report:?}");
+        kept += 1;
+    }
+    // The base is ≈25 KB, an interval record a few hundred bytes.
+    assert!(kept >= 50, "compacted after {kept} checkpoints");
+    drop(d);
+    assert_equal(recover(&dir).pdb(), &t, "after the compaction");
 }
 
 // ------------------------------------------------------------ property ----
@@ -421,14 +468,22 @@ fn interval(seq: u64) -> IntervalRecord {
     }
 }
 
-fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
+/// Runs `ops` and returns how many checkpoints kept the WAL and how many
+/// wrote a base. The data ops bypass the log (their records are
+/// placeholders recovery cannot replay), so each recovered base is held
+/// byte for byte to the state it was written from, and a restart first
+/// compacts what the WAL holds into a base.
+fn run_ops(ops: &[Op]) -> Result<(usize, usize), TestCaseError> {
     let dir = test_dir("matrix-prop");
     let never = DurabilityConfig {
         fsync: FsyncPolicy::Never,
     };
     let mut live = initial();
     let mut store = DurableStore::create(&dir, &live, never).unwrap();
-    let mut checkpoints = 0;
+    // The state the current base was written from.
+    let mut based = encode_snapshot(&live);
+    let mut base_seq = live.seq;
+    let (mut kept, mut compacted) = (0, 0);
     for op in ops {
         if apply(&mut live, op) {
             live.seq += 1;
@@ -448,26 +503,49 @@ fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
             }
             _ => continue,
         };
-        checkpoints += 1;
+        match store.last_checkpoint().unwrap().kind {
+            CheckpointKind::Wal => kept += 1,
+            CheckpointKind::Base => {
+                compacted += 1;
+                (based, base_seq) = (encode_snapshot(&live), live.seq);
+            }
+        }
         drop(store);
         let (back, records, reopened, _) = DurableStore::recover(&dir, never).unwrap();
-        prop_assert!(records.is_empty());
-        prop_assert_eq!(back.seq, live.seq);
-        prop_assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+        prop_assert_eq!(back.seq, base_seq);
+        prop_assert_eq!(encode_snapshot(&back), based.clone());
+        let logged: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        prop_assert_eq!(logged, (base_seq + 1..=live.seq).collect::<Vec<_>>());
         store = reopened;
         if restart {
-            // The recovered state is what the reopened store patches
-            // against; continue from it as a restarted process would.
+            if !records.is_empty() {
+                store.compact(&live).unwrap();
+                compacted += 1;
+                (based, base_seq) = (encode_snapshot(&live), live.seq);
+                drop(store);
+                let (_, _, reopened, _) = DurableStore::recover(&dir, never).unwrap();
+                store = reopened;
+            }
+            // Continue from the recovered base, as a restarted process
+            // would.
+            let (back, records, reopened, _) = {
+                drop(store);
+                DurableStore::recover(&dir, never).unwrap()
+            };
+            prop_assert!(records.is_empty());
+            prop_assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
             live = back;
+            store = reopened;
         }
     }
-    // A final checkpoint covers whatever the run left in the WAL.
-    store.checkpoint(&live).unwrap();
+    // A final compaction covers whatever the run left in the WAL.
+    store.compact(&live).unwrap();
     drop(store);
-    let (back, _, _, report) = DurableStore::recover(&dir, never).unwrap();
+    let (back, records, _, report) = DurableStore::recover(&dir, never).unwrap();
+    prop_assert!(records.is_empty());
     prop_assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
-    prop_assert!(report.snapshot_seq == live.seq && checkpoints <= ops.len());
-    Ok(())
+    prop_assert!(report.snapshot_seq == live.seq && kept + compacted <= 2 * ops.len());
+    Ok((kept, compacted))
 }
 
 proptest! {
@@ -481,9 +559,9 @@ proptest! {
 
 #[test]
 fn the_property_sees_every_checkpoint_shape() {
-    // A fixed run that patches, compacts, restarts, re-indexes and
-    // reuses freed slots — so the property is not vacuous at low case
-    // counts.
+    // A fixed run that keeps the WAL, compacts past the budget and on
+    // demand, restarts, re-indexes and reuses freed slots — so the property
+    // is not vacuous at low case counts.
     let mut ops = Vec::new();
     for i in 0..40u16 {
         ops.push(Op::Flip(i * 7));
@@ -497,5 +575,9 @@ fn the_property_sees_every_checkpoint_shape() {
             ops.push(Op::Compact(true));
         }
     }
-    run_ops(&ops).unwrap();
+    let (kept, compacted) = run_ops(&ops).unwrap();
+    assert!(
+        kept > 0 && compacted > 1,
+        "{kept} kept, {compacted} compacted"
+    );
 }

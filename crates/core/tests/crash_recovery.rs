@@ -328,3 +328,66 @@ fn every_n_checkpoint_flushes_the_pending_group() {
     assert_eq!(report.replayed, 2);
     assert_observationally_equal(recovered.pdb(), &twin);
 }
+
+#[test]
+fn a_flipped_logged_delta_row_fails_replay_with_divergence() {
+    // The replay cross-check: rewrite one logged delta row (its label, to
+    // a string of the same length), re-frame the record with a valid
+    // checksum, and recovery must refuse the log rather than trust either
+    // side.
+    use fgdb_durability::{checksum::crc32, wal, IntervalRecord};
+    use fgdb_relational::{CountedSet, Value};
+    use std::collections::BTreeMap;
+
+    let dir = fgdb_durability::test_dir("crash-flipped-delta");
+    let cfg = DurabilityConfig {
+        fsync: FsyncPolicy::Always,
+    };
+    let seed_pdb = build_pdb(606);
+    let model = model_of(&seed_pdb);
+    let mut durable = seed_pdb.open_durable(&dir, cfg).unwrap();
+    for _ in 0..4 {
+        durable.step(K).unwrap();
+    }
+    drop(durable.close().unwrap());
+
+    let path = dir.join(fgdb_durability::store::WAL_FILE);
+    let bytes = std::fs::read(&path).unwrap();
+    let mut out = bytes[..wal::HEADER_LEN as usize].to_vec();
+    for (i, payload) in wal::scan(&path).unwrap().records.iter().enumerate() {
+        let mut rec = IntervalRecord::decode(payload).unwrap();
+        if i == 2 {
+            let mut parts = BTreeMap::new();
+            for rel in rec.delta.relations() {
+                let mut set = CountedSet::new();
+                for (k, (t, c)) in rec
+                    .delta
+                    .for_relation(rel)
+                    .unwrap()
+                    .sorted_entries()
+                    .into_iter()
+                    .enumerate()
+                {
+                    let mut values = t.values().to_vec();
+                    if k == 0 {
+                        let label = values[3].as_str().unwrap().to_lowercase();
+                        values[3] = Value::str(label.as_str());
+                    }
+                    set.add(Tuple::new(values), c);
+                }
+                parts.insert(Arc::clone(rel), set);
+            }
+            rec.delta = DeltaSet::from_parts(parts);
+        }
+        let payload = rec.encode();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    std::fs::write(&path, &out).unwrap();
+
+    match ProbabilisticDB::recover(&dir, model, proposer(), cfg) {
+        Err(e) => assert!(e.to_string().contains("replay divergence at seq 3"), "{e}"),
+        Ok(_) => panic!("a flipped delta row must not recover"),
+    }
+}

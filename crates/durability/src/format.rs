@@ -652,7 +652,7 @@ pub fn encode_database(e: &mut Enc, db: &Database) {
 /// written count and the loop over it in lockstep by construction, where a
 /// lookup-and-expect would panic on a (impossible today, fatal on disk)
 /// catalog/name mismatch.
-pub(crate) fn relations_in_order(db: &Database) -> Vec<&Relation> {
+fn relations_in_order(db: &Database) -> Vec<&Relation> {
     db.relation_names()
         .filter_map(|name| db.relation(name).ok())
         .collect()
@@ -688,26 +688,8 @@ pub fn decode_database(d: &mut Dec<'_>) -> Result<Database, FormatError> {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk patches
+// Chunk patches (read-only: older stores wrote them, recovery applies them)
 // ---------------------------------------------------------------------------
-
-/// Encodes one relation's part of a chunk patch (FORMAT.md §Chunk patch):
-/// its name, slot count, free list and index set as of the checkpoint, then
-/// the slots of every chunk in `dirty` (ascending chunk indexes of
-/// [`Relation::CHUNK_ROWS`]-slot chunks; the last chunk may be short).
-pub(crate) fn encode_relation_patch(e: &mut Enc, r: &Relation, dirty: &[usize]) {
-    e.str(r.name());
-    let slots = r.raw_slots();
-    e.varint(slots.len() as u64);
-    encode_free_and_indexed(e, r);
-    e.varint(dirty.len() as u64);
-    for &c in dirty {
-        e.varint(c as u64);
-        if let Some((chunk, n)) = slots.chunk(c) {
-            encode_chunk_slots(e, chunk, n);
-        }
-    }
-}
 
 /// One relation's part of a decoded chunk patch.
 #[derive(Clone, Debug)]
@@ -843,16 +825,6 @@ impl RelationPatch {
     }
 }
 
-/// Encodes world assignment changes `(variable, new domain index)`,
-/// ascending by variable.
-pub(crate) fn encode_assignment_changes(e: &mut Enc, changes: &[(u32, u16)]) {
-    e.varint(changes.len() as u64);
-    for &(v, idx) in changes {
-        e.varint(u64::from(v));
-        e.varint(u64::from(idx));
-    }
-}
-
 /// Decodes world assignment changes; variables must ascend strictly.
 pub(crate) fn decode_assignment_changes(d: &mut Dec<'_>) -> Result<Vec<(u32, u16)>, FormatError> {
     let n = d.len_prefix("Assignment changes", 2)?;
@@ -945,6 +917,43 @@ pub fn decode_delta(d: &mut Dec<'_>) -> Result<DeltaSet, FormatError> {
         }
     }
     Ok(DeltaSet::from_parts(parts))
+}
+
+/// Steps over one encoded [`DeltaSet`] without building it, checking that
+/// its lengths, tags and strings are well formed — what recovery runs on a
+/// logged delta it compares byte for byte instead of decoding (see
+/// [`crate::store::LoggedInterval`]).
+pub(crate) fn skip_delta(d: &mut Dec<'_>) -> Result<(), FormatError> {
+    let n = d.len_prefix("DeltaSet relations", 2)?;
+    for _ in 0..n {
+        d.str()?;
+        let entries = d.len_prefix("CountedSet entries", 2)?;
+        for _ in 0..entries {
+            let arity = d.len_prefix("Tuple arity", 1)?;
+            for _ in 0..arity {
+                match d.u8()? {
+                    tag::NULL | tag::BOOL_FALSE | tag::BOOL_TRUE => {}
+                    tag::INT => {
+                        d.zigzag()?;
+                    }
+                    tag::FLOAT => {
+                        d.f64_bits()?;
+                    }
+                    tag::STR => {
+                        d.str()?;
+                    }
+                    t => {
+                        return Err(FormatError::BadTag {
+                            what: "Value",
+                            tag: t,
+                        })
+                    }
+                }
+            }
+            d.zigzag()?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

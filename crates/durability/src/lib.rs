@@ -5,15 +5,14 @@
 //! crash. This crate makes the fgdb reproduction durable: every committed
 //! thinning interval of `ProbabilisticDB::step` — the Δ⁻/Δ⁺ delta set plus
 //! the net variable changes and the post-interval chain position — is
-//! appended to a checksummed, length-prefixed [write-ahead log](wal), and a
-//! checkpoint persists the deterministic store, world, and RNG state at an
-//! interval boundary, truncating the log: as a *chunk patch* holding only
-//! the storage chunks and variables that changed since the previous
-//! checkpoint, or — when the patch log would outgrow it — as a new full
-//! [base snapshot](store::write_snapshot). Recovery replays the base, its
-//! patches and the WAL to a state whose query answers, kernel statistics,
-//! and *subsequent seeded MCMC trajectory* are identical to a process that
-//! never crashed.
+//! appended to a checksummed, length-prefixed [write-ahead log](wal). The
+//! log is the incremental checkpoint: a checkpoint syncs it, and only when
+//! it has outgrown the [base snapshot](store::write_snapshot) does a
+//! checkpoint persist the deterministic store, world, and RNG state as a
+//! new base and empty the log. Recovery replays the base and the WAL (and
+//! the chunk patches an older store may have left) to a state whose query
+//! answers, kernel statistics, and *subsequent seeded MCMC trajectory* are
+//! identical to a process that never crashed.
 //!
 //! Layers:
 //!
@@ -29,9 +28,9 @@
 //!   round-trip property suite cross-checks the two;
 //! * [`wal`] — framed record append with group-commit fsync batching
 //!   ([`wal::FsyncPolicy`]) and torn-tail detection, shared by the WAL and
-//!   the patch log;
-//! * [`store`] — the base + patch log + WAL directory, crash-safe
-//!   checkpointing and compaction, and the recovery scan
+//!   the legacy patch log;
+//! * [`store`] — the base + WAL directory, crash-safe checkpointing and
+//!   compaction, and the recovery scan
 //!   ([`store::DurableStore::recover`]).
 //!
 //! The crate deliberately depends only on `fgdb-relational` and
@@ -51,8 +50,8 @@ pub use format::{BindingRec, ChainStateRec, FormatError, NetChangeRec};
 pub use io::{real_io, FaultKind, FaultPoint, FaultSchedule, FaultyIo, RealIo, StoreFile, StoreIo};
 pub use store::{
     encode_snapshot, read_snapshot, write_snapshot, CheckpointKind, CheckpointReport,
-    DurabilityConfig, DurabilityError, DurableStore, IntervalRecord, RecoveryReport, Snapshot,
-    SnapshotRef, PATCH_LOG_BASE_MULTIPLE,
+    DurabilityConfig, DurabilityError, DurableStore, IntervalRecord, LoggedInterval,
+    RecoveryReport, Snapshot, SnapshotRef, WAL_BASE_MULTIPLE,
 };
 pub use wal::{FsyncPolicy, TornTail, WalScan};
 

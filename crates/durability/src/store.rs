@@ -1,59 +1,52 @@
-//! The durable store: a directory holding a base snapshot, a log of chunk
-//! patches against it, and a WAL, with crash-safe checkpointing and
-//! recovery.
+//! The durable store: a directory holding a base snapshot and a WAL, with
+//! crash-safe compaction and recovery.
 //!
 //! Layout of a store directory:
 //!
 //! ```text
 //! <dir>/snapshot.fgdb           the base: full state at some interval boundary (seq B)
-//! <dir>/snapshot.patches.fgdb   chunk patches P₁ < P₂ < … above B, each holding what
-//!                               changed since the checkpoint before it
-//! <dir>/wal.fgdb                interval records since the last checkpoint
+//! <dir>/wal.fgdb                interval records since the base
+//! <dir>/snapshot.patches.fgdb   chunk patches above B, read-only: written by older
+//!                               stores, retired by their first compaction
 //! ```
 //!
-//! A checkpoint costs what changed, not what is stored. The store keeps the
-//! state of its last durable checkpoint (a [`Database`] snapshot — which
-//! shares every chunk the sampler has not written since — plus the world
-//! assignment), and a checkpoint appends one *chunk patch* to the patch
-//! log: the chain state, per relation the slot count, free list, index set
-//! and every slot chunk not pointer-identical to the retained copy, and the
-//! variables whose assignment moved. The dirty set is read by comparing
-//! pointers at checkpoint time ([`fgdb_relational::Relation::chunks_not_shared_with`]);
-//! nothing is tracked on the write path. When the patch log would outgrow
-//! the base ([`PATCH_LOG_BASE_MULTIPLE`]) — or the state changed shape (a
-//! relation, schema, domain or binding a patch cannot describe) — the
-//! checkpoint *compacts* instead: it writes a new base and empties the log,
-//! so recovery never reads more than about two bases' worth of bytes.
+//! The WAL is the incremental checkpoint. Each interval record already holds
+//! exactly what changed (the net variable changes, their Δ⁻/Δ⁺ delta and
+//! the chain position), so the base plus a replay of the WAL *is* the state,
+//! and a checkpoint has nothing to re-encode: it syncs the WAL, which costs
+//! nothing when group commit left it clean. Only when the WAL has outgrown
+//! the base ([`WAL_BASE_MULTIPLE`]) does a checkpoint *compact*: it writes
+//! the whole state as a new base and empties the WAL, so recovery never
+//! reads more than about two bases' worth of bytes.
 //!
-//! Commit protocols (FORMAT.md §Checkpointing): both fsync the WAL first;
-//! a patch is appended to the patch log and fsynced, a base is written to
-//! `snapshot.fgdb.tmp`, fsynced, renamed over `snapshot.fgdb`, the
-//! directory fsynced, and the patch log re-created empty; only then is the
-//! WAL truncated. A crash between any two steps is recoverable: a torn
-//! patch is truncated like a torn WAL record, patches and WAL records at
-//! or below the recovered checkpoint's sequence number are skipped, and a
-//! missing or header-less patch log or WAL reads as empty.
+//! Compaction protocol (FORMAT.md §Checkpointing): fsync the WAL, write the
+//! base to `snapshot.fgdb.tmp`, fsync it, rename it over `snapshot.fgdb`,
+//! fsync the directory, empty a legacy patch log, and only then re-create
+//! the WAL. A crash between any two steps is recoverable: patches and WAL
+//! records at or below the base's sequence number are skipped, a torn
+//! patch is truncated like a torn WAL record, and a missing or header-less
+//! WAL reads as empty.
 
 use crate::format::{
     build_database, decode_assignment_changes, decode_binding, decode_chain_state, decode_changes,
-    decode_delta, decode_raw_database, decode_relation_patch, decode_world,
-    encode_assignment_changes, encode_binding, encode_chain_state, encode_changes, encode_database,
-    encode_delta, encode_relation_patch, encode_world, relations_in_order, BindingRec,
-    ChainStateRec, Dec, Enc, FormatError, NetChangeRec, RawRelation, RelationPatch,
+    decode_delta, decode_raw_database, decode_relation_patch, decode_world, encode_binding,
+    encode_chain_state, encode_changes, encode_database, encode_delta, encode_world, skip_delta,
+    BindingRec, ChainStateRec, Dec, Enc, FormatError, NetChangeRec, RawRelation, RelationPatch,
 };
 use crate::io::{real_io, StoreIo};
 use crate::wal::{
     self, check_header, write_header, FsyncPolicy, WalScan, WalWriter, KIND_PATCHES, KIND_SNAPSHOT,
 };
 use fgdb_graph::{VariableId, World};
-use fgdb_relational::{Database, DeltaSet, Relation};
+use fgdb_relational::{Database, DeltaSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Base snapshot file name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fgdb";
-/// Chunk-patch log file name inside a store directory.
+/// Chunk-patch log file name inside a store directory (read-only: written
+/// by older stores).
 pub const PATCH_FILE: &str = "snapshot.patches.fgdb";
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.fgdb";
@@ -62,7 +55,7 @@ pub const WAL_FILE: &str = "wal.fgdb";
 pub const REC_INTERVAL: u8 = 0x01;
 /// Record type byte: a full snapshot (only in base snapshot files).
 pub const REC_SNAPSHOT: u8 = 0x10;
-/// Record type byte: a chunk patch (only in patch logs).
+/// Record type byte: a chunk patch (only in patch logs older stores wrote).
 pub const REC_PATCH: u8 = 0x11;
 /// Version byte of the interval record body.
 pub const INTERVAL_VERSION: u8 = 1;
@@ -71,13 +64,17 @@ pub const SNAPSHOT_VERSION: u8 = 1;
 /// Version byte of the chunk-patch record body.
 pub const PATCH_VERSION: u8 = 1;
 
-/// How large the patch log may grow, as a multiple of the base snapshot
-/// file, before a checkpoint compacts: a patch that would take the log past
-/// `PATCH_LOG_BASE_MULTIPLE × base bytes` is written as a new base instead.
-/// A constant, not a knob: at 1, recovery reads at most about two bases'
-/// worth of bytes, and the full-store encoder runs once per base's worth of
-/// changed chunks.
-pub const PATCH_LOG_BASE_MULTIPLE: u64 = 1;
+/// How large the WAL may grow, as a multiple of the base snapshot file,
+/// before a checkpoint compacts: a checkpoint that finds the WAL longer
+/// than `WAL_BASE_MULTIPLE × base bytes` writes a new base and empties it.
+/// A constant, not a knob, derived from two costs measured with `--bin
+/// durability` on the 100 K-token NER store (2-vCPU x86-64 VM): a
+/// compaction (the full-store encoder, one 2.5 MB base, three fsyncs) costs
+/// 17–23 ms, and replaying one ≈630-byte logged interval ≈16 µs. At 1 the
+/// encoder runs once per ≈4,100 intervals, ≈5 µs per interval, and a
+/// recovery at the budget reads about two bases' worth of bytes in
+/// 125–128 ms.
+pub const WAL_BASE_MULTIPLE: u64 = 1;
 
 /// Errors raised by the durability layer.
 #[derive(Debug)]
@@ -221,6 +218,55 @@ impl IntervalRecord {
             delta,
             chain,
         })
+    }
+}
+
+/// An interval record as recovery hands it back: the replay script and the
+/// chain position decoded, the logged delta kept as the bytes it was
+/// logged as. Encoding is canonical (FORMAT.md §CountedSet, §DeltaSet:
+/// equal delta sets encode to equal bytes), so replay cross-checks its
+/// recomputed delta by encoding it and comparing bytes — exactly as strong
+/// as decoding the logged one and comparing sets, at a fraction of the
+/// cost.
+#[derive(Clone, Debug)]
+pub struct LoggedInterval {
+    /// The record's sequence number.
+    pub seq: u64,
+    /// Net variable changes, the replay script.
+    pub changes: Vec<NetChangeRec>,
+    /// Chain position after the interval.
+    pub chain: ChainStateRec,
+    /// The record payload.
+    payload: Vec<u8>,
+    /// Where the logged delta lies in `payload`.
+    delta: std::ops::Range<usize>,
+}
+
+impl LoggedInterval {
+    /// Decodes a record payload produced by [`IntervalRecord::encode`],
+    /// stepping over its delta (its framing checked, not its contents).
+    fn decode(payload: Vec<u8>) -> Result<LoggedInterval, DurabilityError> {
+        let mut d = Dec::new(&payload);
+        expect_record(&mut d, REC_INTERVAL, INTERVAL_VERSION, "WAL")?;
+        let seq = d.varint()?;
+        let changes = decode_changes(&mut d)?;
+        let start = payload.len() - d.remaining();
+        skip_delta(&mut d)?;
+        let delta = start..payload.len() - d.remaining();
+        let chain = decode_chain_state(&mut d)?;
+        d.finish()?;
+        Ok(LoggedInterval {
+            seq,
+            changes,
+            chain,
+            payload,
+            delta,
+        })
+    }
+
+    /// The logged delta as it was encoded ([`crate::format::encode_delta`]).
+    pub fn delta_bytes(&self) -> &[u8] {
+        self.payload.get(self.delta.clone()).unwrap_or_default()
     }
 }
 
@@ -460,11 +506,11 @@ impl Default for DurabilityConfig {
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Sequence number of the recovered checkpoint: the base's, or the
-    /// last applied patch's.
+    /// last applied patch's (in a store an older release wrote).
     pub snapshot_seq: u64,
     /// Sequence number of the base snapshot file.
     pub base_seq: u64,
-    /// Chunk patches applied on top of the base.
+    /// Chunk patches an older release wrote, applied on top of the base.
     pub patches: u64,
     /// Stale patches skipped (at or below the base's sequence number: a
     /// compaction crashed before it emptied the patch log).
@@ -481,133 +527,42 @@ pub struct RecoveryReport {
     pub torn: Option<String>,
 }
 
-/// Whether a checkpoint appended a chunk patch or wrote a new base.
+/// Whether a checkpoint kept the WAL or wrote a new base.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// A chunk patch appended to the patch log.
-    Patch,
-    /// A full base snapshot (store creation or compaction); the patch log
-    /// was emptied.
+    /// The WAL was synced and kept: it is under budget, and the base plus
+    /// its records is the checkpoint. No file was created or written.
+    Wal,
+    /// A new base snapshot (compaction); the WAL and any legacy patch log
+    /// were emptied.
     Base,
 }
 
-/// What one checkpoint wrote.
+/// What one checkpoint did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointReport {
     /// Sequence number the checkpoint reflects.
     pub seq: u64,
-    /// Patch or base.
+    /// WAL kept, or base written.
     pub kind: CheckpointKind,
-    /// Slot chunks written: the chunks not shared with the previous
-    /// checkpoint for a patch, every chunk for a base.
-    pub chunks: usize,
-    /// Variable assignments written: the changed ones for a patch, all of
-    /// them for a base.
-    pub variables: usize,
-    /// Bytes written for the checkpoint record (patch frame, or base file).
-    pub bytes: u64,
-    /// Patch log length after the checkpoint, header included.
-    pub patch_log_bytes: u64,
+    /// WAL length when the checkpoint began, header included — what a
+    /// recovery at that point replays.
+    pub wal_bytes: u64,
     /// Base snapshot file length after the checkpoint.
     pub base_bytes: u64,
 }
 
-/// The state as of the last durable checkpoint — what the next patch is
-/// taken against. Structurally shared with the live store: it holds only
-/// the chunks the live side has un-shared since.
-struct Retained {
-    seq: u64,
-    db: Database,
-    world: World,
-    binding: BindingRec,
-}
-
-impl Retained {
-    fn of(s: SnapshotRef<'_>) -> Retained {
-        Retained {
-            seq: s.seq,
-            db: s.db.snapshot(),
-            world: s.world.clone(),
-            binding: s.binding.clone(),
-        }
-    }
-
-    /// The chunk patch taking this state to `s`. `None` when `s` has a
-    /// shape a patch cannot describe (relations, schemas, domains or the
-    /// binding changed), which calls for a new base.
-    fn patch_to(&self, s: SnapshotRef<'_>) -> Option<EncodedPatch> {
-        let (live_w, old_w) = (s.world, &self.world);
-        let same_domains = live_w.num_variables() == old_w.num_variables()
-            && live_w
-                .domains()
-                .iter()
-                .zip(old_w.domains())
-                .all(|(a, b)| Arc::ptr_eq(a, b));
-        let (live, old) = (relations_in_order(s.db), relations_in_order(&self.db));
-        let same_relations = live.len() == old.len()
-            && live
-                .iter()
-                .zip(&old)
-                .all(|(a, b)| a.name() == b.name() && a.schema() == b.schema());
-        if !same_domains || !same_relations || s.binding != &self.binding {
-            return None;
-        }
-        let changes = live_w
-            .assignment()
-            .iter()
-            .zip(old_w.assignment())
-            .enumerate()
-            .filter(|(_, (now, then))| now != then)
-            .map(|(v, (&now, _))| u32::try_from(v).map(|v| (v, now)))
-            .collect::<Result<Vec<_>, _>>()
-            .ok()?;
-        let mut e = Enc::new();
-        e.u8(REC_PATCH);
-        e.u8(PATCH_VERSION);
-        e.varint(s.seq);
-        e.varint(self.seq);
-        encode_chain_state(&mut e, s.chain);
-        e.varint(Relation::CHUNK_ROWS as u64);
-        e.varint(live.len() as u64);
-        let mut chunks = 0;
-        for (now, then) in live.iter().zip(&old) {
-            let dirty: Vec<usize> = now.chunks_not_shared_with(then).collect();
-            chunks += dirty.len();
-            encode_relation_patch(&mut e, now, &dirty);
-        }
-        encode_assignment_changes(&mut e, &changes);
-        Some(EncodedPatch {
-            payload: e.into_bytes(),
-            chunks,
-            changes,
-        })
-    }
-}
-
-/// A chunk patch ready to append.
-struct EncodedPatch {
-    /// The record payload.
-    payload: Vec<u8>,
-    /// Slot chunks it carries.
-    chunks: usize,
-    /// The assignment changes it carries, `(variable, new index)`.
-    changes: Vec<(u32, u16)>,
-}
-
-/// Bytes a framed record adds beyond its payload (length + CRC).
-const FRAME_OVERHEAD: u64 = 8;
-
-/// The durable store handle: owns the directory, the open WAL and patch
-/// log, and the state of the last checkpoint.
+/// The durable store handle: owns the directory and the open WAL.
 pub struct DurableStore {
     dir: PathBuf,
     wal: WalWriter,
-    patches: WalWriter,
     config: DurabilityConfig,
     next_seq: u64,
     io: Arc<dyn StoreIo>,
-    retained: Retained,
     base_bytes: u64,
+    /// Recovery found chunk patches an older store wrote; the next
+    /// compaction empties their log.
+    legacy_patches: bool,
     last_checkpoint: Option<CheckpointReport>,
     /// Set while a checkpoint is between its first write and its last: a
     /// checkpoint that failed there may have left the WAL re-created under
@@ -616,8 +571,8 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Initializes a store directory with `snapshot` as the initial base,
-    /// an empty patch log and an empty WAL. Creates the directory if
+    /// Initializes a store directory with `snapshot` as the initial base
+    /// and an empty WAL. Creates the directory if
     /// needed; refuses to overwrite an existing store.
     pub fn create(
         dir: &Path,
@@ -647,17 +602,15 @@ impl DurableStore {
             )));
         }
         let base_bytes = write_snapshot_with(&*io, dir, snapshot)?;
-        let patches = create_patch_log(&*io, dir)?;
         let wal = WalWriter::create_with(&*io, &dir.join(WAL_FILE), config.fsync)?;
         Ok(DurableStore {
             dir: dir.to_path_buf(),
             wal,
-            patches,
             config,
             next_seq: snapshot.seq + 1,
             io,
-            retained: Retained::of(snapshot.into()),
             base_bytes,
+            legacy_patches: false,
             last_checkpoint: None,
             poisoned: false,
         })
@@ -718,11 +671,12 @@ impl DurableStore {
         self.wal.sync()
     }
 
-    /// Checkpoints `state` (which must reflect sequence
-    /// `self.next_seq() - 1`) and truncates the WAL. Appends a chunk patch
-    /// against the previous checkpoint when one fits under
-    /// [`PATCH_LOG_BASE_MULTIPLE`], and compacts into a new base otherwise
-    /// (see the module docs); [`Self::last_checkpoint`] says which.
+    /// Checkpoints `state`, which must reflect sequence
+    /// `self.next_seq() - 1` and equal the base plus the logged records —
+    /// the WAL is what makes it durable. Syncs the WAL (a no-op when the
+    /// last group commit left it clean) and keeps it while it is within
+    /// [`WAL_BASE_MULTIPLE`] × the base; past that, compacts as
+    /// [`Self::compact`] does. [`Self::last_checkpoint`] says which.
     ///
     /// A failure after the first write poisons the store: the files are
     /// recoverable, but the handle refuses appends until
@@ -732,61 +686,55 @@ impl DurableStore {
         state: impl Into<SnapshotRef<'a>>,
     ) -> Result<(), DurabilityError> {
         let state = state.into();
+        let wal_bytes = self.wal.len();
+        if wal_bytes > self.base_bytes.saturating_mul(WAL_BASE_MULTIPLE) {
+            return self.compact(state);
+        }
         self.begin_checkpoint(state)?;
-        // Patches are keyed by sequence number, so a second checkpoint at
-        // the previous one's (nothing logged in between) is a base too.
-        let patch = (state.seq > self.retained.seq)
-            .then(|| self.retained.patch_to(state))
-            .flatten()
-            .filter(|p| {
-                self.patches.len() + FRAME_OVERHEAD + p.payload.len() as u64
-                    <= self.base_bytes.saturating_mul(PATCH_LOG_BASE_MULTIPLE)
-            });
-        let report = match patch {
-            Some(EncodedPatch {
-                payload,
-                chunks,
-                changes,
-            }) => {
-                // Step 2: the patch is durable before the WAL it replaces
-                // is touched.
-                self.patches.append(&payload)?;
-                self.patches.sync()?;
-                self.retained.seq = state.seq;
-                self.retained.db = state.db.snapshot();
-                for &(v, idx) in &changes {
-                    self.retained.world.set(VariableId(v), usize::from(idx));
-                }
-                CheckpointReport {
-                    seq: state.seq,
-                    kind: CheckpointKind::Patch,
-                    chunks,
-                    variables: changes.len(),
-                    bytes: FRAME_OVERHEAD + payload.len() as u64,
-                    patch_log_bytes: self.patches.len(),
-                    base_bytes: self.base_bytes,
-                }
-            }
-            None => self.write_base(state)?,
-        };
-        self.finish_checkpoint(report)
+        self.finish_checkpoint(CheckpointReport {
+            seq: state.seq,
+            kind: CheckpointKind::Wal,
+            wal_bytes,
+            base_bytes: self.base_bytes,
+        });
+        Ok(())
     }
 
-    /// Checkpoints `state` as a new base regardless of the patch log's
-    /// size: the compaction [`Self::checkpoint`] falls back to, on demand.
+    /// Checkpoints `state` as a new base regardless of the WAL's length and
+    /// empties the WAL: the compaction [`Self::checkpoint`] runs past its
+    /// budget, on demand. Protocol: WAL fsync, then the base through tmp →
+    /// fsync → rename → directory fsync, then a legacy patch log emptied
+    /// (its patches are at or below the new base's sequence number, so a
+    /// crash in between leaves them stale, never wrong), then the WAL
+    /// re-created.
     pub fn compact<'a>(
         &mut self,
         state: impl Into<SnapshotRef<'a>>,
     ) -> Result<(), DurabilityError> {
         let state = state.into();
+        let wal_bytes = self.wal.len();
         self.begin_checkpoint(state)?;
-        let report = self.write_base(state)?;
-        self.finish_checkpoint(report)
+        self.base_bytes = write_snapshot_with(&*self.io, &self.dir, state)?;
+        if self.legacy_patches {
+            create_patch_log(&*self.io, &self.dir)?;
+            self.legacy_patches = false;
+        }
+        // The WAL's records are at or below the base's sequence number now
+        // and replay skips them, so its re-creation is an optimization, not
+        // a correctness step — safe to crash before, during, or after.
+        self.wal = WalWriter::create_with(&*self.io, &self.dir.join(WAL_FILE), self.config.fsync)?;
+        self.finish_checkpoint(CheckpointReport {
+            seq: state.seq,
+            kind: CheckpointKind::Base,
+            wal_bytes,
+            base_bytes: self.base_bytes,
+        });
+        Ok(())
     }
 
-    /// Step 1 of either protocol: every interval the checkpoint embodies is
-    /// on disk before anything replaces it (otherwise a crash in between
-    /// could lose acknowledged intervals). Poisons until
+    /// The first step of either checkpoint: every interval the checkpoint
+    /// embodies is on disk before anything replaces it (otherwise a crash
+    /// in between could lose acknowledged intervals). Poisons until
     /// [`Self::finish_checkpoint`].
     fn begin_checkpoint(&mut self, state: SnapshotRef<'_>) -> Result<(), DurabilityError> {
         if state.seq + 1 != self.next_seq {
@@ -800,50 +748,21 @@ impl DurableStore {
         self.wal.sync()
     }
 
-    /// Compaction, steps 2–3: the base goes through tmp → fsync → rename →
-    /// directory fsync, then the patch log is re-created empty (patches it
-    /// held are at or below the new base's sequence number, so a crash in
-    /// between leaves them stale, never wrong).
-    fn write_base(&mut self, state: SnapshotRef<'_>) -> Result<CheckpointReport, DurabilityError> {
-        let bytes = write_snapshot_with(&*self.io, &self.dir, state)?;
-        self.base_bytes = bytes;
-        self.patches = create_patch_log(&*self.io, &self.dir)?;
-        self.retained = Retained::of(state);
-        Ok(CheckpointReport {
-            seq: state.seq,
-            kind: CheckpointKind::Base,
-            chunks: relations_in_order(state.db)
-                .iter()
-                .map(|r| r.chunk_count())
-                .sum(),
-            variables: state.world.num_variables(),
-            bytes,
-            patch_log_bytes: self.patches.len(),
-            base_bytes: bytes,
-        })
-    }
-
-    /// The last step of either protocol: truncate the WAL. Its records are
-    /// at or below the checkpoint's sequence number now and replay skips
-    /// them, so this is an optimization, not a correctness step — safe to
-    /// crash before, during, or after.
-    fn finish_checkpoint(&mut self, report: CheckpointReport) -> Result<(), DurabilityError> {
-        self.wal = WalWriter::create_with(&*self.io, &self.dir.join(WAL_FILE), self.config.fsync)?;
+    fn finish_checkpoint(&mut self, report: CheckpointReport) {
         self.poisoned = false;
         self.last_checkpoint = Some(report);
-        Ok(())
     }
 
-    /// Opens an existing store: reads the base, applies the patch log,
-    /// scans the WAL, truncates any torn tail of either log, and returns
-    /// the recovered checkpoint state, the interval records to replay
-    /// (those above its sequence number, gap-checked), the reopened store
-    /// handle, and a report of what was found. A store written before
-    /// patch logs existed opens as one with zero patches.
+    /// Opens an existing store: reads the base, applies a legacy patch log
+    /// if an older store left one, scans the WAL, truncates any torn tail
+    /// of either log, and returns the recovered checkpoint state, the
+    /// interval records to replay (those above its sequence number,
+    /// gap-checked), the reopened store handle, and a report of what was
+    /// found. A store without a patch log opens with zero patches.
     pub fn recover(
         dir: &Path,
         config: DurabilityConfig,
-    ) -> Result<(Snapshot, Vec<IntervalRecord>, DurableStore, RecoveryReport), DurabilityError>
+    ) -> Result<(Snapshot, Vec<LoggedInterval>, DurableStore, RecoveryReport), DurabilityError>
     {
         Self::recover_with_io(real_io(), dir, config)
     }
@@ -856,7 +775,7 @@ impl DurableStore {
         io: Arc<dyn StoreIo>,
         dir: &Path,
         config: DurabilityConfig,
-    ) -> Result<(Snapshot, Vec<IntervalRecord>, DurableStore, RecoveryReport), DurabilityError>
+    ) -> Result<(Snapshot, Vec<LoggedInterval>, DurableStore, RecoveryReport), DurabilityError>
     {
         let (mut state, base_bytes) = read_base(&*io, dir)?;
         let mut report = RecoveryReport {
@@ -864,8 +783,9 @@ impl DurableStore {
             ..RecoveryReport::default()
         };
 
-        // Patches: stale ones (a compaction crashed before emptying the
-        // log) are skipped, the rest must chain from the base in order.
+        // Patches (written by older stores): stale ones (a compaction
+        // crashed before emptying the log) are skipped, the rest must chain
+        // from the base in order.
         let patch_path = dir.join(PATCH_FILE);
         let patch_log = scan_log(&*io, &patch_path, KIND_PATCHES)?;
         for payload in &patch_log.scan.records {
@@ -901,9 +821,9 @@ impl DurableStore {
         // carries no information. A *full-length* header that fails
         // validation (foreign magic/kind, unknown version) is still a hard
         // error: that file holds something, just not ours. The patch log
-        // follows the same rule.
+        // follows the same rule, and is never re-created.
         let wal_path = dir.join(WAL_FILE);
-        let wal_log = scan_log(&*io, &wal_path, wal::KIND_WAL)?;
+        let mut wal_log = scan_log(&*io, &wal_path, wal::KIND_WAL)?;
         report.truncated_bytes = wal_log.truncated_bytes();
         report.torn = wal_log.describe().or_else(|| {
             let torn = patch_log.scan.torn.as_ref();
@@ -911,8 +831,8 @@ impl DurableStore {
         });
         let mut records = Vec::new();
         let mut expect = snapshot.seq + 1;
-        for payload in &wal_log.scan.records {
-            let rec = IntervalRecord::decode(payload)?;
+        for payload in std::mem::take(&mut wal_log.scan.records) {
+            let rec = LoggedInterval::decode(payload)?;
             if rec.seq <= snapshot.seq {
                 // Pre-checkpoint record in a WAL the checkpoint did not get
                 // to truncate — already folded into the checkpoint.
@@ -929,18 +849,15 @@ impl DurableStore {
         }
         report.replayed = records.len() as u64;
 
-        let patches = if patch_log.missing() {
-            create_patch_log(&*io, dir)?
-        } else {
-            let torn = patch_log.truncated_bytes() > 0;
+        if report.patch_truncated_bytes > 0 {
             WalWriter::reopen(
                 &*io,
                 &patch_path,
                 patch_log.scan.valid_len,
-                torn,
+                true,
                 FsyncPolicy::Never,
-            )?
-        };
+            )?;
+        }
         let wal = if wal_log.missing() {
             WalWriter::create_with(&*io, &wal_path, config.fsync)?
         } else {
@@ -949,12 +866,11 @@ impl DurableStore {
         let store = DurableStore {
             dir: dir.to_path_buf(),
             wal,
-            patches,
             config,
             next_seq: expect,
             io,
-            retained: Retained::of((&snapshot).into()),
             base_bytes,
+            legacy_patches: !patch_log.scan.records.is_empty(),
             last_checkpoint: None,
             poisoned: false,
         };
@@ -962,8 +878,7 @@ impl DurableStore {
     }
 }
 
-/// Creates (truncating) an empty patch log. Patches are synced explicitly,
-/// so the writer's own fsync policy is `Never`.
+/// Empties a legacy patch log: re-creates it as a bare header.
 fn create_patch_log(io: &dyn StoreIo, dir: &Path) -> Result<WalWriter, DurabilityError> {
     WalWriter::create_kind(io, &dir.join(PATCH_FILE), KIND_PATCHES, FsyncPolicy::Never)
 }
@@ -1143,10 +1058,13 @@ mod tests {
         assert_eq!(records[0].seq, 1);
         assert_eq!(records[1].seq, 2);
         assert_eq!(records[1].chain.rng, [2u8; 32]);
-        assert_eq!(
-            records[0].delta.added("T").sorted_support(),
-            vec![tuple![0i64, "b"]]
-        );
+        let logged = decode_delta(&mut Dec::new(records[0].delta_bytes())).unwrap();
+        assert_eq!(logged.added("T").sorted_support(), vec![tuple![0i64, "b"]]);
+        assert_eq!(records[0].delta_bytes(), {
+            let mut e = Enc::new();
+            encode_delta(&mut e, &interval(1).delta);
+            e.into_bytes()
+        });
         assert_eq!(store.next_seq(), 3);
         assert_eq!(report.replayed, 2);
         assert_eq!(report.truncated_bytes, 0);
@@ -1170,7 +1088,7 @@ mod tests {
             )
             .unwrap();
             store.append_interval(&interval(1)).unwrap();
-            store.checkpoint(&tiny_snapshot(1)).unwrap();
+            store.compact(&tiny_snapshot(1)).unwrap();
             drop(store);
             let wal_path = dir.join(WAL_FILE);
             match shape {
@@ -1267,7 +1185,7 @@ mod tests {
         store.append_interval(&interval(2)).unwrap();
         // Mismatched checkpoint seq is rejected.
         assert!(store.checkpoint(&tiny_snapshot(9)).is_err());
-        store.checkpoint(&tiny_snapshot(2)).unwrap();
+        store.compact(&tiny_snapshot(2)).unwrap();
         store.append_interval(&interval(3)).unwrap();
         store.sync().unwrap();
         drop(store);
@@ -1378,12 +1296,11 @@ mod tests {
         use crate::io::{FaultKind, FaultPoint, FaultSchedule, FaultyIo};
 
         let dir = test_dir("store_faulty_torn");
-        // `create` writes the snapshot tmp file (#1), the patch log header
-        // (#2) and the WAL header (#3) — not WAL records, but every write
-        // counts; interval commits are one write each, so write #5 is
-        // interval 2.
+        // `create` writes the snapshot tmp file (#1) and the WAL header
+        // (#2) — not WAL records, but every write counts; interval commits
+        // are one write each, so write #4 is interval 2.
         let fio = FaultyIo::new(FaultSchedule::new(vec![FaultPoint {
-            at: 5,
+            at: 4,
             kind: FaultKind::ShortWrite,
         }]));
         let io: Arc<dyn StoreIo> = Arc::new(fio.clone());
@@ -1477,68 +1394,64 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_patch_the_changed_chunks_and_compact_past_the_base() {
-        let dir = test_dir("store_patches");
+    fn checkpoints_keep_the_wal_until_it_outgrows_the_base() {
+        let dir = test_dir("store_wal_budget");
         let mut live = snapshot_of_rows(0, 300); // five chunks
         let mut store = DurableStore::create(&dir, &live, never()).unwrap();
+        // The state the current base holds.
+        let mut based = live.clone();
         let mut kinds = Vec::new();
-        for seq in 1..=24u64 {
+        for seq in 1..=120u64 {
             advance(&mut store, &mut live, seq, (seq as usize * 67) % 300);
+            let budget = fs_len(&dir, SNAPSHOT_FILE) * WAL_BASE_MULTIPLE;
             store.checkpoint(&live).unwrap();
             let report = *store.last_checkpoint().unwrap();
             assert_eq!(report.seq, seq);
             match report.kind {
-                CheckpointKind::Patch => {
-                    assert_eq!((report.chunks, report.variables), (1, 1));
-                    assert!(report.patch_log_bytes <= report.base_bytes);
+                CheckpointKind::Wal => {
+                    assert_eq!(report.base_bytes, budget / WAL_BASE_MULTIPLE);
+                    assert!(report.wal_bytes <= budget);
+                    assert_eq!(report.wal_bytes, fs_len(&dir, WAL_FILE));
                 }
                 CheckpointKind::Base => {
-                    assert_eq!((report.chunks, report.variables), (5, 300));
-                    assert_eq!(report.patch_log_bytes, wal::HEADER_LEN);
+                    assert!(report.wal_bytes > budget);
+                    assert_eq!(report.base_bytes, fs_len(&dir, SNAPSHOT_FILE));
+                    assert_eq!(fs_len(&dir, WAL_FILE), wal::HEADER_LEN);
+                    based = live.clone();
                 }
             }
             kinds.push(report.kind);
-            // Recovery rebuilds the live state byte for byte, with nothing
-            // left to replay.
+            // Recovery returns the base byte for byte, and the WAL holds
+            // every interval since it, densely.
             let (back, records, _, rec) = DurableStore::recover(&dir, never()).unwrap();
-            assert!(records.is_empty());
-            assert_eq!(rec.snapshot_seq, seq);
+            assert_eq!(rec.snapshot_seq, based.seq);
             assert!(rec.torn.is_none());
-            assert_eq!(encode_snapshot(&back), encode_snapshot(&live), "seq {seq}");
+            assert_eq!(encode_snapshot(&back), encode_snapshot(&based), "seq {seq}");
+            let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, (based.seq + 1..=seq).collect::<Vec<_>>());
         }
-        let patches = kinds
-            .iter()
-            .filter(|k| **k == CheckpointKind::Patch)
-            .count();
-        assert!(patches >= 12, "{kinds:?}");
-        assert!(kinds.contains(&CheckpointKind::Base), "{kinds:?}");
-        // A patch is a chunk, not the store.
-        assert!(
-            fs_len(&dir, PATCH_FILE) < fs_len(&dir, SNAPSHOT_FILE) * 2,
-            "the log never outgrows the base"
-        );
+        let bases = kinds.iter().filter(|k| **k == CheckpointKind::Base).count();
+        assert!((1..=4).contains(&bases), "{kinds:?}");
+        assert!(!dir.join(PATCH_FILE).exists(), "no patch log is written");
     }
 
     fn fs_len(dir: &Path, file: &str) -> u64 {
         std::fs::metadata(dir.join(file)).unwrap().len()
     }
 
-    #[test]
-    fn a_state_a_patch_cannot_describe_becomes_a_base() {
-        let dir = test_dir("store_reshape");
-        let mut live = snapshot_of_rows(0, 10);
-        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
-        advance(&mut store, &mut live, 1, 3);
-        let schema = Schema::from_pairs(&[("k", ValueType::Int)]).unwrap();
-        live.db.create_relation("U", schema).unwrap();
-        store.checkpoint(&live).unwrap();
-        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Base);
-        advance(&mut store, &mut live, 2, 4);
-        live.binding.column = 0;
-        store.checkpoint(&live).unwrap();
-        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Base);
-        let (back, _, _, _) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+    /// The store an older release wrote: a seq-0 base, two chunk patches
+    /// (seqs 1 and 2) and WAL records 3–5 (`crates/core/tests/fixtures`).
+    /// Returns a scratch copy and the live state at seq 5.
+    fn legacy_store(label: &str) -> (PathBuf, Snapshot) {
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures/parent_store");
+        let dir = test_dir(label);
+        for f in [SNAPSHOT_FILE, PATCH_FILE, WAL_FILE] {
+            std::fs::copy(fixture.join(f), dir.join(f)).unwrap();
+        }
+        let payload = std::fs::read(fixture.join("expected.snapshot")).unwrap();
+        let live = RawSnapshot::decode(&payload).unwrap().build().unwrap();
+        (dir, live)
     }
 
     /// The frames of a patch log, as byte ranges.
@@ -1555,46 +1468,38 @@ mod tests {
 
     #[test]
     fn stale_patches_are_skipped_and_a_broken_chain_is_corruption() {
-        let dir = test_dir("store_stale");
-        let mut live = snapshot_of_rows(0, 200);
-        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
-        for seq in 1..=2u64 {
-            advance(&mut store, &mut live, seq, seq as usize * 70);
-            store.checkpoint(&live).unwrap();
-        }
+        let (dir, live) = legacy_store("store_stale");
         let log = std::fs::read(dir.join(PATCH_FILE)).unwrap();
         assert_eq!(frames(&log).len(), 2);
+        let (_, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((rec.base_seq, rec.patches, rec.snapshot_seq), (0, 2, 2));
+        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), [3, 4, 5]);
 
         // A compaction that crashed after its rename but before emptying
         // the log leaves patches at or below the new base: skipped.
-        advance(&mut store, &mut live, 3, 150);
         store.compact(&live).unwrap();
         drop(store);
+        assert_eq!(fs_len(&dir, PATCH_FILE), wal::HEADER_LEN, "log retired");
         std::fs::write(dir.join(PATCH_FILE), &log).unwrap();
         let (back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!((rec.base_seq, rec.stale_patches, rec.patches), (3, 2, 0));
+        assert_eq!((rec.base_seq, rec.stale_patches, rec.patches), (5, 2, 0));
         assert!(records.is_empty());
         assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
-        // Patches after the stale ones chain from the new base. (The
-        // recovered state is what the reopened store patches against.)
-        let mut live = back;
-        advance(&mut store, &mut live, 4, 9);
+        // Stale patches are not live: a checkpoint under budget leaves
+        // them, the next compaction retires them.
         store.checkpoint(&live).unwrap();
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Wal);
+        assert_eq!(fs_len(&dir, PATCH_FILE), log.len() as u64);
+        store.compact(&live).unwrap();
         drop(store);
-        let (back, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!(
-            (rec.stale_patches, rec.patches, rec.snapshot_seq),
-            (2, 1, 4)
-        );
-        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+        assert_eq!(fs_len(&dir, PATCH_FILE), wal::HEADER_LEN);
+        let (_, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert_eq!((rec.stale_patches, rec.patches), (0, 0));
 
         // Forged logs over the seq-0 base: a patch repeated after a later
         // one regresses, a patch whose predecessor is missing breaks the
         // chain. Both are typed corruption, never a panic.
-        let dir = test_dir("store_forged");
-        let live = snapshot_of_rows(0, 200);
-        let base = DurableStore::create(&dir, &live, never()).unwrap();
-        drop(base);
+        let (dir, _) = legacy_store("store_forged");
         let ranges = frames(&log);
         let header = &log[..wal::HEADER_LEN as usize];
         let (p1, p2) = (&log[ranges[0].clone()], &log[ranges[1].clone()]);
@@ -1613,15 +1518,9 @@ mod tests {
 
     #[test]
     fn a_torn_patch_is_truncated_and_the_wal_replays_past_it() {
-        let dir = test_dir("store_torn_patch");
-        let mut live = snapshot_of_rows(0, 200);
-        let mut store = DurableStore::create(&dir, &live, never()).unwrap();
-        advance(&mut store, &mut live, 1, 5);
-        store.checkpoint(&live).unwrap();
-        advance(&mut store, &mut live, 2, 100);
-        store.sync().unwrap();
-        drop(store);
-        // The next checkpoint died mid-append: half a frame, WAL intact.
+        let (dir, live) = legacy_store("store_torn_patch");
+        // The older store's next checkpoint died mid-append: half a frame,
+        // WAL intact.
         let path = dir.join(PATCH_FILE);
         let mut log = std::fs::read(&path).unwrap();
         let clean = log.len() as u64;
@@ -1631,63 +1530,53 @@ mod tests {
         std::fs::write(&path, &log).unwrap();
 
         let (back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!((rec.snapshot_seq, rec.patches, rec.replayed), (1, 1, 1));
+        assert_eq!((rec.snapshot_seq, rec.patches, rec.replayed), (2, 2, 3));
         assert_eq!(rec.patch_truncated_bytes, 18);
         assert!(rec.torn.as_deref().unwrap().contains("patch log"));
-        assert_eq!(records[0].seq, 2);
+        assert_eq!((back.seq, records[0].seq), (2, 3));
         assert_eq!(fs_len(&dir, PATCH_FILE), clean, "torn tail truncated");
-        // Replaying record 2 is the caller's part; here it is the flip
-        // `advance` made. The reopened log appends behind the truncation
-        // point.
-        let mut back = back;
-        assert_eq!(back.seq, 1);
-        flip(&mut back, 100);
-        back.seq = 2;
-        back.chain.steps_taken = 20;
-        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
-        let live = back;
-        store.checkpoint(&live).unwrap();
-        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
+        // Replaying records 3–5 is the caller's part; `live` is its result.
+        store.compact(&live).unwrap();
         drop(store);
         let (back, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!((rec.patches, rec.patch_truncated_bytes), (2, 0));
+        assert_eq!((rec.patches, rec.patch_truncated_bytes), (0, 0));
         assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
     }
 
     #[test]
     fn a_store_without_a_patch_log_opens_with_zero_patches() {
-        // A store from before patch logs existed is a base and a WAL.
+        // A store is a base and a WAL: nothing writes a patch log.
         let dir = test_dir("store_pre_patch");
         let mut live = snapshot_of_rows(0, 100);
+        let base = encode_snapshot(&live);
         let mut store = DurableStore::create(&dir, &live, never()).unwrap();
         advance(&mut store, &mut live, 1, 7);
         store.sync().unwrap();
         drop(store);
-        std::fs::remove_file(dir.join(PATCH_FILE)).unwrap();
-        let (mut back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
+        assert!(!dir.join(PATCH_FILE).exists());
+        let (back, records, mut store, rec) = DurableStore::recover(&dir, never()).unwrap();
         assert_eq!((rec.patches, rec.replayed), (0, 1));
         assert!(rec.torn.is_none());
         assert_eq!(records.len(), 1);
-        flip(&mut back, 7);
-        back.seq = 1;
-        back.chain.steps_taken = 10;
-        let live = back;
+        assert_eq!(encode_snapshot(&back), base);
         store.checkpoint(&live).unwrap();
-        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Wal);
         drop(store);
+        assert!(!dir.join(PATCH_FILE).exists());
         let (back, _, _, rec) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!(rec.patches, 1);
-        assert_eq!(encode_snapshot(&back), encode_snapshot(&live));
+        assert_eq!((rec.patches, rec.replayed), (0, 1));
+        assert_eq!(encode_snapshot(&back), base);
     }
 
-    /// Syncs `FaultyIo` counts over 64 interval commits and one patch
-    /// checkpoint under `policy`, and the checkpoint's share of them.
-    fn syncs_over_a_checkpoint_cycle(name: &str, policy: FsyncPolicy) -> (u64, u64) {
+    /// `FaultyIo` counters over 64 interval commits and one checkpoint
+    /// under `policy`, and the checkpoint's share of them.
+    fn ops_over_a_checkpoint_cycle(name: &str, policy: FsyncPolicy) -> (u64, (u64, u64, u64)) {
         use crate::io::{FaultSchedule, FaultyIo};
 
         let dir = test_dir(name);
         let fio = FaultyIo::new(FaultSchedule::none());
-        let mut live = snapshot_of_rows(0, 300);
+        // A base large enough that 64 records stay under budget.
+        let mut live = snapshot_of_rows(0, 1000);
         let config = DurabilityConfig { fsync: policy };
         let mut store =
             DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, config).unwrap();
@@ -1695,25 +1584,24 @@ mod tests {
         for seq in 1..=64u64 {
             advance(&mut store, &mut live, seq, (seq as usize * 67) % 300);
         }
-        let committed = fio.syncs();
+        let (ops, writes, syncs) = (fio.ops(), fio.writes(), fio.syncs());
         store.checkpoint(&live).unwrap();
-        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Patch);
-        (fio.syncs() - created, fio.syncs() - committed)
+        assert_eq!(store.last_checkpoint().unwrap().kind, CheckpointKind::Wal);
+        let during = (fio.ops() - ops, fio.writes() - writes, fio.syncs() - syncs);
+        (fio.syncs() - created, during)
     }
 
     #[test]
     fn a_clean_log_is_not_synced_again() {
-        // EveryN(8): commits 8, 16, …, 64 sync the WAL. The checkpoint then
-        // syncs the patch and the new WAL's header — and neither the WAL
-        // the 64th commit just synced nor the replaced writer as it drops.
-        let (cycle, checkpoint) =
-            syncs_over_a_checkpoint_cycle("store_clean_every8", FsyncPolicy::EveryN(8));
-        assert_eq!((cycle, checkpoint), (10, 2));
-        // Under `Never` the WAL is dirty when the checkpoint begins, and it
-        // is synced: 64 unsynced commits, then the patch, then the header.
-        let (cycle, checkpoint) =
-            syncs_over_a_checkpoint_cycle("store_clean_never", FsyncPolicy::Never);
-        assert_eq!((cycle, checkpoint), (3, 3));
+        // EveryN(8): commits 8, 16, …, 64 sync the WAL, and the checkpoint
+        // finds it clean: no fsync, no file created or written.
+        let (cycle, during) =
+            ops_over_a_checkpoint_cycle("store_clean_every8", FsyncPolicy::EveryN(8));
+        assert_eq!((cycle, during), (8, (0, 0, 0)));
+        // Under `Never` the WAL is dirty when the checkpoint begins, and its
+        // one fsync is the checkpoint's only operation.
+        let (cycle, during) = ops_over_a_checkpoint_cycle("store_clean_never", FsyncPolicy::Never);
+        assert_eq!((cycle, during), (1, (1, 0, 1)));
     }
 
     #[test]
@@ -1726,16 +1614,12 @@ mod tests {
         let mut store =
             DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, never()).unwrap();
         advance(&mut store, &mut live, 1, 7);
-        // The checkpoint's first sync fails before any patch byte is
+        // The compaction's first sync fails before any base byte is
         // written: that sync was the WAL's.
         let writes = fio.writes();
         fio.inject_now(FaultKind::SyncErr);
-        assert!(store.checkpoint(&live).is_err());
-        assert_eq!(
-            fio.writes(),
-            writes,
-            "a patch byte preceded the WAL's fsync"
-        );
+        assert!(store.compact(&live).is_err());
+        assert_eq!(fio.writes(), writes, "a base byte preceded the WAL's fsync");
     }
 
     #[test]
@@ -1769,22 +1653,31 @@ mod tests {
     fn a_failed_checkpoint_refuses_appends_until_recovery() {
         use crate::io::{FaultKind, FaultSchedule, FaultyIo};
 
-        let dir = test_dir("store_failed_checkpoint");
-        let fio = FaultyIo::new(FaultSchedule::none());
-        let mut live = snapshot_of_rows(0, 100);
-        let mut store =
-            DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, never()).unwrap();
-        advance(&mut store, &mut live, 1, 7);
-        fio.inject_now(FaultKind::ShortWrite);
-        assert!(store.checkpoint(&live).is_err());
-        assert!(matches!(
-            store.append_interval(&interval(2)),
-            Err(DurabilityError::Corrupt(m)) if m.contains("poisoned")
-        ));
-        drop(store);
-        let (back, records, _, rec) = DurableStore::recover(&dir, never()).unwrap();
-        assert_eq!((back.seq, rec.replayed), (0, 1));
-        assert_eq!(records[0].seq, 1);
-        assert!(rec.patch_truncated_bytes > 0, "the torn patch is truncated");
+        // Under budget, the WAL's fsync is the checkpoint; past it, the
+        // base write tears.
+        for (fault, compact) in [(FaultKind::SyncErr, false), (FaultKind::ShortWrite, true)] {
+            let dir = test_dir("store_failed_checkpoint");
+            let fio = FaultyIo::new(FaultSchedule::none());
+            let mut live = snapshot_of_rows(0, 100);
+            let mut store =
+                DurableStore::create_with_io(Arc::new(fio.clone()), &dir, &live, never()).unwrap();
+            advance(&mut store, &mut live, 1, 7);
+            fio.inject_now(fault);
+            let failed = if compact {
+                store.compact(&live)
+            } else {
+                store.checkpoint(&live)
+            };
+            assert!(failed.is_err(), "{fault}");
+            assert!(matches!(
+                store.append_interval(&interval(2)),
+                Err(DurabilityError::Corrupt(m)) if m.contains("poisoned")
+            ));
+            drop(store);
+            let (back, records, _, rec) = DurableStore::recover(&dir, never()).unwrap();
+            assert_eq!((back.seq, rec.replayed), (0, 1), "{fault}");
+            assert_eq!(records[0].seq, 1);
+            assert!(rec.torn.is_none(), "{fault}: the torn base is a tmp file");
+        }
     }
 }

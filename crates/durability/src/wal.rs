@@ -28,7 +28,8 @@ pub const KIND_WAL: u8 = b'W';
 /// File-kind byte for a snapshot.
 pub const KIND_SNAPSHOT: u8 = b'S';
 /// File-kind byte for a chunk-patch log: the same framing as a WAL,
-/// carrying checkpoint patches instead of interval records.
+/// carrying checkpoint patches instead of interval records (written by
+/// older stores; read, and emptied at compaction, by this one).
 pub const KIND_PATCHES: u8 = b'P';
 /// Total header size: magic + kind + version + flags.
 pub const HEADER_LEN: u64 = 4 + 1 + 2 + 4;

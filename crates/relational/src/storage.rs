@@ -635,23 +635,13 @@ impl Relation {
 
     /// How many chunks this relation and `other` hold *by pointer identity*
     /// at the same position — what a snapshot has not yet had to copy.
+    /// Read by comparing pointers, never tracked on the write path.
     pub fn chunks_shared_with(&self, other: &Relation) -> usize {
-        self.chunk_count() - self.chunks_not_shared_with(other).count()
-    }
-
-    /// Indexes of this relation's chunks that `other` does not hold by
-    /// pointer identity at the same position (including chunks past the end
-    /// of `other`): the dirty set an incremental checkpoint writes. Read by
-    /// comparing pointers, never tracked on the write path.
-    pub fn chunks_not_shared_with<'a>(
-        &'a self,
-        other: &'a Relation,
-    ) -> impl Iterator<Item = usize> + 'a {
         self.chunks
             .iter()
-            .enumerate()
-            .filter(move |(c, chunk)| !other.chunks.get(*c).is_some_and(|o| Arc::ptr_eq(chunk, o)))
-            .map(|(c, _)| c)
+            .zip(&other.chunks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
     }
 
     /// True when every index allocation (primary key and each secondary
@@ -812,15 +802,6 @@ impl<'a> RawSlots<'a> {
     /// True when the relation never handed out a slot.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Chunk `c` and how many of its slots lie below [`RawSlots::len`]
-    /// (slots `c · CHUNK_ROWS ..`); `None` past the last chunk.
-    pub fn chunk(&self, c: usize) -> Option<(ChunkRef<'a>, usize)> {
-        let start = c.checked_mul(CHUNK_ROWS)?;
-        let n = self.len.checked_sub(start)?.min(CHUNK_ROWS);
-        let chunk: &'a Chunk = self.chunks.get(c)?;
-        Some((ChunkRef { chunk }, n))
     }
 
     /// Every chunk with its slot count, in `RowId` order — what an encoder
