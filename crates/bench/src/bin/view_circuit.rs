@@ -1,7 +1,7 @@
 //! View maintenance against re-execution: the paper queries, plus
 //! recursive-closure curves.
 //!
-//! Two experiments back the view circuit's two claims:
+//! Three experiments back the view circuit's claims:
 //!
 //! 1. **Parity** — on the paper's four queries the view applies MCMC
 //!    interval deltas and ends up equal to a full re-execution of the same
@@ -14,6 +14,10 @@
 //!    delete-and-rederive). Growth rows vary |Δ| at one closure size; flip
 //!    rows cut and restore one mid-chain edge (|Δ| = 1, the MCMC shape) at
 //!    two closure sizes, so flatness in the closure's size is on file.
+//! 3. **Build** — a view's one full evaluation (`MaterializedView::new`)
+//!    runs the executor's pipelines, so it costs about what `execute` of
+//!    the same plan does: both are timed per paper query at 20 K and 100 K
+//!    rows (median of nine alternating runs each).
 //!
 //! Emits `BENCH_view_circuit.json` to the workspace root (redirect or
 //! disable via `FGDB_JSON_OUT`). Exits nonzero when a view differs from
@@ -181,6 +185,31 @@ fn run_closure(
     }
 }
 
+/// The paper's four queries, named as the report names them.
+fn paper_plans() -> [(&'static str, Plan); 4] {
+    [
+        ("query1_select_project", paper_queries::query1("TOKEN")),
+        ("query2_distinct", paper_queries::query2("TOKEN")),
+        ("query3_grouped_counts", paper_queries::query3("TOKEN")),
+        ("query4_self_join", paper_queries::query4("TOKEN")),
+    ]
+}
+
+/// Median of `runs` (sorts them).
+fn median(runs: &mut [f64]) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
+/// Milliseconds `f` takes, not counting the drop of what it returns.
+fn ms<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    let out = f();
+    let elapsed = t.elapsed().as_secs_f64() * 1e3;
+    drop(std::hint::black_box(out));
+    elapsed
+}
+
 fn main() {
     let mut report = Report::new(
         "view_circuit",
@@ -191,6 +220,9 @@ fn main() {
             "circuit_us_per_batch",
             "reexec_us_per_batch",
             "closure_tuples",
+            "db_rows",
+            "build_ms",
+            "execute_ms",
         ],
     );
 
@@ -205,12 +237,7 @@ fn main() {
 
     let mut table = Vec::new();
     let mut violations = Vec::new();
-    for (qname, plan) in [
-        ("query1_select_project", paper_queries::query1("TOKEN")),
-        ("query2_distinct", paper_queries::query2("TOKEN")),
-        ("query3_grouped_counts", paper_queries::query3("TOKEN")),
-        ("query4_self_join", paper_queries::query4("TOKEN")),
-    ] {
+    for (qname, plan) in paper_plans() {
         // Pre-produce the delta stream once, then replay it against a fresh
         // copy of the same (deterministic) initial database; `db` is left at
         // the state after the last batch, where re-execution runs.
@@ -240,6 +267,9 @@ fn main() {
             delta_size.to_string(),
             format!("{circuit_us:.3}"),
             format!("{reexec_us:.3}"),
+            String::new(),
+            String::new(),
+            String::new(),
             String::new(),
         ]);
     }
@@ -286,6 +316,9 @@ fn main() {
             format!("{:.3}", run.circuit_us),
             format!("{:.3}", run.reexec_us),
             run.closure_tuples.to_string(),
+            String::new(),
+            String::new(),
+            String::new(),
         ]);
     };
 
@@ -344,6 +377,46 @@ fn main() {
             "re-exec µs",
             "speedup",
         ],
+        &table,
+    );
+
+    // ------------------------------------ build: view vs ad hoc execution --
+    const BUILD_REPS: usize = 9;
+    let mut table = Vec::new();
+    for rows in [scaled(20_000), scaled(100_000)] {
+        let db = build_token_db(rows);
+        for (qname, plan) in paper_plans() {
+            let (mut build, mut exec) = (Vec::new(), Vec::new());
+            for _ in 0..BUILD_REPS {
+                build.push(ms(|| {
+                    MaterializedView::new(&plan, &db).expect("view builds")
+                }));
+                exec.push(ms(|| execute(&plan, &db).expect("query runs")));
+            }
+            let (build_ms, execute_ms) = (median(&mut build), median(&mut exec));
+            table.push(vec![
+                qname.to_string(),
+                rows.to_string(),
+                format!("{build_ms:.3}"),
+                format!("{execute_ms:.3}"),
+                format!("{:.2}x", build_ms / execute_ms.max(1e-9)),
+            ]);
+            report.row(vec![
+                "build".into(),
+                qname.into(),
+                String::new(),
+                String::new(),
+                String::new(),
+                String::new(),
+                rows.to_string(),
+                format!("{build_ms:.3}"),
+                format!("{execute_ms:.3}"),
+            ]);
+        }
+    }
+    print_table(
+        &format!("view build vs execute (median of {BUILD_REPS})"),
+        &["query", "rows", "build ms", "execute ms", "build / execute"],
         &table,
     );
 

@@ -7,6 +7,19 @@
 //! world delta is one bottom-up sweep costing Θ(|Δ|), tested against naive
 //! re-execution.
 //!
+//! **Initialization runs on the executor.** The one-time full evaluation
+//! (Algorithm 1's "run full query to get initial results") is not a sweep:
+//! each node that keeps state — a join side's index, γ's group table, the
+//! kept inputs of ×, δ, ∖ and ∩, a fixpoint, the answer — implements the
+//! executor's [`Partial`](crate::exec) breaker state and is driven its
+//! inputs by the executor's split pipelines. σ over a scan runs as chunk
+//! masks (or an index probe), whole chunks reach a γ, and a scan of two
+//! morsels or more splits across the cores, each worker filling a partial
+//! state that merges with the others'. Float SUMs, index probes and
+//! fixpoint inputs stay on one worker, so a build answers and counts
+//! exactly what a one-worker build does. Only deltas take the circuit's own
+//! sweep.
+//!
 //! Beyond the non-recursive algebra the circuit maintains *recursion*: a
 //! [`Plan::Fixpoint`] compiles to a fixpoint node holding two nested
 //! sub-circuits (the non-recursive base term and the recursive step term,
@@ -77,11 +90,13 @@ use crate::algebra::{Plan, PlanError};
 use crate::counted::CountedSet;
 use crate::database::Database;
 use crate::delta::DeltaSet;
-use crate::exec::{bind_aggs, join_key_indices, AggAcc, AggSpec, ExecError};
-use crate::expr::{resolve_column, BoundExpr};
+use crate::exec::{
+    bind, bind_aggs, join_key_indices, relation_of, resolve_all, sums_add_exactly, AggSpec, Ctx,
+    ExecError, ExecStats, GroupState, Groups, Partial, Pipe, Split,
+};
+use crate::expr::BoundExpr;
 use crate::fasthash::TupleMap;
 use crate::row::{concat, Row, RowView};
-use crate::storage::Relation;
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
 use crate::zset::{NegativeWeight, ZSet};
@@ -190,7 +205,10 @@ impl From<NegativeWeight> for CircuitError {
 pub struct CircuitStats {
     /// Delta batches applied.
     pub deltas_applied: u64,
-    /// Base tuples read during initialization (one full evaluation).
+    /// Base tuples read during initialization: the executor's
+    /// [`ExecStats::tuples_scanned`] over every pipeline the build drove, so
+    /// a relation a plan reads twice counts twice and an index probe counts
+    /// the rows it names.
     pub init_tuples_scanned: u64,
     /// Delta rows processed across all operator nodes during `apply_delta`
     /// (the |Δ|-proportional cost the paper's Eq. 6 argues for).
@@ -213,53 +231,25 @@ pub struct CircuitStats {
 }
 
 /// One delta batch flowing into a circuit sweep. Exactly one of `deltas`
-/// (incremental maintenance) or `full` (initialization/rebuild: every source
-/// relation's full contents fed as an insert-only delta from empty state) is
+/// (incremental maintenance) or `copies` (a rebuilding fixpoint's copies of
+/// its source relations, fed as an insert-only delta from empty state) is
 /// normally set; `rec` additionally binds the enclosing fixpoint's recursive
 /// name to the current frontier when driving an inner step circuit.
 struct BatchInput<'a> {
     deltas: Option<&'a DeltaSet>,
-    full: Option<Full<'a>>,
+    copies: Option<&'a Copies>,
     rec: Option<(&'a str, &'a ZSet)>,
 }
 
-/// Where a full batch reads its relations' contents.
-#[derive(Clone, Copy)]
-enum Full<'a> {
-    /// The stored relations, read in place (initialization).
-    Stored(&'a Database),
-    /// A rebuilding fixpoint's own copies of its source relations.
-    Copies(&'a BTreeMap<Arc<str>, CountedSet>),
-}
+/// A rebuilding fixpoint's full copies of its source relations.
+type Copies = BTreeMap<Arc<str>, CountedSet>;
 
-impl Full<'_> {
-    /// An owned copy of relation `name`'s contents, for a fixpoint that
-    /// keeps one to rebuild from.
-    fn copy_of(self, name: &str) -> Option<CountedSet> {
-        match self {
-            Full::Stored(db) => db
-                .relation(name)
-                .ok()
-                .map(|rel| rel.rows().map(|r| r.to_tuple()).collect()),
-            Full::Copies(rels) => rels.get(name).cloned(),
-        }
-    }
-}
-
-/// A borrowed or owned per-node output delta for one batch. At
-/// initialization an input node hands out its stored relation and the
-/// stateless σ/π/∪ nodes above it stay [`DOut::Lazy`]: the first node that
-/// keeps rows streams them in place ([`each_row`]), so nothing between a
-/// scan and that node is built.
+/// A borrowed or owned per-node output delta for one batch.
 enum DOut<'a> {
     Empty,
     Counted(&'a CountedSet),
     Zs(&'a ZSet),
     Owned(ZSet),
-    /// Every live row of a stored relation, weight one.
-    Stored(&'a Relation),
-    /// A stateless node's output, computed as its consumer streams it.
-    Lazy,
 }
 
 impl<'a> BatchInput<'a> {
@@ -269,10 +259,8 @@ impl<'a> BatchInput<'a> {
                 return Some(DOut::Zs(z));
             }
         }
-        match self.full {
-            Some(Full::Stored(db)) => return db.relation(name).ok().map(DOut::Stored),
-            Some(Full::Copies(rels)) => return rels.get(name).map(DOut::Counted),
-            None => {}
+        if let Some(rels) = self.copies {
+            return rels.get(name).map(DOut::Counted);
         }
         self.deltas?.for_relation(name).map(DOut::Counted)
     }
@@ -282,22 +270,13 @@ impl<'a> BatchInput<'a> {
     }
 }
 
-impl<'a> DOut<'a> {
-    /// True when the rows are not held as tuples: [`each_row`] streams
-    /// them, [`materialize`] builds them.
-    fn is_streamed(&self) -> bool {
-        matches!(self, DOut::Stored(_) | DOut::Lazy)
-    }
-
-    /// The held rows. Streamed outputs exist at initialization only, where
-    /// every consumer goes through [`each_row`] or [`materialize`].
+impl DOut<'_> {
     fn iter(&self) -> Box<dyn Iterator<Item = (&Tuple, i64)> + '_> {
         match self {
             DOut::Empty => Box::new(std::iter::empty()),
             DOut::Counted(s) => Box::new(s.iter()),
             DOut::Zs(z) => Box::new(z.iter()),
             DOut::Owned(z) => Box::new(z.iter()),
-            DOut::Stored(_) | DOut::Lazy => unreachable!("streamed output read as tuples"),
         }
     }
 
@@ -307,17 +286,15 @@ impl<'a> DOut<'a> {
             DOut::Counted(s) => s.count(t),
             DOut::Zs(z) => z.weight(t),
             DOut::Owned(z) => z.weight(t),
-            DOut::Stored(_) | DOut::Lazy => unreachable!("streamed output probed"),
         }
     }
 
     fn distinct_len(&self) -> usize {
         match self {
-            DOut::Empty | DOut::Lazy => 0,
+            DOut::Empty => 0,
             DOut::Counted(s) => s.distinct_len(),
             DOut::Zs(z) => z.distinct_len(),
             DOut::Owned(z) => z.distinct_len(),
-            DOut::Stored(rel) => rel.len(),
         }
     }
 
@@ -327,86 +304,8 @@ impl<'a> DOut<'a> {
             DOut::Counted(s) => ZSet::from_counted(s),
             DOut::Zs(z) => z.clone(),
             DOut::Owned(z) => z,
-            DOut::Stored(_) | DOut::Lazy => unreachable!("streamed output taken as a Z-set"),
         }
     }
-}
-
-/// Streams node `idx`'s output rows into `f`. Held outputs are read as
-/// they are and a stored relation in place; a lazy node — a stateless σ, π
-/// or ∪ at initialization — streams its child through its own predicate or
-/// projection, counting the rows it reads as it would have when run.
-fn each_row(
-    nodes: &[CNode],
-    outs: &[DOut<'_>],
-    idx: usize,
-    stats: &mut CircuitStats,
-    count_work: bool,
-    f: &mut dyn FnMut(&mut CircuitStats, &RowView<'_, '_>, i64),
-) {
-    match &outs[idx] {
-        DOut::Lazy => match &nodes[idx].kind {
-            CKind::Select { child, pred } => each_row(
-                nodes,
-                outs,
-                *child,
-                stats,
-                count_work,
-                &mut |stats, r, c| {
-                    bump(stats, count_work, 1);
-                    if pred.matches(r) {
-                        f(stats, r, c);
-                    }
-                },
-            ),
-            CKind::Project { child, indices } => each_row(
-                nodes,
-                outs,
-                *child,
-                stats,
-                count_work,
-                &mut |stats, r, c| {
-                    bump(stats, count_work, 1);
-                    f(stats, &RowView::Project(r, indices), c);
-                },
-            ),
-            CKind::Union { left, right } => {
-                each_row(nodes, outs, *left, stats, count_work, f);
-                each_row(
-                    nodes,
-                    outs,
-                    *right,
-                    stats,
-                    count_work,
-                    &mut |stats, r, c| {
-                        bump(stats, count_work, 1);
-                        f(stats, r, c);
-                    },
-                );
-            }
-            _ => unreachable!("only stateless nodes are lazy"),
-        },
-        DOut::Stored(rel) => rel.rows().for_each(|r| f(stats, &RowView::Stored(r), 1)),
-        out => out
-            .iter()
-            .for_each(|(t, c)| f(stats, &RowView::Tuple(t), c)),
-    }
-}
-
-/// Node `idx`'s output as a Z-set: what a consumer that keeps every row
-/// (×, δ, ∖/∩, the root) builds from a streamed one.
-fn materialize(
-    nodes: &[CNode],
-    outs: &[DOut<'_>],
-    idx: usize,
-    stats: &mut CircuitStats,
-    count_work: bool,
-) -> ZSet {
-    let mut z = ZSet::new();
-    each_row(nodes, outs, idx, stats, count_work, &mut |_, r, c| {
-        z.add_row(r, c);
-    });
-    z
 }
 
 /// A flat operator pipeline in topological order (children strictly before
@@ -526,61 +425,108 @@ fn insert_keyed<R: Row + ?Sized>(
 /// costs one key projection and fingerprint, shared between the probe and
 /// the insert; NULL join keys match nothing.
 struct JoinState {
-    lk: Vec<usize>,
-    rk: Vec<usize>,
-    left_state: TupleMap<ZSet>,
-    right_state: TupleMap<ZSet>,
+    left: JoinSide,
+    right: JoinSide,
+}
+
+/// One input of a maintained join: its rows by join key.
+struct JoinSide {
+    keys: Vec<usize>,
+    index: TupleMap<ZSet>,
     scratch: Vec<Value>,
 }
 
-impl JoinState {
-    /// One row of ΔL: joined with R_old, then folded into the left index.
-    fn left_row<R: Row + ?Sized>(
-        &mut self,
-        lt: &R,
-        lc: i64,
-        out: &mut ZSet,
-        stats: &mut CircuitStats,
-        count_work: bool,
-    ) {
-        bump(stats, count_work, 1);
-        lt.project_into(&self.lk, &mut self.scratch);
-        if self.scratch.iter().any(Value::is_null) {
-            return;
+impl JoinSide {
+    fn new(keys: Vec<usize>) -> Self {
+        JoinSide {
+            keys,
+            index: TupleMap::new(),
+            scratch: Vec::new(),
         }
-        let fp = fingerprint_values(&self.scratch);
-        if let Some(rts) = self.right_state.get(fp, &self.scratch) {
-            for (rt, rc) in rts.iter() {
-                bump(stats, count_work, 1);
-                out.add(concat(lt, rt), lc * rc);
-            }
-        }
-        insert_keyed(&mut self.left_state, fp, &self.scratch, lt, lc);
     }
 
-    /// One row of ΔR: joined with L_new — which supplies both L_old ⋈ ΔR
-    /// and ΔL ⋈ ΔR — then folded into the right index.
-    fn right_row<R: Row + ?Sized>(
+    /// Projects `row`'s join key into the scratch buffer and returns its
+    /// fingerprint, or `None` for a key with a NULL, which joins nothing.
+    fn key_of<R: Row + ?Sized>(&mut self, row: &R) -> Option<u64> {
+        row.project_into(&self.keys, &mut self.scratch);
+        let null = self.scratch.iter().any(Value::is_null);
+        (!null).then(|| fingerprint_values(&self.scratch))
+    }
+}
+
+/// A join side at initialization: rows fold into their key's Z-set, and
+/// two workers' indexes merge key by key.
+impl<'db> Partial<'db> for JoinSide {
+    fn feed(&mut self, _: &mut ExecStats, row: &RowView<'db, '_>, mult: i64) {
+        if let Some(fp) = self.key_of(row) {
+            insert_keyed(&mut self.index, fp, &self.scratch, row, mult);
+        }
+    }
+
+    fn merge(&mut self, other: Self) {
+        for (key, rows) in other.index.into_entries() {
+            self.index
+                .get_or_insert_tuple(key, ZSet::new)
+                .merge_owned(rows);
+        }
+    }
+}
+
+/// The kept input of ×, δ, ∖ or ∩ at initialization: weights add.
+impl<'db> Partial<'db> for ZSet {
+    fn feed(&mut self, _: &mut ExecStats, row: &RowView<'db, '_>, mult: i64) {
+        self.add_row(row, mult);
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.merge_owned(other);
+    }
+}
+
+impl JoinState {
+    /// One row of ΔL (`left`) or ΔR: joined with the other side's index —
+    /// ΔL with R_old, ΔR with L_new, which supplies both L_old ⋈ ΔR and
+    /// ΔL ⋈ ΔR — then folded into its own side's index.
+    fn delta_row(
         &mut self,
-        rt: &R,
-        rc: i64,
+        left: bool,
+        t: &Tuple,
+        c: i64,
         out: &mut ZSet,
         stats: &mut CircuitStats,
         count_work: bool,
     ) {
         bump(stats, count_work, 1);
-        rt.project_into(&self.rk, &mut self.scratch);
-        if self.scratch.iter().any(Value::is_null) {
+        let (side, other) = match left {
+            true => (&mut self.left, &self.right),
+            false => (&mut self.right, &self.left),
+        };
+        let Some(fp) = side.key_of(t) else {
             return;
+        };
+        for (m, mc) in other
+            .index
+            .get(fp, &side.scratch)
+            .into_iter()
+            .flat_map(ZSet::iter)
+        {
+            bump(stats, count_work, 1);
+            let row = if left { concat(t, m) } else { concat(m, t) };
+            out.add(row, c * mc);
         }
-        let fp = fingerprint_values(&self.scratch);
-        if let Some(lts) = self.left_state.get(fp, &self.scratch) {
-            for (lt, lc) in lts.iter() {
-                bump(stats, count_work, 1);
-                out.add(concat(lt, rt), lc * rc);
-            }
-        }
-        insert_keyed(&mut self.right_state, fp, &self.scratch, rt, rc);
+        insert_keyed(&mut side.index, fp, &side.scratch, t, c);
+    }
+
+    /// The join of both indexes: the output of a join initialized from
+    /// empty state.
+    fn output(&self) -> ZSet {
+        let rows = self.left.index.iter().filter_map(|(key, lts)| {
+            let rts = self.right.index.get_tuple(key)?;
+            Some(lts.iter().flat_map(move |(lt, lc)| {
+                rts.iter().map(move |(rt, rc)| (concat(lt, rt), lc * rc))
+            }))
+        });
+        rows.flatten().collect()
     }
 }
 
@@ -602,37 +548,15 @@ impl SetOpKind {
     }
 }
 
-/// One γ group's state.
-struct GroupState {
-    /// Total input multiplicity in the group (existence test: n > 0, except
-    /// the global group which always exists).
-    n: i64,
-    accs: Vec<AggAcc>,
-}
-
-impl GroupState {
-    fn new(specs: &[AggSpec]) -> Self {
-        GroupState {
-            n: 0,
-            accs: specs.iter().map(AggAcc::new).collect(),
-        }
-    }
-
-    /// Assembles the group's output row through a reusable buffer: one
-    /// tuple allocation, no intermediate `Vec` per call.
-    fn output(&self, key: &[Value], buf: &mut Vec<Value>) -> Tuple {
-        buf.clear();
-        buf.extend_from_slice(key);
-        buf.extend(self.accs.iter().map(AggAcc::finish));
-        Tuple::from_slice(buf)
-    }
-}
-
 /// A maintained γ: per group its accumulators, and per batch the groups
 /// the batch touched with their output row from before it.
 struct AggState {
     group_idx: Vec<usize>,
     specs: Vec<AggSpec>,
+    /// Every SUM reads a column declared `Int`, so the partial group tables
+    /// of a split initialization add up exactly; otherwise (a float SUM)
+    /// the input is read on one worker.
+    exact: bool,
     groups: TupleMap<GroupState>,
     scratch: Vec<Value>,
     touched: TupleMap<Option<Tuple>>,
@@ -644,12 +568,13 @@ impl AggState {
         self.group_idx.is_empty()
     }
 
-    /// Starts a batch. At initialization the global group must exist (and
-    /// emit its zero-state row) even over an empty input — COUNT(*) of
-    /// nothing is 0, not absent.
-    fn begin(&mut self, init: bool) {
+    /// Starts a batch. From empty state (a rebuild from relation copies) the
+    /// global group must exist, and emit its zero-state row, even over an
+    /// empty input — COUNT(*) of nothing is 0, not absent. Once it exists it
+    /// is never removed.
+    fn begin(&mut self) {
         self.touched.clear();
-        if init && self.global() {
+        if self.global() && self.groups.is_empty() {
             let fp = fingerprint_values(&[]);
             self.touched.get_or_insert_with(fp, &[], || None);
             let specs = &self.specs;
@@ -763,30 +688,48 @@ fn absorb(
     }
 }
 
+/// A term circuit's first sweep from empty state, with the recursive
+/// input bound to the given frontier (none for the base).
+type FirstSweep<'f> =
+    dyn FnMut(&mut Flow, Option<&ZSet>, &mut CircuitStats) -> Result<ZSet, CircuitError> + 'f;
+
 impl FixpointNode {
-    /// One maintenance batch: initialization builds from the full relations;
-    /// afterwards an incremental fixpoint is maintained in place and any
-    /// other is rebuilt from its relation copies and diffed.
+    /// Initialization. A fixpoint that rebuilds on every delta first copies
+    /// its source relations. The fixpoint is then evaluated from the stored
+    /// relations: the base and the step's first iteration are initialized
+    /// by driving their pipelines, on one worker as every input of a
+    /// fixpoint is.
+    fn init(
+        &mut self,
+        ctx: Ctx<'_, '_>,
+        stats: &mut CircuitStats,
+        scanned: &mut ExecStats,
+    ) -> Result<(), CircuitError> {
+        let db = ctx.db;
+        if !self.incremental {
+            self.rels = self
+                .sources
+                .iter()
+                .filter_map(|r| {
+                    let rows = db.relation(r).ok()?.rows().map(|row| row.to_tuple());
+                    Some((Arc::clone(r), rows.collect()))
+                })
+                .collect();
+        }
+        let ctx = ctx.sequential();
+        self.rebuild(stats, false, &mut |flow, rec, stats| {
+            flow.init(ctx, rec, stats, scanned, &ZSet::new)
+        })
+    }
+
+    /// One maintenance batch: an incremental fixpoint is maintained in
+    /// place and any other is rebuilt from its relation copies and diffed.
     fn step_batch(
         &mut self,
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
-        init: bool,
         count_work: bool,
     ) -> Result<ZSet, CircuitError> {
-        if init {
-            let none = BTreeMap::new();
-            let full = input.full.unwrap_or(Full::Copies(&none));
-            if !self.incremental {
-                self.rels = self
-                    .sources
-                    .iter()
-                    .filter_map(|r| Some((Arc::clone(r), full.copy_of(r)?)))
-                    .collect();
-            }
-            self.rebuild(full, stats, count_work)?;
-            return Ok(self.out.clone());
-        }
         let Some(deltas) = input.deltas else {
             return Ok(ZSet::new());
         };
@@ -801,7 +744,15 @@ impl FixpointNode {
         stats.fixpoint_recomputes += 1;
         let old = std::mem::take(&mut self.out);
         let rels = std::mem::take(&mut self.rels);
-        let rebuilt = self.rebuild(Full::Copies(&rels), stats, count_work);
+        let rec = Arc::clone(&self.rec);
+        let rebuilt = self.rebuild(stats, count_work, &mut |flow, frontier, stats| {
+            let input = BatchInput {
+                deltas: None,
+                copies: Some(&rels),
+                rec: frontier.map(|z| (&*rec, z)),
+            };
+            flow.run(&input, stats, count_work)
+        });
         self.rels = rels;
         rebuilt?;
         let mut diff = self.out.clone();
@@ -809,31 +760,38 @@ impl FixpointNode {
         Ok(diff)
     }
 
-    /// Full fixpoint evaluation over the relations `full` reads, resetting
-    /// both sub-circuits and rebuilding `derived`/`out`.
+    /// Full fixpoint evaluation, resetting both sub-circuits and rebuilding
+    /// `derived`/`out`. `first` runs each term's first sweep from empty
+    /// state — the base's, and the step's with the recursive input bound
+    /// to the first frontier; later iterations feed the step circuit the
+    /// frontier alone.
     fn rebuild(
         &mut self,
-        full: Full<'_>,
         stats: &mut CircuitStats,
         count_work: bool,
+        first: &mut FirstSweep<'_>,
     ) -> Result<(), CircuitError> {
         self.base.reset();
         self.step.reset();
         self.derived = ZSet::new();
         self.out = ZSet::new();
+        let d_base = first(&mut self.base, None, stats)?;
         let rec_name: &str = self.rec.as_ref();
         let cap = self.cap;
-        let base = &mut self.base;
         let step = &mut self.step;
         let derived = &mut self.derived;
         let out = &mut self.out;
-
-        let full_input = BatchInput {
-            deltas: None,
-            full: Some(full),
-            rec: None,
+        let mut sweep = |frontier: &ZSet, is_first: bool, stats: &mut CircuitStats| {
+            if is_first {
+                return first(step, Some(frontier), stats);
+            }
+            let input = BatchInput {
+                deltas: None,
+                copies: None,
+                rec: Some((rec_name, frontier)),
+            };
+            step.run(&input, stats, count_work)
         };
-        let d_base = base.run(&full_input, stats, true, count_work)?;
 
         if self.all {
             // Bag semantics (`UNION ALL`): working-table iteration. The
@@ -856,13 +814,7 @@ impl FixpointNode {
                 stats.fixpoint_iterations += 1;
                 let mut rec_delta = working.clone();
                 rec_delta.merge(&prev_working.negated());
-                let inp = BatchInput {
-                    deltas: None,
-                    full: first.then_some(full),
-                    rec: Some((rec_name, &rec_delta)),
-                };
-                let d_step = step.run(&inp, stats, first, count_work)?;
-                cur_step.merge_owned(d_step);
+                cur_step.merge_owned(sweep(&rec_delta, first, stats)?);
                 out.merge(&cur_step);
                 prev_working = working;
                 working = cur_step.clone();
@@ -882,12 +834,7 @@ impl FixpointNode {
                     return Err(CircuitError::IterationLimit { cap });
                 }
                 stats.fixpoint_iterations += 1;
-                let inp = BatchInput {
-                    deltas: None,
-                    full: first.then_some(full),
-                    rec: Some((rec_name, &frontier)),
-                };
-                let d_step = step.run(&inp, stats, first, count_work)?;
+                let d_step = sweep(&frontier, first, stats)?;
                 let mut next = ZSet::new();
                 absorb(d_step, derived, out, &mut next, None);
                 if next.is_empty() {
@@ -949,10 +896,10 @@ impl FixpointNode {
         let rec_name: &str = self.rec.as_ref();
         let base_inp = BatchInput {
             deltas: Some(inserts),
-            full: None,
+            copies: None,
             rec: None,
         };
-        let d_base = self.base.run(&base_inp, stats, false, count_work)?;
+        let d_base = self.base.run(&base_inp, stats, count_work)?;
         absorb(
             d_base,
             &mut self.derived,
@@ -975,10 +922,10 @@ impl FixpointNode {
                 stats.fixpoint_iterations += 1;
                 let inp = BatchInput {
                     deltas: first.then_some(inserts),
-                    full: None,
+                    copies: None,
                     rec: Some((rec_name, &frontier)),
                 };
-                let d_step = self.step.run(&inp, stats, false, count_work)?;
+                let d_step = self.step.run(&inp, stats, count_work)?;
                 let mut next = ZSet::new();
                 absorb(
                     d_step,
@@ -1016,11 +963,11 @@ impl FixpointNode {
         let rec_name: &str = self.rec.as_ref();
         let world = BatchInput {
             deltas: Some(removed),
-            full: None,
+            copies: None,
             rec: None,
         };
-        let mut lost = self.base.run(&world, stats, false, count_work)?;
-        lost.merge_owned(self.step.run(&world, stats, false, count_work)?);
+        let mut lost = self.base.run(&world, stats, count_work)?;
+        lost.merge_owned(self.step.run(&world, stats, count_work)?);
         let mut iters: usize = 0;
         loop {
             let mut leaving = ZSet::new();
@@ -1048,10 +995,10 @@ impl FixpointNode {
             stats.fixpoint_iterations += 1;
             let inp = BatchInput {
                 deltas: None,
-                full: None,
+                copies: None,
                 rec: Some((rec_name, &leaving)),
             };
-            lost = self.step.run(&inp, stats, false, count_work)?;
+            lost = self.step.run(&inp, stats, count_work)?;
         }
     }
 }
@@ -1076,46 +1023,26 @@ fn split_by_sign(deltas: &DeltaSet, sources: &[Arc<str>]) -> (DeltaSet, DeltaSet
 
 impl CNode {
     /// Processes one batch, reading child outputs from `outs` (children are
-    /// always earlier in the flow, in `before`) and returning this node's
-    /// output delta. At initialization (`init`) σ, π and ∪ stay lazy and
-    /// every other node reads its children through [`each_row`] or
-    /// [`materialize`].
+    /// always earlier in the flow) and returning this node's output delta.
     fn step<'d>(
         &mut self,
-        before: &[CNode],
         input: &BatchInput<'d>,
         outs: &[DOut<'d>],
         stats: &mut CircuitStats,
-        init: bool,
         count_work: bool,
     ) -> Result<DOut<'d>, CircuitError> {
         if !input.touches(&self.sources) {
             return Ok(DOut::Empty);
         }
-        // A keeping node's view of child `idx`: a streamed output is built
-        // here, once.
-        let held = |idx: usize, stats: &mut CircuitStats| -> Option<DOut<'d>> {
-            outs[idx]
-                .is_streamed()
-                .then(|| DOut::Owned(materialize(before, outs, idx, stats, count_work)))
-        };
         Ok(match &mut self.kind {
-            CKind::Input { relation } => match input.relation(relation) {
-                Some(d) => {
-                    bump(stats, count_work, d.distinct_len() as u64);
-                    d
+            CKind::Input { relation: name } | CKind::RecInput { name } => {
+                match input.relation(name) {
+                    Some(d) => {
+                        bump(stats, count_work, d.distinct_len() as u64);
+                        d
+                    }
+                    None => DOut::Empty,
                 }
-                None => DOut::Empty,
-            },
-            CKind::RecInput { name } => match input.relation(name) {
-                Some(d) => {
-                    bump(stats, count_work, d.distinct_len() as u64);
-                    d
-                }
-                None => DOut::Empty,
-            },
-            CKind::Select { .. } | CKind::Project { .. } | CKind::Union { .. } if init => {
-                DOut::Lazy
             }
             CKind::Select { child, pred } => {
                 let d = &outs[*child];
@@ -1143,9 +1070,7 @@ impl CNode {
                 left_state,
                 right_state,
             } => {
-                let (hl, hr) = (held(*left, stats), held(*right, stats));
-                let dl = hl.as_ref().unwrap_or(&outs[*left]);
-                let dr = hr.as_ref().unwrap_or(&outs[*right]);
+                let (dl, dr) = (&outs[*left], &outs[*right]);
                 let mut out = ZSet::new();
                 // ΔL × R_old
                 for (lt, lc) in dl.iter() {
@@ -1168,70 +1093,26 @@ impl CNode {
             CKind::Join { left, right, join } => {
                 let mut out = ZSet::new();
                 // ΔL ⋈ R_old, folding ΔL into the left index as we go, then
-                // L_new ⋈ ΔR. A stored side is read in place and each of its
-                // rows built once, into the index that keeps it.
-                if init {
-                    each_row(
-                        before,
-                        outs,
-                        *left,
-                        stats,
-                        count_work,
-                        &mut |stats, lt, lc| join.left_row(lt, lc, &mut out, stats, count_work),
-                    );
-                    each_row(
-                        before,
-                        outs,
-                        *right,
-                        stats,
-                        count_work,
-                        &mut |stats, rt, rc| join.right_row(rt, rc, &mut out, stats, count_work),
-                    );
-                } else {
-                    for (lt, lc) in outs[*left].iter() {
-                        join.left_row(lt, lc, &mut out, stats, count_work);
-                    }
-                    for (rt, rc) in outs[*right].iter() {
-                        join.right_row(rt, rc, &mut out, stats, count_work);
-                    }
+                // L_new ⋈ ΔR.
+                for (lt, lc) in outs[*left].iter() {
+                    join.delta_row(true, lt, lc, &mut out, stats, count_work);
+                }
+                for (rt, rc) in outs[*right].iter() {
+                    join.delta_row(false, rt, rc, &mut out, stats, count_work);
                 }
                 DOut::Owned(out)
             }
             CKind::Aggregate { child, agg } => {
-                agg.begin(init);
-                if init {
-                    // Initialization streams the source rows into the
-                    // accumulators: only groups are built.
-                    let mut failed = None;
-                    each_row(
-                        before,
-                        outs,
-                        *child,
-                        stats,
-                        count_work,
-                        &mut |stats, t, c| {
-                            bump(stats, count_work, 1);
-                            if failed.is_none() {
-                                failed = agg.feed(t, c).err();
-                            }
-                        },
-                    );
-                    if let Some(e) = failed {
-                        return Err(e);
-                    }
-                } else {
-                    for (t, c) in outs[*child].iter() {
-                        bump(stats, count_work, 1);
-                        agg.feed(t, c)?;
-                    }
+                agg.begin();
+                for (t, c) in outs[*child].iter() {
+                    bump(stats, count_work, 1);
+                    agg.feed(t, c)?;
                 }
                 DOut::Owned(agg.finish())
             }
             CKind::Distinct { child, state } => {
-                let h = held(*child, stats);
-                let d = h.as_ref().unwrap_or(&outs[*child]);
                 let mut out = ZSet::new();
-                for (t, c) in d.iter() {
+                for (t, c) in outs[*child].iter() {
                     bump(stats, count_work, 1);
                     let old = state.weight(t);
                     let new = state.add(t.clone(), c);
@@ -1265,9 +1146,7 @@ impl CNode {
                 left_state,
                 right_state,
             } => {
-                let (hl, hr) = (held(*left, stats), held(*right, stats));
-                let dl = hl.as_ref().unwrap_or(&outs[*left]);
-                let dr = hr.as_ref().unwrap_or(&outs[*right]);
+                let (dl, dr) = (&outs[*left], &outs[*right]);
                 let mut out = ZSet::new();
                 // Re-derive the output count of every touched tuple.
                 for t in dl.iter().map(|(t, _)| t).chain(dr.iter().map(|(t, _)| t)) {
@@ -1286,9 +1165,163 @@ impl CNode {
                 merge_dout(right_state, dr);
                 DOut::Owned(out)
             }
-            CKind::Fixpoint(fx) => DOut::Owned(fx.step_batch(input, stats, init, count_work)?),
+            CKind::Fixpoint(fx) => DOut::Owned(fx.step_batch(input, stats, count_work)?),
         })
     }
+
+    /// Initializes this node's state from its inputs' outputs, the nodes
+    /// below it (`before`, with their outputs `outs`) already initialized,
+    /// and returns its own output — its first delta, from empty state — or
+    /// `None` for a stateless node, whose rows stream through. Each input
+    /// is driven into the state that keeps it: a join side's index, γ's
+    /// group table, the kept inputs of ×, δ, ∖ and ∩; a fixpoint evaluates
+    /// itself.
+    fn init(
+        &mut self,
+        before: &[CNode],
+        outs: &[Option<ZSet>],
+        ctx: Ctx<'_, '_>,
+        rec: Option<&ZSet>,
+        stats: &mut CircuitStats,
+        scanned: &mut ExecStats,
+    ) -> Result<Option<ZSet>, CircuitError> {
+        let input = |idx: usize, scanned: &mut ExecStats| {
+            drive_output(before, outs, idx, ctx, rec, scanned, &ZSet::new)
+        };
+        Ok(Some(match &mut self.kind {
+            CKind::Product {
+                left,
+                right,
+                left_state,
+                right_state,
+            } => {
+                *left_state = input(*left, scanned)?;
+                *right_state = input(*right, scanned)?;
+                let right_state = &*right_state;
+                let rows = left_state.iter().flat_map(|(l, lc)| {
+                    right_state
+                        .iter()
+                        .map(move |(r, rc)| (l.concat(r), lc * rc))
+                });
+                rows.collect()
+            }
+            CKind::Join { left, right, join } => {
+                let (lk, rk) = (join.left.keys.clone(), join.right.keys.clone());
+                let fresh_left = || JoinSide::new(lk.clone());
+                join.left = drive_output(before, outs, *left, ctx, rec, scanned, &fresh_left)?;
+                let fresh_right = || JoinSide::new(rk.clone());
+                join.right = drive_output(before, outs, *right, ctx, rec, scanned, &fresh_right)?;
+                join.output()
+            }
+            CKind::Aggregate { child, agg } => {
+                let ctx = if agg.exact { ctx } else { ctx.sequential() };
+                let fresh = || Groups::new(&agg.group_idx, &agg.specs);
+                let groups = drive_output(before, outs, *child, ctx, rec, scanned, &fresh)?;
+                // Every group holds a row, or is the global group.
+                let (mut out, mut buf) = (ZSet::new(), Vec::new());
+                for (key, group) in groups.into_entries() {
+                    out.add(group.output(key.values(), &mut buf), 1);
+                    agg.groups.get_or_insert_tuple(key, || group);
+                }
+                out
+            }
+            CKind::Distinct { child, state } => {
+                *state = input(*child, scanned)?;
+                state.distinct()
+            }
+            CKind::SetOp {
+                left,
+                right,
+                kind,
+                left_state,
+                right_state,
+            } => {
+                *left_state = input(*left, scanned)?;
+                *right_state = input(*right, scanned)?;
+                // A tuple the left input lacks is output by neither ∖ nor ∩.
+                let counts = left_state
+                    .iter()
+                    .map(|(t, l)| (t.clone(), kind.out_count(l, right_state.weight(t))));
+                counts.collect()
+            }
+            CKind::Fixpoint(fx) => {
+                fx.init(ctx, stats, scanned)?;
+                fx.out.clone()
+            }
+            CKind::Input { .. }
+            | CKind::RecInput { .. }
+            | CKind::Select { .. }
+            | CKind::Project { .. }
+            | CKind::Union { .. } => return Ok(None),
+        }))
+    }
+}
+
+/// Node `idx`'s output at initialization, as pipelines whose union it is.
+/// A stored relation is scanned — a σ right above it runs as a chunk mask,
+/// or as an index probe where an index answers it — σ and π wrap each
+/// pipeline of their input, and a ∪ takes both inputs' pipelines. A node
+/// that keeps state pushes the output its initialization returned (in
+/// `outs`), and the recursive input pushes `rec`.
+fn pipes<'a, 'db>(
+    nodes: &[CNode],
+    outs: &'a [Option<ZSet>],
+    idx: usize,
+    db: &'db Database,
+    rec: Option<&'a ZSet>,
+) -> Result<Vec<Pipe<'a, 'db>>, CircuitError> {
+    let inner = |child: usize| pipes(nodes, outs, child, db, rec);
+    let held = |rows: Option<&'a ZSet>| -> Pipe<'a, 'db> {
+        Pipe::Held(Box::new(move |stats, sink| {
+            for (t, w) in rows.into_iter().flat_map(ZSet::iter) {
+                sink(stats, &RowView::Tuple(t), w);
+            }
+        }))
+    };
+    Ok(match &nodes[idx].kind {
+        CKind::Input { relation } => vec![Pipe::scan(relation_of(db, relation)?, None)],
+        CKind::Select { child, pred } => match &nodes[*child].kind {
+            CKind::Input { relation } => {
+                vec![Pipe::scan(relation_of(db, relation)?, Some(pred.clone()))]
+            }
+            _ => inner(*child)?
+                .into_iter()
+                .map(|p| Pipe::Select(Box::new(p), pred.clone()))
+                .collect(),
+        },
+        CKind::Project { child, indices } => inner(*child)?
+            .into_iter()
+            .map(|p| Pipe::Project(Box::new(p), indices.clone()))
+            .collect(),
+        CKind::Union { left, right } => {
+            let mut both = inner(*left)?;
+            both.extend(inner(*right)?);
+            both
+        }
+        CKind::RecInput { .. } => vec![held(rec)],
+        _ => vec![held(outs[idx].as_ref())],
+    })
+}
+
+/// Drives node `idx`'s output ([`pipes`]) into one state made by `fresh`.
+fn drive_output<'db, P: Partial<'db>>(
+    nodes: &[CNode],
+    outs: &[Option<ZSet>],
+    idx: usize,
+    ctx: Ctx<'_, 'db>,
+    rec: Option<&ZSet>,
+    scanned: &mut ExecStats,
+    fresh: &(impl Fn() -> P + Sync),
+) -> Result<P, CircuitError> {
+    let mut pipes = pipes(nodes, outs, idx, ctx.db, rec)?.into_iter();
+    let mut state = match pipes.next() {
+        Some(pipe) => pipe.drive(ctx, scanned, fresh)?,
+        None => fresh(),
+    };
+    for pipe in pipes {
+        state.merge(pipe.drive(ctx, scanned, fresh)?);
+    }
+    Ok(state)
 }
 
 impl Flow {
@@ -1298,6 +1331,32 @@ impl Flow {
         Ok(Flow { nodes })
     }
 
+    /// Initializes every node, in flow order, from the stored relations —
+    /// and, in a fixpoint's step, the recursive input `rec` — and returns
+    /// the root's output: the circuit's answer, or what a fixpoint's term
+    /// derives. A root that keeps state returns what its initialization
+    /// built; any other root's pipelines are driven into a state made by
+    /// `fresh`.
+    fn init<'db, P: Partial<'db> + From<ZSet>>(
+        &mut self,
+        ctx: Ctx<'_, 'db>,
+        rec: Option<&ZSet>,
+        stats: &mut CircuitStats,
+        scanned: &mut ExecStats,
+        fresh: &(impl Fn() -> P + Sync),
+    ) -> Result<P, CircuitError> {
+        let mut outs = Vec::with_capacity(self.nodes.len());
+        for i in 0..self.nodes.len() {
+            let (before, rest) = self.nodes.split_at_mut(i);
+            let out = rest[0].init(before, &outs, ctx, rec, stats, scanned)?;
+            outs.push(out);
+        }
+        match outs.pop().flatten() {
+            Some(out) => Ok(out.into()),
+            None => drive_output(&self.nodes, &outs, outs.len(), ctx, rec, scanned, fresh),
+        }
+    }
+
     /// One bottom-up sweep: every node consumes its children's deltas (by
     /// index into `outs`) and appends its own. The root's delta is the
     /// circuit's output delta for this batch.
@@ -1305,21 +1364,14 @@ impl Flow {
         &mut self,
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
-        init: bool,
         count_work: bool,
     ) -> Result<ZSet, CircuitError> {
         let mut outs: Vec<DOut<'_>> = Vec::with_capacity(self.nodes.len());
-        for i in 0..self.nodes.len() {
-            let (before, rest) = self.nodes.split_at_mut(i);
-            let out = rest[0].step(before, input, &outs, stats, init, count_work)?;
+        for node in &mut self.nodes {
+            let out = node.step(input, &outs, stats, count_work)?;
             outs.push(out);
         }
-        match outs.len().checked_sub(1) {
-            Some(root) if outs[root].is_streamed() => {
-                Ok(materialize(&self.nodes, &outs, root, stats, count_work))
-            }
-            _ => Ok(outs.pop().map(DOut::into_zset).unwrap_or_default()),
-        }
+        Ok(outs.pop().map(DOut::into_zset).unwrap_or_default())
     }
 
     /// Clears all operator state, returning the flow to its pre-init form.
@@ -1335,8 +1387,8 @@ impl Flow {
                     *right_state = ZSet::new();
                 }
                 CKind::Join { join, .. } => {
-                    join.left_state.clear();
-                    join.right_state.clear();
+                    join.left.index.clear();
+                    join.right.index.clear();
                 }
                 CKind::Aggregate { agg, .. } => {
                     agg.groups.clear();
@@ -1458,23 +1510,13 @@ fn compile_into(
             )
         }
         Plan::Select { input, predicate } => {
-            let cols = input.output_columns(db)?;
-            let pred = predicate
-                .bind(&cols)
-                .map_err(|c| ExecError::Plan(PlanError::UnknownColumn(c)))?;
+            let pred = bind(predicate, &input.output_columns(db)?)?;
             let child = compile_into(input, db, rec, nodes)?;
             let src = nodes[child].sources.clone();
             (CKind::Select { child, pred }, src)
         }
         Plan::Project { input, columns } => {
-            let cols = input.output_columns(db)?;
-            let indices = columns
-                .iter()
-                .map(|c| {
-                    resolve_column(&cols, c)
-                        .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(c.to_string())))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let indices = resolve_all(columns, &input.output_columns(db)?)?;
             let child = compile_into(input, db, rec, nodes)?;
             let src = nodes[child].sources.clone();
             (CKind::Project { child, indices }, src)
@@ -1505,11 +1547,8 @@ fn compile_into(
                     left: l,
                     right: r,
                     join: JoinState {
-                        lk,
-                        rk,
-                        left_state: TupleMap::new(),
-                        right_state: TupleMap::new(),
-                        scratch: Vec::new(),
+                        left: JoinSide::new(lk),
+                        right: JoinSide::new(rk),
                     },
                 },
                 src,
@@ -1521,14 +1560,9 @@ fn compile_into(
             aggs,
         } => {
             let cols = input.output_columns(db)?;
-            let group_idx = group_by
-                .iter()
-                .map(|c| {
-                    resolve_column(&cols, c)
-                        .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(c.to_string())))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let group_idx = resolve_all(group_by, &cols)?;
             let specs = bind_aggs(aggs, &cols)?;
+            let exact = sums_add_exactly(&specs, input, db);
             let child = compile_into(input, db, rec, nodes)?;
             let src = nodes[child].sources.clone();
             (
@@ -1537,6 +1571,7 @@ fn compile_into(
                     agg: AggState {
                         group_idx,
                         specs,
+                        exact,
                         groups: TupleMap::new(),
                         scratch: Vec::new(),
                         touched: TupleMap::new(),
@@ -1662,34 +1697,35 @@ pub(crate) struct Circuit {
 }
 
 impl Circuit {
-    /// Compiles `plan` and runs the one-time full evaluation: every source
-    /// relation's contents are fed through the circuit as an insert-only
-    /// delta from empty state (initialization *is* the first delta). The
-    /// stored rows are pushed in place through the stateless σ/π nodes into
-    /// the first node that keeps rows — γ's accumulators, a join's index,
-    /// the answer — so only what is kept is built.
+    /// Compiles `plan` and runs the one-time full evaluation on the
+    /// machine's cores ([`Circuit::build`]).
     pub fn new(plan: &Plan, db: &Database) -> Result<Self, CircuitError> {
+        Circuit::build(plan, db, Split::machine())
+    }
+
+    /// Compiles `plan` and initializes it from `db` with the executor's
+    /// pipelines, split as `split` allows: in flow order, each node that
+    /// keeps state is driven its inputs' rows — stored relations read a
+    /// chunk at a time under σ masks (or through an index probe) and
+    /// streamed through σ and π, or the output of a node below that keeps
+    /// state — and the answer is the root's output, driven the same way. A
+    /// scan of two morsels or more splits across the cores, each worker
+    /// filling a partial state, and the partials merge; a γ with a float
+    /// SUM and a fixpoint's terms read their inputs on one worker.
+    /// Afterwards every delta takes the circuit's own Δ path.
+    fn build(plan: &Plan, db: &Database, split: Split) -> Result<Self, CircuitError> {
         let columns = plan.output_columns(db)?;
         let mut flow = Flow::compile(plan, db, None)?;
-        let sources = plan.base_relations();
         let mut stats = CircuitStats::default();
-        for r in &sources {
-            let rel = db
-                .relation(r)
-                .map_err(|_| PlanError::UnknownRelation(r.to_string()))?;
-            stats.init_tuples_scanned += rel.len() as u64;
-        }
-        let input = BatchInput {
-            deltas: None,
-            full: Some(Full::Stored(db)),
-            rec: None,
-        };
-        let result = flow.run(&input, &mut stats, true, false)?.into_counted();
+        let mut scanned = ExecStats::default();
+        let ctx = Ctx::new(db, split);
+        let result = flow.init(ctx, None, &mut stats, &mut scanned, &CountedSet::new)?;
+        stats.init_tuples_scanned = scanned.tuples_scanned;
         Ok(Circuit {
             flow,
             result,
             columns,
-            sources,
+            sources: plan.base_relations(),
             stats,
         })
     }
@@ -1712,13 +1748,10 @@ impl Circuit {
         }
         let input = BatchInput {
             deltas: Some(deltas),
-            full: None,
+            copies: None,
             rec: None,
         };
-        let out = self
-            .flow
-            .run(&input, &mut self.stats, false, true)?
-            .into_counted();
+        let out = self.flow.run(&input, &mut self.stats, true)?.into_counted();
         self.result.merge(&out);
         Ok(out)
     }
@@ -1747,8 +1780,10 @@ impl Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::DEFAULT_FIXPOINT_CAP;
+    use crate::algebra::{paper_queries, AggExpr, AggFunc, DEFAULT_FIXPOINT_CAP};
     use crate::exec::execute;
+    use crate::exec::tests::{mixed_token_db, split, Rng, LABELS};
+    use crate::expr::Expr;
     use crate::schema::Schema;
     use crate::tuple;
     use crate::value::ValueType;
@@ -2138,5 +2173,201 @@ mod tests {
             panic!("expected fixpoint plan");
         }
         Circuit::new(&plan, &db).unwrap();
+    }
+
+    // ------------------------------------------- split build ≡ one worker --
+
+    /// Rows of the split fixture: 94 heap chunks.
+    const TOKENS: i64 = 6_000;
+
+    /// A fixed stream of 32 batches, applied to `db` as recorded. Each
+    /// relabels two tokens; every other one deletes the first token left in
+    /// a document — its group's MIN(tok_id) — and inserts one; every fourth
+    /// replaces a link; every eighth deletes a whole document, whose group
+    /// was built from chunks two workers may have read.
+    fn delta_stream(db: &mut Database) -> Vec<DeltaSet> {
+        let (token, link): (Arc<str>, Arc<str>) = (Arc::from("TOKEN"), Arc::from("LINK"));
+        let mut rng = Rng(0xDE17A);
+        let mut stream = Vec::new();
+        for b in 0..32i64 {
+            let mut batch = DeltaSet::new();
+            let rel = db.relation_mut("TOKEN").unwrap();
+            for _ in 0..2 {
+                let id = rng.below(TOKENS as usize) as i64;
+                if let Some(rid) = rel.find_by_pk(&Value::Int(id)) {
+                    let label = Value::str(*rng.pick(&LABELS));
+                    let (old, new) = rel.update_field(rid, 3, label).unwrap();
+                    batch.record_update(&token, old, new);
+                }
+            }
+            let mut gone = Vec::new();
+            if b % 2 == 0 {
+                let doc = 3 * b;
+                gone.push(doc * 7..doc * 7 + 7);
+                let t = tuple![TOKENS + b, doc, "Ann", "B-PER", "O", 0.5f64];
+                rel.insert(t.clone()).unwrap();
+                batch.record_insert(&token, t);
+            }
+            if b % 8 == 7 {
+                gone.extend((b * 70..b * 70 + 7).map(|id| id..id + 1));
+            }
+            for ids in gone {
+                let rid = ids
+                    .into_iter()
+                    .find_map(|id| rel.find_by_pk(&Value::Int(id)));
+                if let Some(rid) = rid {
+                    batch.record_delete(&token, rel.delete(rid).unwrap());
+                }
+            }
+            if b % 4 == 0 {
+                let rel = db.relation_mut("LINK").unwrap();
+                let (rid, _) = rel.iter().nth(rng.below(rel.len())).unwrap();
+                batch.record_delete(&link, rel.delete(rid).unwrap());
+                let t = tuple![rng.below(12) as i64, rng.below(12) as i64];
+                rel.insert(t.clone()).unwrap();
+                batch.record_insert(&link, t);
+            }
+            batch.compact();
+            stream.push(batch);
+        }
+        stream
+    }
+
+    /// The initial answer, every answer delta of the stream, and the
+    /// counters after it.
+    type Run = (Vec<(Tuple, i64)>, Vec<Vec<(Tuple, i64)>>, CircuitStats);
+
+    fn build_and_feed(plan: &Plan, split: Split) -> Result<Run, CircuitError> {
+        let stream = delta_stream(&mut mixed_token_db(TOKENS, 7));
+        let mut circuit = Circuit::build(plan, &mixed_token_db(TOKENS, 7), split)?;
+        let initial = circuit.result().sorted_entries();
+        let deltas = stream
+            .iter()
+            .map(|d| circuit.apply_delta(d).map(|out| out.sorted_entries()))
+            .collect::<Result<_, _>>()?;
+        Ok((initial, deltas, circuit.stats()))
+    }
+
+    /// Built at 2, 3 and 8 workers over one-chunk morsels — and at the
+    /// machine's — a circuit answers, maintains and counts like one built
+    /// on one worker. Returns the one-worker run.
+    fn assert_split_builds_match(plan: &Plan) -> Result<Run, CircuitError> {
+        let one = build_and_feed(plan, split(1));
+        assert_eq!(
+            build_and_feed(plan, Split::machine()),
+            one,
+            "machine: {plan}"
+        );
+        for workers in [2, 3, 8] {
+            let got = build_and_feed(plan, split(workers));
+            assert_eq!(got, one, "{workers} workers vs one: {plan}");
+        }
+        one
+    }
+
+    fn sql(query: &str) -> Plan {
+        crate::planner::compile_query(query, &mixed_token_db(TOKENS, 7)).unwrap()
+    }
+
+    #[test]
+    fn split_builds_answer_like_one_worker() {
+        let link = |alias: &str| Plan::scan_as("LINK", alias);
+        let step = Plan::rec("R", &["a", "b"])
+            .join_on(link("s"), &[("b", "s.src")])
+            .project(&["a", "s.dst"]);
+        let persons = Plan::scan("TOKEN").filter(Expr::col("label").eq(Expr::lit("B-PER")));
+        let plans = [
+            paper_queries::query1("TOKEN"),
+            paper_queries::query2("TOKEN"),
+            paper_queries::query3("TOKEN"),
+            paper_queries::query4("TOKEN"),
+            // Grouped MIN/MAX: the stream retracts a group's minimum from
+            // a table two workers built.
+            sql(
+                "SELECT doc_id, MIN(tok_id) AS lo, MAX(label) AS hi, MAX(string) AS s \
+                 FROM TOKEN GROUP BY doc_id",
+            ),
+            sql("SELECT MIN(tok_id) AS lo, MAX(tok_id) AS hi, COUNT(*) AS n FROM TOKEN"),
+            // NULL join keys: every fifth score is NULL.
+            sql("SELECT T1.tok_id, T2.string FROM TOKEN T1 JOIN TOKEN T2 \
+                 ON T1.score = T2.score WHERE T1.label = 'B-ORG' AND T2.doc_id < 20"),
+            sql("SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id \
+                 HAVING COUNT(*) FILTER (WHERE label = 'B-PER') >= 2"),
+            sql("SELECT DISTINCT string, label FROM TOKEN"),
+            sql("SELECT string FROM TOKEN WHERE label = 'B-PER' \
+                 EXCEPT ALL SELECT string FROM TOKEN WHERE doc_id < 300"),
+            sql("SELECT string FROM TOKEN WHERE label = 'B-ORG' \
+                 INTERSECT SELECT string FROM TOKEN WHERE doc_id > 400"),
+            sql("SELECT label FROM TOKEN WHERE doc_id < 9 UNION ALL SELECT label FROM TOKEN"),
+            sql("SELECT T.string, L.dst FROM TOKEN T, LINK L \
+                 WHERE T.doc_id < 30 AND T.label = 'B-PER' AND L.src = 3"),
+            // A recursive view, joined to a scan that splits.
+            link("l")
+                .fixpoint(step.clone(), "R", &["a", "b"])
+                .join_on(persons, &[("a", "doc_id")])
+                .project(&["b", "string"]),
+            // A fixpoint that rebuilds from its relation copies.
+            link("l").fixpoint(step.difference(link("x")), "R", &["a", "b"]),
+        ];
+        let db = mixed_token_db(TOKENS, 7);
+        for plan in plans {
+            let (initial, _, _) = assert_split_builds_match(&plan).unwrap();
+            let (oracle, _) = execute(&plan, &db).unwrap();
+            assert_eq!(initial, oracle.rows.sorted_entries(), "{plan}");
+        }
+    }
+
+    #[test]
+    fn split_builds_keep_a_float_sum_on_one_worker() {
+        for query in [
+            "SELECT doc_id, SUM(score) AS s FROM TOKEN GROUP BY doc_id",
+            "SELECT SUM(score) AS s, COUNT(*) AS n FROM TOKEN",
+        ] {
+            let plan = sql(query);
+            let circuit = Circuit::new(&plan, &mixed_token_db(TOKENS, 7)).unwrap();
+            let inexact = |n: &CNode| matches!(&n.kind, CKind::Aggregate { agg, .. } if !agg.exact);
+            assert!(circuit.flow.nodes.iter().any(inexact), "{query}");
+            // Bit-identical at every worker count, though the scores' order
+            // of addition changes their sum.
+            assert_split_builds_match(&plan).unwrap();
+        }
+    }
+
+    #[test]
+    fn split_builds_fail_like_one_worker() {
+        let mut divergent = closure_plan();
+        if let Plan::Fixpoint { all, .. } = &mut divergent {
+            *all = true;
+        }
+        // The γ below the join is built, split, before the fixpoint beside
+        // it diverges.
+        let plan = Plan::scan("TOKEN")
+            .aggregate(&["doc_id"], vec![AggExpr::new(AggFunc::Count, "n")])
+            .join_on(divergent.with_fixpoint_cap(4), &[("doc_id", "a")]);
+        let err = assert_split_builds_match(&plan).unwrap_err();
+        assert_eq!(err, CircuitError::IterationLimit { cap: 4 });
+        let err = assert_split_builds_match(&Plan::rec("R", &["a"])).unwrap_err();
+        assert!(
+            matches!(err, CircuitError::UnboundRecursion { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn init_counts_every_scan_of_a_relation() {
+        let db = mixed_token_db(TOKENS, 7);
+        let rows = db.relation("TOKEN").unwrap().len() as u64;
+        let scanned = |plan: Plan| {
+            Circuit::new(&plan, &db)
+                .unwrap()
+                .stats()
+                .init_tuples_scanned
+        };
+        // Query 4 reads TOKEN twice, a self-join.
+        assert_eq!(scanned(paper_queries::query4("TOKEN")), 2 * rows);
+        assert_eq!(scanned(paper_queries::query2("TOKEN")), rows);
+        // A primary-key probe reads the one row it names.
+        let probe = Plan::scan("TOKEN").filter(Expr::col("tok_id").eq(Expr::lit(7i64)));
+        assert_eq!(scanned(probe), 1);
     }
 }

@@ -83,6 +83,10 @@
 //!   [`MORSEL_CHUNKS`]). There is no pool, environment variable or
 //!   sequential path beside this one: a one-worker run is the same code
 //!   with a team of one.
+//! * **Views.** A view circuit's one full evaluation ([`crate::circuit`])
+//!   drives these same pipelines into its own stateful nodes: each is a
+//!   breaker state, and a node already built feeds the pipelines above it
+//!   as a held source.
 //!
 //! The executor reports [`ExecStats`] so experiments can compare *work* as
 //! well as wall-clock time, independent of machine speed; a chunk-at-a-time
@@ -231,12 +235,7 @@ fn execute_split(
 ) -> Result<(QueryResult, ExecStats), ExecError> {
     let mut stats = ExecStats::default();
     let columns = plan.output_columns(db)?;
-    let ctx = Ctx {
-        db,
-        env: None,
-        split,
-    };
-    let rows = collect(plan, ctx, &mut stats)?;
+    let rows = collect(plan, Ctx::new(db, split), &mut stats)?;
     Ok((QueryResult { columns, rows }, stats))
 }
 
@@ -264,14 +263,14 @@ static CORES: OnceLock<usize> = OnceLock::new();
 /// machine's cores when `None`), which pull morsels of `morsel_chunks`
 /// chunks.
 #[derive(Clone, Copy, Debug)]
-struct Split {
+pub(crate) struct Split {
     workers: Option<usize>,
     morsel_chunks: usize,
 }
 
 impl Split {
     /// The machine's: its cores and [`MORSEL_CHUNKS`].
-    fn machine() -> Split {
+    pub(crate) fn machine() -> Split {
         Split {
             workers: None,
             morsel_chunks: MORSEL_CHUNKS,
@@ -282,16 +281,25 @@ impl Split {
 /// What the operators of one execution read: the database, the recursion
 /// environment, and how their pipelines may split.
 #[derive(Clone, Copy)]
-struct Ctx<'q, 'db> {
-    db: &'db Database,
+pub(crate) struct Ctx<'q, 'db> {
+    pub(crate) db: &'db Database,
     env: Option<&'q RecFrame<'q>>,
     split: Split,
 }
 
-impl Ctx<'_, '_> {
+impl<'db> Ctx<'_, 'db> {
+    /// A context outside any recursion.
+    pub(crate) fn new(db: &'db Database, split: Split) -> Self {
+        Ctx {
+            db,
+            env: None,
+            split,
+        }
+    }
+
     /// This context on one worker: what the inputs of δ, ∖, ∩ and μ, and
     /// of a γ with a float SUM, run in.
-    fn sequential(self) -> Self {
+    pub(crate) fn sequential(self) -> Self {
         Ctx {
             split: Split {
                 workers: Some(1),
@@ -328,11 +336,11 @@ fn rec_lookup<'a>(env: Option<&'a RecFrame<'a>>, name: &str) -> Option<&'a Count
 /// × / ⋈ — and is built into a tuple only by a consumer that keeps it
 /// beyond the query. The counters travel with the row because producer
 /// and consumer both count.
-type Sink<'s, 'db> = dyn FnMut(&mut ExecStats, &RowView<'db, '_>, i64) + 's;
+pub(crate) type Sink<'s, 'db> = dyn FnMut(&mut ExecStats, &RowView<'db, '_>, i64) + 's;
 
 /// A row a build side keeps for the length of the query: a stored row
 /// stays borrowed from the heap, any other is built.
-enum Kept<'db> {
+pub(crate) enum Kept<'db> {
     Stored(RowRef<'db>),
     Built(Tuple),
 }
@@ -356,7 +364,7 @@ impl<'db> Kept<'db> {
 /// The state of a pipeline breaker, fed by the rows — or, straight off a
 /// scan, the chunks — of its input pipeline. Each worker of a split
 /// pipeline fills a partial state of its own; the partials merge into one.
-trait Partial<'db>: Send {
+pub(crate) trait Partial<'db>: Send {
     /// Folds in one row with its multiplicity.
     fn feed(&mut self, stats: &mut ExecStats, row: &RowView<'db, '_>, mult: i64);
 
@@ -399,7 +407,7 @@ impl<'db> Partial<'db> for Vec<(Kept<'db>, i64)> {
 /// dropped. A new key costs one allocation (its tuple) and a row none;
 /// two workers' tables merge by appending one arena to the other and
 /// linking chains.
-struct JoinTable<'db> {
+pub(crate) struct JoinTable<'db> {
     keys: Vec<usize>,
     scratch: Vec<Value>,
     heads: TupleMap<(usize, usize)>,
@@ -484,19 +492,10 @@ fn collect(plan: &Plan, ctx: Ctx<'_, '_>, stats: &mut ExecStats) -> Result<Count
     drive(plan, ctx, stats, &CountedSet::new)
 }
 
-/// Runs `plan`'s pipeline into a breaker's state, made by `fresh`. The
-/// breakers the pipeline probes run first ([`Pipe::prepare`]). Then up to
-/// `ctx.split.workers` workers — the calling thread and scoped helpers —
-/// pull the driving scan's morsels in order and push each through the
-/// pipeline into a partial state of their own; the partials merge in the
-/// end. A pipeline splits only when a scan of at least two morsels drives
-/// it; otherwise the calling thread pushes the one morsel there is. A ∪
-/// at the root feeds both of its pipelines into one state.
-///
-/// A worker stops at the first morsel that fails, and of the failed
-/// morsels the lowest wins — the error a one-worker run meets first. A
-/// helper that panicked counts as a failure of the first morsel
-/// ([`ExecError::WorkerFailed`]).
+/// Runs `plan`'s pipeline into a breaker's state, made by `fresh`: the
+/// breakers the pipeline probes run first ([`Pipe::prepare`]), then the
+/// pipeline is driven ([`Pipe::drive`]). A ∪ at the root feeds both of its
+/// pipelines into one state.
 fn drive<'db, P: Partial<'db>>(
     plan: &Plan,
     ctx: Ctx<'_, 'db>,
@@ -508,32 +507,7 @@ fn drive<'db, P: Partial<'db>>(
         state.merge(drive(right, ctx, stats, fresh)?);
         return Ok(state);
     }
-    let pipe = Pipe::prepare(plan, ctx, stats)?;
-    let size = ctx.split.morsel_chunks.max(1);
-    let chunks = pipe.driving_chunks();
-    let morsels = chunks.div_ceil(size).max(1);
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut state = fresh();
-        let mut own = ExecStats::default();
-        loop {
-            // lint:allow(sync, the counter only deals out morsel numbers; each worker's results reach the caller through its join)
-            let m = next.fetch_add(1, Ordering::Relaxed);
-            if m >= morsels {
-                return Ok((state, own));
-            }
-            pipe.push_into(m * size..(m + 1) * size, ctx, &mut own, &mut state)
-                .map_err(|e| (m, e))?;
-        }
-    };
-    let team = Team {
-        most: ctx.split.workers,
-        whole_morsels: chunks / size,
-    };
-    let (state, own) =
-        std::thread::scope(|scope| team.worker(scope, 0, &work)).map_err(|(_, e)| e)?;
-    stats.absorb(own);
-    Ok(state)
+    Pipe::prepare(plan, ctx, stats)?.drive(ctx, stats, fresh)
 }
 
 /// One worker's share of a split pipeline — its partial state and
@@ -608,7 +582,7 @@ fn run<'db>(
 /// The streaming part of a pipeline, its breakers already run: a source
 /// under the σ, π and probe sides of × and ⋈ above it. Every worker of a
 /// split pipeline reads the one `Pipe`.
-enum Pipe<'p, 'db> {
+pub(crate) enum Pipe<'p, 'db> {
     /// A scan under at most one σ that no index answers: the pipeline's
     /// driving scan, read a morsel — a range of chunks — at a time.
     Scan(ScanBatches<'db>),
@@ -617,6 +591,9 @@ enum Pipe<'p, 'db> {
     Probe(&'db Relation, BoundExpr),
     /// Any other source — γ, δ, ∪, ∖, ∩, μ or a `Rec` — run whole.
     Source(&'p Plan),
+    /// Rows some other owner already holds — a view circuit's node state —
+    /// pushed whole.
+    Held(HeldRows<'p, 'db>),
     Select(Box<Pipe<'p, 'db>>, BoundExpr),
     Project(Box<Pipe<'p, 'db>>, Vec<usize>),
     /// The left input and the right side's rows.
@@ -625,7 +602,19 @@ enum Pipe<'p, 'db> {
     Join(Box<Pipe<'p, 'db>>, Vec<usize>, JoinTable<'db>),
 }
 
+/// The rows of a [`Pipe::Held`] source: pushes each with its multiplicity.
+pub(crate) type HeldRows<'p, 'db> = Box<dyn Fn(&mut ExecStats, &mut Sink<'_, 'db>) + Sync + 'p>;
+
 impl<'p, 'db> Pipe<'p, 'db> {
+    /// A scan of `rel` under the σ `pred`, if any: read a chunk at a time,
+    /// or, when an index answers `pred`, only the rows the index names.
+    pub(crate) fn scan(rel: &'db Relation, pred: Option<BoundExpr>) -> Self {
+        match pred {
+            Some(pred) if probe(rel, &pred).is_some() => Pipe::Probe(rel, pred),
+            pred => Pipe::Scan(ScanBatches { rel, pred }),
+        }
+    }
+
     /// Binds `plan`'s streaming operators and runs the breakers they probe:
     /// a × or ⋈ builds its right side (itself split) before its probe
     /// pipeline starts. Names bind in the order the operators meet them
@@ -636,15 +625,14 @@ impl<'p, 'db> Pipe<'p, 'db> {
         stats: &mut ExecStats,
     ) -> Result<Self, ExecError> {
         let db = ctx.db;
-        if let Some(scan) = ScanBatches::of(plan, db)? {
-            return Ok(Pipe::Scan(scan));
-        }
         Ok(match plan {
+            Plan::Scan { relation, .. } => Pipe::scan(relation_of(db, relation)?, None),
             Plan::Select { input, predicate } => {
                 let bound = bind(predicate, &input.output_columns(db)?)?;
                 match &**input {
-                    // A scan that no index answers is a `Pipe::Scan`.
-                    Plan::Scan { relation, .. } => Pipe::Probe(relation_of(db, relation)?, bound),
+                    Plan::Scan { relation, .. } => {
+                        Pipe::scan(relation_of(db, relation)?, Some(bound))
+                    }
                     _ => Pipe::Select(Box::new(Pipe::prepare(input, ctx, stats)?), bound),
                 }
             }
@@ -666,6 +654,51 @@ impl<'p, 'db> Pipe<'p, 'db> {
         })
     }
 
+    /// Runs the pipeline into a breaker's state, made by `fresh`. Up to
+    /// `ctx.split.workers` workers — the calling thread and scoped helpers
+    /// — pull the driving scan's morsels in order and push each through
+    /// the pipeline into a partial state of their own; the partials merge
+    /// in the end. A pipeline splits only when a scan of at least two
+    /// morsels drives it; otherwise the calling thread pushes the one
+    /// morsel there is.
+    ///
+    /// A worker stops at the first morsel that fails, and of the failed
+    /// morsels the lowest wins — the error a one-worker run meets first. A
+    /// helper that panicked counts as a failure of the first morsel
+    /// ([`ExecError::WorkerFailed`]).
+    pub(crate) fn drive<P: Partial<'db>>(
+        &self,
+        ctx: Ctx<'_, 'db>,
+        stats: &mut ExecStats,
+        fresh: &(impl Fn() -> P + Sync),
+    ) -> Result<P, ExecError> {
+        let size = ctx.split.morsel_chunks.max(1);
+        let chunks = self.driving_chunks();
+        let morsels = chunks.div_ceil(size).max(1);
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut state = fresh();
+            let mut own = ExecStats::default();
+            loop {
+                // lint:allow(sync, the counter only deals out morsel numbers; each worker's results reach the caller through its join)
+                let m = next.fetch_add(1, Ordering::Relaxed);
+                if m >= morsels {
+                    return Ok((state, own));
+                }
+                self.push_into(m * size..(m + 1) * size, ctx, &mut own, &mut state)
+                    .map_err(|e| (m, e))?;
+            }
+        };
+        let team = Team {
+            most: ctx.split.workers,
+            whole_morsels: chunks / size,
+        };
+        let (state, own) =
+            std::thread::scope(|scope| team.worker(scope, 0, &work)).map_err(|(_, e)| e)?;
+        stats.absorb(own);
+        Ok(state)
+    }
+
     /// Chunks of the scan that drives the pipeline (none when another
     /// source does).
     fn driving_chunks(&self) -> usize {
@@ -675,7 +708,7 @@ impl<'p, 'db> Pipe<'p, 'db> {
             | Pipe::Project(input, _)
             | Pipe::Product(input, _)
             | Pipe::Join(input, ..) => input.driving_chunks(),
-            Pipe::Probe(..) | Pipe::Source(_) => 0,
+            Pipe::Probe(..) | Pipe::Source(_) | Pipe::Held(_) => 0,
         }
     }
 
@@ -735,6 +768,10 @@ impl<'p, 'db> Pipe<'p, 'db> {
                 Ok(())
             }
             Pipe::Source(plan) => run_source(plan, ctx, stats, sink),
+            Pipe::Held(rows) => {
+                rows(stats, sink);
+                Ok(())
+            }
             Pipe::Select(input, bound) => input.push(morsel, ctx, stats, &mut |stats, r, c| {
                 stats.rows_processed += 1;
                 if bound.matches(r) {
@@ -947,7 +984,7 @@ fn emit_positive(rows: &CountedSet, stats: &mut ExecStats, sink: &mut Sink<'_, '
     }
 }
 
-fn relation_of<'a>(db: &'a Database, name: &str) -> Result<&'a Relation, ExecError> {
+pub(crate) fn relation_of<'a>(db: &'a Database, name: &str) -> Result<&'a Relation, ExecError> {
     db.relation(name)
         .map_err(|_| ExecError::Plan(PlanError::UnknownRelation(name.to_string())))
 }
@@ -956,7 +993,7 @@ fn relation_of<'a>(db: &'a Database, name: &str) -> Result<&'a Relation, ExecErr
 /// would hold: every SUM reads a column its input declares `Int` (summed
 /// in an `i128`). A float SUM is not associative, so a γ with one reads
 /// its input on one worker and its answer stays bit-identical.
-fn sums_add_exactly(specs: &[AggSpec], input: &Plan, db: &Database) -> bool {
+pub(crate) fn sums_add_exactly(specs: &[AggSpec], input: &Plan, db: &Database) -> bool {
     specs.iter().all(|s| {
         !matches!(s.kind, AggKind::Sum) || declared_type(input, s.col, db) == Some(ValueType::Int)
     })
@@ -1049,34 +1086,12 @@ impl Candidates<'_> {
 /// runs chunk-at-a-time. Each chunk's selected slots are computed from
 /// the predicate's columns at once ([`BoundExpr::select`]); rows are
 /// touched only where something reads them.
-struct ScanBatches<'a> {
+pub(crate) struct ScanBatches<'a> {
     rel: &'a Relation,
     pred: Option<BoundExpr>,
 }
 
 impl<'a> ScanBatches<'a> {
-    /// `plan` as scan batches, when it has that shape.
-    fn of(plan: &Plan, db: &'a Database) -> Result<Option<ScanBatches<'a>>, ExecError> {
-        Ok(match plan {
-            Plan::Scan { relation, .. } => Some(ScanBatches {
-                rel: relation_of(db, relation)?,
-                pred: None,
-            }),
-            Plan::Select { input, predicate } => match &**input {
-                Plan::Scan { relation, .. } => {
-                    let pred = bind(predicate, &input.output_columns(db)?)?;
-                    let rel = relation_of(db, relation)?;
-                    probe(rel, &pred).is_none().then_some(ScanBatches {
-                        rel,
-                        pred: Some(pred),
-                    })
-                }
-                _ => None,
-            },
-            _ => None,
-        })
-    }
-
     /// Calls `f` with every chunk in `morsel` (a range of chunk positions)
     /// and the slots the σ (if any) selects, counting what the scan and
     /// the σ count row by row.
@@ -1120,7 +1135,7 @@ fn probe_key(ty: ValueType, lit: &Value) -> Option<Value> {
     }
 }
 
-fn bind(expr: &Expr, cols: &[Arc<str>]) -> Result<BoundExpr, ExecError> {
+pub(crate) fn bind(expr: &Expr, cols: &[Arc<str>]) -> Result<BoundExpr, ExecError> {
     expr.bind(cols)
         .map_err(|c| ExecError::Plan(PlanError::UnknownColumn(c)))
 }
@@ -1130,7 +1145,7 @@ fn resolve(cols: &[Arc<str>], name: &str) -> Result<usize, ExecError> {
         .ok_or_else(|| ExecError::Plan(PlanError::UnknownColumn(name.to_string())))
 }
 
-fn resolve_all(names: &[Arc<str>], cols: &[Arc<str>]) -> Result<Vec<usize>, ExecError> {
+pub(crate) fn resolve_all(names: &[Arc<str>], cols: &[Arc<str>]) -> Result<Vec<usize>, ExecError> {
     names.iter().map(|n| resolve(cols, n)).collect()
 }
 
@@ -1174,17 +1189,44 @@ impl AggSpec {
     }
 }
 
-/// γ's group table: one accumulator row per group key. Rows of one group
+/// One γ group: its accumulators, and the total multiplicity of its input
+/// rows — what a maintained γ tests the group's existence by (n > 0,
+/// except the global group, which always exists).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct GroupState {
+    pub(crate) n: i64,
+    pub(crate) accs: Vec<AggAcc>,
+}
+
+impl GroupState {
+    pub(crate) fn new(specs: &[AggSpec]) -> Self {
+        GroupState {
+            n: 0,
+            accs: specs.iter().map(AggAcc::new).collect(),
+        }
+    }
+
+    /// The group's output row, the key followed by each aggregate, built
+    /// through a reusable buffer: one tuple allocation per call.
+    pub(crate) fn output(&self, key: &[Value], buf: &mut Vec<Value>) -> Tuple {
+        buf.clear();
+        buf.extend_from_slice(key);
+        buf.extend(self.accs.iter().map(AggAcc::finish));
+        Tuple::from_slice(buf)
+    }
+}
+
+/// γ's group table: one [`GroupState`] per group key. Rows of one group
 /// tend to arrive together (a document's tokens are consecutive slots), so
 /// the last group found is remembered: such a row costs a comparison of
 /// its key columns, not a projection, a fingerprint and a hash probe. A
 /// global aggregate is one group, present even over an empty input: no
 /// key, no table.
-struct Groups<'s> {
+pub(crate) struct Groups<'s> {
     key_idx: &'s [usize],
     specs: &'s [AggSpec],
     index: TupleMap<usize>,
-    accs: Vec<Vec<AggAcc>>,
+    groups: Vec<GroupState>,
     /// The group of the last row fed, and its key.
     last: Option<usize>,
     last_key: Vec<Value>,
@@ -1194,12 +1236,12 @@ struct Groups<'s> {
 }
 
 impl<'s> Groups<'s> {
-    fn new(key_idx: &'s [usize], specs: &'s [AggSpec]) -> Self {
+    pub(crate) fn new(key_idx: &'s [usize], specs: &'s [AggSpec]) -> Self {
         let mut groups = Groups {
             key_idx,
             specs,
             index: TupleMap::new(),
-            accs: Vec::new(),
+            groups: Vec::new(),
             last: None,
             last_key: Vec::new(),
             scratch: Vec::new(),
@@ -1224,14 +1266,14 @@ impl<'s> Groups<'s> {
             }
         }
         row.project_into(self.key_idx, &mut self.scratch);
-        let next = self.accs.len();
+        let next = self.groups.len();
         let g = *self.index.get_or_insert_with(
             fingerprint_values(&self.scratch),
             &self.scratch,
             || next,
         );
         if g == next {
-            self.accs.push(self.specs.iter().map(AggAcc::new).collect());
+            self.groups.push(GroupState::new(self.specs));
         }
         self.last = Some(g);
         std::mem::swap(&mut self.last_key, &mut self.scratch);
@@ -1242,8 +1284,11 @@ impl<'s> Groups<'s> {
     fn fold<R: Row + ?Sized>(&mut self, row: &R, mult: i64) {
         let g = self.group_of(row);
         let specs = self.specs;
-        for (acc, spec) in self.accs.get_mut(g).into_iter().flatten().zip(specs) {
-            acc.update(spec, row, mult);
+        if let Some(group) = self.groups.get_mut(g) {
+            group.n += mult;
+            for (acc, spec) in group.accs.iter_mut().zip(specs) {
+                acc.update(spec, row, mult);
+            }
         }
     }
 
@@ -1256,20 +1301,23 @@ impl<'s> Groups<'s> {
             *mask = spec.admits(chunk, sel);
         }
         if self.key_idx.is_empty() {
-            for (acc, (spec, mask)) in self
-                .accs
-                .iter_mut()
-                .flatten()
-                .zip(specs.iter().zip(&self.admitted))
-            {
-                acc.update_chunk(spec, chunk, *mask);
+            for group in &mut self.groups {
+                group.n += i64::from(sel.count_ones());
+                for (acc, (spec, mask)) in
+                    group.accs.iter_mut().zip(specs.iter().zip(&self.admitted))
+                {
+                    acc.update_chunk(spec, chunk, *mask);
+                }
             }
             return;
         }
         for (slot, row) in chunk.rows(sel) {
             let g = self.group_of(&row);
-            let accs = self.accs.get_mut(g).into_iter().flatten();
-            for (acc, (spec, mask)) in accs.zip(specs.iter().zip(&self.admitted)) {
+            let Some(group) = self.groups.get_mut(g) else {
+                continue;
+            };
+            group.n += 1;
+            for (acc, (spec, mask)) in group.accs.iter_mut().zip(specs.iter().zip(&self.admitted)) {
                 if (mask >> slot) & 1 == 1 {
                     acc.apply(spec, &row, 1);
                 }
@@ -1281,7 +1329,14 @@ impl<'s> Groups<'s> {
     fn iter(&self) -> impl Iterator<Item = (&[Value], &[AggAcc])> {
         self.index
             .iter()
-            .filter_map(|(key, &g)| Some((key.values(), self.accs.get(g)?.as_slice())))
+            .filter_map(|(key, &g)| Some((key.values(), self.groups.get(g)?.accs.as_slice())))
+    }
+
+    /// Moves every group's key and state out.
+    pub(crate) fn into_entries(mut self) -> impl Iterator<Item = (Tuple, GroupState)> {
+        self.index
+            .into_entries()
+            .filter_map(move |(key, g)| Some((key, std::mem::take(self.groups.get_mut(g)?))))
     }
 }
 
@@ -1298,17 +1353,15 @@ impl<'db> Partial<'db> for Groups<'_> {
         self.fold_chunk(chunk, sel);
     }
 
-    fn merge(&mut self, mut other: Self) {
-        for (key, theirs) in other.index.into_entries() {
-            let Some(accs) = other.accs.get_mut(theirs).map(std::mem::take) else {
-                continue;
-            };
-            let next = self.accs.len();
+    fn merge(&mut self, other: Self) {
+        for (key, theirs) in other.into_entries() {
+            let next = self.groups.len();
             let g = *self.index.get_or_insert_tuple(key, || next);
             if g == next {
-                self.accs.push(accs);
-            } else if let Some(mine) = self.accs.get_mut(g) {
-                for (acc, partial) in mine.iter_mut().zip(accs) {
+                self.groups.push(theirs);
+            } else if let Some(mine) = self.groups.get_mut(g) {
+                mine.n += theirs.n;
+                for (acc, partial) in mine.accs.iter_mut().zip(theirs.accs) {
                     acc.merge(partial);
                 }
             }
@@ -1513,7 +1566,7 @@ impl AggAcc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algebra::paper_queries;
     use crate::schema::Schema;
@@ -1862,10 +1915,10 @@ mod tests {
     // ------------------------------------------------ split ≡ sequential --
 
     /// Splitmix64: the seeded stream behind the random fixtures and plans.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1873,19 +1926,19 @@ mod tests {
             ((z ^ (z >> 31)) % n.max(1) as u64) as usize
         }
 
-        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        pub(crate) fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
             &items[self.below(items.len())]
         }
     }
 
-    const LABELS: [&str; 4] = ["O", "B-PER", "B-ORG", "B-LOC"];
+    pub(crate) const LABELS: [&str; 4] = ["O", "B-PER", "B-ORG", "B-LOC"];
     const WORDS: [&str; 6] = ["Boston", "Ann", "Bill", "IBM", "said", "hired"];
 
     /// A TOKEN of `n` rows in the `sized_token_db` shape plus a `score`
     /// column whose magnitudes (1e16 beside fractions) make a float SUM
     /// depend on its order of addition, with every 13th row deleted so
     /// chunks have holes; and a cyclic `LINK` for the recursive queries.
-    fn mixed_token_db(n: i64, seed: u64) -> Database {
+    pub(crate) fn mixed_token_db(n: i64, seed: u64) -> Database {
         let mut rng = Rng(seed);
         let mut db = Database::new();
         let schema = Schema::from_pairs(&[
@@ -2033,7 +2086,7 @@ mod tests {
         }
     }
 
-    fn split(workers: usize) -> Split {
+    pub(crate) fn split(workers: usize) -> Split {
         Split {
             workers: Some(workers),
             morsel_chunks: 1,

@@ -16,7 +16,10 @@
 //! each consuming and producing signed counted deltas. Feeding the view a
 //! [`DeltaSet`] is one bottom-up sweep that returns the delta of the answer
 //! set; the cost is proportional to |Δ| (and the fan-out of joins touched),
-//! never to |w|.
+//! never to |w|. Building the view — the one full evaluation — is not a
+//! sweep: the circuit's stateful nodes are filled by the same split scan
+//! pipelines [`crate::execute`] runs, so a view costs about what one ad hoc
+//! run of its query does.
 //!
 //! Supported operators: σ, π (multiset), ×, equi-⋈, γ (COUNT / filtered
 //! COUNT / SUM / MIN / MAX, grouped or global), δ (distinct), ∪ (bag
@@ -67,7 +70,10 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Compiles `plan` and runs the one-time full evaluation over the
     /// initial world `w₀` (Algorithm 1 line 2: "run full query to get
-    /// initial results").
+    /// initial results") with the executor's pipelines: a relation of two
+    /// morsels or more ([`crate::exec::MORSEL_CHUNKS`] chunks each) is
+    /// scanned on every core, and the result and [`MaterializedView::stats`]
+    /// are those of a one-worker build.
     pub fn new(plan: &Plan, db: &Database) -> Result<Self, CircuitError> {
         Ok(MaterializedView {
             circuit: Circuit::new(plan, db)?,
