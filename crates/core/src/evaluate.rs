@@ -283,37 +283,56 @@ impl QueryEvaluator {
         deltas: &fgdb_relational::DeltaSet,
         db: &fgdb_relational::Database,
     ) -> Result<SampleWork, EvaluateError> {
-        let mut sample_work = SampleWork {
-            delta_magnitude: deltas.magnitude() as u64,
-            ..Default::default()
-        };
-        match &mut self.state {
-            StrategyState::Naive => {
-                // Algorithm 3 line 5: s ← Q(w).
-                let (result, stats) = execute(&self.plan, db)?;
-                sample_work.tuples_scanned = stats.tuples_scanned;
-                self.work.tuples_scanned += stats.tuples_scanned;
-                sample_work.answer_rows_touched = result.rows.distinct_len() as u64;
-                self.crossings = self.marginals.diff(&result.rows);
-            }
-            StrategyState::Materialized(view) => {
-                // Algorithm 1 line 5: s ← s − Q'(w,Δ⁻) ∪ Q'(w,Δ⁺).
-                let before = view.stats().delta_rows_processed;
-                let answer_delta = view.try_apply_delta(deltas)?;
-                let used = view.stats().delta_rows_processed - before;
-                sample_work.delta_rows = used;
-                self.work.delta_rows += used;
-                // Only a tuple of the answer's own delta can change
-                // membership; the rest of the answer is never read.
-                sample_work.answer_rows_touched = answer_delta.distinct_len() as u64;
-                self.crossings = crossings(&answer_delta, view.result()).collect();
-                self.answer_delta = answer_delta;
-            }
+        if let StrategyState::Materialized(_) = self.state {
+            return self.observe_delta(deltas);
         }
+        // Algorithm 3 line 5: s ← Q(w).
+        let (result, stats) = execute(&self.plan, db)?;
+        self.work.tuples_scanned += stats.tuples_scanned;
+        self.crossings = self.marginals.diff(&result.rows);
+        Ok(self.record(SampleWork {
+            tuples_scanned: stats.tuples_scanned,
+            delta_magnitude: deltas.magnitude() as u64,
+            answer_rows_touched: result.rows.distinct_len() as u64,
+            ..Default::default()
+        }))
+    }
+
+    /// [`Self::observe`] for a materialized evaluator, which reads only the
+    /// interval's delta, never the world it came from — so a stage that
+    /// holds no world can run it. A naive evaluator is
+    /// [`EvaluateError::NotMaterialized`].
+    pub(crate) fn observe_delta(
+        &mut self,
+        deltas: &fgdb_relational::DeltaSet,
+    ) -> Result<SampleWork, EvaluateError> {
+        let StrategyState::Materialized(view) = &mut self.state else {
+            return Err(EvaluateError::NotMaterialized);
+        };
+        // Algorithm 1 line 5: s ← s − Q'(w,Δ⁻) ∪ Q'(w,Δ⁺).
+        let before = view.stats().delta_rows_processed;
+        let answer_delta = view.try_apply_delta(deltas)?;
+        let used = view.stats().delta_rows_processed - before;
+        self.work.delta_rows += used;
+        // Only a tuple of the answer's own delta can change membership;
+        // the rest of the answer is never read.
+        self.crossings = crossings(&answer_delta, view.result()).collect();
+        let answer_rows_touched = answer_delta.distinct_len() as u64;
+        self.answer_delta = answer_delta;
+        Ok(self.record(SampleWork {
+            delta_rows: used,
+            delta_magnitude: deltas.magnitude() as u64,
+            answer_rows_touched,
+            ..Default::default()
+        }))
+    }
+
+    /// Records the sample whose crossings `self.crossings` holds.
+    fn record(&mut self, sample_work: SampleWork) -> SampleWork {
         self.marginals.record_crossings(&self.crossings);
         self.work.answer_rows_touched += sample_work.answer_rows_touched;
         self.work.samples += 1;
-        Ok(sample_work)
+        sample_work
     }
 
     /// Draws `n` samples (the body of Algorithms 1/3).

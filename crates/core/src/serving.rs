@@ -8,10 +8,18 @@
 //! claim as an `fgdb-core` subsystem:
 //!
 //! * [`LiveSampler::spawn`] moves a [`ProbabilisticDB`] onto a dedicated
-//!   sampler thread which loops forever: one thinning interval
-//!   ([`ProbabilisticDB::step`]), incremental maintenance of every
-//!   *registered query*'s materialized view (Algorithm 1), and — every
-//!   `publish_every` samples — publication of a new [`EpochSnapshot`].
+//!   sampler thread. The serving loop runs there in two stages: the
+//!   *sampler stage* draws thinning intervals ([`ProbabilisticDB::step`])
+//!   and every `publish_every` samples hands the batch of their deltas,
+//!   with the store as of the last one, to the *maintainer stage*, which
+//!   folds each delta into every *registered query*'s materialized view
+//!   (Algorithm 1) in order and publishes the batch's [`EpochSnapshot`].
+//!   The MH kernel never reads a view, so the maintainer may run on its
+//!   own thread while the sampler steps on. Whether it does is measured,
+//!   not guessed: with a second core the loop first times both
+//!   arrangements on its own intervals and keeps the faster (on one core
+//!   the maintainer runs inline). The supervised host
+//!   ([`crate::supervise::SupervisedSampler`]) runs the same driver.
 //! * An epoch is an immutable, internally consistent picture of one
 //!   sampled world: a [`Database::snapshot`] plus each registered query's
 //!   current answer, full-run marginal estimates, and windowed convergence
@@ -29,13 +37,13 @@
 //!   ([`MembershipLog`]) are both driven by the membership crossings of the
 //!   view's output delta — neither re-reads the answer. At publication the
 //!   diagnostics are computed per toggled tuple from its crossing
-//!   positions; no 0/1 trace is materialised on the sampler thread.
+//!   positions; no 0/1 trace is materialised.
 //! * A published status is its predecessor plus the rows that changed.
 //!   Each registered query keeps one ordered, chunk-shared
 //!   [`StatusTable`] of `(tuple, answer multiplicity, marginal run)`; a
 //!   publication patches the rows the output deltas named since the last
 //!   one and hands readers a copy that shares every other chunk. No answer
-//!   is cloned and no support is sorted on the sampler thread, and readers
+//!   is cloned and no support is sorted at publication, and readers
 //!   walk the rows in tuple order, so a `STATUS` reply sorts nothing
 //!   either. What is still proportional to the support is the chunk-pointer
 //!   copy (≈1.6K pointers at 100K rows) and, per `STATUS` request, the
@@ -53,28 +61,37 @@
 //!   reader can see it via [`EpochReader::status`]).
 //!
 //! The design intentionally trades staleness for isolation: a reader sees
-//! the world as of its pinned epoch, at most `publish_every` samples old,
-//! tagged with exactly how trustworthy each registered answer is
-//! (per-tuple split-R̂ gate, as in the engine's convergence gating).
+//! the world as of its pinned epoch, at most `3 · publish_every` samples
+//! behind the live counter (see [`ServingConfig::publish_every`]), tagged
+//! with exactly how trustworthy each registered answer is (per-tuple
+//! split-R̂ gate, as in the engine's convergence gating).
 
 use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
 use crate::status_table::StatusTable;
 use fgdb_graph::Model;
-use fgdb_relational::{compile_query, execute, CountedSet, Database, QueryResult, Tuple, Value};
+use fgdb_relational::{
+    compile_query, execute, CountedSet, Database, DeltaSet, QueryResult, Tuple, Value,
+};
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Serving-loop configuration.
 #[derive(Clone, Debug)]
 pub struct ServingConfig {
     /// Thinning interval k: MH walk-steps per sample.
     pub thinning: usize,
-    /// Samples between epoch publications (staleness bound: a pinned epoch
-    /// is at most this many samples behind the live chain).
+    /// Samples between epoch publications. Staleness bound: the maintainer
+    /// stage publishes behind the sampler with one epoch queued and one in
+    /// hand, so a running loop's pinned epoch is at most
+    /// `3 · publish_every` samples behind the live counter
+    /// ([`SamplerStatus::samples`]) read before the pin.
     pub publish_every: usize,
     /// Convergence-diagnostic window: split-R̂ / ESS are computed over the
     /// last `window` samples of each registered tuple's membership trace.
@@ -115,8 +132,9 @@ pub enum ServingError {
     /// The sampler loop died for a non-evaluate reason (thread spawn
     /// failure, supervisor bookkeeping).
     Sampler(String),
-    /// The sampler thread panicked; the payload carries the rendered panic
-    /// message when it was a string (the common `panic!`/`unwrap` case).
+    /// The sampler or the maintainer stage panicked; the payload carries
+    /// the rendered panic message when it was a string (the common
+    /// `panic!`/`unwrap` case).
     Panicked(String),
     /// Degenerate configuration (zero thinning/publish interval/window).
     Config(String),
@@ -278,9 +296,9 @@ impl EpochSnapshot {
 }
 
 /// The swap cell epochs are published through: readers clone the `Arc`
-/// under a briefly held read lock, the sampler replaces it under a write
-/// lock only at publication instants — it never holds the lock while
-/// stepping, so readers cannot stall inference (nor vice versa).
+/// under a briefly held read lock, the maintainer stage replaces it under
+/// a write lock only at publication instants — never while observing,
+/// so readers cannot stall the loop (nor vice versa).
 pub(crate) struct EpochCell<T = EpochSnapshot> {
     current: RwLock<Arc<T>>,
 }
@@ -425,10 +443,6 @@ pub struct EpochReader {
 }
 
 impl EpochReader {
-    pub(crate) fn new(cell: Arc<EpochCell>, stats: Arc<SharedStats>) -> EpochReader {
-        EpochReader { cell, stats }
-    }
-
     /// Pins the latest published epoch. The returned snapshot is immutable
     /// and stays valid (and consistent) for as long as the reader holds
     /// the `Arc`, regardless of how far the live chain advances.
@@ -443,9 +457,9 @@ impl EpochReader {
         let state = self.stats.state();
         SamplerStatus {
             epoch: self.cell.load().epoch,
-            // lint:allow-start(sync, monotonic counters read for display; no ordering with other state is assumed)
+            // lint:allow-start(sync, monotonic counters; `samples` is acquired so an epoch pinned after this read is within the staleness bound of it)
             steps: self.stats.steps.load(Ordering::Relaxed),
-            samples: self.stats.samples.load(Ordering::Relaxed),
+            samples: self.stats.samples.load(Ordering::Acquire),
             // lint:allow-end(sync)
             running: state == SamplerState::Running,
             state,
@@ -460,7 +474,7 @@ impl EpochReader {
     }
 }
 
-/// One registered query's live machinery on the sampler thread.
+/// One registered query's live machinery, owned by the maintainer stage.
 pub(crate) struct Registered {
     name: Arc<str>,
     sql: Arc<str>,
@@ -476,12 +490,8 @@ pub(crate) struct Registered {
 impl Registered {
     /// Folds one interval's output delta into the view, the marginals, the
     /// diagnostic window and the rows the next publication patches.
-    fn observe(
-        &mut self,
-        delta: &fgdb_relational::DeltaSet,
-        db: &Database,
-    ) -> Result<(), EvaluateError> {
-        self.eval.observe(delta, db)?;
+    fn observe(&mut self, delta: &DeltaSet) -> Result<(), EvaluateError> {
+        self.eval.observe_delta(delta)?;
         self.traces.record(self.eval.last_crossings());
         let answer_delta = self
             .eval
@@ -597,17 +607,13 @@ impl<M: Model + 'static> LiveSampler<M> {
     ) -> Result<Self, ServingError> {
         validate_config(&config)?;
         let mut registered = build_registered(&pdb, queries, &config)?;
-
-        let epoch0 = publish_snapshot(&pdb, &mut registered, &config, 0, 0)?;
-        let cell = Arc::new(EpochCell::new(epoch0));
-        let stats = Arc::new(SharedStats::new(pdb.steps_taken()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader = EpochReader::new(Arc::clone(&cell), Arc::clone(&stats));
-
-        let t_stop = Arc::clone(&stop);
+        let epoch0 = publish_snapshot(&mut registered, &config, EpochSnapshot::of(&pdb, 0, 0))?;
+        let shared = Shared::new(config, epoch0, pdb.steps_taken());
+        let reader = shared.reader();
+        let stop = Arc::clone(&shared.stop);
         let handle = std::thread::Builder::new()
             .name("fgdb-sampler".into())
-            .spawn(move || sampler_loop(pdb, registered, config, cell, stats, t_stop))
+            .spawn(move || sampler_loop(pdb, registered, shared))
             .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
 
         Ok(LiveSampler {
@@ -624,7 +630,8 @@ impl<M: Model + 'static> LiveSampler<M> {
 
     /// Graceful shutdown: flags the loop, joins the thread, and returns
     /// the database at its final position — or the error that had already
-    /// killed the loop.
+    /// killed the loop. Every interval drawn is published first: the last
+    /// epoch a reader can pin afterwards has seen them all.
     pub fn stop(mut self) -> Result<ProbabilisticDB<M>, ServingError> {
         self.stop.store(true, Ordering::Release);
         match self.handle.take() {
@@ -646,111 +653,270 @@ impl<M> Drop for LiveSampler<M> {
     }
 }
 
-/// Builds one publishable epoch from the sampler's current state;
-/// `samples` is the loop's own count of intervals drawn so far.
-pub(crate) fn publish_snapshot<M: Model>(
-    pdb: &ProbabilisticDB<M>,
+impl EpochSnapshot {
+    /// `pdb` as it stands, as epoch `epoch` after `samples` intervals,
+    /// before any registered status is added.
+    pub(crate) fn of<M: Model>(pdb: &ProbabilisticDB<M>, epoch: u64, samples: u64) -> Self {
+        EpochSnapshot {
+            epoch,
+            steps: pdb.steps_taken(),
+            samples,
+            db: pdb.database().snapshot(),
+            queries: Vec::new(),
+        }
+    }
+}
+
+/// Completes epoch `snap` with every registered query's status.
+pub(crate) fn publish_snapshot(
     registered: &mut [Registered],
     config: &ServingConfig,
-    epoch: u64,
-    samples: u64,
+    mut snap: EpochSnapshot,
 ) -> Result<EpochSnapshot, EvaluateError> {
-    let mut queries = Vec::with_capacity(registered.len());
-    for r in registered.iter_mut() {
-        queries.push(r.status(config.r_hat_threshold)?);
+    snap.queries = registered
+        .iter_mut()
+        .map(|r| r.status(config.r_hat_threshold))
+        .collect::<Result<_, _>>()?;
+    Ok(snap)
+}
+
+/// What the two stages of a served loop share with each other and with
+/// the readers: the knobs, the publication cell, the live counters and the
+/// stop flag.
+pub(crate) struct Shared {
+    pub(crate) config: ServingConfig,
+    pub(crate) cell: Arc<EpochCell>,
+    pub(crate) stats: Arc<SharedStats>,
+    pub(crate) stop: Arc<AtomicBool>,
+}
+
+impl Shared {
+    /// Publishes `epoch0` and starts the counters at `steps` walk-steps.
+    pub(crate) fn new(config: ServingConfig, epoch0: EpochSnapshot, steps: u64) -> Shared {
+        Shared {
+            config,
+            cell: Arc::new(EpochCell::new(epoch0)),
+            stats: Arc::new(SharedStats::new(steps)),
+            stop: Arc::new(AtomicBool::new(false)),
+        }
     }
-    Ok(EpochSnapshot {
-        epoch,
-        steps: pdb.steps_taken(),
-        samples,
-        db: pdb.database().snapshot(),
-        queries,
+
+    pub(crate) fn reader(&self) -> EpochReader {
+        EpochReader {
+            cell: Arc::clone(&self.cell),
+            stats: Arc::clone(&self.stats),
+        }
+    }
+}
+
+/// What a served loop steps: the bare database, or a durable one that logs
+/// every interval before it is handed on.
+pub(crate) trait Host<M: Model> {
+    /// Draws one thinning interval of `k` walk-steps.
+    fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError>;
+    /// The database as the last interval left it.
+    fn pdb(&self) -> &ProbabilisticDB<M>;
+    /// Runs once a stop is seen, before the terminal epoch is handed on.
+    fn flush(&mut self) -> Result<(), ServingError> {
+        Ok(())
+    }
+}
+
+impl<M: Model> Host<M> for ProbabilisticDB<M> {
+    fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+        Ok(self.step(k)?)
+    }
+
+    fn pdb(&self) -> &ProbabilisticDB<M> {
+        self
+    }
+}
+
+/// One epoch's hand-off from the sampler stage to the maintainer stage:
+/// its intervals' deltas in order, and the epoch as the last one left it.
+type Batch = (Vec<DeltaSet>, EpochSnapshot);
+
+/// Intervals each arrangement of the two stages draws per trial.
+const TRIAL_INTERVALS: usize = 256;
+/// Trials' worth of intervals the faster arrangement draws before the next
+/// measurement (readers beside the loop come and go).
+const KEPT_TRIALS: usize = 64;
+
+/// The served loop, in two stages: the sampler stage (the calling thread)
+/// draws intervals from `host` until a stop, and every `publish_every`
+/// hands the maintainer stage one [`Batch`] to observe in order through
+/// every registered view and publish. The maintainer runs on its own
+/// thread or inline, whichever the loop measures faster (a store whose
+/// interval is tens of µs of compute loses more to the hand-off than the
+/// overlap saves): with a second core it runs each twice for
+/// [`TRIAL_INTERVALS`], alternating, keeps the one with the faster trial
+/// [`KEPT_TRIALS`] times as long, and measures again. The chain and every published answer are
+/// the one-thread loop's. `Ok` once stopped with every interval drawn
+/// published; else the first fault of either stage.
+pub(crate) fn serve<M: Model>(
+    host: &mut impl Host<M>,
+    registered: &mut [Registered],
+    shared: &Shared,
+) -> Result<(), ServingError> {
+    let trials = match std::thread::available_parallelism().map_or(1, NonZeroUsize::get) {
+        1 => 0,
+        _ => 4,
+    };
+    let batches = TRIAL_INTERVALS.div_ceil(shared.config.publish_every);
+    loop {
+        // Each arrangement's faster trial: one fsync stall does not decide.
+        let (mut inline, mut threaded) = (Duration::MAX, Duration::MAX);
+        for trial in 0..trials {
+            let started = Instant::now();
+            if segment(host, registered, shared, trial % 2 == 0, batches)? {
+                return Ok(());
+            }
+            let took = started.elapsed();
+            match trial % 2 {
+                0 => threaded = threaded.min(took),
+                _ => inline = inline.min(took),
+            }
+        }
+        let faster = threaded < inline;
+        if segment(host, registered, shared, faster, KEPT_TRIALS * batches)? {
+            return Ok(());
+        }
+    }
+}
+
+/// Runs the two stages, the maintainer on its own thread or inline, for
+/// `batches` hand-offs or until a stop: `Ok(true)` once stopped.
+///
+/// Staleness, threaded: the sampler starts an interval of batch `b` only
+/// after the one-batch queue took `b − 1`, so after the maintainer took
+/// `b − 2` and published `b − 3`: the live counter is at most
+/// `3 · publish_every` samples ahead (inline, `publish_every`). A
+/// maintainer error or panic (caught, as [`ServingError::Panicked`]) ends
+/// the segment; a sampler fault abandons the queued epochs.
+fn segment<M: Model>(
+    host: &mut impl Host<M>,
+    registered: &mut [Registered],
+    shared: &Shared,
+    threaded: bool,
+    batches: usize,
+) -> Result<bool, ServingError> {
+    let maintain = |registered: &mut [Registered], (deltas, snap): Batch| {
+        for delta in &deltas {
+            for r in registered.iter_mut() {
+                r.observe(delta)?;
+            }
+        }
+        let snap = publish_snapshot(registered, &shared.config, snap)?;
+        shared.cell.store(Arc::new(snap));
+        Ok(())
+    };
+    if !threaded {
+        return sample(host, shared, batches, |batch| {
+            catch_unwind(AssertUnwindSafe(|| maintain(registered, batch)))
+                .unwrap_or_else(|payload| Err(ServingError::from_panic(payload)))
+        });
+    }
+    let abandon = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // Made inside the scope: a panicking sampler stage drops `tx` as
+        // it unwinds, which ends the maintainer before the scope joins it.
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(1);
+        let abandon = &abandon;
+        let maintainer = std::thread::Builder::new()
+            .name("fgdb-maintainer".into())
+            .spawn_scoped(scope, move || {
+                for batch in rx {
+                    if abandon.load(Ordering::Acquire) {
+                        break;
+                    }
+                    maintain(registered, batch)?;
+                }
+                Ok(())
+            })
+            .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
+        let sampled = sample(host, shared, batches, |batch| {
+            tx.send(batch)
+                .map_err(|_| ServingError::Sampler("the maintainer stage ended".into()))
+        });
+        abandon.store(sampled.is_err(), Ordering::Release);
+        drop(tx);
+        match maintainer.join() {
+            Err(payload) => Err(ServingError::from_panic(payload)),
+            Ok(Err(e)) => Err(e),
+            Ok(Ok(())) => sampled,
+        }
     })
 }
 
-/// The sampler thread body: step, maintain every registered view, publish.
+/// The sampler stage of [`segment`]: steps, counts, and hands `batches`
+/// completed batches — and at stop, after [`Host::flush`], the partial
+/// one — to `hand_off`. Epoch numbers and the sample count continue from
+/// the published ones.
+fn sample<M: Model>(
+    host: &mut impl Host<M>,
+    shared: &Shared,
+    batches: usize,
+    mut hand_off: impl FnMut(Batch) -> Result<(), ServingError>,
+) -> Result<bool, ServingError> {
+    let every = shared.config.publish_every;
+    let live = shared.reader().status();
+    let (mut epoch, mut samples, mut handed) = (live.epoch, live.samples, 0);
+    let mut deltas = Vec::with_capacity(every);
+    loop {
+        let stop = shared.stop.load(Ordering::Acquire);
+        if stop {
+            host.flush()?;
+        }
+        if !deltas.is_empty() && (stop || deltas.len() == every) {
+            epoch += 1;
+            let snap = EpochSnapshot::of(host.pdb(), epoch, samples);
+            hand_off((
+                std::mem::replace(&mut deltas, Vec::with_capacity(every)),
+                snap,
+            ))?;
+            handed += 1;
+        }
+        if stop || handed == batches {
+            return Ok(stop);
+        }
+        match host.interval(shared.config.thinning) {
+            Ok(delta) => deltas.push(delta),
+            Err(e) => {
+                // Parked now, not once the maintainer has drained: an epoch
+                // it publishes after the fault never reads as a healthy loop.
+                shared.stats.set_error(Some(e.clone()));
+                return Err(e);
+            }
+        }
+        samples += 1;
+        // lint:allow-start(sync, per-interval counter bumps; `samples` is released so a reader that sees it also sees the epochs its bound promises)
+        shared
+            .stats
+            .steps
+            .store(host.pdb().steps_taken(), Ordering::Relaxed);
+        shared.stats.samples.store(samples, Ordering::Release);
+        // lint:allow-end(sync)
+    }
+}
+
+/// The sampler thread body: [`serve`] over the bare database, then the
+/// lifecycle state readers see.
 fn sampler_loop<M: Model>(
     mut pdb: ProbabilisticDB<M>,
     mut registered: Vec<Registered>,
-    config: ServingConfig,
-    cell: Arc<EpochCell>,
-    stats: Arc<SharedStats>,
-    stop: Arc<AtomicBool>,
+    shared: Shared,
 ) -> Result<ProbabilisticDB<M>, ServingError> {
-    let mut epoch = 0u64;
-    let mut samples = 0u64;
-    let mut since_publish = 0usize;
-    let result = loop {
-        if stop.load(Ordering::Acquire) {
-            break Ok(());
-        }
-        match step_once(&mut pdb, &mut registered, &config) {
-            Ok(()) => {
-                samples += 1;
-                // lint:allow-start(sync, per-step counter bumps; values are advisory and carry no cross-thread ordering)
-                stats.steps.store(pdb.steps_taken(), Ordering::Relaxed);
-                stats.samples.store(samples, Ordering::Relaxed);
-                // lint:allow-end(sync)
-                since_publish += 1;
-                if since_publish >= config.publish_every {
-                    since_publish = 0;
-                    epoch += 1;
-                    match publish_snapshot(&pdb, &mut registered, &config, epoch, samples) {
-                        Ok(snap) => cell.store(Arc::new(snap)),
-                        Err(e) => break Err(e),
-                    }
-                }
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    // Final publication so late readers see the terminal state; loop
-    // errors park where every reader's `status()` can see them.
-    match result {
+    match serve(&mut pdb, &mut registered, &shared) {
         Ok(()) => {
-            if since_publish > 0 {
-                epoch += 1;
-                if let Ok(snap) = publish_snapshot(&pdb, &mut registered, &config, epoch, samples) {
-                    cell.store(Arc::new(snap));
-                }
-            }
-            stats.set_state(SamplerState::Stopped);
+            shared.stats.set_state(SamplerState::Stopped);
             Ok(pdb)
         }
-        Err(e) => {
-            let error = ServingError::from(e);
-            stats.set_error(Some(error.clone()));
-            stats.set_state(SamplerState::Failed);
+        Err(error) => {
+            shared.stats.set_error(Some(error.clone()));
+            shared.stats.set_state(SamplerState::Failed);
             Err(error)
         }
     }
-}
-
-/// Incremental maintenance after one committed interval: folds `delta`
-/// into every registered view and hands the resulting membership crossings
-/// to its marginal table and diagnostic window. Shared
-/// with the supervised (durable) loop, whose deltas come back from
-/// [`crate::DurablePdb::step`] already logged.
-pub(crate) fn observe_delta(
-    registered: &mut [Registered],
-    delta: &fgdb_relational::DeltaSet,
-    db: &Database,
-) -> Result<(), EvaluateError> {
-    for r in registered.iter_mut() {
-        r.observe(delta, db)?;
-    }
-    Ok(())
-}
-
-/// One thinning interval: k walk-steps, then incremental maintenance and
-/// trace extension of every registered view.
-fn step_once<M: Model>(
-    pdb: &mut ProbabilisticDB<M>,
-    registered: &mut [Registered],
-    config: &ServingConfig,
-) -> Result<(), EvaluateError> {
-    let delta = pdb.step(config.thinning)?;
-    observe_delta(registered, &delta, pdb.database())
 }
 
 #[cfg(test)]
@@ -760,6 +926,17 @@ mod tests {
     use fgdb_relational::parser::paper_sql;
 
     const N: usize = 12;
+
+    /// One interval drawn and observed by every registered query on this
+    /// thread, as the maintainer stage observes it.
+    fn step_once<M: Model>(
+        pdb: &mut ProbabilisticDB<M>,
+        registered: &mut [Registered],
+        config: &ServingConfig,
+    ) -> Result<(), EvaluateError> {
+        let delta = pdb.step(config.thinning)?;
+        registered.iter_mut().try_for_each(|r| r.observe(&delta))
+    }
 
     fn spawn_fixture(config: ServingConfig) -> LiveSampler<Arc<fgdb_graph::FactorGraph>> {
         let pdb = biased_token_pdb(N, 4, 99);
@@ -854,14 +1031,20 @@ mod tests {
         let mut pdb = biased_token_pdb(ROWS, 4, 99);
         let q1 = paper_sql::query1("TOKEN");
         let mut registered = build_registered(&pdb, &[("q1", &q1)], &config).unwrap();
-        let mut prev = publish_snapshot(&pdb, &mut registered, &config, 0, 0).unwrap();
+        let mut prev =
+            publish_snapshot(&mut registered, &config, EpochSnapshot::of(&pdb, 0, 0)).unwrap();
         let mut wrote = 0;
         for epoch in 1..=64u64 {
             for _ in 0..config.publish_every {
                 step_once(&mut pdb, &mut registered, &config).unwrap();
             }
             let samples = epoch * config.publish_every as u64;
-            let cur = publish_snapshot(&pdb, &mut registered, &config, epoch, samples).unwrap();
+            let cur = publish_snapshot(
+                &mut registered,
+                &config,
+                EpochSnapshot::of(&pdb, epoch, samples),
+            )
+            .unwrap();
             let (a, b) = (
                 prev.database().relation("TOKEN").unwrap(),
                 cur.database().relation("TOKEN").unwrap(),
@@ -906,7 +1089,9 @@ mod tests {
         let q2 = paper_sql::query2("TOKEN");
         let mut registered = build_registered(&pdb, &[("q1", &q1), ("q2", &q2)], &config).unwrap();
         for epoch in 0..40u64 {
-            let snap = publish_snapshot(&pdb, &mut registered, &config, epoch, 0).unwrap();
+            let snap =
+                publish_snapshot(&mut registered, &config, EpochSnapshot::of(&pdb, epoch, 0))
+                    .unwrap();
             for (status, r) in snap.registered().iter().zip(&registered) {
                 let answer: Vec<(Tuple, i64)> = status
                     .answer()
@@ -998,6 +1183,82 @@ mod tests {
         let q2 = pinned.status("q2").unwrap();
         assert_eq!(q2.answer().len(), 1);
         sampler.stop().unwrap();
+    }
+
+    /// Steps `pdb`, but hands the maintainer `bad` as its `at`-th interval.
+    struct Faulty<M> {
+        pdb: ProbabilisticDB<M>,
+        at: u64,
+        bad: DeltaSet,
+        drawn: u64,
+    }
+
+    impl<M: Model> Host<M> for Faulty<M> {
+        fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+            let delta = self.pdb.step(k)?;
+            self.drawn += 1;
+            Ok(match self.drawn == self.at {
+                true => self.bad.clone(),
+                false => delta,
+            })
+        }
+
+        fn pdb(&self) -> &ProbabilisticDB<M> {
+            &self.pdb
+        }
+    }
+
+    /// A maintainer error, or panic, ends either arrangement of the two
+    /// stages with that fault, and the batch that raised it is never
+    /// published.
+    #[test]
+    fn a_maintainer_fault_ends_either_arrangement_with_its_error() {
+        let token: Arc<str> = Arc::from("TOKEN");
+        let mut never_inserted = DeltaSet::new();
+        never_inserted.record_delete(
+            &token,
+            Tuple::from_iter_values([
+                Value::Int(999),
+                Value::Int(0),
+                Value::str("nobody"),
+                Value::str("B-PER"),
+                Value::str("O"),
+            ]),
+        );
+        let mut misshapen = DeltaSet::new();
+        misshapen.record_insert(&token, Tuple::from_iter_values([Value::Int(999)]));
+        let config = ServingConfig {
+            thinning: 5,
+            publish_every: 2,
+            ..ServingConfig::default()
+        };
+        // A DISTINCT view checks that no retraction drives a row negative.
+        let sql = "SELECT DISTINCT string FROM TOKEN WHERE label = 'B-PER'";
+        for threaded in [false, true] {
+            for (bad, panics) in [(&never_inserted, false), (&misshapen, true)] {
+                let pdb = biased_token_pdb(N, 4, 99);
+                let mut registered = build_registered(&pdb, &[("names", sql)], &config).unwrap();
+                let epoch0 =
+                    publish_snapshot(&mut registered, &config, EpochSnapshot::of(&pdb, 0, 0))
+                        .unwrap();
+                let shared = Shared::new(config.clone(), epoch0, 0);
+                let mut host = Faulty {
+                    pdb,
+                    at: 5,
+                    bad: bad.clone(),
+                    drawn: 0,
+                };
+                let err = segment(&mut host, &mut registered, &shared, threaded, 8)
+                    .expect_err("the bad interval must fault");
+                assert_eq!(
+                    matches!(err, ServingError::Panicked(_)),
+                    panics,
+                    "threaded {threaded}: {err}"
+                );
+                assert!(panics || matches!(err, ServingError::Evaluate(_)), "{err}");
+                assert_eq!(shared.cell.load().epoch, 2, "threaded {threaded}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The supervised durable sampler: the live serving loop of
-//! [`crate::LiveSampler`] stepped through a [`DurablePdb`] (every interval
-//! WAL-logged before acknowledgement) under a supervisor that survives
-//! storage faults and panics by restart-from-recovery.
+//! The supervised durable sampler: the two-stage serving loop of
+//! [`crate::LiveSampler`] (the same driver) stepped through a
+//! [`DurablePdb`] under a supervisor that survives storage faults and
+//! panics by restart-from-recovery.
 //!
-//! Durable stepping and in-memory serving existed separately; this module
-//! composes the two and adds the failure story. The
-//! supervisor thread runs the serving loop inside `catch_unwind` plus
-//! typed-error handling:
+//! The supervisor thread is the sampler stage: its host runs
+//! [`DurablePdb::step`] (every interval WAL-appended, and group-committed,
+//! before it is handed on — so an epoch is never published ahead of its
+//! log), the checkpoint cadence and, at stop, the final flush before the
+//! terminal epoch, each inside `catch_unwind`. The maintainer stage
+//! observes and publishes behind it (or inline); its errors and panics
+//! come back through its join. Either way a fault takes the same route:
 //!
 //! * a **transient storage fault** (WAL append error, failed fsync,
 //!   checkpoint I/O error) or a **panic** parks the typed error where
@@ -21,11 +24,16 @@
 //! * an **evaluate or configuration error** is deterministic — retrying
 //!   replays the same bug — so the supervisor fails fast to
 //!   [`SamplerState::Failed`] without burning restart attempts;
-//! * after `max_restarts` consecutive failed recoveries the supervisor
-//!   gives up: state [`SamplerState::Failed`], error parked, thread ends.
-//!   A healthy interval refills the restart budget, so a sampler that
-//!   recovers and serves for hours is not one fault away from giving up
-//!   because of faults it already survived.
+//! * after `max_restarts` restarts in a row that end in a failed
+//!   recovery or in a fault before the loop published an epoch, the
+//!   supervisor gives up: state [`SamplerState::Failed`], error parked,
+//!   thread ends. A published epoch refills the restart budget, so a
+//!   sampler that recovers and serves for hours is not one fault away
+//!   from giving up because of faults it already survived, while a fault
+//!   that recurs on either stage before every publication does give up;
+//! * a fault seen once a stop was requested (a failed final flush among
+//!   them) is not retried: state [`SamplerState::Failed`], and no terminal
+//!   epoch is published ahead of the flush.
 //!
 //! Throughout every degraded window the already-published epochs remain
 //! pinnable and consistent — readers lose *freshness*, never
@@ -41,12 +49,13 @@
 use crate::durable::{DurableError, DurablePdb};
 use crate::pdb::ProbabilisticDB;
 use crate::serving::{
-    build_registered, observe_delta, publish_snapshot, validate_config, EpochCell, EpochReader,
-    Registered, SamplerState, ServingConfig, ServingError, SharedStats,
+    build_registered, publish_snapshot, serve, validate_config, EpochReader, EpochSnapshot, Host,
+    Registered, SamplerState, ServingConfig, ServingError, Shared,
 };
 use fgdb_durability::{DurabilityConfig, StoreIo};
 use fgdb_graph::Model;
 use fgdb_mcmc::Proposer;
+use fgdb_relational::DeltaSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,7 +69,8 @@ pub struct SupervisorConfig {
     /// The serving loop itself (thinning, publication, diagnostics).
     pub serving: ServingConfig,
     /// Consecutive failed recovery attempts before the supervisor gives
-    /// up ([`SamplerState::Failed`]). A healthy interval resets the count.
+    /// up ([`SamplerState::Failed`]). An epoch published after a restart
+    /// resets the count.
     pub max_restarts: u32,
     /// Base pause before recovery attempt `n` (the pause is
     /// `restart_backoff_ms × n`, checked against the stop flag every few
@@ -111,26 +121,26 @@ impl<M: Model + 'static> SupervisedSampler<M> {
     ) -> Result<Self, ServingError> {
         validate_config(&config.serving)?;
         let mut registered = build_registered(durable.pdb(), queries, &config.serving)?;
-        let epoch0 = publish_snapshot(durable.pdb(), &mut registered, &config.serving, 0, 0)?;
-        let cell = Arc::new(EpochCell::new(epoch0));
-        let stats = Arc::new(SharedStats::new(durable.steps_taken()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader = EpochReader::new(Arc::clone(&cell), Arc::clone(&stats));
+        let epoch0 = publish_snapshot(
+            &mut registered,
+            &config.serving,
+            EpochSnapshot::of(durable.pdb(), 0, 0),
+        )?;
+        let shared = Shared::new(config.serving.clone(), epoch0, durable.steps_taken());
+        let reader = shared.reader();
+        let stop = Arc::clone(&shared.stop);
 
         let owned: Vec<(String, String)> = queries
             .iter()
             .map(|(n, s)| (n.to_string(), s.to_string()))
             .collect();
-        let t_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("fgdb-supervised-sampler".into())
             .spawn(move || {
                 Supervisor {
                     queries: owned,
                     config,
-                    cell,
-                    stats,
-                    stop: t_stop,
+                    shared,
                     factory,
                 }
                 .run(durable, registered)
@@ -152,8 +162,9 @@ impl<M: Model + 'static> SupervisedSampler<M> {
     /// Graceful shutdown: flags the loop, joins the thread, and returns
     /// the durable database with its group-commit tail flushed — or the
     /// error that had already killed (or was mid-way through degrading)
-    /// the loop. After an `Err`, the store directory still holds the last
-    /// durable state and can be recovered offline.
+    /// the loop. Every logged interval is published first. After an `Err`,
+    /// the store directory still holds the last durable state and can be
+    /// recovered offline.
     pub fn stop(mut self) -> Result<DurablePdb<M>, ServingError> {
         self.stop.store(true, Ordering::Release);
         match self.handle.take() {
@@ -179,9 +190,7 @@ impl<M> Drop for SupervisedSampler<M> {
 struct Supervisor<M> {
     queries: Vec<(String, String)>,
     config: SupervisorConfig,
-    cell: Arc<EpochCell>,
-    stats: Arc<SharedStats>,
-    stop: Arc<AtomicBool>,
+    shared: Shared,
     factory: ModelFactory<M>,
 }
 
@@ -196,6 +205,45 @@ fn retryable(e: &ServingError) -> bool {
     }
 }
 
+/// Runs one durable-store call, turning a panic into a retryable fault.
+fn guarded<T>(f: impl FnOnce() -> Result<T, DurableError>) -> Result<T, ServingError> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => Ok(result?),
+        Err(payload) => Err(ServingError::from_panic(payload)),
+    }
+}
+
+/// The supervised host of the served loop: every interval WAL-appended
+/// (and group-committed) before it is handed on, so no epoch is published
+/// ahead of its log; a checkpoint every `every` intervals (`0`: none); the
+/// group-commit tail flushed before the terminal epoch. Each store call
+/// runs [`guarded`].
+struct Logged<'a, M> {
+    durable: &'a mut DurablePdb<M>,
+    every: usize,
+    since_checkpoint: usize,
+}
+
+impl<M: Model> Host<M> for Logged<'_, M> {
+    fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+        let delta = guarded(|| self.durable.step(k))?;
+        self.since_checkpoint += 1;
+        if self.every > 0 && self.since_checkpoint >= self.every {
+            self.since_checkpoint = 0;
+            guarded(|| self.durable.checkpoint())?;
+        }
+        Ok(delta)
+    }
+
+    fn pdb(&self) -> &ProbabilisticDB<M> {
+        self.durable.pdb()
+    }
+
+    fn flush(&mut self) -> Result<(), ServingError> {
+        guarded(|| self.durable.sync())
+    }
+}
+
 impl<M: Model + 'static> Supervisor<M> {
     fn run(
         self,
@@ -207,91 +255,43 @@ impl<M: Model + 'static> Supervisor<M> {
         let dir: PathBuf = durable.dir().to_path_buf();
         let io: Arc<dyn StoreIo> = durable.io();
         let dconfig: DurabilityConfig = durable.durability_config();
+        let stats = &self.shared.stats;
 
-        let mut epoch = 0u64;
-        let mut samples = 0u64;
-        let mut since_publish = 0usize;
-        let mut since_checkpoint = 0usize;
         let mut attempt = 0u32;
 
         loop {
             // ---- the serving loop, until stop or a fault -------------
-            let fault: ServingError = loop {
-                if self.stop.load(Ordering::Acquire) {
-                    // Orderly shutdown: flush the group-commit tail so
-                    // every acknowledged interval is durable, publish the
-                    // terminal state, report Stopped.
-                    if let Err(e) = durable.sync() {
-                        let error = ServingError::from(e);
-                        self.stats.set_error(Some(error.clone()));
-                        self.stats.set_state(SamplerState::Failed);
-                        return Err(error);
-                    }
-                    if since_publish > 0 {
-                        epoch += 1;
-                        if let Ok(snap) = publish_snapshot(
-                            durable.pdb(),
-                            &mut registered,
-                            &self.config.serving,
-                            epoch,
-                            samples,
-                        ) {
-                            self.cell.store(Arc::new(snap));
-                        }
-                    }
-                    self.stats.set_state(SamplerState::Stopped);
+            let resumed_at = self.shared.cell.load().epoch;
+            let served = serve(
+                &mut Logged {
+                    durable: &mut durable,
+                    every: self.config.checkpoint_every,
+                    since_checkpoint: 0,
+                },
+                &mut registered,
+                &self.shared,
+            );
+            let fault = match served {
+                // Orderly shutdown: the group-commit tail was flushed
+                // before the terminal epoch was published.
+                Ok(()) => {
+                    stats.set_state(SamplerState::Stopped);
                     return Ok(durable);
                 }
-                let k = self.config.serving.thinning;
-                match catch_unwind(AssertUnwindSafe(|| durable.step(k))) {
-                    Ok(Ok(delta)) => {
-                        if let Err(e) = observe_delta(&mut registered, &delta, durable.database()) {
-                            break ServingError::from(e);
-                        }
-                        samples += 1;
-                        self.stats
-                            .steps
-                            .store(durable.steps_taken(), Ordering::Relaxed);
-                        self.stats.samples.store(samples, Ordering::Relaxed);
-                        // A healthy, logged interval refills the restart
-                        // budget: only *consecutive* failures give up.
-                        attempt = 0;
-                        since_publish += 1;
-                        since_checkpoint += 1;
-                        if since_publish >= self.config.serving.publish_every {
-                            since_publish = 0;
-                            epoch += 1;
-                            match publish_snapshot(
-                                durable.pdb(),
-                                &mut registered,
-                                &self.config.serving,
-                                epoch,
-                                samples,
-                            ) {
-                                Ok(snap) => self.cell.store(Arc::new(snap)),
-                                Err(e) => break ServingError::from(e),
-                            }
-                        }
-                        if self.config.checkpoint_every > 0
-                            && since_checkpoint >= self.config.checkpoint_every
-                        {
-                            since_checkpoint = 0;
-                            match catch_unwind(AssertUnwindSafe(|| durable.checkpoint())) {
-                                Ok(Ok(())) => {}
-                                Ok(Err(e)) => break ServingError::from(e),
-                                Err(payload) => break ServingError::from_panic(payload),
-                            }
-                        }
-                    }
-                    Ok(Err(e)) => break ServingError::from(e),
-                    Err(payload) => break ServingError::from_panic(payload),
-                }
+                Err(fault) => fault,
             };
+            // An epoch published since the (re)start refills the restart
+            // budget: only faults that recur before the loop publishes —
+            // on either stage — count as consecutive.
+            if self.shared.cell.load().epoch > resumed_at {
+                attempt = 0;
+            }
 
             // ---- degrade, then bounded restart-from-recovery ---------
-            self.stats.set_error(Some(fault.clone()));
-            if !retryable(&fault) {
-                self.stats.set_state(SamplerState::Failed);
+            stats.set_error(Some(fault.clone()));
+            // A fault on the way out (the final flush included) is final.
+            if !retryable(&fault) || self.shared.stop.load(Ordering::Acquire) {
+                stats.set_state(SamplerState::Failed);
                 return Err(fault);
             }
             // The faulted store is dropped (its drop path flushes best
@@ -302,17 +302,17 @@ impl<M: Model + 'static> Supervisor<M> {
             loop {
                 attempt += 1;
                 if attempt > self.config.max_restarts {
-                    self.stats.set_state(SamplerState::Failed);
+                    stats.set_state(SamplerState::Failed);
                     return Err(fault);
                 }
-                self.stats.set_state(SamplerState::Degraded {
+                stats.set_state(SamplerState::Degraded {
                     attempt,
                     max_restarts: self.config.max_restarts,
                 });
                 if !self.backoff(attempt) {
                     // Stop requested mid-recovery: there is no live store
                     // to hand back, but the directory remains recoverable.
-                    self.stats.set_state(SamplerState::Stopped);
+                    stats.set_state(SamplerState::Stopped);
                     return Err(fault);
                 }
                 let (model, proposer) = (self.factory)();
@@ -334,8 +334,8 @@ impl<M: Model + 'static> Supervisor<M> {
                             let error = ServingError::Sampler(format!(
                                 "recovered state failed verification: {m}"
                             ));
-                            self.stats.set_error(Some(error.clone()));
-                            self.stats.set_state(SamplerState::Failed);
+                            stats.set_error(Some(error.clone()));
+                            stats.set_state(SamplerState::Failed);
                             return Err(error);
                         }
                         let q: Vec<(&str, &str)> = self
@@ -343,11 +343,11 @@ impl<M: Model + 'static> Supervisor<M> {
                             .iter()
                             .map(|(n, s)| (n.as_str(), s.as_str()))
                             .collect();
-                        match build_registered(d2.pdb(), &q, &self.config.serving) {
+                        match build_registered(d2.pdb(), &q, &self.shared.config) {
                             Ok(r) => registered = r,
                             Err(e) => {
-                                self.stats.set_error(Some(e.clone()));
-                                self.stats.set_state(SamplerState::Failed);
+                                stats.set_error(Some(e.clone()));
+                                stats.set_state(SamplerState::Failed);
                                 return Err(e);
                             }
                         }
@@ -355,34 +355,26 @@ impl<M: Model + 'static> Supervisor<M> {
                         // Publish immediately: readers see a fresh epoch
                         // (monotonically above every pre-fault epoch) as
                         // the first signal that service resumed.
-                        epoch += 1;
-                        match publish_snapshot(
-                            durable.pdb(),
-                            &mut registered,
-                            &self.config.serving,
-                            epoch,
-                            samples,
-                        ) {
-                            Ok(snap) => self.cell.store(Arc::new(snap)),
+                        let live = self.shared.reader().status();
+                        let at = EpochSnapshot::of(durable.pdb(), live.epoch + 1, live.samples);
+                        match publish_snapshot(&mut registered, &self.shared.config, at) {
+                            Ok(snap) => self.shared.cell.store(Arc::new(snap)),
                             Err(e) => {
                                 let error = ServingError::from(e);
-                                self.stats.set_error(Some(error.clone()));
-                                self.stats.set_state(SamplerState::Failed);
+                                stats.set_error(Some(error.clone()));
+                                stats.set_state(SamplerState::Failed);
                                 return Err(error);
                             }
                         }
-                        self.stats.set_error(None);
-                        self.stats.set_state(SamplerState::Running);
-                        since_publish = 0;
-                        since_checkpoint = 0;
+                        stats.set_error(None);
+                        stats.set_state(SamplerState::Running);
                         break; // back to the serving loop
                     }
                     Ok(Err(e)) => {
-                        self.stats.set_error(Some(ServingError::from(e)));
+                        stats.set_error(Some(ServingError::from(e)));
                     }
                     Err(payload) => {
-                        self.stats
-                            .set_error(Some(ServingError::from_panic(payload)));
+                        stats.set_error(Some(ServingError::from_panic(payload)));
                     }
                 }
             }
@@ -398,14 +390,14 @@ impl<M: Model + 'static> Supervisor<M> {
             .saturating_mul(attempt as u64);
         let mut slept = 0u64;
         while slept < total {
-            if self.stop.load(Ordering::Acquire) {
+            if self.shared.stop.load(Ordering::Acquire) {
                 return false;
             }
             let chunk = (total - slept).min(5);
             std::thread::sleep(Duration::from_millis(chunk));
             slept += chunk;
         }
-        !self.stop.load(Ordering::Acquire)
+        !self.shared.stop.load(Ordering::Acquire)
     }
 }
 
@@ -504,7 +496,16 @@ mod tests {
         // One transient WAL write failure. The supervisor must degrade,
         // recover, and resume publishing — without outside help.
         fio.inject_now(FaultKind::WriteErr);
-        while reader.status().epoch <= epoch_before + 1 {
+        // Batches handed to the maintainer before the fault may still be
+        // published after the injection, so wait for the fault itself. At
+        // most the batch in the maintainer's hands publishes after it, then
+        // the recovery's epoch: a third proves the resumed loop publishes.
+        while fio.fired().is_empty() {
+            std::thread::yield_now();
+        }
+        let epoch_at_fire = reader.status().epoch;
+        while reader.status().epoch <= epoch_at_fire + 2 {
+            assert_ne!(reader.status().state, SamplerState::Failed);
             std::thread::yield_now();
         }
         // Saw new epochs after the fault; state is Running again and the
@@ -521,6 +522,66 @@ mod tests {
         assert_eq!(pinned.epoch, epoch_before);
         let durable = sampler.stop().unwrap();
         durable.pdb().check_synchronized().unwrap();
+    }
+
+    /// A relabelling proposer that panics once it has made `left`
+    /// proposals.
+    struct PanicsAfter {
+        inner: Box<fgdb_mcmc::UniformRelabel>,
+        left: usize,
+    }
+
+    impl Proposer for PanicsAfter {
+        fn propose(
+            &mut self,
+            world: &fgdb_graph::World,
+            rng: &mut fgdb_mcmc::DynRng<'_>,
+            out: &mut fgdb_mcmc::Proposal,
+        ) {
+            self.left = self.left.checked_sub(1).expect("injected proposer fault");
+            self.inner.propose(world, rng, out)
+        }
+
+        fn support(&self) -> &[fgdb_graph::VariableId] {
+            self.inner.support()
+        }
+    }
+
+    /// After a fault, every restart steps a healthy interval and then
+    /// panics before the loop can publish: the budget is never refilled,
+    /// so the supervisor gives up instead of restarting forever.
+    #[test]
+    fn a_fault_that_recurs_before_every_publication_exhausts_restarts() {
+        let dir = fgdb_durability::test_dir("supervise_recurring");
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let io: Arc<dyn StoreIo> = Arc::new(fio.clone());
+        let (durable, _) = durable_fixture(io, &dir);
+        let model = Arc::clone(durable.pdb().model());
+        let config = config();
+        // One interval's proposals and part of the next: never an epoch.
+        let left = config.serving.thinning * config.serving.publish_every - 2;
+        let factory: ModelFactory<Arc<FactorGraph>> = Box::new(move || {
+            let inner = relabel_proposer(N);
+            (Arc::clone(&model), Box::new(PanicsAfter { inner, left }))
+        });
+        let q1 = paper_sql::query1("TOKEN");
+        let sampler =
+            SupervisedSampler::spawn(durable, &[("q1", q1.as_str())], config, factory).unwrap();
+        let reader = sampler.reader();
+        while reader.status().epoch < 1 {
+            std::thread::yield_now();
+        }
+        fio.inject_now(FaultKind::WriteErr);
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while reader.status().state != SamplerState::Failed {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "restarted forever: {}",
+                reader.status().state
+            );
+            std::thread::yield_now();
+        }
+        assert!(matches!(sampler.stop(), Err(ServingError::Panicked(_))));
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   publication would break the sum).
 //! * **Epoch monotonicity** — successive `pin()` calls on one reader
 //!   never observe the epoch counter going backwards.
+//! * **Bounded staleness** — the pinned epoch is never more than
+//!   `3 · publish_every` samples behind the live counter read just before
+//!   the pin (the bound `ServingConfig::publish_every` documents).
 //!
 //! Thread count defaults low enough for the 1-core CI container; the
 //! nightly-deep job raises it via `FGDB_STRESS_THREADS`.
@@ -26,6 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const N_TOKENS: usize = 30;
+const PUBLISH_EVERY: usize = 1;
 
 fn stress_threads() -> usize {
     std::env::var("FGDB_STRESS_THREADS")
@@ -45,7 +49,16 @@ fn reader_loop(reader: EpochReader, queries: Arc<Vec<String>>, done: Arc<AtomicB
     // least a few epochs — on a loaded 1-core box the sampler can hit the
     // epoch target before a reader finishes its first iteration.
     while !done.load(Ordering::Acquire) || verified < 3 {
+        let live = reader.status().samples;
         let snap = reader.pin();
+
+        // Staleness: the sampler runs at most three epochs ahead of what
+        // a reader can pin.
+        assert!(
+            live.saturating_sub(snap.samples) <= 3 * PUBLISH_EVERY as u64,
+            "pinned epoch at {} samples, {live} drawn before the pin",
+            snap.samples
+        );
 
         // Epoch monotonicity per reader.
         assert!(
@@ -99,7 +112,7 @@ fn concurrent_readers_see_consistent_pinned_epochs() {
         &[("q2", q2.as_str())],
         ServingConfig {
             thinning: 10,
-            publish_every: 1,
+            publish_every: PUBLISH_EVERY,
             window: 64,
             ..Default::default()
         },

@@ -271,13 +271,16 @@ impl<'a> BatchInput<'a> {
 }
 
 impl DOut<'_> {
-    fn iter(&self) -> Box<dyn Iterator<Item = (&Tuple, i64)> + '_> {
-        match self {
-            DOut::Empty => Box::new(std::iter::empty()),
-            DOut::Counted(s) => Box::new(s.iter()),
-            DOut::Zs(z) => Box::new(z.iter()),
-            DOut::Owned(z) => Box::new(z.iter()),
-        }
+    /// The entries, through one iterator type for every variant: walking a
+    /// batch boxes nothing.
+    fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> + '_ {
+        let map = match self {
+            DOut::Empty => None,
+            DOut::Counted(s) => Some(s.map()),
+            DOut::Zs(z) => Some(z.map()),
+            DOut::Owned(z) => Some(z.map()),
+        };
+        map.into_iter().flatten().map(|(t, &w)| (t, w))
     }
 
     fn count(&self, t: &Tuple) -> i64 {

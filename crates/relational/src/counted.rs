@@ -39,6 +39,17 @@ impl CountedSet {
         }
     }
 
+    /// Takes over `counts`, whose weights must all be nonzero (a
+    /// [`crate::ZSet`]'s map is): nothing is re-hashed.
+    pub(crate) fn from_map(counts: FxHashMap<Tuple, i64>) -> Self {
+        CountedSet { counts }
+    }
+
+    /// The backing map, for walks that must not box an iterator.
+    pub(crate) fn map(&self) -> &FxHashMap<Tuple, i64> {
+        &self.counts
+    }
+
     /// Builds a state from tuples, each with multiplicity one per occurrence.
     pub fn from_tuples<I: IntoIterator<Item = Tuple>>(iter: I) -> Self {
         let mut s = CountedSet::new();

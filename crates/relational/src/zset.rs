@@ -74,6 +74,11 @@ impl ZSet {
         }
     }
 
+    /// The backing map, for walks that must not box an iterator.
+    pub(crate) fn map(&self) -> &FxHashMap<Tuple, i64> {
+        &self.weights
+    }
+
     /// Builds a Z-set from `(tuple, weight)` pairs (weights coalesce).
     pub fn from_entries<I: IntoIterator<Item = (Tuple, i64)>>(iter: I) -> Self {
         let mut z = ZSet::new();
@@ -240,13 +245,10 @@ impl ZSet {
         v
     }
 
-    /// Converts into the delta-transport representation.
+    /// Converts into the delta-transport representation. Both hold the
+    /// same map under the same no-zero invariant, so the map moves over.
     pub fn into_counted(self) -> CountedSet {
-        let mut out = CountedSet::with_capacity(self.weights.len());
-        for (t, w) in self.weights {
-            out.add(t, w);
-        }
-        out
+        CountedSet::from_map(self.weights)
     }
 
     /// Builds a Z-set from the delta-transport representation.

@@ -12,13 +12,19 @@
 //!   the same bytes at both sizes: the circuit pushes the stored rows
 //!   into the γ accumulators instead of seeding the view from a copy of
 //!   the relation.
+//! * One delta batch through the q1 view — a word relabelled B-PER and a
+//!   name relabelled O — allocates a pinned, small number of times: the
+//!   circuit walks each node's delta without boxing an iterator, and hands
+//!   back its output Z-set's map as the answer delta instead of re-hashing
+//!   it into a second one.
 
 use fgdb_relational::parser::paper_sql;
 use fgdb_relational::{
-    compile_query, execute, tuple, Database, MaterializedView, Schema, ValueType,
+    compile_query, execute, tuple, Database, DeltaSet, MaterializedView, Schema, ValueType,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Counts this thread's heap allocations and the bytes they request (the
 /// test harness allocates on its own threads at will).
@@ -140,4 +146,39 @@ fn a_view_of_a_filtered_count_allocates_the_same_at_any_row_count() {
         measured[0], measured[1],
         "(allocations, bytes) at 10 K vs 100 K rows"
     );
+}
+
+#[test]
+fn a_q1_delta_batch_allocates_a_pinned_count() {
+    let db = token_db(10_000);
+    let plan = compile_query(&paper_sql::query1("TOKEN"), &db).unwrap();
+    let mut view = MaterializedView::new(&plan, &db).unwrap();
+    let token: Arc<str> = Arc::from("TOKEN");
+    // Token `i` relabelled from `from` to `to` (the stored row and its
+    // image, as the sampler's write-back records them).
+    let relabel = |delta: &mut DeltaSet, i: i64, from: &str, to: &str| {
+        let string = if i % 10 == 0 {
+            format!("name{}", (i / 10) % 40)
+        } else {
+            format!("word{}", i % 500)
+        };
+        let truth = if i % 10 == 0 { "B-PER" } else { "O" };
+        delta.record_update(
+            &token,
+            tuple![i, i / 200, string.as_str(), from, truth],
+            tuple![i, i / 200, string.as_str(), to, truth],
+        );
+    };
+    let batch = |word: i64, name: i64| {
+        let mut delta = DeltaSet::new();
+        relabel(&mut delta, word, "O", "B-PER");
+        relabel(&mut delta, name, "B-PER", "O");
+        delta
+    };
+    // Warm-up: the view's state reaches the sizes the measured batch finds.
+    let _ = view.try_apply_delta(&batch(1, 10)).unwrap();
+    let delta = batch(3, 20);
+    let ((allocs, _), out) = allocations_of(|| view.try_apply_delta(&delta).unwrap());
+    assert_eq!(out.sorted_entries().len(), 2, "word3 enters, name2 leaves");
+    assert_eq!(allocs, 7, "allocations of one q1 delta batch");
 }
