@@ -15,7 +15,9 @@
 //!   The acceptance bound for this PR is ≤ 25% under paced load (the
 //!   harness machine is single-core, so clients and sampler share one
 //!   CPU; an unpaced closed loop would measure CPU division, not serving
-//!   overhead — the `saturate` row reports that regime separately);
+//!   overhead — the `saturate` row reports that regime separately, as
+//!   the median of [`SATURATE_WINDOWS`] windows with their min–max in the
+//!   `saturate_*` params, since one window's figure swings between runs);
 //! * **degraded mode** — the `degraded` row runs a [`SupervisedSampler`]
 //!   over a faulty WAL parked in its restart-backoff window: pinned
 //!   clients keep reading their immutable epochs (their latency is the
@@ -55,6 +57,11 @@ use std::time::{Duration, Instant};
 const DOC_SIZE: usize = 24;
 /// Pace between requests on each client connection (paced regime).
 const PACE: Duration = Duration::from_millis(25);
+/// Windows the `saturate` row is the median of. Under unpaced clients one
+/// window's sampler steps/s swings between runs of one binary (the served
+/// loop's arrangement trial can overlap the clients' start), so a single
+/// window cannot tell two builds apart.
+const SATURATE_WINDOWS: usize = 5;
 
 fn build_sampler(n_tokens: usize, config: &ServingConfig) -> LiveSampler<Arc<FactorGraph>> {
     let pdb = biased_token_pdb(n_tokens, DOC_SIZE, 0xBE7C);
@@ -367,7 +374,29 @@ fn main() {
     let mut rows = Vec::new();
     let mut paced_degradation = f64::NAN;
     for (regime, pace) in [("paced", Some(PACE)), ("saturate", None)] {
-        let (lat, qps, sps) = run_regime(n_tokens, &config, n_clients, window, pace);
+        let runs = if pace.is_some() { 1 } else { SATURATE_WINDOWS };
+        let mut windows: Vec<_> = (0..runs)
+            .map(|_| run_regime(n_tokens, &config, n_clients, window, pace))
+            .collect();
+        windows.sort_by(|a, b| a.2.total_cmp(&b.2));
+        if runs > 1 {
+            let qps = windows.iter().map(|w| w.1);
+            let (qps_min, qps_max) = (
+                qps.clone().fold(f64::MAX, f64::min),
+                qps.fold(0.0, f64::max),
+            );
+            report
+                .param("saturate_windows", runs)
+                .param("saturate_steps_per_s_min", format!("{:.0}", windows[0].2))
+                .param(
+                    "saturate_steps_per_s_max",
+                    format!("{:.0}", windows[runs - 1].2),
+                )
+                .param("saturate_qps_min", format!("{qps_min:.1}"))
+                .param("saturate_qps_max", format!("{qps_max:.1}"));
+        }
+        // The window with the median sampler steps/s is the row.
+        let (lat, qps, sps) = windows.swap_remove(runs / 2);
         let degradation = (1.0 - sps / baseline_sps) * 100.0;
         if regime == "paced" {
             paced_degradation = degradation;

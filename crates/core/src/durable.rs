@@ -452,3 +452,47 @@ impl<M: Model> ProbabilisticDB<M> {
         ))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::{biased_token_pdb, relabel_proposer};
+
+    /// A base whose decoded binding names a dead row, or a column past the
+    /// relation's arity, recovers to `Invalid` instead of panicking:
+    /// `ProbabilisticDB::new` is the one validator of what recovery decodes.
+    #[test]
+    fn a_malformed_binding_in_a_base_recovers_to_invalid() {
+        let pdb = biased_token_pdb(6, 3, 1);
+        let good = binding_of(&pdb);
+        let mut dead_row = good.clone();
+        dead_row.rows[0] = 999;
+        let wide_column = BindingRec {
+            column: 17,
+            ..good.clone()
+        };
+        for (name, binding) in [("dead_row", dead_row), ("wide_column", wide_column)] {
+            let dir = fgdb_durability::test_dir(&format!("malformed_binding_{name}"));
+            let snap = Snapshot {
+                seq: 0,
+                db: pdb.database().snapshot(),
+                world: pdb.world().clone(),
+                chain: chain_state_of(&pdb),
+                binding,
+            };
+            DurableStore::create_with_io(real_io(), &dir, &snap, DurabilityConfig::default())
+                .unwrap();
+            let recovered = ProbabilisticDB::recover(
+                &dir,
+                Arc::clone(pdb.model()),
+                relabel_proposer(6),
+                DurabilityConfig::default(),
+            );
+            assert!(
+                matches!(recovered, Err(DurableError::Invalid(_))),
+                "{name}: {:?}",
+                recovered.err()
+            );
+        }
+    }
+}

@@ -10,7 +10,7 @@
 
 use crate::pdb::{FieldBinding, ProbabilisticDB};
 use fgdb_graph::{Domain, FactorGraph, TableFactor, VariableId, World};
-use fgdb_mcmc::UniformRelabel;
+use fgdb_mcmc::{DynRng, Proposal, Proposer, UniformRelabel};
 use fgdb_relational::{Database, Schema, Tuple, Value, ValueType};
 use std::sync::Arc;
 
@@ -87,4 +87,24 @@ pub fn relabel_proposer(n_tokens: usize) -> Box<UniformRelabel> {
     Box::new(UniformRelabel::new(
         (0..n_tokens as u32).map(VariableId).collect(),
     ))
+}
+
+/// A relabelling proposer that panics once it has made `left` proposals:
+/// the fault a sampler's supervisor must survive or report.
+pub struct PanicsAfter {
+    /// The proposer it delegates to until then.
+    pub inner: Box<UniformRelabel>,
+    /// Proposals left before the panic.
+    pub left: usize,
+}
+
+impl Proposer for PanicsAfter {
+    fn propose(&mut self, world: &World, rng: &mut DynRng<'_>, out: &mut Proposal) {
+        self.left = self.left.checked_sub(1).expect("injected proposer fault");
+        self.inner.propose(world, rng, out)
+    }
+
+    fn support(&self) -> &[VariableId] {
+        self.inner.support()
+    }
 }

@@ -25,10 +25,14 @@
 //! * [`durable`] — WAL-backed stepping and crash recovery on top of the
 //!   `fgdb-durability` storage engine: `ProbabilisticDB::open_durable`,
 //!   logged intervals, checkpoints, `ProbabilisticDB::recover`;
-//! * [`supervise`] — the durable store under the live serving loop: a
-//!   supervisor that survives storage faults and panics by bounded
-//!   restart-from-recovery, degrading (never corrupting) reader-visible
-//!   state in between.
+//! * [`serving`] — the live serving core: one [`Sampler`] handle
+//!   ([`LiveSampler`] over the bare database, [`SupervisedSampler`] over a
+//!   durable one) runs the two-stage loop on its own thread and publishes
+//!   snapshot-isolated, convergence-tagged epochs to [`EpochReader`]s;
+//! * [`supervise`] — the one sampler thread body: a supervisor that parks
+//!   every fault where readers see it and, for the durable host, survives
+//!   storage faults and panics by bounded restart-from-recovery, degrading
+//!   (never corrupting) reader-visible state in between.
 
 pub mod durable;
 pub mod engine;
@@ -61,8 +65,8 @@ pub use metrics::{squared_error, time_to_half_loss, LossCurve, LossPoint};
 pub use ner::{build_ner_pdb, ner_proposer, train_ner_model, truth_database, NerProposerConfig};
 pub use pdb::{FieldBinding, ProbabilisticDB};
 pub use serving::{
-    EpochReader, EpochSnapshot, EpochStatus, LiveSampler, QueryStatus, SamplerState, SamplerStatus,
-    ServingConfig, ServingError,
+    EpochReader, EpochSnapshot, EpochStatus, LiveSampler, QueryStatus, Sampler, SamplerState,
+    SamplerStatus, ServingConfig, ServingError,
 };
 pub use status_table::StatusTable;
 pub use supervise::{ModelFactory, SupervisedSampler, SupervisorConfig};

@@ -13,13 +13,14 @@
 //! stored relation. After every thinning interval the chain's net variable
 //! changes are written through to the relation, and the resulting tuple
 //! pre/post-images become the Δ⁻/Δ⁺ [`DeltaSet`] that drives view
-//! maintenance.
+//! maintenance. Every source of such a batch — the chain, a shard merge,
+//! WAL replay — goes through one validated write.
 
 use crate::evaluate::EvaluateError;
-use fgdb_graph::{FactorSpans, Model, ShardMap, VariableId, World};
+use fgdb_graph::{FactorSpans, Model, ModelError, ShardMap, VariableId, World};
 use fgdb_mcmc::{Chain, KernelStats, NetChange, Proposer, ShardedSampler};
 use fgdb_relational::{
-    compile_query, execute, CountedSet, Database, DeltaSet, ExecStats, QueryResult, RowId, Value,
+    compile_query, execute, CountedSet, Database, DeltaSet, ExecStats, QueryResult, Relation, RowId,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,7 +40,8 @@ pub struct FieldBinding {
 }
 
 impl FieldBinding {
-    /// Builds a binding after validating the rows exist.
+    /// Builds a binding after resolving the column name and validating the
+    /// rows exist.
     pub fn new(
         db: &Database,
         relation: impl Into<Arc<str>>,
@@ -54,17 +56,45 @@ impl FieldBinding {
             .schema()
             .index_of(column)
             .ok_or_else(|| format!("no column `{column}` in {relation}"))?;
-        for (i, r) in rows.iter().enumerate() {
-            if rel.get(*r).is_none() {
-                return Err(format!("variable {i} bound to dead row {r}"));
-            }
-        }
-        Ok(FieldBinding {
+        let binding = FieldBinding {
             relation,
             column,
             rows,
-        })
+        };
+        binding.check(db)?;
+        Ok(binding)
     }
+
+    /// The binding's one validator: the relation exists, the column is one
+    /// of its columns, and every bound row is live. Returns the relation.
+    fn check<'a>(&self, db: &'a Database) -> Result<&'a Relation, String> {
+        let rel = db
+            .relation(&self.relation)
+            .map_err(|e| format!("binding relation: {e}"))?;
+        if self.column >= rel.schema().arity() {
+            return Err(format!("no column {} in {}", self.column, self.relation));
+        }
+        match self.rows.iter().find(|&&r| rel.get(r).is_none()) {
+            Some(r) => Err(format!("a variable is bound to dead row {r}")),
+            None => Ok(rel),
+        }
+    }
+}
+
+/// Where a net-change batch comes from. The source decides two things only:
+/// whether the world already holds the batch, and what a rejection undoes.
+enum Source<'a> {
+    /// The chain's interval: the world holds it; a rejection rolls it back.
+    Chain,
+    /// A logged interval: not in the world yet, whose old indexes it matches.
+    Log,
+    /// A shard merge: as a log; a rejection resyncs the walkers to the world.
+    Shards(&'a mut dyn FnMut(&World)),
+}
+
+/// The batch validator's error for variable `v`.
+fn rejected(variable: VariableId, value: String) -> EvaluateError {
+    EvaluateError::Model(ModelError::ValueNotInDomain { variable, value })
 }
 
 /// A probabilistic database: deterministic store + model + MCMC chain.
@@ -80,8 +110,9 @@ impl<M: Model> ProbabilisticDB<M> {
     /// default, e.g. label "O").
     ///
     /// # Errors
-    /// Returns an error when the binding disagrees with the world's variable
-    /// count or the stored values do not match the world.
+    /// Returns an error when the binding names a missing relation, an
+    /// out-of-range column or a dead row, disagrees with the world's
+    /// variable count, or the stored values do not match the world.
     pub fn new(
         db: Database,
         model: M,
@@ -97,19 +128,14 @@ impl<M: Model> ProbabilisticDB<M> {
                 world.num_variables()
             ));
         }
-        {
-            let rel = db.relation(&binding.relation).map_err(|e| e.to_string())?;
-            for v in world.variables() {
-                let stored = rel
-                    .get(binding.rows[v.index()])
-                    .expect("validated in FieldBinding::new")
-                    .get(binding.column);
-                if stored != world.value(v) {
-                    return Err(format!(
-                        "world/database disagree at {v}: stored {stored}, world {}",
-                        world.value(v)
-                    ));
-                }
+        let rel = binding.check(&db)?;
+        for (v, &row) in world.variables().zip(&binding.rows) {
+            let stored = rel.get(row).map(|r| r.get(binding.column));
+            if let Some(stored) = stored.filter(|&s| s != world.value(v)) {
+                let value = world.value(v);
+                return Err(format!(
+                    "world/database disagree at {v}: {stored} vs {value}"
+                ));
             }
         }
         Ok(ProbabilisticDB {
@@ -176,7 +202,8 @@ impl<M: Model> ProbabilisticDB<M> {
     /// [`EvaluateError::Storage`] on write-back failures;
     /// [`EvaluateError::Model`] when a proposal left a variable at an index
     /// outside its domain (a malformed proposer must surface as an error on
-    /// the serving path, not abort the engine thread).
+    /// the serving path, not abort the engine thread). The world is rolled
+    /// back to the pre-interval state, so it stays usable.
     pub fn step(&mut self, k: usize) -> Result<DeltaSet, EvaluateError> {
         self.step_logged(k).map(|(deltas, _)| deltas)
     }
@@ -187,60 +214,99 @@ impl<M: Model> ProbabilisticDB<M> {
     pub fn step_logged(&mut self, k: usize) -> Result<(DeltaSet, Vec<NetChange>), EvaluateError> {
         self.chain.run(k);
         let changes = self.chain.take_changes();
-        // Validate the whole batch before writing anything: an error
-        // mid-batch must not leave the store holding updates whose deltas
-        // were discarded (views fed such a stream would silently diverge).
-        // The MH kernel already rejects malformed proposals, so this guards
-        // alternative kernels and future change sources.
-        let invalid = changes.iter().copied().find(|&(v, _, new_idx)| {
-            v.index() >= self.chain.world().num_variables()
-                || self.chain.world().domain(v).get(new_idx).is_none()
-        });
-        if let Some((bad_v, _, bad_idx)) = invalid {
-            // Recoverable error contract: roll the in-memory world back to
-            // the pre-interval state (reverse order unwinds repeated writes
-            // to one variable) so world and store stay synchronized and the
-            // database remains usable after the error.
-            for &(v, old_idx, _) in changes.iter().rev() {
-                if v.index() < self.chain.world().num_variables() {
-                    self.chain.world_mut().set(v, old_idx);
-                }
-            }
-            return Err(EvaluateError::Model(
-                fgdb_graph::ModelError::ValueNotInDomain {
-                    variable: bad_v,
-                    value: format!("<domain index {bad_idx}>"),
-                },
-            ));
-        }
-        let deltas = self.write_back(&changes)?;
+        let deltas = self.write(&changes, Source::Chain)?;
         Ok((deltas, changes))
     }
 
-    /// Writes a validated net-change batch through to the stored relation,
-    /// returning the resulting compacted delta set. Shared between the live
-    /// sampling path ([`Self::step_logged`], which derives changes from the
-    /// chain) and WAL replay ([`Self::apply_logged_interval`], which reads
-    /// them from the log).
-    fn write_back(&mut self, changes: &[NetChange]) -> Result<DeltaSet, EvaluateError> {
+    /// Replays one logged interval: applies the net changes to the
+    /// in-memory world and writes them through to the store, returning the
+    /// recomputed delta set. This is the WAL recovery path; it runs the
+    /// same validated write as the live [`Self::step`], so a record that
+    /// would have been rejected live is rejected on replay too.
+    ///
+    /// # Errors
+    /// [`EvaluateError::Model`] when a change names a variable or domain
+    /// index outside the world, or its old index disagrees with the current
+    /// world (the log does not describe this state);
+    /// [`EvaluateError::Storage`] on write-back failures.
+    pub fn apply_logged_interval(
+        &mut self,
+        changes: &[NetChange],
+    ) -> Result<DeltaSet, EvaluateError> {
+        self.write(changes, Source::Log)
+    }
+
+    /// The one validated write every interval source takes: validates the
+    /// whole batch, writes it through, and on an error undoes what the
+    /// source needs undone.
+    fn write(&mut self, changes: &[NetChange], src: Source) -> Result<DeltaSet, EvaluateError> {
+        let held = matches!(src, Source::Chain);
+        let written = self
+            .validate(changes, held)
+            .and_then(|()| self.write_back(changes, held));
+        if written.is_err() {
+            match src {
+                // Reverse order unwinds repeated writes to one variable.
+                Source::Chain => {
+                    let n = self.chain.world().num_variables();
+                    for &(v, old_idx, _) in changes.iter().rev().filter(|c| c.0.index() < n) {
+                        self.chain.world_mut().set(v, old_idx);
+                    }
+                }
+                Source::Log => {}
+                Source::Shards(resync) => resync(self.chain.world()),
+            }
+        }
+        written
+    }
+
+    /// The batch validator, run before anything is written: an error
+    /// mid-batch must not leave the store holding updates whose deltas were
+    /// discarded (views fed such a stream would silently diverge). Every
+    /// change must name a variable of the world and an index in its domain;
+    /// unless the world already `held` the batch, its old index must be the
+    /// world's. The MH kernel already rejects malformed proposals, so for
+    /// the chain this guards alternative kernels.
+    fn validate(&self, changes: &[NetChange], held: bool) -> Result<(), EvaluateError> {
+        let world = self.chain.world();
+        for &(v, old_idx, new_idx) in changes {
+            if v.index() >= world.num_variables() || world.domain(v).get(new_idx).is_none() {
+                return Err(rejected(v, format!("<domain index {new_idx}>")));
+            }
+            let now = world.get(v);
+            if !held && now != old_idx {
+                let value = format!("<logged old index {old_idx} vs world {now}>");
+                return Err(rejected(v, value));
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes a validated batch through to the world (unless it already
+    /// `held` it) and the stored relation, returning the compacted delta.
+    fn write_back(&mut self, changes: &[NetChange], held: bool) -> Result<DeltaSet, EvaluateError> {
+        if !held {
+            for &(v, _, new_idx) in changes {
+                self.chain.world_mut().set(v, new_idx);
+            }
+        }
+        let (world, binding) = (self.chain.world(), &self.binding);
         let rel = self
             .db
-            .relation_mut(&self.binding.relation)
+            .relation_mut(&binding.relation)
+            // lint:allow(panic, `new` checked the binding's relation, and the store is never handed out mutably)
             .expect("binding validated at construction");
         // The one relation's Δ⁻/Δ⁺ images, sized for the batch up front: an
         // update's old image leaves the world, its new one enters it.
         let mut images = CountedSet::with_capacity(2 * changes.len());
-        for &(v, _old_idx, new_idx) in changes {
-            let value: Value = self
-                .chain
-                .world()
-                .domain(v)
-                .get(new_idx)
-                .cloned()
-                .expect("validated by caller");
-            let row = self.binding.rows[v.index()];
+        for &(v, _, new_idx) in changes {
+            let (Some(&row), Some(value)) =
+                (binding.rows.get(v.index()), world.domain(v).get(new_idx))
+            else {
+                return Err(rejected(v, format!("<domain index {new_idx}>")));
+            };
             let (old, new) = rel
-                .update_field(row, self.binding.column, value)
+                .update_field(row, binding.column, value.clone())
                 .map_err(EvaluateError::Storage)?;
             if old != new {
                 images.add(old, -1);
@@ -254,54 +320,8 @@ impl<M: Model> ProbabilisticDB<M> {
         if images.is_empty() {
             return Ok(DeltaSet::new());
         }
-        let images = BTreeMap::from([(Arc::clone(&self.binding.relation), images)]);
+        let images = BTreeMap::from([(Arc::clone(&binding.relation), images)]);
         Ok(DeltaSet::from_parts(images))
-    }
-
-    /// Replays one logged interval: applies the net changes to the
-    /// in-memory world and writes them through to the store, returning the
-    /// recomputed delta set. This is the WAL recovery path; it runs the
-    /// same batch-validation and write-back logic as the live
-    /// [`Self::step`], so a record that would have been rejected live is
-    /// rejected on replay too.
-    ///
-    /// # Errors
-    /// [`EvaluateError::Model`] when a change names a variable or domain
-    /// index outside the world, or its old index disagrees with the current
-    /// world (the log does not describe this state);
-    /// [`EvaluateError::Storage`] on write-back failures.
-    pub fn apply_logged_interval(
-        &mut self,
-        changes: &[NetChange],
-    ) -> Result<DeltaSet, EvaluateError> {
-        for &(v, old_idx, new_idx) in changes {
-            let in_world = v.index() < self.chain.world().num_variables();
-            if !in_world || self.chain.world().domain(v).get(new_idx).is_none() {
-                return Err(EvaluateError::Model(
-                    fgdb_graph::ModelError::ValueNotInDomain {
-                        variable: v,
-                        value: format!("<domain index {new_idx}>"),
-                    },
-                ));
-            }
-            if self.chain.world().get(v) != old_idx {
-                return Err(EvaluateError::Model(
-                    fgdb_graph::ModelError::ValueNotInDomain {
-                        variable: v,
-                        value: format!(
-                            "<logged old index {old_idx} vs world {}>",
-                            self.chain.world().get(v)
-                        ),
-                    },
-                ));
-            }
-        }
-        // World first (untracked initialization-style writes), then the
-        // shared store write-back.
-        for &(v, _old_idx, new_idx) in changes {
-            self.chain.world_mut().set(v, new_idx);
-        }
-        self.write_back(changes)
     }
 
     /// Builds a sharded sampler over this database's model and current
@@ -358,16 +378,12 @@ impl<M: Model> ProbabilisticDB<M> {
     {
         sampler.walk(k);
         let changes = sampler.drain_merged();
-        match self.apply_logged_interval(&changes) {
-            Ok(deltas) => Ok((deltas, changes)),
-            Err(e) => {
-                // The merge point rejected the batch (foreign sampler,
-                // desynced walker). Snap every walker back to the master
-                // world so the next interval starts from agreed state.
-                sampler.resync_from(self.chain.world());
-                Err(e)
-            }
-        }
+        // A rejection at the merge point (foreign sampler, desynced walker)
+        // snaps every walker back to the master world, so the next interval
+        // starts from agreed state.
+        let resync = &mut |world: &World| sampler.resync_from(world);
+        let deltas = self.write(&changes, Source::Shards(resync))?;
+        Ok((deltas, changes))
     }
 
     /// The variable ↔ field binding.
@@ -433,9 +449,9 @@ impl<M: Model> ProbabilisticDB<M> {
             .db
             .relation(&self.binding.relation)
             .map_err(|e| e.to_string())?;
-        for v in self.chain.world().variables() {
+        for (v, &row) in self.chain.world().variables().zip(&self.binding.rows) {
             let stored = rel
-                .get(self.binding.rows[v.index()])
+                .get(row)
                 .ok_or_else(|| format!("row vanished for {v}"))?
                 .get(self.binding.column);
             if stored != self.chain.world().value(v) {
@@ -454,7 +470,7 @@ mod tests {
     use super::*;
     use fgdb_graph::{Domain, FactorGraph, TableFactor, VariableId};
     use fgdb_mcmc::UniformRelabel;
-    use fgdb_relational::{Schema, Tuple, ValueType};
+    use fgdb_relational::{Schema, Tuple, Value, ValueType};
 
     /// Two-row relation whose `state` field is uncertain over {"a","b"}.
     fn setup() -> (Database, World, Vec<RowId>, FactorGraph) {
@@ -522,6 +538,26 @@ mod tests {
         assert!(FieldBinding::new(&db, "U", "state", rows.clone()).is_err());
         rows.push(RowId(99));
         assert!(FieldBinding::new(&db, "T", "state", rows).is_err());
+    }
+
+    /// `FieldBinding`'s fields are public (recovery builds one from a
+    /// decoded record), so `new` validates rows and column itself.
+    #[test]
+    fn new_rejects_a_dead_row_or_an_out_of_range_column() {
+        for (dead, column) in [(true, 1), (false, 17)] {
+            let (db, world, mut rows, g) = setup();
+            if dead {
+                rows[0] = RowId(999);
+            }
+            let binding = FieldBinding {
+                relation: Arc::from("T"),
+                column,
+                rows,
+            };
+            let proposer = Box::new(UniformRelabel::new(vec![VariableId(0)]));
+            let built = ProbabilisticDB::new(db, g, proposer, world, binding, 1);
+            assert!(built.is_err(), "dead row {dead}, column {column}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! claim as an `fgdb-core` subsystem:
 //!
 //! * [`LiveSampler::spawn`] moves a [`ProbabilisticDB`] onto a dedicated
-//!   sampler thread. The serving loop runs there in two stages: the
+//!   sampler thread ([`crate::SupervisedSampler::spawn`] a durable one: both
+//!   are one [`Sampler`] handle over one supervised thread body, see
+//!   [`crate::supervise`]). The serving loop runs there in two stages: the
 //!   *sampler stage* draws thinning intervals ([`ProbabilisticDB::step`])
 //!   and every `publish_every` samples hands the batch of their deltas,
 //!   with the store as of the last one, to the *maintainer stage*, which
@@ -18,8 +20,7 @@
 //!   own thread while the sampler steps on. Whether it does is measured,
 //!   not guessed: with a second core the loop first times both
 //!   arrangements on its own intervals and keeps the faster (on one core
-//!   the maintainer runs inline). The supervised host
-//!   ([`crate::supervise::SupervisedSampler`]) runs the same driver.
+//!   the maintainer runs inline).
 //! * An epoch is an immutable, internally consistent picture of one
 //!   sampled world: a [`Database::snapshot`] plus each registered query's
 //!   current answer, full-run marginal estimates, and windowed convergence
@@ -55,10 +56,12 @@
 //!   [`EpochSnapshot::query`] runs on the epoch's own database copy, so a
 //!   long scan costs the sampler nothing and two queries in one pinned
 //!   epoch can never observe different worlds (snapshot isolation).
-//! * [`LiveSampler::stop`] is the graceful shutdown: it flags the loop,
-//!   joins the thread, and hands the database back (or the error that
-//!   killed the loop — a failed sampler also parks its error where every
-//!   reader can see it via [`EpochReader::status`]).
+//! * [`Sampler::stop`] is the graceful shutdown: it flags the loop, joins
+//!   the thread, and hands the database back (or the error that killed the
+//!   loop). A fault — an error or a panic of either stage — is parked
+//!   where every reader sees it via [`EpochReader::status`] before any
+//!   epoch queued behind it could publish, and the state reads
+//!   [`SamplerState::Failed`] once the loop has given up.
 //!
 //! The design intentionally trades staleness for isolation: a reader sees
 //! the world as of its pinned epoch, at most `3 · publish_every` samples
@@ -70,6 +73,7 @@ use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
 use crate::status_table::StatusTable;
+use crate::supervise::{supervise, Recover, SupervisorConfig};
 use fgdb_graph::Model;
 use fgdb_relational::{
     compile_query, execute, CountedSet, Database, DeltaSet, QueryResult, Tuple, Value,
@@ -117,7 +121,7 @@ impl Default for ServingConfig {
 ///
 /// `Clone` (heavy causes are `Arc`-wrapped) so one failure can be parked
 /// where every reader's [`EpochReader::status`] sees it *and* returned
-/// from [`LiveSampler::stop`]. Typed variants let callers make retry
+/// from [`Sampler::stop`]. Typed variants let callers make retry
 /// decisions — a [`ServingError::Durable`] storage fault is the
 /// supervisor's cue to attempt restart-from-recovery, while an
 /// [`ServingError::Evaluate`] bug or [`ServingError::Config`] mistake is
@@ -315,17 +319,19 @@ impl<T> EpochCell<T> {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
+    /// Swaps `snap` in and hands the previous epoch back. The swap is all
+    /// that happens under the lock: when no reader pins the previous epoch
+    /// the returned `Arc` is its last reference, and its destructor (every
+    /// chunk and answer it no longer shares) must not run while `load`
+    /// callers wait.
+    pub(crate) fn swap(&self, snap: Arc<T>) -> Arc<T> {
+        // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
+        let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut *current, snap)
+    }
+
     pub(crate) fn store(&self, snap: Arc<T>) {
-        // The swap is all that happens under the lock. When no reader pins
-        // the previous epoch this is its last reference, and its destructor
-        // (every chunk and answer it no longer shares) must not run while
-        // `load` callers wait — so it is moved out and dropped afterwards.
-        let previous = {
-            // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
-            let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
-            std::mem::replace(&mut *current, snap)
-        };
-        drop(previous);
+        drop(self.swap(snap));
     }
 }
 
@@ -476,8 +482,8 @@ impl EpochReader {
 
 /// One registered query's live machinery, owned by the maintainer stage.
 pub(crate) struct Registered {
-    name: Arc<str>,
-    sql: Arc<str>,
+    pub(crate) name: Arc<str>,
+    pub(crate) sql: Arc<str>,
     columns: Arc<[Arc<str>]>,
     eval: QueryEvaluator,
     traces: MembershipLog,
@@ -527,18 +533,23 @@ impl Registered {
     }
 }
 
-/// The live sampler: owns the sampler thread and hands back the database
-/// at [`LiveSampler::stop`]. Dropping it without `stop` flags and joins
-/// the thread (best effort, result discarded).
-pub struct LiveSampler<M> {
+/// The sampler handle, one for every host: owns the sampler thread and
+/// hands the host back at [`Sampler::stop`]. Dropping it without `stop`
+/// flags and joins the thread (best effort, result discarded).
+pub struct Sampler<H> {
     reader: EpochReader,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Result<ProbabilisticDB<M>, ServingError>>>,
+    handle: Option<JoinHandle<Result<H, ServingError>>>,
 }
 
-/// Rejects degenerate serving knobs (shared by [`LiveSampler::spawn`] and
-/// the supervised sampler).
-pub(crate) fn validate_config(config: &ServingConfig) -> Result<(), ServingError> {
+/// The in-memory sampler: the served loop steps a bare
+/// [`ProbabilisticDB`]. It has no durability to recover from, so its
+/// supervisor restarts nothing: any fault ends in [`SamplerState::Failed`]
+/// with the error parked.
+pub type LiveSampler<M> = Sampler<ProbabilisticDB<M>>;
+
+/// Rejects degenerate serving knobs.
+fn validate_config(config: &ServingConfig) -> Result<(), ServingError> {
     if config.thinning == 0 {
         return Err(ServingError::Config("zero thinning interval".into()));
     }
@@ -605,46 +616,68 @@ impl<M: Model + 'static> LiveSampler<M> {
         queries: &[(&str, &str)],
         config: ServingConfig,
     ) -> Result<Self, ServingError> {
-        validate_config(&config)?;
-        let mut registered = build_registered(&pdb, queries, &config)?;
-        let epoch0 = publish_snapshot(&mut registered, &config, EpochSnapshot::of(&pdb, 0, 0))?;
-        let shared = Shared::new(config, epoch0, pdb.steps_taken());
-        let reader = shared.reader();
-        let stop = Arc::clone(&shared.stop);
-        let handle = std::thread::Builder::new()
-            .name("fgdb-sampler".into())
-            .spawn(move || sampler_loop(pdb, registered, shared))
-            .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
-
-        Ok(LiveSampler {
-            reader,
-            stop,
-            handle: Some(handle),
-        })
+        // No durability, no restarts.
+        let policy = SupervisorConfig {
+            serving: config,
+            max_restarts: 0,
+            ..SupervisorConfig::default()
+        };
+        let recover: Recover<ProbabilisticDB<M>> =
+            Box::new(|| Err(ServingError::Sampler("nothing to recover from".into())));
+        start(pdb, queries, policy, recover)
     }
+}
 
+/// Validates the config, builds the registered views over the host's
+/// database, publishes epoch 0 and starts [`supervise`] on its own
+/// thread.
+pub(crate) fn start<H: Host>(
+    host: H,
+    queries: &[(&str, &str)],
+    config: SupervisorConfig,
+    recover: Recover<H>,
+) -> Result<Sampler<H>, ServingError> {
+    validate_config(&config.serving)?;
+    let mut registered = build_registered(host.pdb(), queries, &config.serving)?;
+    let epoch0 = EpochSnapshot::of(host.pdb(), 0, 0);
+    let epoch0 = publish_snapshot(&mut registered, &config.serving, epoch0)?;
+    let steps = host.pdb().steps_taken();
+    let shared = Shared::new(config, epoch0, steps);
+    let (reader, stop) = (shared.reader(), Arc::clone(&shared.stop));
+    let handle = std::thread::Builder::new()
+        .name("fgdb-sampler".into())
+        .spawn(move || supervise(host, registered, shared, recover))
+        .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
+    Ok(Sampler {
+        reader,
+        stop,
+        handle: Some(handle),
+    })
+}
+
+impl<H> Sampler<H> {
     /// A reader handle (clone freely; hand to server worker threads).
     pub fn reader(&self) -> EpochReader {
         self.reader.clone()
     }
 
     /// Graceful shutdown: flags the loop, joins the thread, and returns
-    /// the database at its final position — or the error that had already
-    /// killed the loop. Every interval drawn is published first: the last
-    /// epoch a reader can pin afterwards has seen them all.
-    pub fn stop(mut self) -> Result<ProbabilisticDB<M>, ServingError> {
+    /// the host at its final position (a durable one with its group-commit
+    /// tail flushed) — or the error that had already killed the loop.
+    /// Every interval drawn is published first: the last epoch a reader
+    /// can pin afterwards has seen them all.
+    pub fn stop(mut self) -> Result<H, ServingError> {
         self.stop.store(true, Ordering::Release);
         match self.handle.take() {
             None => Err(ServingError::Panicked(String::new())),
-            Some(h) => match h.join() {
-                Err(payload) => Err(ServingError::from_panic(payload)),
-                Ok(result) => result,
-            },
+            Some(h) => h
+                .join()
+                .unwrap_or_else(|p| Err(ServingError::from_panic(p))),
         }
     }
 }
 
-impl<M> Drop for LiveSampler<M> {
+impl<H> Drop for Sampler<H> {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
@@ -680,11 +713,11 @@ pub(crate) fn publish_snapshot(
     Ok(snap)
 }
 
-/// What the two stages of a served loop share with each other and with
-/// the readers: the knobs, the publication cell, the live counters and the
-/// stop flag.
+/// What the two stages of a served loop and its supervisor share with each
+/// other and with the readers: the knobs, the publication cell, the live
+/// counters and the stop flag.
 pub(crate) struct Shared {
-    pub(crate) config: ServingConfig,
+    pub(crate) config: SupervisorConfig,
     pub(crate) cell: Arc<EpochCell>,
     pub(crate) stats: Arc<SharedStats>,
     pub(crate) stop: Arc<AtomicBool>,
@@ -692,7 +725,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Publishes `epoch0` and starts the counters at `steps` walk-steps.
-    pub(crate) fn new(config: ServingConfig, epoch0: EpochSnapshot, steps: u64) -> Shared {
+    pub(crate) fn new(config: SupervisorConfig, epoch0: EpochSnapshot, steps: u64) -> Shared {
         Shared {
             config,
             cell: Arc::new(EpochCell::new(epoch0)),
@@ -707,23 +740,60 @@ impl Shared {
             stats: Arc::clone(&self.stats),
         }
     }
+
+    /// Publishes `snap` unless a fault is parked: the park and the swap
+    /// are ordered by one lock, so no epoch becomes visible after the
+    /// fault that ended its loop and no reader takes it for a healthy one.
+    /// The retired epoch drops outside both locks.
+    fn publish(&self, snap: EpochSnapshot) {
+        // lint:allow(sync, once per publication, never per step; held for the pointer swap only)
+        let parked = self.stats.error.lock().unwrap_or_else(|e| e.into_inner());
+        if parked.is_some() {
+            return;
+        }
+        let retired = self.cell.swap(Arc::new(snap));
+        drop(parked);
+        drop(retired);
+    }
+
+    /// Runs `f` — a host call, an inline maintenance, a recovery — as the
+    /// loop's one unwind boundary: a panic becomes
+    /// [`ServingError::Panicked`], and a fault is parked at once, before
+    /// any epoch queued behind it can publish.
+    pub(crate) fn caught<T>(
+        &self,
+        f: impl FnOnce() -> Result<T, ServingError>,
+    ) -> Result<T, ServingError> {
+        let result =
+            catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| Err(ServingError::from_panic(p)));
+        if let Err(e) = &result {
+            self.stats.set_error(Some(e.clone()));
+        }
+        result
+    }
 }
 
 /// What a served loop steps: the bare database, or a durable one that logs
 /// every interval before it is handed on.
-pub(crate) trait Host<M: Model> {
-    /// Draws one thinning interval of `k` walk-steps.
-    fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError>;
+pub(crate) trait Host: Send + 'static {
+    /// The factor-graph model the host's database samples.
+    type Model: Model;
+    /// Draws one thinning interval of `k` walk-steps, then, when asked
+    /// (every [`SupervisorConfig::checkpoint_every`] intervals), bounds
+    /// recovery time with a checkpoint.
+    fn interval(&mut self, k: usize, checkpoint: bool) -> Result<DeltaSet, ServingError>;
     /// The database as the last interval left it.
-    fn pdb(&self) -> &ProbabilisticDB<M>;
+    fn pdb(&self) -> &ProbabilisticDB<Self::Model>;
     /// Runs once a stop is seen, before the terminal epoch is handed on.
     fn flush(&mut self) -> Result<(), ServingError> {
         Ok(())
     }
 }
 
-impl<M: Model> Host<M> for ProbabilisticDB<M> {
-    fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+impl<M: Model + 'static> Host for ProbabilisticDB<M> {
+    type Model = M;
+
+    fn interval(&mut self, k: usize, _: bool) -> Result<DeltaSet, ServingError> {
         Ok(self.step(k)?)
     }
 
@@ -753,8 +823,8 @@ const KEPT_TRIALS: usize = 64;
 /// [`KEPT_TRIALS`] times as long, and measures again. The chain and every published answer are
 /// the one-thread loop's. `Ok` once stopped with every interval drawn
 /// published; else the first fault of either stage.
-pub(crate) fn serve<M: Model>(
-    host: &mut impl Host<M>,
+pub(crate) fn serve(
+    host: &mut impl Host,
     registered: &mut [Registered],
     shared: &Shared,
 ) -> Result<(), ServingError> {
@@ -762,7 +832,7 @@ pub(crate) fn serve<M: Model>(
         1 => 0,
         _ => 4,
     };
-    let batches = TRIAL_INTERVALS.div_ceil(shared.config.publish_every);
+    let batches = TRIAL_INTERVALS.div_ceil(shared.config.serving.publish_every);
     loop {
         // Each arrangement's faster trial: one fsync stall does not decide.
         let (mut inline, mut threaded) = (Duration::MAX, Duration::MAX);
@@ -793,8 +863,8 @@ pub(crate) fn serve<M: Model>(
 /// `3 · publish_every` samples ahead (inline, `publish_every`). A
 /// maintainer error or panic (caught, as [`ServingError::Panicked`]) ends
 /// the segment; a sampler fault abandons the queued epochs.
-fn segment<M: Model>(
-    host: &mut impl Host<M>,
+fn segment(
+    host: &mut impl Host,
     registered: &mut [Registered],
     shared: &Shared,
     threaded: bool,
@@ -806,14 +876,12 @@ fn segment<M: Model>(
                 r.observe(delta)?;
             }
         }
-        let snap = publish_snapshot(registered, &shared.config, snap)?;
-        shared.cell.store(Arc::new(snap));
+        shared.publish(publish_snapshot(registered, &shared.config.serving, snap)?);
         Ok(())
     };
     if !threaded {
         return sample(host, shared, batches, |batch| {
-            catch_unwind(AssertUnwindSafe(|| maintain(registered, batch)))
-                .unwrap_or_else(|payload| Err(ServingError::from_panic(payload)))
+            shared.caught(|| maintain(registered, batch))
         });
     }
     let abandon = AtomicBool::new(false);
@@ -852,20 +920,21 @@ fn segment<M: Model>(
 /// completed batches — and at stop, after [`Host::flush`], the partial
 /// one — to `hand_off`. Epoch numbers and the sample count continue from
 /// the published ones.
-fn sample<M: Model>(
-    host: &mut impl Host<M>,
+fn sample(
+    host: &mut impl Host,
     shared: &Shared,
     batches: usize,
     mut hand_off: impl FnMut(Batch) -> Result<(), ServingError>,
 ) -> Result<bool, ServingError> {
-    let every = shared.config.publish_every;
+    let every = shared.config.serving.publish_every;
+    let every_checkpoint = shared.config.checkpoint_every as u64;
     let live = shared.reader().status();
     let (mut epoch, mut samples, mut handed) = (live.epoch, live.samples, 0);
     let mut deltas = Vec::with_capacity(every);
     loop {
         let stop = shared.stop.load(Ordering::Acquire);
         if stop {
-            host.flush()?;
+            shared.caught(|| host.flush())?;
         }
         if !deltas.is_empty() && (stop || deltas.len() == every) {
             epoch += 1;
@@ -879,16 +948,10 @@ fn sample<M: Model>(
         if stop || handed == batches {
             return Ok(stop);
         }
-        match host.interval(shared.config.thinning) {
-            Ok(delta) => deltas.push(delta),
-            Err(e) => {
-                // Parked now, not once the maintainer has drained: an epoch
-                // it publishes after the fault never reads as a healthy loop.
-                shared.stats.set_error(Some(e.clone()));
-                return Err(e);
-            }
-        }
         samples += 1;
+        let checkpoint = every_checkpoint > 0 && samples % every_checkpoint == 0;
+        let k = shared.config.serving.thinning;
+        deltas.push(shared.caught(|| host.interval(k, checkpoint))?);
         // lint:allow-start(sync, per-interval counter bumps; `samples` is released so a reader that sees it also sees the epochs its bound promises)
         shared
             .stats
@@ -899,30 +962,10 @@ fn sample<M: Model>(
     }
 }
 
-/// The sampler thread body: [`serve`] over the bare database, then the
-/// lifecycle state readers see.
-fn sampler_loop<M: Model>(
-    mut pdb: ProbabilisticDB<M>,
-    mut registered: Vec<Registered>,
-    shared: Shared,
-) -> Result<ProbabilisticDB<M>, ServingError> {
-    match serve(&mut pdb, &mut registered, &shared) {
-        Ok(()) => {
-            shared.stats.set_state(SamplerState::Stopped);
-            Ok(pdb)
-        }
-        Err(error) => {
-            shared.stats.set_error(Some(error.clone()));
-            shared.stats.set_state(SamplerState::Failed);
-            Err(error)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::biased_token_pdb;
+    use crate::fixtures::{biased_token_pdb, relabel_proposer, PanicsAfter};
     use fgdb_relational::parser::paper_sql;
 
     const N: usize = 12;
@@ -1193,8 +1236,10 @@ mod tests {
         drawn: u64,
     }
 
-    impl<M: Model> Host<M> for Faulty<M> {
-        fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+    impl<M: Model + 'static> Host for Faulty<M> {
+        type Model = M;
+
+        fn interval(&mut self, k: usize, _: bool) -> Result<DeltaSet, ServingError> {
             let delta = self.pdb.step(k)?;
             self.drawn += 1;
             Ok(match self.drawn == self.at {
@@ -1241,7 +1286,11 @@ mod tests {
                 let epoch0 =
                     publish_snapshot(&mut registered, &config, EpochSnapshot::of(&pdb, 0, 0))
                         .unwrap();
-                let shared = Shared::new(config.clone(), epoch0, 0);
+                let policy = SupervisorConfig {
+                    serving: config.clone(),
+                    ..SupervisorConfig::default()
+                };
+                let shared = Shared::new(policy, epoch0, 0);
                 let mut host = Faulty {
                     pdb,
                     at: 5,
@@ -1258,6 +1307,67 @@ mod tests {
                 assert!(panics || matches!(err, ServingError::Evaluate(_)), "{err}");
                 assert_eq!(shared.cell.load().epoch, 2, "threaded {threaded}");
             }
+        }
+    }
+
+    /// A publication and a parked fault take one lock, so once a fault
+    /// is parked no epoch publishes — not even one the maintainer held.
+    #[test]
+    fn no_epoch_publishes_once_a_fault_is_parked() {
+        let pdb = biased_token_pdb(N, 4, 99);
+        let shared = Shared::new(
+            SupervisorConfig::default(),
+            EpochSnapshot::of(&pdb, 0, 0),
+            0,
+        );
+        shared.publish(EpochSnapshot::of(&pdb, 1, 1));
+        assert_eq!(shared.cell.load().epoch, 1);
+        let fault = shared.caught::<()>(|| Err(ServingError::Sampler("fault".into())));
+        assert!(fault.is_err() && shared.reader().status().error.is_some());
+        shared.publish(EpochSnapshot::of(&pdb, 2, 2));
+        assert_eq!(shared.cell.load().epoch, 1, "published after the park");
+    }
+
+    /// The bare database has nothing to recover from: a panicking
+    /// proposer ends its sampler in `Failed` with the panic parked, no
+    /// epoch publishes once the fault is parked, and `stop` returns it.
+    #[test]
+    fn an_in_memory_sampler_that_panics_reads_as_failed() {
+        let config = ServingConfig {
+            thinning: 5,
+            publish_every: 2,
+            ..ServingConfig::default()
+        };
+        // Some epochs publish first, then the proposer panics mid-interval.
+        let proposer = Box::new(PanicsAfter {
+            inner: relabel_proposer(N),
+            left: 20 * config.thinning * config.publish_every + 3,
+        });
+        let pdb = biased_token_pdb(N, 4, 99).snapshot(proposer, 7);
+        let q1 = paper_sql::query1("TOKEN");
+        let sampler = LiveSampler::spawn(pdb, &[("q1", &q1)], config).unwrap();
+        let reader = sampler.reader();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while reader.status().error.is_none() {
+            assert!(Instant::now() < deadline, "the panic was never parked");
+            std::thread::yield_now();
+        }
+        // Pinned after the park was seen: every epoch published before it.
+        let parked_at = reader.pin().epoch;
+        assert!(parked_at > 0, "epochs published before the fault");
+        while reader.status().state != SamplerState::Failed {
+            let state = reader.status().state;
+            assert!(Instant::now() < deadline, "state stayed {state}");
+            std::thread::yield_now();
+        }
+        let status = reader.status();
+        assert!(!status.running);
+        assert!(matches!(status.error, Some(ServingError::Panicked(_))));
+        assert_eq!(status.epoch, parked_at, "published after the fault");
+        match sampler.stop() {
+            Err(ServingError::Panicked(m)) => assert!(m.contains("injected"), "{m}"),
+            Err(e) => panic!("stop returned {e}"),
+            Ok(_) => panic!("a panicked sampler must not stop cleanly"),
         }
     }
 

@@ -1,20 +1,17 @@
-//! The supervised durable sampler: the two-stage serving loop of
-//! [`crate::LiveSampler`] (the same driver) stepped through a
-//! [`DurablePdb`] under a supervisor that survives storage faults and
-//! panics by restart-from-recovery.
+//! The supervised sampler: the one thread body behind every
+//! [`Sampler`] handle, and the durable host it restarts.
 //!
-//! The supervisor thread is the sampler stage: its host runs
-//! [`DurablePdb::step`] (every interval WAL-appended, and group-committed,
-//! before it is handed on — so an epoch is never published ahead of its
-//! log), the checkpoint cadence and, at stop, the final flush before the
-//! terminal epoch, each inside `catch_unwind`. The maintainer stage
-//! observes and publishes behind it (or inline); its errors and panics
-//! come back through its join. Either way a fault takes the same route:
+//! The thread body (`supervise`) runs the two-stage serving loop
+//! ([`crate::serving`]) over its host until a stop or a fault. The sampler
+//! stage makes every host call — an interval, a checkpoint, the final
+//! flush — inside one `catch_unwind` and parks its fault where every
+//! reader's [`crate::EpochReader::status`] sees it before any epoch queued behind
+//! it can publish; the maintainer stage's errors and panics come back
+//! through its join. Either way a fault takes the same route:
 //!
 //! * a **transient storage fault** (WAL append error, failed fsync,
-//!   checkpoint I/O error) or a **panic** parks the typed error where
-//!   every reader's [`EpochReader::status`] sees it, flips the state to
-//!   [`SamplerState::Degraded`], and attempts bounded
+//!   checkpoint I/O error) or a **panic** flips the state to
+//!   [`SamplerState::Degraded`] and attempts bounded
 //!   restart-from-recovery: re-open the store via
 //!   [`ProbabilisticDB::recover_with_io`] (which truncates any torn WAL
 //!   tail), verify the recovered state is internally synchronized,
@@ -35,6 +32,12 @@
 //!   them) is not retried: state [`SamplerState::Failed`], and no terminal
 //!   epoch is published ahead of the flush.
 //!
+//! Restarting is a policy value, not a second loop: the durable host
+//! ([`SupervisedSampler`]) recovers through the model factory, while the
+//! bare database ([`crate::LiveSampler`]) has nothing to recover from and
+//! runs with `max_restarts = 0` — any fault ends in
+//! [`SamplerState::Failed`] with the error parked.
+//!
 //! Throughout every degraded window the already-published epochs remain
 //! pinnable and consistent — readers lose *freshness*, never
 //! *consistency* — which is what lets `fgdb-serve` answer `Unavailable`
@@ -49,18 +52,14 @@
 use crate::durable::{DurableError, DurablePdb};
 use crate::pdb::ProbabilisticDB;
 use crate::serving::{
-    build_registered, publish_snapshot, serve, validate_config, EpochReader, EpochSnapshot, Host,
-    Registered, SamplerState, ServingConfig, ServingError, Shared,
+    build_registered, publish_snapshot, serve, start, EpochSnapshot, Host, Registered, Sampler,
+    SamplerState, ServingConfig, ServingError, Shared,
 };
-use fgdb_durability::{DurabilityConfig, StoreIo};
 use fgdb_graph::Model;
 use fgdb_mcmc::Proposer;
 use fgdb_relational::DeltaSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Supervision knobs on top of the serving loop.
@@ -99,14 +98,19 @@ impl Default for SupervisorConfig {
 /// not data — exactly the [`ProbabilisticDB::recover`] contract).
 pub type ModelFactory<M> = Box<dyn Fn() -> (M, Box<dyn Proposer>) + Send>;
 
-/// The supervised sampler handle: like [`crate::LiveSampler`], but the
-/// loop steps a [`DurablePdb`] and survives storage faults by bounded
-/// restart-from-recovery.
-pub struct SupervisedSampler<M> {
-    reader: EpochReader,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Result<DurablePdb<M>, ServingError>>>,
-}
+/// Rebuilds a host from what survives a fault (for the durable host, the
+/// store directory).
+pub(crate) type Recover<H> = Box<dyn Fn() -> Result<H, ServingError> + Send>;
+
+/// The supervised sampler: the served loop steps a [`DurablePdb`] —
+/// every interval WAL-appended (and group-committed) before it is handed
+/// on, so no epoch is published ahead of its log; a checkpoint every
+/// `checkpoint_every` intervals; the group-commit tail flushed before the
+/// terminal epoch — and survives storage faults by bounded
+/// restart-from-recovery. [`Sampler::stop`] hands the durable database
+/// back with its tail flushed; after an `Err`, the store directory still
+/// holds the last durable state and can be recovered offline.
+pub type SupervisedSampler<M> = Sampler<DurablePdb<M>>;
 
 impl<M: Model + 'static> SupervisedSampler<M> {
     /// Validates and registers `queries`, publishes epoch 0 from the
@@ -119,79 +123,37 @@ impl<M: Model + 'static> SupervisedSampler<M> {
         config: SupervisorConfig,
         factory: ModelFactory<M>,
     ) -> Result<Self, ServingError> {
-        validate_config(&config.serving)?;
-        let mut registered = build_registered(durable.pdb(), queries, &config.serving)?;
-        let epoch0 = publish_snapshot(
-            &mut registered,
-            &config.serving,
-            EpochSnapshot::of(durable.pdb(), 0, 0),
-        )?;
-        let shared = Shared::new(config.serving.clone(), epoch0, durable.steps_taken());
-        let reader = shared.reader();
-        let stop = Arc::clone(&shared.stop);
-
-        let owned: Vec<(String, String)> = queries
-            .iter()
-            .map(|(n, s)| (n.to_string(), s.to_string()))
-            .collect();
-        let handle = std::thread::Builder::new()
-            .name("fgdb-supervised-sampler".into())
-            .spawn(move || {
-                Supervisor {
-                    queries: owned,
-                    config,
-                    shared,
-                    factory,
-                }
-                .run(durable, registered)
-            })
-            .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
-
-        Ok(SupervisedSampler {
-            reader,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// A reader handle (clone freely; hand to server worker threads).
-    pub fn reader(&self) -> EpochReader {
-        self.reader.clone()
-    }
-
-    /// Graceful shutdown: flags the loop, joins the thread, and returns
-    /// the durable database with its group-commit tail flushed — or the
-    /// error that had already killed (or was mid-way through degrading)
-    /// the loop. Every logged interval is published first. After an `Err`,
-    /// the store directory still holds the last durable state and can be
-    /// recovered offline.
-    pub fn stop(mut self) -> Result<DurablePdb<M>, ServingError> {
-        self.stop.store(true, Ordering::Release);
-        match self.handle.take() {
-            None => Err(ServingError::Panicked(String::new())),
-            Some(h) => match h.join() {
-                Err(payload) => Err(ServingError::from_panic(payload)),
-                Ok(result) => result,
-            },
-        }
+        // Recovery inputs, captured before the store can be lost to a
+        // fault: directory, I/O handle, durability config.
+        let dir = durable.dir().to_path_buf();
+        let (io, dconfig) = (durable.io(), durable.durability_config());
+        let recover: Recover<DurablePdb<M>> = Box::new(move || {
+            let (model, proposer) = factory();
+            let io = Arc::clone(&io);
+            Ok(ProbabilisticDB::recover_with_io(io, &dir, model, proposer, dconfig)?.0)
+        });
+        start(durable, queries, config, recover)
     }
 }
 
-impl<M> Drop for SupervisedSampler<M> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
+impl<M: Model + 'static> Host for DurablePdb<M> {
+    type Model = M;
 
-/// The supervisor thread's state bundle.
-struct Supervisor<M> {
-    queries: Vec<(String, String)>,
-    config: SupervisorConfig,
-    shared: Shared,
-    factory: ModelFactory<M>,
+    fn interval(&mut self, k: usize, checkpoint: bool) -> Result<DeltaSet, ServingError> {
+        let delta = self.step(k)?;
+        if checkpoint {
+            self.checkpoint()?;
+        }
+        Ok(delta)
+    }
+
+    fn pdb(&self) -> &ProbabilisticDB<M> {
+        DurablePdb::pdb(self)
+    }
+
+    fn flush(&mut self) -> Result<(), ServingError> {
+        Ok(self.sync()?)
+    }
 }
 
 /// Whether a fault is worth a restart-from-recovery. Storage faults and
@@ -205,207 +167,124 @@ fn retryable(e: &ServingError) -> bool {
     }
 }
 
-/// Runs one durable-store call, turning a panic into a retryable fault.
-fn guarded<T>(f: impl FnOnce() -> Result<T, DurableError>) -> Result<T, ServingError> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(result) => Ok(result?),
-        Err(payload) => Err(ServingError::from_panic(payload)),
-    }
-}
-
-/// The supervised host of the served loop: every interval WAL-appended
-/// (and group-committed) before it is handed on, so no epoch is published
-/// ahead of its log; a checkpoint every `every` intervals (`0`: none); the
-/// group-commit tail flushed before the terminal epoch. Each store call
-/// runs [`guarded`].
-struct Logged<'a, M> {
-    durable: &'a mut DurablePdb<M>,
-    every: usize,
-    since_checkpoint: usize,
-}
-
-impl<M: Model> Host<M> for Logged<'_, M> {
-    fn interval(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
-        let delta = guarded(|| self.durable.step(k))?;
-        self.since_checkpoint += 1;
-        if self.every > 0 && self.since_checkpoint >= self.every {
-            self.since_checkpoint = 0;
-            guarded(|| self.durable.checkpoint())?;
-        }
-        Ok(delta)
-    }
-
-    fn pdb(&self) -> &ProbabilisticDB<M> {
-        self.durable.pdb()
-    }
-
-    fn flush(&mut self) -> Result<(), ServingError> {
-        guarded(|| self.durable.sync())
-    }
-}
-
-impl<M: Model + 'static> Supervisor<M> {
-    fn run(
-        self,
-        mut durable: DurablePdb<M>,
-        mut registered: Vec<Registered>,
-    ) -> Result<DurablePdb<M>, ServingError> {
-        // Recovery inputs, captured before the store can be lost to a
-        // fault: directory, I/O handle, durability config.
-        let dir: PathBuf = durable.dir().to_path_buf();
-        let io: Arc<dyn StoreIo> = durable.io();
-        let dconfig: DurabilityConfig = durable.durability_config();
-        let stats = &self.shared.stats;
-
-        let mut attempt = 0u32;
-
-        loop {
-            // ---- the serving loop, until stop or a fault -------------
-            let resumed_at = self.shared.cell.load().epoch;
-            let served = serve(
-                &mut Logged {
-                    durable: &mut durable,
-                    every: self.config.checkpoint_every,
-                    since_checkpoint: 0,
-                },
-                &mut registered,
-                &self.shared,
-            );
-            let fault = match served {
-                // Orderly shutdown: the group-commit tail was flushed
-                // before the terminal epoch was published.
-                Ok(()) => {
-                    stats.set_state(SamplerState::Stopped);
-                    return Ok(durable);
-                }
-                Err(fault) => fault,
-            };
-            // An epoch published since the (re)start refills the restart
-            // budget: only faults that recur before the loop publishes —
-            // on either stage — count as consecutive.
-            if self.shared.cell.load().epoch > resumed_at {
-                attempt = 0;
+/// The sampler thread body, for every host: [`serve`] until a stop or a
+/// fault; on a retryable fault, up to `max_restarts` recoveries in a row
+/// through `recover`; the lifecycle state readers see throughout.
+pub(crate) fn supervise<H: Host>(
+    mut host: H,
+    mut registered: Vec<Registered>,
+    shared: Shared,
+    recover: Recover<H>,
+) -> Result<H, ServingError> {
+    let (stats, config) = (&shared.stats, &shared.config);
+    let mut attempt = 0u32;
+    loop {
+        let resumed_at = shared.cell.load().epoch;
+        let fault = match serve(&mut host, &mut registered, &shared) {
+            // Orderly shutdown: every interval drawn was published, after
+            // the host's flush.
+            Ok(()) => {
+                stats.set_state(SamplerState::Stopped);
+                return Ok(host);
             }
-
-            // ---- degrade, then bounded restart-from-recovery ---------
-            stats.set_error(Some(fault.clone()));
-            // A fault on the way out (the final flush included) is final.
-            if !retryable(&fault) || self.shared.stop.load(Ordering::Acquire) {
+            Err(fault) => fault,
+        };
+        // An epoch published since the (re)start refills the restart
+        // budget: only faults that recur before the loop publishes — on
+        // either stage — count as consecutive.
+        if shared.cell.load().epoch > resumed_at {
+            attempt = 0;
+        }
+        stats.set_error(Some(fault.clone()));
+        // A fault on the way out (the final flush included) is final.
+        if !retryable(&fault) || shared.stop.load(Ordering::Acquire) {
+            stats.set_state(SamplerState::Failed);
+            return Err(fault);
+        }
+        // The faulted host is dropped (a durable store's drop path flushes
+        // best effort; a poisoned WAL refuses further writes anyway). From
+        // here until a recovery succeeds, the on-disk directory is the
+        // single source of truth — exactly the crash contract.
+        drop(host);
+        host = loop {
+            attempt += 1;
+            if attempt > config.max_restarts {
                 stats.set_state(SamplerState::Failed);
                 return Err(fault);
             }
-            // The faulted store is dropped (its drop path flushes best
-            // effort; a poisoned WAL refuses further writes anyway). From
-            // here until a recovery succeeds, the on-disk directory is
-            // the single source of truth — exactly the crash contract.
-            drop(durable);
-            loop {
-                attempt += 1;
-                if attempt > self.config.max_restarts {
-                    stats.set_state(SamplerState::Failed);
-                    return Err(fault);
-                }
-                stats.set_state(SamplerState::Degraded {
-                    attempt,
-                    max_restarts: self.config.max_restarts,
-                });
-                if !self.backoff(attempt) {
-                    // Stop requested mid-recovery: there is no live store
-                    // to hand back, but the directory remains recoverable.
-                    stats.set_state(SamplerState::Stopped);
-                    return Err(fault);
-                }
-                let (model, proposer) = (self.factory)();
-                let recovered = catch_unwind(AssertUnwindSafe(|| {
-                    ProbabilisticDB::recover_with_io(
-                        Arc::clone(&io),
-                        &dir,
-                        model,
-                        proposer,
-                        dconfig,
-                    )
-                }));
-                match recovered {
-                    Ok(Ok((d2, _report))) => {
-                        // Verify before resuming: a recovered world that
-                        // disagrees with its own store is fatal, not
-                        // something to serve from.
-                        if let Err(m) = d2.pdb().check_synchronized() {
-                            let error = ServingError::Sampler(format!(
-                                "recovered state failed verification: {m}"
-                            ));
-                            stats.set_error(Some(error.clone()));
-                            stats.set_state(SamplerState::Failed);
-                            return Err(error);
-                        }
-                        let q: Vec<(&str, &str)> = self
-                            .queries
-                            .iter()
-                            .map(|(n, s)| (n.as_str(), s.as_str()))
-                            .collect();
-                        match build_registered(d2.pdb(), &q, &self.shared.config) {
-                            Ok(r) => registered = r,
-                            Err(e) => {
-                                stats.set_error(Some(e.clone()));
-                                stats.set_state(SamplerState::Failed);
-                                return Err(e);
-                            }
-                        }
-                        durable = d2;
-                        // Publish immediately: readers see a fresh epoch
-                        // (monotonically above every pre-fault epoch) as
-                        // the first signal that service resumed.
-                        let live = self.shared.reader().status();
-                        let at = EpochSnapshot::of(durable.pdb(), live.epoch + 1, live.samples);
-                        match publish_snapshot(&mut registered, &self.shared.config, at) {
-                            Ok(snap) => self.shared.cell.store(Arc::new(snap)),
-                            Err(e) => {
-                                let error = ServingError::from(e);
-                                stats.set_error(Some(error.clone()));
-                                stats.set_state(SamplerState::Failed);
-                                return Err(error);
-                            }
-                        }
-                        stats.set_error(None);
-                        stats.set_state(SamplerState::Running);
-                        break; // back to the serving loop
-                    }
-                    Ok(Err(e)) => {
-                        stats.set_error(Some(ServingError::from(e)));
-                    }
-                    Err(payload) => {
-                        stats.set_error(Some(ServingError::from_panic(payload)));
-                    }
-                }
+            stats.set_state(SamplerState::Degraded {
+                attempt,
+                max_restarts: config.max_restarts,
+            });
+            if !backoff(&shared, attempt) {
+                // Stop requested mid-recovery: there is no live host to
+                // hand back, but the directory remains recoverable.
+                stats.set_state(SamplerState::Stopped);
+                return Err(fault);
+            }
+            if let Ok(recovered) = shared.caught(&recover) {
+                break recovered;
+            }
+        };
+        // Verify, rebuild, publish: a failure past a successful recovery
+        // is fatal, not something to serve from.
+        match resume(&host, &registered, &shared) {
+            Ok(rebuilt) => registered = rebuilt,
+            Err(error) => {
+                stats.set_error(Some(error.clone()));
+                stats.set_state(SamplerState::Failed);
+                return Err(error);
             }
         }
+        stats.set_error(None);
+        stats.set_state(SamplerState::Running);
     }
+}
 
-    /// Sleeps `restart_backoff_ms × attempt`, polling the stop flag.
-    /// Returns false when stop was requested.
-    fn backoff(&self, attempt: u32) -> bool {
-        let total = self
-            .config
-            .restart_backoff_ms
-            .saturating_mul(attempt as u64);
-        let mut slept = 0u64;
-        while slept < total {
-            if self.shared.stop.load(Ordering::Acquire) {
-                return false;
-            }
-            let chunk = (total - slept).min(5);
-            std::thread::sleep(Duration::from_millis(chunk));
-            slept += chunk;
+/// Readies a recovered host to serve: checks it agrees with its own store,
+/// rebuilds the registered views over it, and publishes its epoch at once
+/// — monotonically above every pre-fault epoch, the readers' first signal
+/// that service resumed.
+fn resume<H: Host>(
+    host: &H,
+    registered: &[Registered],
+    shared: &Shared,
+) -> Result<Vec<Registered>, ServingError> {
+    let pdb = host.pdb();
+    pdb.check_synchronized()
+        .map_err(|m| ServingError::Sampler(format!("recovered state failed verification: {m}")))?;
+    let queries: Vec<(&str, &str)> = registered.iter().map(|r| (&*r.name, &*r.sql)).collect();
+    let mut rebuilt = build_registered(pdb, &queries, &shared.config.serving)?;
+    let live = shared.reader().status();
+    let at = EpochSnapshot::of(pdb, live.epoch + 1, live.samples);
+    let snap = publish_snapshot(&mut rebuilt, &shared.config.serving, at)?;
+    shared.cell.store(Arc::new(snap));
+    Ok(rebuilt)
+}
+
+/// Sleeps `restart_backoff_ms × attempt` (rounded up to 5 ms), polling the
+/// stop flag every 5 ms. Returns false when stop was requested.
+fn backoff(shared: &Shared, attempt: u32) -> bool {
+    let total = shared
+        .config
+        .restart_backoff_ms
+        .saturating_mul(attempt.into());
+    for _ in 0..total.div_ceil(5) {
+        if shared.stop.load(Ordering::Acquire) {
+            return false;
         }
-        !self.shared.stop.load(Ordering::Acquire)
+        std::thread::sleep(Duration::from_millis(5));
     }
+    !shared.stop.load(Ordering::Acquire)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{biased_token_pdb, relabel_proposer};
-    use fgdb_durability::{FaultKind, FaultSchedule, FaultyIo, FsyncPolicy};
+    use crate::fixtures::{biased_token_pdb, relabel_proposer, PanicsAfter};
+    use fgdb_durability::{
+        DurabilityConfig, FaultKind, FaultSchedule, FaultyIo, FsyncPolicy, StoreIo,
+    };
     use fgdb_graph::FactorGraph;
     use fgdb_relational::parser::paper_sql;
 
@@ -522,29 +401,6 @@ mod tests {
         assert_eq!(pinned.epoch, epoch_before);
         let durable = sampler.stop().unwrap();
         durable.pdb().check_synchronized().unwrap();
-    }
-
-    /// A relabelling proposer that panics once it has made `left`
-    /// proposals.
-    struct PanicsAfter {
-        inner: Box<fgdb_mcmc::UniformRelabel>,
-        left: usize,
-    }
-
-    impl Proposer for PanicsAfter {
-        fn propose(
-            &mut self,
-            world: &fgdb_graph::World,
-            rng: &mut fgdb_mcmc::DynRng<'_>,
-            out: &mut fgdb_mcmc::Proposal,
-        ) {
-            self.left = self.left.checked_sub(1).expect("injected proposer fault");
-            self.inner.propose(world, rng, out)
-        }
-
-        fn support(&self) -> &[fgdb_graph::VariableId] {
-            self.inner.support()
-        }
     }
 
     /// After a fault, every restart steps a healthy interval and then

@@ -276,8 +276,8 @@ fn supervised_sampler_rides_out_a_burst_of_transient_faults() {
 
     // Three distinct transient faults, one at a time. Each must degrade,
     // recover, clear its error, and resume publishing — the restart
-    // budget refills on every healthy interval, so surviving one fault
-    // never borrows attempts from the next.
+    // budget refills once the loop publishes an epoch after a restart,
+    // so surviving one fault never borrows attempts from the next.
     for kind in [
         FaultKind::WriteErr,
         FaultKind::SyncErr,

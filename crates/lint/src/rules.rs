@@ -102,11 +102,13 @@ fn cast_scoped(path: &str) -> bool {
 }
 
 /// R2 file scope: the panic-free serving and recovery loops (including
-/// the status table every publication patches), and the query executor,
-/// which runs user SQL from the wire on server threads.
+/// the status table every publication patches, and the validated write
+/// every interval source and every recovery goes through), and the query
+/// executor, which runs user SQL from the wire on server threads.
 fn panic_scoped(path: &str) -> bool {
     (path.starts_with("crates/serve/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
+        || path == "crates/core/src/pdb.rs"
         || path == "crates/core/src/serving.rs"
         || path == "crates/core/src/supervise.rs"
         || path == "crates/core/src/membership.rs"
@@ -120,6 +122,7 @@ fn sync_scoped(path: &str) -> bool {
     (path.starts_with("crates/graph/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/mcmc/src/") && path.ends_with(".rs"))
         || path == "crates/core/src/serving.rs"
+        || path == "crates/core/src/supervise.rs"
 }
 
 /// Cast targets R1 flags: every integer type strictly narrower than 64

@@ -15,13 +15,16 @@
 //!   hint, health probes keep answering with `degraded` set, pinned
 //!   connections keep reading their immutable epoch, and everything
 //!   heals once the supervisor resumes;
+//! * once an in-memory sampler has failed (it restarts nothing), a fresh
+//!   `STATUS` sheds with a retry hint instead of serving the last epoch
+//!   as if it were fresh;
 //! * every truncation and every single-byte corruption of a valid
 //!   response frame decodes to a typed error or a valid message on the
 //!   client — never a panic, never an allocation blow-up.
 
-use fgdb_core::fixtures::{biased_token_pdb, relabel_proposer};
+use fgdb_core::fixtures::{biased_token_pdb, relabel_proposer, PanicsAfter};
 use fgdb_core::supervise::{ModelFactory, SupervisedSampler, SupervisorConfig};
-use fgdb_core::{DurabilityConfig, FsyncPolicy, LiveSampler, ServingConfig};
+use fgdb_core::{DurabilityConfig, FsyncPolicy, LiveSampler, SamplerState, ServingConfig};
 use fgdb_durability::{FaultKind, FaultSchedule, FaultyIo, StoreIo};
 use fgdb_graph::FactorGraph;
 use fgdb_relational::parser::paper_sql;
@@ -224,6 +227,44 @@ fn degraded_sampler_sheds_fresh_reads_serves_pinned_ones_and_heals() {
 
     server.stop();
     sampler.stop().expect("supervised sampler stops cleanly");
+}
+
+#[test]
+fn a_failed_in_memory_sampler_sheds_fresh_status() {
+    let config = serving_config();
+    let proposer = Box::new(PanicsAfter {
+        inner: relabel_proposer(N_TOKENS),
+        left: 8 * config.thinning * config.publish_every + 3,
+    });
+    let pdb = biased_token_pdb(N_TOKENS, 6, 0xFA11).snapshot(proposer, 11);
+    let q1 = paper_sql::query1("TOKEN");
+    let sampler = LiveSampler::spawn(pdb, &[("q1", q1.as_str())], config).unwrap();
+    let reader = sampler.reader();
+    let server = Server::start_with(
+        sampler.reader(),
+        "127.0.0.1:0",
+        ServerConfig {
+            retry_after_ms: 30,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while reader.status().state != SamplerState::Failed {
+        assert!(Instant::now() < deadline, "the sampler never failed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.status("q1") {
+        Err(ClientError::Unavailable { retry_after_ms }) => assert_eq!(retry_after_ms, 30),
+        other => panic!("expected a shed STATUS from a failed sampler, got {other:?}"),
+    }
+    // Health stays observable, with the panic attached.
+    let stats = client.stats().unwrap();
+    assert!(!stats.running);
+    assert!(stats.error.is_some_and(|e| e.contains("injected")));
+    server.stop();
+    assert!(sampler.stop().is_err());
 }
 
 #[test]
