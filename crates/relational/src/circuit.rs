@@ -1,11 +1,12 @@
 //! DBSP-style operator circuits: incremental view maintenance over Z-sets.
 //!
-//! This is Algorithm 1's view engine, the one behind every
-//! [`MaterializedView`](crate::MaterializedView). A circuit compiles a
+//! This is Algorithm 1's view engine, the one every
+//! [`MaterializedView`](crate::MaterializedView) owns. A circuit compiles a
 //! [`Plan`] into a flat list of stateful operator nodes in topological
-//! order; every node consumes and produces [`ZSet`] deltas, and applying a
-//! world delta is one bottom-up sweep costing Θ(|Δ|), tested against naive
-//! re-execution.
+//! order. The one Z-set type is [`CountedSet`]: every node's state, join
+//! index entry and per-batch delta is one, as are a fixpoint's derivation
+//! counts and output and the view's answer. Applying a world delta is one
+//! bottom-up sweep costing Θ(|Δ|), tested against naive re-execution.
 //!
 //! **Initialization runs on the executor.** The one-time full evaluation
 //! (Algorithm 1's "run full query to get initial results") is not a sweep:
@@ -87,7 +88,7 @@
 //! ```
 
 use crate::algebra::{Plan, PlanError};
-use crate::counted::CountedSet;
+use crate::counted::{CountedSet, NegativeWeight};
 use crate::database::Database;
 use crate::delta::DeltaSet;
 use crate::exec::{
@@ -99,7 +100,6 @@ use crate::fasthash::TupleMap;
 use crate::row::{concat, Row, RowView};
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
-use crate::zset::{NegativeWeight, ZSet};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -238,7 +238,7 @@ pub struct CircuitStats {
 struct BatchInput<'a> {
     deltas: Option<&'a DeltaSet>,
     copies: Option<&'a Copies>,
-    rec: Option<(&'a str, &'a ZSet)>,
+    rec: Option<(&'a str, &'a CountedSet)>,
 }
 
 /// A rebuilding fixpoint's full copies of its source relations.
@@ -247,22 +247,21 @@ type Copies = BTreeMap<Arc<str>, CountedSet>;
 /// A borrowed or owned per-node output delta for one batch.
 enum DOut<'a> {
     Empty,
-    Counted(&'a CountedSet),
-    Zs(&'a ZSet),
-    Owned(ZSet),
+    Borrowed(&'a CountedSet),
+    Owned(CountedSet),
 }
 
 impl<'a> BatchInput<'a> {
     fn relation(&self, name: &str) -> Option<DOut<'a>> {
         if let Some((rn, z)) = self.rec {
             if rn == name {
-                return Some(DOut::Zs(z));
+                return Some(DOut::Borrowed(z));
             }
         }
         if let Some(rels) = self.copies {
-            return rels.get(name).map(DOut::Counted);
+            return rels.get(name).map(DOut::Borrowed);
         }
-        self.deltas?.for_relation(name).map(DOut::Counted)
+        self.deltas?.for_relation(name).map(DOut::Borrowed)
     }
 
     fn touches(&self, sources: &[Arc<str>]) -> bool {
@@ -271,42 +270,34 @@ impl<'a> BatchInput<'a> {
 }
 
 impl DOut<'_> {
+    /// The delta, unless there is none.
+    fn set(&self) -> Option<&CountedSet> {
+        match self {
+            DOut::Empty => None,
+            DOut::Borrowed(s) => Some(s),
+            DOut::Owned(s) => Some(s),
+        }
+    }
+
     /// The entries, through one iterator type for every variant: walking a
     /// batch boxes nothing.
     fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> + '_ {
-        let map = match self {
-            DOut::Empty => None,
-            DOut::Counted(s) => Some(s.map()),
-            DOut::Zs(z) => Some(z.map()),
-            DOut::Owned(z) => Some(z.map()),
-        };
-        map.into_iter().flatten().map(|(t, &w)| (t, w))
+        self.set().into_iter().flat_map(CountedSet::iter)
     }
 
     fn count(&self, t: &Tuple) -> i64 {
-        match self {
-            DOut::Empty => 0,
-            DOut::Counted(s) => s.count(t),
-            DOut::Zs(z) => z.weight(t),
-            DOut::Owned(z) => z.weight(t),
-        }
+        self.set().map_or(0, |s| s.count(t))
     }
 
     fn distinct_len(&self) -> usize {
-        match self {
-            DOut::Empty => 0,
-            DOut::Counted(s) => s.distinct_len(),
-            DOut::Zs(z) => z.distinct_len(),
-            DOut::Owned(z) => z.distinct_len(),
-        }
+        self.set().map_or(0, CountedSet::distinct_len)
     }
 
-    fn into_zset(self) -> ZSet {
+    fn into_owned(self) -> CountedSet {
         match self {
-            DOut::Empty => ZSet::new(),
-            DOut::Counted(s) => ZSet::from_counted(s),
-            DOut::Zs(z) => z.clone(),
-            DOut::Owned(z) => z,
+            DOut::Empty => CountedSet::new(),
+            DOut::Borrowed(s) => s.clone(),
+            DOut::Owned(s) => s,
         }
     }
 }
@@ -314,8 +305,8 @@ impl DOut<'_> {
 /// A flat operator pipeline in topological order (children strictly before
 /// parents; the last node is the root). The flat layout is what lets one
 /// sweep drive the whole circuit with per-node outputs in a side vector —
-/// no recursion, no tree walks.
-struct Flow {
+/// no recursion, no tree walks. A [`crate::MaterializedView`] owns one.
+pub(crate) struct Flow {
     nodes: Vec<CNode>,
 }
 
@@ -347,8 +338,8 @@ enum CKind {
     Product {
         left: usize,
         right: usize,
-        left_state: ZSet,
-        right_state: ZSet,
+        left_state: CountedSet,
+        right_state: CountedSet,
     },
     Join {
         left: usize,
@@ -361,7 +352,7 @@ enum CKind {
     },
     Distinct {
         child: usize,
-        state: ZSet,
+        state: CountedSet,
     },
     Union {
         left: usize,
@@ -371,8 +362,8 @@ enum CKind {
         left: usize,
         right: usize,
         kind: SetOpKind,
-        left_state: ZSet,
-        right_state: ZSet,
+        left_state: CountedSet,
+        right_state: CountedSet,
     },
     Fixpoint(Box<FixpointNode>),
 }
@@ -396,9 +387,9 @@ struct FixpointNode {
     rels: BTreeMap<Arc<str>, CountedSet>,
     /// Set semantics: derivation counts per tuple (how many ways it is
     /// currently derivable). Bag semantics: mirror of `out`.
-    derived: ZSet,
+    derived: CountedSet,
     /// The node's current output snapshot.
-    out: ZSet,
+    out: CountedSet,
 }
 
 #[inline]
@@ -411,13 +402,13 @@ fn bump(stats: &mut CircuitStats, on: bool, n: u64) {
 /// Adds `(t, c)` into a keyed index, dropping key entries that empty out so
 /// stale keys never accumulate.
 fn insert_keyed<R: Row + ?Sized>(
-    state: &mut TupleMap<ZSet>,
+    state: &mut TupleMap<CountedSet>,
     fp: u64,
     key: &[Value],
     t: &R,
     c: i64,
 ) {
-    let set = state.get_or_insert_with(fp, key, ZSet::new);
+    let set = state.get_or_insert_with(fp, key, CountedSet::new);
     set.add(t.to_tuple(), c);
     if set.is_empty() {
         state.remove(fp, key);
@@ -435,7 +426,7 @@ struct JoinState {
 /// One input of a maintained join: its rows by join key.
 struct JoinSide {
     keys: Vec<usize>,
-    index: TupleMap<ZSet>,
+    index: TupleMap<CountedSet>,
     scratch: Vec<Value>,
 }
 
@@ -469,20 +460,9 @@ impl<'db> Partial<'db> for JoinSide {
     fn merge(&mut self, other: Self) {
         for (key, rows) in other.index.into_entries() {
             self.index
-                .get_or_insert_tuple(key, ZSet::new)
+                .get_or_insert_tuple(key, CountedSet::new)
                 .merge_owned(rows);
         }
-    }
-}
-
-/// The kept input of ×, δ, ∖ or ∩ at initialization: weights add.
-impl<'db> Partial<'db> for ZSet {
-    fn feed(&mut self, _: &mut ExecStats, row: &RowView<'db, '_>, mult: i64) {
-        self.add_row(row, mult);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.merge_owned(other);
     }
 }
 
@@ -495,7 +475,7 @@ impl JoinState {
         left: bool,
         t: &Tuple,
         c: i64,
-        out: &mut ZSet,
+        out: &mut CountedSet,
         stats: &mut CircuitStats,
         count_work: bool,
     ) {
@@ -511,7 +491,7 @@ impl JoinState {
             .index
             .get(fp, &side.scratch)
             .into_iter()
-            .flat_map(ZSet::iter)
+            .flat_map(CountedSet::iter)
         {
             bump(stats, count_work, 1);
             let row = if left { concat(t, m) } else { concat(m, t) };
@@ -522,7 +502,7 @@ impl JoinState {
 
     /// The join of both indexes: the output of a join initialized from
     /// empty state.
-    fn output(&self) -> ZSet {
+    fn output(&self) -> CountedSet {
         let rows = self.left.index.iter().filter_map(|(key, lts)| {
             let rts = self.right.index.get_tuple(key)?;
             Some(lts.iter().flat_map(move |(lt, lc)| {
@@ -622,9 +602,9 @@ impl AggState {
     /// The batch's output delta: for each touched group its old row out
     /// and its new row in (nothing when the aggregates did not change);
     /// groups left empty are dropped.
-    fn finish(&mut self) -> ZSet {
+    fn finish(&mut self) -> CountedSet {
         let global = self.global();
-        let mut out = ZSet::new();
+        let mut out = CountedSet::new();
         for (key, old) in self.touched.iter() {
             let fp = key.fingerprint();
             let alive = match self.groups.get(fp, key.values()) {
@@ -660,7 +640,7 @@ impl AggState {
     }
 }
 
-fn merge_dout(state: &mut ZSet, d: &DOut<'_>) {
+fn merge_dout(state: &mut CountedSet, d: &DOut<'_>) {
     for (t, c) in d.iter() {
         state.add(t.clone(), c);
     }
@@ -672,11 +652,11 @@ fn merge_dout(state: &mut ZSet, d: &DOut<'_>) {
 /// executor's iterated-naive accumulation), so non-monotone steps converge
 /// to the same answer as the oracle or hit the cap.
 fn absorb(
-    d: ZSet,
-    derived: &mut ZSet,
-    out: &mut ZSet,
-    newly: &mut ZSet,
-    out_delta: Option<&mut ZSet>,
+    d: CountedSet,
+    derived: &mut CountedSet,
+    out: &mut CountedSet,
+    newly: &mut CountedSet,
+    out_delta: Option<&mut CountedSet>,
 ) {
     let mut delta = out_delta;
     for (t, w) in d.iter() {
@@ -693,8 +673,8 @@ fn absorb(
 
 /// A term circuit's first sweep from empty state, with the recursive
 /// input bound to the given frontier (none for the base).
-type FirstSweep<'f> =
-    dyn FnMut(&mut Flow, Option<&ZSet>, &mut CircuitStats) -> Result<ZSet, CircuitError> + 'f;
+type FirstSweep<'f> = dyn FnMut(&mut Flow, Option<&CountedSet>, &mut CircuitStats) -> Result<CountedSet, CircuitError>
+    + 'f;
 
 impl FixpointNode {
     /// Initialization. A fixpoint that rebuilds on every delta first copies
@@ -721,7 +701,7 @@ impl FixpointNode {
         }
         let ctx = ctx.sequential();
         self.rebuild(stats, false, &mut |flow, rec, stats| {
-            flow.init(ctx, rec, stats, scanned, &ZSet::new)
+            flow.init(ctx, rec, stats, scanned)
         })
     }
 
@@ -732,9 +712,9 @@ impl FixpointNode {
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
         count_work: bool,
-    ) -> Result<ZSet, CircuitError> {
+    ) -> Result<CountedSet, CircuitError> {
         let Some(deltas) = input.deltas else {
-            return Ok(ZSet::new());
+            return Ok(CountedSet::new());
         };
         if self.incremental {
             return self.maintain(deltas, stats, count_work);
@@ -758,9 +738,7 @@ impl FixpointNode {
         });
         self.rels = rels;
         rebuilt?;
-        let mut diff = self.out.clone();
-        diff.merge(&old.negated());
-        Ok(diff)
+        Ok(self.out.minus(&old))
     }
 
     /// Full fixpoint evaluation, resetting both sub-circuits and rebuilding
@@ -776,15 +754,15 @@ impl FixpointNode {
     ) -> Result<(), CircuitError> {
         self.base.reset();
         self.step.reset();
-        self.derived = ZSet::new();
-        self.out = ZSet::new();
+        self.derived = CountedSet::new();
+        self.out = CountedSet::new();
         let d_base = first(&mut self.base, None, stats)?;
         let rec_name: &str = self.rec.as_ref();
         let cap = self.cap;
         let step = &mut self.step;
         let derived = &mut self.derived;
         let out = &mut self.out;
-        let mut sweep = |frontier: &ZSet, is_first: bool, stats: &mut CircuitStats| {
+        let mut sweep = |frontier: &CountedSet, is_first: bool, stats: &mut CircuitStats| {
             if is_first {
                 return first(step, Some(frontier), stats);
             }
@@ -804,8 +782,8 @@ impl FixpointNode {
             // own incrementality turns that into Δstep exactly.
             derived.merge(&d_base);
             out.merge(&d_base);
-            let mut cur_step = ZSet::new(); // = step(rels, working)
-            let mut prev_working = ZSet::new();
+            let mut cur_step = CountedSet::new(); // = step(rels, working)
+            let mut prev_working = CountedSet::new();
             let mut working = d_base;
             let mut first = true;
             let mut iters: usize = 0;
@@ -815,8 +793,7 @@ impl FixpointNode {
                     return Err(CircuitError::IterationLimit { cap });
                 }
                 stats.fixpoint_iterations += 1;
-                let mut rec_delta = working.clone();
-                rec_delta.merge(&prev_working.negated());
+                let rec_delta = working.minus(&prev_working);
                 cur_step.merge_owned(sweep(&rec_delta, first, stats)?);
                 out.merge(&cur_step);
                 prev_working = working;
@@ -827,7 +804,7 @@ impl FixpointNode {
         } else {
             // Set semantics (`UNION`): semi-naive over derivation counts.
             // Each iteration feeds only the newly derived frontier.
-            let mut frontier = ZSet::new();
+            let mut frontier = CountedSet::new();
             absorb(d_base, derived, out, &mut frontier, None);
             let mut first = true;
             let mut iters: usize = 0;
@@ -838,7 +815,7 @@ impl FixpointNode {
                 }
                 stats.fixpoint_iterations += 1;
                 let d_step = sweep(&frontier, first, stats)?;
-                let mut next = ZSet::new();
+                let mut next = CountedSet::new();
                 absorb(d_step, derived, out, &mut next, None);
                 if next.is_empty() {
                     break;
@@ -871,9 +848,9 @@ impl FixpointNode {
         deltas: &DeltaSet,
         stats: &mut CircuitStats,
         count_work: bool,
-    ) -> Result<ZSet, CircuitError> {
-        let mut out_delta = ZSet::new();
-        let mut frontier = ZSet::new();
+    ) -> Result<CountedSet, CircuitError> {
+        let mut out_delta = CountedSet::new();
+        let mut frontier = CountedSet::new();
         let mut overdeleted = Vec::new();
         let retracts = self
             .sources
@@ -885,7 +862,7 @@ impl FixpointNode {
             halves = split_by_sign(deltas, &self.sources);
             self.overdelete(&halves.0, &mut overdeleted, stats, count_work)?;
             for t in &overdeleted {
-                if self.derived.weight(t) > 0 {
+                if self.derived.count(t) > 0 {
                     self.out.add(t.clone(), 1);
                     frontier.add(t.clone(), 1);
                     out_delta.add(t.clone(), 1);
@@ -929,7 +906,7 @@ impl FixpointNode {
                     rec: Some((rec_name, &frontier)),
                 };
                 let d_step = self.step.run(&inp, stats, count_work)?;
-                let mut next = ZSet::new();
+                let mut next = CountedSet::new();
                 absorb(
                     d_step,
                     &mut self.derived,
@@ -973,7 +950,7 @@ impl FixpointNode {
         lost.merge_owned(self.step.run(&world, stats, count_work)?);
         let mut iters: usize = 0;
         loop {
-            let mut leaving = ZSet::new();
+            let mut leaving = CountedSet::new();
             for (t, w) in lost.iter() {
                 let left = self.derived.add(t.clone(), w);
                 if left < 0 {
@@ -1049,7 +1026,7 @@ impl CNode {
             }
             CKind::Select { child, pred } => {
                 let d = &outs[*child];
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 for (t, c) in d.iter() {
                     bump(stats, count_work, 1);
                     if pred.matches(t) {
@@ -1060,7 +1037,7 @@ impl CNode {
             }
             CKind::Project { child, indices } => {
                 let d = &outs[*child];
-                let mut out = ZSet::with_capacity(d.distinct_len());
+                let mut out = CountedSet::with_capacity(d.distinct_len());
                 for (t, c) in d.iter() {
                     bump(stats, count_work, 1);
                     out.add(t.project(indices), c);
@@ -1074,7 +1051,7 @@ impl CNode {
                 right_state,
             } => {
                 let (dl, dr) = (&outs[*left], &outs[*right]);
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 // ΔL × R_old
                 for (lt, lc) in dl.iter() {
                     for (rt, rc) in right_state.iter() {
@@ -1094,7 +1071,7 @@ impl CNode {
                 DOut::Owned(out)
             }
             CKind::Join { left, right, join } => {
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 // ΔL ⋈ R_old, folding ΔL into the left index as we go, then
                 // L_new ⋈ ΔR.
                 for (lt, lc) in outs[*left].iter() {
@@ -1114,10 +1091,10 @@ impl CNode {
                 DOut::Owned(agg.finish())
             }
             CKind::Distinct { child, state } => {
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 for (t, c) in outs[*child].iter() {
                     bump(stats, count_work, 1);
-                    let old = state.weight(t);
+                    let old = state.count(t);
                     let new = state.add(t.clone(), c);
                     if new < 0 {
                         return Err(CircuitError::InconsistentDelta(NegativeWeight {
@@ -1137,7 +1114,7 @@ impl CNode {
                 let dl = &outs[*left];
                 let dr = &outs[*right];
                 bump(stats, count_work, dr.distinct_len() as u64);
-                let mut out = ZSet::with_capacity(dl.distinct_len() + dr.distinct_len());
+                let mut out = CountedSet::with_capacity(dl.distinct_len() + dr.distinct_len());
                 merge_dout(&mut out, dl);
                 merge_dout(&mut out, dr);
                 DOut::Owned(out)
@@ -1150,17 +1127,17 @@ impl CNode {
                 right_state,
             } => {
                 let (dl, dr) = (&outs[*left], &outs[*right]);
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 // Re-derive the output count of every touched tuple.
                 for t in dl.iter().map(|(t, _)| t).chain(dr.iter().map(|(t, _)| t)) {
                     bump(stats, count_work, 1);
-                    if out.weight(t) != 0 {
+                    if out.count(t) != 0 {
                         continue; // handled from the other delta already
                     }
-                    let old = kind.out_count(left_state.weight(t), right_state.weight(t));
+                    let old = kind.out_count(left_state.count(t), right_state.count(t));
                     let new = kind.out_count(
-                        left_state.weight(t) + dl.count(t),
-                        right_state.weight(t) + dr.count(t),
+                        left_state.count(t) + dl.count(t),
+                        right_state.count(t) + dr.count(t),
                     );
                     out.add(t.clone(), new - old);
                 }
@@ -1182,14 +1159,14 @@ impl CNode {
     fn init(
         &mut self,
         before: &[CNode],
-        outs: &[Option<ZSet>],
+        outs: &[Option<CountedSet>],
         ctx: Ctx<'_, '_>,
-        rec: Option<&ZSet>,
+        rec: Option<&CountedSet>,
         stats: &mut CircuitStats,
         scanned: &mut ExecStats,
-    ) -> Result<Option<ZSet>, CircuitError> {
+    ) -> Result<Option<CountedSet>, CircuitError> {
         let input = |idx: usize, scanned: &mut ExecStats| {
-            drive_output(before, outs, idx, ctx, rec, scanned, &ZSet::new)
+            drive_output(before, outs, idx, ctx, rec, scanned, &CountedSet::new)
         };
         Ok(Some(match &mut self.kind {
             CKind::Product {
@@ -1221,7 +1198,7 @@ impl CNode {
                 let fresh = || Groups::new(&agg.group_idx, &agg.specs);
                 let groups = drive_output(before, outs, *child, ctx, rec, scanned, &fresh)?;
                 // Every group holds a row, or is the global group.
-                let (mut out, mut buf) = (ZSet::new(), Vec::new());
+                let (mut out, mut buf) = (CountedSet::new(), Vec::new());
                 for (key, group) in groups.into_entries() {
                     out.add(group.output(key.values(), &mut buf), 1);
                     agg.groups.get_or_insert_tuple(key, || group);
@@ -1244,7 +1221,7 @@ impl CNode {
                 // A tuple the left input lacks is output by neither ∖ nor ∩.
                 let counts = left_state
                     .iter()
-                    .map(|(t, l)| (t.clone(), kind.out_count(l, right_state.weight(t))));
+                    .map(|(t, l)| (t.clone(), kind.out_count(l, right_state.count(t))));
                 counts.collect()
             }
             CKind::Fixpoint(fx) => {
@@ -1268,15 +1245,15 @@ impl CNode {
 /// `outs`), and the recursive input pushes `rec`.
 fn pipes<'a, 'db>(
     nodes: &[CNode],
-    outs: &'a [Option<ZSet>],
+    outs: &'a [Option<CountedSet>],
     idx: usize,
     db: &'db Database,
-    rec: Option<&'a ZSet>,
+    rec: Option<&'a CountedSet>,
 ) -> Result<Vec<Pipe<'a, 'db>>, CircuitError> {
     let inner = |child: usize| pipes(nodes, outs, child, db, rec);
-    let held = |rows: Option<&'a ZSet>| -> Pipe<'a, 'db> {
+    let held = |rows: Option<&'a CountedSet>| -> Pipe<'a, 'db> {
         Pipe::Held(Box::new(move |stats, sink| {
-            for (t, w) in rows.into_iter().flat_map(ZSet::iter) {
+            for (t, w) in rows.into_iter().flat_map(CountedSet::iter) {
                 sink(stats, &RowView::Tuple(t), w);
             }
         }))
@@ -1309,10 +1286,10 @@ fn pipes<'a, 'db>(
 /// Drives node `idx`'s output ([`pipes`]) into one state made by `fresh`.
 fn drive_output<'db, P: Partial<'db>>(
     nodes: &[CNode],
-    outs: &[Option<ZSet>],
+    outs: &[Option<CountedSet>],
     idx: usize,
     ctx: Ctx<'_, 'db>,
-    rec: Option<&ZSet>,
+    rec: Option<&CountedSet>,
     scanned: &mut ExecStats,
     fresh: &(impl Fn() -> P + Sync),
 ) -> Result<P, CircuitError> {
@@ -1334,20 +1311,60 @@ impl Flow {
         Ok(Flow { nodes })
     }
 
+    /// Compiles `plan` and initializes it from `db` with the executor's
+    /// pipelines, split as `split` allows: in flow order, each node that
+    /// keeps state is driven its inputs' rows — stored relations read a
+    /// chunk at a time under σ masks (or through an index probe) and
+    /// streamed through σ and π, or the output of a node below that keeps
+    /// state — and the answer is the root's output, driven the same way. A
+    /// scan of two morsels or more splits across the cores, each worker
+    /// filling a partial state, and the partials merge; a γ with a float
+    /// SUM and a fixpoint's terms read their inputs on one worker.
+    /// Afterwards every delta takes the circuit's own Δ path
+    /// ([`Flow::apply`]). Returns the flow and its answer.
+    pub(crate) fn build(
+        plan: &Plan,
+        db: &Database,
+        split: Split,
+        stats: &mut CircuitStats,
+    ) -> Result<(Flow, CountedSet), CircuitError> {
+        let mut flow = Flow::compile(plan, db, None)?;
+        let mut scanned = ExecStats::default();
+        let answer = flow.init(Ctx::new(db, split), None, stats, &mut scanned)?;
+        stats.init_tuples_scanned = scanned.tuples_scanned;
+        Ok((flow, answer))
+    }
+
+    /// Applies a world delta and returns the answer's own signed delta.
+    /// Cost is Θ(|Δ|) plus join fan-out (and, for recursive plans, the
+    /// affected paths — or a rebuild where the fixpoint is not maintained
+    /// incrementally). On error the flow's state may be partially updated
+    /// and should be rebuilt.
+    pub(crate) fn apply(
+        &mut self,
+        deltas: &DeltaSet,
+        stats: &mut CircuitStats,
+    ) -> Result<CountedSet, CircuitError> {
+        let input = BatchInput {
+            deltas: Some(deltas),
+            copies: None,
+            rec: None,
+        };
+        self.run(&input, stats, true)
+    }
+
     /// Initializes every node, in flow order, from the stored relations —
     /// and, in a fixpoint's step, the recursive input `rec` — and returns
     /// the root's output: the circuit's answer, or what a fixpoint's term
     /// derives. A root that keeps state returns what its initialization
-    /// built; any other root's pipelines are driven into a state made by
-    /// `fresh`.
-    fn init<'db, P: Partial<'db> + From<ZSet>>(
+    /// built; any other root's pipelines are driven into one counted set.
+    fn init(
         &mut self,
-        ctx: Ctx<'_, 'db>,
-        rec: Option<&ZSet>,
+        ctx: Ctx<'_, '_>,
+        rec: Option<&CountedSet>,
         stats: &mut CircuitStats,
         scanned: &mut ExecStats,
-        fresh: &(impl Fn() -> P + Sync),
-    ) -> Result<P, CircuitError> {
+    ) -> Result<CountedSet, CircuitError> {
         let mut outs = Vec::with_capacity(self.nodes.len());
         for i in 0..self.nodes.len() {
             let (before, rest) = self.nodes.split_at_mut(i);
@@ -1355,8 +1372,16 @@ impl Flow {
             outs.push(out);
         }
         match outs.pop().flatten() {
-            Some(out) => Ok(out.into()),
-            None => drive_output(&self.nodes, &outs, outs.len(), ctx, rec, scanned, fresh),
+            Some(out) => Ok(out),
+            None => drive_output(
+                &self.nodes,
+                &outs,
+                outs.len(),
+                ctx,
+                rec,
+                scanned,
+                &CountedSet::new,
+            ),
         }
     }
 
@@ -1368,13 +1393,13 @@ impl Flow {
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
         count_work: bool,
-    ) -> Result<ZSet, CircuitError> {
+    ) -> Result<CountedSet, CircuitError> {
         let mut outs: Vec<DOut<'_>> = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
             let out = node.step(input, &outs, stats, count_work)?;
             outs.push(out);
         }
-        Ok(outs.pop().map(DOut::into_zset).unwrap_or_default())
+        Ok(outs.pop().map(DOut::into_owned).unwrap_or_default())
     }
 
     /// Clears all operator state, returning the flow to its pre-init form.
@@ -1386,8 +1411,8 @@ impl Flow {
                     right_state,
                     ..
                 } => {
-                    *left_state = ZSet::new();
-                    *right_state = ZSet::new();
+                    *left_state = CountedSet::new();
+                    *right_state = CountedSet::new();
                 }
                 CKind::Join { join, .. } => {
                     join.left.index.clear();
@@ -1397,21 +1422,21 @@ impl Flow {
                     agg.groups.clear();
                     agg.touched.clear();
                 }
-                CKind::Distinct { state, .. } => *state = ZSet::new(),
+                CKind::Distinct { state, .. } => *state = CountedSet::new(),
                 CKind::SetOp {
                     left_state,
                     right_state,
                     ..
                 } => {
-                    *left_state = ZSet::new();
-                    *right_state = ZSet::new();
+                    *left_state = CountedSet::new();
+                    *right_state = CountedSet::new();
                 }
                 CKind::Fixpoint(fx) => {
                     fx.base.reset();
                     fx.step.reset();
                     fx.rels.clear();
-                    fx.derived = ZSet::new();
-                    fx.out = ZSet::new();
+                    fx.derived = CountedSet::new();
+                    fx.out = CountedSet::new();
                 }
                 CKind::Input { .. }
                 | CKind::RecInput { .. }
@@ -1532,8 +1557,8 @@ fn compile_into(
                 CKind::Product {
                     left: l,
                     right: r,
-                    left_state: ZSet::new(),
-                    right_state: ZSet::new(),
+                    left_state: CountedSet::new(),
+                    right_state: CountedSet::new(),
                 },
                 src,
             )
@@ -1590,7 +1615,7 @@ fn compile_into(
             (
                 CKind::Distinct {
                     child,
-                    state: ZSet::new(),
+                    state: CountedSet::new(),
                 },
                 src,
             )
@@ -1617,8 +1642,8 @@ fn compile_into(
                     left: l,
                     right: r,
                     kind,
-                    left_state: ZSet::new(),
-                    right_state: ZSet::new(),
+                    left_state: CountedSet::new(),
+                    right_state: CountedSet::new(),
                 },
                 src,
             )
@@ -1664,8 +1689,8 @@ fn compile_into(
                     base: base_flow,
                     step: step_flow,
                     rels: BTreeMap::new(),
-                    derived: ZSet::new(),
-                    out: ZSet::new(),
+                    derived: CountedSet::new(),
+                    out: CountedSet::new(),
                 })),
                 sources,
             )
@@ -1688,98 +1713,6 @@ fn compile_into(
     Ok(nodes.len() - 1)
 }
 
-/// A query answer maintained incrementally by a Z-set operator circuit:
-/// compile once, feed [`DeltaSet`] batches, read the maintained answer.
-/// [`crate::MaterializedView`] is its public face.
-pub(crate) struct Circuit {
-    flow: Flow,
-    result: CountedSet,
-    columns: Vec<Arc<str>>,
-    sources: Vec<Arc<str>>,
-    stats: CircuitStats,
-}
-
-impl Circuit {
-    /// Compiles `plan` and runs the one-time full evaluation on the
-    /// machine's cores ([`Circuit::build`]).
-    pub fn new(plan: &Plan, db: &Database) -> Result<Self, CircuitError> {
-        Circuit::build(plan, db, Split::machine())
-    }
-
-    /// Compiles `plan` and initializes it from `db` with the executor's
-    /// pipelines, split as `split` allows: in flow order, each node that
-    /// keeps state is driven its inputs' rows — stored relations read a
-    /// chunk at a time under σ masks (or through an index probe) and
-    /// streamed through σ and π, or the output of a node below that keeps
-    /// state — and the answer is the root's output, driven the same way. A
-    /// scan of two morsels or more splits across the cores, each worker
-    /// filling a partial state, and the partials merge; a γ with a float
-    /// SUM and a fixpoint's terms read their inputs on one worker.
-    /// Afterwards every delta takes the circuit's own Δ path.
-    fn build(plan: &Plan, db: &Database, split: Split) -> Result<Self, CircuitError> {
-        let columns = plan.output_columns(db)?;
-        let mut flow = Flow::compile(plan, db, None)?;
-        let mut stats = CircuitStats::default();
-        let mut scanned = ExecStats::default();
-        let ctx = Ctx::new(db, split);
-        let result = flow.init(ctx, None, &mut stats, &mut scanned, &CountedSet::new)?;
-        stats.init_tuples_scanned = scanned.tuples_scanned;
-        Ok(Circuit {
-            flow,
-            result,
-            columns,
-            sources: plan.base_relations(),
-            stats,
-        })
-    }
-
-    /// Applies a world delta, updating the maintained answer and returning
-    /// the answer's own signed delta. Cost is Θ(|Δ|) plus join fan-out (and,
-    /// for recursive plans, the affected paths — or a rebuild where the
-    /// fixpoint is not maintained incrementally).
-    ///
-    /// On error the circuit's state may be partially updated and the answer
-    /// should no longer be trusted and the circuit should be rebuilt.
-    pub fn apply_delta(&mut self, deltas: &DeltaSet) -> Result<CountedSet, CircuitError> {
-        self.stats.deltas_applied += 1;
-        if !self
-            .sources
-            .iter()
-            .any(|r| deltas.for_relation(r).is_some())
-        {
-            return Ok(CountedSet::new());
-        }
-        let input = BatchInput {
-            deltas: Some(deltas),
-            copies: None,
-            rec: None,
-        };
-        let out = self.flow.run(&input, &mut self.stats, true)?.into_counted();
-        self.result.merge(&out);
-        Ok(out)
-    }
-
-    /// The current maintained answer multiset.
-    pub fn result(&self) -> &CountedSet {
-        &self.result
-    }
-
-    /// Output column names.
-    pub fn columns(&self) -> &[Arc<str>] {
-        &self.columns
-    }
-
-    /// Base relations this circuit reads (sorted, deduplicated).
-    pub fn source_relations(&self) -> &[Arc<str>] {
-        &self.sources
-    }
-
-    /// Work counters.
-    pub fn stats(&self) -> CircuitStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1790,6 +1723,7 @@ mod tests {
     use crate::schema::Schema;
     use crate::tuple;
     use crate::value::ValueType;
+    use crate::view::MaterializedView;
 
     fn link_db(edges: &[(i64, i64)]) -> Database {
         let mut db = Database::new();
@@ -1838,58 +1772,46 @@ mod tests {
     fn closure_matches_executor() {
         let db = link_db(&[(1, 2), (2, 3), (3, 4)]);
         let plan = closure_plan();
-        let circuit = Circuit::new(&plan, &db).unwrap();
+        let view = MaterializedView::new(&plan, &db).unwrap();
         let (oracle, _) = execute(&plan, &db).unwrap();
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            oracle.rows.sorted_entries()
-        );
-        assert_eq!(circuit.result().total(), 6);
+        assert_eq!(view.result().sorted_entries(), oracle.rows.sorted_entries());
+        assert_eq!(view.result().total(), 6);
     }
 
     #[test]
     fn closure_incremental_insert_matches_recompute() {
         let mut db = link_db(&[(1, 2), (2, 3)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
-        let recomputes = circuit.stats().fixpoint_recomputes;
-        circuit.apply_delta(&insert(&rel, 3, 4)).unwrap();
+        let recomputes = view.stats().fixpoint_recomputes;
+        view.try_apply_delta(&insert(&rel, 3, 4)).unwrap();
         // Insert-only deltas on a monotone closure never force a rebuild.
-        assert_eq!(circuit.stats().fixpoint_recomputes, recomputes);
+        assert_eq!(view.stats().fixpoint_recomputes, recomputes);
         db.relation_mut("LINK")
             .unwrap()
             .insert(tuple![3, 4])
             .unwrap();
         let (oracle, _) = execute(&plan, &db).unwrap();
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            oracle.rows.sorted_entries()
-        );
+        assert_eq!(view.result().sorted_entries(), oracle.rows.sorted_entries());
     }
 
     #[test]
     fn closure_incremental_retract_matches_recompute() {
         let mut db = link_db(&[(1, 2), (2, 3), (3, 4), (1, 4)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
-        circuit.apply_delta(&remove(&rel, 2, 3)).unwrap();
-        assert_eq!(circuit.stats().fixpoint_recomputes, 0);
+        view.try_apply_delta(&remove(&rel, 2, 3)).unwrap();
+        assert_eq!(view.stats().fixpoint_recomputes, 0);
         delete_row(&mut db, 2, 3);
         let (oracle, _) = execute(&plan, &db).unwrap();
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            oracle.rows.sorted_entries()
-        );
+        assert_eq!(view.result().sorted_entries(), oracle.rows.sorted_entries());
     }
 
-    fn assert_matches_executor(circuit: &Circuit, plan: &Plan, db: &Database) {
+    fn assert_matches_executor(view: &MaterializedView, plan: &Plan, db: &Database) {
         let (oracle, _) = execute(plan, db).unwrap();
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            oracle.rows.sorted_entries()
-        );
+        assert_eq!(view.result().sorted_entries(), oracle.rows.sorted_entries());
     }
 
     #[test]
@@ -1899,17 +1821,17 @@ mod tests {
         // both from the bridge and, around the cycle, from itself.
         let mut db = link_db(&[(0, 1), (1, 2), (2, 1)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
-        assert_eq!(circuit.result().total(), 6);
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
+        assert_eq!(view.result().total(), 6);
         let rel: Arc<str> = Arc::from("LINK");
-        let out = circuit.apply_delta(&remove(&rel, 0, 1)).unwrap();
+        let out = view.try_apply_delta(&remove(&rel, 0, 1)).unwrap();
         assert_eq!(
             out.sorted_entries(),
             vec![(tuple![0i64, 1i64], -1), (tuple![0i64, 2i64], -1)]
         );
         delete_row(&mut db, 0, 1);
-        assert_matches_executor(&circuit, &plan, &db);
-        let stats = circuit.stats();
+        assert_matches_executor(&view, &plan, &db);
+        let stats = view.stats();
         assert_eq!(
             (
                 stats.fixpoint_recomputes,
@@ -1927,19 +1849,19 @@ mod tests {
         // never be over-deleted and 0 would keep reaching the cycle.
         let mut db = link_db(&[(0, 1), (1, 2), (2, 1)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
         let mut batch = remove(&rel, 0, 1);
         batch.record_insert(&rel, tuple![1i64, 1i64]);
-        circuit.apply_delta(&batch).unwrap();
+        view.try_apply_delta(&batch).unwrap();
         delete_row(&mut db, 0, 1);
         db.relation_mut("LINK")
             .unwrap()
             .insert(tuple![1i64, 1i64])
             .unwrap();
-        assert_matches_executor(&circuit, &plan, &db);
-        assert_eq!(circuit.result().total(), 4);
-        assert_eq!(circuit.stats().fixpoint_recomputes, 0);
+        assert_matches_executor(&view, &plan, &db);
+        assert_eq!(view.result().total(), 4);
+        assert_eq!(view.stats().fixpoint_recomputes, 0);
     }
 
     #[test]
@@ -1948,9 +1870,9 @@ mod tests {
         // through 3, node 2 no longer does.
         let mut db = link_db(&[(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
-        let out = circuit.apply_delta(&remove(&rel, 2, 4)).unwrap();
+        let out = view.try_apply_delta(&remove(&rel, 2, 4)).unwrap();
         // (1,4) and (1,5) were over-deleted and came back: downstream never
         // hears of them.
         assert_eq!(
@@ -1958,8 +1880,8 @@ mod tests {
             vec![(tuple![2i64, 4i64], -1), (tuple![2i64, 5i64], -1)]
         );
         delete_row(&mut db, 2, 4);
-        assert_matches_executor(&circuit, &plan, &db);
-        let stats = circuit.stats();
+        assert_matches_executor(&view, &plan, &db);
+        let stats = view.stats();
         assert_eq!(
             (
                 stats.fixpoint_recomputes,
@@ -2002,20 +1924,20 @@ mod tests {
         )
         .unwrap();
         let plan = crate::planner::optimize(&naive, &db).unwrap();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
         let mut flip = DeltaSet::new();
         flip.record_update(&rel, row(0, links / 2, "on"), row(0, links / 2, "off"));
-        let out = circuit.apply_delta(&flip).unwrap();
+        let out = view.try_apply_delta(&flip).unwrap();
         // Every pair with the link between its ends leaves, nothing else.
         let severed = (links / 2 + 1) * (links - links / 2);
         assert_eq!(out.total(), -severed);
-        assert_eq!(circuit.stats().fixpoint_overdeleted, severed as u64);
+        assert_eq!(view.stats().fixpoint_overdeleted, severed as u64);
         assert_eq!(
-            circuit.result().total(),
+            view.result().total(),
             chains * links * (links + 1) / 2 - severed
         );
-        circuit.stats()
+        view.stats()
     }
 
     #[test]
@@ -2043,13 +1965,10 @@ mod tests {
         // Set semantics converge on cyclic graphs.
         let db = link_db(&[(1, 2), (2, 3), (3, 1)]);
         let plan = closure_plan();
-        let circuit = Circuit::new(&plan, &db).unwrap();
-        assert_eq!(circuit.result().total(), 9); // complete digraph on the cycle
+        let view = MaterializedView::new(&plan, &db).unwrap();
+        assert_eq!(view.result().total(), 9); // complete digraph on the cycle
         let (oracle, _) = execute(&plan, &db).unwrap();
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            oracle.rows.sorted_entries()
-        );
+        assert_eq!(view.result().sorted_entries(), oracle.rows.sorted_entries());
     }
 
     #[test]
@@ -2063,7 +1982,7 @@ mod tests {
             *all = true;
         }
         let plan = plan.with_fixpoint_cap(50);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert_eq!(err, CircuitError::IterationLimit { cap: 50 });
         // The executor oracle agrees that this diverges.
         assert!(matches!(
@@ -2080,7 +1999,7 @@ mod tests {
             .join_on(Plan::rec("REACH", &["c", "d"]), &[("b", "c")])
             .project(&["a", "d"]);
         let plan = Plan::scan("LINK").fixpoint(step, "REACH", &["a", "b"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(
             matches!(err, CircuitError::NonLinearRecursion { .. }),
             "{err}"
@@ -2092,7 +2011,7 @@ mod tests {
         let db = link_db(&[(1, 2)]);
         let step = Plan::rec("LINK", &["src", "dst"]);
         let plan = Plan::scan("LINK").fixpoint(step, "LINK", &["src", "dst"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(
             matches!(err, CircuitError::ShadowedRelation { .. }),
             "{err}"
@@ -2103,7 +2022,7 @@ mod tests {
     fn unbound_rec_is_rejected() {
         let db = link_db(&[(1, 2)]);
         let plan = Plan::rec("GHOST", &["a", "b"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(
             matches!(err, CircuitError::UnboundRecursion { .. }),
             "{err}"
@@ -2116,7 +2035,7 @@ mod tests {
         let inner =
             Plan::scan("LINK").fixpoint(Plan::rec("IN", &["src", "dst"]), "IN", &["src", "dst"]);
         let plan = Plan::scan("LINK").fixpoint(inner, "OUT", &["src", "dst"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(matches!(err, CircuitError::NestedRecursion { .. }), "{err}");
     }
 
@@ -2124,9 +2043,9 @@ mod tests {
     fn inconsistent_retraction_surfaces_typed_error() {
         let db = link_db(&[(1, 2)]);
         let plan = Plan::scan("LINK").distinct();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
-        let err = circuit.apply_delta(&remove(&rel, 9, 9)).unwrap_err();
+        let err = view.try_apply_delta(&remove(&rel, 9, 9)).unwrap_err();
         assert!(matches!(err, CircuitError::InconsistentDelta(_)), "{err}");
     }
 
@@ -2141,27 +2060,24 @@ mod tests {
             .project(&["a", "dst"])
             .difference(Plan::scan("LINK"));
         let plan = Plan::scan("LINK").fixpoint(step, "R", &["a", "b"]);
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut view = MaterializedView::new(&plan, &db).unwrap();
         let (oracle, _) = execute(&plan, &db).unwrap();
-        assert_eq!(
-            circuit.result().sorted_entries(),
-            oracle.rows.sorted_entries()
-        );
+        assert_eq!(view.result().sorted_entries(), oracle.rows.sorted_entries());
 
         let rel: Arc<str> = Arc::from("LINK");
-        circuit.apply_delta(&insert(&rel, 3, 4)).unwrap();
-        assert!(circuit.stats().fixpoint_recomputes >= 1);
+        view.try_apply_delta(&insert(&rel, 3, 4)).unwrap();
+        assert!(view.stats().fixpoint_recomputes >= 1);
         let mut db2 = link_db(&[(1, 2), (2, 3), (3, 4)]);
         let (oracle2, _) = execute(&plan, &db2).unwrap();
         assert_eq!(
-            circuit.result().sorted_entries(),
+            view.result().sorted_entries(),
             oracle2.rows.sorted_entries()
         );
         delete_row(&mut db2, 1, 2);
-        circuit.apply_delta(&remove(&rel, 1, 2)).unwrap();
+        view.try_apply_delta(&remove(&rel, 1, 2)).unwrap();
         let (oracle3, _) = execute(&plan, &db2).unwrap();
         assert_eq!(
-            circuit.result().sorted_entries(),
+            view.result().sorted_entries(),
             oracle3.rows.sorted_entries()
         );
     }
@@ -2175,7 +2091,7 @@ mod tests {
         } else {
             panic!("expected fixpoint plan");
         }
-        Circuit::new(&plan, &db).unwrap();
+        MaterializedView::new(&plan, &db).unwrap();
     }
 
     // ------------------------------------------- split build ≡ one worker --
@@ -2242,17 +2158,17 @@ mod tests {
 
     fn build_and_feed(plan: &Plan, split: Split) -> Result<Run, CircuitError> {
         let stream = delta_stream(&mut mixed_token_db(TOKENS, 7));
-        let mut circuit = Circuit::build(plan, &mixed_token_db(TOKENS, 7), split)?;
-        let initial = circuit.result().sorted_entries();
+        let mut view = MaterializedView::build(plan, &mixed_token_db(TOKENS, 7), split)?;
+        let initial = view.result().sorted_entries();
         let deltas = stream
             .iter()
-            .map(|d| circuit.apply_delta(d).map(|out| out.sorted_entries()))
+            .map(|d| view.try_apply_delta(d).map(|out| out.sorted_entries()))
             .collect::<Result<_, _>>()?;
-        Ok((initial, deltas, circuit.stats()))
+        Ok((initial, deltas, view.stats()))
     }
 
     /// Built at 2, 3 and 8 workers over one-chunk morsels — and at the
-    /// machine's — a circuit answers, maintains and counts like one built
+    /// machine's — a view answers, maintains and counts like one built
     /// on one worker. Returns the one-worker run.
     fn assert_split_builds_match(plan: &Plan) -> Result<Run, CircuitError> {
         let one = build_and_feed(plan, split(1));
@@ -2327,9 +2243,9 @@ mod tests {
             "SELECT SUM(score) AS s, COUNT(*) AS n FROM TOKEN",
         ] {
             let plan = sql(query);
-            let circuit = Circuit::new(&plan, &mixed_token_db(TOKENS, 7)).unwrap();
+            let flow = Flow::compile(&plan, &mixed_token_db(TOKENS, 7), None).unwrap();
             let inexact = |n: &CNode| matches!(&n.kind, CKind::Aggregate { agg, .. } if !agg.exact);
-            assert!(circuit.flow.nodes.iter().any(inexact), "{query}");
+            assert!(flow.nodes.iter().any(inexact), "{query}");
             // Bit-identical at every worker count, though the scores' order
             // of addition changes their sum.
             assert_split_builds_match(&plan).unwrap();
@@ -2361,7 +2277,7 @@ mod tests {
         let db = mixed_token_db(TOKENS, 7);
         let rows = db.relation("TOKEN").unwrap().len() as u64;
         let scanned = |plan: Plan| {
-            Circuit::new(&plan, &db)
+            MaterializedView::new(&plan, &db)
                 .unwrap()
                 .stats()
                 .init_tuples_scanned

@@ -1,16 +1,31 @@
-//! Counted multisets of tuples.
+//! Counted multisets of tuples: the one Z-set of the system.
 //!
 //! §4.2 of the paper remarks that in the presence of projections the set
 //! difference/union of Eq. 6 "actually requires multiset semantics, because
 //! counters need to be maintained" (Blakeley et al.). [`CountedSet`] is that
-//! structure: a map from tuple to signed multiplicity. Deltas are represented
-//! as counted sets with negative entries for removals, which makes delta
-//! propagation through the operator tree a sequence of signed merges.
+//! structure: a map from tuple to signed multiplicity — a Z-set in DBSP's
+//! terms. A *relation state* is a counted set with strictly positive
+//! multiplicities; a *delta* may carry multiplicities of either sign, where
+//! a negative one is a retraction. Every unit passed between layers is one:
+//! the MCMC layer's per-relation deltas, every view-circuit node's state and
+//! output delta, and a view's maintained answer. Applying a delta to a state
+//! is plain addition, so delta propagation through the operator tree is a
+//! sequence of signed merges.
+//!
+//! [`CountedSet`] forms a commutative group under [`CountedSet::merge`]
+//! (associative, commutative, identity = empty, inverse =
+//! [`CountedSet::negated`]); the property suite `tests/prop_counted.rs`
+//! checks these laws on random values. Multiplicities that coalesce to zero
+//! are removed eagerly, so two counted sets are equal iff they hold the same
+//! weighted tuples — there are no hidden zero entries. A state update that
+//! would drive a multiplicity negative is reported by the view circuit as a
+//! typed [`NegativeWeight`], never absorbed silently.
 
 use crate::fasthash::FxHashMap;
 use crate::row::Row;
 use crate::tuple::Tuple;
 use std::collections::hash_map;
+use std::fmt;
 
 /// A multiset of tuples with signed multiplicities.
 ///
@@ -37,17 +52,6 @@ impl CountedSet {
         CountedSet {
             counts: FxHashMap::with_capacity_and_hasher(n, Default::default()),
         }
-    }
-
-    /// Takes over `counts`, whose weights must all be nonzero (a
-    /// [`crate::ZSet`]'s map is): nothing is re-hashed.
-    pub(crate) fn from_map(counts: FxHashMap<Tuple, i64>) -> Self {
-        CountedSet { counts }
-    }
-
-    /// The backing map, for walks that must not box an iterator.
-    pub(crate) fn map(&self) -> &FxHashMap<Tuple, i64> {
-        &self.counts
     }
 
     /// Builds a state from tuples, each with multiplicity one per occurrence.
@@ -182,6 +186,19 @@ impl CountedSet {
         }
     }
 
+    /// `distinct`: the positive-support tuples at multiplicity one — the
+    /// Z-set image of set semantics. Negative entries are dropped.
+    pub fn distinct(&self) -> CountedSet {
+        CountedSet {
+            counts: self
+                .counts
+                .iter()
+                .filter(|(_, &c)| c > 0)
+                .map(|(t, _)| (t.clone(), 1))
+                .collect(),
+        }
+    }
+
     /// Sorted snapshot of the positive support (deterministic, for tests and
     /// experiment output).
     pub fn sorted_support(&self) -> Vec<Tuple> {
@@ -213,6 +230,18 @@ impl FromIterator<Tuple> for CountedSet {
     }
 }
 
+/// Builds a counted set from `(tuple, multiplicity)` pairs; multiplicities
+/// of a repeated tuple coalesce.
+impl FromIterator<(Tuple, i64)> for CountedSet {
+    fn from_iter<I: IntoIterator<Item = (Tuple, i64)>>(iter: I) -> Self {
+        let mut s = CountedSet::new();
+        for (t, c) in iter {
+            s.add(t, c);
+        }
+        s
+    }
+}
+
 impl<'a> IntoIterator for &'a CountedSet {
     type Item = (&'a Tuple, &'a i64);
     type IntoIter = hash_map::Iter<'a, Tuple, i64>;
@@ -220,6 +249,31 @@ impl<'a> IntoIterator for &'a CountedSet {
         self.counts.iter()
     }
 }
+
+/// Typed error for a state update that would drive a multiplicity
+/// negative: a retraction of a tuple the state never held (or held with a
+/// smaller multiplicity). On a consistent delta stream this cannot happen;
+/// seeing it means the caller fed a Δ⁻ image that does not match the stored
+/// world.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NegativeWeight {
+    /// The tuple whose multiplicity would have gone negative.
+    pub tuple: Tuple,
+    /// The multiplicity the update would have produced (strictly negative).
+    pub weight: i64,
+}
+
+impl fmt::Display for NegativeWeight {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "retraction without matching insertion: tuple {} would reach weight {}",
+            self.tuple, self.weight
+        )
+    }
+}
+
+impl std::error::Error for NegativeWeight {}
 
 #[cfg(test)]
 mod tests {
@@ -233,6 +287,7 @@ mod tests {
         assert_eq!(s.add(tuple!["a"], -2), 0);
         assert!(s.is_empty());
         assert_eq!(s.count(&tuple!["a"]), 0);
+        assert_eq!(s.distinct_len(), 0);
     }
 
     #[test]
@@ -312,5 +367,52 @@ mod tests {
         s.add(tuple!["b"], 1);
         s.add(tuple!["a"], 2);
         assert_eq!(s.sorted_entries(), vec![(tuple!["a"], 2), (tuple!["b"], 1)]);
+    }
+
+    #[test]
+    fn negated_is_group_inverse() {
+        let s: CountedSet = vec![(tuple!["a"], 2), (tuple!["b"], -1)]
+            .into_iter()
+            .collect();
+        let mut sum = s.clone();
+        sum.merge(&s.negated());
+        assert!(sum.is_empty());
+    }
+
+    #[test]
+    fn distinct_clamps_to_unit_weight() {
+        let s: CountedSet = vec![(tuple!["a"], 5), (tuple!["b"], -2)]
+            .into_iter()
+            .collect();
+        let d = s.distinct();
+        assert_eq!(d.count(&tuple!["a"]), 1);
+        assert_eq!(d.count(&tuple!["b"]), 0);
+        assert!(d.check_is_state().is_none());
+    }
+
+    #[test]
+    fn support_and_totals() {
+        let s: CountedSet = vec![(tuple!["p"], 2), (tuple!["n"], -3)]
+            .into_iter()
+            .collect();
+        assert_eq!(s.sorted_support(), vec![tuple!["p"]]);
+        assert_eq!(s.total(), -1);
+        assert!(s.check_is_state().is_some());
+        assert!(s.contains(&tuple!["p"]));
+        assert!(!s.contains(&tuple!["n"]));
+    }
+
+    #[test]
+    fn negative_weight_displays_tuple() {
+        let err = NegativeWeight {
+            tuple: tuple!["ghost"],
+            weight: -2,
+        };
+        let msg = err.to_string();
+        assert!(
+            msg.contains("retraction without matching insertion"),
+            "{msg}"
+        );
+        assert!(msg.contains("ghost") && msg.contains("-2"), "{msg}");
     }
 }

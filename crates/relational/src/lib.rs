@@ -25,8 +25,11 @@
 //!   into an executable plan ([`planner::compile_query`]);
 //! * [`exec`] — full from-scratch execution with work accounting (what the
 //!   *naive* sampling evaluator pays per sample);
-//! * [`counted`] / [`delta`] / [`view`] — counted multisets, Δ⁻/Δ⁺ auxiliary
-//!   tables, and incrementally maintained materialized views (Eq. 6 /
+//! * [`counted`] / [`delta`] — counted multisets ([`CountedSet`], the one
+//!   Z-set type: signed multiplicities, no zero entries) and the Δ⁻/Δ⁺
+//!   auxiliary tables of a world change;
+//! * [`circuit`] / [`view`] — the Z-set operator circuit and the
+//!   incrementally maintained materialized view that owns it (Eq. 6 /
 //!   Algorithm 1 of the paper — the headline systems contribution).
 
 pub mod algebra;
@@ -45,11 +48,10 @@ pub mod storage;
 pub mod tuple;
 pub mod value;
 pub mod view;
-pub mod zset;
 
 pub use algebra::{AggExpr, AggFunc, Plan, PlanError, DEFAULT_FIXPOINT_CAP};
 pub use circuit::{CircuitError, CircuitStats};
-pub use counted::CountedSet;
+pub use counted::{CountedSet, NegativeWeight};
 pub use database::{CatalogError, Database};
 pub use delta::DeltaSet;
 pub use exec::{execute, execute_simple, ExecError, ExecStats, QueryResult};
@@ -63,4 +65,3 @@ pub use storage::{ChunkRef, RawHeap, RawSlots, Relation, RowId, RowRef, StorageE
 pub use tuple::Tuple;
 pub use value::{Interner, Value, ValueType, F64};
 pub use view::MaterializedView;
-pub use zset::{NegativeWeight, ZSet};

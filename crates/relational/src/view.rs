@@ -12,8 +12,10 @@
 //! ```
 //!
 //! A [`MaterializedView`] compiles a [`Plan`] into a Z-set operator circuit
-//! ([`crate::circuit`]): a flat list of stateful nodes in topological order,
-//! each consuming and producing signed counted deltas. Feeding the view a
+//! ([`crate::circuit`]) and owns it together with the answer it maintains:
+//! a flat list of stateful nodes in topological order, each consuming and
+//! producing signed [`CountedSet`] deltas, the one Z-set type from the
+//! world deltas up to the answer. Feeding the view a
 //! [`DeltaSet`] is one bottom-up sweep that returns the delta of the answer
 //! set; the cost is proportional to |Δ| (and the fan-out of joins touched),
 //! never to |w|. Building the view — the one full evaluation — is not a
@@ -55,15 +57,21 @@
 //! ```
 
 use crate::algebra::Plan;
-use crate::circuit::{Circuit, CircuitError, CircuitStats};
+use crate::circuit::{CircuitError, CircuitStats, Flow};
 use crate::counted::CountedSet;
 use crate::database::Database;
 use crate::delta::DeltaSet;
+use crate::exec::Split;
 use std::sync::Arc;
 
-/// A query answer maintained incrementally under world deltas.
+/// A query answer maintained incrementally under world deltas: the compiled
+/// operator circuit, the answer it maintains, and the work it has done.
 pub struct MaterializedView {
-    circuit: Circuit,
+    flow: Flow,
+    result: CountedSet,
+    columns: Vec<Arc<str>>,
+    sources: Vec<Arc<str>>,
+    stats: CircuitStats,
     poisoned: Option<CircuitError>,
 }
 
@@ -75,8 +83,20 @@ impl MaterializedView {
     /// scanned on every core, and the result and [`MaterializedView::stats`]
     /// are those of a one-worker build.
     pub fn new(plan: &Plan, db: &Database) -> Result<Self, CircuitError> {
+        MaterializedView::build(plan, db, Split::machine())
+    }
+
+    /// [`MaterializedView::new`] with the build split as `split` allows.
+    pub(crate) fn build(plan: &Plan, db: &Database, split: Split) -> Result<Self, CircuitError> {
+        let columns = plan.output_columns(db)?;
+        let mut stats = CircuitStats::default();
+        let (flow, result) = Flow::build(plan, db, split, &mut stats)?;
         Ok(MaterializedView {
-            circuit: Circuit::new(plan, db)?,
+            flow,
+            result,
+            columns,
+            sources: plan.base_relations(),
+            stats,
             poisoned: None,
         })
     }
@@ -103,7 +123,17 @@ impl MaterializedView {
     /// instead of poisoning the view silently. On error the view's state
     /// may be partially updated and it should be rebuilt.
     pub fn try_apply_delta(&mut self, deltas: &DeltaSet) -> Result<CountedSet, CircuitError> {
-        self.circuit.apply_delta(deltas)
+        self.stats.deltas_applied += 1;
+        if !self
+            .sources
+            .iter()
+            .any(|r| deltas.for_relation(r).is_some())
+        {
+            return Ok(CountedSet::new());
+        }
+        let out = self.flow.apply(deltas, &mut self.stats)?;
+        self.result.merge(&out);
+        Ok(out)
     }
 
     /// The first error that poisoned this view via
@@ -115,24 +145,24 @@ impl MaterializedView {
 
     /// The current maintained answer multiset.
     pub fn result(&self) -> &CountedSet {
-        self.circuit.result()
+        &self.result
     }
 
     /// Output column names.
     pub fn columns(&self) -> &[Arc<str>] {
-        self.circuit.columns()
+        &self.columns
     }
 
     /// Base relations this view reads (sorted, deduplicated). Deltas
     /// disjoint from this set are guaranteed no-ops.
     pub fn source_relations(&self) -> &[Arc<str>] {
-        self.circuit.source_relations()
+        &self.sources
     }
 
     /// Work counters: batches, delta rows, initialization scan, and the
     /// recursion counters of any fixpoint node.
     pub fn stats(&self) -> CircuitStats {
-        self.circuit.stats()
+        self.stats
     }
 }
 

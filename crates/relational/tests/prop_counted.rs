@@ -1,8 +1,20 @@
 //! Property tests for counted-multiset algebra — the foundation of the
-//! multiset semantics the paper's §4.2 Remark requires under projection.
+//! multiset semantics the paper's §4.2 Remark requires under projection,
+//! and the Z-set algebra underneath the view circuit.
+//!
+//! [`CountedSet`] must be a commutative group under merge (identity =
+//! empty, inverse = negation), with eager zero-coalescing so equality is
+//! structural; and a retraction with no matching insertion must surface as
+//! [`CircuitError::InconsistentDelta`] when it reaches δ/γ operator state.
 
-use fgdb_relational::{CountedSet, Tuple, Value};
+mod common;
+
+use common::random_db;
+use fgdb_relational::parser::parse_plan;
+use fgdb_relational::planner::optimize;
+use fgdb_relational::{tuple, CircuitError, CountedSet, DeltaSet, MaterializedView, Tuple, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn tuple_strategy() -> impl Strategy<Value = Tuple> {
     (0i64..5, 0i64..3).prop_map(|(a, b)| Tuple::new(vec![Value::Int(a), Value::Int(b)]))
@@ -107,4 +119,86 @@ proptest! {
         }
         prop_assert!(s.check_is_state().is_none());
     }
+
+    /// Zero-coalescing: multiplicities that cancel leave no entry behind,
+    /// and adding the negation of any entry removes it entirely.
+    #[test]
+    fn coalesce_to_zero_means_absent(a in entries_strategy()) {
+        let s = build(&a);
+        let first = s.iter().next().map(|(t, c)| (t.clone(), c));
+        if let Some((t, c)) = first {
+            let mut s2 = s.clone();
+            s2.add(t.clone(), -c);
+            prop_assert_eq!(s2.count(&t), 0);
+            prop_assert_eq!(s2.distinct_len(), s.distinct_len() - 1);
+        }
+    }
+
+    /// Group laws: merge is commutative and associative, empty is the
+    /// identity, and negation is the inverse and an involution.
+    #[test]
+    fn merge_is_a_commutative_group(
+        a in entries_strategy(),
+        b in entries_strategy(),
+        c in entries_strategy(),
+    ) {
+        let (sa, sb, sc) = (build(&a), build(&b), build(&c));
+
+        let mut ab = sa.clone(); ab.merge(&sb);
+        let mut ba = sb.clone(); ba.merge(&sa);
+        prop_assert_eq!(ab.sorted_entries(), ba.sorted_entries(), "commutativity");
+
+        let mut ab_c = ab.clone(); ab_c.merge(&sc);
+        let mut bc = sb.clone(); bc.merge(&sc);
+        let mut a_bc = sa.clone(); a_bc.merge(&bc);
+        prop_assert_eq!(ab_c.sorted_entries(), a_bc.sorted_entries(), "associativity");
+
+        let mut id = sa.clone(); id.merge(&CountedSet::new());
+        prop_assert_eq!(id.sorted_entries(), sa.sorted_entries(), "identity");
+
+        let mut inv = sa.clone(); inv.merge(&sa.negated());
+        prop_assert!(inv.is_empty(), "inverse: {:?}", inv.sorted_entries());
+        prop_assert_eq!(sa.negated().negated(), sa.clone(), "involution");
+
+        // Totals are additive.
+        prop_assert_eq!(ab.total(), sa.total() + sb.total());
+    }
+
+    /// δ projects onto unit-multiplicity positive support, idempotently.
+    #[test]
+    fn distinct_is_idempotent_unit_support(a in entries_strategy()) {
+        let s = build(&a);
+        let d = s.distinct();
+        prop_assert!(d.check_is_state().is_none());
+        prop_assert_eq!(d.distinct(), d.clone());
+        prop_assert_eq!(d.sorted_support(), s.sorted_support());
+        for (_, c) in d.iter() {
+            prop_assert_eq!(c, 1);
+        }
+    }
+}
+
+/// Regression: a retraction of a never-inserted tuple must surface as a
+/// typed [`CircuitError::InconsistentDelta`] through *aggregate* operator
+/// state (the δ path is covered in `prop_circuit.rs`), not as a panic or a
+/// silently negative group count.
+#[test]
+fn phantom_retraction_through_aggregate_is_typed() {
+    let db = random_db(7);
+    let plan = parse_plan("SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id").unwrap();
+    let opt = optimize(&plan, &db).unwrap();
+    let mut view = MaterializedView::new(&opt, &db).unwrap();
+    let mut deltas = DeltaSet::new();
+    // doc_id 777 has no rows, so its COUNT would go negative — a phantom
+    // retraction inside an existing group merely decrements, which is what
+    // a legitimate delete looks like and must stay legal.
+    deltas.record_delete(
+        &Arc::from("TOKEN"),
+        tuple![424_242i64, 777i64, "ghost", "O", "O", Value::Null],
+    );
+    let err = view.try_apply_delta(&deltas).unwrap_err();
+    assert!(
+        matches!(err, CircuitError::InconsistentDelta(_)),
+        "expected InconsistentDelta, got {err:?}"
+    );
 }

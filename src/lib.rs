@@ -95,7 +95,7 @@ pub mod prelude {
         compile_query, execute, execute_simple, optimize, parse, parse_plan, AggExpr, AggFunc,
         CircuitError, CircuitStats, CountedSet, Database, DeltaSet, Expr, MaterializedView,
         ParseError, Plan, PlannerReport, QueryError, QueryResult, Schema, SqlQuery, Tuple, Value,
-        ValueType, ZSet,
+        ValueType,
     };
     pub use fgdb_serve::{Client, Server};
 }
