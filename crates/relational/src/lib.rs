@@ -65,3 +65,47 @@ pub use storage::{ChunkRef, RawHeap, RawSlots, Relation, RowId, RowRef, StorageE
 pub use tuple::Tuple;
 pub use value::{Interner, Value, ValueType, F64};
 pub use view::MaterializedView;
+
+/// The Z-set contract checked on [`CountedSet`], the crate's one Z-set
+/// type, built the way the circuit builds its deltas: from weighted
+/// entries.
+#[cfg(test)]
+mod zset {
+    #[cfg(test)]
+    mod tests {
+        use crate::{tuple, CountedSet};
+
+        #[test]
+        fn weights_coalesce_to_zero_means_absent() {
+            let mut z = CountedSet::new();
+            z.add(tuple!["a"], 3);
+            z.add(tuple!["a"], -3);
+            assert!(z.is_empty());
+            assert_eq!(z.count(&tuple!["a"]), 0);
+            assert_eq!(z.distinct_len(), 0);
+        }
+
+        #[test]
+        fn zero_weight_add_is_noop() {
+            let mut z: CountedSet = vec![(tuple!["a"], 0)].into_iter().collect();
+            assert!(z.is_empty());
+            z.add(tuple!["b"], 0);
+            assert!(z.is_empty());
+            assert_eq!(z.distinct_len(), 0);
+        }
+
+        #[test]
+        fn merge_owned_fast_path() {
+            let mut a = CountedSet::new();
+            a.merge_owned(vec![(tuple!["x"], 1)].into_iter().collect());
+            assert_eq!(a.count(&tuple!["x"]), 1);
+            a.merge_owned(
+                vec![(tuple!["x"], 1), (tuple!["y"], -1)]
+                    .into_iter()
+                    .collect(),
+            );
+            assert_eq!(a.count(&tuple!["x"]), 2);
+            assert_eq!(a.count(&tuple!["y"]), -1);
+        }
+    }
+}
