@@ -44,15 +44,24 @@ pub fn biased_token_pdb(
     let mut db = Database::new();
     db.create_relation("TOKEN", schema).unwrap();
     let rel = db.relation_mut("TOKEN").unwrap();
+    // Interned once each, so an insert finds its strings stored already.
+    let symbols = |texts: &[&str]| -> Vec<Value> {
+        texts.iter().map(|s| Value::str(*s).interned()).collect()
+    };
+    let (strings, labels, o) = (
+        symbols(&TOKEN_STRINGS),
+        symbols(&TOKEN_LABELS),
+        Value::str("O").interned(),
+    );
     let mut rows = Vec::new();
     for i in 0..n_tokens {
         rows.push(
             rel.insert(Tuple::from_iter_values([
                 Value::Int(i as i64),
                 Value::Int((i / doc_size.max(1)) as i64),
-                Value::str(TOKEN_STRINGS[i % TOKEN_STRINGS.len()]),
-                Value::str("O"),
-                Value::str(TOKEN_LABELS[i % TOKEN_LABELS.len()]),
+                strings[i % strings.len()].clone(),
+                o.clone(),
+                labels[i % labels.len()].clone(),
             ]))
             .unwrap(),
         );

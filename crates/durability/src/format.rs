@@ -21,7 +21,8 @@
 
 use fgdb_graph::{Domain, World};
 use fgdb_relational::{
-    ChunkRef, CountedSet, Database, DeltaSet, RawHeap, Relation, Schema, Tuple, Value, ValueType,
+    ChunkRef, CountedSet, Database, DeltaSet, FxHashMap, RawHeap, Relation, Schema, Str, Tuple,
+    Value, ValueType,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -186,12 +187,19 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Every string value decoded so far, as the symbol it decodes to: the
+    /// interner's lock is taken once per distinct string, not per cell.
+    symbols: FxHashMap<&'a str, Str>,
 }
 
 impl<'a> Dec<'a> {
     /// Creates a reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            symbols: FxHashMap::default(),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -311,6 +319,19 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| FormatError::BadUtf8)
     }
 
+    /// Reads a length-prefixed UTF-8 string as a stored string: its symbol
+    /// ([`Str::intern`]), or — should the interner be out of symbols — a
+    /// heap string, which storage then refuses with a typed error.
+    fn symbol(&mut self) -> Result<Str, FormatError> {
+        let s = self.str()?;
+        if let Some(sym) = self.symbols.get(s) {
+            return Ok(sym.clone());
+        }
+        let sym = Str::intern(s).unwrap_or_else(|_| Str::heap(s));
+        self.symbols.insert(s, sym.clone());
+        Ok(sym)
+    }
+
     /// Reads `n` raw bytes (fixed-size fields).
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
         self.take(n)
@@ -352,7 +373,7 @@ pub fn encode_value(e: &mut Enc, v: &Value) {
     }
 }
 
-/// Decodes one [`Value`].
+/// Decodes one [`Value`]; a string decodes as its interned symbol.
 pub fn decode_value(d: &mut Dec<'_>) -> Result<Value, FormatError> {
     Ok(match d.u8()? {
         tag::NULL => Value::Null,
@@ -360,7 +381,7 @@ pub fn decode_value(d: &mut Dec<'_>) -> Result<Value, FormatError> {
         tag::BOOL_TRUE => Value::Bool(true),
         tag::INT => Value::Int(d.zigzag()?),
         tag::FLOAT => Value::Float(d.f64_bits()?.into()),
-        tag::STR => Value::str(d.str()?),
+        tag::STR => Value::Str(d.symbol()?),
         t => {
             return Err(FormatError::BadTag {
                 what: "Value",

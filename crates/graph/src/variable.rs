@@ -40,12 +40,15 @@ pub struct Domain {
 }
 
 impl Domain {
-    /// Builds a domain from distinct values.
+    /// Builds a domain from distinct values. String values are interned
+    /// ([`Value::interned`]): the write-back stores them, so a stored label
+    /// is always a symbol.
     ///
     /// # Panics
     /// Panics if values are empty or contain duplicates — a domain is a set.
     pub fn new(values: Vec<Value>) -> Arc<Self> {
         assert!(!values.is_empty(), "domain must be non-empty");
+        let values: Vec<Value> = values.into_iter().map(Value::interned).collect();
         for (i, v) in values.iter().enumerate() {
             assert!(!values[..i].contains(v), "duplicate domain value {v}");
         }

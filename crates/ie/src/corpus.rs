@@ -351,9 +351,12 @@ impl Corpus {
         .expect("static schema")
         .with_primary_key("tok_id")
         .expect("tok_id exists");
-        let o: Arc<str> = Arc::from("O");
-        // One shared Arc per label string.
-        let label_strs: Vec<Arc<str>> = Label::ALL.iter().map(|l| Arc::from(l.as_str())).collect();
+        // Each vocabulary string and label is interned once; a token's
+        // cells copy their symbols.
+        let symbol = |s: &str| Value::str(s).interned();
+        let strings: Vec<Value> = self.vocab.iter().map(|s| symbol(s)).collect();
+        let o = symbol("O");
+        let labels: Vec<Value> = Label::ALL.iter().map(|l| symbol(l.as_str())).collect();
         // Rows go straight into the heap's columns, token `i` at `RowId(i)`
         // (documents are consecutive token ranges), as a decoder loads them.
         let mut heap = RawHeap::new(schema.arity());
@@ -364,9 +367,9 @@ impl Corpus {
                 row.extend([
                     Value::Int(tok_id as i64),
                     Value::Int(doc_id as i64),
-                    Value::Str(Arc::clone(&t.string)),
-                    Value::Str(Arc::clone(&o)),
-                    Value::Str(Arc::clone(&label_strs[t.truth.index()])),
+                    strings[t.string_id as usize].clone(),
+                    o.clone(),
+                    labels[t.truth.index()].clone(),
                 ]);
                 heap.push_live(&mut row).expect("rows match the schema");
             }

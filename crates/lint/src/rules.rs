@@ -103,8 +103,9 @@ fn cast_scoped(path: &str) -> bool {
 
 /// R2 file scope: the panic-free serving and recovery loops (including
 /// the status table every publication patches, and the validated write
-/// every interval source and every recovery goes through), and the query
-/// executor, which runs user SQL from the wire on server threads.
+/// every interval source and every recovery goes through), the query
+/// executor, which runs user SQL from the wire on server threads, and the
+/// string interner every load, write-back and recovery stores through.
 fn panic_scoped(path: &str) -> bool {
     (path.starts_with("crates/serve/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
@@ -114,15 +115,18 @@ fn panic_scoped(path: &str) -> bool {
         || path == "crates/core/src/membership.rs"
         || path == "crates/core/src/status_table.rs"
         || path == "crates/relational/src/exec.rs"
+        || path == "crates/relational/src/symbol.rs"
 }
 
 /// R3 file scope: hot-path modules where a mis-ordered atomic or a lock on
-/// the sampling path is a real (and silent) scalability bug.
+/// the sampling path is a real (and silent) scalability bug — the string
+/// interner's lock included, which every stored string went through.
 fn sync_scoped(path: &str) -> bool {
     (path.starts_with("crates/graph/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/mcmc/src/") && path.ends_with(".rs"))
         || path == "crates/core/src/serving.rs"
         || path == "crates/core/src/supervise.rs"
+        || path == "crates/relational/src/symbol.rs"
 }
 
 /// Cast targets R1 flags: every integer type strictly narrower than 64

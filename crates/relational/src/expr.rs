@@ -7,6 +7,7 @@
 
 use crate::row::Row;
 use crate::storage::{ChunkRef, Relation};
+use crate::symbol::Str;
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -140,14 +141,16 @@ impl Expr {
     }
 
     /// Binds column names to positions in `columns`, producing an executable
-    /// expression. Returns the unknown name on failure.
+    /// expression. Returns the unknown name on failure. A string literal
+    /// the interner holds binds as its symbol, so it compares with stored
+    /// strings as a `u32`; binding never interns.
     pub fn bind(&self, columns: &[Arc<str>]) -> Result<BoundExpr, String> {
         Ok(match self {
             Expr::Column(name) => {
                 let idx = resolve_column(columns, name).ok_or_else(|| name.to_string())?;
                 BoundExpr::Column(idx)
             }
-            Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+            Expr::Literal(v) => BoundExpr::Literal(v.canonical()),
             Expr::Cmp(op, a, b) => {
                 BoundExpr::Cmp(*op, Box::new(a.bind(columns)?), Box::new(b.bind(columns)?))
             }
@@ -256,11 +259,11 @@ impl BoundExpr {
 
     /// Evaluates as a three-valued truth value. Comparisons over leaf
     /// operands (the overwhelmingly common case) are performed by reference
-    /// — no `Value` clones, no atomic refcount traffic. String (in)equality
-    /// asks no order: lengths, which sit in the string pointer, settle most
-    /// pairs without reading the bytes — on a scan, without a second
-    /// pointer chase per row. `AND` / `OR` stop at their first deciding
-    /// operand (evaluation is pure, so three-valued results are unchanged).
+    /// — no `Value` clones. String (in)equality asks no order: two symbols
+    /// (every stored string, and a bound literal the store holds) compare
+    /// as `u32`s without reading the text. `AND` / `OR` stop at their first
+    /// deciding operand (evaluation is pure, so three-valued results are
+    /// unchanged).
     pub fn eval_truth<R: Row + ?Sized>(&self, tuple: &R) -> Option<bool> {
         match self {
             BoundExpr::Cmp(op, a, b) => {
@@ -421,26 +424,15 @@ fn compare(op: CmpOp, a: &Value, b: &Value) -> Option<bool> {
 
 /// `(equal, strings)` of a chunk column against a string literal: the slots
 /// holding a string, and those equal to `lit` — the shape of every paper
-/// query's σ. Lengths settle most slots; only equal-length strings are
-/// compared byte by byte, and the same stored allocation (labels are
-/// interned) is compared once.
-fn str_eq_masks(col: &[Value; Relation::CHUNK_ROWS], lit: &str) -> (u64, u64) {
+/// query's σ. Stored strings are symbols, and a bound literal the store
+/// holds is one too, so each slot is one `u32` compare; a literal the
+/// interner lacks is compared by text.
+fn str_eq_masks(col: &[Value; Relation::CHUNK_ROWS], lit: &Str) -> (u64, u64) {
     let (mut equal, mut strings) = (0u64, 0u64);
-    let mut seen: Option<(*const u8, bool)> = None;
     for (i, v) in col.iter().enumerate() {
         if let Value::Str(s) = v {
             strings |= 1 << i;
-            if s.len() == lit.len() {
-                let eq = match seen {
-                    Some((at, eq)) if std::ptr::eq(at, s.as_ptr()) => eq,
-                    _ => {
-                        let eq = s.as_bytes() == lit.as_bytes();
-                        seen = Some((s.as_ptr(), eq));
-                        eq
-                    }
-                };
-                equal |= u64::from(eq) << i;
-            }
+            equal |= u64::from(s == lit) << i;
         }
     }
     (equal, strings)

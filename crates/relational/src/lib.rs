@@ -8,7 +8,10 @@
 //!
 //! Layers:
 //!
-//! * [`value`] / [`schema`] / [`mod@tuple`] — typed rows;
+//! * [`value`] / [`schema`] / [`mod@tuple`] — typed rows, sixteen bytes
+//!   a value;
+//! * [`symbol`] — the process-wide string interner: every stored string
+//!   is a 4-byte symbol;
 //! * [`storage`] / [`database`] — slotted heap relations (column-major
 //!   64-slot chunks) with primary-key and optional secondary indexes,
 //!   field-granular updates that return pre/post images (the MCMC write
@@ -45,6 +48,7 @@ pub mod planner;
 pub mod row;
 pub mod schema;
 pub mod storage;
+pub mod symbol;
 pub mod tuple;
 pub mod value;
 pub mod view;
@@ -62,8 +66,9 @@ pub use planner::{compile_query, optimize, PlannerReport, QueryError};
 pub use row::Row;
 pub use schema::{Column, Schema, SchemaError};
 pub use storage::{ChunkRef, RawHeap, RawSlots, Relation, RowId, RowRef, StorageError};
+pub use symbol::{Str, SymbolsExhausted};
 pub use tuple::Tuple;
-pub use value::{Interner, Value, ValueType, F64};
+pub use value::{Value, ValueType, F64};
 pub use view::MaterializedView;
 
 /// The Z-set contract checked on [`CountedSet`], the crate's one Z-set

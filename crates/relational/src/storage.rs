@@ -23,6 +23,7 @@
 use crate::fasthash::FxHashMap;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaError};
+use crate::symbol::{intern_values, SymbolsExhausted};
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
 use std::fmt;
@@ -53,6 +54,8 @@ pub enum StorageError {
     NoSuchRow(RowId),
     /// Column index out of range.
     NoSuchColumn(usize),
+    /// A string could not be stored: the interner is out of symbols.
+    SymbolsExhausted,
 }
 
 impl fmt::Display for StorageError {
@@ -62,6 +65,7 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateKey(k) => write!(f, "duplicate primary key {k}"),
             StorageError::NoSuchRow(r) => write!(f, "no such row {r}"),
             StorageError::NoSuchColumn(c) => write!(f, "no such column index {c}"),
+            StorageError::SymbolsExhausted => write!(f, "{SymbolsExhausted}"),
         }
     }
 }
@@ -71,6 +75,12 @@ impl std::error::Error for StorageError {}
 impl From<SchemaError> for StorageError {
     fn from(e: SchemaError) -> Self {
         StorageError::Schema(e)
+    }
+}
+
+impl From<SymbolsExhausted> for StorageError {
+    fn from(_: SymbolsExhausted) -> Self {
+        StorageError::SymbolsExhausted
     }
 }
 
@@ -455,9 +465,11 @@ impl Relation {
             .map(|ix| ix.map.get(value).map(Vec::as_slice).unwrap_or(&[]))
     }
 
-    /// Inserts a tuple, enforcing schema and primary-key uniqueness.
+    /// Inserts a tuple, enforcing schema and primary-key uniqueness. Its
+    /// heap strings are stored as symbols.
     pub fn insert(&mut self, tuple: Tuple) -> Result<RowId, StorageError> {
         self.schema.check(tuple.values())?;
+        let tuple = interned(tuple)?;
         if let Some(pk) = self.schema.primary_key() {
             let key = tuple.get(pk);
             if self.pk_index.contains_key(key) {
@@ -516,7 +528,8 @@ impl Relation {
         self.chunks.get(i / CHUNK_ROWS)?.row(i % CHUNK_ROWS)
     }
 
-    /// Updates one field of a row, returning `(old_image, new_image)`.
+    /// Updates one field of a row, returning `(old_image, new_image)`. A
+    /// heap string is stored as its symbol.
     ///
     /// This is the write path used by MCMC when a proposal is accepted: one
     /// random-variable change maps to one field update here, and the returned
@@ -529,7 +542,7 @@ impl Relation {
         &mut self,
         row: RowId,
         column: usize,
-        value: Value,
+        mut value: Value,
     ) -> Result<(Tuple, Tuple), StorageError> {
         if column >= self.schema.arity() {
             return Err(StorageError::NoSuchColumn(column));
@@ -537,6 +550,7 @@ impl Relation {
         // Field-granular validation: the stored row already satisfies the
         // schema, so only the incoming value needs a type check.
         self.schema.check_value(column, &value)?;
+        intern_values([&mut value])?;
         // Every check comes before the chunk is un-shared: a failed update
         // must leave the row, the indexes and what a snapshot shares
         // untouched.
@@ -710,7 +724,8 @@ impl Relation {
     /// Validates everything an on-disk source could get wrong: every row
     /// re-checked against the schema, primary keys re-checked for
     /// uniqueness, and the free list required to name exactly the dead slots
-    /// (each once, in range).
+    /// (each once, in range). Heap strings are stored as symbols, under one
+    /// acquisition of the interner's lock for the whole heap.
     pub fn from_raw_heap(
         name: impl Into<Arc<str>>,
         schema: Schema,
@@ -747,6 +762,7 @@ impl Relation {
             // for reuse forever.
             return Err(StorageError::NoSuchRow(RowId(i as u32)));
         }
+        intern_values(chunks.iter_mut().flat_map(|c| c.values.iter_mut()))?;
         let chunks: Vec<Arc<Chunk>> = chunks.into_iter().map(Arc::new).collect();
         let mut rel = Relation {
             name: name.into(),
@@ -782,6 +798,19 @@ impl Relation {
         }
         Ok(rel)
     }
+}
+
+/// `tuple` with its heap strings as symbols: itself when it has none, so a
+/// row of symbols is not copied. The fingerprint is by content and carries
+/// over.
+fn interned(tuple: Tuple) -> Result<Tuple, SymbolsExhausted> {
+    let heap = |v: &Value| matches!(v, Value::Str(s) if !s.is_symbol());
+    if !tuple.values().iter().any(heap) {
+        return Ok(tuple);
+    }
+    let mut values = tuple.values().to_vec();
+    intern_values(&mut values)?;
+    Ok(Tuple::from_prehashed(values, tuple.fingerprint()))
 }
 
 /// A borrowed view of a relation's slot array in `RowId` order, dead slots

@@ -12,6 +12,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::symbol::Str;
+
 /// A hashable, totally ordered `f64` wrapper.
 ///
 /// Equality and hashing use the raw bit pattern (so `NaN == NaN` and
@@ -96,9 +98,13 @@ impl fmt::Display for ValueType {
 
 /// A scalar value stored in a database field.
 ///
-/// Strings use `Arc<str>` so that cloning a tuple — which the sampling
-/// evaluators do constantly when moving tuples into Δ⁻/Δ⁺ auxiliary tables —
-/// is a reference-count bump rather than a heap copy.
+/// Sixteen bytes. A string is a [`Str`]: every stored string is a 4-byte
+/// symbol in the process-wide interner (see [`crate::symbol`]), so copying
+/// a row's values — which the sampling evaluators do constantly when moving
+/// rows into Δ⁻/Δ⁺ auxiliary tables — copies its strings without touching
+/// a reference count, and two stored strings compare as two `u32`s. Strings
+/// only ad hoc SQL brings are thin shared heap strings. Both forms order,
+/// hash and encode by content.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// SQL NULL. Compares less than every non-null value (derive order).
@@ -109,14 +115,37 @@ pub enum Value {
     Int(i64),
     /// 64-bit float with total ordering.
     Float(F64),
-    /// Shared UTF-8 string.
-    Str(Arc<str>),
+    /// UTF-8 string: an interned symbol or a heap string.
+    Str(Str),
 }
 
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl Value {
-    /// Builds a string value, sharing the allocation.
+    /// Builds a string value: a heap string, which storage interns when it
+    /// stores it.
     pub fn str(s: impl Into<Arc<str>>) -> Self {
-        Value::Str(s.into())
+        Value::Str(Str::heap(&s.into()))
+    }
+
+    /// This value with a heap string replaced by its symbol (see
+    /// [`Str::intern`]). Should the interner be out of symbols the string
+    /// stays a heap string, which storage then refuses with
+    /// [`crate::StorageError::SymbolsExhausted`].
+    pub fn interned(self) -> Value {
+        match &self {
+            Value::Str(s) if !s.is_symbol() => Str::intern(s).map_or(self, Value::Str),
+            _ => self,
+        }
+    }
+
+    /// This value with a heap string replaced by its symbol when the
+    /// interner already holds it; never interns.
+    pub(crate) fn canonical(&self) -> Value {
+        match self {
+            Value::Str(s) => Value::Str(s.canonical()),
+            v => v.clone(),
+        }
     }
 
     /// Builds a float value.
@@ -168,7 +197,7 @@ impl Value {
     /// String accessor.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -240,49 +269,12 @@ impl From<String> for Value {
 }
 impl From<Arc<str>> for Value {
     fn from(v: Arc<str>) -> Self {
-        Value::Str(v)
+        Value::str(v)
     }
 }
 impl<'a> From<Cow<'a, str>> for Value {
     fn from(v: Cow<'a, str>) -> Self {
         Value::str(v.into_owned())
-    }
-}
-
-/// Interner that deduplicates string allocations.
-///
-/// The TOKEN relation of §5.1 stores millions of strings drawn from a much
-/// smaller vocabulary; interning keeps one `Arc<str>` per distinct string so
-/// the heap stays proportional to the vocabulary, not the corpus.
-#[derive(Default, Debug)]
-pub struct Interner {
-    map: std::collections::HashMap<Arc<str>, ()>,
-}
-
-impl Interner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the shared `Arc<str>` for `s`, inserting it on first use.
-    pub fn intern(&mut self, s: &str) -> Arc<str> {
-        if let Some((k, ())) = self.map.get_key_value(s) {
-            return Arc::clone(k);
-        }
-        let arc: Arc<str> = Arc::from(s);
-        self.map.insert(Arc::clone(&arc), ());
-        arc
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -353,19 +345,6 @@ mod tests {
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::str("hi").as_int(), None);
         assert!(Value::Null.is_null());
-    }
-
-    #[test]
-    fn interner_shares_allocations() {
-        let mut i = Interner::new();
-        let a = i.intern("token");
-        let b = i.intern("token");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(i.len(), 1);
-        let c = i.intern("other");
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(i.len(), 2);
-        assert!(!i.is_empty());
     }
 
     #[test]
