@@ -1,9 +1,9 @@
 //! E3 — Figure 5: parallelizing query evaluation.
 //!
-//! Runs 1–8 parallel MCMC chains (identical copies of the initial world,
-//! distinct seeds, each burned in), 100 samples per chain on Query 1, and
-//! reports the squared error of the averaged marginals against a
-//! multi-chain long-run ground truth (the paper's own reference is "eight
+//! Runs 1–8 parallel MCMC chains through the `ParallelEngine` (identical
+//! copies of the initial world, distinct seeds, each burned in), 100
+//! samples per chain on Query 1, and reports the squared error of the
+//! averaged marginals against a multi-chain long-run ground truth (the paper's own reference is "eight
 //! parallel chains for ten-thousand samples each"), next to the ideal 1/n
 //! line.
 //!
@@ -12,7 +12,7 @@
 //! because cross-chain samples are more independent than within-chain).
 
 use fgdb_bench::{estimate_ground_truth_multichain, print_csv, print_table, scaled, NerSetup};
-use fgdb_core::{evaluate_parallel, squared_error, QueryEvaluator};
+use fgdb_core::squared_error;
 use fgdb_relational::algebra::paper_queries;
 
 fn main() {
@@ -28,20 +28,14 @@ fn main() {
     let setup = NerSetup::build_soft(tokens, 5);
     let plan = paper_queries::query1("TOKEN");
     let truth = estimate_ground_truth_multichain(&setup, &plan, 8, 1_500, k, 90_000);
-    let burn = setup.default_burn();
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut err1 = None;
     for chains in 1..=max_chains {
-        // Average the marginals of `chains` burned-in evaluators.
-        let tables = fgdb_mcmc::run_chains(chains, |c| {
-            let mut pdb = setup.pdb_burned(1_000 + c as u64, burn);
-            let mut eval = QueryEvaluator::materialized(plan.clone(), &pdb, k).expect("plan");
-            eval.run(&mut pdb, samples_per_chain).expect("chain run");
-            eval.marginals().clone()
-        });
-        let avg = fgdb_core::MarginalTable::average(&tables);
+        // The reference's own §5.4 average, at `samples_per_chain` samples.
+        let avg =
+            estimate_ground_truth_multichain(&setup, &plan, chains, samples_per_chain, k, 1_000);
         let err = squared_error(&avg, &truth);
         let base = *err1.get_or_insert(err);
         let ideal = base / chains as f64;
@@ -60,16 +54,6 @@ fn main() {
         &rows,
     );
     print_csv("fig5", "chains,sq_error,ideal", &csv);
-
-    // Keep the library's one-call parallel API exercised too.
-    let _ = evaluate_parallel(
-        2,
-        |c| setup.pdb_burned(7_000 + c as u64, burn),
-        &plan,
-        10,
-        k,
-    )
-    .expect("parallel API");
 
     println!(
         "\nExpected shape (paper): error at n chains tracks (or beats) the \

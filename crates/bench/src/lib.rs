@@ -14,8 +14,8 @@ pub mod report;
 pub use report::Report;
 
 use fgdb_core::{
-    build_ner_pdb, train_ner_model, MarginalTable, NerProposerConfig, ProbabilisticDB,
-    QueryEvaluator,
+    build_ner_pdb, ner_proposer, train_ner_model, EngineConfig, MarginalTable, NerProposerConfig,
+    ParallelEngine, ProbabilisticDB, QueryEvaluator,
 };
 use fgdb_ie::{Corpus, CorpusConfig, Crf, TokenSeqData};
 use fgdb_relational::{Plan, Tuple};
@@ -129,7 +129,11 @@ pub fn estimate_ground_truth(
 }
 
 /// Ground truth averaged over several burned-in chains (the paper obtains
-/// its Fig. 5 reference "by averaging eight parallel chains").
+/// its Fig. 5 reference "by averaging eight parallel chains"): a
+/// [`ParallelEngine`] snapshots one database into `chains` replicas, burns
+/// each in for [`NerSetup::default_burn`] steps on its own stream (chain
+/// `i` seeded [`fgdb_core::chain_seed`]`(seed, i)`), draws one round of
+/// `samples_per_chain` samples at thinning `k`, and averages the chains.
 pub fn estimate_ground_truth_multichain(
     setup: &NerSetup,
     plan: &Plan,
@@ -138,13 +142,22 @@ pub fn estimate_ground_truth_multichain(
     k: usize,
     seed: u64,
 ) -> HashMap<Tuple, f64> {
-    let tables: Vec<MarginalTable> = fgdb_mcmc::run_chains(chains, |c| {
-        let mut pdb = setup.pdb_burned(seed + c as u64, setup.default_burn());
-        let mut eval = QueryEvaluator::materialized(plan.clone(), &pdb, k).expect("plan validates");
-        eval.run(&mut pdb, samples_per_chain).expect("truth chain");
-        eval.marginals().clone()
-    });
-    MarginalTable::average(&tables)
+    let cfg = EngineConfig {
+        chains,
+        thinning: k,
+        checkpoint_samples: samples_per_chain,
+        r_hat_threshold: 0.0,
+        min_samples: 1,
+        max_samples: samples_per_chain,
+        replica_burn_steps: setup.default_burn(),
+        base_seed: seed,
+    };
+    let mut engine = ParallelEngine::new(&setup.pdb(seed), plan.clone(), cfg, |_| {
+        ner_proposer(&setup.data, &NerProposerConfig::default())
+    })
+    .expect("plan validates");
+    engine.run_rounds(1).expect("truth chains");
+    engine.answer().merged()
 }
 
 /// Squared error of a marginal table against a truth map.

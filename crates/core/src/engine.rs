@@ -18,10 +18,13 @@
 //!    copy-on-write [`Database`](fgdb_relational::Database), own world,
 //!    own proposer and RNG stream (seeds derived via [`chain_seed`]), own
 //!    incrementally maintained view.
-//! 2. **Run** — replicas advance on scoped threads in *checkpointed rounds*
-//!    ([`fgdb_mcmc::run_chains_checkpointed`]): within a round chains are
-//!    lockstep-free (no per-thinning-interval synchronization); at round
-//!    boundaries the coordinator pools per-tuple marginal traces.
+//! 2. **Run** — replicas advance in *checkpointed rounds*
+//!    ([`ParallelEngine::run_rounds`]): each round runs every chain on its
+//!    own `std::thread::scope` thread (one chain runs on the caller's), so
+//!    within a round chains are lockstep-free (no per-thinning-interval
+//!    synchronization); at round boundaries the coordinator pools
+//!    per-tuple marginal traces. A chain's error or panic ends the run as
+//!    [`EngineError::Chain`].
 //! 3. **Gate** — termination is convergence-gated: the coordinator computes
 //!    Gelman–Rubin R̂ (cross-chain; split-R̂ for a single chain) and
 //!    effective sample size over every answer tuple's membership trace and
@@ -98,14 +101,14 @@ use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::marginals::MarginalTable;
 use crate::membership::MembershipLog;
 use crate::pdb::ProbabilisticDB;
+use crate::serving::panic_message;
 use fgdb_graph::Model;
-use fgdb_mcmc::{
-    effective_sample_size, gelman_rubin, run_chains_checkpointed, split_r_hat, KernelStats,
-    Proposer,
-};
+use fgdb_mcmc::{effective_sample_size, gelman_rubin, split_r_hat, KernelStats, Proposer};
 use fgdb_relational::{Plan, Tuple};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::thread;
 
 /// Derives chain `i`'s RNG seed from the engine's base seed (splitmix64 of
 /// the stream index) — well-separated streams, reproducible at any chain
@@ -178,11 +181,11 @@ pub enum EngineError {
     Config(String),
     /// Replica construction or evaluation failed.
     Evaluate(EvaluateError),
-    /// A chain failed mid-round.
+    /// A chain failed or panicked mid-round.
     Chain {
         /// Index of the failing chain.
         chain: usize,
-        /// Rendered evaluation error.
+        /// Rendered evaluation error, or the text the chain panicked with.
         message: String,
     },
 }
@@ -373,10 +376,9 @@ fn diagnose<M: Model>(replicas: &[Replica<M>], collect_per_tuple: bool) -> DiagS
             .iter()
             .map(|chain| chain.get(t).and_then(|tr| tr.get(..n)).unwrap_or(&zeros))
             .collect();
-        let r_hat = if traces.len() >= 2 {
-            gelman_rubin(&traces)
-        } else {
-            split_r_hat(traces[0])
+        let r_hat = match traces.as_slice() {
+            [only] => split_r_hat(only),
+            _ => gelman_rubin(&traces),
         };
         let ess: f64 = traces.iter().map(|tr| effective_sample_size(tr)).sum();
         max_r_hat = max_r_hat.max(r_hat);
@@ -524,44 +526,49 @@ impl<M: Model + Clone> ParallelEngine<M> {
     /// every rendezvous. No convergence gating — callers wanting the gated
     /// loop use [`Self::run`]; experiment harnesses use this to observe the
     /// error trajectory at fixed budgets.
+    ///
+    /// A round runs each chain on its own scoped thread (a lone chain runs
+    /// on the calling thread) and joins them all in chain order. The first
+    /// chain, in chain order, that fails or panics ends the call with
+    /// [`EngineError::Chain`]; a panic never unwinds into the caller.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<(), EngineError> {
-        if rounds == 0 {
-            return Ok(());
-        }
         let per_round = self.config.checkpoint_samples;
-        let trajectory = &mut self.trajectory;
-        let mut failure: Option<EngineError> = None;
-        run_chains_checkpointed(
-            &mut self.replicas,
-            |_, replica: &mut Replica<M>| -> Result<(), String> {
-                for _ in 0..per_round {
-                    replica.draw().map_err(|e| e.to_string())?;
-                }
-                Ok(())
-            },
-            |round, replicas, results| {
-                for (chain, result) in results.iter().enumerate() {
-                    if let Err(message) = result {
-                        failure = Some(EngineError::Chain {
-                            chain,
-                            message: message.clone(),
-                        });
-                        return false;
-                    }
-                }
-                let diag = diagnose(replicas, false);
-                trajectory.push(RHatPoint {
-                    samples_per_chain: replicas.first().map(|r| r.trace.samples()).unwrap_or(0),
-                    r_hat: diag.max_r_hat,
-                    min_ess: diag.min_ess,
-                });
-                round < rounds
-            },
-        );
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
+        let round = |replica: &mut Replica<M>| -> Result<(), EvaluateError> {
+            for _ in 0..per_round {
+                replica.draw()?;
+            }
+            Ok(())
+        };
+        for _ in 0..rounds {
+            let outcomes: Vec<thread::Result<Result<(), EvaluateError>>> =
+                if let [replica] = self.replicas.as_mut_slice() {
+                    vec![panic::catch_unwind(AssertUnwindSafe(|| round(replica)))]
+                } else {
+                    thread::scope(|s| {
+                        let handles: Vec<_> = self
+                            .replicas
+                            .iter_mut()
+                            .map(|replica| s.spawn(move || round(replica)))
+                            .collect();
+                        handles.into_iter().map(|h| h.join()).collect()
+                    })
+                };
+            for (chain, outcome) in outcomes.into_iter().enumerate() {
+                let message = match outcome {
+                    Ok(Ok(())) => continue,
+                    Ok(Err(e)) => e.to_string(),
+                    Err(payload) => panic_message(&*payload),
+                };
+                return Err(EngineError::Chain { chain, message });
+            }
+            let diag = diagnose(&self.replicas, false);
+            self.trajectory.push(RHatPoint {
+                samples_per_chain: self.samples_per_chain() as u64,
+                r_hat: diag.max_r_hat,
+                min_ess: diag.min_ess,
+            });
         }
+        Ok(())
     }
 
     /// Runs the convergence-gated loop: checkpointed rounds until the worst
@@ -763,10 +770,6 @@ mod tests {
                 "unexpected error for {needle}: {err}"
             );
         }
-        // Zero chains through the parallel evaluator helper: Err, no panic.
-        let plan = on_items();
-        let res = crate::evaluate_parallel(0, |_| seed_pdb(&[0.2], 1), &plan, 5, 2);
-        assert!(res.is_err());
     }
 
     #[test]

@@ -21,9 +21,8 @@ use crate::pdb::ProbabilisticDB;
 use fgdb_graph::{Model, ModelError};
 use fgdb_relational::{
     compile_query, execute, CircuitError, CountedSet, ExecError, MaterializedView, Plan,
-    QueryError, StorageError, Tuple,
+    QueryError, StorageError,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised during evaluation.
@@ -357,42 +356,6 @@ impl QueryEvaluator {
     }
 }
 
-/// §5.4: parallel query evaluation. Builds `n_chains` independent
-/// probabilistic databases ("identical copies of the initial world" with
-/// distinct chain seeds), runs a materialized evaluator on each for
-/// `samples_per_chain` samples, and averages the marginal estimates.
-///
-/// Degenerate configurations are errors, not panics: `n_chains == 0`
-/// returns `Err` (a served query must never take the process down).
-pub fn evaluate_parallel<M, F>(
-    n_chains: usize,
-    make_pdb: F,
-    plan: &Plan,
-    samples_per_chain: usize,
-    k: usize,
-) -> Result<HashMap<Tuple, f64>, String>
-where
-    M: Model,
-    F: Fn(usize) -> ProbabilisticDB<M> + Sync,
-{
-    if n_chains == 0 {
-        return Err("evaluate_parallel needs at least one chain".to_string());
-    }
-    let tables: Vec<Result<MarginalTable, String>> = fgdb_mcmc::run_chains(n_chains, |chain| {
-        let mut pdb = make_pdb(chain);
-        let mut eval =
-            QueryEvaluator::materialized(plan.clone(), &pdb, k).map_err(|e| e.to_string())?;
-        eval.run(&mut pdb, samples_per_chain)
-            .map_err(|e| e.to_string())?;
-        Ok(eval.marginals().clone())
-    });
-    let mut ok = Vec::with_capacity(tables.len());
-    for t in tables {
-        ok.push(t?);
-    }
-    Ok(MarginalTable::average(&ok))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +363,7 @@ mod tests {
     use fgdb_graph::enumerate::exact_event_probability;
     use fgdb_graph::{Domain, EvalStats, FactorGraph, TableFactor, VariableId, World};
     use fgdb_mcmc::UniformRelabel;
-    use fgdb_relational::{tuple, Database, Expr, Schema, ValueType};
+    use fgdb_relational::{tuple, Database, Expr, Schema, Tuple, ValueType};
 
     /// A 4-row relation ITEM(id, state) with uncertain `state` over
     /// {"off","on"}; variable i has a bias factor of strength `w[i]` toward
@@ -572,20 +535,6 @@ mod tests {
         let (fresh, _) = execute(&on_items_query(), pdb.database()).unwrap();
         assert_eq!(w.answer_rows_touched, fresh.rows.distinct_len() as u64);
         assert!(naive.current_answer().is_none());
-    }
-
-    #[test]
-    fn parallel_evaluation_averages_chains() {
-        let plan = on_items_query();
-        let avg =
-            evaluate_parallel(4, |chain| build_pdb(1000 + chain as u64).0, &plan, 500, 5).unwrap();
-        // P(item 2 on) = σ(1.2) ≈ 0.769 — item 2 is uncoupled.
-        let exact = 1.2f64.exp() / (1.0 + 1.2f64.exp());
-        let est = avg.get(&tuple![2i64]).copied().unwrap_or(0.0);
-        assert!(
-            (est - exact).abs() < 0.05,
-            "parallel estimate {est:.3} vs exact {exact:.3}"
-        );
     }
 
     /// Sorted (tuple, probability) pairs for byte-exact table comparison.

@@ -13,8 +13,7 @@
 //! * [`status_table`] — a registered query's published answer and
 //!   marginals as one ordered, chunk-shared table each epoch patches;
 //! * [`evaluate`] — Algorithm 3 (naive re-execution) and Algorithm 1
-//!   (materialized-view maintenance) query evaluators, plus the parallel
-//!   multi-chain evaluator of §5.4;
+//!   (materialized-view maintenance) query evaluators;
 //! * [`engine`] — the §5.4 parallel multi-chain query engine: snapshot
 //!   replication, checkpointed scoped-thread rounds, Gelman–Rubin-gated
 //!   termination, confidence-tagged merged answers;
@@ -52,7 +51,7 @@ pub use engine::{
     chain_seed, AnswerRow, ChainReport, EngineAnswer, EngineConfig, EngineError, EngineReport,
     ParallelEngine, RHatPoint,
 };
-pub use evaluate::{evaluate_parallel, EvaluateError, QueryEvaluator, SampleWork};
+pub use evaluate::{EvaluateError, QueryEvaluator, SampleWork};
 pub use fgdb_durability::{
     CheckpointKind, CheckpointReport, DurabilityConfig, FsyncPolicy, RecoveryReport,
 };

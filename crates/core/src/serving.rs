@@ -175,13 +175,18 @@ impl ServingError {
     /// Renders a panic payload (as caught by `catch_unwind` or a failed
     /// join) into a [`ServingError::Panicked`].
     pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send>) -> ServingError {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        ServingError::Panicked(message)
+        ServingError::Panicked(panic_message(&*payload))
     }
+}
+
+/// The text a panic was raised with (`panic!`'s message, `expect`'s
+/// argument); empty for a payload of any other type.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
 }
 
 /// One registered query's status as detached, owned values: the answer

@@ -1,9 +1,12 @@
 //! Integration suite for the §5.4 parallel engine: determinism under
 //! arbitrary thread interleavings, N=1 equivalence with a plain
-//! [`ProbabilisticDB`] loop, and snapshot isolation.
+//! [`ProbabilisticDB`] loop, snapshot isolation, and a chain's panic
+//! surfacing as a typed error.
 
+use fgdb_core::fixtures::{biased_token_pdb, relabel_proposer, PanicsAfter};
 use fgdb_core::{
-    chain_seed, EngineConfig, FieldBinding, ParallelEngine, ProbabilisticDB, QueryEvaluator,
+    chain_seed, EngineConfig, EngineError, FieldBinding, ParallelEngine, ProbabilisticDB,
+    QueryEvaluator,
 };
 use fgdb_graph::{Domain, FactorGraph, TableFactor, VariableId, World};
 use fgdb_mcmc::{Proposer, UniformRelabel};
@@ -278,4 +281,82 @@ fn merged_answer_is_the_chain_average() {
     let merged: std::collections::BTreeSet<Tuple> =
         answer.rows.iter().map(|r| r.tuple.clone()).collect();
     assert_eq!(merged, union);
+}
+
+/// §5.4's average over four chains estimates an uncoupled item's marginal:
+/// P(item 2 on) = σ(1.2) ≈ 0.769.
+#[test]
+fn parallel_evaluation_averages_chains() {
+    let seed = build_seed(1000);
+    let cfg = EngineConfig {
+        chains: 4,
+        thinning: 5,
+        checkpoint_samples: 500,
+        r_hat_threshold: 0.0,
+        min_samples: 1,
+        max_samples: 500,
+        replica_burn_steps: 0,
+        base_seed: 1000,
+    };
+    let mut engine = ParallelEngine::new(&seed, on_items(), cfg, |_| proposer()).expect("engine");
+    engine.run_rounds(1).expect("round");
+    let exact = 1.2f64.exp() / (1.0 + 1.2f64.exp());
+    let est = engine.answer().probability(&tuple![2i64]);
+    assert!(
+        (est - exact).abs() < 0.05,
+        "parallel estimate {est:.3} vs exact {exact:.3}"
+    );
+}
+
+/// A chain whose proposer panics ends the run with a typed error naming
+/// that chain and the panic's text — on the threaded path (chain 1 of
+/// three) and on the one-chain path alike — and leaves the engine's answer
+/// readable.
+#[test]
+fn a_panicking_chain_is_a_typed_error() {
+    const TOKENS: usize = 24;
+    for (chains, faulty) in [(3usize, 1usize), (1, 0)] {
+        let seed = biased_token_pdb(TOKENS, 6, 5);
+        let cfg = EngineConfig {
+            chains,
+            thinning: 5,
+            checkpoint_samples: 20,
+            r_hat_threshold: 1.05,
+            min_samples: 40,
+            max_samples: 400,
+            replica_burn_steps: 0,
+            base_seed: 17,
+        };
+        let mut engine = ParallelEngine::query(
+            &seed,
+            "SELECT tok_id FROM TOKEN WHERE label = 'B-PER'",
+            cfg,
+            |chain| -> Box<dyn Proposer> {
+                if chain == faulty {
+                    Box::new(PanicsAfter {
+                        inner: relabel_proposer(TOKENS),
+                        left: 130,
+                    })
+                } else {
+                    relabel_proposer(TOKENS)
+                }
+            },
+        )
+        .expect("engine builds");
+        match engine.run() {
+            Err(EngineError::Chain { chain, message }) => {
+                assert_eq!(chain, faulty, "{chains} chain(s)");
+                assert!(
+                    message.contains("injected proposer fault"),
+                    "{chains} chain(s): message {message:?}"
+                );
+            }
+            other => panic!("{chains} chain(s): expected a chain error, got {other:?}"),
+        }
+        let answer = engine.answer();
+        assert_eq!(answer.report.chains, chains);
+        for row in &answer.rows {
+            assert!((0.0..=1.0).contains(&row.probability));
+        }
+    }
 }

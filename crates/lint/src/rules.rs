@@ -103,12 +103,15 @@ fn cast_scoped(path: &str) -> bool {
 
 /// R2 file scope: the panic-free serving and recovery loops (including
 /// the status table every publication patches, and the validated write
-/// every interval source and every recovery goes through), the query
-/// executor, which runs user SQL from the wire on server threads, and the
-/// string interner every load, write-back and recovery stores through.
+/// every interval source and every recovery goes through), the §5.4
+/// multi-chain engine, which promises never to panic on a served query,
+/// the query executor, which runs user SQL from the wire on server
+/// threads, and the string interner every load, write-back and recovery
+/// stores through.
 fn panic_scoped(path: &str) -> bool {
     (path.starts_with("crates/serve/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
+        || path == "crates/core/src/engine.rs"
         || path == "crates/core/src/pdb.rs"
         || path == "crates/core/src/serving.rs"
         || path == "crates/core/src/supervise.rs"

@@ -5,15 +5,15 @@
 //! ([`proposal`]), the MH accept/reject kernel working purely on
 //! neighborhood log-score differences so the #P-hard normalizer cancels
 //! ([`kernel`]), chains with thinning and net-change tracking that feed the
-//! Δ⁻/Δ⁺ machinery ([`chain`]), parallel multi-chain fan-out (§5.4,
-//! [`parallel`]), sharded intra-world sampling with per-shard delta queues
-//! ([`sharded`]), and convergence diagnostics ([`diagnostics`]).
+//! Δ⁻/Δ⁺ machinery ([`chain`]), sharded intra-world sampling with
+//! per-shard delta queues ([`sharded`]), and the convergence diagnostics
+//! ([`diagnostics`]) the §5.4 multi-chain engine (`fgdb_core::engine`)
+//! gates on.
 
 pub mod chain;
 pub mod diagnostics;
 pub mod gibbs;
 pub mod kernel;
-pub mod parallel;
 pub mod proposal;
 pub mod rng;
 pub mod sharded;
@@ -26,7 +26,6 @@ pub use diagnostics::{
 };
 pub use gibbs::GibbsRelabel;
 pub use kernel::{KernelStats, MetropolisHastings, StepOutcome};
-pub use parallel::{average_estimates, run_chains, run_chains_checkpointed};
 pub use proposal::{LocalityProposer, Proposal, Proposer, UniformRelabel};
 pub use rng::DynRng;
 pub use sharded::{shard_seed, ShardedSampler};

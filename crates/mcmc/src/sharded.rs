@@ -1,8 +1,9 @@
 //! Sharded intra-world sampling: one MH walker per shard, per-shard delta
 //! queues, a single merge point.
 //!
-//! All previous parallelism ([`crate::parallel`]) is *across replicas*:
-//! every chain owns a full independent world and their samples are averaged.
+//! The §5.4 multi-chain engine (`fgdb_core::engine`) is parallel *across
+//! replicas*: every chain owns a full independent world and their samples
+//! are averaged.
 //! Here the parallelism is *within one world*. A [`ShardMap`] partitions the
 //! variables so that no factor spans shards (validated up front); then a
 //! proposal inside shard `s` has a neighborhood score depending only on

@@ -99,6 +99,7 @@ use crate::counted::CountedSet;
 use crate::database::Database;
 use crate::expr::{resolve_column, BoundExpr, CmpOp, Expr};
 use crate::fasthash::{FxHashSet, TupleMap};
+use crate::planner::column_type;
 use crate::row::{Row, RowView};
 use crate::storage::{ChunkRef, Relation, RowId, RowRef};
 use crate::tuple::{fingerprint_values, Tuple};
@@ -991,35 +992,24 @@ pub(crate) fn relation_of<'a>(db: &'a Database, name: &str) -> Result<&'a Relati
 
 /// True when γ's partial group tables add up to exactly what one table
 /// would hold: every SUM reads a column its input declares `Int` (summed
-/// in an `i128`). A float SUM is not associative, so a γ with one reads
-/// its input on one worker and its answer stays bit-identical.
+/// in an `i128`), as the planner's type walker derives it. A float SUM is
+/// not associative, so a γ with one, or with a SUM column the walker
+/// cannot name unambiguously, reads its input on one worker and its answer
+/// stays bit-identical.
 pub(crate) fn sums_add_exactly(specs: &[AggSpec], input: &Plan, db: &Database) -> bool {
-    specs.iter().all(|s| {
-        !matches!(s.kind, AggKind::Sum) || declared_type(input, s.col, db) == Some(ValueType::Int)
-    })
-}
-
-/// The declared type of `plan`'s output column `col`, when σ, π, ×, ⋈ and
-/// δ pass it through from a stored column; `None` for anything else.
-fn declared_type(plan: &Plan, col: usize, db: &Database) -> Option<ValueType> {
-    match plan {
-        Plan::Scan { relation, .. } => {
-            Some(db.relation(relation).ok()?.schema().columns().get(col)?.ty)
-        }
-        Plan::Select { input, .. } | Plan::Distinct { input } => declared_type(input, col, db),
-        Plan::Project { input, columns } => {
-            let from = resolve_column(&input.output_columns(db).ok()?, columns.get(col)?)?;
-            declared_type(input, from, db)
-        }
-        Plan::Product { left, right } | Plan::Join { left, right, .. } => {
-            let width = left.output_columns(db).ok()?.len();
-            match col.checked_sub(width) {
-                Some(r) => declared_type(right, r, db),
-                None => declared_type(left, col, db),
-            }
-        }
-        _ => None,
+    let is_sum = |s: &AggSpec| matches!(s.kind, AggKind::Sum);
+    if !specs.iter().any(is_sum) {
+        return true;
     }
+    let Ok(cols) = input.output_columns(db) else {
+        return false;
+    };
+    specs.iter().filter(|s| is_sum(s)).all(|s| {
+        cols.get(s.col).is_some_and(|name| {
+            resolve_column(&cols, name) == Some(s.col)
+                && column_type(input, db, name) == Some(ValueType::Int)
+        })
+    })
 }
 
 /// Answers `σ_pred(rel)` from the primary-key index or a secondary index

@@ -246,6 +246,13 @@ struct Scope<'a> {
     rec: Option<(&'a str, &'a [Option<ValueType>])>,
 }
 
+/// Declared [`ValueType`] of `plan`'s output column `name` outside any
+/// fixpoint (see [`declared_type`]); `None` means unknown. The executor
+/// reads it to decide whether a SUM's partial sums add up exactly.
+pub(crate) fn column_type(plan: &Plan, db: &Database, name: &str) -> Option<ValueType> {
+    declared_type(plan, Scope { db, rec: None }, name)
+}
+
 /// Declared [`ValueType`] of one output column of a plan, when derivable by
 /// walking down to the base schema. `None` means "unknown" — callers must
 /// treat that conservatively. Used to gate the product→join rewrite:

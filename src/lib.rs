@@ -50,7 +50,7 @@
 //! |---|---|
 //! | [`fgdb_relational`] | typed relational engine: storage, algebra, executor, counted multisets, Δ-sets, incremental view maintenance |
 //! | [`fgdb_graph`] | variables, worlds, factors, models, exact enumeration |
-//! | [`fgdb_mcmc`] | Metropolis–Hastings kernel, proposers, chains, parallel fan-out, diagnostics |
+//! | [`fgdb_mcmc`] | Metropolis–Hastings kernel, proposers, chains, sharded sampling, diagnostics |
 //! | [`fgdb_learn`] | SampleRank weight learning |
 //! | [`fgdb_ie`] | BIO labels, synthetic corpus, linear/skip-chain CRFs, entity resolution |
 //! | [`fgdb_durability`] | WAL + snapshot storage engine: versioned binary format (docs/FORMAT.md), group-commit log, crash recovery |
@@ -69,10 +69,10 @@ pub use fgdb_serve as serve;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use fgdb_core::{
-        build_ner_pdb, chain_seed, evaluate_parallel, ner_proposer, squared_error, train_ner_model,
-        truth_database, AnswerRow, DurabilityConfig, DurableError, DurablePdb, EngineAnswer,
-        EngineConfig, EngineReport, EpochReader, EpochSnapshot, FieldBinding, FsyncPolicy,
-        LiveSampler, LossCurve, MarginalTable, NerProposerConfig, ParallelEngine, ProbabilisticDB,
+        build_ner_pdb, chain_seed, ner_proposer, squared_error, train_ner_model, truth_database,
+        AnswerRow, DurabilityConfig, DurableError, DurablePdb, EngineAnswer, EngineConfig,
+        EngineReport, EpochReader, EpochSnapshot, FieldBinding, FsyncPolicy, LiveSampler,
+        LossCurve, MarginalTable, NerProposerConfig, ParallelEngine, ProbabilisticDB,
         QueryEvaluator, QueryStatus, RecoveryReport, SamplerState, SamplerStatus, ServingConfig,
         ServingError, SupervisedSampler, SupervisorConfig, ValueDistribution,
     };

@@ -207,28 +207,28 @@ fn parallel_chains_reduce_error() {
     truth_eval.run(&mut pdb, 3_000).unwrap();
     let truth = truth_eval.marginals().as_map();
 
-    let corpus = Arc::new(corpus);
-    // Error of a k-chain estimate against the long-run truth. A single
-    // 40-sample estimate is noisy enough to flip the comparison on an
-    // unlucky seed, so compare errors averaged over a few repetitions with
-    // disjoint seed bases (still fully deterministic).
-    let err_for = |chains: usize, seed_base: u64| {
-        let avg = evaluate_parallel(
+    // Error of a k-chain engine estimate against the long-run truth. A
+    // single 40-sample estimate is noisy enough to flip the comparison on
+    // an unlucky seed, so compare errors averaged over a few repetitions
+    // with disjoint seed bases (still fully deterministic).
+    let seed_pdb = build_ner_pdb(&corpus, Arc::clone(&model), &Default::default(), 999);
+    let err_for = |chains: usize, base_seed: u64| {
+        let cfg = EngineConfig {
             chains,
-            |c| {
-                build_ner_pdb(
-                    &corpus,
-                    Arc::clone(&model),
-                    &Default::default(),
-                    seed_base + c as u64,
-                )
-            },
-            &plan,
-            40,
-            100,
-        )
+            thinning: 100,
+            checkpoint_samples: 40,
+            r_hat_threshold: 0.0,
+            min_samples: 1,
+            max_samples: 40,
+            replica_burn_steps: 0,
+            base_seed,
+        };
+        let mut engine = ParallelEngine::new(&seed_pdb, plan.clone(), cfg, |_| {
+            ner_proposer(model.data(), &Default::default())
+        })
         .unwrap();
-        squared_error(&avg, &truth)
+        engine.run_rounds(1).unwrap();
+        squared_error(&engine.answer().merged(), &truth)
     };
     let reps: [u64; 3] = [50, 450, 850];
     let e1: f64 = reps.iter().map(|&s| err_for(1, s)).sum::<f64>() / reps.len() as f64;
