@@ -3,9 +3,9 @@
 //! Runs 1–8 parallel MCMC chains through the `ParallelEngine` (identical
 //! copies of the initial world, distinct seeds, each burned in), 100
 //! samples per chain on Query 1, and reports the squared error of the
-//! averaged marginals against a multi-chain long-run ground truth (the paper's own reference is "eight
-//! parallel chains for ten-thousand samples each"), next to the ideal 1/n
-//! line.
+//! averaged marginals against a multi-chain long-run ground truth (the
+//! paper's own reference is "eight parallel chains for ten-thousand
+//! samples each"), next to the ideal 1/n line.
 //!
 //! Paper-reported shape: error drops at least linearly with chains; eight
 //! chains reduce it "by slightly more than a factor of eight" (super-linear,

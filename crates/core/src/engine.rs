@@ -20,11 +20,11 @@
 //!    incrementally maintained view.
 //! 2. **Run** — replicas advance in *checkpointed rounds*
 //!    ([`ParallelEngine::run_rounds`]): each round runs every chain on its
-//!    own `std::thread::scope` thread (one chain runs on the caller's), so
-//!    within a round chains are lockstep-free (no per-thinning-interval
-//!    synchronization); at round boundaries the coordinator pools
+//!    own `std::thread::scope` thread, so within a round chains are
+//!    lockstep-free (no per-thinning-interval synchronization); at round
+//!    boundaries the coordinator pools
 //!    per-tuple marginal traces. A chain's error or panic ends the run as
-//!    [`EngineError::Chain`].
+//!    [`EngineError::Chain`], and the engine advances no further.
 //! 3. **Gate** — termination is convergence-gated: the coordinator computes
 //!    Gelman–Rubin R̂ (cross-chain; split-R̂ for a single chain) and
 //!    effective sample size over every answer tuple's membership trace and
@@ -107,7 +107,6 @@ use fgdb_mcmc::{effective_sample_size, gelman_rubin, split_r_hat, KernelStats, P
 use fgdb_relational::{Plan, Tuple};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::thread;
 
 /// Derives chain `i`'s RNG seed from the engine's base seed (splitmix64 of
@@ -394,6 +393,33 @@ fn diagnose<M: Model>(replicas: &[Replica<M>], collect_per_tuple: bool) -> DiagS
     }
 }
 
+/// Runs `work(i, item)` for every item on its own scoped thread and joins
+/// them in order. Returns the results in order, or the failure of the
+/// first item, in order, that failed; a panic becomes
+/// [`EngineError::Chain`] with its text and never unwinds into the caller.
+fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(usize, T) -> Result<R, EngineError> + Sync,
+) -> Result<Vec<R>, EngineError> {
+    let work = &work;
+    thread::scope(|s| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .enumerate()
+            .map(|(chain, item)| (chain, s.spawn(move || work(chain, item))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|(chain, handle)| {
+                handle.join().unwrap_or_else(|payload| {
+                    let message = panic_message(&*payload);
+                    Err(EngineError::Chain { chain, message })
+                })
+            })
+            .collect()
+    })
+}
+
 /// The parallel multi-chain query engine. See the module docs for the
 /// design; see [`EngineConfig`] for the knobs.
 pub struct ParallelEngine<M> {
@@ -401,19 +427,25 @@ pub struct ParallelEngine<M> {
     config: EngineConfig,
     trajectory: Vec<RHatPoint>,
     converged: bool,
+    /// The first chain failure, as `(chain, message)`. A failed chain may
+    /// have stopped halfway through a sample, so the engine never advances
+    /// again after one.
+    failed: Option<(usize, String)>,
 }
 
 impl<M: Model + Clone> ParallelEngine<M> {
     /// Snapshots `seed_pdb` into `config.chains` independent replicas, each
     /// with a materialized evaluator for `plan` (the initial world's answer
     /// is recorded as every chain's first sample, as in Algorithm 1) and a
-    /// proposer from `make_proposer(chain_index)`.
+    /// proposer from `make_proposer(chain_index)`. Each replica's dispersal
+    /// burn and view build run on its own scoped thread.
     ///
     /// # Errors
     /// Returns [`EngineError::Config`] on nonsensical configuration (zero
-    /// chains, zero checkpoint interval, or `max_samples` of zero) and
-    /// [`EngineError::Evaluate`] when replica construction fails. Never
-    /// panics: a served query must not take the process down.
+    /// chains, zero checkpoint interval, or `max_samples` of zero),
+    /// [`EngineError::Evaluate`] when replica construction fails, and
+    /// [`EngineError::Chain`] when it panics. Never panics: a served query
+    /// must not take the process down.
     pub fn new(
         seed_pdb: &ProbabilisticDB<M>,
         plan: Plan,
@@ -431,9 +463,13 @@ impl<M: Model + Clone> ParallelEngine<M> {
         if config.max_samples == 0 {
             return Err(EngineError::Config("zero sample budget".into()));
         }
-        let mut replicas = Vec::with_capacity(config.chains);
-        for i in 0..config.chains {
-            let mut pdb = seed_pdb.snapshot(make_proposer(i), chain_seed(config.base_seed, i));
+        // Snapshots and proposers come from the caller's thread (the
+        // proposer factory is `FnMut`); each replica's dispersal burn and
+        // view build run on its own scoped thread.
+        let seeded: Vec<_> = (0..config.chains)
+            .map(|i| seed_pdb.snapshot(make_proposer(i), chain_seed(config.base_seed, i)))
+            .collect();
+        let replicas = fan_out(seeded, |_, mut pdb| {
             if config.replica_burn_steps > 0 {
                 // Dispersal burn on the replica's own stream; the deltas are
                 // discarded (no view exists yet), the store stays in sync.
@@ -447,13 +483,14 @@ impl<M: Model + Clone> ParallelEngine<M> {
             // shows up as the disagreement it is.
             let mut trace = MembershipLog::new(usize::MAX);
             trace.record(eval.last_crossings());
-            replicas.push(Replica { pdb, eval, trace });
-        }
+            Ok(Replica { pdb, eval, trace })
+        })?;
         Ok(ParallelEngine {
             replicas,
             config,
             trajectory: Vec::new(),
             converged: false,
+            failed: None,
         })
     }
 
@@ -527,39 +564,31 @@ impl<M: Model + Clone> ParallelEngine<M> {
     /// loop use [`Self::run`]; experiment harnesses use this to observe the
     /// error trajectory at fixed budgets.
     ///
-    /// A round runs each chain on its own scoped thread (a lone chain runs
-    /// on the calling thread) and joins them all in chain order. The first
-    /// chain, in chain order, that fails or panics ends the call with
-    /// [`EngineError::Chain`]; a panic never unwinds into the caller.
+    /// A round runs each chain on its own scoped thread and joins them all
+    /// in chain order. The first chain, in chain order, that fails or
+    /// panics ends the call with [`EngineError::Chain`]; a panic never
+    /// unwinds into the caller. A failed chain may have stopped halfway
+    /// through a sample, so every later call returns the same error;
+    /// [`Self::answer`] stays callable.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<(), EngineError> {
+        if let Some((chain, message)) = self.failed.clone() {
+            return Err(EngineError::Chain { chain, message });
+        }
         let per_round = self.config.checkpoint_samples;
-        let round = |replica: &mut Replica<M>| -> Result<(), EvaluateError> {
-            for _ in 0..per_round {
-                replica.draw()?;
-            }
-            Ok(())
-        };
         for _ in 0..rounds {
-            let outcomes: Vec<thread::Result<Result<(), EvaluateError>>> =
-                if let [replica] = self.replicas.as_mut_slice() {
-                    vec![panic::catch_unwind(AssertUnwindSafe(|| round(replica)))]
-                } else {
-                    thread::scope(|s| {
-                        let handles: Vec<_> = self
-                            .replicas
-                            .iter_mut()
-                            .map(|replica| s.spawn(move || round(replica)))
-                            .collect();
-                        handles.into_iter().map(|h| h.join()).collect()
+            let outcome = fan_out(self.replicas.iter_mut(), |chain, replica| {
+                (0..per_round)
+                    .try_for_each(|_| replica.draw())
+                    .map_err(|e| {
+                        let message = e.to_string();
+                        EngineError::Chain { chain, message }
                     })
-                };
-            for (chain, outcome) in outcomes.into_iter().enumerate() {
-                let message = match outcome {
-                    Ok(Ok(())) => continue,
-                    Ok(Err(e)) => e.to_string(),
-                    Err(payload) => panic_message(&*payload),
-                };
-                return Err(EngineError::Chain { chain, message });
+            });
+            if let Err(e) = outcome {
+                if let EngineError::Chain { chain, message } = &e {
+                    self.failed = Some((*chain, message.clone()));
+                }
+                return Err(e);
             }
             let diag = diagnose(&self.replicas, false);
             self.trajectory.push(RHatPoint {

@@ -171,16 +171,9 @@ impl From<crate::durable::DurableError> for ServingError {
     }
 }
 
-impl ServingError {
-    /// Renders a panic payload (as caught by `catch_unwind` or a failed
-    /// join) into a [`ServingError::Panicked`].
-    pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send>) -> ServingError {
-        ServingError::Panicked(panic_message(&*payload))
-    }
-}
-
 /// The text a panic was raised with (`panic!`'s message, `expect`'s
-/// argument); empty for a payload of any other type.
+/// argument), as caught by `catch_unwind` or a failed join; empty for a
+/// payload of any other type.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
@@ -677,7 +670,7 @@ impl<H> Sampler<H> {
             None => Err(ServingError::Panicked(String::new())),
             Some(h) => h
                 .join()
-                .unwrap_or_else(|p| Err(ServingError::from_panic(p))),
+                .unwrap_or_else(|p| Err(ServingError::Panicked(panic_message(&*p)))),
         }
     }
 }
@@ -769,8 +762,8 @@ impl Shared {
         &self,
         f: impl FnOnce() -> Result<T, ServingError>,
     ) -> Result<T, ServingError> {
-        let result =
-            catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| Err(ServingError::from_panic(p)));
+        let result = catch_unwind(AssertUnwindSafe(f))
+            .unwrap_or_else(|p| Err(ServingError::Panicked(panic_message(&*p))));
         if let Err(e) = &result {
             self.stats.set_error(Some(e.clone()));
         }
@@ -914,7 +907,7 @@ fn segment(
         abandon.store(sampled.is_err(), Ordering::Release);
         drop(tx);
         match maintainer.join() {
-            Err(payload) => Err(ServingError::from_panic(payload)),
+            Err(payload) => Err(ServingError::Panicked(panic_message(&*payload))),
             Ok(Err(e)) => Err(e),
             Ok(Ok(())) => sampled,
         }

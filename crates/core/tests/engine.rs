@@ -309,8 +309,8 @@ fn parallel_evaluation_averages_chains() {
 }
 
 /// A chain whose proposer panics ends the run with a typed error naming
-/// that chain and the panic's text — on the threaded path (chain 1 of
-/// three) and on the one-chain path alike — and leaves the engine's answer
+/// that chain and the panic's text — chain 1 of three, and a lone chain —
+/// a resumed run returns the same error, and the engine's answer stays
 /// readable.
 #[test]
 fn a_panicking_chain_is_a_typed_error() {
@@ -353,6 +353,25 @@ fn a_panicking_chain_is_a_typed_error() {
             }
             other => panic!("{chains} chain(s): expected a chain error, got {other:?}"),
         }
+        // The faulted chain stopped mid-sample: the engine never resumes,
+        // and no chain takes another step.
+        let steps = |e: &ParallelEngine<_>| -> Vec<u64> {
+            e.answer()
+                .report
+                .per_chain
+                .iter()
+                .map(|c| c.steps)
+                .collect()
+        };
+        let before = steps(&engine);
+        match engine.run() {
+            Err(EngineError::Chain { chain, message }) => {
+                assert_eq!(chain, faulty, "{chains} chain(s), resumed");
+                assert!(message.contains("injected proposer fault"), "{message:?}");
+            }
+            other => panic!("{chains} chain(s): resumed run gave {other:?}"),
+        }
+        assert_eq!(steps(&engine), before, "{chains} chain(s)");
         let answer = engine.answer();
         assert_eq!(answer.report.chains, chains);
         for row in &answer.rows {
