@@ -11,6 +11,11 @@
 //! flipped A→B→A contributes nothing, and A→B→C contributes a single (A, C)
 //! record, keeping per-sample delta size bounded by the number of *distinct*
 //! variables touched, not the number of accepted steps.
+//!
+//! The tracker is dense: a per-variable slot points at the variable's
+//! entry, so an accepted change is one indexed write, and a flush walks
+//! only the entries the interval touched — its cost is O(|Δ|), whatever
+//! the world's size or how many variables an earlier interval touched.
 
 use crate::kernel::{KernelStats, MetropolisHastings};
 use crate::proposal::Proposer;
@@ -18,7 +23,6 @@ use crate::rng::DynRng;
 use fgdb_graph::{Model, VariableId, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// A net world change since the last flush: `(variable, old, new)` with
 /// `old != new`.
@@ -29,9 +33,74 @@ pub struct Chain<M> {
     kernel: MetropolisHastings<M>,
     world: World,
     rng: StdRng,
-    /// variable → (index at last flush, current index)
-    pending: HashMap<VariableId, (usize, usize)>,
+    pending: Pending,
     steps_taken: u64,
+}
+
+/// The changes since the last flush, one entry per touched variable.
+struct Pending {
+    /// Variable → 1 + its entry's position in `entries`; 0 = untouched.
+    /// Zeroed, so pages of variables no interval touches are never written.
+    slot: Vec<u32>,
+    /// `(variable, index at last flush, current index)`, in first-touch
+    /// order. An entry whose variable came back to its flush-time index
+    /// keeps its slot but is not a net change.
+    entries: Vec<NetChange>,
+    /// Entries that are net changes (`old != new`).
+    net: usize,
+}
+
+impl Pending {
+    fn new(variables: usize) -> Self {
+        Pending {
+            slot: vec![0; variables],
+            entries: Vec::new(),
+            net: 0,
+        }
+    }
+
+    /// Records one accepted change of `v` from `old` to `new` (`old !=
+    /// new`, as the kernel reports it).
+    #[inline]
+    fn record(&mut self, v: VariableId, old: usize, new: usize) {
+        let slot = &mut self.slot[v.index()];
+        let e = match (*slot as usize).checked_sub(1) {
+            Some(e) => e,
+            None => {
+                let e = self.entries.len();
+                // One entry per variable, and variable ids are u32.
+                *slot = u32::try_from(e + 1).expect("entry positions fit a u32");
+                self.entries.push((v, old, old));
+                e
+            }
+        };
+        let entry = &mut self.entries[e];
+        if entry.1 == entry.2 {
+            // Untouched, or back at its flush-time index: the change starts
+            // afresh from `old`, which an untracked write may have moved.
+            entry.1 = old;
+        } else {
+            self.net -= 1;
+        }
+        entry.2 = new;
+        self.net += usize::from(entry.1 != entry.2);
+    }
+
+    /// The net changes, sorted by variable; every slot is left untouched.
+    fn take(&mut self) -> Vec<NetChange> {
+        let mut out = Vec::with_capacity(self.net);
+        for &(v, old, new) in &self.entries {
+            self.slot[v.index()] = 0;
+            if old != new {
+                out.push((v, old, new));
+            }
+        }
+        self.entries.clear();
+        self.net = 0;
+        // Each variable has one entry, so the unstable sort is deterministic.
+        out.sort_unstable_by_key(|&(v, _, _)| v);
+        out
+    }
 }
 
 impl<M: Model> Chain<M> {
@@ -39,9 +108,9 @@ impl<M: Model> Chain<M> {
     pub fn new(model: M, proposer: Box<dyn Proposer>, world: World, seed: u64) -> Self {
         Chain {
             kernel: MetropolisHastings::new(model, proposer),
+            pending: Pending::new(world.num_variables()),
             world,
             rng: StdRng::seed_from_u64(seed),
-            pending: HashMap::new(),
             steps_taken: 0,
         }
     }
@@ -80,17 +149,7 @@ impl<M: Model> Chain<M> {
         let pending = &mut self.pending;
         self.kernel
             .walk(&mut self.world, k, &mut rng, |v, old, new| {
-                match pending.entry(v) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        e.get_mut().1 = new;
-                        if e.get().0 == e.get().1 {
-                            e.remove();
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((old, new));
-                    }
-                }
+                pending.record(v, old, new)
             });
     }
 
@@ -98,19 +157,12 @@ impl<M: Model> Chain<M> {
     /// Clears the pending set (Algorithm 1's "cleaning and refreshing of the
     /// tables … between deterministic query executions").
     pub fn take_changes(&mut self) -> Vec<NetChange> {
-        let mut out: Vec<NetChange> = self
-            .pending
-            .drain()
-            .filter(|(_, (old, new))| old != new)
-            .map(|(v, (old, new))| (v, old, new))
-            .collect();
-        out.sort_by_key(|(v, _, _)| *v);
-        out
+        self.pending.take()
     }
 
-    /// True when uncommitted changes exist.
+    /// True when uncommitted net changes exist.
     pub fn has_pending_changes(&self) -> bool {
-        !self.pending.is_empty()
+        self.pending.net > 0
     }
 
     /// Serializes the chain RNG's internal state (32 bytes, little-endian
@@ -135,7 +187,7 @@ impl<M: Model> Chain<M> {
     /// thinning-interval boundary, where the world and store agree.
     pub fn restore_counters(&mut self, steps_taken: u64, stats: KernelStats) {
         assert!(
-            self.pending.is_empty(),
+            !self.has_pending_changes(),
             "restore_counters mid-interval: unflushed chain changes"
         );
         self.steps_taken = steps_taken;

@@ -543,7 +543,6 @@ struct AggState {
     groups: TupleMap<GroupState>,
     scratch: Vec<Value>,
     touched: TupleMap<Option<Tuple>>,
-    row_buf: Vec<Value>,
 }
 
 impl AggState {
@@ -575,11 +574,9 @@ impl AggState {
         let fp = fingerprint_values(&self.scratch);
         if self.touched.get(fp, &self.scratch).is_none() {
             let old = match self.groups.get(fp, &self.scratch) {
-                Some(g) => Some(g.output(&self.scratch, &mut self.row_buf)),
+                Some(g) => Some(g.output(&self.scratch)),
                 // The global group exists implicitly with zero state.
-                None => {
-                    global.then(|| GroupState::new(specs).output(&self.scratch, &mut self.row_buf))
-                }
+                None => global.then(|| GroupState::new(specs).output(&self.scratch)),
             };
             self.touched.get_or_insert_with(fp, &self.scratch, || old);
         }
@@ -617,7 +614,7 @@ impl AggState {
                             .all(|(acc, prev)| acc.finish() == *prev)
                     });
                     if !unchanged {
-                        let n = g.output(key.values(), &mut self.row_buf);
+                        let n = g.output(key.values());
                         if let Some(o) = old {
                             out.add(o.clone(), -1);
                         }
@@ -1198,9 +1195,9 @@ impl CNode {
                 let fresh = || Groups::new(&agg.group_idx, &agg.specs);
                 let groups = drive_output(before, outs, *child, ctx, rec, scanned, &fresh)?;
                 // Every group holds a row, or is the global group.
-                let (mut out, mut buf) = (CountedSet::new(), Vec::new());
+                let mut out = CountedSet::new();
                 for (key, group) in groups.into_entries() {
-                    out.add(group.output(key.values(), &mut buf), 1);
+                    out.add(group.output(key.values()), 1);
                     agg.groups.get_or_insert_tuple(key, || group);
                 }
                 out
@@ -1603,7 +1600,6 @@ fn compile_into(
                         groups: TupleMap::new(),
                         scratch: Vec::new(),
                         touched: TupleMap::new(),
-                        row_buf: Vec::new(),
                     },
                 },
                 src,

@@ -841,7 +841,7 @@ fn run_source<'db>(
             for (key, accs) in groups.iter() {
                 let row = key.iter().cloned().chain(accs.iter().map(AggAcc::finish));
                 stats.intermediate_tuples += 1;
-                sink(stats, &RowView::Tuple(&Tuple::new(row.collect())), 1);
+                sink(stats, &RowView::Tuple(&Tuple::from_values(row)), 1);
             }
             Ok(())
         }
@@ -1196,13 +1196,11 @@ impl GroupState {
         }
     }
 
-    /// The group's output row, the key followed by each aggregate, built
-    /// through a reusable buffer: one tuple allocation per call.
-    pub(crate) fn output(&self, key: &[Value], buf: &mut Vec<Value>) -> Tuple {
-        buf.clear();
-        buf.extend_from_slice(key);
-        buf.extend(self.accs.iter().map(AggAcc::finish));
-        Tuple::from_slice(buf)
+    /// The group's output row, the key followed by each aggregate: one
+    /// tuple allocation per call.
+    pub(crate) fn output(&self, key: &[Value]) -> Tuple {
+        let aggs = self.accs.iter().map(AggAcc::finish);
+        Tuple::from_values(key.iter().cloned().chain(aggs))
     }
 }
 

@@ -185,7 +185,7 @@ impl<V> TupleMap<V> {
         key: &[Value],
         default: impl FnOnce() -> V,
     ) -> &mut V {
-        self.entry(fp, key, || Tuple::from_prehashed(key.to_vec(), fp), default)
+        self.entry(fp, key, || Tuple::from_prehashed(key, fp), default)
     }
 
     /// [`TupleMap::get_or_insert_with`] for a key that is already a tuple:

@@ -152,7 +152,7 @@ impl Row for RowView<'_, '_> {
             RowView::Tuple(t) => (*t).clone(),
             RowView::Stored(r) => r.to_tuple(),
             RowView::Project(..) | RowView::Concat(..) => {
-                Tuple::new((0..self.arity()).map(|i| self.get(i).clone()).collect())
+                Tuple::from_values((0..self.arity()).map(|i| self.get(i).clone()))
             }
         }
     }
@@ -160,10 +160,8 @@ impl Row for RowView<'_, '_> {
 
 /// The tuple `l ++ r` (the output row of × and ⋈ that an operator keeps).
 pub(crate) fn concat<L: Row + ?Sized, R: Row + ?Sized>(l: &L, r: &R) -> Tuple {
-    let mut values = Vec::with_capacity(l.arity() + r.arity());
-    values.extend((0..l.arity()).map(|i| l.get(i).clone()));
-    values.extend((0..r.arity()).map(|i| r.get(i).clone()));
-    Tuple::new(values)
+    let left = (0..l.arity()).map(|i| l.get(i).clone());
+    Tuple::from_values(left.chain((0..r.arity()).map(|i| r.get(i).clone())))
 }
 
 #[cfg(test)]

@@ -189,7 +189,7 @@ impl Chunk {
 
     /// Kills `slot`, moving its row out as a tuple.
     fn take(&mut self, slot: usize) -> Tuple {
-        let values: Vec<Value> = (0..self.arity())
+        let values: Arc<[Value]> = (0..self.arity())
             .map(|c| std::mem::replace(&mut self.values[c * CHUNK_ROWS + slot], Value::Null))
             .collect();
         self.live &= !(1 << slot);
@@ -241,7 +241,7 @@ impl<'a> RowRef<'a> {
 
     /// The row as an owned tuple, with the stored fingerprint.
     pub fn to_tuple(&self) -> Tuple {
-        let values: Vec<Value> = (0..self.arity()).map(|c| self.get(c).clone()).collect();
+        let values: Arc<[Value]> = (0..self.arity()).map(|c| self.get(c).clone()).collect();
         Tuple::from_prehashed(values, self.fingerprint())
     }
 }
@@ -583,7 +583,7 @@ impl Relation {
         }
         let chunk = Arc::make_mut(&mut self.chunks[c]);
         let mut value = Some(value);
-        let old: Vec<Value> = (0..chunk.arity())
+        let old: Arc<[Value]> = (0..chunk.arity())
             .map(|col| {
                 let at = &mut chunk.values[col * CHUNK_ROWS + slot];
                 match value.take_if(|_| col == column) {
@@ -594,7 +594,7 @@ impl Relation {
             .collect();
         let old = Tuple::from_prehashed(old, chunk.fps[slot]);
         let values = &chunk.values;
-        let new: Vec<Value> = (0..chunk.arity())
+        let new: Arc<[Value]> = (0..chunk.arity())
             .map(|col| values[col * CHUNK_ROWS + slot].clone())
             .collect();
         let fp = fingerprint_values(&new);
@@ -800,17 +800,15 @@ impl Relation {
     }
 }
 
-/// `tuple` with its heap strings as symbols: itself when it has none, so a
-/// row of symbols is not copied. The fingerprint is by content and carries
-/// over.
-fn interned(tuple: Tuple) -> Result<Tuple, SymbolsExhausted> {
+/// `tuple` with its heap strings as symbols, interned in place: the row is
+/// copied only when it has a heap string and another tuple shares its
+/// buffer. The fingerprint is by content and carries over.
+fn interned(mut tuple: Tuple) -> Result<Tuple, SymbolsExhausted> {
     let heap = |v: &Value| matches!(v, Value::Str(s) if !s.is_symbol());
-    if !tuple.values().iter().any(heap) {
-        return Ok(tuple);
+    if tuple.values().iter().any(heap) {
+        intern_values(tuple.values_mut())?;
     }
-    let mut values = tuple.values().to_vec();
-    intern_values(&mut values)?;
-    Ok(Tuple::from_prehashed(values, tuple.fingerprint()))
+    Ok(tuple)
 }
 
 /// A borrowed view of a relation's slot array in `RowId` order, dead slots

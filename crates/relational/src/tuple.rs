@@ -97,16 +97,23 @@ impl Ord for Tuple {
 }
 
 impl Tuple {
-    /// Builds a tuple from values. Assembling a row in a `Vec` and moving
-    /// it into the shared buffer in one copy is faster than cloning values
-    /// into an `Arc<[Value]>` one by one, so every constructor here (and
-    /// the heap's) goes through a `Vec`.
+    /// Builds a tuple from values. The `Vec` is copied into the shared
+    /// buffer, a second allocation; the crate's own constructors collect
+    /// their values straight into the buffer instead
+    /// ([`Tuple::from_values`]).
     pub fn new(values: Vec<Value>) -> Self {
+        Tuple::from_values(values)
+    }
+
+    /// Builds a tuple by collecting `values` straight into the shared
+    /// buffer: one allocation when the iterator's length is exact and
+    /// trusted (std's `TrustedLen`: a slice's, a range's or an array's,
+    /// mapped or chained), as every row built here is; any other iterator
+    /// is gathered in a `Vec` first.
+    pub(crate) fn from_values(values: impl IntoIterator<Item = Value>) -> Self {
+        let values: Arc<[Value]> = values.into_iter().collect();
         let fp = fingerprint_values(&values);
-        Tuple {
-            values: values.into(),
-            fp,
-        }
+        Tuple { values, fp }
     }
 
     /// Builds a tuple whose fingerprint was already computed (hot-path
@@ -119,6 +126,13 @@ impl Tuple {
             values: values.into(),
             fp,
         }
+    }
+
+    /// The values for an in-place rewrite that keeps them equal (interning
+    /// a heap string as its symbol), so the fingerprint stays: the buffer
+    /// is copied only when another tuple shares it.
+    pub(crate) fn values_mut(&mut self) -> &mut [Value] {
+        Arc::make_mut(&mut self.values)
     }
 
     /// Consumes the tuple, handing its values in order to `f`: moved out of
@@ -146,7 +160,7 @@ impl Tuple {
         I: IntoIterator<Item = V>,
         V: Into<Value>,
     {
-        Tuple::new(iter.into_iter().map(Into::into).collect())
+        Tuple::from_values(iter.into_iter().map(Into::into))
     }
 
     /// Number of fields.
@@ -177,12 +191,12 @@ impl Tuple {
     /// Builds a tuple by cloning a value slice — for hot paths assembling
     /// rows in a reusable scratch buffer.
     pub fn from_slice(values: &[Value]) -> Tuple {
-        Tuple::new(values.to_vec())
+        Tuple::from_prehashed(values, fingerprint_values(values))
     }
 
     /// Projects the tuple onto the given column positions.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
+        Tuple::from_values(indices.iter().map(|&i| self.values[i].clone()))
     }
 }
 
@@ -216,7 +230,9 @@ impl From<Vec<Value>> for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::tuple::Tuple::new(vec![$($crate::value::Value::from($v)),*])
+        $crate::tuple::Tuple::from_iter_values::<_, $crate::value::Value>([
+            $($crate::value::Value::from($v)),*
+        ])
     };
 }
 

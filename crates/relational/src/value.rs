@@ -124,8 +124,8 @@ const _: () = assert!(std::mem::size_of::<Value>() == 16);
 impl Value {
     /// Builds a string value: a heap string, which storage interns when it
     /// stores it.
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
-        Value::Str(Str::heap(&s.into()))
+    pub fn str(s: impl AsRef<str>) -> Self {
+        Value::Str(Str::heap(s.as_ref()))
     }
 
     /// This value with a heap string replaced by its symbol (see
@@ -274,7 +274,7 @@ impl From<Arc<str>> for Value {
 }
 impl<'a> From<Cow<'a, str>> for Value {
     fn from(v: Cow<'a, str>) -> Self {
-        Value::str(v.into_owned())
+        Value::str(v)
     }
 }
 

@@ -17,10 +17,14 @@
 //!   circuit walks each node's delta without boxing an iterator, and hands
 //!   back its output Z-set's map as the answer delta instead of re-hashing
 //!   it into a second one.
+//! * A LINK row that arrives with a heap string (`Value::str("on")`, as
+//!   e2e's `closure_links` builds it) costs two allocations for the
+//!   string, one for the tuple, and none to insert: storage interns a row
+//!   it owns in place.
 
 use fgdb_relational::parser::paper_sql;
 use fgdb_relational::{
-    compile_query, execute, tuple, Database, DeltaSet, MaterializedView, Schema, ValueType,
+    compile_query, execute, tuple, Database, DeltaSet, MaterializedView, Schema, Value, ValueType,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -180,5 +184,38 @@ fn a_q1_delta_batch_allocates_a_pinned_count() {
     let delta = batch(3, 20);
     let ((allocs, _), out) = allocations_of(|| view.try_apply_delta(&delta).unwrap());
     assert_eq!(out.sorted_entries().len(), 2, "word3 enters, name2 leaves");
-    assert_eq!(allocs, 7, "allocations of one q1 delta batch");
+    assert_eq!(allocs, 5, "allocations of one q1 delta batch");
+}
+
+#[test]
+fn a_link_row_with_a_heap_string_inserts_in_a_pinned_count() {
+    let mut db = Database::new();
+    let schema = Schema::from_pairs(&[
+        ("id", ValueType::Int),
+        ("src", ValueType::Int),
+        ("dst", ValueType::Int),
+        ("state", ValueType::Str),
+    ])
+    .unwrap()
+    .with_primary_key("id")
+    .unwrap();
+    db.create_relation("LINK", schema).unwrap();
+    let rel = db.relation_mut("LINK").unwrap();
+    // Warm-up: the chunk, the key index's buckets and the `on` symbol exist.
+    for id in 0..8i64 {
+        rel.insert(tuple![id, id, id + 1, Value::str("on")])
+            .unwrap();
+    }
+    let ((value, _), on) = allocations_of(|| Value::str("on"));
+    let ((build, _), row) = allocations_of(|| tuple![8i64, 8i64, 9i64, on]);
+    let ((insert, _), rid) = allocations_of(|| rel.insert(row).unwrap());
+    assert_eq!(
+        rel.get(rid).unwrap().to_tuple(),
+        tuple![8i64, 8i64, 9i64, "on"]
+    );
+    assert_eq!(
+        (value, build, insert),
+        (2, 1, 0),
+        "allocations of Value::str, the row's tuple, and its insert"
+    );
 }
