@@ -21,15 +21,17 @@
 //! 2. **Run** — replicas advance in *checkpointed rounds*
 //!    ([`ParallelEngine::run_rounds`]): each round runs every chain on its
 //!    own `std::thread::scope` thread, so within a round chains are
-//!    lockstep-free (no per-thinning-interval synchronization); at round
-//!    boundaries the coordinator pools
-//!    per-tuple marginal traces. A chain's error or panic ends the run as
-//!    [`EngineError::Chain`], and the engine advances no further.
-//! 3. **Gate** — termination is convergence-gated: the coordinator computes
-//!    Gelman–Rubin R̂ (cross-chain; split-R̂ for a single chain) and
-//!    effective sample size over every answer tuple's membership trace and
-//!    stops once max-R̂ drops below the configured threshold, with a hard
-//!    per-chain sample budget as fallback.
+//!    lockstep-free (no per-thinning-interval synchronization); each chain
+//!    logs its answer's membership crossings as it samples. A chain's error
+//!    or panic ends the run as [`EngineError::Chain`], and the engine
+//!    advances no further.
+//! 3. **Gate** — termination is convergence-gated: at every round boundary
+//!    the coordinator reads [`convergence_verdict`] over the chains' logs —
+//!    Gelman–Rubin R̂ across the chains (split-R̂ for a single chain) and
+//!    ESS summed over them, per toggled answer tuple, from its crossing
+//!    positions, as the served loop does for one chain — and stops once
+//!    max-R̂ drops below the configured threshold, with a hard per-chain
+//!    sample budget as fallback.
 //! 4. **Merge** — per-chain [`MarginalTable`]s are averaged
 //!    ([`MarginalTable::average`]) into confidence-tagged [`AnswerRow`]s
 //!    (probability, between-chain standard error, per-tuple R̂ and ESS),
@@ -99,13 +101,13 @@
 
 use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::marginals::MarginalTable;
-use crate::membership::MembershipLog;
+use crate::membership::{convergence_verdict, MembershipLog};
 use crate::pdb::ProbabilisticDB;
 use crate::serving::panic_message;
 use fgdb_graph::Model;
-use fgdb_mcmc::{effective_sample_size, gelman_rubin, split_r_hat, KernelStats, Proposer};
-use fgdb_relational::{Plan, Tuple};
-use std::collections::{BTreeSet, HashMap};
+use fgdb_mcmc::{KernelStats, Proposer};
+use fgdb_relational::{FxHashMap, Plan, Tuple};
+use std::collections::HashMap;
 use std::fmt;
 use std::thread;
 
@@ -335,64 +337,6 @@ impl EngineAnswer {
     }
 }
 
-/// Cross-chain diagnostics over the union answer support at one instant.
-struct DiagSnapshot {
-    max_r_hat: f64,
-    min_ess: f64,
-    per_tuple: HashMap<Tuple, (f64, f64)>,
-}
-
-/// `collect_per_tuple: false` is the per-checkpoint mode: the gate only
-/// needs the max-R̂/min-ESS summary, so no tuples are cloned into the map.
-/// The final [`ParallelEngine::answer`] pass collects the per-tuple detail.
-fn diagnose<M: Model>(replicas: &[Replica<M>], collect_per_tuple: bool) -> DiagSnapshot {
-    // Chains can be left at unequal lengths by a mid-round failure; compare
-    // the common prefix so post-failure `answer()` stays total (R̂ asserts
-    // equal lengths).
-    // `unwrap_or(0)` keeps this total even for an (unconstructible, see
-    // `ParallelEngine::new`) replica-less engine: the summary degenerates
-    // to the trivially-converged empty-support verdict below.
-    let n = replicas
-        .iter()
-        .map(|r| r.trace.samples() as usize)
-        .min()
-        .unwrap_or(0);
-    let zeros = vec![0.0f64; n];
-    // A tuple a chain's log holds no event for was never in that chain's
-    // answer (the initial answer entered at sample 0): an all-zero trace.
-    let chain_traces: Vec<_> = replicas.iter().map(|r| r.trace.traces()).collect();
-    let tuples: BTreeSet<&Tuple> = chain_traces
-        .iter()
-        .flat_map(|traces| traces.keys().copied())
-        .collect();
-    // An empty support (query answer empty in every sampled world so far)
-    // is trivially converged; ESS is then the full pooled sample count.
-    let mut max_r_hat = 1.0f64;
-    let mut min_ess = (n * replicas.len()) as f64;
-    let mut per_tuple = HashMap::with_capacity(if collect_per_tuple { tuples.len() } else { 0 });
-    for t in tuples {
-        let traces: Vec<&[f64]> = chain_traces
-            .iter()
-            .map(|chain| chain.get(t).and_then(|tr| tr.get(..n)).unwrap_or(&zeros))
-            .collect();
-        let r_hat = match traces.as_slice() {
-            [only] => split_r_hat(only),
-            _ => gelman_rubin(&traces),
-        };
-        let ess: f64 = traces.iter().map(|tr| effective_sample_size(tr)).sum();
-        max_r_hat = max_r_hat.max(r_hat);
-        min_ess = min_ess.min(ess);
-        if collect_per_tuple {
-            per_tuple.insert(t.clone(), (r_hat, ess));
-        }
-    }
-    DiagSnapshot {
-        max_r_hat,
-        min_ess,
-        per_tuple,
-    }
-}
-
 /// Runs `work(i, item)` for every item on its own scoped thread and joins
 /// them in order. Returns the results in order, or the failure of the
 /// first item, in order, that failed; a panic becomes
@@ -590,11 +534,11 @@ impl<M: Model + Clone> ParallelEngine<M> {
                 }
                 return Err(e);
             }
-            let diag = diagnose(&self.replicas, false);
+            let (r_hat, min_ess) = convergence_verdict(&self.logs(), |_, _, _| {});
             self.trajectory.push(RHatPoint {
                 samples_per_chain: self.samples_per_chain() as u64,
-                r_hat: diag.max_r_hat,
-                min_ess: diag.min_ess,
+                r_hat,
+                min_ess,
             });
         }
         Ok(())
@@ -634,23 +578,26 @@ impl<M: Model + Clone> ParallelEngine<M> {
         Ok(self.answer())
     }
 
+    /// Every chain's membership log, in chain order.
+    fn logs(&self) -> Vec<&MembershipLog> {
+        self.replicas.iter().map(|r| &r.trace).collect()
+    }
+
     /// Builds the merged, confidence-tagged answer from the current state
     /// without advancing any chain.
     pub fn answer(&self) -> EngineAnswer {
-        let tables: Vec<MarginalTable> = self
-            .replicas
-            .iter()
-            .map(|r| r.eval.marginals().clone())
-            .collect();
+        let tables = self.chain_marginals();
         let merged = MarginalTable::average(&tables);
-        let diag = diagnose(&self.replicas, true);
+        let mut per_tuple = FxHashMap::default();
+        let (final_r_hat, min_ess) = convergence_verdict(&self.logs(), |t, r_hat, ess| {
+            per_tuple.insert(t, (r_hat, ess));
+        });
         let m = tables.len() as f64;
 
         let mut rows: Vec<AnswerRow> = merged
             .into_iter()
             .map(|(tuple, probability)| {
-                let (r_hat, ess) = diag
-                    .per_tuple
+                let (r_hat, ess) = per_tuple
                     .get(&tuple)
                     .copied()
                     .unwrap_or((1.0, (self.samples_per_chain() * tables.len()) as f64));
@@ -695,8 +642,8 @@ impl<M: Model + Clone> ParallelEngine<M> {
             samples_per_chain: self.samples_per_chain() as u64,
             total_steps: per_chain.iter().map(|c| c.steps).sum(),
             converged: self.converged,
-            final_r_hat: diag.max_r_hat,
-            min_ess: diag.min_ess,
+            final_r_hat,
+            min_ess,
             r_hat_trajectory: self.trajectory.clone(),
             per_chain,
         };

@@ -59,7 +59,7 @@ pub use fgdb_graph::{FactorSpans, ShardError, ShardMap};
 pub use fgdb_mcmc::{shard_seed, ShardedSampler};
 pub use fgdb_relational::{compile_query, optimize, QueryError};
 pub use marginals::{MarginalTable, Run, ValueDistribution};
-pub use membership::{crossings, Crossing, MembershipLog};
+pub use membership::{convergence_verdict, crossings, Crossing, MembershipLog};
 pub use metrics::{squared_error, time_to_half_loss, LossCurve, LossPoint};
 pub use ner::{build_ner_pdb, ner_proposer, train_ner_model, truth_database, NerProposerConfig};
 pub use pdb::{FieldBinding, ProbabilisticDB};

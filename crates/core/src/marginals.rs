@@ -54,6 +54,7 @@
 
 use crate::membership::Crossing;
 use fgdb_relational::{CountedSet, FxHashMap, Tuple};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -259,13 +260,13 @@ impl MarginalTable {
 
     /// Merges per-chain tables by averaging probabilities (§5.4 parallel
     /// evaluation). Tables may have different supports; missing entries are
-    /// zeros.
-    pub fn average(tables: &[MarginalTable]) -> HashMap<Tuple, f64> {
+    /// zeros. Takes owned tables or references alike.
+    pub fn average<T: Borrow<MarginalTable>>(tables: &[T]) -> HashMap<Tuple, f64> {
         assert!(!tables.is_empty(), "no tables to average");
         let n = tables.len() as f64;
         let mut out: HashMap<Tuple, f64> = HashMap::new();
         for table in tables {
-            for (t, p) in table.estimates() {
+            for (t, p) in table.borrow().estimates() {
                 *out.entry(t.clone()).or_insert(0.0) += p / n;
             }
         }

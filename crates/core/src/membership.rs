@@ -19,16 +19,19 @@
 //! trailing window of samples. A tuple that does not toggle inside the
 //! window has a constant trace, and a constant trace is *neutral* for both
 //! diagnostics (`split_r_hat` = 1, `effective_sample_size` = n — the values
-//! the max/min folds start from), so it needs no storage at all. The
-//! window verdict ([`MembershipLog::diagnose`]) is computed per toggled
-//! tuple straight from its crossing positions — a 0/1 trace *is* its runs
-//! of ones — in buffers the log reuses, and never builds a trace; dense
-//! 0/1 traces
-//! ([`MembershipLog::traces`]) exist for the multi-chain engine, which
-//! compares chains sample by sample, and as the test oracle.
+//! the max/min folds start from), so it needs no storage at all.
+//!
+//! [`convergence_verdict`] is the one reader of the events: the verdict of
+//! k logs, one per chain — split-R̂ for one, Gelman–Rubin across the chains
+//! for more, ESS summed over the chains. It is computed per toggled tuple
+//! straight from its crossing positions — a 0/1 trace *is* its runs of
+//! ones — in buffers the first log keeps, and never builds a trace. The
+//! served loop reads it for one log ([`MembershipLog::diagnose`]), the
+//! multi-chain engine for all of its chains; the dense estimators are the
+//! test oracle.
 
-use fgdb_mcmc::{effective_sample_size_runs, split_r_hat_runs};
-use fgdb_relational::{CountedSet, FxHashMap, Tuple};
+use fgdb_mcmc::{effective_sample_size_runs, gelman_rubin_runs, split_r_hat_runs};
+use fgdb_relational::{CountedSet, Tuple};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
@@ -71,26 +74,28 @@ pub fn crossings<'a>(
 /// never named is constant over the whole log — present or absent, the log
 /// does not know and the diagnostics do not care. A caller that must tell
 /// the two apart (the multi-chain engine compares supports *across* logs)
-/// records the first sample's answer as crossings from the empty answer.
+/// records the first sample's answer as crossings from the empty answer
+/// and keeps the whole run.
 #[derive(Clone, Debug)]
 pub struct MembershipLog {
     window: u64,
     samples: u64,
     /// `(sample index, crossing)`, oldest first; indices are non-decreasing.
     events: VecDeque<(u64, Crossing)>,
-    /// [`Self::diagnose`]'s buffers, kept between calls.
+    /// [`convergence_verdict`]'s buffers, kept between calls.
     scratch: RefCell<Scratch>,
 }
 
-/// The buffers [`MembershipLog::diagnose`] reuses.
+/// The buffers [`convergence_verdict`] reuses.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// `(tuple fingerprint, event position)` of every event in the window,
-    /// sorted: a tuple's events are contiguous and in sample order, next to
+    /// `(tuple fingerprint, event position)` of every event in the
+    /// windows, the logs' events numbered one after another, sorted: a
+    /// tuple's events are contiguous, by log and in sample order, next to
     /// those of any tuple sharing its fingerprint.
     order: Vec<(u64, usize)>,
-    /// One tuple's runs of ones.
-    ones: Vec<(usize, usize)>,
+    /// One tuple's runs of ones, one list per log.
+    ones: Vec<Vec<(usize, usize)>>,
 }
 
 impl MembershipLog {
@@ -144,86 +149,108 @@ impl MembershipLog {
         self.events.len()
     }
 
-    /// Materialises the 0/1 window trace (length [`Self::window_len`]) of
-    /// every tuple with an event in the ring. Every other tuple's trace is
-    /// constant.
-    pub fn traces(&self) -> FxHashMap<&Tuple, Vec<f64>> {
-        let start = self.start();
-        let len = usize::try_from(self.window_len()).unwrap_or(usize::MAX);
-        // Per tuple: the trace up to its latest event, and the membership
-        // that event switched to.
-        let mut open: FxHashMap<&Tuple, (Vec<f64>, f64)> = FxHashMap::default();
-        for (at, c) in &self.events {
-            let (before, after) = if c.entered { (0.0, 1.0) } else { (1.0, 0.0) };
-            let upto = usize::try_from(at - start).unwrap_or(len).min(len);
-            let (trace, now) = open
-                .entry(&c.tuple)
-                .or_insert_with(|| (Vec::with_capacity(len), after));
-            trace.resize(upto, before);
-            *now = after;
-        }
-        open.into_iter()
-            .map(|(t, (mut trace, now))| {
-                trace.resize(len, now);
-                (t, trace)
-            })
-            .collect()
-    }
-
     /// Worst split-R̂ and smallest ESS over the window, across every tuple
-    /// whose membership changed in it. With no such tuple the answer is
-    /// trivially converged with the full window as ESS. Costs O(events in
-    /// the window · log) to group the events by tuple plus, per toggled
-    /// tuple, O(runs²) per autocorrelation lag — independent of the window
-    /// length and of the answer size — and allocates nothing once its
-    /// buffers have grown to the window's events.
+    /// whose membership changed in it: [`convergence_verdict`] of this log
+    /// alone. With no such tuple the answer is trivially converged with the
+    /// full window as ESS. Allocates nothing once its buffers have grown to
+    /// the window's events.
     pub fn diagnose(&self) -> (f64, f64) {
-        let start = self.start();
-        let len = usize::try_from(self.window_len()).unwrap_or(usize::MAX);
-        let mut max_r_hat = 1.0f64;
-        let mut min_ess = self.window_len() as f64;
-        let mut fresh = Scratch::default();
-        let mut held = self.scratch.try_borrow_mut();
-        let Scratch { order, ones } = held.as_deref_mut().unwrap_or(&mut fresh);
-        order.clear();
-        order.extend(
-            self.events
-                .iter()
-                .enumerate()
-                .map(|(i, (_, c))| (c.tuple.fingerprint(), i)),
-        );
-        order.sort_unstable();
-        let event = |i: usize| self.events.get(i).map(|(at, c)| (*at, c));
-        for group in order.chunk_by(|a, b| a.0 == b.0) {
-            for (k, &(_, i)) in group.iter().enumerate() {
-                let Some((_, first)) = event(i) else { continue };
-                // Tuples sharing a fingerprint share a group: each is
-                // walked once, from its first event.
-                let seen = group
-                    .iter()
-                    .take(k)
-                    .any(|&(_, j)| event(j).is_some_and(|(_, c)| c.tuple == first.tuple));
-                if seen {
-                    continue;
-                }
-                let events = group
-                    .iter()
-                    .skip(k)
-                    .filter_map(|&(_, j)| event(j))
-                    .filter(|(_, c)| c.tuple == first.tuple);
-                runs_of_ones(events, start, len, ones);
-                max_r_hat = max_r_hat.max(split_r_hat_runs(len, ones));
-                min_ess = min_ess.min(effective_sample_size_runs(len, ones));
-            }
-        }
-        (max_r_hat, min_ess)
+        convergence_verdict(&[self], |_, _, _| {})
     }
 }
 
-/// The runs of ones (half-open, in window positions) of one tuple's trace
-/// into `ones`, from its events in sample order — the trace in run-length
-/// form: the stretch before an event holds the membership the event
-/// switched *from*, the stretch after the last one what it switched *to*.
+/// The convergence verdict of `logs`, one per chain, over the first `n`
+/// samples of each window, `n` the shortest window: the worst R̂ and the
+/// smallest ESS across every tuple with an event in any log, each tuple's
+/// `(R̂, ESS)` also handed to `per_tuple`.
+///
+/// One log gives split-R̂ and ESS of its window. Several give Gelman–Rubin
+/// R̂ across the chains and ESS summed over them; a tuple a log holds no
+/// event for counts as absent throughout that log, which is why the
+/// multi-chain engine's logs keep the whole run and record their first
+/// answer from the empty one. The folds start from 1.0 and `n` times the
+/// number of logs, the verdict of an answer no tuple toggles in.
+///
+/// Costs O(events · log) to group the events by tuple plus, per toggled
+/// tuple and log, O(runs²) per autocorrelation lag — independent of the
+/// window length and of the answer size. The buffers are the first log's.
+pub fn convergence_verdict<'a>(
+    logs: &[&'a MembershipLog],
+    mut per_tuple: impl FnMut(&'a Tuple, f64, f64),
+) -> (f64, f64) {
+    let n = logs.iter().map(|log| log.window_len()).min().unwrap_or(0);
+    let len = usize::try_from(n).unwrap_or(usize::MAX);
+    let mut max_r_hat = 1.0f64;
+    let mut min_ess = (len * logs.len()) as f64;
+    let mut fresh = Scratch::default();
+    let mut held = logs
+        .first()
+        .and_then(|log| log.scratch.try_borrow_mut().ok());
+    let Scratch { order, ones } = held.as_deref_mut().unwrap_or(&mut fresh);
+    order.clear();
+    let events = logs.iter().flat_map(|log| &log.events).enumerate();
+    order.extend(events.map(|(i, (_, c))| (c.tuple.fingerprint(), i)));
+    order.sort_unstable();
+    ones.resize_with(logs.len(), Vec::new);
+    // Event `i` of the numbering: its log, sample index and crossing.
+    let event = |&(_, mut i): &(u64, usize)| {
+        for (l, log) in logs.iter().enumerate() {
+            match log.events.get(i) {
+                Some((at, c)) => return Some((l, *at, c)),
+                None => i -= log.events.len(),
+            }
+        }
+        None
+    };
+    for group in order.chunk_by(|a, b| a.0 == b.0) {
+        for (k, entry) in group.iter().enumerate() {
+            let Some((_, _, first)) = event(entry) else {
+                continue;
+            };
+            // Tuples sharing a fingerprint share a group: each is walked
+            // once, from its first event.
+            let seen = group
+                .iter()
+                .take(k)
+                .any(|e| event(e).is_some_and(|(_, _, c)| c.tuple == first.tuple));
+            if seen {
+                continue;
+            }
+            let events = group
+                .iter()
+                .skip(k)
+                .filter_map(event)
+                .filter(|(_, _, c)| c.tuple == first.tuple);
+            for (l, (log, runs)) in logs.iter().zip(ones.iter_mut()).enumerate() {
+                let mine = events.clone().filter(|e| e.0 == l);
+                runs_of_ones(mine.map(|(_, at, c)| (at, c)), log.start(), len, runs);
+            }
+            let (r_hat, ess) = match ones.as_slice() {
+                [only] => (
+                    split_r_hat_runs(len, only),
+                    effective_sample_size_runs(len, only),
+                ),
+                chains => (
+                    gelman_rubin_runs(len, chains),
+                    chains
+                        .iter()
+                        .map(|runs| effective_sample_size_runs(len, runs))
+                        .sum(),
+                ),
+            };
+            max_r_hat = max_r_hat.max(r_hat);
+            min_ess = min_ess.min(ess);
+            per_tuple(&first.tuple, r_hat, ess);
+        }
+    }
+    (max_r_hat, min_ess)
+}
+
+/// The runs of ones (half-open, in window positions, cut at `len`) of one
+/// tuple's trace into `ones`, from its events in sample order — the trace
+/// in run-length form: the stretch before an event holds the membership
+/// the event switched *from*, the stretch after the last one what it
+/// switched *to*.
 fn runs_of_ones<'a>(
     events: impl Iterator<Item = (u64, &'a Crossing)>,
     start: u64,
@@ -281,8 +308,19 @@ mod tests {
         assert_eq!(got, vec![entered(&b), left(&c)]);
     }
 
+    /// `(tuple, R̂, ESS)` per toggled tuple.
+    type PerTuple = Vec<(Tuple, f64, f64)>;
+
+    /// `convergence_verdict`'s folds and per-tuple report, sorted by tuple.
+    fn per_tuple(logs: &[&MembershipLog]) -> ((f64, f64), PerTuple) {
+        let mut seen = Vec::new();
+        let folds = convergence_verdict(logs, |t, r_hat, ess| seen.push((t.clone(), r_hat, ess)));
+        seen.sort_by(|a, b| a.0.cmp(&b.0));
+        (folds, seen)
+    }
+
     #[test]
-    fn traces_rebuild_the_dense_window() {
+    fn the_verdict_reads_each_tuple_as_its_runs_of_ones() {
         let (hot, cold, flip) = (tuple![1i64], tuple![2i64], tuple![3i64]);
         let mut log = MembershipLog::new(8);
         log.record(&[entered(&hot), entered(&cold)]); // sample 0
@@ -290,10 +328,48 @@ mod tests {
         log.record(&[left(&flip)]); // sample 2
         log.record(&[]); // sample 3
         assert_eq!(log.window_len(), 4);
-        let traces = log.traces();
-        assert_eq!(traces[&hot], vec![1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(traces[&cold], vec![1.0, 0.0, 0.0, 0.0]);
-        assert_eq!(traces[&flip], vec![0.0, 1.0, 0.0, 0.0]);
+        // hot 1111, cold 1000, flip 0100.
+        let runs: [&[(usize, usize)]; 3] = [&[(0, 4)], &[(0, 1)], &[(1, 2)]];
+        let want: Vec<_> = [&hot, &cold, &flip]
+            .into_iter()
+            .zip(runs)
+            .map(|(t, ones)| {
+                let (r_hat, ess) = (
+                    split_r_hat_runs(4, ones),
+                    effective_sample_size_runs(4, ones),
+                );
+                (t.clone(), r_hat, ess)
+            })
+            .collect();
+        let ((max_r_hat, min_ess), got) = per_tuple(&[&log]);
+        assert_eq!(got, want);
+        assert_eq!((max_r_hat, min_ess), log.diagnose());
+
+        // A second chain over five samples in which `cold` never appears
+        // and `hot` leaves at sample 2: the verdict compares the first four
+        // samples of each, `cold` absent throughout the second.
+        let mut other = MembershipLog::new(usize::MAX);
+        other.record(&[entered(&hot), entered(&flip)]);
+        other.record(&[]);
+        other.record(&[left(&hot)]);
+        other.record(&[]);
+        other.record(&[entered(&cold)]); // past the common prefix
+        let theirs: [&[(usize, usize)]; 3] = [&[(0, 2)], &[], &[(0, 4)]];
+        let want: Vec<_> = [&hot, &cold, &flip]
+            .into_iter()
+            .zip(runs.into_iter().zip(theirs))
+            .map(|(t, (a, b))| {
+                let ess = effective_sample_size_runs(4, a) + effective_sample_size_runs(4, b);
+                (t.clone(), gelman_rubin_runs(4, &[a, b]), ess)
+            })
+            .collect();
+        let ((max_r_hat, min_ess), got) = per_tuple(&[&log, &other]);
+        assert_eq!(got, want);
+        let worst = want.iter().fold(1.0f64, |m, w| m.max(w.1));
+        let least = want.iter().fold(8.0f64, |m, w| m.min(w.2));
+        assert_eq!((max_r_hat, min_ess), (worst, least));
+        // No logs: nothing toggles, nothing was sampled.
+        assert_eq!(convergence_verdict(&[], |_, _, _| {}), (1.0, 0.0));
     }
 
     #[test]
@@ -313,13 +389,17 @@ mod tests {
         // neither holds any state, and the verdict is the neutral one.
         assert_eq!(log.events_in_window(), 0);
         assert_eq!(log.diagnose(), (1.0, 8.0));
-        // A toggle inside the window is the only thing that is stored.
+        // A toggle inside the window is the only thing that is stored, and
+        // the only tuple the verdict reads: 0000 0001.
         log.record(&[entered(&cold)]);
         assert_eq!(log.events_in_window(), 1);
-        let traces = log.traces();
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[&cold], vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
-        let (r_hat, ess) = log.diagnose();
+        let ((r_hat, ess), got) = per_tuple(&[&log]);
+        let ones = [(7, 8)];
+        let want = (
+            split_r_hat_runs(8, &ones),
+            effective_sample_size_runs(8, &ones),
+        );
+        assert_eq!(got, vec![(cold, want.0, want.1)]);
         assert!(r_hat.is_finite());
         assert!(ess > 0.0 && ess <= 8.0);
     }

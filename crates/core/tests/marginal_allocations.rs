@@ -6,8 +6,11 @@
 //!   answer order has nothing to merge.
 //! * `probabilities()` allocates exactly once, the returned `Vec` at its
 //!   final size: no collected copy of the support to sort, no sort buffer.
+//! * A warm `MembershipLog::diagnose` — its buffers grown to the window's
+//!   events — allocates nothing: the verdict groups events and folds
+//!   runs of ones in buffers the log keeps, never building a trace.
 
-use fgdb_core::{Crossing, MarginalTable};
+use fgdb_core::{Crossing, MarginalTable, MembershipLog};
 use fgdb_relational::{tuple, CountedSet, Tuple};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,4 +99,42 @@ fn known_crossings_and_answer_reads_allocate_only_the_answer() {
         );
     }
     assert_eq!(table.samples(), 5);
+}
+
+#[test]
+fn a_warm_window_verdict_allocates_nothing() {
+    const WINDOW: usize = 64;
+    const TUPLES: usize = 24;
+    let tuples: Vec<Tuple> = (0..TUPLES as u64).map(row).collect();
+    let mut present = [false; TUPLES];
+    let mut log = MembershipLog::new(WINDOW);
+    log.record(&[]);
+    // Tuple i toggles at every sample s with s ≡ i (mod 4): six crossings
+    // a sample, so once the window is full it always holds the same number
+    // of events and every tuple the same number of runs.
+    let mut sample = |log: &mut MembershipLog, s: usize| {
+        let crossed: Vec<Crossing> = (0..TUPLES)
+            .filter(|i| i % 4 == s % 4)
+            .map(|i| {
+                present[i] = !present[i];
+                Crossing {
+                    tuple: tuples[i].clone(),
+                    entered: present[i],
+                }
+            })
+            .collect();
+        log.record(&crossed);
+    };
+    for s in 1..=2 * WINDOW {
+        sample(&mut log, s);
+        log.diagnose();
+    }
+    assert_eq!(log.events_in_window(), (WINDOW - 1) * TUPLES / 4);
+    for s in 2 * WINDOW + 1..=3 * WINDOW {
+        sample(&mut log, s);
+        let ((allocs, bytes), (r_hat, ess)) = allocations_of(|| log.diagnose());
+        assert_eq!((allocs, bytes), (0, 0), "a warm verdict allocated");
+        assert!(r_hat.is_finite() && r_hat >= 0.0);
+        assert!(ess > 0.0 && ess <= WINDOW as f64);
+    }
 }

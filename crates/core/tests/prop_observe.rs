@@ -3,15 +3,19 @@
 //! must be indistinguishable from ones that re-read the whole answer every
 //! sample.
 //!
-//! (The served window's R̂ / ESS, computed from crossing positions without a
-//! dense trace, are held to a relative 1e-9 instead of bit equality; the
-//! marginals, the window length and every engine leg stay bit-equal.)
+//! (R̂ / ESS, which the logs compute from crossing positions without a
+//! dense trace, are held to a relative 1e-9 instead of bit equality, with
+//! the documented sentinels and the `converged` tags exact; the served
+//! window's verdict is also pinned bit for bit to the run-length fold it
+//! was before it read several logs. The marginals and the window length
+//! stay bit-equal.)
 //!
 //! The oracles are the pre-crossing implementations, kept here verbatim as
 //! test-only code: per-tuple counters bumped once per answer tuple per
 //! sample ([`DenseCounts`]), the dense sliding 0/1 trace store of the
 //! serving loop ([`DenseWindow`]) and the unbounded one of the multi-chain
-//! engine ([`DenseTraces`]). Streams are random *signed answer deltas* over
+//! engine ([`DenseTraces`]), read by the dense estimators
+//! ([`dense_verdict`]). Streams are random *signed answer deltas* over
 //! a small universe, so multiplicities above one, negative support, empty
 //! deltas and leave-then-re-enter (inside and outside the window) all occur;
 //! the targeted cases at the bottom pin the ones a reader should see spelled
@@ -19,14 +23,17 @@
 
 use fgdb_core::fixtures::{biased_token_pdb, relabel_proposer};
 use fgdb_core::{
-    chain_seed, crossings, Crossing, EngineConfig, MarginalTable, MembershipLog, ParallelEngine,
-    QueryEvaluator,
+    chain_seed, convergence_verdict, crossings, Crossing, EngineConfig, MarginalTable,
+    MembershipLog, ParallelEngine, QueryEvaluator,
 };
-use fgdb_mcmc::diagnostics::effective_sample_size_truncating_at;
-use fgdb_mcmc::{effective_sample_size, gelman_rubin, split_r_hat, R_HAT_DIVERGED};
+use fgdb_mcmc::diagnostics::autocorrelation;
+use fgdb_mcmc::{
+    effective_sample_size, effective_sample_size_runs, gelman_rubin, split_r_hat, split_r_hat_runs,
+    R_HAT_DIVERGED,
+};
 use fgdb_relational::{tuple, CountedSet, FxHashSet, Tuple};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 // ------------------------------------------------------------ oracles ----
 
@@ -98,34 +105,20 @@ impl DenseWindow {
         }
     }
 
-    fn diagnose(&self) -> (f64, f64) {
+    /// `MembershipLog::diagnose` as the run-length fold it was before it
+    /// read several logs: per tuple, `split_r_hat_runs` and
+    /// `effective_sample_size_runs` of the window trace, folded by max / min
+    /// from 1.0 and the window length. A tuple the log holds no event for
+    /// has a constant trace here and folds in neutrally.
+    fn run_length_fold(&self) -> (f64, f64) {
         let mut max_r_hat = 1.0f64;
         let mut min_ess = self.len as f64;
         for trace in self.rows.values() {
-            max_r_hat = max_r_hat.max(split_r_hat(trace));
-            min_ess = min_ess.min(effective_sample_size(trace));
+            let ones = runs_of(trace);
+            max_r_hat = max_r_hat.max(split_r_hat_runs(self.len, &ones));
+            min_ess = min_ess.min(effective_sample_size_runs(self.len, &ones));
         }
         (max_r_hat, min_ess)
-    }
-
-    /// The values the min-ESS verdict may take. Per tuple the run-length
-    /// ESS equals the dense estimator either as is or — at a truncation tie,
-    /// which the integers decide and the f64 sum leaves to ±1e-17 of
-    /// rounding noise — with that noise cut off (`pair <= 1e-12`); the
-    /// verdict is the minimum of one such choice per tuple, so it is one of
-    /// those per-tuple values, no larger than every tuple's larger one.
-    /// Without a tie this is `diagnose().1` alone.
-    fn min_ess_candidates(&self) -> Vec<f64> {
-        let mut ceiling = self.len as f64;
-        let mut candidates = vec![ceiling];
-        for trace in self.rows.values() {
-            let as_is = effective_sample_size(trace);
-            let cut = effective_sample_size_truncating_at(trace, 1e-12);
-            ceiling = ceiling.min(as_is.max(cut));
-            candidates.extend([as_is, cut]);
-        }
-        candidates.retain(|&c| c <= ceiling);
-        candidates
     }
 }
 
@@ -156,33 +149,133 @@ impl DenseTraces {
     }
 }
 
-/// The engine's cross-chain checkpoint verdict as it was: (worst R̂,
-/// smallest summed ESS) over the union support, plus the per-tuple detail.
-type PerTuple = HashMap<Tuple, (f64, f64)>;
+/// The runs of ones of a dense 0/1 trace.
+fn runs_of(xs: &[f64]) -> Vec<(usize, usize)> {
+    let mut runs = Vec::new();
+    let mut open = None;
+    for (i, &x) in xs.iter().enumerate() {
+        match (x != 0.0, open) {
+            (true, None) => open = Some(i),
+            (false, Some(a)) => {
+                runs.push((a, i));
+                open = None;
+            }
+            _ => {}
+        }
+    }
+    runs.extend(open.map(|a| (a, xs.len())));
+    runs
+}
 
-fn dense_diagnose(chains: &[DenseTraces]) -> (f64, f64, PerTuple) {
-    let n = chains.iter().map(|c| c.samples).min().unwrap_or(0);
+/// [`effective_sample_size`] with the truncation test at `pair <= 1e-12`
+/// instead of `pair <= 0`. At a truncation tie — a lag pair whose
+/// autocorrelations cancel exactly — the run-length ESS stops where the
+/// integers say, while the dense f64 sum leaves ±1e-17 of rounding noise
+/// and may run on; this is the dense estimator with that noise cut off.
+fn effective_sample_size_noise_cut(xs: &[f64]) -> f64 {
+    let n = xs.len();
+    if n < 4 {
+        return n as f64;
+    }
+    let mut rho_sum = 0.0;
+    let mut k = 1;
+    while k + 1 < n {
+        let pair = autocorrelation(xs, k) + autocorrelation(xs, k + 1);
+        if pair <= 1e-12 {
+            break;
+        }
+        rho_sum += pair;
+        k += 2;
+    }
+    (n as f64 / (1.0 + 2.0 * rho_sum)).min(n as f64)
+}
+
+/// One tuple's dense diagnostics across the chains.
+#[derive(Clone, Copy, Debug)]
+struct DenseTuple {
+    r_hat: f64,
+    /// ESS summed over the chains, as the dense estimator computes it and
+    /// with its truncation noise cut off.
+    ess: f64,
+    ess_cut: f64,
+    /// The R̂ / the ESS is a documented sentinel (short or constant traces).
+    r_hat_sentinel: bool,
+    ess_sentinel: bool,
+}
+
+/// The dense verdict over chains of 0/1 traces, each compared over the
+/// first `n` samples, a tuple a chain lacks all zeros there: per tuple of
+/// the union support, split-R̂ (one chain) or Gelman–Rubin R̂ (several)
+/// and ESS summed over the chains.
+struct DenseVerdict {
+    n: usize,
+    chains: usize,
+    per_tuple: HashMap<Tuple, DenseTuple>,
+}
+
+fn dense_verdict(chains: &[&HashMap<Tuple, Vec<f64>>], n: usize) -> DenseVerdict {
     let zeros = vec![0.0f64; n];
-    let tuples: BTreeSet<&Tuple> = chains.iter().flat_map(|c| c.rows.keys()).collect();
-    let mut max_r_hat = 1.0f64;
-    let mut min_ess = (n * chains.len()) as f64;
+    let constant = |xs: &[f64]| xs.iter().all(|&x| x == xs[0]);
     let mut per_tuple = HashMap::new();
-    for t in tuples {
+    for t in chains.iter().flat_map(|rows| rows.keys()) {
         let traces: Vec<&[f64]> = chains
             .iter()
-            .map(|c| c.rows.get(t).map(|tr| &tr[..n]).unwrap_or(&zeros))
+            .map(|rows| rows.get(t).map_or(&zeros[..], |tr| &tr[..n]))
             .collect();
-        let r_hat = if traces.len() >= 2 {
-            gelman_rubin(&traces)
-        } else {
-            split_r_hat(traces[0])
+        let (r_hat, r_hat_sentinel) = match traces.as_slice() {
+            [only] => {
+                let half = n / 2;
+                let frozen = n < 4 || (constant(&only[..half]) && constant(&only[n - half..]));
+                (split_r_hat(only), frozen)
+            }
+            _ => (
+                gelman_rubin(&traces),
+                n < 2 || traces.iter().all(|tr| constant(tr)),
+            ),
         };
-        let ess: f64 = traces.iter().map(|tr| effective_sample_size(tr)).sum();
-        max_r_hat = max_r_hat.max(r_hat);
-        min_ess = min_ess.min(ess);
-        per_tuple.insert(t.clone(), (r_hat, ess));
+        let dense = DenseTuple {
+            r_hat,
+            ess: traces.iter().map(|tr| effective_sample_size(tr)).sum(),
+            ess_cut: traces
+                .iter()
+                .map(|tr| effective_sample_size_noise_cut(tr))
+                .sum(),
+            r_hat_sentinel,
+            ess_sentinel: n < 4 || traces.iter().all(|tr| constant(tr)),
+        };
+        per_tuple.insert(t.clone(), dense);
     }
-    (max_r_hat, min_ess, per_tuple)
+    DenseVerdict {
+        n,
+        chains: chains.len(),
+        per_tuple,
+    }
+}
+
+impl DenseVerdict {
+    /// Worst R̂ and smallest ESS (as is), folded from the neutral verdict.
+    fn folds(&self) -> (f64, f64) {
+        let values = self.per_tuple.values();
+        let max_r_hat = values.clone().fold(1.0f64, |m, d| m.max(d.r_hat));
+        let min_ess = values.fold((self.n * self.chains) as f64, |m, d| m.min(d.ess));
+        (max_r_hat, min_ess)
+    }
+
+    /// The values the min-ESS verdict may take. Per tuple the run-length
+    /// ESS equals the dense estimator either as is or with its truncation
+    /// noise cut off; the verdict is the minimum of one such choice per
+    /// tuple, so it is one of those per-tuple values, no larger than every
+    /// tuple's larger one. Without a tie this is `folds().1` alone.
+    fn min_ess_candidates(&self) -> Vec<f64> {
+        let mut ceiling = (self.n * self.chains) as f64;
+        let mut candidates = vec![ceiling];
+        for d in self.per_tuple.values() {
+            ceiling = ceiling.min(d.ess.max(d.ess_cut));
+            candidates.extend([d.ess, d.ess_cut]);
+        }
+        candidates.retain(|&c| c <= ceiling);
+        candidates
+    }
 }
 
 // ------------------------------------------------------------ streams ----
@@ -212,18 +305,33 @@ fn close(a: f64, b: f64) -> bool {
     a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
 }
 
-/// A run-length `(R̂, min ESS)` verdict against the dense window's: within
-/// 1e-9, the documented sentinels (`1.0`, `R_HAT_DIVERGED`, ESS = window)
-/// bit for bit, and the same `converged` tag at the default gate.
-fn check_verdict((r_hat, ess): (f64, f64), dense: &DenseWindow) -> Result<(), TestCaseError> {
-    let (dense_r_hat, dense_ess) = dense.diagnose();
-    prop_assert!(close(r_hat, dense_r_hat), "R̂ {} vs {}", r_hat, dense_r_hat);
-    prop_assert_eq!(r_hat == R_HAT_DIVERGED, dense_r_hat == R_HAT_DIVERGED);
-    prop_assert_eq!(r_hat < 1.1, dense_r_hat < 1.1, "converged tag");
-    let constant = |xs: &[f64]| xs.iter().all(|&x| x == xs[0]);
-    if dense.len < 4 || dense.rows.values().all(|trace| constant(trace)) {
-        prop_assert_eq!(r_hat.to_bits(), 1.0f64.to_bits());
-        prop_assert_eq!(ess.to_bits(), (dense.len as f64).to_bits());
+/// One R̂ against its dense value: within 1e-9, a sentinel bit for bit,
+/// and the same `converged` tag at the default gate.
+fn check_r_hat(r_hat: f64, dense: f64, sentinel: bool) -> Result<(), TestCaseError> {
+    prop_assert!(close(r_hat, dense), "R̂ {} vs {}", r_hat, dense);
+    prop_assert_eq!(r_hat == R_HAT_DIVERGED, dense == R_HAT_DIVERGED);
+    prop_assert_eq!(r_hat < 1.1, dense < 1.1, "converged tag");
+    if sentinel {
+        prop_assert_eq!(r_hat.to_bits(), dense.to_bits(), "R̂ sentinel");
+    }
+    Ok(())
+}
+
+/// A run-length verdict against the dense one: the worst R̂ as
+/// [`check_r_hat`] holds it, the smallest ESS within 1e-9 of one of its
+/// candidate values, both bit for bit when every tuple's is a sentinel;
+/// and, when given, every per-tuple `(R̂, ESS)` the same way, over the same
+/// tuples.
+fn check_verdict(
+    (r_hat, ess): (f64, f64),
+    per_tuple: Option<&HashMap<Tuple, (f64, f64)>>,
+    dense: &DenseVerdict,
+) -> Result<(), TestCaseError> {
+    let (dense_r_hat, dense_ess) = dense.folds();
+    let all = |f: fn(&DenseTuple) -> bool| dense.per_tuple.values().all(f);
+    check_r_hat(r_hat, dense_r_hat, all(|d| d.r_hat_sentinel))?;
+    if all(|d| d.ess_sentinel) {
+        prop_assert_eq!(ess.to_bits(), dense_ess.to_bits(), "ESS sentinel");
     }
     let candidates = dense.min_ess_candidates();
     prop_assert!(
@@ -233,7 +341,55 @@ fn check_verdict((r_hat, ess): (f64, f64), dense: &DenseWindow) -> Result<(), Te
         dense_ess,
         candidates
     );
+    let Some(per_tuple) = per_tuple else {
+        return Ok(());
+    };
+    prop_assert_eq!(per_tuple.len(), dense.per_tuple.len());
+    for (t, &(r_hat, ess)) in per_tuple {
+        let d = dense.per_tuple.get(t);
+        prop_assert!(d.is_some(), "{:?} has no dense trace", t);
+        let d = d.unwrap();
+        check_r_hat(r_hat, d.r_hat, d.r_hat_sentinel)?;
+        prop_assert!(
+            close(ess, d.ess) || close(ess, d.ess_cut),
+            "ESS {} vs {} / noise-cut {} of {:?}",
+            ess,
+            d.ess,
+            d.ess_cut,
+            t
+        );
+        if d.ess_sentinel {
+            prop_assert_eq!(ess.to_bits(), d.ess.to_bits(), "ESS sentinel");
+        }
+    }
     Ok(())
+}
+
+/// The served window's verdict: against the dense estimators as
+/// [`check_verdict`] holds it, and bit for bit against the run-length fold.
+fn check_window(log: &MembershipLog, dense: &DenseWindow) -> Result<(), TestCaseError> {
+    prop_assert_eq!(log.window_len(), dense.len as u64);
+    let (r_hat, ess) = log.diagnose();
+    let (fold_r_hat, fold_ess) = dense.run_length_fold();
+    prop_assert_eq!(r_hat.to_bits(), fold_r_hat.to_bits(), "R̂ ≠ the fold");
+    prop_assert_eq!(ess.to_bits(), fold_ess.to_bits(), "ESS ≠ the fold");
+    check_verdict(
+        (r_hat, ess),
+        None,
+        &dense_verdict(&[&dense.rows], dense.len),
+    )
+}
+
+/// The verdict of `logs` with its per-tuple report, keyed by tuple.
+fn verdict_of(logs: &[&MembershipLog]) -> ((f64, f64), HashMap<Tuple, (f64, f64)>) {
+    let mut per_tuple = HashMap::new();
+    let folds = convergence_verdict(logs, |t, r_hat, ess| {
+        assert!(
+            per_tuple.insert(t.clone(), (r_hat, ess)).is_none(),
+            "{t:?} twice"
+        );
+    });
+    (folds, per_tuple)
 }
 
 /// Everything that watches one answer stream, old way and new way side by
@@ -305,25 +461,16 @@ impl Watchers {
         // The served window: same verdict, same length. The log computes
         // R̂ / ESS from run boundaries in integers, the oracle from a dense
         // f64 trace, so the two values agree to rounding, not to the bit.
-        let (r_hat, ess) = self.served_log.diagnose();
-        check_verdict((r_hat, ess), &self.served_dense)?;
-        prop_assert_eq!(self.served_log.window_len(), self.served_dense.len as u64);
-        // …from state for toggled tuples only: whatever it materialises is
-        // non-constant, and agrees with the dense row where one survives.
-        for (t, trace) in self.served_log.traces() {
-            prop_assert!(
-                trace.iter().any(|&x| x != trace[0]),
-                "constant trace stored"
-            );
-            prop_assert_eq!(Some(&trace), self.served_dense.rows.get(t));
-        }
-        // The engine's whole-run log rebuilds the dense store exactly.
-        let traces = self.engine_log.traces();
-        prop_assert_eq!(traces.len(), self.engine_dense.rows.len());
-        for (t, dense) in &self.engine_dense.rows {
-            prop_assert_eq!(traces.get(t), Some(dense));
-        }
-        Ok(())
+        check_window(&self.served_log, &self.served_dense)?;
+        // The engine's whole-run log, read alone: every tuple ever in the
+        // answer, each against its dense trace.
+        let (folds, per_tuple) = verdict_of(&[&self.engine_log]);
+        let dense = &self.engine_dense;
+        check_verdict(
+            folds,
+            Some(&per_tuple),
+            &dense_verdict(&[&dense.rows], dense.samples),
+        )
     }
 }
 
@@ -379,8 +526,7 @@ proptest! {
             // Every sample while the window fills and slides for the first
             // time, then a sparse sweep.
             if i < 2 * window.min(40) || i % 37 == 0 || i + 1 == draws.len() {
-                prop_assert_eq!(log.window_len(), dense.len as u64);
-                check_verdict(log.diagnose(), &dense)?;
+                check_window(&log, &dense)?;
             }
         }
     }
@@ -407,6 +553,61 @@ proptest! {
             sorted_bits(MarginalTable::average(&[early_a, w.by_crossings.clone()])),
             sorted_bits(MarginalTable::average(&[early_b, w.by_full_answer.clone()]))
         );
+    }
+}
+
+proptest! {
+    /// The k-log verdict against the dense estimators. One to four chains
+    /// each follow their own random signed delta stream from their own
+    /// initial answer, so supports and lengths differ, and log as the
+    /// engine does: the whole run, sample 0 entering from the empty answer.
+    /// After every step the worst R̂, the smallest ESS and every per-tuple
+    /// `(R̂, ESS)` over the shortest chain's samples agree with split-R̂
+    /// (one chain) or Gelman–Rubin (several) and the summed ESS of the
+    /// dense traces, a tuple a chain never held all zeros there.
+    #[test]
+    fn the_k_log_verdict_matches_the_dense_estimators(
+        chains in prop::collection::vec(
+            (
+                prop::collection::vec((0u8..8, 1i64..3), 0..6),
+                prop::collection::vec(
+                    prop::collection::vec((0u8..8, -3i64..=3), 0..4),
+                    0..40,
+                ),
+            ),
+            1..=4,
+        ),
+    ) {
+        let mut answers = Vec::new();
+        let mut logs = Vec::new();
+        let mut dense = Vec::new();
+        for (initial, _) in &chains {
+            let answer = delta_of(initial);
+            let mut log = MembershipLog::new(usize::MAX);
+            log.record(&crossings(&answer, &answer).collect::<Vec<_>>());
+            let mut traces = DenseTraces::default();
+            traces.record(&answer);
+            answers.push(answer);
+            logs.push(log);
+            dense.push(traces);
+        }
+        let longest = chains.iter().map(|(_, stream)| stream.len()).max().unwrap_or(0);
+        for step in 0..=longest {
+            for (j, (_, stream)) in chains.iter().enumerate() {
+                let Some(changes) = step.checked_sub(1).and_then(|i| stream.get(i)) else {
+                    continue;
+                };
+                let delta = delta_of(changes);
+                answers[j].merge(&delta);
+                let crossed: Vec<Crossing> = crossings(&delta, &answers[j]).collect();
+                logs[j].record(&crossed);
+                dense[j].record(&answers[j]);
+            }
+            let n = dense.iter().map(|traces| traces.samples).min().unwrap_or(0);
+            let rows: Vec<_> = dense.iter().map(|traces| &traces.rows).collect();
+            let (folds, per_tuple) = verdict_of(&logs.iter().collect::<Vec<_>>());
+            check_verdict(folds, Some(&per_tuple), &dense_verdict(&rows, n))?;
+        }
     }
 }
 
@@ -562,8 +763,9 @@ fn reentry_multiplicity_and_negative_support() {
 
 const TOKENS: usize = 12;
 
-/// `ParallelEngine`'s published R̂ / ESS trajectory and per-row tags equal
-/// the dense computation over independently rebuilt chains (chain `i` of an
+/// `ParallelEngine`'s published R̂ / ESS trajectory and per-row tags agree
+/// with the dense computation (as [`check_verdict`] holds a verdict) over
+/// independently rebuilt chains (chain `i` of an
 /// engine is by definition the chain seeded `chain_seed(base, i)`), with a
 /// dispersal burn so the chains' initial supports differ.
 #[test]
@@ -605,22 +807,27 @@ fn engine_trajectory_matches_dense_traces() {
                     traces.record(eval.current_answer().unwrap());
                 }
             }
-            let (r_hat, min_ess, _) = dense_diagnose(&dense);
-            assert_eq!(point.samples_per_chain, dense[0].samples as u64);
-            assert_eq!(point.r_hat.to_bits(), r_hat.to_bits(), "{chains} chains");
-            assert_eq!(
-                point.min_ess.to_bits(),
-                min_ess.to_bits(),
-                "{chains} chains"
-            );
+            let n = dense[0].samples;
+            let rows: Vec<_> = dense.iter().map(|traces| &traces.rows).collect();
+            assert_eq!(point.samples_per_chain, n as u64);
+            check_verdict((point.r_hat, point.min_ess), None, &dense_verdict(&rows, n))
+                .unwrap_or_else(|e| panic!("{chains} chains, {n} samples: {e:?}"));
         }
-        let (_, _, per_tuple) = dense_diagnose(&dense);
+        let rows: Vec<_> = dense.iter().map(|traces| &traces.rows).collect();
+        let want = dense_verdict(&rows, dense[0].samples);
         let answer = engine.answer();
-        assert_eq!(answer.rows.len(), per_tuple.len());
+        let per_row: HashMap<Tuple, (f64, f64)> = answer
+            .rows
+            .iter()
+            .map(|row| (row.tuple.clone(), (row.r_hat, row.ess)))
+            .collect();
+        assert_eq!(per_row.len(), answer.rows.len());
+        let report = &answer.report;
+        check_verdict((report.final_r_hat, report.min_ess), Some(&per_row), &want)
+            .unwrap_or_else(|e| panic!("{chains} chains, answer: {e:?}"));
         for row in &answer.rows {
-            let (r_hat, ess) = per_tuple[&row.tuple];
-            assert_eq!(row.r_hat.to_bits(), r_hat.to_bits());
-            assert_eq!(row.ess.to_bits(), ess.to_bits());
+            let tagged = want.per_tuple[&row.tuple].r_hat < cfg.r_hat_threshold;
+            assert_eq!(row.converged, tagged);
         }
         for (report, traces) in answer.report.per_chain.iter().zip(&dense) {
             assert_eq!(report.support, traces.rows.len());
@@ -670,7 +877,6 @@ fn observation_work_is_proportional_to_the_crossings() {
         // first one, and nothing else — never the 12 000 constant rows.
         let inside: usize = per_sample.iter().rev().take(WINDOW - 1).sum();
         assert_eq!(log.events_in_window(), inside);
-        assert!(log.traces().len() <= log.events_in_window());
     }
     assert!(touched > 20, "the walk must actually move the answer");
     assert_eq!(touched, per_sample.iter().sum::<usize>() as u64);

@@ -37,7 +37,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         Just(Value::float(-0.0)),
         prop::collection::vec(0usize..ALPHABET.len() - 1, 0..12).prop_map(|idxs| {
             let bytes: Vec<u8> = idxs.iter().map(|&i| ALPHABET[i]).collect();
-            Value::str(String::from_utf8_lossy(&bytes).into_owned())
+            Value::str(String::from_utf8_lossy(&bytes))
         }),
     ]
 }

@@ -10,10 +10,13 @@
 //!   chain is worth (the reason thinning with k = 10 000 is sensible);
 //! * [`gelman_rubin`] — the potential scale reduction factor R̂ across
 //!   parallel chains (≈ 1 at convergence);
-//! * [`split_r_hat_runs`] / [`effective_sample_size_runs`] — the same
-//!   split-R̂ and ESS for a 0/1 trace given as its runs of ones, computed
-//!   from run boundaries in integer arithmetic without materialising the
-//!   trace (what a serving epoch pays per toggled answer tuple).
+//! * [`split_r_hat_runs`] / [`gelman_rubin_runs`] /
+//!   [`effective_sample_size_runs`] — split-R̂, cross-chain R̂ and ESS for
+//!   0/1 traces given as their runs of ones, computed from run boundaries
+//!   in integer arithmetic without materialising a trace. These are what
+//!   production runs: per toggled answer tuple, in a serving epoch and at
+//!   every multi-chain checkpoint. The dense functions above are the
+//!   reference estimators they are tested against.
 
 /// Sample mean.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -55,15 +58,6 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
 /// samples report their own length, and constant series (autocorrelation
 /// defined as 0, see [`autocorrelation`]) report `n` — never NaN.
 pub fn effective_sample_size(xs: &[f64]) -> f64 {
-    effective_sample_size_truncating_at(xs, 0.0)
-}
-
-/// [`effective_sample_size`] with the truncation test at `pair <= eps`
-/// instead of `pair <= 0`. Test support: the oracle for
-/// [`effective_sample_size_runs`] at a truncation tie, where it is called
-/// with `eps = 1e-12` to cut the f64 sum's rounding noise off.
-#[doc(hidden)]
-pub fn effective_sample_size_truncating_at(xs: &[f64], eps: f64) -> f64 {
     let n = xs.len();
     if n < 4 {
         return n as f64;
@@ -72,7 +66,7 @@ pub fn effective_sample_size_truncating_at(xs: &[f64], eps: f64) -> f64 {
     let mut k = 1;
     while k + 1 < n {
         let pair = autocorrelation(xs, k) + autocorrelation(xs, k + 1);
-        if pair <= eps {
+        if pair <= 0.0 {
             break;
         }
         rho_sum += pair;
@@ -118,21 +112,21 @@ pub fn gelman_rubin<S: AsRef<[f64]>>(chains: &[S]) -> f64 {
     let chain_means: Vec<f64> = chains.iter().map(|c| mean(c.as_ref())).collect();
     // Within-chain variance.
     let w = chains.iter().map(|c| variance(c.as_ref())).sum::<f64>() / chains.len() as f64;
-    r_hat_from_moments(n as f64, &chain_means, w)
+    r_hat_from_moments(n as f64, chain_means.iter().copied(), w)
 }
 
 /// R̂ of chains of `n` samples each from their means and the mean
 /// within-chain variance `w` — the part of [`gelman_rubin`] that does not
 /// look at the traces.
-fn r_hat_from_moments(n: f64, chain_means: &[f64], w: f64) -> f64 {
+fn r_hat_from_moments(
+    n: f64,
+    chain_means: impl ExactSizeIterator<Item = f64> + Clone,
+    w: f64,
+) -> f64 {
     let m = chain_means.len() as f64;
-    let grand = mean(chain_means);
+    let grand = chain_means.clone().sum::<f64>() / m;
     // Between-chain variance.
-    let b = n / (m - 1.0)
-        * chain_means
-            .iter()
-            .map(|cm| (cm - grand).powi(2))
-            .sum::<f64>();
+    let b = n / (m - 1.0) * chain_means.map(|cm| (cm - grand).powi(2)).sum::<f64>();
     if w == 0.0 {
         // All chains constant: identical means → converged; different
         // means → frozen disagreement (the statistic's limit is +∞).
@@ -182,16 +176,40 @@ pub fn split_r_hat_runs(len: usize, ones: &[(usize, usize)]) -> f64 {
         ones_within(ones, 0, half),
         ones_within(ones, len - half, len),
     ];
-    let n = half as f64;
+    r_hat_of_counts(half, counts.into_iter())
+}
+
+/// [`gelman_rubin`] of 0/1 chains of `len` samples each, every chain given
+/// as its runs of ones (as for [`split_r_hat_runs`]), without materialising
+/// the traces: each chain's mean and variance follow from how many ones it
+/// holds. Same degenerate-input contract as the dense function, sentinels
+/// bit for bit; other values agree to rounding.
+///
+/// # Panics
+/// Panics with fewer than two chains.
+pub fn gelman_rubin_runs<S: AsRef<[(usize, usize)]>>(len: usize, chains: &[S]) -> f64 {
+    assert!(chains.len() >= 2, "R̂ needs at least two chains");
+    if len < 2 {
+        return 1.0;
+    }
+    r_hat_of_counts(
+        len,
+        chains.iter().map(|ones| ones_within(ones.as_ref(), 0, len)),
+    )
+}
+
+/// R̂ of 0/1 chains of `n ≥ 2` samples each, holding `counts` ones.
+fn r_hat_of_counts(n: usize, counts: impl ExactSizeIterator<Item = usize> + Clone) -> f64 {
+    let (nf, m) = (n as f64, counts.len() as f64);
     // Σ(x − mean)² of a 0/1 chain holding c ones among n samples is
     // c(n − c)/n — zero exactly when the chain is constant — and its mean
     // is c/n.
     let w = counts
-        .iter()
-        .map(|&c| (c * (half - c)) as f64 / (n * (n - 1.0)))
+        .clone()
+        .map(|c| (c * (n - c)) as f64 / (nf * (nf - 1.0)))
         .sum::<f64>()
-        / 2.0;
-    r_hat_from_moments(n, &counts.map(|c| c as f64 / n), w)
+        / m;
+    r_hat_from_moments(nf, counts.map(|c| c as f64 / nf), w)
 }
 
 /// `len² ×` the lag-`lag` autocovariance sum Σᵢ (xᵢ − m)(xᵢ₊ₗₐ₉ − m) of a
@@ -420,6 +438,27 @@ mod tests {
         assert!(split_r_hat(&stationary[..1999]).is_finite());
     }
 
+    /// [`effective_sample_size`] with the truncation test at `pair <= 1e-12`
+    /// instead of `pair <= 0`: the dense estimator with the f64 sum's
+    /// rounding noise cut off at a truncation tie.
+    fn effective_sample_size_noise_cut(xs: &[f64]) -> f64 {
+        let n = xs.len();
+        if n < 4 {
+            return n as f64;
+        }
+        let mut rho_sum = 0.0;
+        let mut k = 1;
+        while k + 1 < n {
+            let pair = autocorrelation(xs, k) + autocorrelation(xs, k + 1);
+            if pair <= 1e-12 {
+                break;
+            }
+            rho_sum += pair;
+            k += 2;
+        }
+        (n as f64 / (1.0 + 2.0 * rho_sum)).min(n as f64)
+    }
+
     /// The runs of ones of a dense 0/1 trace.
     fn runs_of(xs: &[f64]) -> Vec<(usize, usize)> {
         let mut runs = Vec::new();
@@ -470,7 +509,7 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "ESS sentinel on {xs:?}");
         } else {
             assert!(
-                close(got, want) || close(got, effective_sample_size_truncating_at(xs, 1e-12)),
+                close(got, want) || close(got, effective_sample_size_noise_cut(xs)),
                 "ESS: {got} vs dense {want} on {xs:?}"
             );
         }
@@ -529,5 +568,76 @@ mod tests {
                 .collect();
             assert_runs_match_dense(&xs);
         }
+    }
+
+    /// A random 0/1 trace of length `n` that toggles with chance `toggle`
+    /// per step.
+    fn binary_trace(rng: &mut StdRng, n: usize, toggle: f64) -> Vec<f64> {
+        let mut x = rng.gen::<bool>();
+        (0..n)
+            .map(|_| {
+                x ^= rng.gen::<f64>() < toggle;
+                f64::from(u8::from(x))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cross_chain_run_length_r_hat_matches_dense_on_random_binary_traces() {
+        let mut rng = StdRng::seed_from_u64(0x6E1A);
+        for case in 0..3000 {
+            let n = rng.gen_range(2..=300usize);
+            let chains: Vec<Vec<f64>> = (0..rng.gen_range(2..=8usize))
+                .map(|c| {
+                    binary_trace(
+                        &mut rng,
+                        n,
+                        [0.0, 0.01, 0.05, 0.2, 0.5, 0.9][(case + c) % 6],
+                    )
+                })
+                .collect();
+            let ones: Vec<Vec<(usize, usize)>> = chains.iter().map(|xs| runs_of(xs)).collect();
+            let (got, want) = (gelman_rubin_runs(n, &ones), gelman_rubin(&chains));
+            if chains.iter().all(|xs| xs.iter().all(|&x| x == xs[0])) {
+                // Every chain constant: 1.0 or R_HAT_DIVERGED, bit for bit.
+                assert_eq!(got.to_bits(), want.to_bits(), "sentinel on {chains:?}");
+            } else {
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs(),
+                    "R̂: {got} vs dense {want} on {chains:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cross_chain_run_length_r_hat_keeps_the_degenerate_contract() {
+        // len < 2: no within-chain variance yet.
+        assert_eq!(gelman_rubin_runs(0, &[vec![], vec![]]), 1.0);
+        assert_eq!(gelman_rubin_runs(1, &[vec![(0, 1)], vec![]]), 1.0);
+        // Constant chains that agree, present or absent throughout.
+        assert_eq!(gelman_rubin_runs(16, &[[(0, 16)]; 3]), 1.0);
+        assert_eq!(gelman_rubin_runs::<Vec<_>>(16, &[vec![], vec![]]), 1.0);
+        // Constant chains that disagree.
+        assert_eq!(
+            gelman_rubin_runs(16, &[vec![(0, 16)], vec![]]),
+            R_HAT_DIVERGED
+        );
+        assert_eq!(
+            gelman_rubin_runs(16, &[vec![], vec![(0, 16)], vec![(0, 16)]]),
+            R_HAT_DIVERGED
+        );
+        // Borrowed run lists are accepted, as the dense form accepts slices.
+        let (a, b) = ([(0, 3), (5, 8)], [(2, 8)]);
+        assert_eq!(
+            gelman_rubin_runs(8, &[&a[..], &b[..]]),
+            gelman_rubin_runs(8, &[a.to_vec(), b.to_vec()])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two")]
+    fn cross_chain_run_length_r_hat_of_one_chain_panics() {
+        gelman_rubin_runs(4, &[vec![(0, 2)]]);
     }
 }

@@ -21,8 +21,8 @@ pub mod targeted;
 
 pub use chain::{Chain, NetChange};
 pub use diagnostics::{
-    effective_sample_size, effective_sample_size_runs, gelman_rubin, split_r_hat, split_r_hat_runs,
-    R_HAT_DIVERGED,
+    effective_sample_size, effective_sample_size_runs, gelman_rubin, gelman_rubin_runs,
+    split_r_hat, split_r_hat_runs, R_HAT_DIVERGED,
 };
 pub use gibbs::GibbsRelabel;
 pub use kernel::{KernelStats, MetropolisHastings, StepOutcome};

@@ -392,13 +392,6 @@ struct FixpointNode {
     out: CountedSet,
 }
 
-#[inline]
-fn bump(stats: &mut CircuitStats, on: bool, n: u64) {
-    if on {
-        stats.delta_rows_processed += n;
-    }
-}
-
 /// Adds `(t, c)` into a keyed index, dropping key entries that empty out so
 /// stale keys never accumulate.
 fn insert_keyed<R: Row + ?Sized>(
@@ -477,9 +470,8 @@ impl JoinState {
         c: i64,
         out: &mut CountedSet,
         stats: &mut CircuitStats,
-        count_work: bool,
     ) {
-        bump(stats, count_work, 1);
+        stats.delta_rows_processed += 1;
         let (side, other) = match left {
             true => (&mut self.left, &self.right),
             false => (&mut self.right, &self.left),
@@ -493,7 +485,7 @@ impl JoinState {
             .into_iter()
             .flat_map(CountedSet::iter)
         {
-            bump(stats, count_work, 1);
+            stats.delta_rows_processed += 1;
             let row = if left { concat(t, m) } else { concat(m, t) };
             out.add(row, c * mc);
         }
@@ -678,7 +670,8 @@ impl FixpointNode {
     /// its source relations. The fixpoint is then evaluated from the stored
     /// relations: the base and the step's first iteration are initialized
     /// by driving their pipelines, on one worker as every input of a
-    /// fixpoint is.
+    /// fixpoint is. Initialization is not delta work: the rebuild's later
+    /// sweeps leave `delta_rows_processed` as they found it.
     fn init(
         &mut self,
         ctx: Ctx<'_, '_>,
@@ -697,9 +690,12 @@ impl FixpointNode {
                 .collect();
         }
         let ctx = ctx.sequential();
-        self.rebuild(stats, false, &mut |flow, rec, stats| {
+        let counted = stats.delta_rows_processed;
+        let built = self.rebuild(stats, &mut |flow, rec, stats| {
             flow.init(ctx, rec, stats, scanned)
-        })
+        });
+        stats.delta_rows_processed = counted;
+        built
     }
 
     /// One maintenance batch: an incremental fixpoint is maintained in
@@ -708,13 +704,12 @@ impl FixpointNode {
         &mut self,
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
-        count_work: bool,
     ) -> Result<CountedSet, CircuitError> {
         let Some(deltas) = input.deltas else {
             return Ok(CountedSet::new());
         };
         if self.incremental {
-            return self.maintain(deltas, stats, count_work);
+            return self.maintain(deltas, stats);
         }
         for r in &self.sources {
             if let Some(d) = deltas.for_relation(r) {
@@ -725,13 +720,13 @@ impl FixpointNode {
         let old = std::mem::take(&mut self.out);
         let rels = std::mem::take(&mut self.rels);
         let rec = Arc::clone(&self.rec);
-        let rebuilt = self.rebuild(stats, count_work, &mut |flow, frontier, stats| {
+        let rebuilt = self.rebuild(stats, &mut |flow, frontier, stats| {
             let input = BatchInput {
                 deltas: None,
                 copies: Some(&rels),
                 rec: frontier.map(|z| (&*rec, z)),
             };
-            flow.run(&input, stats, count_work)
+            flow.run(&input, stats)
         });
         self.rels = rels;
         rebuilt?;
@@ -746,7 +741,6 @@ impl FixpointNode {
     fn rebuild(
         &mut self,
         stats: &mut CircuitStats,
-        count_work: bool,
         first: &mut FirstSweep<'_>,
     ) -> Result<(), CircuitError> {
         self.base.reset();
@@ -768,7 +762,7 @@ impl FixpointNode {
                 copies: None,
                 rec: Some((rec_name, frontier)),
             };
-            step.run(&input, stats, count_work)
+            step.run(&input, stats)
         };
 
         if self.all {
@@ -844,7 +838,6 @@ impl FixpointNode {
         &mut self,
         deltas: &DeltaSet,
         stats: &mut CircuitStats,
-        count_work: bool,
     ) -> Result<CountedSet, CircuitError> {
         let mut out_delta = CountedSet::new();
         let mut frontier = CountedSet::new();
@@ -857,7 +850,7 @@ impl FixpointNode {
         let halves;
         let inserts = if retracts {
             halves = split_by_sign(deltas, &self.sources);
-            self.overdelete(&halves.0, &mut overdeleted, stats, count_work)?;
+            self.overdelete(&halves.0, &mut overdeleted, stats)?;
             for t in &overdeleted {
                 if self.derived.count(t) > 0 {
                     self.out.add(t.clone(), 1);
@@ -876,7 +869,7 @@ impl FixpointNode {
             copies: None,
             rec: None,
         };
-        let d_base = self.base.run(&base_inp, stats, count_work)?;
+        let d_base = self.base.run(&base_inp, stats)?;
         absorb(
             d_base,
             &mut self.derived,
@@ -902,7 +895,7 @@ impl FixpointNode {
                     copies: None,
                     rec: Some((rec_name, &frontier)),
                 };
-                let d_step = self.step.run(&inp, stats, count_work)?;
+                let d_step = self.step.run(&inp, stats)?;
                 let mut next = CountedSet::new();
                 absorb(
                     d_step,
@@ -935,7 +928,6 @@ impl FixpointNode {
         removed: &DeltaSet,
         overdeleted: &mut Vec<Tuple>,
         stats: &mut CircuitStats,
-        count_work: bool,
     ) -> Result<(), CircuitError> {
         let rec_name: &str = self.rec.as_ref();
         let world = BatchInput {
@@ -943,8 +935,8 @@ impl FixpointNode {
             copies: None,
             rec: None,
         };
-        let mut lost = self.base.run(&world, stats, count_work)?;
-        lost.merge_owned(self.step.run(&world, stats, count_work)?);
+        let mut lost = self.base.run(&world, stats)?;
+        lost.merge_owned(self.step.run(&world, stats)?);
         let mut iters: usize = 0;
         loop {
             let mut leaving = CountedSet::new();
@@ -975,7 +967,7 @@ impl FixpointNode {
                 copies: None,
                 rec: Some((rec_name, &leaving)),
             };
-            lost = self.step.run(&inp, stats, count_work)?;
+            lost = self.step.run(&inp, stats)?;
         }
     }
 }
@@ -1006,7 +998,6 @@ impl CNode {
         input: &BatchInput<'d>,
         outs: &[DOut<'d>],
         stats: &mut CircuitStats,
-        count_work: bool,
     ) -> Result<DOut<'d>, CircuitError> {
         if !input.touches(&self.sources) {
             return Ok(DOut::Empty);
@@ -1015,7 +1006,7 @@ impl CNode {
             CKind::Input { relation: name } | CKind::RecInput { name } => {
                 match input.relation(name) {
                     Some(d) => {
-                        bump(stats, count_work, d.distinct_len() as u64);
+                        stats.delta_rows_processed += d.distinct_len() as u64;
                         d
                     }
                     None => DOut::Empty,
@@ -1025,7 +1016,7 @@ impl CNode {
                 let d = &outs[*child];
                 let mut out = CountedSet::new();
                 for (t, c) in d.iter() {
-                    bump(stats, count_work, 1);
+                    stats.delta_rows_processed += 1;
                     if pred.matches(t) {
                         out.add(t.clone(), c);
                     }
@@ -1036,7 +1027,7 @@ impl CNode {
                 let d = &outs[*child];
                 let mut out = CountedSet::with_capacity(d.distinct_len());
                 for (t, c) in d.iter() {
-                    bump(stats, count_work, 1);
+                    stats.delta_rows_processed += 1;
                     out.add(t.project(indices), c);
                 }
                 DOut::Owned(out)
@@ -1052,7 +1043,7 @@ impl CNode {
                 // ΔL × R_old
                 for (lt, lc) in dl.iter() {
                     for (rt, rc) in right_state.iter() {
-                        bump(stats, count_work, 1);
+                        stats.delta_rows_processed += 1;
                         out.add(lt.concat(rt), lc * rc);
                     }
                 }
@@ -1060,7 +1051,7 @@ impl CNode {
                                             // L_new × ΔR — supplies both L_old × ΔR and ΔL × ΔR.
                 for (rt, rc) in dr.iter() {
                     for (lt, lc) in left_state.iter() {
-                        bump(stats, count_work, 1);
+                        stats.delta_rows_processed += 1;
                         out.add(lt.concat(rt), lc * rc);
                     }
                 }
@@ -1072,17 +1063,17 @@ impl CNode {
                 // ΔL ⋈ R_old, folding ΔL into the left index as we go, then
                 // L_new ⋈ ΔR.
                 for (lt, lc) in outs[*left].iter() {
-                    join.delta_row(true, lt, lc, &mut out, stats, count_work);
+                    join.delta_row(true, lt, lc, &mut out, stats);
                 }
                 for (rt, rc) in outs[*right].iter() {
-                    join.delta_row(false, rt, rc, &mut out, stats, count_work);
+                    join.delta_row(false, rt, rc, &mut out, stats);
                 }
                 DOut::Owned(out)
             }
             CKind::Aggregate { child, agg } => {
                 agg.begin();
                 for (t, c) in outs[*child].iter() {
-                    bump(stats, count_work, 1);
+                    stats.delta_rows_processed += 1;
                     agg.feed(t, c)?;
                 }
                 DOut::Owned(agg.finish())
@@ -1090,7 +1081,7 @@ impl CNode {
             CKind::Distinct { child, state } => {
                 let mut out = CountedSet::new();
                 for (t, c) in outs[*child].iter() {
-                    bump(stats, count_work, 1);
+                    stats.delta_rows_processed += 1;
                     let old = state.count(t);
                     let new = state.add(t.clone(), c);
                     if new < 0 {
@@ -1110,7 +1101,7 @@ impl CNode {
             CKind::Union { left, right } => {
                 let dl = &outs[*left];
                 let dr = &outs[*right];
-                bump(stats, count_work, dr.distinct_len() as u64);
+                stats.delta_rows_processed += dr.distinct_len() as u64;
                 let mut out = CountedSet::with_capacity(dl.distinct_len() + dr.distinct_len());
                 merge_dout(&mut out, dl);
                 merge_dout(&mut out, dr);
@@ -1127,7 +1118,7 @@ impl CNode {
                 let mut out = CountedSet::new();
                 // Re-derive the output count of every touched tuple.
                 for t in dl.iter().map(|(t, _)| t).chain(dr.iter().map(|(t, _)| t)) {
-                    bump(stats, count_work, 1);
+                    stats.delta_rows_processed += 1;
                     if out.count(t) != 0 {
                         continue; // handled from the other delta already
                     }
@@ -1142,7 +1133,7 @@ impl CNode {
                 merge_dout(right_state, dr);
                 DOut::Owned(out)
             }
-            CKind::Fixpoint(fx) => DOut::Owned(fx.step_batch(input, stats, count_work)?),
+            CKind::Fixpoint(fx) => DOut::Owned(fx.step_batch(input, stats)?),
         })
     }
 
@@ -1347,7 +1338,7 @@ impl Flow {
             copies: None,
             rec: None,
         };
-        self.run(&input, stats, true)
+        self.run(&input, stats)
     }
 
     /// Initializes every node, in flow order, from the stored relations —
@@ -1389,11 +1380,10 @@ impl Flow {
         &mut self,
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
-        count_work: bool,
     ) -> Result<CountedSet, CircuitError> {
         let mut outs: Vec<DOut<'_>> = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
-            let out = node.step(input, &outs, stats, count_work)?;
+            let out = node.step(input, &outs, stats)?;
             outs.push(out);
         }
         Ok(outs.pop().map(DOut::into_owned).unwrap_or_default())

@@ -100,7 +100,7 @@ impl Tuple {
     /// Builds a tuple from values. The `Vec` is copied into the shared
     /// buffer, a second allocation; the crate's own constructors collect
     /// their values straight into the buffer instead
-    /// ([`Tuple::from_values`]).
+    /// (`Tuple::from_values`).
     pub fn new(values: Vec<Value>) -> Self {
         Tuple::from_values(values)
     }
